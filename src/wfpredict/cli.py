@@ -215,7 +215,7 @@ def cmd_registry(args) -> int:
         ):
             print(
                 f"{task} {scenario.value}: {len(bundle.regressor)} instances, "
-                f"{len(bundle.forecasters)} forecasters, "
+                f"{bundle.forecaster.n_metrics if bundle.forecaster else 0} forecasters, "
                 f"{bundle.runtime_count} completions"
             )
     return 0

@@ -75,11 +75,6 @@ class InstanceWindow:
         eps = 1e-12 * np.maximum(1.0, np.maximum(np.abs(self.lo), np.abs(self.hi)))
         return np.where(rng > eps, rng, 0.0)
 
-    def _distance2(self, q: np.ndarray, x: np.ndarray) -> float:
-        rng = self._ranges()
-        diff = np.where(rng > 0, (q - x) / np.where(rng > 0, rng, 1.0), 0.0)
-        return float(np.sum(diff * diff))
-
     def predict(self, query: FeatureVector, k: int = 1) -> float:
         """Unweighted mean runtime of the k nearest stored instances.
 
@@ -95,10 +90,12 @@ class InstanceWindow:
                 f"query schema {query.names} does not match window schema {self.schema}"
             )
         q = np.asarray(query.values, dtype=float)
-        ranked = sorted(
-            range(len(self.instances)),
-            key=lambda idx: (self._distance2(q, self.instances[idx][0]), idx),
-        )
+        rng = self._ranges()
+        live = rng > 0
+        denom = np.where(live, rng, 1.0)
+        diffs = (np.where(live, (q - x) / denom, 0.0) for x, _ in self.instances)
+        dist2 = [float(np.sum(d * d)) for d in diffs]
+        ranked = sorted(range(len(dist2)), key=lambda idx: (dist2[idx], idx))
         chosen = ranked[: min(k, len(self.instances))]
         return sum(self.instances[i][1] for i in chosen) / len(chosen)
 

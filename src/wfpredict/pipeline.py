@@ -26,7 +26,7 @@ from .store import downsample
 from .tsfeat import TrevConfig, strip_padding, trev
 
 REGISTRY_MAGIC = "wfpredict-registry"
-REGISTRY_VERSION = 1
+REGISTRY_VERSION = 2
 
 ALL_METRICS: Tuple[MetricKind, ...] = tuple(MetricKind)
 
@@ -143,7 +143,8 @@ class TaskModelBundle:
     trev_lag: int
     target_tau: int
     regressor: InstanceWindow
-    forecasters: Dict[MetricKind, SequenceModel] = field(default_factory=dict)
+    # time_series: one forecaster over selected_metrics, None when none are selected
+    forecaster: Optional[SequenceModel] = None
     agg_estimators: Dict[MetricKind, InstanceWindow] = field(default_factory=dict)
     runtime_sum: float = 0.0
     runtime_count: int = 0
@@ -180,18 +181,17 @@ class Registry:
                 target_tau=cfg.target_tau,
                 regressor=InstanceWindow(capacity=cfg.window_capacity),
             )
-            if scenario == Scenario.time_series:
-                for m in metrics:
-                    bundle.forecasters[m] = SequenceModel(
-                        input_dim=8,
-                        hidden_size=cfg.hidden_size,
-                        learning_rate=cfg.learning_rate,
-                        epochs_per_update=cfg.epochs_per_update,
-                        clip_norm=cfg.clip_norm,
-                        seed=_model_seed(cfg.seed, task_name, m.value),
-                        metric=m,
-                        tau=cfg.target_tau,
-                    )
+            if scenario == Scenario.time_series and metrics:
+                bundle.forecaster = SequenceModel(
+                    input_dim=8,
+                    hidden_size=cfg.hidden_size,
+                    learning_rate=cfg.learning_rate,
+                    epochs_per_update=cfg.epochs_per_update,
+                    clip_norm=cfg.clip_norm,
+                    seeds=[_model_seed(cfg.seed, task_name, m.value) for m in metrics],
+                    metrics=metrics,
+                    tau=cfg.target_tau,
+                )
             elif scenario == Scenario.two_stages:
                 for m in metrics:
                     bundle.agg_estimators[m] = InstanceWindow(capacity=cfg.window_capacity)
@@ -205,29 +205,16 @@ class Registry:
             names=("input_name",), values=(float(self.vocab.code("input_name", f.input_name)),)
         )
 
-    def _time_series_query_vector(
-        self, bundle: TaskModelBundle, sigma: FeatureVector
+    def _time_series_vector(
+        self, bundle: TaskModelBundle, sigma: FeatureVector, series: Sequence
     ) -> FeatureVector:
+        """sigma plus the trev of each selected metric's series, 0.0 where it is None."""
         cfg = TrevConfig(lag=bundle.trev_lag)
-        names = list(sigma.names)
-        values = list(sigma.values)
-        for m in bundle.selected_metrics:
-            forecast = bundle.forecasters[m].forecast(sigma, self.config.forecast_horizon)
-            names.append(f"trev_{m.value}")
-            values.append(trev(strip_padding(forecast.values), cfg))
-        return FeatureVector(names=tuple(names), values=tuple(values))
-
-    def _time_series_observed_vector(
-        self, bundle: TaskModelBundle, sigma: FeatureVector, ds_series
-    ) -> FeatureVector:
-        cfg = TrevConfig(lag=bundle.trev_lag)
-        names = list(sigma.names)
-        values = list(sigma.values)
-        for m in bundle.selected_metrics:
-            names.append(f"trev_{m.value}")
-            s = ds_series.get(m)
-            values.append(trev(strip_padding(s.values), cfg) if s is not None else 0.0)
-        return FeatureVector(names=tuple(names), values=tuple(values))
+        return FeatureVector(
+            names=sigma.names + tuple(f"trev_{m.value}" for m in bundle.selected_metrics),
+            values=sigma.values
+            + tuple(trev(strip_padding(s), cfg) if s is not None else 0.0 for s in series),
+        )
 
     def _two_stages_query_vector(
         self, bundle: TaskModelBundle, sigma: FeatureVector
@@ -273,7 +260,10 @@ class Registry:
         elif scenario == Scenario.two_stages:
             query = self._two_stages_query_vector(bundle, sigma)
         else:
-            query = self._time_series_query_vector(bundle, sigma)
+            forecasts = []
+            if bundle.forecaster is not None:
+                forecasts = bundle.forecaster.forecast_all(sigma, self.config.forecast_horizon)
+            query = self._time_series_vector(bundle, sigma, forecasts)
         try:
             runtime = bundle.regressor.predict(query, k=self.config.k)
         except EmptyWindowError:
@@ -298,13 +288,14 @@ class Registry:
             for m, agg in aggs.items():
                 bundle.agg_estimators[m].add(sigma, agg)
         else:
-            # update forecasters first so a diverged update cannot leave a
-            # half-trained bundle with a freshly added regressor instance
-            for m in bundle.selected_metrics:
-                s = ds_series.get(m)
-                if s is not None:
-                    bundle.forecasters[m].update(sigma, s)
-            fv = self._time_series_observed_vector(bundle, sigma, ds_series)
+            observed = [
+                ds_series[m].values if m in ds_series else None for m in bundle.selected_metrics
+            ]
+            # update the forecaster first so a diverged update, which rolls
+            # it back whole, cannot leave a freshly added regressor instance
+            if bundle.forecaster is not None:
+                bundle.forecaster.update_all(sigma, observed)
+            fv = self._time_series_vector(bundle, sigma, observed)
         bundle.regressor.add(fv, rec.runtime_seconds)
         bundle.runtime_sum += rec.runtime_seconds
         bundle.runtime_count += 1
@@ -337,7 +328,7 @@ class Registry:
                 "runtime_sum": bundle.runtime_sum,
                 "runtime_count": bundle.runtime_count,
                 "regressor": bundle.regressor.to_dict(),
-                "forecasters": {m.value: f.to_dict() for m, f in bundle.forecasters.items()},
+                "forecaster": bundle.forecaster.to_dict() if bundle.forecaster else None,
                 "agg_estimators": {
                     m.value: w.to_dict() for m, w in bundle.agg_estimators.items()
                 },
@@ -362,6 +353,7 @@ class Registry:
             payload = json.loads(
                 (storage_dir / entry["path"] / "bundle.json").read_text(encoding="utf-8")
             )
+            forecaster = payload["forecaster"]
             bundle = TaskModelBundle(
                 task_name=payload["task_name"],
                 scenario=Scenario(payload["scenario"]),
@@ -369,10 +361,7 @@ class Registry:
                 trev_lag=payload["trev_lag"],
                 target_tau=payload["target_tau"],
                 regressor=InstanceWindow.from_dict(payload["regressor"]),
-                forecasters={
-                    MetricKind(v): SequenceModel.from_dict(d)
-                    for v, d in payload["forecasters"].items()
-                },
+                forecaster=SequenceModel.from_dict(forecaster) if forecaster else None,
                 agg_estimators={
                     MetricKind(v): InstanceWindow.from_dict(d)
                     for v, d in payload["agg_estimators"].items()

@@ -106,10 +106,10 @@ def test_criterion_03_gradient_check():
     for trial in range(20):
         input_dim = int(rng.integers(2, 5))
         hidden = int(rng.integers(3, 7))
-        model = SequenceModel(input_dim=input_dim, hidden_size=hidden, seed=trial)
-        fenc = rng.uniform(0, 1, size=input_dim)
-        inputs = rng.uniform(0, 1, size=5)
-        targets = rng.uniform(0, 1, size=5)
+        model = SequenceModel(input_dim=input_dim, hidden_size=hidden, seeds=(trial,))
+        fenc = rng.uniform(0, 1, size=(1, input_dim))
+        inputs = rng.uniform(0, 1, size=(1, 5))
+        targets = rng.uniform(0, 1, size=(1, 5))
         worst = max(worst, max_param_gradient_error(model, fenc, inputs, targets, step=1e-5))
     elapsed = time.monotonic() - t0
     verdict(3, "gradient check", worst < 1e-4 and elapsed < 30.0)
@@ -121,13 +121,14 @@ def test_criterion_04_convergence():
     s = MetricSeries(metric=MetricKind.utime, interval_seconds=1, values=target_values)
     # an untrained twin measures the starting loss without taking a step
     probe = SequenceModel(
-        input_dim=2, hidden_size=10, learning_rate=0.3, epochs_per_update=0, seed=1004
+        input_dim=2, hidden_size=10, learning_rate=0.3, epochs_per_update=0, seeds=(1004,)
     )
-    initial = probe.update(f, s)
-    model = SequenceModel(input_dim=2, hidden_size=10, learning_rate=0.3, seed=1004)
-    last = initial
+    probe.update(f, s)
+    initial = probe.loss(f, s)
+    model = SequenceModel(input_dim=2, hidden_size=10, learning_rate=0.3, seeds=(1004,))
     for _ in range(500):
-        last = model.update(f, s)
+        model.update(f, s)
+    last = model.loss(f, s)
     forecast = model.forecast(f, len(target_values))
     ok = last < initial / 10
     ok = ok and len(forecast.values) == len(target_values)

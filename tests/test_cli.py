@@ -96,6 +96,26 @@ def test_replay_predict_saves_registry(tmp_path, gen_log):
     assert main(["registry", "list", "--dir", str(reg_dir)]) == 0
 
 
+def test_registry_list_counts_forecast_metrics_and_rejects_version_1(tmp_path, gen_log, capsys):
+    reg_dir = tmp_path / "registry"
+    rc = main([
+        "replay-predict", "--log", str(gen_log), "--scenario", "time_series",
+        "--tau", "5", "--out", str(tmp_path / "p.jsonl"), "--registry-dir", str(reg_dir),
+    ])
+    assert rc == 0
+    capsys.readouterr()
+    assert main(["registry", "list", "--dir", str(reg_dir)]) == 0
+    listed = capsys.readouterr().out.splitlines()
+    assert listed and all("13 forecasters" in line for line in listed)
+
+    index_path = reg_dir / "index.json"
+    index = json.loads(index_path.read_text(encoding="utf-8"))
+    index["version"] = 1
+    index_path.write_text(json.dumps(index), encoding="utf-8")
+    assert main(["registry", "list", "--dir", str(reg_dir)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: unsupported registry version 1"]
+
+
 def test_select_features_reports_correlations(tmp_path, gen_log, capsys):
     out = tmp_path / "sel.json"
     rc = main([

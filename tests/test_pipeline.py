@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from conftest import make_record
 from wfpredict.domain import MetricKind, Scenario
+from wfpredict.forecaster import TrainingDivergedError
 from wfpredict.pipeline import PipelineConfig, Registry, pearson, select_features
 
 
@@ -122,8 +124,26 @@ def test_time_series_bundle_has_one_forecaster_per_metric(small_log):
     for rec in small_log.read_all()[:5]:
         reg.observe_completion(rec, Scenario.time_series)
     bundle = reg.bundles[("align", Scenario.time_series)]
-    assert set(bundle.forecasters) == set(MetricKind)
-    assert all(f.len_count == 5 for f in bundle.forecasters.values())
+    assert bundle.forecaster.metrics == tuple(MetricKind)
+    assert bundle.forecaster.len_count.tolist() == [5] * len(MetricKind)
+
+
+def test_diverged_forecaster_update_leaves_bundle_unchanged(small_log):
+    reg = Registry(config=PipelineConfig(target_tau=5))
+    records = small_log.read_all()
+    for rec in records[:5]:
+        reg.observe_completion(rec, Scenario.time_series)
+    bundle = reg.bundles[("align", Scenario.time_series)]
+    # one metric of the thirteen gets an output weight whose squared error overflows
+    bundle.forecaster.params["w_y"][6] = 1e300
+
+    def state():
+        return (bundle.forecaster.dumps(), bundle.regressor.dumps(), bundle.runtime_count)
+
+    before = state()
+    with pytest.raises(TrainingDivergedError), np.errstate(over="ignore", invalid="ignore"):
+        reg.observe_completion(records[5], Scenario.time_series)
+    assert state() == before
 
 
 def test_metric_selection_restricts_models(small_log):
@@ -132,7 +152,7 @@ def test_metric_selection_restricts_models(small_log):
     for rec in small_log.read_all()[:5]:
         reg.observe_completion(rec, Scenario.time_series)
     bundle = reg.bundles[("align", Scenario.time_series)]
-    assert set(bundle.forecasters) == {MetricKind.utime}
+    assert bundle.forecaster.metrics == (MetricKind.utime,)
     assert bundle.regressor.schema[-1] == "trev_utime"
     assert len(bundle.regressor.schema) == 9  # 8 pre-runtime dims plus one
 
