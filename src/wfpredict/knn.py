@@ -1,17 +1,17 @@
-"""Windowed incremental nearest-neighbor regressor (linear scan, FIFO window)."""
+"""Windowed incremental nearest-neighbor regressor (vectorised scan, FIFO window)."""
 
 from __future__ import annotations
 
 import json
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .domain import FeatureVector
 
 MAGIC = "wfpredict-knnwindow"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 3
 
 
 class EmptyWindowError(RuntimeError):
@@ -23,25 +23,47 @@ class SchemaMismatchError(ValueError):
 
 
 class InstanceWindow:
-    """Bounded FIFO of (feature vector, runtime) instances with range-normalized
+    """Bounded FIFO of (feature vector, target) instances with range-normalized
     Euclidean distance.
 
-    The first add fixes the feature-name schema. Running per-feature min/max
-    is maintained for distance normalization; zero-range dimensions contribute
-    nothing to distance. capacity=None means unbounded.
+    The first add fixes the feature-name schema. A target is a positive
+    runtime, or, when target_names is given, a row of positive values, one per
+    name; predict returns the mean target of the k nearest instances. The
+    per-feature min/max over the held instances normalizes distances;
+    zero-range dimensions contribute nothing to distance. capacity=None means
+    unbounded.
+
+    The held instances are the rows [start, end) of one (rows, d) array, in
+    arrival order. An add writes the next row; an eviction advances start.
+    When the array is full, the held rows move to the front of a new array
+    with room for as many again, so an add costs amortised O(d).
     """
 
-    def __init__(self, capacity: Optional[int] = None):
+    def __init__(self, capacity: Optional[int] = None,
+                 target_names: Optional[Sequence[str]] = None):
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
         self.capacity = capacity
+        self.target_names = None if target_names is None else tuple(target_names)
         self.schema: Optional[Tuple[str, ...]] = None
-        self.instances: List[Tuple[np.ndarray, float]] = []  # FIFO order
         self.lo: Optional[np.ndarray] = None
         self.hi: Optional[np.ndarray] = None
+        self._target_shape = () if target_names is None else (len(self.target_names),)
+        self._X = np.empty((0, 0))
+        self._y = np.empty((0,) + self._target_shape)
+        self._start = 0
+        self._end = 0
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return self._end - self._start
+
+    @property
+    def instances(self) -> List[Tuple[np.ndarray, Union[float, np.ndarray]]]:
+        """The held (feature row, target) pairs, oldest first, as read-only views."""
+        rows = self._X[self._start:self._end].view()
+        targets = self._y[self._start:self._end].view()
+        rows.flags.writeable = targets.flags.writeable = False
+        return list(zip(rows, targets.tolist() if self.target_names is None else targets))
 
     def _check_schema(self, fv: FeatureVector):
         if self.schema is None:
@@ -49,23 +71,57 @@ class InstanceWindow:
             dim = len(self.schema)
             self.lo = np.full(dim, np.inf)
             self.hi = np.full(dim, -np.inf)
+            self._X = np.empty((0, dim))
         elif tuple(fv.names) != self.schema:
             raise SchemaMismatchError(
                 f"feature schema mismatch: {fv.names} vs window schema {self.schema}"
             )
 
-    def add(self, fv: FeatureVector, runtime: float) -> Optional[Tuple[np.ndarray, float]]:
+    def _make_room(self) -> None:
+        n = len(self)
+        rows = max(16, 2 * n)
+        X = np.empty((rows, self._X.shape[1]))
+        y = np.empty((rows,) + self._target_shape)
+        X[:n] = self._X[self._start:self._end]
+        y[:n] = self._y[self._start:self._end]
+        self._X, self._y, self._start, self._end = X, y, 0, n
+
+    def add(self, fv: FeatureVector, target) -> Optional[Tuple[np.ndarray, Union[float, np.ndarray]]]:
         """Append an instance; returns the evicted oldest one when over capacity."""
-        if not (runtime > 0 and math.isfinite(runtime)):
-            raise ValueError(f"runtime must be positive, got {runtime}")
+        if self.target_names is None:
+            if not (target > 0 and math.isfinite(target)):
+                raise ValueError(f"runtime must be positive, got {target}")
+        else:
+            target = np.asarray(target, dtype=float)
+            if target.shape != self._target_shape or not np.all(np.isfinite(target) & (target > 0)):
+                raise ValueError(
+                    f"target must be {len(self.target_names)} positive values, got {target}"
+                )
         self._check_schema(fv)
+        if self._end == len(self._X):
+            self._make_room()
         x = np.asarray(fv.values, dtype=float)
+        self._X[self._end] = x
+        self._y[self._end] = target
+        self._end += 1
         self.lo = np.minimum(self.lo, x)
         self.hi = np.maximum(self.hi, x)
-        self.instances.append((x, float(runtime)))
-        if self.capacity is not None and len(self.instances) > self.capacity:
-            return self.instances.pop(0)
+        if self.capacity is not None and len(self) > self.capacity:
+            return self._evict()
         return None
+
+    def _evict(self) -> Tuple[np.ndarray, Union[float, np.ndarray]]:
+        x = self._X[self._start].copy()
+        y = self._y[self._start].copy()
+        self._start += 1
+        # the evicted row may have been the only one on a bound: recompute the
+        # ranges from the held rows, so an old outlier stops squashing its
+        # dimension once it has left the window
+        if np.any((x == self.lo) | (x == self.hi)):
+            held = self._X[self._start:self._end]
+            self.lo = held.min(axis=0)
+            self.hi = held.max(axis=0)
+        return x, (float(y) if self.target_names is None else y)
 
     def _ranges(self) -> np.ndarray:
         # a range smaller than float rounding noise on the stored values is
@@ -75,39 +131,46 @@ class InstanceWindow:
         eps = 1e-12 * np.maximum(1.0, np.maximum(np.abs(self.lo), np.abs(self.hi)))
         return np.where(rng > eps, rng, 0.0)
 
-    def predict(self, query: FeatureVector, k: int = 1) -> float:
-        """Unweighted mean runtime of the k nearest stored instances.
+    def predict(self, query: FeatureVector, k: int = 1) -> Union[float, np.ndarray]:
+        """Unweighted mean target of the k nearest stored instances.
 
-        Distances are computed by linear scan; ties break toward the older
-        (earlier inserted) instance.
+        All held rows are scored in one expression; ties break toward the
+        older (earlier inserted) instance.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if not self.instances:
+        if not len(self):
             raise EmptyWindowError("no training instances in window")
         if tuple(query.names) != self.schema:
             raise SchemaMismatchError(
                 f"query schema {query.names} does not match window schema {self.schema}"
             )
-        q = np.asarray(query.values, dtype=float)
         rng = self._ranges()
         live = rng > 0
         denom = np.where(live, rng, 1.0)
-        diffs = (np.where(live, (q - x) / denom, 0.0) for x, _ in self.instances)
-        dist2 = [float(np.sum(d * d)) for d in diffs]
-        ranked = sorted(range(len(dist2)), key=lambda idx: (dist2[idx], idx))
-        chosen = ranked[: min(k, len(self.instances))]
-        return sum(self.instances[i][1] for i in chosen) / len(chosen)
+        q = np.asarray(query.values, dtype=float)
+        d = np.where(live, (q - self._X[self._start:self._end]) / denom, 0.0)
+        dist2 = np.sum(d * d, axis=1)
+        if k == 1:
+            chosen = [np.argmin(dist2)]
+        else:
+            chosen = np.argsort(dist2, kind="stable")[:k]
+        targets = self._y[self._start:self._end]
+        # summed one at a time in rank order, as a plain Python mean would
+        mean = sum(targets[i] for i in chosen) / len(chosen)
+        return float(mean) if self.target_names is None else mean
 
     def to_dict(self) -> dict:
         return {
             "magic": MAGIC,
             "version": FORMAT_VERSION,
             "capacity": self.capacity,
+            "target_names": None if self.target_names is None else list(self.target_names),
             "schema": list(self.schema) if self.schema else None,
             "lo": self.lo.tolist() if self.lo is not None else None,
             "hi": self.hi.tolist() if self.hi is not None else None,
-            "instances": [[x.tolist(), r] for x, r in self.instances],
+            "rows": self._X[self._start:self._end].tolist(),
+            "targets": self._y[self._start:self._end].tolist(),
         }
 
     @classmethod
@@ -116,12 +179,14 @@ class InstanceWindow:
             raise ValueError(f"not an instance window container: {d.get('magic')!r}")
         if d.get("version") != FORMAT_VERSION:
             raise ValueError(f"unsupported instance window version {d.get('version')}")
-        w = cls(capacity=d["capacity"])
+        w = cls(capacity=d["capacity"], target_names=d["target_names"])
         if d["schema"] is not None:
             w.schema = tuple(d["schema"])
             w.lo = np.array(d["lo"], dtype=float)
             w.hi = np.array(d["hi"], dtype=float)
-            w.instances = [(np.array(x, dtype=float), float(r)) for x, r in d["instances"]]
+            w._X = np.array(d["rows"], dtype=float).reshape(-1, len(w.schema))
+            w._y = np.array(d["targets"], dtype=float).reshape((-1,) + w._target_shape)
+            w._end = len(w._X)
         return w
 
     def dumps(self) -> str:

@@ -6,8 +6,9 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .domain import (
@@ -26,7 +27,7 @@ from .store import downsample
 from .tsfeat import TrevConfig, strip_padding, trev
 
 REGISTRY_MAGIC = "wfpredict-registry"
-REGISTRY_VERSION = 2
+REGISTRY_VERSION = 3
 
 ALL_METRICS: Tuple[MetricKind, ...] = tuple(MetricKind)
 
@@ -145,9 +146,22 @@ class TaskModelBundle:
     regressor: InstanceWindow
     # time_series: one forecaster over selected_metrics, None when none are selected
     forecaster: Optional[SequenceModel] = None
-    agg_estimators: Dict[MetricKind, InstanceWindow] = field(default_factory=dict)
+    # two_stages: one index over the pre-runtime features whose target row
+    # holds each selected metric's aggregate, None when none are selected
+    agg_index: Optional[InstanceWindow] = None
     runtime_sum: float = 0.0
     runtime_count: int = 0
+
+    @property
+    def agg_estimators(self) -> Mapping[MetricKind, InstanceWindow]:
+        """Each selected metric's aggregate estimator, read-only: agg_index for all.
+
+        Kept for perfbench/replay.py (zero_range_dims), which reads it; remove
+        it once the benchmark reads agg_index.
+        """
+        if self.agg_index is None:
+            return MappingProxyType({})
+        return MappingProxyType(dict.fromkeys(self.selected_metrics, self.agg_index))
 
     @property
     def mean_runtime(self) -> Optional[float]:
@@ -192,9 +206,11 @@ class Registry:
                     metrics=metrics,
                     tau=cfg.target_tau,
                 )
-            elif scenario == Scenario.two_stages:
-                for m in metrics:
-                    bundle.agg_estimators[m] = InstanceWindow(capacity=cfg.window_capacity)
+            elif scenario == Scenario.two_stages and metrics:
+                bundle.agg_index = InstanceWindow(
+                    capacity=cfg.window_capacity,
+                    target_names=tuple(f"agg_{m.value}" for m in metrics),
+                )
             self.bundles[key] = bundle
         return self.bundles[key]
 
@@ -219,31 +235,27 @@ class Registry:
     def _two_stages_query_vector(
         self, bundle: TaskModelBundle, sigma: FeatureVector
     ) -> FeatureVector:
-        names = list(sigma.names)
-        values = list(sigma.values)
-        for m in bundle.selected_metrics:
-            est = bundle.agg_estimators[m]
-            try:
-                agg = est.predict(sigma, k=1)
-            except EmptyWindowError:
-                agg = _AGG_FLOOR
-            names.append(f"agg_{m.value}")
-            values.append(agg)
-        return FeatureVector(names=tuple(names), values=tuple(values))
+        """sigma plus the aggregates of sigma's nearest neighbour in the index."""
+        if bundle.agg_index is None:
+            return sigma
+        try:
+            aggs = tuple(bundle.agg_index.predict(sigma, k=1).tolist())
+        except EmptyWindowError:
+            aggs = (_AGG_FLOOR,) * len(bundle.selected_metrics)
+        return FeatureVector(
+            names=sigma.names + bundle.agg_index.target_names, values=sigma.values + aggs
+        )
 
     def _two_stages_observed_vector(
         self, bundle: TaskModelBundle, sigma: FeatureVector, ds_series
-    ) -> Tuple[FeatureVector, Dict[MetricKind, float]]:
-        names = list(sigma.names)
-        values = list(sigma.values)
-        aggs: Dict[MetricKind, float] = {}
-        for m in bundle.selected_metrics:
-            s = ds_series.get(m)
-            agg = max(sum(s.values), _AGG_FLOOR) if s is not None else _AGG_FLOOR
-            aggs[m] = agg
-            names.append(f"agg_{m.value}")
-            values.append(agg)
-        return FeatureVector(names=tuple(names), values=tuple(values)), aggs
+    ) -> Tuple[FeatureVector, Tuple[float, ...]]:
+        """sigma plus the aggregate of each selected metric's observed series."""
+        aggs = tuple(
+            max(sum(s.values), _AGG_FLOOR) if s is not None else _AGG_FLOOR
+            for s in (ds_series.get(m) for m in bundle.selected_metrics)
+        )
+        names = tuple(f"agg_{m.value}" for m in bundle.selected_metrics)
+        return FeatureVector(names=sigma.names + names, values=sigma.values + aggs), aggs
 
     # -- the three phases --------------------------------------------------
 
@@ -285,8 +297,8 @@ class Registry:
             fv = self._baseline_vector(rec.features)
         elif scenario == Scenario.two_stages:
             fv, aggs = self._two_stages_observed_vector(bundle, sigma, ds_series)
-            for m, agg in aggs.items():
-                bundle.agg_estimators[m].add(sigma, agg)
+            if bundle.agg_index is not None:
+                bundle.agg_index.add(sigma, aggs)
         else:
             observed = [
                 ds_series[m].values if m in ds_series else None for m in bundle.selected_metrics
@@ -329,9 +341,7 @@ class Registry:
                 "runtime_count": bundle.runtime_count,
                 "regressor": bundle.regressor.to_dict(),
                 "forecaster": bundle.forecaster.to_dict() if bundle.forecaster else None,
-                "agg_estimators": {
-                    m.value: w.to_dict() for m, w in bundle.agg_estimators.items()
-                },
+                "agg_index": bundle.agg_index.to_dict() if bundle.agg_index is not None else None,
             }
             (bdir / "bundle.json").write_text(json.dumps(payload), encoding="utf-8")
             index["bundles"].append(
@@ -353,7 +363,7 @@ class Registry:
             payload = json.loads(
                 (storage_dir / entry["path"] / "bundle.json").read_text(encoding="utf-8")
             )
-            forecaster = payload["forecaster"]
+            forecaster, agg_index = payload["forecaster"], payload["agg_index"]
             bundle = TaskModelBundle(
                 task_name=payload["task_name"],
                 scenario=Scenario(payload["scenario"]),
@@ -362,10 +372,7 @@ class Registry:
                 target_tau=payload["target_tau"],
                 regressor=InstanceWindow.from_dict(payload["regressor"]),
                 forecaster=SequenceModel.from_dict(forecaster) if forecaster else None,
-                agg_estimators={
-                    MetricKind(v): InstanceWindow.from_dict(d)
-                    for v, d in payload["agg_estimators"].items()
-                },
+                agg_index=InstanceWindow.from_dict(agg_index) if agg_index is not None else None,
                 runtime_sum=payload["runtime_sum"],
                 runtime_count=payload["runtime_count"],
             )

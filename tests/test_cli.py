@@ -110,10 +110,13 @@ def test_registry_list_counts_forecast_metrics_and_rejects_version_1(tmp_path, g
 
     index_path = reg_dir / "index.json"
     index = json.loads(index_path.read_text(encoding="utf-8"))
-    index["version"] = 1
-    index_path.write_text(json.dumps(index), encoding="utf-8")
-    assert main(["registry", "list", "--dir", str(reg_dir)]) == 1
-    assert capsys.readouterr().err.splitlines() == ["error: unsupported registry version 1"]
+    for version in (1, 2):
+        index["version"] = version
+        index_path.write_text(json.dumps(index), encoding="utf-8")
+        assert main(["registry", "list", "--dir", str(reg_dir)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: unsupported registry version {version}"
+        ]
 
 
 def test_select_features_reports_correlations(tmp_path, gen_log, capsys):

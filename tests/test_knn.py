@@ -77,12 +77,15 @@ def test_matches_oracle_on_random_cases():
             )
             for _ in range(n)
         ]
-        w = InstanceWindow()
+        cap = random.choice([None, random.randrange(1, 8)])
+        w = InstanceWindow(capacity=cap)
         for x, r in instances:
             w.add(_fv(x.tolist()), r)
         query = [float(random.randrange(0, 4)) for _ in range(dim)]
         k = random.randrange(1, 6)
-        assert w.predict(_fv(query), k) == oracle_predict(instances, query, k)
+        # a bounded window holds, and takes its ranges from, the last cap instances
+        held = instances if cap is None else instances[-cap:]
+        assert w.predict(_fv(query), k) == oracle_predict(held, query, k)
 
 
 def test_tie_break_prefers_older_instance():
@@ -159,6 +162,28 @@ def test_serialization_round_trip():
     assert len(again) == len(w)
     q = _fv([2.5, 1.0])
     assert again.predict(q, 2) == w.predict(q, 2)
+    # both keep evicting alike past another wrap of the buffer
+    for i in range(6, 30):
+        fv = _fv([float(i % 7), float(i % 3)])
+        out_w, out_again = w.add(fv, float(i + 1)), again.add(fv, float(i + 1))
+        assert out_w[0].tolist() == out_again[0].tolist() and out_w[1] == out_again[1]
+        assert again.predict(q, 2) == w.predict(q, 2)
+        assert again.lo.tolist() == w.lo.tolist() and again.hi.tolist() == w.hi.tolist()
+
+
+def test_row_targets_average_per_column():
+    w = InstanceWindow(target_names=("a", "b"))
+    w.add(_fv([0.0]), (1.0, 10.0))
+    w.add(_fv([1.0]), (3.0, 20.0))
+    w.add(_fv([5.0]), (7.0, 90.0))
+    assert w.predict(_fv([0.9]), k=1).tolist() == [3.0, 20.0]
+    assert w.predict(_fv([0.9]), k=2).tolist() == [2.0, 15.0]
+    for bad in ((1.0,), (1.0, 0.0), (1.0, float("nan"))):
+        with pytest.raises(ValueError):
+            w.add(_fv([0.0]), bad)
+    again = InstanceWindow.loads(w.dumps())
+    assert again.target_names == ("a", "b")
+    assert again.predict(_fv([4.0]), k=1).tolist() == [7.0, 90.0]
 
 
 def test_loads_rejects_foreign_payloads():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import make_record
-from wfpredict.domain import MetricKind, Scenario
+from wfpredict.domain import CategoryVocab, MetricKind, Scenario, encode_pre_runtime
 from wfpredict.forecaster import TrainingDivergedError
+from wfpredict.knn import InstanceWindow
 from wfpredict.pipeline import PipelineConfig, Registry, pearson, select_features
 
 
@@ -113,10 +114,27 @@ def test_two_stages_prediction_uses_aggregates(small_log):
     for rec in records[:60]:
         reg.observe_completion(rec, Scenario.two_stages)
     bundle = reg.bundles[("align", Scenario.two_stages)]
-    assert len(bundle.agg_estimators) == 13
+    assert bundle.agg_index.target_names == tuple(f"agg_{m.value}" for m in MetricKind)
+    assert len(bundle.agg_index) == 60
     assert len(bundle.regressor) == 60
     pred = reg.predict_task(records[60].features, Scenario.two_stages)
     assert pred.runtime_seconds > 0
+
+
+def test_two_stages_at_k1_is_pre_runtime_1nn(small_log):
+    """The query copies its aggregates from sigma's nearest neighbour, so that
+    neighbour also wins the combined distance: its aggregate terms are 0, and
+    every other row's are >= 0."""
+    reg = Registry(config=PipelineConfig(target_tau=5, k=1))
+    vocab = CategoryVocab()
+    window = InstanceWindow()
+    for rec in small_log.read_all():
+        got = reg.predict_task(rec.features, Scenario.two_stages).runtime_seconds
+        sigma = encode_pre_runtime(rec.features, vocab)
+        # one task: the window is empty only before the first completion
+        assert got == (window.predict(sigma, k=1) if len(window) else 1.0)
+        reg.observe_completion(rec, Scenario.two_stages)
+        window.add(sigma, rec.runtime_seconds)
 
 
 def test_time_series_bundle_has_one_forecaster_per_metric(small_log):
