@@ -16,6 +16,6 @@ from .forecaster import SequenceModel
 from .knn import InstanceWindow
 from .pipeline import PipelineConfig, Registry, pearson, select_features
 from .store import RecordLog, downsample
-from .tsfeat import TrevConfig, pad_to_length, strip_padding, trev
+from .tsfeat import TrevConfig, strip_padding, trev
 
 __version__ = "0.1.0"

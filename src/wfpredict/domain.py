@@ -96,10 +96,10 @@ class MetricSeries:
     def __post_init__(self):
         if self.interval_seconds < 1:
             raise DomainError(f"interval_seconds must be >= 1, got {self.interval_seconds}")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         if not self.values:
             raise DomainError("stored series must be non-empty")
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise DomainError(f"non-finite measurement in {self.metric.value} series")
 
     def to_dict(self) -> dict:
@@ -107,7 +107,7 @@ class MetricSeries:
 
     @classmethod
     def from_dict(cls, metric: MetricKind, d: Mapping) -> "MetricSeries":
-        return cls(metric=metric, interval_seconds=int(d["tau"]), values=tuple(d["values"]))
+        return cls(metric=metric, interval_seconds=int(d["tau"]), values=d["values"])
 
 
 @dataclass(frozen=True)
@@ -161,12 +161,12 @@ class FeatureVector:
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         if len(self.names) != len(self.values):
             raise DomainError("names/values length mismatch")
         if len(set(self.names)) != len(self.names):
             raise DomainError("feature names must be unique")
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise DomainError("non-finite feature value")
 
 

@@ -74,6 +74,11 @@ class RunningMinMax:
         return n
 
 
+def _one_row(s: MetricSeries) -> Tuple[np.ndarray, np.ndarray]:
+    """The block and lengths of a one-metric example."""
+    return np.array([s.values]), np.array([len(s.values)])
+
+
 def _initial_weights(seed: int, hidden_size: int, input_dim: int) -> Tuple[np.ndarray, ...]:
     """One metric's random weights, drawn in the per-gate order W_g, U_g for
     g in i, f, o, c, then W_h0, W_c0, w_y; returns fused W, U and the rest."""
@@ -90,8 +95,8 @@ def _initial_weights(seed: int, hidden_size: int, input_dim: int) -> Tuple[np.nd
 class SequenceModel:
     """Gated recurrent one-step-ahead forecasters for M metrics, trained
     incrementally with batch size 1; metric m draws its weights from seeds[m].
-    The *_all methods take one entry per metric; update, loss, default_horizon
-    and forecast are the entry points of a one-metric model."""
+    The *_all methods work on blocks with one row per metric; update, loss,
+    default_horizon and forecast are the entry points of a one-metric model."""
 
     def __init__(
         self,
@@ -160,23 +165,17 @@ class SequenceModel:
 
     # -- training ----------------------------------------------------------
 
-    def _training_data(self, f: FeatureVector, series: Sequence[Optional[Sequence[float]]]):
+    def _training_data(self, f: FeatureVector, block: np.ndarray, lengths: np.ndarray):
         """Normalized teacher-forcing arrays for one example: fenc (M, F),
-        inputs and targets (M, T) padded to the longest series, and each
-        metric's length (0 where its series is None)."""
-        if len(series) != self.n_metrics:
-            raise ValueError(f"{len(series)} series for {self.n_metrics} metrics")
+        inputs and targets (M, T), and each metric's length."""
+        if len(block) != self.n_metrics:
+            raise ValueError(f"{len(block)} series for {self.n_metrics} metrics")
         fenc = self.feat_norm.scale(self._feature_values(f))
-        lengths = np.array([0 if s is None else len(s) for s in series], dtype=np.int64)
-        raw = np.zeros((self.n_metrics, int(lengths.max())))
-        for m, s in enumerate(series):
-            if s is not None:
-                raw[m, :len(s)] = s
-        targets = self.value_norm.scale(raw.T).T
+        targets = self.value_norm.scale(block.T).T
         # one-step-ahead: a zero start token, then each observed value
         inputs = np.zeros_like(targets)
         inputs[:, 1:] = targets[:, :-1]
-        return fenc, inputs, targets, lengths
+        return fenc, inputs, targets, np.asarray(lengths)
 
     def _forward(self, fenc, inputs, targets, lengths):
         """Teacher-forced pass over one example; returns per-metric losses
@@ -235,9 +234,10 @@ class SequenceModel:
         }
         return losses, grads
 
-    def update_all(self, f: FeatureVector, series: Sequence[Optional[Sequence[float]]]) -> None:
-        """Train every metric on one example; series[m] is None for a metric
-        the example lacks, which leaves that metric untouched.
+    def update_all(self, f: FeatureVector, block: np.ndarray, lengths: np.ndarray) -> None:
+        """Train every metric on one example: row m of block (M, T) holds
+        metric m's first lengths[m] values, then zeros. A metric of length 0,
+        which the example lacks, is left untouched.
 
         Refreshes the running normalizers, then runs epochs_per_update passes,
         each clipped per metric by the global norm of that metric's gradients.
@@ -245,17 +245,21 @@ class SequenceModel:
         statistics; a non-finite result raises TrainingDivergedError.
         """
         fx = self._feature_values(f)
-        present = np.array([s is not None for s in series])[:, None]
+        lengths = np.asarray(lengths)
+        present = (lengths > 0)[:, None]
         # RunningMinMax.observe rebinds lo and hi, so shallow copies of the normalizers hold
         backup = (
             {k: v.copy() for k, v in self.params.items()}, copy.copy(self.value_norm),
             copy.copy(self.feat_norm), self.len_sum.copy(), self.len_count.copy(),
         )
         try:
-            bounds = [(min(s), max(s)) if s is not None else (np.inf, -np.inf) for s in series]
-            self.value_norm.observe(*np.array(bounds).T)
+            held = np.arange(block.shape[1]) < lengths[:, None]
+            self.value_norm.observe(
+                np.min(block, axis=1, where=held, initial=np.inf),
+                np.max(block, axis=1, where=held, initial=-np.inf),
+            )
             self.feat_norm.observe(np.where(present, fx, np.inf), np.where(present, fx, -np.inf))
-            fenc, inputs, targets, lengths = self._training_data(f, series)
+            fenc, inputs, targets, lengths = self._training_data(f, block, lengths)
             self.len_sum += lengths
             self.len_count += present[:, 0]
             for _ in range(self.epochs_per_update):
@@ -285,9 +289,15 @@ class SequenceModel:
         counts = zip(self.len_sum.tolist(), self.len_count.tolist())
         return [max(1, math.ceil(s / max(n, 1))) for s, n in counts]
 
-    def forecast_all(self, f: FeatureVector, n: Optional[int] = None) -> List[np.ndarray]:
+    def forecast_all(
+        self, f: FeatureVector, n: Optional[int] = None
+    ) -> Tuple[np.ndarray, List[int]]:
         """Autoregressive forecast of every metric, denormalized, padding kept.
-        Metric m runs n steps, or its own default horizon when n is None."""
+
+        Metric m runs n steps, or its own default horizon when n is None.
+        Returns the block (M, T) and the horizons: row m's forecast is its
+        first horizons[m] values, and T is the longest horizon.
+        """
         if n is not None and n < 1:
             raise ValueError(f"forecast horizon must be >= 1, got {n}")
         horizons = self.default_horizons() if n is None else [n] * self.n_metrics
@@ -302,22 +312,22 @@ class SequenceModel:
         for t in range(len(ys)):
             h, c, _, _ = self._cell(w_x * x[:, None] + a_feat, h, c)
             x = ys[t] = np.einsum("mh,mh->m", p["w_y"], h) + p["b_y"]
-        ys = self.value_norm.unscale(ys)
-        return [ys[:k, m] for m, k in enumerate(horizons)]
+        return self.value_norm.unscale(ys).T, horizons
 
     def update(self, f: FeatureVector, observed: MetricSeries) -> None:
-        self.update_all(f, [observed.values])
+        self.update_all(f, *_one_row(observed))
 
     def loss(self, f: FeatureVector, observed: MetricSeries) -> float:
         """Mean squared error on one example, with the normalizers as they stand."""
-        return float(self._forward(*self._training_data(f, [observed.values]))[0][0])
+        return float(self._forward(*self._training_data(f, *_one_row(observed)))[0][0])
 
     def default_horizon(self) -> int:
         return self.default_horizons()[0]
 
     def forecast(self, f: FeatureVector, n: Optional[int] = None) -> MetricSeries:
         """Autoregressive n-step forecast, denormalized and padding-stripped."""
-        preds = self.forecast_all(f, n)[0].tolist()
+        block, horizons = self.forecast_all(f, n)
+        preds = block[0, :horizons[0]].tolist()
         metric = self.metrics[0] or MetricKind.utime
         return MetricSeries(metric, self.tau, tuple(strip_padding(preds) or preds[:1]))
 

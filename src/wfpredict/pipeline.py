@@ -11,6 +11,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from .domain import (
     CategoryVocab,
     FeatureVector,
@@ -23,8 +25,10 @@ from .domain import (
 )
 from .forecaster import SequenceModel
 from .knn import EmptyWindowError, InstanceWindow
-from .store import downsample
-from .tsfeat import TrevConfig, strip_padding, trev
+# the pipeline calls neither downsample nor trev; perfbench/layers.py wraps
+# both by name in this module's namespace, so they stay importable from here
+from .store import downsample, downsample_block  # noqa: F401
+from .tsfeat import TrevConfig, strip_padding_rows, trev, trev_rows  # noqa: F401
 
 REGISTRY_MAGIC = "wfpredict-registry"
 REGISTRY_VERSION = 3
@@ -222,14 +226,15 @@ class Registry:
         )
 
     def _time_series_vector(
-        self, bundle: TaskModelBundle, sigma: FeatureVector, series: Sequence
+        self, bundle: TaskModelBundle, sigma: FeatureVector, block: np.ndarray,
+        lengths: Sequence[int],
     ) -> FeatureVector:
-        """sigma plus the trev of each selected metric's series, 0.0 where it is None."""
-        cfg = TrevConfig(lag=bundle.trev_lag)
+        """sigma plus the trev of each selected metric's row of the block,
+        stripped of trailing zeros; 0.0 for a row of length 0."""
+        trevs = trev_rows(block, strip_padding_rows(block, lengths), TrevConfig(bundle.trev_lag))
         return FeatureVector(
             names=sigma.names + tuple(f"trev_{m.value}" for m in bundle.selected_metrics),
-            values=sigma.values
-            + tuple(trev(strip_padding(s), cfg) if s is not None else 0.0 for s in series),
+            values=sigma.values + tuple(trevs.tolist()),
         )
 
     def _two_stages_query_vector(
@@ -247,15 +252,30 @@ class Registry:
         )
 
     def _two_stages_observed_vector(
-        self, bundle: TaskModelBundle, sigma: FeatureVector, ds_series
+        self, bundle: TaskModelBundle, sigma: FeatureVector, block: np.ndarray,
+        lengths: np.ndarray,
     ) -> Tuple[FeatureVector, Tuple[float, ...]]:
-        """sigma plus the aggregate of each selected metric's observed series."""
-        aggs = tuple(
-            max(sum(s.values), _AGG_FLOOR) if s is not None else _AGG_FLOOR
-            for s in (ds_series.get(m) for m in bundle.selected_metrics)
-        )
+        """sigma plus the aggregate (the sum) of each selected metric's row of
+        the block, floored at _AGG_FLOOR."""
+        # cumsum adds left to right, as sum() over the series did; the zeros
+        # past a row's length leave its last running sum unchanged
+        sums = np.cumsum(block, axis=1)[:, -1] if block.shape[1] else np.zeros(len(block))
+        aggs = tuple(np.where(lengths > 0, np.maximum(sums, _AGG_FLOOR), _AGG_FLOOR).tolist())
         names = tuple(f"agg_{m.value}" for m in bundle.selected_metrics)
         return FeatureVector(names=sigma.names + names, values=sigma.values + aggs), aggs
+
+    @staticmethod
+    def _observed_block(
+        bundle: TaskModelBundle, rec: TaskExecutionRecord
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The selected metrics' series downsampled to the bundle's tau: the
+        block (M, T) and each row's length, 0 where the record lacks the metric."""
+        interval = next((s.interval_seconds for s in rec.series.values()), bundle.target_tau)
+        return downsample_block(
+            [rec.series[m].values if m in rec.series else None for m in bundle.selected_metrics],
+            interval,
+            bundle.target_tau,
+        )
 
     # -- the three phases --------------------------------------------------
 
@@ -266,16 +286,19 @@ class Registry:
         observed, otherwise a 1.0 second default.
         """
         bundle = self._get_bundle(f.task_name, scenario)
-        sigma = encode_pre_runtime(f, self.vocab)
         if scenario == Scenario.baseline:
             query = self._baseline_vector(f)
-        elif scenario == Scenario.two_stages:
-            query = self._two_stages_query_vector(bundle, sigma)
         else:
-            forecasts = []
-            if bundle.forecaster is not None:
-                forecasts = bundle.forecaster.forecast_all(sigma, self.config.forecast_horizon)
-            query = self._time_series_vector(bundle, sigma, forecasts)
+            sigma = encode_pre_runtime(f, self.vocab)
+            if scenario == Scenario.two_stages:
+                query = self._two_stages_query_vector(bundle, sigma)
+            elif bundle.forecaster is None:
+                query = sigma
+            else:
+                block, horizons = bundle.forecaster.forecast_all(
+                    sigma, self.config.forecast_horizon
+                )
+                query = self._time_series_vector(bundle, sigma, block, horizons)
         try:
             runtime = bundle.regressor.predict(query, k=self.config.k)
         except EmptyWindowError:
@@ -285,29 +308,26 @@ class Registry:
     def observe_completion(self, rec: TaskExecutionRecord, scenario: Scenario) -> None:
         """Fold a completed task into the models for its (task, scenario) bundle.
 
-        Training features come from the observed consumption; any forecaster
-        failure propagates before the regressor is touched.
+        Training features come from the observed consumption, downsampled once
+        and only for the selected metrics; baseline reads no series. Any
+        forecaster failure propagates before the regressor is touched.
         """
         bundle = self._get_bundle(rec.features.task_name, scenario)
-        sigma = encode_pre_runtime(rec.features, self.vocab)
-        ds_series = {
-            m: downsample(s, bundle.target_tau) for m, s in rec.series.items()
-        }
         if scenario == Scenario.baseline:
             fv = self._baseline_vector(rec.features)
-        elif scenario == Scenario.two_stages:
-            fv, aggs = self._two_stages_observed_vector(bundle, sigma, ds_series)
-            if bundle.agg_index is not None:
-                bundle.agg_index.add(sigma, aggs)
         else:
-            observed = [
-                ds_series[m].values if m in ds_series else None for m in bundle.selected_metrics
-            ]
-            # update the forecaster first so a diverged update, which rolls
-            # it back whole, cannot leave a freshly added regressor instance
-            if bundle.forecaster is not None:
-                bundle.forecaster.update_all(sigma, observed)
-            fv = self._time_series_vector(bundle, sigma, observed)
+            sigma = encode_pre_runtime(rec.features, self.vocab)
+            block, lengths = self._observed_block(bundle, rec)
+            if scenario == Scenario.two_stages:
+                fv, aggs = self._two_stages_observed_vector(bundle, sigma, block, lengths)
+                if bundle.agg_index is not None:
+                    bundle.agg_index.add(sigma, aggs)
+            else:
+                # update the forecaster first so a diverged update, which rolls
+                # it back whole, cannot leave a freshly added regressor instance
+                if bundle.forecaster is not None:
+                    bundle.forecaster.update_all(sigma, block, lengths)
+                fv = self._time_series_vector(bundle, sigma, block, lengths)
         bundle.regressor.add(fv, rec.runtime_seconds)
         bundle.runtime_sum += rec.runtime_seconds
         bundle.runtime_count += 1

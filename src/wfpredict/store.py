@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Callable, Iterator, List
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .domain import DomainError, MetricSeries, TaskExecutionRecord
 
@@ -79,35 +81,53 @@ class RecordLog:
             yield rec
             delivered += 1
 
-    def replay(self, sink: Callable[[TaskExecutionRecord], None]) -> int:
-        """Deliver every record exactly once, in arrival order. Returns the count."""
-        n = 0
-        for rec in self.records():
-            sink(rec)
-            n += 1
-        return n
-
     def read_all(self) -> List[TaskExecutionRecord]:
         return list(self.records())
+
+
+def downsample_block(
+    values: Sequence[Optional[Sequence[float]]], interval: int, target_tau: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Aggregate M series sampled every `interval` seconds to target_tau by
+    windowed arithmetic means, all in one block.
+
+    values[m] holds one series' samples, or None for an absent series. Returns
+    the block (M, T), whose row m holds its window means and then zeros, and
+    each row's window count (0 for None); T is the largest count. target_tau
+    must be an integer multiple of the interval; a trailing partial window is
+    averaged over its actual members. A window's samples are added left to
+    right, so each mean is bit for bit that of a plain left-to-right sum.
+    """
+    if target_tau < 1:
+        raise StoreError(f"target_tau must be >= 1, got {target_tau}")
+    if target_tau % interval != 0:
+        raise StoreError(f"target_tau {target_tau} is not a multiple of interval {interval}")
+    width = target_tau // interval
+    n = np.array([0 if v is None else len(v) for v in values], dtype=np.int64)
+    lengths = -(-n // width)
+    T = int(lengths.max(initial=0))
+    block = np.zeros((len(values), T * width))
+    for m, v in enumerate(values):
+        if v is not None:
+            block[m, :len(v)] = v
+    if width > 1:
+        # cumsum adds along the window left to right, as sum() does, where
+        # sum(axis) adds pairwise; + 0.0 gives an all -0.0 window sum()'s 0.0
+        with np.errstate(over="ignore"):
+            sums = np.cumsum(block.reshape(len(values), T, width), axis=2)[:, :, -1] + 0.0
+            block = sums / np.clip(n[:, None] - width * np.arange(T), 1, width)
+    if not np.all(np.isfinite(block)):
+        raise DomainError(f"non-finite window mean at target_tau {target_tau}")
+    return block, lengths
 
 
 def downsample(s: MetricSeries, target_tau: int) -> MetricSeries:
     """Aggregate a series to a coarser interval by windowed arithmetic means.
 
-    target_tau must be an integer multiple of the input interval; a trailing
-    partial window is averaged over its actual members.
+    The one-row case of downsample_block; returns s itself when target_tau is
+    its interval.
     """
-    if target_tau < 1:
-        raise StoreError(f"target_tau must be >= 1, got {target_tau}")
-    if target_tau % s.interval_seconds != 0:
-        raise StoreError(
-            f"target_tau {target_tau} is not a multiple of interval {s.interval_seconds}"
-        )
-    width = target_tau // s.interval_seconds
-    if width == 1:
+    block, _ = downsample_block((s.values,), s.interval_seconds, target_tau)
+    if target_tau == s.interval_seconds:
         return s
-    out = []
-    for start in range(0, len(s.values), width):
-        window = s.values[start:start + width]
-        out.append(sum(window) / len(window))
-    return MetricSeries(metric=s.metric, interval_seconds=target_tau, values=tuple(out))
+    return MetricSeries(metric=s.metric, interval_seconds=target_tau, values=block[0].tolist())

@@ -5,6 +5,8 @@ module here makes a renamed attribute fail in this suite, not only in a
 benchmark run.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,3 +43,14 @@ def test_zero_range_dims_reads_every_window(replay, small_log, scenario, trev_di
     assert 0 <= dims["zero_range_dims"] <= sum(len(w.schema) for w in windows)
     if scenario == Scenario.two_stages:
         assert list(bundle.agg_estimators.values()) == [bundle.agg_index] * 13
+
+
+def test_tracer_installs_on_the_current_package():
+    """`--trace 1` wraps wfpredict callables by name; a rename breaks it."""
+    src = PERFBENCH.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(PERFBENCH))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import layers; layers.install(layers.Tracer())"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -22,6 +22,15 @@ def _series(values, tau=1):
     return MetricSeries(metric=MetricKind.utime, interval_seconds=tau, values=tuple(values))
 
 
+def _block(series):
+    """update_all's block and lengths for per-metric series, None where absent."""
+    lengths = np.array([0 if s is None else len(s) for s in series])
+    block = np.zeros((len(series), lengths.max()))
+    for m, s in enumerate(series):
+        block[m, :lengths[m]] = s or ()
+    return block, lengths
+
+
 class ReferenceModel:
     """The per-metric, per-gate cell the bank replaces, kept as its oracle:
     one metric, one gate at a time, one outer product per gate and step."""
@@ -209,17 +218,18 @@ def test_bank_matches_per_metric_reference():
     fx = rng.uniform(1, 9, size=8)
     series = [tuple(rng.uniform(0, 50, size=int(rng.integers(1, 12)))) for _ in metrics]
     series[4] = None  # a metric the record lacks is left untouched
-    bank.update_all(_fv(fx.tolist()), series)
+    bank.update_all(_fv(fx.tolist()), *_block(series))
     clipped = [ref.update(fx, s) for ref, s in zip(refs, series) if s is not None]
     assert any(clipped) and not all(clipped)
-    forecasts = bank.forecast_all(_fv(fx.tolist()))
+    forecasts, horizons = bank.forecast_all(_fv(fx.tolist()))
     for m, (ref, s) in enumerate(zip(refs, series)):
         for k, v in ref.fused().items():
             assert np.allclose(bank.params[k][m], v, rtol=0, atol=1e-12), (m, k)
         if s is not None:
-            assert np.allclose(forecasts[m], ref.forecast(fx), rtol=1e-12, atol=1e-12), m
+            forecast = forecasts[m, :horizons[m]]
+            assert np.allclose(forecast, ref.forecast(fx), rtol=1e-12, atol=1e-12), m
     assert bank.len_count.tolist() == [int(s is not None) for s in series]
-    assert len(forecasts[4]) == 1
+    assert horizons[4] == 1
 
 
 def test_update_reduces_loss_on_repeated_series():
@@ -310,7 +320,7 @@ def test_loads_rejects_foreign_payloads():
 
 def test_diverged_update_rolls_back_parameters():
     model = SequenceModel(input_dim=1, seeds=(2, 3))
-    model.update_all(_fv([1.0]), [(1.0, 2.0), (4.0,)])
+    model.update_all(_fv([1.0]), *_block([(1.0, 2.0), (4.0,)]))
 
     def explode(fenc, inputs, targets, lengths):
         losses = np.array([0.5, math.inf])  # only the second metric diverges
@@ -319,7 +329,7 @@ def test_diverged_update_rolls_back_parameters():
     before = model.dumps()
     model._gradients = explode
     with pytest.raises(TrainingDivergedError):
-        model.update_all(_fv([3.0]), [(0.0, 9.0, 2.0), (7.0, 1.0)])
+        model.update_all(_fv([3.0]), *_block([(0.0, 9.0, 2.0), (7.0, 1.0)]))
     # parameters, normalizers and length statistics of both metrics
     assert model.dumps() == before
 

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import make_record
+import wfpredict.pipeline as pipeline_mod
 from wfpredict.domain import CategoryVocab, MetricKind, Scenario, encode_pre_runtime
 from wfpredict.forecaster import TrainingDivergedError
 from wfpredict.knn import InstanceWindow
 from wfpredict.pipeline import PipelineConfig, Registry, pearson, select_features
+from wfpredict.store import downsample, downsample_block
 
 
 def reference_pearson(xs, ys):
@@ -173,6 +175,49 @@ def test_metric_selection_restricts_models(small_log):
     assert bundle.forecaster.metrics == (MetricKind.utime,)
     assert bundle.regressor.schema[-1] == "trev_utime"
     assert len(bundle.regressor.schema) == 9  # 8 pre-runtime dims plus one
+
+
+def _online_predictions(records, scenario, config):
+    reg = Registry(config=config)
+    preds = []
+    for rec in records:
+        preds.append(reg.predict_task(rec.features, scenario).runtime_seconds)
+        reg.observe_completion(rec, scenario)
+    return preds
+
+
+def test_baseline_reads_no_series_and_encodes_no_pre_runtime_vector(small_log, monkeypatch):
+    records = small_log.read_all()
+    want = _online_predictions(records, Scenario.baseline, PipelineConfig(target_tau=5))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("baseline must not call this")
+
+    monkeypatch.setattr(pipeline_mod, "downsample_block", forbidden)
+    monkeypatch.setattr(pipeline_mod, "encode_pre_runtime", forbidden)
+    assert _online_predictions(records, Scenario.baseline, PipelineConfig(target_tau=5)) == want
+
+
+def test_time_series_block_holds_only_the_selected_metrics(small_log, monkeypatch):
+    chosen = (MetricKind.stime, MetricKind.rchar, MetricKind.wchar)
+    blocks = []
+
+    def spy(*args):
+        blocks.append(downsample_block(*args))
+        return blocks[-1]
+
+    records = small_log.read_all()[:4]
+    reg = Registry(config=PipelineConfig(target_tau=5, selected_metrics={"align": set(chosen)}))
+    with monkeypatch.context() as m:
+        m.setattr(pipeline_mod, "downsample_block", spy)
+        for rec in records:
+            reg.observe_completion(rec, Scenario.time_series)
+    assert len(blocks) == len(records)
+    for rec, (block, lengths) in zip(records, blocks):
+        rows = [downsample(rec.series[m], 5).values for m in chosen]
+        assert block.shape[0] == 3
+        assert lengths.tolist() == [len(r) for r in rows]
+        assert [tuple(row[:len(r)]) for row, r in zip(block.tolist(), rows)] == rows
 
 
 def test_registry_round_trip_predictions_identical(tmp_path, small_log):

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from conftest import make_record
-from wfpredict.domain import MetricKind, MetricSeries
-from wfpredict.store import CorruptLogError, RecordLog, StoreError, downsample
+from wfpredict.domain import DomainError, MetricKind, MetricSeries
+from wfpredict.store import CorruptLogError, RecordLog, StoreError, downsample, downsample_block
 
 
 def test_ingest_returns_increasing_sequence_numbers(tmp_path):
@@ -36,16 +36,6 @@ def test_round_trip_preserves_order_and_content(tmp_path):
         assert back.runtime_seconds == orig.runtime_seconds
         for m in MetricKind:
             assert back.series[m].values == orig.series[m].values
-
-
-def test_replay_delivers_each_record_once(tmp_path):
-    log = RecordLog(tmp_path / "log.jsonl")
-    for i in range(7):
-        log.ingest(make_record(runtime=4.0 + i))
-    seen = []
-    n = log.replay(seen.append)
-    assert n == 7
-    assert len(seen) == 7
 
 
 def test_corrupt_tail_reports_delivered_count(tmp_path):
@@ -137,3 +127,58 @@ def test_downsample_composition_random():
         assert len(direct.values) == len(staged.values)
         for x, y in zip(direct.values, staged.values):
             assert abs(x - y) < 1e-12
+
+
+def _left_sum(window):
+    """sum() as Python before 3.12 computes it over floats: left to right."""
+    total = 0.0
+    for v in window:
+        total += v
+    return total
+
+
+def test_downsample_block_matches_window_means_bit_for_bit():
+    rng = random.Random(31)
+    for width in range(1, 13):
+        rows = [
+            None if rng.random() < 0.15
+            else [rng.uniform(0, 1e6) for _ in range(rng.randrange(1, 60))]
+            for _ in range(rng.randrange(1, 14))
+        ] + [[-0.0] * rng.randrange(1, 30)]
+        block, lengths = downsample_block(rows, 2, 2 * width)
+        # width 1 leaves a series as it is
+        want = [
+            [] if r is None else r if width == 1
+            else [_left_sum(r[i:i + width]) / len(r[i:i + width]) for i in range(0, len(r), width)]
+            for r in rows
+        ]
+        assert lengths.tolist() == [len(w) for w in want]
+        assert block.shape == (len(rows), max(lengths))
+        for row, w, n in zip(block.tolist(), want, lengths.tolist()):
+            # float.hex tells -0.0 from 0.0, which == does not
+            assert [v.hex() for v in row[:n]] == [v.hex() for v in w]
+            assert row[n:] == [0.0] * (len(row) - n)
+
+
+def test_downsample_is_one_row_of_the_block():
+    values = [random.Random(37).uniform(0, 50) for _ in range(41)]
+    out = downsample(_series(values), 9)
+    block, lengths = downsample_block([values], 1, 9)
+    assert out.values == tuple(block[0].tolist())
+    assert lengths.tolist() == [5]
+
+
+def test_downsample_block_overflowing_window_mean_raises():
+    with pytest.raises(DomainError):
+        downsample_block([[1.0, 2.0], [1e308, 1e308]], 1, 2)
+    with pytest.raises(DomainError):
+        downsample(_series([1e308, 1e308]), 2)
+
+
+def test_downsample_block_rejects_bad_tau_and_takes_no_rows():
+    with pytest.raises(StoreError):
+        downsample_block([[1.0]], 2, 3)
+    with pytest.raises(StoreError):
+        downsample_block([], 2, 3)
+    block, lengths = downsample_block([], 1, 5)
+    assert block.shape == (0, 0) and lengths.tolist() == []

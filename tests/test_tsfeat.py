@@ -3,9 +3,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from wfpredict.tsfeat import TrevConfig, pad_to_length, strip_padding, trev
+from wfpredict.tsfeat import TrevConfig, strip_padding, strip_padding_rows, trev, trev_rows
 
 
 def reference_trev(values, lag):
@@ -84,17 +85,6 @@ def test_trev_flips_sign_under_negation():
     assert abs(trev([-v for v in values], cfg) + trev(values, cfg)) < 1e-9
 
 
-def test_pad_to_length_appends_zeros_only():
-    assert pad_to_length([1.0, 2.0], 5) == [1.0, 2.0, 0.0, 0.0, 0.0]
-    assert pad_to_length([], 3) == [0.0, 0.0, 0.0]
-    assert pad_to_length([1.0], 1) == [1.0]
-
-
-def test_pad_to_length_never_truncates():
-    with pytest.raises(ValueError):
-        pad_to_length([1.0, 2.0, 3.0], 2)
-
-
 def test_strip_padding_removes_trailing_zeros_only():
     assert strip_padding([1.0, 0.0, 2.0, 0.0, 0.0]) == [1.0, 0.0, 2.0]
     assert strip_padding([0.0, 0.0]) == []
@@ -106,5 +96,71 @@ def test_pad_strip_round_trip():
     for _ in range(100):
         n = random.randrange(0, 20)
         values = [random.uniform(0.5, 9) for _ in range(n)]
-        padded = pad_to_length(values, n + random.randrange(0, 10))
+        padded = values + [0.0] * random.randrange(0, 10)
         assert strip_padding(padded) == values
+
+
+def _trev_1d(values, lag):
+    """The one-series numpy form of the statistic, which trev_rows must
+    reproduce bit for bit: a 1-D mean over exactly the series' differences."""
+    x = np.asarray(values, dtype=float)
+    if x.size <= lag:
+        return 0.0
+    d = x[lag:] - x[:-lag]
+    m2 = float(np.mean(d * d))
+    if m2 == 0.0 or math.sqrt(m2) <= 1e-9 * float(np.max(np.abs(x))):
+        return 0.0
+    return float(np.mean(d * d * d)) / m2 ** 1.5
+
+
+def _ragged_block(rows):
+    """rows as a zero-padded block and their lengths."""
+    lengths = np.array([len(r) for r in rows])
+    block = np.zeros((len(rows), max(lengths, default=0)))
+    for m, r in enumerate(rows):
+        block[m, :len(r)] = r
+    return block, lengths
+
+
+def test_trev_rows_equals_one_series_trev_bit_for_bit():
+    rng = random.Random(113)
+    for lag in (1, 2, 3):
+        cfg = TrevConfig(lag=lag)
+        rows = []
+        for _ in range(60):
+            n = rng.choice([0, 1, lag, lag + 1, rng.randrange(0, 40), rng.randrange(200, 320)])
+            kind = rng.randrange(3)
+            if kind == 0:
+                rows.append([rng.lognormvariate(0, 2) for _ in range(n)])
+            elif kind == 1:  # constant
+                rows.append([rng.uniform(1, 9)] * n)
+            else:  # a constant with 1-ulp wobble
+                base = rng.uniform(1, 900)
+                rows.append([base + k * math.ulp(base) * rng.choice([-1, 0, 1]) for k in range(n)])
+        block, lengths = _ragged_block(rows)
+        got = trev_rows(block, lengths, cfg)
+        assert got.tolist() == [_trev_1d(r, lag) for r in rows]
+        assert got.tolist() == [trev(r, cfg) for r in rows]
+        # only the first lengths[m] values of a row count
+        junk = block + (np.arange(block.shape[1]) >= lengths[:, None]) * 7.0
+        assert trev_rows(junk, lengths, cfg).tolist() == got.tolist()
+
+
+def _strip_loop(values):
+    end = len(values)
+    while end > 0 and values[end - 1] == 0.0:
+        end -= 1
+    return values[:end]
+
+
+def test_strip_padding_rows_matches_a_loop():
+    rng = random.Random(127)
+    rows = [
+        [rng.choice([0.0, -0.0, rng.uniform(-5, 5)]) for _ in range(rng.randrange(0, 12))]
+        for _ in range(200)
+    ]
+    block, lengths = _ragged_block(rows)
+    got = strip_padding_rows(block + 3.0 * (np.arange(block.shape[1]) >= lengths[:, None]), lengths)
+    assert got.tolist() == [len(_strip_loop(r)) for r in rows]
+    assert [strip_padding(r) for r in rows] == [_strip_loop(r) for r in rows]
+    assert strip_padding_rows(np.zeros((0, 0)), np.zeros(0, dtype=int)).tolist() == []
