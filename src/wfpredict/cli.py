@@ -227,7 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("ingest", help="validate and append JSONL records to a log")
+    p = sub.add_parser(
+        "ingest", help="validate JSONL records in either layout and append them as series blocks"
+    )
     p.add_argument("--input", required=True)
     p.add_argument("--log", required=True)
     p.set_defaults(func=cmd_ingest)

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import binascii
 import math
+import operator
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from itertools import accumulate
+from typing import List, Optional
+
+import numpy as np
 
 
 class MetricKind(str, Enum):
@@ -102,52 +108,150 @@ class MetricSeries:
         if not all(map(math.isfinite, self.values)):
             raise DomainError(f"non-finite measurement in {self.metric.value} series")
 
-    def to_dict(self) -> dict:
-        return {"tau": self.interval_seconds, "values": list(self.values)}
+
+class SeriesBlock(Mapping):
+    """All consumption series of one record in one read-only float64 array.
+
+    Row i holds the lengths[i] samples of metrics[i], taken every tau seconds;
+    the rows lie end to end in `samples`. As a Mapping it is the record's
+    series: looking a metric up builds a MetricSeries from its row.
+    """
+
+    __slots__ = ("tau", "metrics", "lengths", "samples", "_offsets")
+
+    def __init__(self, tau: int, metrics: Iterable, lengths: Iterable[int], samples):
+        self.tau = operator.index(tau)
+        self.metrics = tuple(map(MetricKind, metrics))
+        self.lengths = tuple(map(operator.index, lengths))
+        self.samples = np.asarray(samples, dtype=np.float64).view()
+        self.samples.flags.writeable = False
+        self._offsets = (0, *accumulate(self.lengths))
+        if self.tau < 1:
+            raise DomainError(f"tau must be >= 1, got {self.tau}")
+        if len(set(self.metrics)) != len(self.metrics):
+            raise DomainError(f"duplicate metric in {[m.value for m in self.metrics]}")
+        if len(self.lengths) != len(self.metrics):
+            raise DomainError(f"{len(self.lengths)} lengths for {len(self.metrics)} metrics")
+        if min(self.lengths, default=1) < 1:
+            raise DomainError("stored series must be non-empty")
+        if self.samples.ndim != 1 or self._offsets[-1] != self.samples.size:
+            raise DomainError(
+                f"lengths add up to {self._offsets[-1]} samples, "
+                f"the block holds {self.samples.size}"
+            )
+        finite = np.isfinite(self.samples)
+        if not finite.all():
+            row = np.searchsorted(self._offsets, np.argmin(finite), side="right") - 1
+            raise DomainError(f"non-finite measurement in {self.metrics[row].value} series")
 
     @classmethod
-    def from_dict(cls, metric: MetricKind, d: Mapping) -> "MetricSeries":
-        return cls(metric=metric, interval_seconds=int(d["tau"]), values=d["values"])
+    def _of_rows(cls, metrics: Iterable, taus: Iterable[int], rows: List[np.ndarray]):
+        taus = set(taus)
+        if len(taus) > 1:
+            raise DomainError(f"series intervals are not uniform: {sorted(taus)}")
+        samples = np.concatenate(rows) if rows else ()
+        return cls(taus.pop() if taus else 1, metrics, [len(r) for r in rows], samples)
+
+    @classmethod
+    def of(cls, series: Mapping[MetricKind, MetricSeries]) -> "SeriesBlock":
+        """The block of per-metric series, which must share one interval."""
+        return cls._of_rows(
+            series,
+            (s.interval_seconds for s in series.values()),
+            [np.asarray(s.values, dtype=np.float64) for s in series.values()],
+        )
+
+    def row(self, m: MetricKind) -> Optional[np.ndarray]:
+        """A read-only view of m's samples, None if the record lacks m."""
+        try:
+            i = self.metrics.index(m)
+        except ValueError:
+            return None
+        return self.samples[self._offsets[i]:self._offsets[i + 1]]
+
+    def __getitem__(self, m) -> MetricSeries:
+        values = self.row(m)
+        if values is None:
+            raise KeyError(m)
+        return MetricSeries(metric=MetricKind(m), interval_seconds=self.tau, values=values.tolist())
+
+    def __contains__(self, m) -> bool:
+        return m in self.metrics
+
+    def __iter__(self):
+        return iter(self.metrics)
+
+    def __len__(self) -> int:
+        return len(self.metrics)
+
+    def to_dict(self) -> dict:
+        raw = self.samples.astype("<f8", copy=False).tobytes()
+        return {
+            "tau": self.tau,
+            "metrics": [m.value for m in self.metrics],
+            "lengths": list(self.lengths),
+            "f64": binascii.b2a_base64(raw, newline=False).decode("ascii"),
+        }
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "SeriesBlock":
+        """The block of to_dict's layout, checked whole."""
+        # frombuffer rejects a byte count that is not whole float64s
+        raw = binascii.a2b_base64(d["f64"], strict_mode=True)
+        return cls(d["tau"], d["metrics"], d["lengths"], np.frombuffer(raw, dtype="<f8"))
+
+    @classmethod
+    def from_legacy_dict(cls, d: Mapping) -> "SeriesBlock":
+        """The block of the layout written before it: {name: {"tau", "values"}}."""
+        return cls._of_rows(
+            d,
+            (int(s["tau"]) for s in d.values()),
+            [np.asarray(s["values"], dtype=np.float64) for s in d.values()],
+        )
 
 
 @dataclass(frozen=True)
 class TaskExecutionRecord:
-    """One completed task: pre-runtime features, consumption series, observed runtime."""
+    """One completed task: pre-runtime features, consumption series, observed runtime.
+
+    `series` may be given as any mapping of MetricSeries; the record keeps it
+    as one SeriesBlock.
+    """
 
     features: PreRuntimeFeatures
     series: Mapping[MetricKind, MetricSeries]
     runtime_seconds: float
 
     def __post_init__(self):
-        object.__setattr__(self, "series", dict(self.series))
+        if not isinstance(self.series, SeriesBlock):
+            object.__setattr__(self, "series", SeriesBlock.of(self.series))
         if not (self.runtime_seconds > 0 and math.isfinite(self.runtime_seconds)):
             raise DomainError(f"runtime_seconds must be positive, got {self.runtime_seconds}")
-        taus = {s.interval_seconds for s in self.series.values()}
-        if len(taus) > 1:
-            raise DomainError(f"series intervals are not uniform: {sorted(taus)}")
-        for s in self.series.values():
-            if len(s.values) * s.interval_seconds > self.runtime_seconds + s.interval_seconds:
-                raise DomainError(
-                    f"{s.metric.value} series outlives the task: "
-                    f"{len(s.values)} samples at tau={s.interval_seconds} "
-                    f"vs runtime {self.runtime_seconds}"
-                )
+        s = self.series
+        longest = max(s.lengths, default=0)
+        if longest * s.tau > self.runtime_seconds + s.tau:
+            raise DomainError(
+                f"{s.metrics[s.lengths.index(longest)].value} series outlives the task: "
+                f"{longest} samples at tau={s.tau} vs runtime {self.runtime_seconds}"
+            )
 
     def to_dict(self) -> dict:
         return {
             "features": self.features.to_dict(),
             "runtime_seconds": self.runtime_seconds,
-            "series": {m.value: s.to_dict() for m, s in self.series.items()},
+            "series": self.series.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TaskExecutionRecord":
+        """Decode either layout: one block ({"tau", "metrics", "lengths", "f64"})
+        or, as written before the block, one {"tau", "values"} per metric name."""
+        sd = d["series"]
+        if not isinstance(sd, Mapping):
+            raise DomainError(f"series must be an object, got {type(sd).__name__}")
         return cls(
             features=PreRuntimeFeatures.from_dict(d["features"]),
-            series={
-                MetricKind(name): MetricSeries.from_dict(MetricKind(name), sd)
-                for name, sd in d["series"].items()
-            },
+            series=SeriesBlock.from_dict(sd) if "tau" in sd else SeriesBlock.from_legacy_dict(sd),
             runtime_seconds=float(d["runtime_seconds"]),
         )
 

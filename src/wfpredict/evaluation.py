@@ -12,9 +12,9 @@ import numpy as np
 
 from .domain import (
     MetricKind,
-    MetricSeries,
     PreRuntimeFeatures,
     Scenario,
+    SeriesBlock,
     TaskExecutionRecord,
 )
 from .pipeline import PipelineConfig, Registry
@@ -298,18 +298,17 @@ def generate_synthetic(config: GeneratorConfig, seed: int, path) -> RecordLog:
         )
         length = min(int(runtime) + 1, 600)
         shape_exp = ts.shape_exponents[input_idx % len(ts.shape_exponents)]
-        series = {
-            m: MetricSeries(
-                metric=m,
-                interval_seconds=1,
-                values=tuple(
-                    _series_values(
-                        rng, m, length, runtime, shape_exp, ts.series_profile, ts.series_noise
-                    )
-                ),
-            )
-            for m in MetricKind
-        }
+        series = SeriesBlock(
+            tau=1,
+            metrics=MetricKind,
+            lengths=(length,) * len(MetricKind),
+            samples=np.concatenate([
+                _series_values(
+                    rng, m, length, runtime, shape_exp, ts.series_profile, ts.series_noise
+                )
+                for m in MetricKind
+            ]),
+        )
         log.ingest(
             TaskExecutionRecord(features=features, series=series, runtime_seconds=runtime)
         )

@@ -270,12 +270,10 @@ class Registry:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The selected metrics' series downsampled to the bundle's tau: the
         block (M, T) and each row's length, 0 where the record lacks the metric."""
-        interval = next((s.interval_seconds for s in rec.series.values()), bundle.target_tau)
-        return downsample_block(
-            [rec.series[m].values if m in rec.series else None for m in bundle.selected_metrics],
-            interval,
-            bundle.target_tau,
-        )
+        series = rec.series
+        interval = series.tau if series else bundle.target_tau
+        rows = [series.row(m) for m in bundle.selected_metrics]
+        return downsample_block(rows, interval, bundle.target_tau)
 
     # -- the three phases --------------------------------------------------
 

@@ -76,7 +76,10 @@ class RecordLog:
             try:
                 obj = json.loads(line)
                 rec = TaskExecutionRecord.from_dict(obj)
-            except (json.JSONDecodeError, KeyError, DomainError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                # ValueError covers JSONDecodeError, DomainError, a bad base64
+                # character, an unknown metric name and a non-numeric field;
+                # OverflowError an Infinity where an integer belongs
                 raise CorruptLogError(self.path, delivered, str(exc))
             yield rec
             delivered += 1

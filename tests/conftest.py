@@ -1,5 +1,7 @@
 """Shared fixtures: corpora reused across test modules."""
 
+import json
+
 import pytest
 
 from wfpredict.domain import MetricKind, MetricSeries, PreRuntimeFeatures, TaskExecutionRecord
@@ -72,3 +74,24 @@ def make_record(runtime=10.0, tau=1, n=None, level=3.0, **feature_kwargs):
         series=series,
         runtime_seconds=runtime,
     )
+
+
+def legacy_dict(rec):
+    """A record in the layout written before the series block: one
+    {"tau", "values"} object per metric name."""
+    return {
+        "features": rec.features.to_dict(),
+        "runtime_seconds": rec.runtime_seconds,
+        "series": {
+            m.value: {"tau": s.interval_seconds, "values": list(s.values)}
+            for m, s in rec.series.items()
+        },
+    }
+
+
+def write_legacy(records, path):
+    """Write records as a log in the legacy layout; returns the path."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(legacy_dict(rec)) + "\n")
+    return path

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from wfpredict.cli import main
+from wfpredict.domain import Scenario
 from wfpredict.store import RecordLog
 
 
@@ -27,6 +28,51 @@ def test_ingest_copies_records(tmp_path, gen_log):
     dest = tmp_path / "copy.jsonl"
     assert main(["ingest", "--input", str(gen_log), "--log", str(dest)]) == 0
     assert RecordLog(dest).count == 60
+
+
+def _legacy_line(input_name, runtime, utime, vm_rss):
+    """One record as a foreign tool writes it in the legacy layout: an object
+    of {"tau", "values"} per metric name."""
+    return (
+        '{"features": {"task_name": "align", "task_id": "align", '
+        f'"input_name": "{input_name}", "vm_vcpus": 2, "vm_memory": 4096.0, '
+        '"vm_storage": 40.0, "submission_day": 3, "submission_hour": 14}, '
+        f'"runtime_seconds": {runtime}, "series": {{'
+        f'"utime": {{"tau": 5, "values": {utime}}}, '
+        f'"vmRSS": {{"tau": 5, "values": {vm_rss}}}}}}}'
+    )
+
+
+LEGACY_LINES = [
+    _legacy_line("chr20", 12.0, "[1, 2.5, 3.25]", "[100.0, 120.5, 99.75]"),
+    _legacy_line("chr21", 7.5, "[0.125, 4]", "[1e-300, 2.2250738585072014e-308]"),
+    _legacy_line("chr20", 11.0, "[-0.0, 3.5, 1e100]", "[64.0, 64.0]"),
+    _legacy_line("chr22", 20.0, "[9.75, 9.5, 9.25, 9.0, 8.75]", "[5e-324]"),
+    _legacy_line("chr21", 6.0, "[0.5]", "[2048.0, 4096.0]"),
+]
+
+
+def test_ingest_converts_a_legacy_log_to_the_block_layout(tmp_path):
+    legacy = tmp_path / "legacy.jsonl"
+    legacy.write_text("\n".join(LEGACY_LINES) + "\n", encoding="utf-8")
+    converted = tmp_path / "converted.jsonl"
+    assert main(["ingest", "--input", str(legacy), "--log", str(converted)]) == 0
+    lines = [json.loads(l) for l in converted.read_text(encoding="utf-8").splitlines()]
+    assert len(lines) == len(LEGACY_LINES)
+    for line in lines:
+        assert list(line["series"]) == ["tau", "metrics", "lengths", "f64"]
+        assert line["series"]["metrics"] == ["utime", "vmRSS"]
+    assert RecordLog(converted).read_all() == RecordLog(legacy).read_all()
+    for scenario in Scenario:
+        outs = []
+        for log in (legacy, converted):
+            out = tmp_path / f"{log.stem}_{scenario.value}.jsonl"
+            assert main([
+                "replay-predict", "--log", str(log), "--scenario", scenario.value,
+                "--tau", "5", "--out", str(out),
+            ]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] and outs[0].count(b"\n") == len(LEGACY_LINES)
 
 
 def test_ingest_missing_input(tmp_path):

@@ -1,10 +1,11 @@
 """Domain model: validation rules, encoding, vocabulary, serialization."""
 
+import json
 import random
 
 import pytest
 
-from conftest import make_features, make_record
+from conftest import legacy_dict, make_features, make_record
 from wfpredict.domain import (
     PRE_RUNTIME_FEATURE_NAMES,
     CategoryVocab,
@@ -15,6 +16,7 @@ from wfpredict.domain import (
     Prediction,
     PreRuntimeFeatures,
     Scenario,
+    SeriesBlock,
     TaskExecutionRecord,
     encode_pre_runtime,
 )
@@ -95,6 +97,99 @@ def test_record_round_trip():
     for m in rec.series:
         assert again.series[m].values == rec.series[m].values
         assert again.series[m].interval_seconds == rec.series[m].interval_seconds
+
+
+# the float64 values a text layout is most likely to get wrong
+EXTREMES = (-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def _hex(values):
+    """float.hex tells -0.0 from 0.0 and every ulp apart, which == does not."""
+    return [float(v).hex() for v in values]
+
+
+def test_block_layout_round_trips_bit_for_bit():
+    rng = random.Random(41)
+    # a subset of the metrics, out of canonical order, with rows of length 1
+    series = {
+        MetricKind.write_bytes: MetricSeries(MetricKind.write_bytes, 2, EXTREMES),
+        MetricKind.procs: MetricSeries(MetricKind.procs, 2, (0.0,)),
+        MetricKind.vmRSS: MetricSeries(
+            MetricKind.vmRSS, 2, tuple(rng.uniform(-1e300, 1e300) for _ in range(9))
+        ),
+        MetricKind.iowait: MetricSeries(MetricKind.iowait, 2, (-0.0,)),
+    }
+    rec = TaskExecutionRecord(features=make_features(), series=series, runtime_seconds=18.0)
+    line = json.dumps(rec.to_dict())
+    d = json.loads(line)
+    assert list(d) == ["features", "runtime_seconds", "series"]
+    assert list(d["series"]) == ["tau", "metrics", "lengths", "f64"]
+    assert d["series"]["metrics"] == ["write_bytes", "procs", "vmRSS", "iowait"]
+    assert d["series"]["lengths"] == [5, 1, 9, 1]
+    back = TaskExecutionRecord.from_dict(d)
+    assert list(back.series) == list(series)
+    assert back.series.tau == 2
+    for m, s in series.items():
+        assert _hex(back.series[m].values) == _hex(s.values)
+        assert _hex(back.series.row(m)) == _hex(s.values)
+    assert json.dumps(back.to_dict()) == line
+
+
+def test_legacy_and_block_lines_decode_to_equal_records():
+    rng = random.Random(43)
+    for _ in range(20):
+        metrics = rng.sample(list(MetricKind), rng.randrange(0, 14))
+        series = {
+            m: MetricSeries(m, 1, [rng.choice(EXTREMES + (rng.uniform(-9, 9),))
+                                   for _ in range(rng.randrange(1, 12))])
+            for m in metrics
+        }
+        rec = TaskExecutionRecord(features=make_features(), series=series, runtime_seconds=11.0)
+        legacy = TaskExecutionRecord.from_dict(json.loads(json.dumps(legacy_dict(rec))))
+        block = TaskExecutionRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
+        assert legacy == block == rec
+        assert list(legacy.series) == list(block.series) == metrics
+        for m in metrics:
+            assert _hex(legacy.series[m].values) == _hex(block.series[m].values)
+
+
+def test_series_block_is_a_read_only_mapping_of_metric_series():
+    rec = TaskExecutionRecord.from_dict(make_record(runtime=6.0, n=4, level=2.5).to_dict())
+    block = rec.series
+    assert isinstance(block, SeriesBlock)
+    assert len(block) == 13 and list(block) == list(MetricKind)
+    assert block[MetricKind.utime] == MetricSeries(MetricKind.utime, 1, (2.5,) * 4)
+    row = block.row(MetricKind.utime)
+    with pytest.raises(ValueError):
+        row[0] = 1.0
+    with pytest.raises(TypeError):
+        block[MetricKind.utime] = block[MetricKind.stime]
+    subset = TaskExecutionRecord(
+        features=make_features(),
+        series={MetricKind.stime: MetricSeries(MetricKind.stime, 1, (1.0,))},
+        runtime_seconds=3.0,
+    ).series
+    assert MetricKind.utime not in subset and subset.row(MetricKind.utime) is None
+    with pytest.raises(KeyError):
+        subset[MetricKind.utime]
+
+
+def test_series_block_validation():
+    ok = dict(tau=1, metrics=["utime", "stime"], lengths=[2, 1], samples=[1.0, 2.0, 3.0])
+    SeriesBlock(**ok)
+    for change in (
+        dict(tau=0),
+        dict(metrics=["utime", "bogus"]),
+        dict(metrics=["utime", "utime"]),
+        dict(lengths=[3, 0]),
+        dict(lengths=[1, 1]),
+        dict(lengths=[2]),
+        dict(samples=[1.0, float("inf"), 3.0]),
+    ):
+        with pytest.raises(ValueError):
+            SeriesBlock(**{**ok, **change})
+    with pytest.raises(DomainError, match="stime"):
+        SeriesBlock(**{**ok, "samples": [1.0, 2.0, float("nan")]})
 
 
 def test_feature_vector_validation():

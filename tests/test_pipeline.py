@@ -5,13 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from conftest import make_record
+from conftest import make_record, write_legacy
 import wfpredict.pipeline as pipeline_mod
 from wfpredict.domain import CategoryVocab, MetricKind, Scenario, encode_pre_runtime
 from wfpredict.forecaster import TrainingDivergedError
 from wfpredict.knn import InstanceWindow
 from wfpredict.pipeline import PipelineConfig, Registry, pearson, select_features
-from wfpredict.store import downsample, downsample_block
+from wfpredict.store import RecordLog, downsample, downsample_block
 
 
 def reference_pearson(xs, ys):
@@ -218,6 +218,48 @@ def test_time_series_block_holds_only_the_selected_metrics(small_log, monkeypatc
         assert block.shape[0] == 3
         assert lengths.tolist() == [len(r) for r in rows]
         assert [tuple(row[:len(r)]) for row, r in zip(block.tolist(), rows)] == rows
+
+
+def test_block_and_legacy_logs_give_identical_predictions_and_registries(tmp_path, small_log):
+    assert '"f64": ' in small_log.path.read_text(encoding="utf-8").splitlines()[0]
+    legacy = RecordLog(write_legacy(small_log.read_all(), tmp_path / "legacy.jsonl"))
+    assert legacy.read_all() == small_log.read_all()
+    for scenario in Scenario:
+        runs = []
+        for name, log in (("block", small_log), ("legacy", legacy)):
+            reg = Registry(storage_dir=tmp_path / name / scenario.value,
+                           config=PipelineConfig(target_tau=5))
+            preds = []
+            for rec in log.records():
+                preds.append(reg.predict_task(rec.features, scenario).runtime_seconds)
+                reg.observe_completion(rec, scenario)
+            reg.save()
+            files = {
+                path.relative_to(reg.storage_dir): path.read_bytes()
+                for path in sorted(reg.storage_dir.rglob("*.json"))
+            }
+            runs.append((preds, files))
+        assert runs[0] == runs[1], scenario
+
+
+def test_two_stages_observe_hands_downsample_block_the_record_rows(small_log, monkeypatch):
+    calls = []
+
+    def spy(values, interval, target_tau):
+        calls.append((values, interval))
+        return downsample_block(values, interval, target_tau)
+
+    records = small_log.read_all()[:3]
+    reg = Registry(config=PipelineConfig(target_tau=5))
+    monkeypatch.setattr(pipeline_mod, "downsample_block", spy)
+    for rec in records:
+        reg.observe_completion(rec, Scenario.two_stages)
+    assert len(calls) == len(records)
+    for rec, (rows, interval) in zip(records, calls):
+        assert interval == 1
+        assert [tuple(row.tolist()) for row in rows] == [rec.series[m].values for m in MetricKind]
+        # views into the record's block, not copies
+        assert all(np.shares_memory(row, rec.series.samples) for row in rows)
 
 
 def test_registry_round_trip_predictions_identical(tmp_path, small_log):

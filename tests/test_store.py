@@ -1,12 +1,14 @@
 """Record log persistence and series downsampling."""
 
+import base64
 import json
 import random
+import struct
 
 import pytest
 
-from conftest import make_record
-from wfpredict.domain import DomainError, MetricKind, MetricSeries
+from conftest import legacy_dict, make_record
+from wfpredict.domain import DomainError, MetricKind, MetricSeries, TaskExecutionRecord
 from wfpredict.store import CorruptLogError, RecordLog, StoreError, downsample, downsample_block
 
 
@@ -62,6 +64,103 @@ def test_corrupt_tail_bad_schema(tmp_path):
         fh.write(json.dumps({"features": {}, "series": {}, "runtime_seconds": 1.0}) + "\n")
     with pytest.raises(CorruptLogError):
         RecordLog(path).read_all()
+
+
+def _f64(*values):
+    """The block layout's text for these samples: base64 of little-endian float64s."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+def _corrupt_after_good_lines(tmp_path, layout, bad):
+    """Write two good records in `layout` and then `bad`; return the
+    CorruptLogError reading raised and the records delivered before it."""
+    path = tmp_path / f"{layout}.jsonl"
+    good = [make_record(runtime=5.0 + i) for i in range(2)]
+    encode = legacy_dict if layout == "legacy" else lambda rec: rec.to_dict()
+    path.write_text(
+        "".join(json.dumps(d) + "\n" for d in [encode(rec) for rec in good] + [bad]),
+        encoding="utf-8",
+    )
+    delivered = []
+    with pytest.raises(CorruptLogError) as info:
+        for rec in RecordLog(path).records():
+            delivered.append(rec)
+    assert delivered == good
+    return info.value
+
+
+def _legacy_with(**changes):
+    d = legacy_dict(make_record(runtime=10.0))
+    for key, value in changes.items():
+        if key == "bogus":
+            d["series"][key] = value
+        else:
+            d["series"]["utime"][key] = value
+    return d
+
+
+def _block_with(**changes):
+    d = make_record(runtime=10.0).to_dict()
+    d["series"].update(changes)
+    return d
+
+
+@pytest.mark.parametrize("layout,bad", [
+    ("legacy", _legacy_with(bogus={"tau": 1, "values": [1.0]})),
+    ("block", _block_with(metrics=["bogus"] + [m.value for m in MetricKind][1:])),
+    ("legacy", _legacy_with(values=[1.0, "x"])),
+    ("block", _block_with(lengths=["x"] + [10] * 12)),
+    ("legacy", _legacy_with(tau="x")),
+    ("block", _block_with(tau="x")),
+    ("block", _block_with(tau=1.5)),
+    ("legacy", _legacy_with(tau=float("inf"))),
+    ("block", _block_with(tau=float("inf"))),
+], ids=[
+    "unknown-metric-legacy", "unknown-metric-block",
+    "non-numeric-sample-legacy", "non-numeric-length-block",
+    "non-integer-tau-legacy", "non-integer-tau-block", "fractional-tau-block",
+    "infinite-tau-legacy", "infinite-tau-block",
+])
+def test_malformed_fields_raise_corrupt_log_error_with_delivered_count(tmp_path, layout, bad):
+    assert _corrupt_after_good_lines(tmp_path, layout, bad).delivered == 2
+
+
+_REJECTED_BLOCKS = {
+    # a lenient decoder would skip the stray character and accept the line
+    "bad-base64-character": dict(metrics=["utime"], lengths=[2], f64="AAAA*" + _f64(1.0, 2.0)[4:]),
+    "bytes-not-whole-float64s": dict(
+        metrics=["utime"], lengths=[1],
+        f64=base64.b64encode(struct.pack("<d", 1.0) + b"\0" * 4).decode("ascii"),
+    ),
+    "lengths-short-of-byte-count": dict(metrics=["utime"], lengths=[2], f64=_f64(1.0, 2.0, 3.0)),
+    "lengths-past-byte-count": dict(metrics=["utime"], lengths=[4], f64=_f64(1.0, 2.0, 3.0)),
+    "row-of-length-0": dict(metrics=["utime", "stime"], lengths=[0, 2], f64=_f64(1.0, 2.0)),
+    "duplicate-metric": dict(metrics=["utime", "utime"], lengths=[1, 1], f64=_f64(1.0, 2.0)),
+    "nan-bytes": dict(metrics=["utime"], lengths=[2], f64=_f64(1.0, float("nan"))),
+    "inf-bytes": dict(metrics=["utime"], lengths=[2], f64=_f64(float("inf"), 1.0)),
+    "minus-inf-bytes": dict(metrics=["utime"], lengths=[1], f64=_f64(float("-inf"))),
+    "series-outlives-task": dict(metrics=["utime"], lengths=[12], f64=_f64(*[1.0] * 12)),
+    "tau-0": dict(tau=0, metrics=["utime"], lengths=[1], f64=_f64(1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED_BLOCKS))
+def test_block_layout_rejections_report_delivered_count(tmp_path, case):
+    err = _corrupt_after_good_lines(tmp_path, "block", _block_with(**_REJECTED_BLOCKS[case]))
+    assert err.delivered == 2
+
+
+def test_block_layout_controls_decode():
+    """The rejected blocks are one defect away from lines that decode."""
+    for changes in (
+        dict(metrics=["utime"], lengths=[2], f64=_f64(1.0, 2.0)),
+        dict(metrics=["utime"], lengths=[1], f64=_f64(1.0)),
+        dict(metrics=["utime", "stime"], lengths=[1, 1], f64=_f64(1.0, 2.0)),
+        dict(metrics=["utime"], lengths=[11], f64=_f64(*[1.0] * 11)),
+        dict(tau=1, metrics=["utime"], lengths=[1], f64=_f64(-0.0)),
+    ):
+        rec = TaskExecutionRecord.from_dict(_block_with(**changes))
+        assert list(rec.series.lengths) == changes["lengths"]
 
 
 def test_missing_log_iterates_empty(tmp_path):
