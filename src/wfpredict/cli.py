@@ -18,6 +18,7 @@ from .evaluation import (
     run_online,
     standard_corpus_config,
 )
+from .forecaster import TrainingDivergedError
 from .pipeline import PipelineConfig, Registry, pearson
 from .store import RecordLog, downsample
 from .tsfeat import TrevConfig, strip_padding, trev
@@ -68,12 +69,7 @@ def cmd_ingest(args) -> int:
     src = Path(args.input)
     if not src.is_file():
         raise ValueError(f"unreadable input file: {src}")
-    source = RecordLog(src)
-    dest = RecordLog(args.log)
-    n = 0
-    for rec in source.records():
-        dest.ingest(rec)
-        n += 1
+    n = len(RecordLog(args.log).extend(RecordLog(src).records()))
     print(f"ingested {n} records into {args.log}")
     return 0
 
@@ -293,7 +289,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,6 +32,10 @@ class MetricKind(str, Enum):
     write_bytes = "write_bytes"
 
 
+# name -> member; a member looks itself up too, as its name is its value
+_METRIC_BY_NAME = {m.value: m for m in MetricKind}
+
+
 class Scenario(str, Enum):
     baseline = "baseline"
     two_stages = "two_stages"
@@ -121,7 +125,10 @@ class SeriesBlock(Mapping):
 
     def __init__(self, tau: int, metrics: Iterable, lengths: Iterable[int], samples):
         self.tau = operator.index(tau)
-        self.metrics = tuple(map(MetricKind, metrics))
+        try:
+            self.metrics = tuple(map(_METRIC_BY_NAME.__getitem__, metrics))
+        except (KeyError, TypeError) as exc:
+            raise DomainError(f"unknown metric: {exc}") from None
         self.lengths = tuple(map(operator.index, lengths))
         self.samples = np.asarray(samples, dtype=np.float64).view()
         self.samples.flags.writeable = False

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -268,9 +268,14 @@ def _series_values(
 
 def generate_synthetic(config: GeneratorConfig, seed: int, path) -> RecordLog:
     """Emit an arrival-ordered record log, deterministic under the seed."""
-    rng = np.random.default_rng(seed)
     log = RecordLog(path)
-    for i in range(config.n_records):
+    log.extend(_synthetic_records(config, seed))
+    return log
+
+
+def _synthetic_records(config: GeneratorConfig, seed: int) -> Iterator[TaskExecutionRecord]:
+    rng = np.random.default_rng(seed)
+    for _ in range(config.n_records):
         ts = config.tasks[int(rng.integers(len(config.tasks)))]
         input_idx = int(rng.integers(len(ts.input_names)))
         vcpus = int(ts.vcpus_choices[int(rng.integers(len(ts.vcpus_choices)))])
@@ -309,10 +314,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int, path) -> RecordLog:
                 for m in MetricKind
             ]),
         )
-        log.ingest(
-            TaskExecutionRecord(features=features, series=series, runtime_seconds=runtime)
-        )
-    return log
+        yield TaskExecutionRecord(features=features, series=series, runtime_seconds=runtime)
 
 
 STANDARD_SEED = 20240601

@@ -5,6 +5,17 @@ plus a candidate memory path), all stepped together on a leading metric axis
 with no shared parameters. The encoded pre-runtime features seed the initial
 state and join the previous (normalized) value in every step's input. Gates
 are fused in the stacked order i, f, o, c: W (M, 4H, 1+F), U (M, 4H, H).
+
+One cell, `SequenceModel._cell`, serves training and forecasting. It steps a
+contiguous gate-major (4, M, H) block in place, and writes c, tanh(c) and h
+into the caller's arrays. Training keeps its activations time- and gate-major,
+(T, 4, M, H), and the backward pass forms every gate delta of a step in place
+from factors computed for all steps before its loop.
+
+All parameters live in one flat float64 buffer, stored parameter by
+parameter; each `params[k]` is a contiguous (M, ...) view into it. An update
+backs the buffer up with one copy, steps it with one multiply and one
+subtract, and on failure restores it in place, so the views stay bound.
 """
 
 from __future__ import annotations
@@ -30,10 +41,6 @@ _CONFIG = (
 
 class TrainingDivergedError(RuntimeError):
     """An update produced non-finite values; the model was rolled back."""
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
 
 
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -129,29 +136,48 @@ class SequenceModel:
         )
         b = np.zeros((M, 4 * H))
         b[:, H:2 * H] = 1.0  # forget gate: ease early memory retention
-        self.params: Dict[str, np.ndarray] = {
+        init = {
             "W": W, "U": U, "b": b,
             "W_h0": W_h0, "b_h0": np.zeros((M, H)),
             "W_c0": W_c0, "b_c0": np.zeros((M, H)),
             "w_y": w_y, "b_y": np.zeros(M),
         }
+        # one buffer, parameter by parameter; params[k] is a view of its span
+        self.flat_params = np.concatenate([v.reshape(-1) for v in init.values()])
+        ends = np.cumsum([v.size for v in init.values()]).tolist()
+        self._spans = list(zip([0] + ends[:-1], ends))
+        self.params: Dict[str, np.ndarray] = {
+            k: self.flat_params[a:e].reshape(v.shape)
+            for (k, v), (a, e) in zip(init.items(), self._spans)
+        }
+        # the metric of each buffer element, which picks its clip scale
+        self._elem_metric = np.concatenate(
+            [np.repeat(np.arange(M), v.size // M) for v in init.values()]
+        )
         self.value_norm = RunningMinMax(M)
         self.feat_norm = RunningMinMax((M, F))
         self.len_sum = np.zeros(M, dtype=np.int64)
         self.len_count = np.zeros(M, dtype=np.int64)
 
-    def _cell(self, a_in: np.ndarray, h: np.ndarray, c: np.ndarray):
-        """One step of every metric's cell; a_in (M, 4H) is the step input's
-        projection plus the bias. Returns h, c, the gate activations and tanh(c)."""
-        H = self.hidden_size
-        a = a_in + _matvec(self.params["U"], h)
-        act = np.empty_like(a)
-        act[:, :3 * H] = _sigmoid(a[:, :3 * H])
-        act[:, 3 * H:] = np.tanh(a[:, 3 * H:])
-        i, f, o, g = act[:, :H], act[:, H:2 * H], act[:, 2 * H:3 * H], act[:, 3 * H:]
-        c = f * c + i * g
-        tc = np.tanh(c)
-        return o * tc, c, act, tc
+    def _cell(self, act, h, c, c_out, tc_out, h_out) -> None:
+        """One step of every metric's cell, in place. act (4, M, H) holds the
+        step input's projection plus the bias, gate-major; it becomes the gate
+        activations i, f, o, g. The new c, tanh(c) and h go to c_out, tc_out
+        and h_out (M, H), which must not alias h or c."""
+        M, H = h.shape
+        act += np.matmul(self.params["U"], h[:, :, None]).reshape(M, 4, H).transpose(1, 0, 2)
+        sig = act[:3]  # 1 / (1 + exp(-a))
+        np.negative(sig, out=sig)
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.divide(1.0, sig, out=sig)
+        np.tanh(act[3], out=act[3])
+        i, f, o, g = act
+        np.multiply(f, c, out=c_out)
+        np.multiply(i, g, out=tc_out)
+        c_out += tc_out
+        np.tanh(c_out, out=tc_out)
+        np.multiply(o, tc_out, out=h_out)
 
     def _seed_state(self, fenc: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         p = self.params
@@ -184,12 +210,13 @@ class SequenceModel:
         (M, T), H = inputs.shape, self.hidden_size
         X = np.concatenate((inputs[:, :, None], np.repeat(fenc[:, None, :], T, axis=1)), axis=2)
         A = np.matmul(X, p["W"].transpose(0, 2, 1)) + p["b"][:, None, :]
-        # time-major caches; Hs and Cs hold the seed state first
-        Hs, Cs = np.empty((T + 1, M, H)), np.empty((T + 1, M, H))
-        acts, tcs = np.empty((T, M, 4 * H)), np.empty((T, M, H))
+        # time-major caches, the activations also gate-major (T, 4, M, H);
+        # Hs and Cs hold the seed state first
+        acts = np.ascontiguousarray(A.reshape(M, T, 4, H).transpose(1, 2, 0, 3))
+        Hs, Cs, tcs = np.empty((T + 1, M, H)), np.empty((T + 1, M, H)), np.empty((T, M, H))
         Hs[0], Cs[0] = self._seed_state(fenc)
         for t in range(T):
-            Hs[t + 1], Cs[t + 1], acts[t], tcs[t] = self._cell(A[:, t], Hs[t], Cs[t])
+            self._cell(acts[t], Hs[t], Cs[t], Cs[t + 1], tcs[t], Hs[t + 1])
         ys = np.einsum("tmh,mh->mt", Hs[1:], p["w_y"]) + p["b_y"][:, None]
         err = np.where(np.arange(T) < lengths[:, None], ys - targets, 0.0)
         losses = np.sum(err * err, axis=1) / np.maximum(lengths, 1)
@@ -205,20 +232,33 @@ class SequenceModel:
         losses, (X, Hs, Cs, acts, tcs, err) = self._forward(fenc, inputs, targets, lengths)
         (M, T), H = inputs.shape, self.hidden_size
         dY = 2.0 * err / np.maximum(lengths, 1)[:, None]
-        dA = np.empty((T, M, 4 * H))
+        # every factor that needs only the forward caches, for all steps at
+        # once; each gate's delta is ((lead * S2) * S3) * S4, lead being dc, or
+        # dh for the o gate, as in ((dc * g) * i) * (1 - i)
+        dYw = dY.T[:, :, None] * p["w_y"]
+        dtanh = 1 - tcs * tcs
+        i, f, o, g = acts.transpose(1, 0, 2, 3)
+        S2, S3, S4 = np.empty((3, T, M, 4, H))
+        np.stack((g, Cs[:-1], tcs, i), axis=2, out=S2)
+        np.stack((i, f, o, 1 - g * g), axis=2, out=S3)
+        np.subtract(1, acts.transpose(0, 2, 1, 3), out=S4)
+        S4[:, :, 3] = 1.0
+        dA = np.empty((T, M, 4, H))
         dh_next = dc_next = np.zeros((M, H))
         for t in range(T - 1, -1, -1):
-            act, tc = acts[t], tcs[t]
-            i, f, o, g = act[:, :H], act[:, H:2 * H], act[:, 2 * H:3 * H], act[:, 3 * H:]
-            dh = dY[:, t, None] * p["w_y"] + dh_next
-            dc = dh * o * (1 - tc * tc) + dc_next
+            dh = dYw[t] + dh_next
+            dc = dh * o[t]
+            dc *= dtanh[t]
+            dc += dc_next
             da = dA[t]
-            da[:, :H] = dc * g * i * (1 - i)
-            da[:, H:2 * H] = dc * Cs[t] * f * (1 - f)
-            da[:, 2 * H:3 * H] = dh * tc * o * (1 - o)
-            da[:, 3 * H:] = dc * i * (1 - g * g)
-            dh_next = np.matmul(da[:, None, :], p["U"])[:, 0]
-            dc_next = dc * f
+            da[...] = dc[:, None, :]
+            da[:, 2] = dh
+            da *= S2[t]
+            da *= S3[t]
+            da *= S4[t]
+            dh_next = np.matmul(da.reshape(M, 1, 4 * H), p["U"])[:, 0]
+            dc_next = dc * f[t]
+        dA = dA.reshape(T, M, 4 * H)
         dAt = dA.transpose(1, 2, 0)  # (M, 4H, T)
         grads = {
             "W": np.matmul(dAt, X),
@@ -249,7 +289,7 @@ class SequenceModel:
         present = (lengths > 0)[:, None]
         # RunningMinMax.observe rebinds lo and hi, so shallow copies of the normalizers hold
         backup = (
-            {k: v.copy() for k, v in self.params.items()}, copy.copy(self.value_norm),
+            self.flat_params.copy(), copy.copy(self.value_norm),
             copy.copy(self.feat_norm), self.len_sum.copy(), self.len_count.copy(),
         )
         try:
@@ -266,18 +306,23 @@ class SequenceModel:
                 losses, grads = self._gradients(fenc, inputs, targets, lengths)
                 if not np.all(np.isfinite(losses)):
                     raise TrainingDivergedError(f"non-finite loss {losses.tolist()}")
-                total = np.sqrt(
-                    sum(np.sum((g * g).reshape(len(g), -1), axis=1) for g in grads.values())
-                )
+                g = np.concatenate([grads[k] for k in self.params], axis=None)
+                sq = g * g
+                # each parameter's per-metric sum of squares, added parameter by parameter
+                total = np.sqrt(sum(
+                    np.add.reduce(sq[a:e].reshape(self.n_metrics, -1), axis=1)
+                    for a, e in self._spans
+                ))
                 clipped = total > self.clip_norm
                 scale = np.where(clipped, self.clip_norm / np.where(clipped, total, 1.0), 1.0)
-                for k, g in grads.items():
-                    step = (self.learning_rate * scale).reshape((-1,) + (1,) * (g.ndim - 1))
-                    self.params[k] -= step * g
-            if not all(np.all(np.isfinite(v)) for v in self.params.values()):
+                g *= (self.learning_rate * scale)[self._elem_metric]
+                self.flat_params -= g
+            if not np.isfinite(self.flat_params).all():
                 raise TrainingDivergedError("non-finite parameters after update")
         except BaseException as exc:
-            (self.params, self.value_norm, self.feat_norm, self.len_sum, self.len_count) = backup
+            # in place, so that every params[k] stays a view of the buffer
+            self.flat_params[...] = backup[0]
+            (self.value_norm, self.feat_norm, self.len_sum, self.len_count) = backup[1:]
             if isinstance(exc, FloatingPointError):
                 raise TrainingDivergedError("floating point failure during update") from exc
             raise
@@ -302,15 +347,25 @@ class SequenceModel:
             raise ValueError(f"forecast horizon must be >= 1, got {n}")
         horizons = self.default_horizons() if n is None else [n] * self.n_metrics
         p = self.params
+        M, H = self.n_metrics, self.hidden_size
         fenc = self.feat_norm.scale(self._feature_values(f))
         h, c = self._seed_state(fenc)
+        h_next, c_next, tc = np.empty((3, M, H))
+
+        def gate_major(a):
+            return np.ascontiguousarray(a.reshape(M, 4, H).transpose(1, 0, 2))
+
         # the features are constant over the rollout; only the value input moves
-        w_x = p["W"][:, :, 0]
-        a_feat = _matvec(p["W"][:, :, 1:], fenc) + p["b"]
-        x = np.zeros(self.n_metrics)
-        ys = np.empty((max(horizons), self.n_metrics))
+        w_x = gate_major(p["W"][:, :, 0])
+        a_feat = gate_major(_matvec(p["W"][:, :, 1:], fenc) + p["b"])
+        act = np.empty((4, M, H))
+        x = np.zeros(M)
+        ys = np.empty((max(horizons), M))
         for t in range(len(ys)):
-            h, c, _, _ = self._cell(w_x * x[:, None] + a_feat, h, c)
+            np.multiply(w_x, x[:, None], out=act)
+            act += a_feat
+            self._cell(act, h, c, c_next, tc, h_next)
+            h, c, h_next, c_next = h_next, c_next, h, c
             x = ys[t] = np.einsum("mh,mh->m", p["w_y"], h) + p["b_y"]
         return self.value_norm.unscale(ys).T, horizons
 
@@ -360,7 +415,11 @@ class SequenceModel:
         m.len_count = np.array(d["len_count"], dtype=np.int64)
         m.value_norm = RunningMinMax.from_dict(d["value_norm"])
         m.feat_norm = RunningMinMax.from_dict(d["feat_norm"])
-        m.params = {k: np.array(v, dtype=float) for k, v in d["params"].items()}
+        for k, view in m.params.items():
+            saved = np.array(d["params"][k], dtype=float)
+            if saved.shape != view.shape:
+                raise ValueError(f"parameter {k} has shape {saved.shape}, expected {view.shape}")
+            view[...] = saved
         return m
 
     def dumps(self) -> str:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,16 +53,29 @@ class RecordLog:
 
     def ingest(self, record: TaskExecutionRecord) -> int:
         """Append a record, returning its strictly increasing sequence number."""
-        if not isinstance(record, TaskExecutionRecord):
-            raise StoreError(f"expected TaskExecutionRecord, got {type(record).__name__}")
-        line = json.dumps(record.to_dict())
+        return self.extend([record])[0]
+
+    def extend(self, records: Iterable[TaskExecutionRecord]) -> List[int]:
+        """Append records in order, returning their sequence numbers.
+
+        One open, one flush and one fsync per call; records are written as the
+        iterable yields them. A non-record raises StoreError, and the records
+        before it stay appended.
+        """
+        start = self._count
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        seq = self._count
-        self._count += 1
-        return seq
+            try:
+                for record in records:
+                    if not isinstance(record, TaskExecutionRecord):
+                        raise StoreError(
+                            f"expected TaskExecutionRecord, got {type(record).__name__}"
+                        )
+                    fh.write(json.dumps(record.to_dict()) + "\n")
+                    self._count += 1
+            finally:
+                fh.flush()
+                os.fsync(fh.fileno())
+        return list(range(start, self._count))
 
     def records(self) -> Iterator[TaskExecutionRecord]:
         """Iterate records in arrival order; raises CorruptLogError on a bad tail."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +20,12 @@ class TrevConfig:
             raise ValueError(f"lag must be >= 1, got {self.lag}")
 
 
+def _moments(x: np.ndarray, l: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row, the mean of d^2 and of d^3 over the lagged differences d."""
+    d = x[:, l:] - x[:, :-l]
+    return np.mean(d * d, axis=1), np.mean(d * d * d, axis=1)
+
+
 def trev_rows(block: np.ndarray, lengths: np.ndarray, cfg: TrevConfig) -> np.ndarray:
     """Time-reversal asymmetry statistic of each row's first lengths[m] values.
 
@@ -30,7 +36,9 @@ def trev_rows(block: np.ndarray, lengths: np.ndarray, cfg: TrevConfig) -> np.nda
     from upstream arithmetic must not produce an O(1) statistic.
 
     Rows of equal length are reduced together over exactly their own samples,
-    so each row's statistic is bit for bit that of the row alone.
+    so each row's statistic is bit for bit that of the row alone. A row whose
+    moments overflow (finite samples near the float64 maximum) is reduced
+    again divided by its largest magnitude, which leaves the statistic as is.
     """
     l = cfg.lag
     lengths = np.asarray(lengths)
@@ -38,13 +46,15 @@ def trev_rows(block: np.ndarray, lengths: np.ndarray, cfg: TrevConfig) -> np.nda
     for n in np.unique(lengths[lengths > l]).tolist():
         rows = np.flatnonzero(lengths == n)
         x = block[rows, :n]
-        d = x[:, l:] - x[:, :-l]
-        m2 = np.mean(d * d, axis=1).tolist()
-        m3 = np.mean(d * d * d, axis=1).tolist()
-        scale = np.max(np.abs(x), axis=1).tolist()
-        for r, a, b, s in zip(rows.tolist(), m2, m3, scale):
-            if not (a == 0.0 or math.sqrt(a) <= 1e-9 * s):
-                out[r] = b / a ** 1.5
+        with np.errstate(over="ignore", invalid="ignore"):
+            m2, m3 = _moments(x, l)
+            scale = np.max(np.abs(x), axis=1).tolist()
+            for k, (r, a, b, s) in enumerate(zip(rows.tolist(), m2.tolist(), m3.tolist(), scale)):
+                if not (math.isfinite(a) and math.isfinite(b)):
+                    a, b = (float(v[0]) for v in _moments(x[k:k + 1] / s, l))
+                    s = 1.0
+                if not (a == 0.0 or math.sqrt(a) <= 1e-9 * s):
+                    out[r] = b / a ** 1.5
     return out
 
 

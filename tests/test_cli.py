@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
+import wfpredict.store as store_mod
 from wfpredict.cli import main
 from wfpredict.domain import Scenario
+from wfpredict.forecaster import SequenceModel
 from wfpredict.store import RecordLog
 
 
@@ -28,6 +31,31 @@ def test_ingest_copies_records(tmp_path, gen_log):
     dest = tmp_path / "copy.jsonl"
     assert main(["ingest", "--input", str(gen_log), "--log", str(dest)]) == 0
     assert RecordLog(dest).count == 60
+
+
+def test_generate_and_ingest_fsync_once_per_run(tmp_path, gen_log, monkeypatch):
+    calls = []
+    monkeypatch.setattr(store_mod.os, "fsync", lambda fd: calls.append(fd))
+    assert main(["generate", "--out", str(tmp_path / "g.jsonl"), "--records", "30"]) == 0
+    assert len(calls) == 1
+    dest = tmp_path / "copy.jsonl"
+    assert main(["ingest", "--input", str(gen_log), "--log", str(dest)]) == 0
+    assert len(calls) == 2
+    assert dest.read_bytes() == gen_log.read_bytes()
+
+
+def test_diverged_forecaster_update_is_one_error_line(tmp_path, gen_log, monkeypatch, capsys):
+    def diverge(self, fenc, inputs, targets, lengths):
+        return np.full(len(inputs), np.nan), {k: np.zeros_like(v) for k, v in self.params.items()}
+
+    monkeypatch.setattr(SequenceModel, "_gradients", diverge)
+    rc = main([
+        "replay-predict", "--log", str(gen_log), "--scenario", "time_series",
+        "--tau", "5", "--out", str(tmp_path / "p.jsonl"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss") and err.count("\n") == 1
 
 
 def _legacy_line(input_name, runtime, utime, vm_rss):

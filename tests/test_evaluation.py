@@ -1,5 +1,6 @@
 """RAE metric, online/batch evaluation runs, synthetic generator."""
 
+import hashlib
 import json
 import math
 import random
@@ -66,6 +67,14 @@ def test_generator_is_deterministic(tmp_path):
     c = generate_synthetic(cfg, STANDARD_SEED + 1, tmp_path / "c.jsonl")
     assert (tmp_path / "a.jsonl").read_bytes() != (tmp_path / "c.jsonl").read_bytes()
     assert a.count == b.count == c.count == 30
+
+
+def test_generator_output_bytes_are_pinned(tmp_path):
+    # the bytes this corpus had when every record was written with its own
+    # open, flush and fsync; one batched write per corpus must not change them
+    generate_synthetic(standard_corpus_config(n_records=40), 7, tmp_path / "g.jsonl")
+    digest = hashlib.sha256((tmp_path / "g.jsonl").read_bytes()).hexdigest()
+    assert digest == "4a2f62487091d0a7e86ecdb63f9af9681af836249a147c94f5e12a8e90739f4a"
 
 
 def test_generator_record_invariants(tmp_path):

@@ -1,6 +1,8 @@
 """Recurrent forecaster: gradients, training, inference, persistence."""
 
+import copy
 import math
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -143,6 +145,163 @@ class ReferenceModel:
         }
 
 
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _matvec(a, x):
+    return np.matmul(a, x[:, :, None])[:, :, 0]
+
+
+class StridedOracle(SequenceModel):
+    """The metric-axis kernel that the gate-major one replaced, kept verbatim
+    as its bit-exact oracle: gates sliced as (M, 4H) columns, a copy into the
+    caches per step, and an SGD step, clip and backup per parameter."""
+
+    def _cell(self, a_in: np.ndarray, h: np.ndarray, c: np.ndarray):
+        """One step of every metric's cell; a_in (M, 4H) is the step input's
+        projection plus the bias. Returns h, c, the gate activations and tanh(c)."""
+        H = self.hidden_size
+        a = a_in + _matvec(self.params["U"], h)
+        act = np.empty_like(a)
+        act[:, :3 * H] = _sigmoid(a[:, :3 * H])
+        act[:, 3 * H:] = np.tanh(a[:, 3 * H:])
+        i, f, o, g = act[:, :H], act[:, H:2 * H], act[:, 2 * H:3 * H], act[:, 3 * H:]
+        c = f * c + i * g
+        tc = np.tanh(c)
+        return o * tc, c, act, tc
+
+    def _forward(self, fenc, inputs, targets, lengths):
+        """Teacher-forced pass over one example; returns per-metric losses
+        (mean squared error over each metric's own length) and caches."""
+        p = self.params
+        (M, T), H = inputs.shape, self.hidden_size
+        X = np.concatenate((inputs[:, :, None], np.repeat(fenc[:, None, :], T, axis=1)), axis=2)
+        A = np.matmul(X, p["W"].transpose(0, 2, 1)) + p["b"][:, None, :]
+        # time-major caches; Hs and Cs hold the seed state first
+        Hs, Cs = np.empty((T + 1, M, H)), np.empty((T + 1, M, H))
+        acts, tcs = np.empty((T, M, 4 * H)), np.empty((T, M, H))
+        Hs[0], Cs[0] = self._seed_state(fenc)
+        for t in range(T):
+            Hs[t + 1], Cs[t + 1], acts[t], tcs[t] = self._cell(A[:, t], Hs[t], Cs[t])
+        ys = np.einsum("tmh,mh->mt", Hs[1:], p["w_y"]) + p["b_y"][:, None]
+        err = np.where(np.arange(T) < lengths[:, None], ys - targets, 0.0)
+        losses = np.sum(err * err, axis=1) / np.maximum(lengths, 1)
+        return losses, (X, Hs, Cs, acts, tcs, err)
+
+    def _gradients(self, fenc, inputs, targets, lengths):
+        """Full-sequence backpropagation through time for every metric.
+
+        Steps past a metric's length get no output gradient, so each metric's
+        gradient is that of its own unpadded sequence. Returns (losses, grads).
+        """
+        p = self.params
+        losses, (X, Hs, Cs, acts, tcs, err) = self._forward(fenc, inputs, targets, lengths)
+        (M, T), H = inputs.shape, self.hidden_size
+        dY = 2.0 * err / np.maximum(lengths, 1)[:, None]
+        dA = np.empty((T, M, 4 * H))
+        dh_next = dc_next = np.zeros((M, H))
+        for t in range(T - 1, -1, -1):
+            act, tc = acts[t], tcs[t]
+            i, f, o, g = act[:, :H], act[:, H:2 * H], act[:, 2 * H:3 * H], act[:, 3 * H:]
+            dh = dY[:, t, None] * p["w_y"] + dh_next
+            dc = dh * o * (1 - tc * tc) + dc_next
+            da = dA[t]
+            da[:, :H] = dc * g * i * (1 - i)
+            da[:, H:2 * H] = dc * Cs[t] * f * (1 - f)
+            da[:, 2 * H:3 * H] = dh * tc * o * (1 - o)
+            da[:, 3 * H:] = dc * i * (1 - g * g)
+            dh_next = np.matmul(da[:, None, :], p["U"])[:, 0]
+            dc_next = dc * f
+        dAt = dA.transpose(1, 2, 0)  # (M, 4H, T)
+        grads = {
+            "W": np.matmul(dAt, X),
+            "U": np.matmul(dAt, Hs[:-1].transpose(1, 0, 2)),
+            "b": dA.sum(axis=0),
+            # the initial state came from the feature projection
+            "W_h0": dh_next[:, :, None] * fenc[:, None, :],
+            "b_h0": dh_next,
+            "W_c0": dc_next[:, :, None] * fenc[:, None, :],
+            "b_c0": dc_next,
+            "w_y": np.einsum("mt,tmh->mh", dY, Hs[1:]),
+            "b_y": dY.sum(axis=1),
+        }
+        return losses, grads
+
+    def update_all(self, f: FeatureVector, block: np.ndarray, lengths: np.ndarray) -> None:
+        """Train every metric on one example: row m of block (M, T) holds
+        metric m's first lengths[m] values, then zeros. A metric of length 0,
+        which the example lacks, is left untouched.
+
+        Refreshes the running normalizers, then runs epochs_per_update passes,
+        each clipped per metric by the global norm of that metric's gradients.
+        Any failure restores every metric's parameters, normalizers and length
+        statistics; a non-finite result raises TrainingDivergedError.
+        """
+        fx = self._feature_values(f)
+        lengths = np.asarray(lengths)
+        present = (lengths > 0)[:, None]
+        # RunningMinMax.observe rebinds lo and hi, so shallow copies of the normalizers hold
+        backup = (
+            {k: v.copy() for k, v in self.params.items()}, copy.copy(self.value_norm),
+            copy.copy(self.feat_norm), self.len_sum.copy(), self.len_count.copy(),
+        )
+        try:
+            held = np.arange(block.shape[1]) < lengths[:, None]
+            self.value_norm.observe(
+                np.min(block, axis=1, where=held, initial=np.inf),
+                np.max(block, axis=1, where=held, initial=-np.inf),
+            )
+            self.feat_norm.observe(np.where(present, fx, np.inf), np.where(present, fx, -np.inf))
+            fenc, inputs, targets, lengths = self._training_data(f, block, lengths)
+            self.len_sum += lengths
+            self.len_count += present[:, 0]
+            for _ in range(self.epochs_per_update):
+                losses, grads = self._gradients(fenc, inputs, targets, lengths)
+                if not np.all(np.isfinite(losses)):
+                    raise TrainingDivergedError(f"non-finite loss {losses.tolist()}")
+                total = np.sqrt(
+                    sum(np.sum((g * g).reshape(len(g), -1), axis=1) for g in grads.values())
+                )
+                clipped = total > self.clip_norm
+                scale = np.where(clipped, self.clip_norm / np.where(clipped, total, 1.0), 1.0)
+                for k, g in grads.items():
+                    step = (self.learning_rate * scale).reshape((-1,) + (1,) * (g.ndim - 1))
+                    self.params[k] -= step * g
+            if not all(np.all(np.isfinite(v)) for v in self.params.values()):
+                raise TrainingDivergedError("non-finite parameters after update")
+        except BaseException as exc:
+            (self.params, self.value_norm, self.feat_norm, self.len_sum, self.len_count) = backup
+            if isinstance(exc, FloatingPointError):
+                raise TrainingDivergedError("floating point failure during update") from exc
+            raise
+
+    def forecast_all(
+        self, f: FeatureVector, n: Optional[int] = None
+    ) -> Tuple[np.ndarray, List[int]]:
+        """Autoregressive forecast of every metric, denormalized, padding kept.
+
+        Metric m runs n steps, or its own default horizon when n is None.
+        Returns the block (M, T) and the horizons: row m's forecast is its
+        first horizons[m] values, and T is the longest horizon.
+        """
+        if n is not None and n < 1:
+            raise ValueError(f"forecast horizon must be >= 1, got {n}")
+        horizons = self.default_horizons() if n is None else [n] * self.n_metrics
+        p = self.params
+        fenc = self.feat_norm.scale(self._feature_values(f))
+        h, c = self._seed_state(fenc)
+        # the features are constant over the rollout; only the value input moves
+        w_x = p["W"][:, :, 0]
+        a_feat = _matvec(p["W"][:, :, 1:], fenc) + p["b"]
+        x = np.zeros(self.n_metrics)
+        ys = np.empty((max(horizons), self.n_metrics))
+        for t in range(len(ys)):
+            h, c, _, _ = self._cell(w_x * x[:, None] + a_feat, h, c)
+            x = ys[t] = np.einsum("mh,mh->m", p["w_y"], h) + p["b_y"]
+        return self.value_norm.unscale(ys).T, horizons
+
+
 def max_param_gradient_error(model, fenc, inputs, targets, lengths=None, step=1e-5):
     """Worst per-tensor relative error between analytic and numeric gradients.
 
@@ -230,6 +389,63 @@ def test_bank_matches_per_metric_reference():
             assert np.allclose(forecast, ref.forecast(fx), rtol=1e-12, atol=1e-12), m
     assert bank.len_count.tolist() == [int(s is not None) for s in series]
     assert horizons[4] == 1
+
+
+
+def test_gate_major_kernel_matches_the_strided_oracle_bit_for_bit():
+    metrics = tuple(MetricKind)
+    kw = dict(
+        input_dim=8, hidden_size=10, learning_rate=0.2, clip_norm=0.2, tau=5, metrics=metrics,
+        seeds=[_model_seed(3, "align", m.value) for m in metrics],
+    )
+    bank, oracle = SequenceModel(**kw), StridedOracle(**kw)
+    clipped = []
+
+    def recorded(fenc, inputs, targets, lengths):
+        losses, grads = StridedOracle._gradients(oracle, fenc, inputs, targets, lengths)
+        total = np.sqrt(sum(np.sum((g * g).reshape(len(g), -1), axis=1) for g in grads.values()))
+        clipped.extend((total > oracle.clip_norm)[lengths > 0].tolist())
+        return losses, grads
+
+    oracle._gradients = recorded
+    rng = np.random.default_rng(46)
+    for step in range(20):
+        fv = _fv(rng.uniform(1, 9, size=8).tolist())
+        # unequal lengths, and one metric the record lacks
+        series = [tuple(rng.uniform(0, 50, size=int(rng.integers(1, 14)))) for _ in metrics]
+        series[step % len(metrics)] = None
+        bank.update_all(fv, *_block(series))
+        oracle.update_all(fv, *_block(series))
+        for k, v in oracle.params.items():
+            assert bank.params[k].tobytes() == v.tobytes(), (step, k)
+        (a, ha), (b, hb) = bank.forecast_all(fv), oracle.forecast_all(fv)
+        assert ha == hb and a.tobytes() == b.tobytes(), step
+    assert any(clipped) and not all(clipped)
+    assert bank.dumps() == oracle.dumps()
+
+
+def test_params_stay_views_of_the_flat_buffer():
+    def bound(model):
+        return all(
+            v.flags.c_contiguous and np.shares_memory(v, model.flat_params)
+            for v in model.params.values()
+        ) and sum(v.size for v in model.params.values()) == model.flat_params.size
+
+    model = SequenceModel(input_dim=1, seeds=(2, 3))
+    model.update_all(_fv([1.0]), *_block([(1.0, 2.0), (4.0,)]))
+    assert bound(model)
+    before = model.dumps()
+    model.params["w_y"][1] = 1e300  # a write through a view reaches the buffer
+    assert model.flat_params.max() == 1e300
+    with pytest.raises(TrainingDivergedError), np.errstate(over="ignore", invalid="ignore"):
+        model.update_all(_fv([3.0]), *_block([(0.0, 9.0, 2.0), (7.0, 1.0)]))
+    assert bound(model)
+    assert model.params["w_y"][1, 0] == 1e300
+    model.params["w_y"][1] = SequenceModel.loads(before).params["w_y"][1]
+    assert model.dumps() == before
+    assert bound(SequenceModel.from_dict(model.to_dict()))
+    again = SequenceModel.loads(model.dumps())
+    assert bound(again) and again.dumps() == before
 
 
 def test_update_reduces_loss_on_repeated_series():

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import make_record, write_legacy
 import wfpredict.pipeline as pipeline_mod
-from wfpredict.domain import CategoryVocab, MetricKind, Scenario, encode_pre_runtime
+from wfpredict.domain import (
+    CategoryVocab, MetricKind, MetricSeries, Scenario, TaskExecutionRecord, encode_pre_runtime,
+)
 from wfpredict.forecaster import TrainingDivergedError
 from wfpredict.knn import InstanceWindow
 from wfpredict.pipeline import PipelineConfig, Registry, pearson, select_features
@@ -164,6 +166,22 @@ def test_diverged_forecaster_update_leaves_bundle_unchanged(small_log):
     with pytest.raises(TrainingDivergedError), np.errstate(over="ignore", invalid="ignore"):
         reg.observe_completion(records[5], Scenario.time_series)
     assert state() == before
+
+
+def test_observe_completes_on_samples_whose_trev_moments_overflow():
+    # finite samples near the float64 maximum: d**2 and d**3 overflow, yet the
+    # record is valid and its trev features must come out finite
+    big = 1.7976931348623157e308
+    rec = make_record(runtime=10.0, n=8)
+    values = (1.0, big, -big, 0.5 * big, 1e200, -1e200, big, 2.0)
+    series = {m: MetricSeries(m, 1, values) for m in MetricKind}
+    rec = TaskExecutionRecord(features=rec.features, series=series, runtime_seconds=10.0)
+    reg = Registry(config=PipelineConfig(target_tau=1))
+    reg.observe_completion(make_record(runtime=12.0, n=8), Scenario.time_series)
+    reg.observe_completion(rec, Scenario.time_series)
+    bundle = reg.bundles[("align", Scenario.time_series)]
+    assert bundle.runtime_count == 2
+    assert np.all(np.isfinite(bundle.regressor.lo)) and np.all(np.isfinite(bundle.regressor.hi))
 
 
 def test_metric_selection_restricts_models(small_log):

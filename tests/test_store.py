@@ -8,6 +8,7 @@ import struct
 import pytest
 
 from conftest import legacy_dict, make_record
+import wfpredict.store as store_mod
 from wfpredict.domain import DomainError, MetricKind, MetricSeries, TaskExecutionRecord
 from wfpredict.store import CorruptLogError, RecordLog, StoreError, downsample, downsample_block
 
@@ -22,6 +23,31 @@ def test_ingest_rejects_non_records(tmp_path):
     log = RecordLog(tmp_path / "log.jsonl")
     with pytest.raises(StoreError):
         log.ingest({"not": "a record"})
+
+
+def test_extend_appends_in_order_with_one_fsync(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(store_mod.os, "fsync", lambda fd: calls.append(fd))
+    records = [make_record(runtime=5.0 + i) for i in range(6)]
+    log = RecordLog(tmp_path / "log.jsonl")
+    assert log.extend(records[:4]) == [0, 1, 2, 3]
+    assert len(calls) == 1
+    assert log.extend(iter(records[4:])) == [4, 5]
+    assert len(calls) == 2
+    assert log.extend([]) == []
+    assert RecordLog(tmp_path / "log.jsonl").read_all() == records
+    one_by_one = RecordLog(tmp_path / "single.jsonl")
+    assert [one_by_one.ingest(rec) for rec in records] == list(range(6))
+    assert len(calls) == 9
+    assert one_by_one.path.read_bytes() == log.path.read_bytes()
+
+
+def test_extend_keeps_the_records_before_a_rejected_one(tmp_path):
+    log = RecordLog(tmp_path / "log.jsonl")
+    with pytest.raises(StoreError):
+        log.extend([make_record(runtime=5.0), {"not": "a record"}, make_record(runtime=6.0)])
+    assert log.count == 1
+    assert RecordLog(tmp_path / "log.jsonl").read_all() == [make_record(runtime=5.0)]
 
 
 def test_round_trip_preserves_order_and_content(tmp_path):

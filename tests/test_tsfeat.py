@@ -164,3 +164,24 @@ def test_strip_padding_rows_matches_a_loop():
     assert got.tolist() == [len(_strip_loop(r)) for r in rows]
     assert [strip_padding(r) for r in rows] == [_strip_loop(r) for r in rows]
     assert strip_padding_rows(np.zeros((0, 0)), np.zeros(0, dtype=int)).tolist() == []
+
+
+def test_trev_rows_rescales_rows_whose_moments_overflow():
+    big = 1.7976931348623157e308
+    cfg = TrevConfig(lag=2)
+    rows = np.array([
+        [big, -big, 0.5 * big, big, -0.25 * big, 0.0, big],
+        [0.0, 1e200, -1e200, 3e200, 2e200, -5e200, 1e199],
+        [1.0, 4.0, 2.0, 8.0, 5.0, 7.0, 3.0],
+    ])
+    lengths = np.full(3, rows.shape[1])
+    with np.errstate(all="raise"):
+        out = trev_rows(rows, lengths, cfg)
+    assert np.all(np.isfinite(out))
+    for r in range(2):
+        # the statistic does not change under scaling; 2**-1000 scales exactly
+        scaled = trev_rows(rows[r:r + 1] * 2.0 ** -1000, lengths[:1], cfg)[0]
+        assert out[r] != 0.0
+        assert abs(out[r] - scaled) <= 1e-12 * abs(scaled)
+    # a row that does not overflow keeps its own statistic bit for bit
+    assert out[2] == trev(rows[2], cfg)
