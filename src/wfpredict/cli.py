@@ -9,7 +9,7 @@ import json
 import sys
 from pathlib import Path
 
-from .domain import MetricKind, Scenario
+from .domain import Scenario
 from .evaluation import (
     STANDARD_SEED,
     EvalReport,
@@ -19,9 +19,8 @@ from .evaluation import (
     standard_corpus_config,
 )
 from .forecaster import TrainingDivergedError
-from .pipeline import PipelineConfig, Registry, pearson
-from .store import RecordLog, downsample
-from .tsfeat import TrevConfig, strip_padding, trev
+from .pipeline import PipelineConfig, Registry, correlations, trev_history
+from .store import RecordLog
 
 SWEEP_TAUS = (1, 5, 10, 15, 30)
 SWEEP_LAGS = (2, 3)
@@ -176,25 +175,12 @@ def cmd_select_features(args) -> int:
         raise ValueError(f"--threshold must be in [0, 1], got {args.threshold}")
     if args.tau < 1 or args.lag < 1:
         raise ValueError("--tau and --lag must be >= 1")
-    log = RecordLog(args.log)
-    cfg = TrevConfig(lag=args.lag)
-    history: dict = {}
-    for rec in log.records():
-        entry = history.setdefault(rec.features.task_name, [])
-        feats = {}
-        for m, s in rec.series.items():
-            ds = downsample(s, args.tau)
-            feats[m] = trev(strip_padding(ds.values), cfg)
-        entry.append((feats, rec.runtime_seconds))
+    history = trev_history(RecordLog(args.log).records(), args.tau, args.lag)
     result = {}
     for task, entries in sorted(history.items()):
         if len(entries) < 2:
             continue
-        runtimes = [rt for _, rt in entries]
-        rho = {
-            m.value: pearson([f.get(m, 0.0) for f, _ in entries], runtimes)
-            for m in MetricKind
-        }
+        rho = {m.value: r for m, r in correlations(entries).items()}
         selected = sorted(m for m, r in rho.items() if abs(r) > args.threshold)
         result[task] = {"rho": rho, "selected": selected}
         print(f"{task}: selected {selected}")
@@ -206,9 +192,7 @@ def cmd_select_features(args) -> int:
 def cmd_registry(args) -> int:
     if args.action == "list":
         registry = Registry.load(args.dir)
-        for (task, scenario), bundle in sorted(
-            registry.bundles.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-        ):
+        for (task, scenario), bundle in sorted(registry.bundles.items()):
             print(
                 f"{task} {scenario.value}: {len(bundle.regressor)} instances, "
                 f"{bundle.forecaster.n_metrics if bundle.forecaster else 0} forecasters, "

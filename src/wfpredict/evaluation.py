@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -97,28 +97,20 @@ def _score(pairs: List[Tuple[str, float, float]], scenario, tau, lag, mode) -> E
     )
 
 
-def _make_config(scenario: Scenario, tau: int, lag: int, seed: int, **overrides) -> PipelineConfig:
-    cfg = PipelineConfig(target_tau=tau, trev_lag=lag, seed=seed)
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
-
-
 def run_online(
     log: RecordLog,
     scenario: Scenario,
     tau: int = 1,
     lag: int = 2,
     seed: int = 0,
-    registry: Optional[Registry] = None,
     skip_first: int = 0,
     **config_overrides,
 ) -> EvalReport:
     """Prequential pass over the log: predict each record, then train on it."""
     if log.count == 0:
         raise ValueError("log is empty")
-    if registry is None:
-        registry = Registry(config=_make_config(scenario, tau, lag, seed, **config_overrides))
+    config = PipelineConfig(target_tau=tau, trev_lag=lag, seed=seed, **config_overrides)
+    registry = Registry(config=config)
     pairs: List[Tuple[str, float, float]] = []
     for idx, rec in enumerate(log.records()):
         pred = registry.predict_task(rec.features, scenario)
@@ -144,7 +136,8 @@ def run_batch_offline(
     split = int(len(records) * d)
     if split == 0 or split == len(records):
         raise ValueError(f"d={d} leaves an empty train or test side for {len(records)} records")
-    registry = Registry(config=_make_config(scenario, tau, lag, seed, **config_overrides))
+    config = PipelineConfig(target_tau=tau, trev_lag=lag, seed=seed, **config_overrides)
+    registry = Registry(config=config)
     for rec in records[:split]:
         registry.observe_completion(rec, scenario)
     pairs = []

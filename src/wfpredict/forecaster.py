@@ -37,6 +37,7 @@ FORMAT_VERSION = 2
 _CONFIG = (
     "input_dim", "hidden_size", "learning_rate", "epochs_per_update", "clip_norm", "seeds", "tau"
 )
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 class TrainingDivergedError(RuntimeError):
@@ -52,24 +53,35 @@ class RunningMinMax:
     """Element-wise running min/max used to map inputs into [0, 1]."""
 
     def __init__(self, shape):
-        self.lo = np.full(shape, np.inf)
-        self.hi = np.full(shape, -np.inf)
+        self._bind(np.full(shape, np.inf), np.full(shape, -np.inf))
+
+    def _bind(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Set the bounds and the terms scale and unscale read. Where hi - lo
+        overflows float64 (where half of it exceeds half the maximum) both work
+        on halved values; halving is exact, so a range that fits is kept."""
+        self.lo, self.hi = lo, hi
+        f = self._f = np.where(hi * 0.5 - lo * 0.5 > _FLOAT_MAX * 0.5, 0.5, 1.0)
+        lo_f = lo * f
+        rng = hi * f - lo_f
+        self._seen = np.isfinite(rng) & (rng > 0)
+        self._den = np.where(self._seen, rng, 1.0)
+        # where lo is unobserved, y * 1.0 + -0.0 gives back any y bit for bit
+        observed = np.isfinite(lo)
+        self._lo, self._rng = np.where(observed, lo_f, -0.0), np.where(observed, rng, 1.0)
 
     def observe(self, lo: np.ndarray, hi: np.ndarray):
         """Fold in observed element-wise bounds; +inf/-inf leave an element as is."""
-        self.lo = np.minimum(self.lo, lo)
-        self.hi = np.maximum(self.hi, hi)
+        self._bind(np.minimum(self.lo, lo), np.maximum(self.hi, hi))
 
     def scale(self, x: np.ndarray) -> np.ndarray:
-        rng = self.hi - self.lo
-        seen = np.isfinite(rng) & (rng > 0)
-        return np.where(seen, (x - self.lo) / np.where(seen, rng, 1.0), 0.0)
+        return np.where(self._seen, (x * self._f - self._lo) / self._den, 0.0)
 
     def unscale(self, y: np.ndarray) -> np.ndarray:
-        # inverse of scale along the trailing axes; an unobserved element passes y through
-        seen = np.isfinite(self.lo)
-        rng, lo = np.where(seen, self.hi - self.lo, 0.0), np.where(seen, self.lo, 0.0)
-        return np.where(seen, y * rng + lo, y)
+        # inverse of scale along the trailing axes; an unobserved element passes
+        # y through, and a value past the float64 range saturates at its limit
+        with np.errstate(over="ignore"):
+            x = (y * self._rng + self._lo) / self._f
+        return np.minimum(np.maximum(x, -_FLOAT_MAX), _FLOAT_MAX)
 
     def to_dict(self) -> dict:
         return {"lo": self.lo.tolist(), "hi": self.hi.tolist()}
@@ -77,7 +89,7 @@ class RunningMinMax:
     @classmethod
     def from_dict(cls, d: dict) -> "RunningMinMax":
         n = cls(0)
-        n.lo, n.hi = np.array(d["lo"], dtype=float), np.array(d["hi"], dtype=float)
+        n._bind(np.array(d["lo"], dtype=float), np.array(d["hi"], dtype=float))
         return n
 
 
@@ -287,7 +299,7 @@ class SequenceModel:
         fx = self._feature_values(f)
         lengths = np.asarray(lengths)
         present = (lengths > 0)[:, None]
-        # RunningMinMax.observe rebinds lo and hi, so shallow copies of the normalizers hold
+        # RunningMinMax.observe rebinds its arrays, so shallow copies of the normalizers hold
         backup = (
             self.flat_params.copy(), copy.copy(self.value_norm),
             copy.copy(self.feat_norm), self.len_sum.copy(), self.len_count.copy(),

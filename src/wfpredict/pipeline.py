@@ -3,13 +3,15 @@ prediction scenarios, and correlation-based feature selection."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .store import downsample, downsample_block  # noqa: F401
 from .tsfeat import TrevConfig, strip_padding_rows, trev, trev_rows  # noqa: F401
 
 REGISTRY_MAGIC = "wfpredict-registry"
-REGISTRY_VERSION = 3
+REGISTRY_VERSION = 4
 
 ALL_METRICS: Tuple[MetricKind, ...] = tuple(MetricKind)
 
@@ -57,19 +59,41 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return sxy / math.sqrt(sxx * syy)
 
 
+def correlations(
+    history: Sequence[Tuple[Mapping[MetricKind, float], float]]
+) -> Dict[MetricKind, float]:
+    """Each metric's Pearson correlation to runtime over the history; an entry
+    without the metric counts as 0.0."""
+    if len(history) < 2:
+        raise ValueError("need at least 2 history entries")
+    runtimes = [rt for _, rt in history]
+    return {
+        m: pearson([float(feats.get(m, 0.0)) for feats, _ in history], runtimes)
+        for m in ALL_METRICS
+    }
+
+
 def select_features(
     history: Sequence[Tuple[Mapping[MetricKind, float], float]], threshold: float
 ) -> Set[MetricKind]:
     """Metrics whose |correlation to runtime| over the history exceeds the threshold."""
-    if len(history) < 2:
-        raise ValueError("need at least 2 history entries")
-    runtimes = [rt for _, rt in history]
-    selected = set()
-    for m in ALL_METRICS:
-        feats = [float(feats.get(m, 0.0)) for feats, _ in history]
-        if abs(pearson(feats, runtimes)) > threshold:
-            selected.add(m)
-    return selected
+    return {m for m, rho in correlations(history).items() if abs(rho) > threshold}
+
+
+def trev_history(records: Iterable[TaskExecutionRecord], tau: int, lag: int) -> dict:
+    """Per task name, in log order, the history select_features reads: each
+    record's trev of every series it carries, downsampled to tau and stripped
+    of trailing zeros, and its runtime."""
+    cfg = TrevConfig(lag)
+    history: Dict[str, list] = {}
+    for rec in records:
+        s = rec.series
+        block, lengths = downsample_block([s.row(m) for m in s.metrics], s.tau, tau)
+        trevs = trev_rows(block, strip_padding_rows(block, lengths), cfg)
+        history.setdefault(rec.features.task_name, []).append(
+            (dict(zip(s.metrics, trevs.tolist())), rec.runtime_seconds)
+        )
+    return history
 
 
 @dataclass
@@ -83,7 +107,6 @@ class PipelineConfig:
     epochs_per_update: int = 1
     clip_norm: float = 5.0
     seed: int = 0
-    forecast_horizon: Optional[int] = None  # None: model's running-mean length
     # per-task metric selection; None means all 13 metrics
     selected_metrics: Optional[Dict[str, Set[MetricKind]]] = None
 
@@ -94,44 +117,20 @@ class PipelineConfig:
         return tuple(m for m in ALL_METRICS if m in chosen)
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "window_capacity": self.window_capacity,
-            "trev_lag": self.trev_lag,
-            "target_tau": self.target_tau,
-            "hidden_size": self.hidden_size,
-            "learning_rate": self.learning_rate,
-            "epochs_per_update": self.epochs_per_update,
-            "clip_norm": self.clip_norm,
-            "seed": self.seed,
-            "forecast_horizon": self.forecast_horizon,
-            "selected_metrics": (
-                None
-                if self.selected_metrics is None
-                else {t: sorted(m.value for m in ms) for t, ms in self.selected_metrics.items()}
-            ),
-        }
+        d = dataclasses.asdict(self)
+        if self.selected_metrics is not None:
+            d["selected_metrics"] = {
+                t: sorted(m.value for m in ms) for t, ms in self.selected_metrics.items()
+            }
+        return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        sel = d.get("selected_metrics")
-        return cls(
-            k=d["k"],
-            window_capacity=d["window_capacity"],
-            trev_lag=d["trev_lag"],
-            target_tau=d["target_tau"],
-            hidden_size=d["hidden_size"],
-            learning_rate=d["learning_rate"],
-            epochs_per_update=d["epochs_per_update"],
-            clip_norm=d["clip_norm"],
-            seed=d["seed"],
-            forecast_horizon=d.get("forecast_horizon"),
-            selected_metrics=(
-                None
-                if sel is None
-                else {t: {MetricKind(v) for v in ms} for t, ms in sel.items()}
-            ),
-        )
+    def from_dict(cls, d: Mapping) -> "PipelineConfig":
+        cfg = cls(**{f.name: d[f.name] for f in dataclasses.fields(cls)})
+        if cfg.selected_metrics is not None:
+            sel = cfg.selected_metrics.items()
+            cfg.selected_metrics = {t: {MetricKind(v) for v in ms} for t, ms in sel}
+        return cfg
 
 
 def _model_seed(base_seed: int, task_name: str, metric: str) -> int:
@@ -173,10 +172,40 @@ class TaskModelBundle:
             return None
         return self.runtime_sum / self.runtime_count
 
+    def to_dict(self) -> dict:
+        return {
+            "task_name": self.task_name,
+            "scenario": self.scenario.value,
+            "selected_metrics": [m.value for m in self.selected_metrics],
+            "trev_lag": self.trev_lag,
+            "target_tau": self.target_tau,
+            "runtime_sum": self.runtime_sum,
+            "runtime_count": self.runtime_count,
+            "regressor": self.regressor.to_dict(),
+            "forecaster": self.forecaster.to_dict() if self.forecaster else None,
+            "agg_index": self.agg_index.to_dict() if self.agg_index is not None else None,
+        }
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "TaskModelBundle":
+        forecaster, agg_index = d["forecaster"], d["agg_index"]
+        return cls(
+            task_name=d["task_name"],
+            scenario=Scenario(d["scenario"]),
+            selected_metrics=tuple(MetricKind(v) for v in d["selected_metrics"]),
+            trev_lag=d["trev_lag"],
+            target_tau=d["target_tau"],
+            regressor=InstanceWindow.from_dict(d["regressor"]),
+            forecaster=SequenceModel.from_dict(forecaster) if forecaster else None,
+            agg_index=InstanceWindow.from_dict(agg_index) if agg_index is not None else None,
+            runtime_sum=d["runtime_sum"],
+            runtime_count=d["runtime_count"],
+        )
+
 
 class Registry:
     """Holds one TaskModelBundle per (task name, scenario) and the shared
-    category vocabulary; persists everything under a storage directory."""
+    category vocabulary; persists everything as one file in a storage directory."""
 
     def __init__(self, storage_dir=None, config: Optional[PipelineConfig] = None):
         self.storage_dir = Path(storage_dir) if storage_dir else None
@@ -281,9 +310,12 @@ class Registry:
         """Predict the runtime of a not-yet-executed task.
 
         Cold start: per-task running mean runtime if any completion was
-        observed, otherwise a 1.0 second default.
+        observed, otherwise a 1.0 second default. A task with no completion
+        in this scenario gets the default without any change to the registry.
         """
-        bundle = self._get_bundle(f.task_name, scenario)
+        bundle = self.bundles.get((f.task_name, scenario))
+        if bundle is None:
+            return Prediction(runtime_seconds=1.0, scenario=scenario, task_name=f.task_name)
         if scenario == Scenario.baseline:
             query = self._baseline_vector(f)
         else:
@@ -293,9 +325,7 @@ class Registry:
             elif bundle.forecaster is None:
                 query = sigma
             else:
-                block, horizons = bundle.forecaster.forecast_all(
-                    sigma, self.config.forecast_horizon
-                )
+                block, horizons = bundle.forecaster.forecast_all(sigma)
                 query = self._time_series_vector(bundle, sigma, block, horizons)
         try:
             runtime = bundle.regressor.predict(query, k=self.config.k)
@@ -333,66 +363,46 @@ class Registry:
     # -- persistence -------------------------------------------------------
 
     def save(self) -> None:
+        """Write the registry as one JSON document, storage_dir/index.json: to
+        index.json.tmp first, synced to disk, then renamed over index.json, so a
+        save that fails at any point leaves the previous registry in place."""
         if self.storage_dir is None:
             raise ValueError("registry has no storage directory")
         self.storage_dir.mkdir(parents=True, exist_ok=True)
-        index = {
+        doc = {
             "magic": REGISTRY_MAGIC,
             "version": REGISTRY_VERSION,
             "vocab": self.vocab.to_dict(),
             "config": self.config.to_dict(),
-            "bundles": [],
+            "bundles": [self.bundles[key].to_dict() for key in sorted(self.bundles)],
         }
-        for i, ((task, scenario), bundle) in enumerate(sorted(
-            self.bundles.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-        )):
-            subdir = f"bundle_{i:04d}"
-            bdir = self.storage_dir / subdir
-            bdir.mkdir(exist_ok=True)
-            payload = {
-                "task_name": bundle.task_name,
-                "scenario": bundle.scenario.value,
-                "selected_metrics": [m.value for m in bundle.selected_metrics],
-                "trev_lag": bundle.trev_lag,
-                "target_tau": bundle.target_tau,
-                "runtime_sum": bundle.runtime_sum,
-                "runtime_count": bundle.runtime_count,
-                "regressor": bundle.regressor.to_dict(),
-                "forecaster": bundle.forecaster.to_dict() if bundle.forecaster else None,
-                "agg_index": bundle.agg_index.to_dict() if bundle.agg_index is not None else None,
-            }
-            (bdir / "bundle.json").write_text(json.dumps(payload), encoding="utf-8")
-            index["bundles"].append(
-                {"task_name": task, "scenario": scenario.value, "path": subdir}
-            )
-        (self.storage_dir / "index.json").write_text(json.dumps(index), encoding="utf-8")
+        path = self.storage_dir / "index.json"
+        tmp = path.with_name("index.json.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc))
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, storage_dir) -> "Registry":
+        """The registry save wrote; ValueError if index.json is not one."""
         storage_dir = Path(storage_dir)
-        index = json.loads((storage_dir / "index.json").read_text(encoding="utf-8"))
-        if index.get("magic") != REGISTRY_MAGIC:
+        doc = json.loads((storage_dir / "index.json").read_text(encoding="utf-8"))
+        if not isinstance(doc, dict) or doc.get("magic") != REGISTRY_MAGIC:
             raise ValueError(f"not a registry directory: {storage_dir}")
-        if index.get("version") != REGISTRY_VERSION:
-            raise ValueError(f"unsupported registry version {index.get('version')}")
-        reg = cls(storage_dir=storage_dir, config=PipelineConfig.from_dict(index["config"]))
-        reg.vocab = CategoryVocab.from_dict(index["vocab"])
-        for entry in index["bundles"]:
-            payload = json.loads(
-                (storage_dir / entry["path"] / "bundle.json").read_text(encoding="utf-8")
-            )
-            forecaster, agg_index = payload["forecaster"], payload["agg_index"]
-            bundle = TaskModelBundle(
-                task_name=payload["task_name"],
-                scenario=Scenario(payload["scenario"]),
-                selected_metrics=tuple(MetricKind(v) for v in payload["selected_metrics"]),
-                trev_lag=payload["trev_lag"],
-                target_tau=payload["target_tau"],
-                regressor=InstanceWindow.from_dict(payload["regressor"]),
-                forecaster=SequenceModel.from_dict(forecaster) if forecaster else None,
-                agg_index=InstanceWindow.from_dict(agg_index) if agg_index is not None else None,
-                runtime_sum=payload["runtime_sum"],
-                runtime_count=payload["runtime_count"],
-            )
-            reg.bundles[(bundle.task_name, bundle.scenario)] = bundle
+        if doc.get("version") != REGISTRY_VERSION:
+            raise ValueError(f"unsupported registry version {doc.get('version')}")
+        try:
+            reg = cls(storage_dir=storage_dir, config=PipelineConfig.from_dict(doc["config"]))
+            reg.vocab = CategoryVocab.from_dict(doc["vocab"])
+            for payload in doc["bundles"]:
+                bundle = TaskModelBundle.from_dict(payload)
+                reg.bundles[(bundle.task_name, bundle.scenario)] = bundle
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed registry in {storage_dir}: {exc!r}") from exc
         return reg

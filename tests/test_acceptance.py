@@ -19,9 +19,9 @@ from wfpredict.domain import FeatureVector, MetricKind, MetricSeries, Scenario
 from wfpredict.evaluation import rae, run_batch_offline, run_online
 from wfpredict.forecaster import SequenceModel
 from wfpredict.knn import InstanceWindow
-from wfpredict.pipeline import Registry, PipelineConfig, pearson, select_features
+from wfpredict.pipeline import Registry, PipelineConfig, pearson, select_features, trev_history
 from wfpredict.store import downsample
-from wfpredict.tsfeat import TrevConfig, strip_padding, trev
+from wfpredict.tsfeat import TrevConfig, trev
 
 # the fixed end-to-end configuration every corpus threshold refers to
 ACCEPT_TAU = 5
@@ -252,15 +252,7 @@ def test_criterion_10_feature_selection(standard_log, online_reports):
 
     # data-driven selection on the standard corpus must not hurt the
     # end-to-end error by more than 0.02 absolute
-    per_task = {}
-    cfg = TrevConfig(lag=ACCEPT_LAG)
-    for rec in standard_log.records():
-        entry = per_task.setdefault(rec.features.task_name, [])
-        feats = {
-            m: trev(strip_padding(downsample(s, ACCEPT_TAU).values), cfg)
-            for m, s in rec.series.items()
-        }
-        entry.append((feats, rec.runtime_seconds))
+    per_task = trev_history(standard_log.records(), ACCEPT_TAU, ACCEPT_LAG)
     selection = {t: select_features(h, 0.5) for t, h in per_task.items()}
     selected_report = run_online(
         standard_log, Scenario.time_series, tau=ACCEPT_TAU, lag=ACCEPT_LAG,

@@ -231,3 +231,17 @@ def test_sweep_rejects_bad_grid(tmp_path, gen_log):
         "sweep", "--log", str(gen_log), "--taus", "0", "--out-dir", str(tmp_path / "s"),
     ])
     assert rc == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"magic": "wfpredict-registry", "version": 4},
+    {"magic": "wfpredict-registry", "version": 4, "vocab": {}, "config": {}, "bundles": 5},
+    {"magic": "wfpredict-registry", "version": 4, "vocab": {}, "config": [], "bundles": []},
+    {"magic": "wfpredict-registry", "version": 4, "vocab": {}, "config": {"k": 1}, "bundles": []},
+    {"magic": "wfpredict-registry", "version": 4, "vocab": {}, "config": {}, "bundles": [{}]},
+])
+def test_registry_list_reports_a_malformed_registry_in_one_line(tmp_path, capsys, doc):
+    (tmp_path / "index.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["registry", "list", "--dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: malformed registry in {tmp_path}")

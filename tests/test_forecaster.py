@@ -563,3 +563,37 @@ def test_running_min_max_unseen_dimension_maps_to_zero():
     n = RunningMinMax(2)
     out = n.scale(np.array([3.0, 4.0]))
     assert np.array_equal(out, np.zeros(2))
+
+
+def test_running_min_max_matches_the_plain_formulas_on_ranges_that_fit():
+    # the formulas scale and unscale used before ranges near the float64 maximum
+    # were handled; every range that fits must give the same bits
+    rng = np.random.default_rng(561)
+    for _ in range(200):
+        exp = rng.integers(-320, 300)
+        lo = rng.uniform(-1, 1, 7) * 10.0 ** exp
+        hi = lo + rng.uniform(0, 2, 7) * 10.0 ** exp
+        n = RunningMinMax(7)
+        n.observe(lo, hi)
+        x = rng.uniform(-1, 3, 7) * 10.0 ** exp
+        y = rng.uniform(-3, 3, 7)
+        rng_ = hi - lo
+        seen = rng_ > 0
+        want = np.where(seen, (x - lo) / np.where(seen, rng_, 1.0), 0.0)
+        assert n.scale(x).tobytes() == want.tobytes()
+        assert n.unscale(y).tobytes() == (y * rng_ + lo).tobytes()
+    # an element never observed passes y through, the sign of a zero included
+    y = np.array([-0.0, 0.0, 1.5, -2.0, 5e-324])
+    assert RunningMinMax(5).unscale(y).tobytes() == y.tobytes()
+
+
+def test_running_min_max_range_past_the_float64_maximum():
+    big = np.finfo(np.float64).max
+    n = RunningMinMax(2)
+    n.observe(np.array([-big, 0.0]), np.array([big, big]))
+    assert n.scale(np.array([-big, 0.0])).tolist() == [0.0, 0.0]
+    assert n.scale(np.array([big, big])).tolist() == [1.0, 1.0]
+    assert n.scale(np.array([0.0, big / 2])).tolist() == [0.5, 0.5]
+    assert n.unscale(np.array([0.5, 0.5])).tolist() == [0.0, big / 2]
+    # a forecast past the observed range saturates at the float64 limit
+    assert n.unscale(np.array([2.0, -2.0])).tolist() == [big, -big]

@@ -1,5 +1,6 @@
 """Pipeline: correlation, feature selection, registry behavior, persistence."""
 
+import json
 import random
 
 import numpy as np
@@ -10,10 +11,12 @@ import wfpredict.pipeline as pipeline_mod
 from wfpredict.domain import (
     CategoryVocab, MetricKind, MetricSeries, Scenario, TaskExecutionRecord, encode_pre_runtime,
 )
+from wfpredict.evaluation import GeneratorConfig, TaskTypeSpec, generate_synthetic
 from wfpredict.forecaster import TrainingDivergedError
 from wfpredict.knn import InstanceWindow
-from wfpredict.pipeline import PipelineConfig, Registry, pearson, select_features
+from wfpredict.pipeline import PipelineConfig, Registry, pearson, select_features, trev_history
 from wfpredict.store import RecordLog, downsample, downsample_block
+from wfpredict.tsfeat import TrevConfig, strip_padding, trev
 
 
 def reference_pearson(xs, ys):
@@ -299,4 +302,106 @@ def test_registry_round_trip_predictions_identical(tmp_path, small_log):
 def test_registry_load_rejects_foreign_directory(tmp_path):
     (tmp_path / "index.json").write_text('{"magic": "nope"}', encoding="utf-8")
     with pytest.raises(ValueError):
+        Registry.load(tmp_path)
+
+
+def test_time_series_forecasts_ranges_near_the_float64_maximum():
+    # series that alternate record by record between all zeros and the float64
+    # maximum: the forecaster's value range overflows hi - lo
+    big = 1.7976931348623157e308
+    reg = Registry(config=PipelineConfig(target_tau=1, learning_rate=0.5))
+    failures = 0
+    for i in range(60):
+        level = big if i % 2 else 0.0
+        rec = make_record(runtime=10.0 + i, n=8, level=level, submission_hour=i % 24)
+        try:
+            reg.predict_task(rec.features, Scenario.time_series)
+        except ValueError:
+            failures += 1
+        reg.observe_completion(rec, Scenario.time_series)
+    assert failures == 0
+
+
+def test_trev_history_matches_the_per_metric_path(tmp_path):
+    spec = dict(base_seconds=40.0, input_names=("i1", "i2"), input_scales=(1.0, 1.5),
+                series_profile="curved")
+    cfg = GeneratorConfig(
+        tasks=(TaskTypeSpec(name="a", **spec), TaskTypeSpec(name="b", **spec)), n_records=40
+    )
+    records = generate_synthetic(cfg, 3, tmp_path / "curved.jsonl").read_all()
+    # trailing zeros to strip, and a record that carries only two metrics
+    padded = (1.0, 5.0, 2.0, 8.0, 3.0, 9.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    for metrics in (tuple(MetricKind), (MetricKind.utime, MetricKind.vmRSS)):
+        series = {m: MetricSeries(m, 1, padded) for m in metrics}
+        features = records[0].features
+        records.append(TaskExecutionRecord(features=features, series=series, runtime_seconds=12.0))
+    for tau, lag in ((1, 2), (5, 2), (10, 3)):
+        trev_cfg = TrevConfig(lag=lag)
+        want = {}
+        for rec in records:
+            feats = {
+                m: trev(strip_padding(downsample(s, tau).values), trev_cfg)
+                for m, s in rec.series.items()
+            }
+            want.setdefault(rec.features.task_name, []).append((feats, rec.runtime_seconds))
+        got = trev_history(records, tau, lag)
+        assert repr(got) == repr(want)
+
+
+def _trained(storage_dir, records):
+    reg = Registry(storage_dir=storage_dir, config=PipelineConfig(target_tau=5, seed=4))
+    for rec in records:
+        for scenario in Scenario:
+            reg.observe_completion(rec, scenario)
+    return reg
+
+
+def test_predicting_an_unseen_task_leaves_the_saved_registry_unchanged(tmp_path, small_log):
+    records = small_log.read_all()[:10]
+    plain = _trained(tmp_path / "plain", records)
+    plain.save()
+    queried = _trained(tmp_path / "queried", records)
+    unseen = make_record(task_name="other", task_id="other-1", input_name="chrY").features
+    for scenario in Scenario:
+        assert queried.predict_task(unseen, scenario).runtime_seconds == 1.0
+    queried.save()
+    assert (tmp_path / "queried" / "index.json").read_bytes() == (
+        tmp_path / "plain" / "index.json"
+    ).read_bytes()
+
+
+def test_save_writes_one_file_and_an_interrupted_save_keeps_the_previous_one(
+    tmp_path, small_log, monkeypatch
+):
+    records = small_log.read_all()
+    reg = _trained(tmp_path / "reg", records[:20])
+    reg.save()
+    assert [p.name for p in (tmp_path / "reg").iterdir()] == ["index.json"]
+    queries = [rec.features for rec in records[20:40]]
+
+    def predictions(registry):
+        return [registry.predict_task(q, s).runtime_seconds for q in queries for s in Scenario]
+
+    saved = predictions(reg)
+    for rec in records[20:30]:
+        reg.observe_completion(rec, Scenario.time_series)
+
+    def failing_replace(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(pipeline_mod.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk gone"):
+        reg.save()
+    monkeypatch.undo()
+    assert [p.name for p in (tmp_path / "reg").iterdir()] == ["index.json"]
+    assert predictions(Registry.load(tmp_path / "reg")) == saved
+
+
+def test_registry_load_rejects_version_3(tmp_path, small_log):
+    reg = _trained(tmp_path, small_log.read_all()[:3])
+    reg.save()
+    doc = json.loads((tmp_path / "index.json").read_text(encoding="utf-8"))
+    doc["version"] = 3
+    (tmp_path / "index.json").write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="unsupported registry version 3"):
         Registry.load(tmp_path)
