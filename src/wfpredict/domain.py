@@ -9,7 +9,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -310,8 +310,8 @@ _CATEGORICAL_FIELDS = ("task_name", "task_id", "input_name")
 class CategoryVocab:
     """Stable integer codes per categorical field, assigned in first-seen order.
 
-    Mutates on unseen categories; callers needing concurrency must serialize
-    access externally.
+    code mutates on unseen categories, lookup never does; callers needing
+    concurrency must serialize access externally.
     """
 
     codes: dict = field(default_factory=lambda: {f: {} for f in _CATEGORICAL_FIELDS})
@@ -322,8 +322,11 @@ class CategoryVocab:
             table[value] = len(table)
         return table[value]
 
-    def peek(self, fieldname: str, value: str) -> Optional[int]:
-        return self.codes[fieldname].get(value)
+    def lookup(self, fieldname: str, value: str) -> int:
+        """value's code; for an unseen value, the code that code() would
+        assign it next, without storing it."""
+        table = self.codes[fieldname]
+        return table.get(value, len(table))
 
     def to_dict(self) -> dict:
         return {f: dict(t) for f, t in self.codes.items()}
@@ -336,16 +339,17 @@ class CategoryVocab:
         return v
 
 
-def encode_pre_runtime(f: PreRuntimeFeatures, vocab: CategoryVocab) -> FeatureVector:
+def encode_pre_runtime(f: PreRuntimeFeatures, code: Callable[[str, str], int]) -> FeatureVector:
     """Encode pre-runtime features as an 8-dimensional numeric vector.
 
-    Categorical fields get stable integer codes from the vocabulary (a fresh
-    code is appended for unseen categories); numerics pass through.
+    Categorical fields get integer codes from code(field, value), a
+    CategoryVocab's code (which stores a fresh code for an unseen category) or
+    lookup (which does not); numerics pass through.
     """
     values = (
-        float(vocab.code("task_name", f.task_name)),
-        float(vocab.code("task_id", f.task_id)),
-        float(vocab.code("input_name", f.input_name)),
+        float(code("task_name", f.task_name)),
+        float(code("task_id", f.task_id)),
+        float(code("input_name", f.input_name)),
         float(f.vm_vcpus),
         float(f.vm_memory),
         float(f.vm_storage),

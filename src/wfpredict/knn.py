@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import json
 import math
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .domain import FeatureVector
 
 MAGIC = "wfpredict-knnwindow"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class EmptyWindowError(RuntimeError):
@@ -23,12 +23,12 @@ class SchemaMismatchError(ValueError):
 
 
 class InstanceWindow:
-    """Bounded FIFO of (feature vector, target) instances with range-normalized
+    """Bounded FIFO of (feature vector, runtime) instances with range-normalized
     Euclidean distance.
 
     The first add fixes the feature-name schema. A target is a positive
-    runtime, or, when target_names is given, a row of positive values, one per
-    name; predict returns the mean target of the k nearest instances. The
+    runtime; predict returns the mean runtime of the k nearest instances, and
+    nearest returns the nearest held row on a prefix of the schema. The
     per-feature min/max over the held instances normalizes distances;
     zero-range dimensions contribute nothing to distance. capacity=None means
     unbounded.
@@ -39,31 +39,20 @@ class InstanceWindow:
     with room for as many again, so an add costs amortised O(d).
     """
 
-    def __init__(self, capacity: Optional[int] = None,
-                 target_names: Optional[Sequence[str]] = None):
+    def __init__(self, capacity: Optional[int] = None):
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
         self.capacity = capacity
-        self.target_names = None if target_names is None else tuple(target_names)
         self.schema: Optional[Tuple[str, ...]] = None
         self.lo: Optional[np.ndarray] = None
         self.hi: Optional[np.ndarray] = None
-        self._target_shape = () if target_names is None else (len(self.target_names),)
         self._X = np.empty((0, 0))
-        self._y = np.empty((0,) + self._target_shape)
+        self._y = np.empty(0)
         self._start = 0
         self._end = 0
 
     def __len__(self) -> int:
         return self._end - self._start
-
-    @property
-    def instances(self) -> List[Tuple[np.ndarray, Union[float, np.ndarray]]]:
-        """The held (feature row, target) pairs, oldest first, as read-only views."""
-        rows = self._X[self._start:self._end].view()
-        targets = self._y[self._start:self._end].view()
-        rows.flags.writeable = targets.flags.writeable = False
-        return list(zip(rows, targets.tolist() if self.target_names is None else targets))
 
     def _check_schema(self, fv: FeatureVector):
         if self.schema is None:
@@ -81,22 +70,15 @@ class InstanceWindow:
         n = len(self)
         rows = max(16, 2 * n)
         X = np.empty((rows, self._X.shape[1]))
-        y = np.empty((rows,) + self._target_shape)
+        y = np.empty(rows)
         X[:n] = self._X[self._start:self._end]
         y[:n] = self._y[self._start:self._end]
         self._X, self._y, self._start, self._end = X, y, 0, n
 
-    def add(self, fv: FeatureVector, target) -> Optional[Tuple[np.ndarray, Union[float, np.ndarray]]]:
+    def add(self, fv: FeatureVector, target: float) -> Optional[Tuple[np.ndarray, float]]:
         """Append an instance; returns the evicted oldest one when over capacity."""
-        if self.target_names is None:
-            if not (target > 0 and math.isfinite(target)):
-                raise ValueError(f"runtime must be positive, got {target}")
-        else:
-            target = np.asarray(target, dtype=float)
-            if target.shape != self._target_shape or not np.all(np.isfinite(target) & (target > 0)):
-                raise ValueError(
-                    f"target must be {len(self.target_names)} positive values, got {target}"
-                )
+        if not (target > 0 and math.isfinite(target)):
+            raise ValueError(f"runtime must be positive, got {target}")
         self._check_schema(fv)
         if self._end == len(self._X):
             self._make_room()
@@ -110,9 +92,9 @@ class InstanceWindow:
             return self._evict()
         return None
 
-    def _evict(self) -> Tuple[np.ndarray, Union[float, np.ndarray]]:
+    def _evict(self) -> Tuple[np.ndarray, float]:
         x = self._X[self._start].copy()
-        y = self._y[self._start].copy()
+        y = float(self._y[self._start])
         self._start += 1
         # the evicted row may have been the only one on a bound: recompute the
         # ranges from the held rows, so an old outlier stops squashing its
@@ -121,7 +103,7 @@ class InstanceWindow:
             held = self._X[self._start:self._end]
             self.lo = held.min(axis=0)
             self.hi = held.max(axis=0)
-        return x, (float(y) if self.target_names is None else y)
+        return x, y
 
     def _ranges(self) -> np.ndarray:
         # a range smaller than float rounding noise on the stored values is
@@ -131,41 +113,49 @@ class InstanceWindow:
         eps = 1e-12 * np.maximum(1.0, np.maximum(np.abs(self.lo), np.abs(self.hi)))
         return np.where(rng > eps, rng, 0.0)
 
-    def predict(self, query: FeatureVector, k: int = 1) -> Union[float, np.ndarray]:
-        """Unweighted mean target of the k nearest stored instances.
-
-        All held rows are scored in one expression; ties break toward the
-        older (earlier inserted) instance.
-        """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+    def _dist2(self, query: FeatureVector, width: Optional[int]) -> np.ndarray:
+        """Squared normalized distance from the query to each held row, oldest
+        first, on the schema's first width columns (all when width is None),
+        which must be the query's names. All rows are scored in one expression."""
         if not len(self):
             raise EmptyWindowError("no training instances in window")
-        if tuple(query.names) != self.schema:
+        if tuple(query.names) != self.schema[:width]:
             raise SchemaMismatchError(
                 f"query schema {query.names} does not match window schema {self.schema}"
             )
-        rng = self._ranges()
+        rng = self._ranges()[:width]
         live = rng > 0
         denom = np.where(live, rng, 1.0)
         q = np.asarray(query.values, dtype=float)
-        d = np.where(live, (q - self._X[self._start:self._end]) / denom, 0.0)
-        dist2 = np.sum(d * d, axis=1)
+        d = np.where(live, (q - self._X[self._start:self._end, :width]) / denom, 0.0)
+        return np.sum(d * d, axis=1)
+
+    def predict(self, query: FeatureVector, k: int = 1) -> float:
+        """Unweighted mean runtime of the k nearest stored instances; ties
+        break toward the older (earlier inserted) instance."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        dist2 = self._dist2(query, None)
         if k == 1:
             chosen = [np.argmin(dist2)]
         else:
             chosen = np.argsort(dist2, kind="stable")[:k]
         targets = self._y[self._start:self._end]
         # summed one at a time in rank order, as a plain Python mean would
-        mean = sum(targets[i] for i in chosen) / len(chosen)
-        return float(mean) if self.target_names is None else mean
+        return float(sum(targets[i] for i in chosen) / len(chosen))
+
+    def nearest(self, prefix: FeatureVector) -> np.ndarray:
+        """A copy of the held row nearest to prefix on the schema's first
+        len(prefix.names) columns, which prefix must name; ties break toward
+        the older row."""
+        dist2 = self._dist2(prefix, len(prefix.names))
+        return self._X[self._start + int(np.argmin(dist2))].copy()
 
     def to_dict(self) -> dict:
         return {
             "magic": MAGIC,
             "version": FORMAT_VERSION,
             "capacity": self.capacity,
-            "target_names": None if self.target_names is None else list(self.target_names),
             "schema": list(self.schema) if self.schema else None,
             "lo": self.lo.tolist() if self.lo is not None else None,
             "hi": self.hi.tolist() if self.hi is not None else None,
@@ -179,13 +169,13 @@ class InstanceWindow:
             raise ValueError(f"not an instance window container: {d.get('magic')!r}")
         if d.get("version") != FORMAT_VERSION:
             raise ValueError(f"unsupported instance window version {d.get('version')}")
-        w = cls(capacity=d["capacity"], target_names=d["target_names"])
+        w = cls(capacity=d["capacity"])
         if d["schema"] is not None:
             w.schema = tuple(d["schema"])
             w.lo = np.array(d["lo"], dtype=float)
             w.hi = np.array(d["hi"], dtype=float)
             w._X = np.array(d["rows"], dtype=float).reshape(-1, len(w.schema))
-            w._y = np.array(d["targets"], dtype=float).reshape((-1,) + w._target_shape)
+            w._y = np.array(d["targets"], dtype=float).reshape(-1)
             w._end = len(w._X)
         return w
 

@@ -11,7 +11,7 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -33,12 +33,13 @@ from .store import downsample, downsample_block  # noqa: F401
 from .tsfeat import TrevConfig, strip_padding_rows, trev, trev_rows  # noqa: F401
 
 REGISTRY_MAGIC = "wfpredict-registry"
-REGISTRY_VERSION = 4
+REGISTRY_VERSION = 5
 
 ALL_METRICS: Tuple[MetricKind, ...] = tuple(MetricKind)
 
-# aggregate targets are stored through InstanceWindow, which requires a
-# positive target; consumption sums are >= 0, so clamp at a tiny epsilon
+# an aggregate is a consumption sum (>= 0) floored at a tiny epsilon, which is
+# also the aggregate of a metric the record lacks; the floor enters the
+# aggregate columns' ranges, so it can move k>1 answers
 _AGG_FLOOR = 1e-9
 
 
@@ -146,25 +147,22 @@ class TaskModelBundle:
     selected_metrics: Tuple[MetricKind, ...]
     trev_lag: int
     target_tau: int
+    # the kNN window of runtimes; for two_stages its rows are sigma followed
+    # by each selected metric's aggregate, and stage 1 reads those rows
     regressor: InstanceWindow
     # time_series: one forecaster over selected_metrics, None when none are selected
     forecaster: Optional[SequenceModel] = None
-    # two_stages: one index over the pre-runtime features whose target row
-    # holds each selected metric's aggregate, None when none are selected
-    agg_index: Optional[InstanceWindow] = None
     runtime_sum: float = 0.0
     runtime_count: int = 0
 
     @property
     def agg_estimators(self) -> Mapping[MetricKind, InstanceWindow]:
-        """Each selected metric's aggregate estimator, read-only: agg_index for all.
+        """Empty: the aggregates live in the regressor's rows.
 
-        Kept for perfbench/replay.py (zero_range_dims), which reads it; remove
-        it once the benchmark reads agg_index.
+        Kept for perfbench/replay.py (zero_range_dims), which counts the
+        windows it maps besides the regressor.
         """
-        if self.agg_index is None:
-            return MappingProxyType({})
-        return MappingProxyType(dict.fromkeys(self.selected_metrics, self.agg_index))
+        return MappingProxyType({})
 
     @property
     def mean_runtime(self) -> Optional[float]:
@@ -183,12 +181,11 @@ class TaskModelBundle:
             "runtime_count": self.runtime_count,
             "regressor": self.regressor.to_dict(),
             "forecaster": self.forecaster.to_dict() if self.forecaster else None,
-            "agg_index": self.agg_index.to_dict() if self.agg_index is not None else None,
         }
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TaskModelBundle":
-        forecaster, agg_index = d["forecaster"], d["agg_index"]
+        forecaster = d["forecaster"]
         return cls(
             task_name=d["task_name"],
             scenario=Scenario(d["scenario"]),
@@ -197,7 +194,6 @@ class TaskModelBundle:
             target_tau=d["target_tau"],
             regressor=InstanceWindow.from_dict(d["regressor"]),
             forecaster=SequenceModel.from_dict(forecaster) if forecaster else None,
-            agg_index=InstanceWindow.from_dict(agg_index) if agg_index is not None else None,
             runtime_sum=d["runtime_sum"],
             runtime_count=d["runtime_count"],
         )
@@ -239,19 +235,15 @@ class Registry:
                     metrics=metrics,
                     tau=cfg.target_tau,
                 )
-            elif scenario == Scenario.two_stages and metrics:
-                bundle.agg_index = InstanceWindow(
-                    capacity=cfg.window_capacity,
-                    target_names=tuple(f"agg_{m.value}" for m in metrics),
-                )
             self.bundles[key] = bundle
         return self.bundles[key]
 
     # -- feature assembly --------------------------------------------------
 
-    def _baseline_vector(self, f: PreRuntimeFeatures) -> FeatureVector:
+    @staticmethod
+    def _baseline_vector(f: PreRuntimeFeatures, code: Callable[[str, str], int]) -> FeatureVector:
         return FeatureVector(
-            names=("input_name",), values=(float(self.vocab.code("input_name", f.input_name)),)
+            names=("input_name",), values=(float(code("input_name", f.input_name)),)
         )
 
     def _time_series_vector(
@@ -266,24 +258,17 @@ class Registry:
             values=sigma.values + tuple(trevs.tolist()),
         )
 
-    def _two_stages_query_vector(
-        self, bundle: TaskModelBundle, sigma: FeatureVector
-    ) -> FeatureVector:
-        """sigma plus the aggregates of sigma's nearest neighbour in the index."""
-        if bundle.agg_index is None:
-            return sigma
-        try:
-            aggs = tuple(bundle.agg_index.predict(sigma, k=1).tolist())
-        except EmptyWindowError:
-            aggs = (_AGG_FLOOR,) * len(bundle.selected_metrics)
-        return FeatureVector(
-            names=sigma.names + bundle.agg_index.target_names, values=sigma.values + aggs
-        )
+    @staticmethod
+    def _two_stages_query_vector(bundle: TaskModelBundle, sigma: FeatureVector) -> FeatureVector:
+        """Stage 1: sigma plus the aggregates of the held row nearest to sigma
+        on the sigma columns. EmptyWindowError when the regressor is empty."""
+        aggs = tuple(bundle.regressor.nearest(sigma)[len(sigma.values):].tolist())
+        return FeatureVector(names=bundle.regressor.schema, values=sigma.values + aggs)
 
     def _two_stages_observed_vector(
         self, bundle: TaskModelBundle, sigma: FeatureVector, block: np.ndarray,
         lengths: np.ndarray,
-    ) -> Tuple[FeatureVector, Tuple[float, ...]]:
+    ) -> FeatureVector:
         """sigma plus the aggregate (the sum) of each selected metric's row of
         the block, floored at _AGG_FLOOR."""
         # cumsum adds left to right, as sum() over the series did; the zeros
@@ -291,7 +276,7 @@ class Registry:
         sums = np.cumsum(block, axis=1)[:, -1] if block.shape[1] else np.zeros(len(block))
         aggs = tuple(np.where(lengths > 0, np.maximum(sums, _AGG_FLOOR), _AGG_FLOOR).tolist())
         names = tuple(f"agg_{m.value}" for m in bundle.selected_metrics)
-        return FeatureVector(names=sigma.names + names, values=sigma.values + aggs), aggs
+        return FeatureVector(names=sigma.names + names, values=sigma.values + aggs)
 
     @staticmethod
     def _observed_block(
@@ -312,22 +297,24 @@ class Registry:
         Cold start: per-task running mean runtime if any completion was
         observed, otherwise a 1.0 second default. A task with no completion
         in this scenario gets the default without any change to the registry.
+        Predicting changes no state: an unseen category reads the code that
+        observing it would assign, and only observe_completion stores codes.
         """
         bundle = self.bundles.get((f.task_name, scenario))
         if bundle is None:
             return Prediction(runtime_seconds=1.0, scenario=scenario, task_name=f.task_name)
-        if scenario == Scenario.baseline:
-            query = self._baseline_vector(f)
-        else:
-            sigma = encode_pre_runtime(f, self.vocab)
-            if scenario == Scenario.two_stages:
-                query = self._two_stages_query_vector(bundle, sigma)
-            elif bundle.forecaster is None:
-                query = sigma
-            else:
-                block, horizons = bundle.forecaster.forecast_all(sigma)
-                query = self._time_series_vector(bundle, sigma, block, horizons)
         try:
+            if scenario == Scenario.baseline:
+                query = self._baseline_vector(f, self.vocab.lookup)
+            else:
+                sigma = encode_pre_runtime(f, self.vocab.lookup)
+                if scenario == Scenario.two_stages:
+                    query = self._two_stages_query_vector(bundle, sigma)
+                elif bundle.forecaster is None:
+                    query = sigma
+                else:
+                    block, horizons = bundle.forecaster.forecast_all(sigma)
+                    query = self._time_series_vector(bundle, sigma, block, horizons)
             runtime = bundle.regressor.predict(query, k=self.config.k)
         except EmptyWindowError:
             runtime = bundle.mean_runtime if bundle.mean_runtime is not None else 1.0
@@ -342,14 +329,12 @@ class Registry:
         """
         bundle = self._get_bundle(rec.features.task_name, scenario)
         if scenario == Scenario.baseline:
-            fv = self._baseline_vector(rec.features)
+            fv = self._baseline_vector(rec.features, self.vocab.code)
         else:
-            sigma = encode_pre_runtime(rec.features, self.vocab)
+            sigma = encode_pre_runtime(rec.features, self.vocab.code)
             block, lengths = self._observed_block(bundle, rec)
             if scenario == Scenario.two_stages:
-                fv, aggs = self._two_stages_observed_vector(bundle, sigma, block, lengths)
-                if bundle.agg_index is not None:
-                    bundle.agg_index.add(sigma, aggs)
+                fv = self._two_stages_observed_vector(bundle, sigma, block, lengths)
             else:
                 # update the forecaster first so a diverged update, which rolls
                 # it back whole, cannot leave a freshly added regressor instance

@@ -161,7 +161,7 @@ def test_criterion_05_knn_oracle():
     w = InstanceWindow(capacity=cap)
     for i in range(cap + 1):
         w.add(_fv([float(i)]), float(i + 1))
-    members = [x[0] for x, _ in w.instances]
+    members = [x[0] for x in w.to_dict()["rows"]]
     ok = ok and len(w) == cap and members == [float(i) for i in range(1, cap + 1)]
     verdict(5, "knn oracle and eviction", ok)
 

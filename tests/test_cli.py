@@ -9,6 +9,7 @@ import wfpredict.store as store_mod
 from wfpredict.cli import main
 from wfpredict.domain import Scenario
 from wfpredict.forecaster import SequenceModel
+from wfpredict.pipeline import REGISTRY_VERSION
 from wfpredict.store import RecordLog
 
 
@@ -234,11 +235,15 @@ def test_sweep_rejects_bad_grid(tmp_path, gen_log):
 
 
 @pytest.mark.parametrize("doc", [
-    {"magic": "wfpredict-registry", "version": 4},
-    {"magic": "wfpredict-registry", "version": 4, "vocab": {}, "config": {}, "bundles": 5},
-    {"magic": "wfpredict-registry", "version": 4, "vocab": {}, "config": [], "bundles": []},
-    {"magic": "wfpredict-registry", "version": 4, "vocab": {}, "config": {"k": 1}, "bundles": []},
-    {"magic": "wfpredict-registry", "version": 4, "vocab": {}, "config": {}, "bundles": [{}]},
+    {"magic": "wfpredict-registry", "version": REGISTRY_VERSION},
+    {"magic": "wfpredict-registry", "version": REGISTRY_VERSION, "vocab": {}, "config": {},
+     "bundles": 5},
+    {"magic": "wfpredict-registry", "version": REGISTRY_VERSION, "vocab": {}, "config": [],
+     "bundles": []},
+    {"magic": "wfpredict-registry", "version": REGISTRY_VERSION, "vocab": {},
+     "config": {"k": 1}, "bundles": []},
+    {"magic": "wfpredict-registry", "version": REGISTRY_VERSION, "vocab": {}, "config": {},
+     "bundles": [{}]},
 ])
 def test_registry_list_reports_a_malformed_registry_in_one_line(tmp_path, capsys, doc):
     (tmp_path / "index.json").write_text(json.dumps(doc), encoding="utf-8")

@@ -211,7 +211,8 @@ def test_vocab_assigns_first_seen_codes():
     assert v.code("task_name", "a") == 0
     assert v.code("task_name", "b") == 1
     assert v.code("task_name", "a") == 0
-    assert v.peek("task_name", "c") is None
+    assert v.lookup("task_name", "c") == 2  # the next code, not stored
+    assert v.lookup("task_name", "d") == 2
     assert v.code("input_name", "a") == 0  # fields are independent
 
 
@@ -223,14 +224,14 @@ def test_vocab_round_trip_preserves_codes():
         v.code("input_name", name)
     again = CategoryVocab.from_dict(v.to_dict())
     for name in names:
-        assert again.peek("input_name", name) == v.peek("input_name", name)
+        assert again.lookup("input_name", name) == v.lookup("input_name", name)
 
 
 def test_encode_pre_runtime_shape_and_determinism():
     v = CategoryVocab()
     f = make_features()
-    fv1 = encode_pre_runtime(f, v)
-    fv2 = encode_pre_runtime(f, v)
+    fv1 = encode_pre_runtime(f, v.code)
+    fv2 = encode_pre_runtime(f, v.code)
     assert fv1.names == PRE_RUNTIME_FEATURE_NAMES
     assert len(fv1.values) == 8
     assert fv1 == fv2
@@ -238,9 +239,9 @@ def test_encode_pre_runtime_shape_and_determinism():
 
 def test_encode_pre_runtime_codes_follow_vocab():
     v = CategoryVocab()
-    a = encode_pre_runtime(make_features(input_name="x1"), v)
-    b = encode_pre_runtime(make_features(input_name="x2"), v)
-    c = encode_pre_runtime(make_features(input_name="x1"), v)
+    a = encode_pre_runtime(make_features(input_name="x1"), v.code)
+    b = encode_pre_runtime(make_features(input_name="x2"), v.code)
+    c = encode_pre_runtime(make_features(input_name="x1"), v.code)
     idx = PRE_RUNTIME_FEATURE_NAMES.index("input_name")
     assert a.values[idx] == 0.0
     assert b.values[idx] == 1.0

@@ -112,7 +112,7 @@ def test_fifo_eviction_after_capacity():
         if out is not None:
             evicted.append(out)
     assert len(w) == cap
-    kept = [x[0] for x, _ in w.instances]
+    kept = [x[0] for x in w.to_dict()["rows"]]
     assert kept == [3.0, 4.0, 5.0, 6.0, 7.0]
     assert [x[0] for x, _ in evicted] == [0.0, 1.0, 2.0]
 
@@ -171,19 +171,39 @@ def test_serialization_round_trip():
         assert again.lo.tolist() == w.lo.tolist() and again.hi.tolist() == w.hi.tolist()
 
 
-def test_row_targets_average_per_column():
-    w = InstanceWindow(target_names=("a", "b"))
-    w.add(_fv([0.0]), (1.0, 10.0))
-    w.add(_fv([1.0]), (3.0, 20.0))
-    w.add(_fv([5.0]), (7.0, 90.0))
-    assert w.predict(_fv([0.9]), k=1).tolist() == [3.0, 20.0]
-    assert w.predict(_fv([0.9]), k=2).tolist() == [2.0, 15.0]
-    for bad in ((1.0,), (1.0, 0.0), (1.0, float("nan"))):
-        with pytest.raises(ValueError):
-            w.add(_fv([0.0]), bad)
-    again = InstanceWindow.loads(w.dumps())
-    assert again.target_names == ("a", "b")
-    assert again.predict(_fv([4.0]), k=1).tolist() == [7.0, 90.0]
+def test_nearest_matches_oracle_on_the_prefix_columns():
+    random.seed(227)
+    for _ in range(300):
+        dim = random.randrange(2, 6)
+        width = random.randrange(1, dim)
+        n = random.randrange(1, 25)
+        rows = [[float(random.randrange(0, 4)) for _ in range(dim)] for _ in range(n)]
+        cap = random.choice([None, random.randrange(1, 8)])
+        w = InstanceWindow(capacity=cap)
+        for x in rows:
+            w.add(_fv(x), 1.0)
+        held = rows if cap is None else rows[-cap:]
+        query = [float(random.randrange(0, 4)) for _ in range(width)]
+        # a target naming each held row turns the oracle's 1-NN into an index
+        named = [(np.array(x[:width]), float(i + 1)) for i, x in enumerate(held)]
+        want = held[int(oracle_predict(named, query, 1)) - 1]
+        assert w.nearest(_fv(query)).tolist() == want
+
+
+def test_nearest_ties_go_to_the_older_row_and_it_checks_the_query():
+    w = InstanceWindow()
+    with pytest.raises(EmptyWindowError):
+        w.nearest(_fv([0.0]))
+    w.add(_fv([0.0, 5.0]), 10.0)
+    w.add(_fv([2.0, 7.0]), 20.0)
+    w.add(_fv([2.0, 9.0]), 30.0)  # same prefix as the second, inserted later
+    assert w.nearest(_fv([2.0])).tolist() == [2.0, 7.0]
+    with pytest.raises(SchemaMismatchError):
+        w.nearest(FeatureVector(names=("f1",), values=(2.0,)))
+    with pytest.raises(SchemaMismatchError):
+        w.nearest(_fv([2.0, 7.0, 1.0]))
+    with pytest.raises(SchemaMismatchError):
+        w.predict(_fv([2.0]))
 
 
 def test_loads_rejects_foreign_payloads():

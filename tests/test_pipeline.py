@@ -9,7 +9,8 @@ import pytest
 from conftest import make_record, write_legacy
 import wfpredict.pipeline as pipeline_mod
 from wfpredict.domain import (
-    CategoryVocab, MetricKind, MetricSeries, Scenario, TaskExecutionRecord, encode_pre_runtime,
+    CategoryVocab, FeatureVector, MetricKind, MetricSeries, Scenario, TaskExecutionRecord,
+    encode_pre_runtime,
 )
 from wfpredict.evaluation import GeneratorConfig, TaskTypeSpec, generate_synthetic
 from wfpredict.forecaster import TrainingDivergedError
@@ -121,8 +122,7 @@ def test_two_stages_prediction_uses_aggregates(small_log):
     for rec in records[:60]:
         reg.observe_completion(rec, Scenario.two_stages)
     bundle = reg.bundles[("align", Scenario.two_stages)]
-    assert bundle.agg_index.target_names == tuple(f"agg_{m.value}" for m in MetricKind)
-    assert len(bundle.agg_index) == 60
+    assert bundle.regressor.schema[8:] == tuple(f"agg_{m.value}" for m in MetricKind)
     assert len(bundle.regressor) == 60
     pred = reg.predict_task(records[60].features, Scenario.two_stages)
     assert pred.runtime_seconds > 0
@@ -137,11 +137,57 @@ def test_two_stages_at_k1_is_pre_runtime_1nn(small_log):
     window = InstanceWindow()
     for rec in small_log.read_all():
         got = reg.predict_task(rec.features, Scenario.two_stages).runtime_seconds
-        sigma = encode_pre_runtime(rec.features, vocab)
+        sigma = encode_pre_runtime(rec.features, vocab.code)
         # one task: the window is empty only before the first completion
         assert got == (window.predict(sigma, k=1) if len(window) else 1.0)
         reg.observe_completion(rec, Scenario.two_stages)
         window.add(sigma, rec.runtime_seconds)
+
+
+class TwoWindowReference:
+    """two_stages as two scalar windows that see the same adds: stage 1 is a
+    window over sigma whose target is each row's arrival number + 1, which
+    names the row whose aggregates it returns; stage 2 is the runtime window
+    over sigma plus those aggregates."""
+
+    def __init__(self, tau, k, capacity):
+        self.tau, self.k = tau, k
+        self.vocab = CategoryVocab()
+        self.index = InstanceWindow(capacity)
+        self.regressor = InstanceWindow(capacity)
+        self.aggs = []
+
+    def predict(self, f):
+        if not self.aggs:
+            return 1.0
+        sigma = encode_pre_runtime(f, self.vocab.lookup)
+        aggs = self.aggs[int(self.index.predict(sigma, k=1)) - 1]
+        query = FeatureVector(names=self.regressor.schema, values=sigma.values + aggs)
+        return self.regressor.predict(query, k=self.k)
+
+    def observe(self, rec):
+        sigma = encode_pre_runtime(rec.features, self.vocab.code)
+        aggs = tuple(
+            max(sum(downsample(rec.series[m], self.tau).values), pipeline_mod._AGG_FLOOR)
+            for m in MetricKind
+        )
+        self.aggs.append(aggs)
+        self.index.add(sigma, float(len(self.aggs)))
+        names = sigma.names + tuple(f"agg_{m.value}" for m in MetricKind)
+        self.regressor.add(FeatureVector(names=names, values=sigma.values + aggs),
+                           rec.runtime_seconds)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("capacity", [None, 7])
+def test_two_stages_matches_the_two_window_reference(small_log, k, capacity):
+    reg = Registry(config=PipelineConfig(target_tau=5, k=k, window_capacity=capacity))
+    ref = TwoWindowReference(5, k, capacity)
+    for rec in small_log.read_all():
+        got = reg.predict_task(rec.features, Scenario.two_stages).runtime_seconds
+        assert repr(got) == repr(ref.predict(rec.features))
+        reg.observe_completion(rec, Scenario.two_stages)
+        ref.observe(rec)
 
 
 def test_time_series_bundle_has_one_forecaster_per_metric(small_log):
@@ -370,6 +416,27 @@ def test_predicting_an_unseen_task_leaves_the_saved_registry_unchanged(tmp_path,
     ).read_bytes()
 
 
+def test_predicting_unseen_categories_of_a_known_task_leaves_the_saved_registry_unchanged(
+    tmp_path, small_log
+):
+    records = small_log.read_all()[:10]
+    plain = _trained(tmp_path / "plain", records)
+    plain.save()
+    queried = _trained(tmp_path / "queried", records)
+    coded = _trained(None, records)
+    new = make_record(task_id="align-new", input_name="chrY").features
+    coded.vocab.code("task_id", new.task_id)
+    coded.vocab.code("input_name", new.input_name)
+    for scenario in Scenario:
+        # the codes predicting reads are the ones observing would assign
+        got = queried.predict_task(new, scenario).runtime_seconds
+        assert got == coded.predict_task(new, scenario).runtime_seconds
+    queried.save()
+    assert (tmp_path / "queried" / "index.json").read_bytes() == (
+        tmp_path / "plain" / "index.json"
+    ).read_bytes()
+
+
 def test_save_writes_one_file_and_an_interrupted_save_keeps_the_previous_one(
     tmp_path, small_log, monkeypatch
 ):
@@ -397,11 +464,12 @@ def test_save_writes_one_file_and_an_interrupted_save_keeps_the_previous_one(
     assert predictions(Registry.load(tmp_path / "reg")) == saved
 
 
-def test_registry_load_rejects_version_3(tmp_path, small_log):
+@pytest.mark.parametrize("version", [3, 4])
+def test_registry_load_rejects_older_versions(tmp_path, small_log, version):
     reg = _trained(tmp_path, small_log.read_all()[:3])
     reg.save()
     doc = json.loads((tmp_path / "index.json").read_text(encoding="utf-8"))
-    doc["version"] = 3
+    doc["version"] = version
     (tmp_path / "index.json").write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ValueError, match="unsupported registry version 3"):
+    with pytest.raises(ValueError, match=f"unsupported registry version {version}"):
         Registry.load(tmp_path)
