@@ -43,19 +43,6 @@ def _add_common_eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _validate_eval_flags(args) -> None:
-    if args.tau < 1:
-        raise ValueError(f"--tau must be >= 1, got {args.tau}")
-    if args.lag < 1:
-        raise ValueError(f"--lag must be >= 1, got {args.lag}")
-    if args.k < 1:
-        raise ValueError(f"--k must be >= 1, got {args.k}")
-    if args.window_capacity is not None and args.window_capacity < 1:
-        raise ValueError(f"--window-capacity must be >= 1, got {args.window_capacity}")
-    if args.epochs_per_update < 0:
-        raise ValueError(f"--epochs-per-update must be >= 0, got {args.epochs_per_update}")
-
-
 def _overrides(args) -> dict:
     return {
         "k": args.k,
@@ -86,7 +73,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_replay_predict(args) -> int:
-    _validate_eval_flags(args)
     log = RecordLog(args.log)
     scenario = Scenario(args.scenario)
     registry = Registry(
@@ -119,7 +105,6 @@ def cmd_replay_predict(args) -> int:
 
 
 def cmd_eval_online(args) -> int:
-    _validate_eval_flags(args)
     report = run_online(
         RecordLog(args.log),
         Scenario(args.scenario),
@@ -135,9 +120,6 @@ def cmd_eval_online(args) -> int:
 
 
 def cmd_eval_batch(args) -> int:
-    _validate_eval_flags(args)
-    if not (0.0 < args.d < 1.0):
-        raise ValueError(f"--d must be in (0, 1), got {args.d}")
     report = run_batch_offline(
         RecordLog(args.log),
         Scenario(args.scenario),

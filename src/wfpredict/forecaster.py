@@ -21,7 +21,6 @@ subtract, and on failure restores it in place, so the views stay bound.
 from __future__ import annotations
 
 import copy
-import json
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,13 +29,6 @@ import numpy as np
 from .domain import FeatureVector, MetricKind, MetricSeries
 from .tsfeat import strip_padding
 
-MAGIC = "wfpredict-seqmodel"
-FORMAT_VERSION = 2
-
-# constructor arguments stored verbatim in the persisted form
-_CONFIG = (
-    "input_dim", "hidden_size", "learning_rate", "epochs_per_update", "clip_norm", "seeds", "tau"
-)
 _FLOAT_MAX = np.finfo(np.float64).max
 
 
@@ -401,42 +393,25 @@ class SequenceModel:
     # -- persistence -------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The learned state, which restore reads back into a model
+        constructed with the same arguments."""
         return {
-            "magic": MAGIC,
-            "version": FORMAT_VERSION,
-            **{k: getattr(self, k) for k in _CONFIG},
-            "metrics": [m.value if m else None for m in self.metrics],
-            "len_sum": self.len_sum.tolist(),
-            "len_count": self.len_count.tolist(),
+            "flat_params": self.flat_params.tolist(),
             "value_norm": self.value_norm.to_dict(),
             "feat_norm": self.feat_norm.to_dict(),
-            "params": {k: v.tolist() for k, v in self.params.items()},
+            "len_sum": self.len_sum.tolist(),
+            "len_count": self.len_count.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SequenceModel":
-        if d.get("magic") != MAGIC:
-            raise ValueError(f"not a sequence model container: {d.get('magic')!r}")
-        if d.get("version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported sequence model version {d.get('version')}")
-        m = cls(
-            **{k: d[k] for k in _CONFIG},
-            metrics=[MetricKind(v) if v else None for v in d["metrics"]],
-        )
-        m.len_sum = np.array(d["len_sum"], dtype=np.int64)
-        m.len_count = np.array(d["len_count"], dtype=np.int64)
-        m.value_norm = RunningMinMax.from_dict(d["value_norm"])
-        m.feat_norm = RunningMinMax.from_dict(d["feat_norm"])
-        for k, view in m.params.items():
-            saved = np.array(d["params"][k], dtype=float)
-            if saved.shape != view.shape:
-                raise ValueError(f"parameter {k} has shape {saved.shape}, expected {view.shape}")
-            view[...] = saved
-        return m
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def loads(cls, s: str) -> "SequenceModel":
-        return cls.from_dict(json.loads(s))
+    def restore(self, d: dict) -> None:
+        """Take on the learned state to_dict wrote; ValueError if its parameter
+        count differs from this model's."""
+        saved = np.array(d["flat_params"], dtype=float)
+        if saved.shape != self.flat_params.shape:
+            raise ValueError(f"{saved.size} parameters, expected {self.flat_params.size}")
+        # in place, so that every params[k] stays a view of the buffer
+        self.flat_params[...] = saved
+        self.value_norm = RunningMinMax.from_dict(d["value_norm"])
+        self.feat_norm = RunningMinMax.from_dict(d["feat_norm"])
+        self.len_sum = np.array(d["len_sum"], dtype=np.int64)
+        self.len_count = np.array(d["len_count"], dtype=np.int64)

@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .domain import FeatureVector
-
-MAGIC = "wfpredict-knnwindow"
-FORMAT_VERSION = 4
 
 
 class EmptyWindowError(RuntimeError):
@@ -152,10 +148,8 @@ class InstanceWindow:
         return self._X[self._start + int(np.argmin(dist2))].copy()
 
     def to_dict(self) -> dict:
+        """The held instances and ranges, which restore reads back."""
         return {
-            "magic": MAGIC,
-            "version": FORMAT_VERSION,
-            "capacity": self.capacity,
             "schema": list(self.schema) if self.schema else None,
             "lo": self.lo.tolist() if self.lo is not None else None,
             "hi": self.hi.tolist() if self.hi is not None else None,
@@ -163,25 +157,12 @@ class InstanceWindow:
             "targets": self._y[self._start:self._end].tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "InstanceWindow":
-        if d.get("magic") != MAGIC:
-            raise ValueError(f"not an instance window container: {d.get('magic')!r}")
-        if d.get("version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported instance window version {d.get('version')}")
-        w = cls(capacity=d["capacity"])
+    def restore(self, d: dict) -> None:
+        """Fill this empty window with the instances to_dict wrote."""
         if d["schema"] is not None:
-            w.schema = tuple(d["schema"])
-            w.lo = np.array(d["lo"], dtype=float)
-            w.hi = np.array(d["hi"], dtype=float)
-            w._X = np.array(d["rows"], dtype=float).reshape(-1, len(w.schema))
-            w._y = np.array(d["targets"], dtype=float).reshape(-1)
-            w._end = len(w._X)
-        return w
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def loads(cls, s: str) -> "InstanceWindow":
-        return cls.from_dict(json.loads(s))
+            self.schema = tuple(d["schema"])
+            self.lo = np.array(d["lo"], dtype=float)
+            self.hi = np.array(d["hi"], dtype=float)
+            self._X = np.array(d["rows"], dtype=float).reshape(-1, len(self.schema))
+            self._y = np.array(d["targets"], dtype=float).reshape(-1)
+            self._start, self._end = 0, len(self._X)

@@ -33,7 +33,7 @@ from .store import downsample, downsample_block  # noqa: F401
 from .tsfeat import TrevConfig, strip_padding_rows, trev, trev_rows  # noqa: F401
 
 REGISTRY_MAGIC = "wfpredict-registry"
-REGISTRY_VERSION = 5
+REGISTRY_VERSION = 6
 
 ALL_METRICS: Tuple[MetricKind, ...] = tuple(MetricKind)
 
@@ -111,6 +111,15 @@ class PipelineConfig:
     # per-task metric selection; None means all 13 metrics
     selected_metrics: Optional[Dict[str, Set[MetricKind]]] = None
 
+    def __post_init__(self):
+        for name in ("k", "trev_lag", "target_tau"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.window_capacity is not None and self.window_capacity < 1:
+            raise ValueError(f"window_capacity must be >= 1 or None, got {self.window_capacity}")
+        if self.epochs_per_update < 0:
+            raise ValueError(f"epochs_per_update must be >= 0, got {self.epochs_per_update}")
+
     def metrics_for(self, task_name: str) -> Tuple[MetricKind, ...]:
         if self.selected_metrics is None or task_name not in self.selected_metrics:
             return ALL_METRICS
@@ -140,19 +149,16 @@ def _model_seed(base_seed: int, task_name: str, metric: str) -> int:
 
 @dataclass
 class TaskModelBundle:
-    """All models owned by one (task name, scenario) pair."""
+    """All models owned by one (task name, scenario) pair: learned state only,
+    every setting is the registry's config."""
 
     task_name: str
     scenario: Scenario
-    selected_metrics: Tuple[MetricKind, ...]
-    trev_lag: int
-    target_tau: int
     # the kNN window of runtimes; for two_stages its rows are sigma followed
     # by each selected metric's aggregate, and stage 1 reads those rows
     regressor: InstanceWindow
-    # time_series: one forecaster over selected_metrics, None when none are selected
+    # time_series: one forecaster over the selected metrics, None when none are selected
     forecaster: Optional[SequenceModel] = None
-    runtime_sum: float = 0.0
     runtime_count: int = 0
 
     @property
@@ -164,39 +170,14 @@ class TaskModelBundle:
         """
         return MappingProxyType({})
 
-    @property
-    def mean_runtime(self) -> Optional[float]:
-        if self.runtime_count == 0:
-            return None
-        return self.runtime_sum / self.runtime_count
-
     def to_dict(self) -> dict:
         return {
             "task_name": self.task_name,
             "scenario": self.scenario.value,
-            "selected_metrics": [m.value for m in self.selected_metrics],
-            "trev_lag": self.trev_lag,
-            "target_tau": self.target_tau,
-            "runtime_sum": self.runtime_sum,
             "runtime_count": self.runtime_count,
             "regressor": self.regressor.to_dict(),
             "forecaster": self.forecaster.to_dict() if self.forecaster else None,
         }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "TaskModelBundle":
-        forecaster = d["forecaster"]
-        return cls(
-            task_name=d["task_name"],
-            scenario=Scenario(d["scenario"]),
-            selected_metrics=tuple(MetricKind(v) for v in d["selected_metrics"]),
-            trev_lag=d["trev_lag"],
-            target_tau=d["target_tau"],
-            regressor=InstanceWindow.from_dict(d["regressor"]),
-            forecaster=SequenceModel.from_dict(forecaster) if forecaster else None,
-            runtime_sum=d["runtime_sum"],
-            runtime_count=d["runtime_count"],
-        )
 
 
 class Registry:
@@ -211,31 +192,33 @@ class Registry:
 
     # -- bundle management -------------------------------------------------
 
+    def _new_bundle(self, task_name: str, scenario: Scenario) -> TaskModelBundle:
+        """An untrained bundle built from the config; observe_completion and
+        load both build every bundle here."""
+        cfg = self.config
+        bundle = TaskModelBundle(
+            task_name=task_name,
+            scenario=scenario,
+            regressor=InstanceWindow(capacity=cfg.window_capacity),
+        )
+        metrics = cfg.metrics_for(task_name)
+        if scenario == Scenario.time_series and metrics:
+            bundle.forecaster = SequenceModel(
+                input_dim=8,
+                hidden_size=cfg.hidden_size,
+                learning_rate=cfg.learning_rate,
+                epochs_per_update=cfg.epochs_per_update,
+                clip_norm=cfg.clip_norm,
+                seeds=[_model_seed(cfg.seed, task_name, m.value) for m in metrics],
+                metrics=metrics,
+                tau=cfg.target_tau,
+            )
+        return bundle
+
     def _get_bundle(self, task_name: str, scenario: Scenario) -> TaskModelBundle:
         key = (task_name, scenario)
         if key not in self.bundles:
-            cfg = self.config
-            metrics = cfg.metrics_for(task_name) if scenario != Scenario.baseline else ()
-            bundle = TaskModelBundle(
-                task_name=task_name,
-                scenario=scenario,
-                selected_metrics=metrics,
-                trev_lag=cfg.trev_lag,
-                target_tau=cfg.target_tau,
-                regressor=InstanceWindow(capacity=cfg.window_capacity),
-            )
-            if scenario == Scenario.time_series and metrics:
-                bundle.forecaster = SequenceModel(
-                    input_dim=8,
-                    hidden_size=cfg.hidden_size,
-                    learning_rate=cfg.learning_rate,
-                    epochs_per_update=cfg.epochs_per_update,
-                    clip_norm=cfg.clip_norm,
-                    seeds=[_model_seed(cfg.seed, task_name, m.value) for m in metrics],
-                    metrics=metrics,
-                    tau=cfg.target_tau,
-                )
-            self.bundles[key] = bundle
+            self.bundles[key] = self._new_bundle(task_name, scenario)
         return self.bundles[key]
 
     # -- feature assembly --------------------------------------------------
@@ -247,14 +230,15 @@ class Registry:
         )
 
     def _time_series_vector(
-        self, bundle: TaskModelBundle, sigma: FeatureVector, block: np.ndarray,
+        self, metrics: Sequence[MetricKind], sigma: FeatureVector, block: np.ndarray,
         lengths: Sequence[int],
     ) -> FeatureVector:
         """sigma plus the trev of each selected metric's row of the block,
         stripped of trailing zeros; 0.0 for a row of length 0."""
-        trevs = trev_rows(block, strip_padding_rows(block, lengths), TrevConfig(bundle.trev_lag))
+        trev_cfg = TrevConfig(self.config.trev_lag)
+        trevs = trev_rows(block, strip_padding_rows(block, lengths), trev_cfg)
         return FeatureVector(
-            names=sigma.names + tuple(f"trev_{m.value}" for m in bundle.selected_metrics),
+            names=sigma.names + tuple(f"trev_{m.value}" for m in metrics),
             values=sigma.values + tuple(trevs.tolist()),
         )
 
@@ -265,8 +249,9 @@ class Registry:
         aggs = tuple(bundle.regressor.nearest(sigma)[len(sigma.values):].tolist())
         return FeatureVector(names=bundle.regressor.schema, values=sigma.values + aggs)
 
+    @staticmethod
     def _two_stages_observed_vector(
-        self, bundle: TaskModelBundle, sigma: FeatureVector, block: np.ndarray,
+        metrics: Sequence[MetricKind], sigma: FeatureVector, block: np.ndarray,
         lengths: np.ndarray,
     ) -> FeatureVector:
         """sigma plus the aggregate (the sum) of each selected metric's row of
@@ -275,28 +260,26 @@ class Registry:
         # past a row's length leave its last running sum unchanged
         sums = np.cumsum(block, axis=1)[:, -1] if block.shape[1] else np.zeros(len(block))
         aggs = tuple(np.where(lengths > 0, np.maximum(sums, _AGG_FLOOR), _AGG_FLOOR).tolist())
-        names = tuple(f"agg_{m.value}" for m in bundle.selected_metrics)
+        names = tuple(f"agg_{m.value}" for m in metrics)
         return FeatureVector(names=sigma.names + names, values=sigma.values + aggs)
 
-    @staticmethod
     def _observed_block(
-        bundle: TaskModelBundle, rec: TaskExecutionRecord
+        self, metrics: Sequence[MetricKind], rec: TaskExecutionRecord
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """The selected metrics' series downsampled to the bundle's tau: the
-        block (M, T) and each row's length, 0 where the record lacks the metric."""
+        """The metrics' series downsampled to the target tau: the block (M, T)
+        and each row's length, 0 where the record lacks the metric."""
+        tau = self.config.target_tau
         series = rec.series
-        interval = series.tau if series else bundle.target_tau
-        rows = [series.row(m) for m in bundle.selected_metrics]
-        return downsample_block(rows, interval, bundle.target_tau)
+        interval = series.tau if series else tau
+        return downsample_block([series.row(m) for m in metrics], interval, tau)
 
     # -- the three phases --------------------------------------------------
 
     def predict_task(self, f: PreRuntimeFeatures, scenario: Scenario) -> Prediction:
         """Predict the runtime of a not-yet-executed task.
 
-        Cold start: per-task running mean runtime if any completion was
-        observed, otherwise a 1.0 second default. A task with no completion
-        in this scenario gets the default without any change to the registry.
+        Cold start: a task with no completion in this scenario gets a 1.0
+        second default without any change to the registry.
         Predicting changes no state: an unseen category reads the code that
         observing it would assign, and only observe_completion stores codes.
         """
@@ -314,10 +297,11 @@ class Registry:
                     query = sigma
                 else:
                     block, horizons = bundle.forecaster.forecast_all(sigma)
-                    query = self._time_series_vector(bundle, sigma, block, horizons)
+                    metrics = self.config.metrics_for(f.task_name)
+                    query = self._time_series_vector(metrics, sigma, block, horizons)
             runtime = bundle.regressor.predict(query, k=self.config.k)
         except EmptyWindowError:
-            runtime = bundle.mean_runtime if bundle.mean_runtime is not None else 1.0
+            runtime = 1.0
         return Prediction(runtime_seconds=runtime, scenario=scenario, task_name=f.task_name)
 
     def observe_completion(self, rec: TaskExecutionRecord, scenario: Scenario) -> None:
@@ -332,17 +316,17 @@ class Registry:
             fv = self._baseline_vector(rec.features, self.vocab.code)
         else:
             sigma = encode_pre_runtime(rec.features, self.vocab.code)
-            block, lengths = self._observed_block(bundle, rec)
+            metrics = self.config.metrics_for(rec.features.task_name)
+            block, lengths = self._observed_block(metrics, rec)
             if scenario == Scenario.two_stages:
-                fv = self._two_stages_observed_vector(bundle, sigma, block, lengths)
+                fv = self._two_stages_observed_vector(metrics, sigma, block, lengths)
             else:
                 # update the forecaster first so a diverged update, which rolls
                 # it back whole, cannot leave a freshly added regressor instance
                 if bundle.forecaster is not None:
                     bundle.forecaster.update_all(sigma, block, lengths)
-                fv = self._time_series_vector(bundle, sigma, block, lengths)
+                fv = self._time_series_vector(metrics, sigma, block, lengths)
         bundle.regressor.add(fv, rec.runtime_seconds)
-        bundle.runtime_sum += rec.runtime_seconds
         bundle.runtime_count += 1
 
     # -- persistence -------------------------------------------------------
@@ -375,7 +359,10 @@ class Registry:
 
     @classmethod
     def load(cls, storage_dir) -> "Registry":
-        """The registry save wrote; ValueError if index.json is not one."""
+        """The registry save wrote; ValueError if index.json is not one.
+
+        Each bundle is built from the saved config, as a first observe would
+        build it, and then takes on its saved learned state."""
         storage_dir = Path(storage_dir)
         doc = json.loads((storage_dir / "index.json").read_text(encoding="utf-8"))
         if not isinstance(doc, dict) or doc.get("magic") != REGISTRY_MAGIC:
@@ -386,8 +373,12 @@ class Registry:
             reg = cls(storage_dir=storage_dir, config=PipelineConfig.from_dict(doc["config"]))
             reg.vocab = CategoryVocab.from_dict(doc["vocab"])
             for payload in doc["bundles"]:
-                bundle = TaskModelBundle.from_dict(payload)
+                bundle = reg._new_bundle(payload["task_name"], Scenario(payload["scenario"]))
+                bundle.runtime_count = payload["runtime_count"]
+                bundle.regressor.restore(payload["regressor"])
+                if bundle.forecaster is not None:
+                    bundle.forecaster.restore(payload["forecaster"])
                 reg.bundles[(bundle.task_name, bundle.scenario)] = bundle
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"malformed registry in {storage_dir}: {exc!r}") from exc
         return reg

@@ -9,7 +9,7 @@ import wfpredict.store as store_mod
 from wfpredict.cli import main
 from wfpredict.domain import Scenario
 from wfpredict.forecaster import SequenceModel
-from wfpredict.pipeline import REGISTRY_VERSION
+from wfpredict.pipeline import REGISTRY_VERSION, PipelineConfig
 from wfpredict.store import RecordLog
 
 
@@ -128,6 +128,8 @@ def test_eval_online_rejects_bad_flags(tmp_path, gen_log):
     assert main(args + ["--tau", "0"]) == 1
     assert main(args + ["--k", "0"]) == 1
     assert main(args + ["--lag", "-1"]) == 1
+    assert main(args + ["--window-capacity", "0"]) == 1
+    assert main(args + ["--epochs-per-update", "-1"]) == 1
 
 
 def test_eval_batch_writes_reports(tmp_path, gen_log):
@@ -244,6 +246,8 @@ def test_sweep_rejects_bad_grid(tmp_path, gen_log):
      "config": {"k": 1}, "bundles": []},
     {"magic": "wfpredict-registry", "version": REGISTRY_VERSION, "vocab": {}, "config": {},
      "bundles": [{}]},
+    {"magic": "wfpredict-registry", "version": REGISTRY_VERSION, "vocab": {},
+     "config": {**PipelineConfig().to_dict(), "k": 0}, "bundles": []},
 ])
 def test_registry_list_reports_a_malformed_registry_in_one_line(tmp_path, capsys, doc):
     (tmp_path / "index.json").write_text(json.dumps(doc), encoding="utf-8")

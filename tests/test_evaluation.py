@@ -140,6 +140,22 @@ def test_run_batch_offline_split(small_log):
         run_batch_offline(small_log, Scenario.baseline, d=1.5)
 
 
+@pytest.mark.parametrize("scenario, overrides, field", [
+    (Scenario.baseline, dict(lag=0), "trev_lag"),
+    (Scenario.baseline, dict(tau=0), "target_tau"),
+    (Scenario.baseline, dict(k=0), "k"),
+    (Scenario.baseline, dict(window_capacity=0), "window_capacity"),
+    (Scenario.baseline, dict(epochs_per_update=-1), "epochs_per_update"),
+    (Scenario.time_series, dict(epochs_per_update=-1), "epochs_per_update"),
+])
+def test_runs_reject_out_of_range_settings(small_log, scenario, overrides, field):
+    # the config checks its own ranges, so a run from Python refuses what the CLI refuses
+    with pytest.raises(ValueError, match=f"^{field} must be >= "):
+        run_online(small_log, scenario, **overrides)
+    with pytest.raises(ValueError, match=f"^{field} must be >= "):
+        run_batch_offline(small_log, scenario, d=0.5, **overrides)
+
+
 def test_run_online_rejects_empty_log(tmp_path):
     with pytest.raises(ValueError):
         run_online(RecordLog(tmp_path / "none.jsonl"), Scenario.baseline)

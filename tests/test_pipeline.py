@@ -1,5 +1,6 @@
 """Pipeline: correlation, feature selection, registry behavior, persistence."""
 
+import dataclasses
 import json
 import random
 
@@ -15,7 +16,9 @@ from wfpredict.domain import (
 from wfpredict.evaluation import GeneratorConfig, TaskTypeSpec, generate_synthetic
 from wfpredict.forecaster import TrainingDivergedError
 from wfpredict.knn import InstanceWindow
-from wfpredict.pipeline import PipelineConfig, Registry, pearson, select_features, trev_history
+from wfpredict.pipeline import (
+    REGISTRY_VERSION, PipelineConfig, Registry, pearson, select_features, trev_history,
+)
 from wfpredict.store import RecordLog, downsample, downsample_block
 from wfpredict.tsfeat import TrevConfig, strip_padding, trev
 
@@ -209,7 +212,7 @@ def test_diverged_forecaster_update_leaves_bundle_unchanged(small_log):
     bundle.forecaster.params["w_y"][6] = 1e300
 
     def state():
-        return (bundle.forecaster.dumps(), bundle.regressor.dumps(), bundle.runtime_count)
+        return json.dumps(bundle.to_dict())
 
     before = state()
     with pytest.raises(TrainingDivergedError), np.errstate(over="ignore", invalid="ignore"):
@@ -345,6 +348,85 @@ def test_registry_round_trip_predictions_identical(tmp_path, small_log):
             assert a == b
 
 
+@pytest.fixture(scope="module")
+def curved_records(tmp_path_factory):
+    """240 records of two task types whose series have a shape."""
+    spec = dict(base_seconds=40.0, input_names=("i1", "i2", "i3"),
+                input_scales=(1.0, 1.5, 2.0), series_profile="curved")
+    cfg = GeneratorConfig(
+        tasks=(TaskTypeSpec(name="a", **spec), TaskTypeSpec(name="b", **spec)), n_records=240
+    )
+    path = tmp_path_factory.mktemp("curved") / "curved.jsonl"
+    return generate_synthetic(cfg, 3, path).read_all()
+
+
+@pytest.mark.parametrize("capacity", [None, 7])
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_a_loaded_registry_keeps_learning_as_an_uninterrupted_one(
+    tmp_path, curved_records, scenario, capacity
+):
+    config = PipelineConfig(k=3, window_capacity=capacity, target_tau=5, seed=4)
+    whole = Registry(storage_dir=tmp_path / "whole", config=config)
+    for rec in curved_records[:150]:
+        whole.predict_task(rec.features, scenario)
+        whole.observe_completion(rec, scenario)
+    whole.save()
+    resumed = Registry.load(tmp_path / "whole")
+    resumed.storage_dir = tmp_path / "resumed"
+
+    def saved_alike():
+        whole.save()
+        resumed.save()
+        return (tmp_path / "resumed" / "index.json").read_bytes() == (
+            tmp_path / "whole" / "index.json"
+        ).read_bytes()
+
+    assert saved_alike()
+    for rec in curved_records[150:]:
+        want = whole.predict_task(rec.features, scenario).runtime_seconds
+        assert resumed.predict_task(rec.features, scenario).runtime_seconds == want
+        whole.observe_completion(rec, scenario)
+        resumed.observe_completion(rec, scenario)
+    assert saved_alike()
+
+
+def test_the_document_holds_each_setting_and_format_version_once(tmp_path, small_log):
+    reg = Registry(storage_dir=tmp_path, config=PipelineConfig(
+        target_tau=5, window_capacity=9, selected_metrics={"align": {MetricKind.utime}}
+    ))
+    for rec in small_log.read_all()[:12]:
+        for scenario in Scenario:
+            reg.observe_completion(rec, scenario)
+    reg.save()
+    doc = json.loads((tmp_path / "index.json").read_text(encoding="utf-8"))
+    assert doc["magic"] == "wfpredict-registry" and doc["version"] == REGISTRY_VERSION == 6
+
+    def keys(node):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                yield k
+                yield from keys(v)
+        elif isinstance(node, list):
+            for v in node:
+                yield from keys(v)
+
+    below_top = set(keys([v for k, v in doc.items() if k not in ("magic", "version")]))
+    assert not below_top & {"magic", "version"}
+    config_fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert set(doc["config"]) == config_fields
+    bundles = {b["scenario"]: b for b in doc["bundles"]}
+    assert set(bundles) == {s.value for s in Scenario} and len(doc["bundles"]) == 3
+    assert bundles["time_series"]["forecaster"] is not None
+    assert not set(keys(doc["bundles"])) & config_fields
+    # learned state only
+    for b in doc["bundles"]:
+        assert set(b) == {"task_name", "scenario", "runtime_count", "regressor", "forecaster"}
+        assert set(b["regressor"]) == {"schema", "lo", "hi", "rows", "targets"}
+    assert set(bundles["time_series"]["forecaster"]) == {
+        "flat_params", "value_norm", "feat_norm", "len_sum", "len_count"
+    }
+
+
 def test_registry_load_rejects_foreign_directory(tmp_path):
     (tmp_path / "index.json").write_text('{"magic": "nope"}', encoding="utf-8")
     with pytest.raises(ValueError):
@@ -464,7 +546,7 @@ def test_save_writes_one_file_and_an_interrupted_save_keeps_the_previous_one(
     assert predictions(Registry.load(tmp_path / "reg")) == saved
 
 
-@pytest.mark.parametrize("version", [3, 4])
+@pytest.mark.parametrize("version", [3, 4, 5])
 def test_registry_load_rejects_older_versions(tmp_path, small_log, version):
     reg = _trained(tmp_path, small_log.read_all()[:3])
     reg.save()
