@@ -106,9 +106,12 @@ def run_online(
     skip_first: int = 0,
     **config_overrides,
 ) -> EvalReport:
-    """Prequential pass over the log: predict each record, then train on it."""
+    """Prequential pass over the log: predict each record, then train on it;
+    the first skip_first predictions are not scored."""
     if log.count == 0:
         raise ValueError("log is empty")
+    if not 0 <= skip_first < log.count:
+        raise ValueError(f"skip_first must be in [0, {log.count}) for this log, got {skip_first}")
     config = PipelineConfig(target_tau=tau, trev_lag=lag, seed=seed, **config_overrides)
     registry = Registry(config=config)
     pairs: List[Tuple[str, float, float]] = []

@@ -13,9 +13,10 @@ into the caller's arrays. Training keeps its activations time- and gate-major,
 from factors computed for all steps before its loop.
 
 All parameters live in one flat float64 buffer, stored parameter by
-parameter; each `params[k]` is a contiguous (M, ...) view into it. An update
-backs the buffer up with one copy, steps it with one multiply and one
-subtract, and on failure restores it in place, so the views stay bound.
+parameter; each `params[k]` is a contiguous (M, ...) view into it. The
+gradients fill a fresh buffer of the same layout. An update backs the buffer
+up with one copy, steps it with one multiply and one subtract, and on failure
+restores it in place, so the views stay bound.
 """
 
 from __future__ import annotations
@@ -62,8 +63,14 @@ class RunningMinMax:
         self._lo, self._rng = np.where(observed, lo_f, -0.0), np.where(observed, rng, 1.0)
 
     def observe(self, lo: np.ndarray, hi: np.ndarray):
-        """Fold in observed element-wise bounds; +inf/-inf leave an element as is."""
-        self._bind(np.minimum(self.lo, lo), np.maximum(self.hi, hi))
+        """Fold in observed element-wise bounds; +inf/-inf leave an element as is.
+
+        The terms _bind sets are a function of the bounds' bits, so they are
+        set again only when some bit moves; comparing bytes, not values, keeps
+        a 0.0 bound that becomes -0.0 a change."""
+        lo, hi = np.minimum(self.lo, lo), np.maximum(self.hi, hi)
+        if lo.tobytes() != self.lo.tobytes() or hi.tobytes() != self.hi.tobytes():
+            self._bind(lo, hi)
 
     def scale(self, x: np.ndarray) -> np.ndarray:
         return np.where(self._seen, (x * self._f - self._lo) / self._den, 0.0)
@@ -150,38 +157,45 @@ class SequenceModel:
         self.flat_params = np.concatenate([v.reshape(-1) for v in init.values()])
         ends = np.cumsum([v.size for v in init.values()]).tolist()
         self._spans = list(zip([0] + ends[:-1], ends))
-        self.params: Dict[str, np.ndarray] = {
-            k: self.flat_params[a:e].reshape(v.shape)
-            for (k, v), (a, e) in zip(init.items(), self._spans)
-        }
-        # the metric of each buffer element, which picks its clip scale
-        self._elem_metric = np.concatenate(
-            [np.repeat(np.arange(M), v.size // M) for v in init.values()]
-        )
+        self._shapes = {k: v.shape for k, v in init.items()}
+        self.params: Dict[str, np.ndarray] = self._views(self.flat_params)
+        # the metric and the size of each (parameter, metric) block of the
+        # buffer, which spread a per-metric clip scale over its elements
+        self._block_metric = np.tile(np.arange(M), len(init))
+        self._block_sizes = np.repeat([v.size // M for v in init.values()], M)
         self.value_norm = RunningMinMax(M)
         self.feat_norm = RunningMinMax((M, F))
         self.len_sum = np.zeros(M, dtype=np.int64)
         self.len_count = np.zeros(M, dtype=np.int64)
 
-    def _cell(self, act, h, c, c_out, tc_out, h_out) -> None:
+    def _views(self, flat: np.ndarray) -> Dict[str, np.ndarray]:
+        """Each parameter's contiguous (M, ...) view of a buffer laid out as flat_params."""
+        return {
+            k: flat[a:e].reshape(shape)
+            for (k, shape), (a, e) in zip(self._shapes.items(), self._spans)
+        }
+
+    def _cell(self, act, h, c, c_out, tc_out, h_out, uh) -> None:
         """One step of every metric's cell, in place. act (4, M, H) holds the
         step input's projection plus the bias, gate-major; it becomes the gate
         activations i, f, o, g. The new c, tanh(c) and h go to c_out, tc_out
-        and h_out (M, H), which must not alias h or c."""
+        and h_out (M, H), which must not alias h or c; uh (M, 4H, 1) is
+        scratch for the recurrent product."""
         M, H = h.shape
-        act += np.matmul(self.params["U"], h[:, :, None]).reshape(M, 4, H).transpose(1, 0, 2)
+        np.matmul(self.params["U"], h[:, :, None], uh)
+        act += uh.reshape(M, 4, H).transpose(1, 0, 2)
         sig = act[:3]  # 1 / (1 + exp(-a))
-        np.negative(sig, out=sig)
-        np.exp(sig, out=sig)
+        np.negative(sig, sig)
+        np.exp(sig, sig)
         sig += 1.0
-        np.divide(1.0, sig, out=sig)
-        np.tanh(act[3], out=act[3])
-        i, f, o, g = act
-        np.multiply(f, c, out=c_out)
-        np.multiply(i, g, out=tc_out)
+        np.divide(1.0, sig, sig)
+        i, f, o, g = act[0], act[1], act[2], act[3]  # indexing is cheaper than iterating
+        np.tanh(g, g)
+        np.multiply(f, c, c_out)
+        np.multiply(i, g, tc_out)
         c_out += tc_out
-        np.tanh(c_out, out=tc_out)
-        np.multiply(o, tc_out, out=h_out)
+        np.tanh(c_out, tc_out)
+        np.multiply(o, tc_out, h_out)
 
     def _seed_state(self, fenc: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         p = self.params
@@ -212,15 +226,17 @@ class SequenceModel:
         (mean squared error over each metric's own length) and caches."""
         p = self.params
         (M, T), H = inputs.shape, self.hidden_size
-        X = np.concatenate((inputs[:, :, None], np.repeat(fenc[:, None, :], T, axis=1)), axis=2)
+        X = np.empty((M, T, 1 + self.input_dim))
+        X[:, :, 0], X[:, :, 1:] = inputs, fenc[:, None, :]
         A = np.matmul(X, p["W"].transpose(0, 2, 1)) + p["b"][:, None, :]
         # time-major caches, the activations also gate-major (T, 4, M, H);
         # Hs and Cs hold the seed state first
         acts = np.ascontiguousarray(A.reshape(M, T, 4, H).transpose(1, 2, 0, 3))
         Hs, Cs, tcs = np.empty((T + 1, M, H)), np.empty((T + 1, M, H)), np.empty((T, M, H))
         Hs[0], Cs[0] = self._seed_state(fenc)
+        uh = np.empty((M, 4 * H, 1))
         for t in range(T):
-            self._cell(acts[t], Hs[t], Cs[t], Cs[t + 1], tcs[t], Hs[t + 1])
+            self._cell(acts[t], Hs[t], Cs[t], Cs[t + 1], tcs[t], Hs[t + 1], uh)
         ys = np.einsum("tmh,mh->mt", Hs[1:], p["w_y"]) + p["b_y"][:, None]
         err = np.where(np.arange(T) < lengths[:, None], ys - targets, 0.0)
         losses = np.sum(err * err, axis=1) / np.maximum(lengths, 1)
@@ -230,7 +246,8 @@ class SequenceModel:
         """Full-sequence backpropagation through time for every metric.
 
         Steps past a metric's length get no output gradient, so each metric's
-        gradient is that of its own unpadded sequence. Returns (losses, grads).
+        gradient is that of its own unpadded sequence. Returns the losses and
+        the gradients in one fresh buffer laid out as flat_params (see _views).
         """
         p = self.params
         losses, (X, Hs, Cs, acts, tcs, err) = self._forward(fenc, inputs, targets, lengths)
@@ -241,42 +258,45 @@ class SequenceModel:
         # dh for the o gate, as in ((dc * g) * i) * (1 - i)
         dYw = dY.T[:, :, None] * p["w_y"]
         dtanh = 1 - tcs * tcs
-        i, f, o, g = acts.transpose(1, 0, 2, 3)
         S2, S3, S4 = np.empty((3, T, M, 4, H))
-        np.stack((g, Cs[:-1], tcs, i), axis=2, out=S2)
-        np.stack((i, f, o, 1 - g * g), axis=2, out=S3)
-        np.subtract(1, acts.transpose(0, 2, 1, 3), out=S4)
+        S3[...] = acts.transpose(0, 2, 1, 3)  # the activations, metric-major
+        np.subtract(1, S3, S4)
         S4[:, :, 3] = 1.0
+        i, g = S3[:, :, 0], S3[:, :, 3]
+        S2[:, :, 0], S2[:, :, 1], S2[:, :, 2], S2[:, :, 3] = g, Cs[:-1], tcs, i
+        np.multiply(g, g, g)
+        np.subtract(1, g, g)
+        f, o = acts[:, 1], acts[:, 2]
         dA = np.empty((T, M, 4, H))
-        dh_next = dc_next = np.zeros((M, H))
+        dh_next, dc_next = np.zeros((2, M, H))
         for t in range(T - 1, -1, -1):
+            # dh and dc read dh_next and dc_next before they are overwritten
             dh = dYw[t] + dh_next
             dc = dh * o[t]
             dc *= dtanh[t]
             dc += dc_next
-            da = dA[t]
-            da[...] = dc[:, None, :]
-            da[:, 2] = dh
-            da *= S2[t]
+            da, s2 = dA[t], S2[t]
+            np.multiply(dc[:, None, :], s2, da)
+            np.multiply(dh, s2[:, 2], da[:, 2])
             da *= S3[t]
             da *= S4[t]
-            dh_next = np.matmul(da.reshape(M, 1, 4 * H), p["U"])[:, 0]
-            dc_next = dc * f[t]
+            np.matmul(da.reshape(M, 1, 4 * H), p["U"], dh_next[:, None])
+            np.multiply(dc, f[t], dc_next)
         dA = dA.reshape(T, M, 4 * H)
         dAt = dA.transpose(1, 2, 0)  # (M, 4H, T)
-        grads = {
-            "W": np.matmul(dAt, X),
-            "U": np.matmul(dAt, Hs[:-1].transpose(1, 0, 2)),
-            "b": dA.sum(axis=0),
-            # the initial state came from the feature projection
-            "W_h0": dh_next[:, :, None] * fenc[:, None, :],
-            "b_h0": dh_next,
-            "W_c0": dc_next[:, :, None] * fenc[:, None, :],
-            "b_c0": dc_next,
-            "w_y": np.einsum("mt,tmh->mh", dY, Hs[1:]),
-            "b_y": dY.sum(axis=1),
-        }
-        return losses, grads
+        flat = np.empty_like(self.flat_params)
+        grads = self._views(flat)
+        np.matmul(dAt, X, grads["W"])
+        np.matmul(dAt, Hs[:-1].transpose(1, 0, 2), grads["U"])
+        np.add.reduce(dA, 0, None, grads["b"])
+        # the initial state came from the feature projection
+        np.multiply(dh_next[:, :, None], fenc[:, None, :], grads["W_h0"])
+        grads["b_h0"][...] = dh_next
+        np.multiply(dc_next[:, :, None], fenc[:, None, :], grads["W_c0"])
+        grads["b_c0"][...] = dc_next
+        np.einsum("mt,tmh->mh", dY, Hs[1:], out=grads["w_y"])
+        np.add.reduce(dY, 1, None, grads["b_y"])
+        return losses, flat
 
     def update_all(self, f: FeatureVector, block: np.ndarray, lengths: np.ndarray) -> None:
         """Train every metric on one example: row m of block (M, T) holds
@@ -306,20 +326,22 @@ class SequenceModel:
             fenc, inputs, targets, lengths = self._training_data(f, block, lengths)
             self.len_sum += lengths
             self.len_count += present[:, 0]
+            M = self.n_metrics
+            sums = np.empty((len(self._spans), M))
             for _ in range(self.epochs_per_update):
-                losses, grads = self._gradients(fenc, inputs, targets, lengths)
+                losses, g = self._gradients(fenc, inputs, targets, lengths)
                 if not np.all(np.isfinite(losses)):
                     raise TrainingDivergedError(f"non-finite loss {losses.tolist()}")
-                g = np.concatenate([grads[k] for k in self.params], axis=None)
                 sq = g * g
-                # each parameter's per-metric sum of squares, added parameter by parameter
-                total = np.sqrt(sum(
-                    np.add.reduce(sq[a:e].reshape(self.n_metrics, -1), axis=1)
-                    for a, e in self._spans
-                ))
+                # each parameter's per-metric sum of squares, added parameter by
+                # parameter: accumulate adds the rows in order for every M, where
+                # reduce adds 8 rows pairwise when M is 1
+                for j, (a, e) in enumerate(self._spans):
+                    np.add.reduce(sq[a:e].reshape(M, -1), 1, None, sums[j])
+                total = np.sqrt(np.add.accumulate(sums, 0)[-1])
                 clipped = total > self.clip_norm
                 scale = np.where(clipped, self.clip_norm / np.where(clipped, total, 1.0), 1.0)
-                g *= (self.learning_rate * scale)[self._elem_metric]
+                g *= np.repeat((self.learning_rate * scale)[self._block_metric], self._block_sizes)
                 self.flat_params -= g
             if not np.isfinite(self.flat_params).all():
                 raise TrainingDivergedError("non-finite parameters after update")
@@ -362,15 +384,17 @@ class SequenceModel:
         # the features are constant over the rollout; only the value input moves
         w_x = gate_major(p["W"][:, :, 0])
         a_feat = gate_major(_matvec(p["W"][:, :, 1:], fenc) + p["b"])
-        act = np.empty((4, M, H))
+        act, uh = np.empty((4, M, H)), np.empty((M, 4 * H, 1))
         x = np.zeros(M)
         ys = np.empty((max(horizons), M))
         for t in range(len(ys)):
-            np.multiply(w_x, x[:, None], out=act)
+            np.multiply(w_x, x[:, None], act)
             act += a_feat
-            self._cell(act, h, c, c_next, tc, h_next)
+            self._cell(act, h, c, c_next, tc, h_next, uh)
             h, c, h_next, c_next = h_next, c_next, h, c
-            x = ys[t] = np.einsum("mh,mh->m", p["w_y"], h) + p["b_y"]
+            x = ys[t]
+            np.einsum("mh,mh->m", p["w_y"], h, out=x)
+            x += p["b_y"]
         return self.value_norm.unscale(ys).T, horizons
 
     def update(self, f: FeatureVector, observed: MetricSeries) -> None:

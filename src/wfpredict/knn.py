@@ -101,7 +101,12 @@ class InstanceWindow:
             self.hi = held.max(axis=0)
         return x, y
 
-    def _ranges(self) -> np.ndarray:
+    def ranges(self) -> np.ndarray:
+        """Per column, the range of the held rows. A column is live, and moves
+        a distance, only where its range is > 0. EmptyWindowError when the
+        window holds no rows."""
+        if not len(self):
+            raise EmptyWindowError("no training instances in window")
         # a range smaller than float rounding noise on the stored values is
         # indistinguishable from a constant feature; treat it as zero-range
         # so it cannot blow up the normalized distance
@@ -113,13 +118,11 @@ class InstanceWindow:
         """Squared normalized distance from the query to each held row, oldest
         first, on the schema's first width columns (all when width is None),
         which must be the query's names. All rows are scored in one expression."""
-        if not len(self):
-            raise EmptyWindowError("no training instances in window")
+        rng = self.ranges()[:width]
         if tuple(query.names) != self.schema[:width]:
             raise SchemaMismatchError(
                 f"query schema {query.names} does not match window schema {self.schema}"
             )
-        rng = self._ranges()[:width]
         live = rng > 0
         denom = np.where(live, rng, 1.0)
         q = np.asarray(query.values, dtype=float)

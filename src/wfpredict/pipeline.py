@@ -296,8 +296,13 @@ class Registry:
                 elif bundle.forecaster is None:
                     query = sigma
                 else:
-                    block, horizons = bundle.forecaster.forecast_all(sigma)
                     metrics = self.config.metrics_for(f.task_name)
+                    if bundle.regressor.ranges()[len(sigma.values):].any():
+                        block, horizons = bundle.forecaster.forecast_all(sigma)
+                    else:
+                        # no trev column is live, so no trev can move a
+                        # distance: skip the forecast; empty rows give trevs of 0.0
+                        block, horizons = np.zeros((len(metrics), 0)), np.zeros(len(metrics), int)
                     query = self._time_series_vector(metrics, sigma, block, horizons)
             runtime = bundle.regressor.predict(query, k=self.config.k)
         except EmptyWindowError:

@@ -123,15 +123,22 @@ def downsample_block(
     lengths = -(-n // width)
     T = int(lengths.max(initial=0))
     block = np.zeros((len(values), T * width))
-    for m, v in enumerate(values):
-        if v is not None:
-            block[m, :len(v)] = v
+    if n.size and n[0] > 0 and (n == n[0]).all():
+        # every row present and of one length, the usual case: one assignment
+        block[:, :n[0]] = values
+    else:
+        for m, v in enumerate(values):
+            if v is not None:
+                block[m, :len(v)] = v
     if width > 1:
         # cumsum adds along the window left to right, as sum() does, where
         # sum(axis) adds pairwise; + 0.0 gives an all -0.0 window sum()'s 0.0
+        members = n[:, None] - width * np.arange(T)
+        np.minimum(members, width, out=members)
+        np.maximum(members, 1, out=members)
         with np.errstate(over="ignore"):
             sums = np.cumsum(block.reshape(len(values), T, width), axis=2)[:, :, -1] + 0.0
-            block = sums / np.clip(n[:, None] - width * np.arange(T), 1, width)
+            block = sums / members
     if not np.all(np.isfinite(block)):
         raise DomainError(f"non-finite window mean at target_tau {target_tau}")
     return block, lengths

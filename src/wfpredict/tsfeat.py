@@ -21,9 +21,24 @@ class TrevConfig:
 
 
 def _moments(x: np.ndarray, l: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per row, the mean of d^2 and of d^3 over the lagged differences d."""
+    """Per row, the mean of d^2 and of d^3 over the lagged differences d,
+    each a sum divided by the count, as np.mean computes it."""
     d = x[:, l:] - x[:, :-l]
-    return np.mean(d * d, axis=1), np.mean(d * d * d, axis=1)
+    d2 = d * d
+    n = d.shape[1]
+    return np.add.reduce(d2, 1) / n, np.add.reduce(d2 * d, 1) / n
+
+
+def _length_groups(block: np.ndarray, lengths: np.ndarray, l: int):
+    """For each length n > l, the rows of that length and their first n values."""
+    if lengths.size and (lengths == lengths[0]).all():
+        # one length, the usual case: every row at once, with no gather
+        if lengths[0] > l:
+            yield range(len(lengths)), block[:, :lengths[0]]
+        return
+    for n in np.unique(lengths[lengths > l]).tolist():
+        rows = np.flatnonzero(lengths == n)
+        yield rows.tolist(), block[rows, :n]
 
 
 def trev_rows(block: np.ndarray, lengths: np.ndarray, cfg: TrevConfig) -> np.ndarray:
@@ -43,13 +58,11 @@ def trev_rows(block: np.ndarray, lengths: np.ndarray, cfg: TrevConfig) -> np.nda
     l = cfg.lag
     lengths = np.asarray(lengths)
     out = np.zeros(len(lengths))
-    for n in np.unique(lengths[lengths > l]).tolist():
-        rows = np.flatnonzero(lengths == n)
-        x = block[rows, :n]
+    for rows, x in _length_groups(block, lengths, l):
         with np.errstate(over="ignore", invalid="ignore"):
             m2, m3 = _moments(x, l)
             scale = np.max(np.abs(x), axis=1).tolist()
-            for k, (r, a, b, s) in enumerate(zip(rows.tolist(), m2.tolist(), m3.tolist(), scale)):
+            for k, (r, a, b, s) in enumerate(zip(rows, m2.tolist(), m3.tolist(), scale)):
                 if not (math.isfinite(a) and math.isfinite(b)):
                     a, b = (float(v[0]) for v in _moments(x[k:k + 1] / s, l))
                     s = 1.0

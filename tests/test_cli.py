@@ -47,7 +47,7 @@ def test_generate_and_ingest_fsync_once_per_run(tmp_path, gen_log, monkeypatch):
 
 def test_diverged_forecaster_update_is_one_error_line(tmp_path, gen_log, monkeypatch, capsys):
     def diverge(self, fenc, inputs, targets, lengths):
-        return np.full(len(inputs), np.nan), {k: np.zeros_like(v) for k, v in self.params.items()}
+        return np.full(len(inputs), np.nan), np.zeros_like(self.flat_params)
 
     monkeypatch.setattr(SequenceModel, "_gradients", diverge)
     rc = main([
@@ -130,6 +130,16 @@ def test_eval_online_rejects_bad_flags(tmp_path, gen_log):
     assert main(args + ["--lag", "-1"]) == 1
     assert main(args + ["--window-capacity", "0"]) == 1
     assert main(args + ["--epochs-per-update", "-1"]) == 1
+
+
+@pytest.mark.parametrize("skip", ["-1", "60"])
+def test_eval_online_skip_first_out_of_range_is_one_error_line(tmp_path, gen_log, capsys, skip):
+    out = tmp_path / "r"
+    rc = main(["eval-online", "--log", str(gen_log), "--out", str(out), "--skip-first", skip])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: skip_first must be in [0, 60) for this log, got {skip}\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_eval_batch_writes_reports(tmp_path, gen_log):

@@ -1,5 +1,6 @@
 """RAE metric, online/batch evaluation runs, synthetic generator."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,6 +8,9 @@ import random
 
 import pytest
 
+import wfpredict.evaluation as evaluation_mod
+import wfpredict.pipeline as pipeline_mod
+from test_forecaster import StridedOracle
 from wfpredict.domain import MetricKind, Scenario
 from wfpredict.evaluation import (
     STANDARD_SEED,
@@ -132,6 +136,17 @@ def test_run_online_skip_first(small_log):
     assert report.n_predictions == small_log.count - 20
 
 
+@pytest.mark.parametrize("skip", [-1, 120, 121])
+def test_run_online_rejects_skip_first_out_of_range_before_any_replay(small_log, monkeypatch, skip):
+    def replay(log):
+        raise AssertionError("replayed the log")
+
+    monkeypatch.setattr(RecordLog, "records", replay)
+    assert small_log.count == 120
+    with pytest.raises(ValueError, match=r"^skip_first must be in \[0, 120\)"):
+        run_online(small_log, Scenario.baseline, skip_first=skip)
+
+
 def test_run_batch_offline_split(small_log):
     report = run_batch_offline(small_log, Scenario.baseline, d=0.5, tau=5, lag=2, seed=0)
     assert report.n_predictions == small_log.count - small_log.count // 2
@@ -159,6 +174,35 @@ def test_runs_reject_out_of_range_settings(small_log, scenario, overrides, field
 def test_run_online_rejects_empty_log(tmp_path):
     with pytest.raises(ValueError):
         run_online(RecordLog(tmp_path / "none.jsonl"), Scenario.baseline)
+
+
+def test_time_series_run_matches_the_strided_oracle_bit_for_bit(tmp_path, monkeypatch):
+    std = standard_corpus_config(150)
+    tasks = tuple(dataclasses.replace(t, series_profile="curved") for t in std.tasks)
+    log = generate_synthetic(GeneratorConfig(tasks=tasks, n_records=150), 23, tmp_path / "c.jsonl")
+    registries = []
+
+    class Kept(evaluation_mod.Registry):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            registries.append(self)
+
+    monkeypatch.setattr(evaluation_mod, "Registry", Kept)
+
+    def run(name):
+        report = run_online(log, Scenario.time_series, tau=5, lag=2, seed=0)
+        registries[-1].storage_dir = tmp_path / name
+        registries[-1].save()
+        return report.rae, (tmp_path / name / "index.json").read_bytes()
+
+    rae_kernel, doc_kernel = run("kernel")
+    monkeypatch.setattr(pipeline_mod, "SequenceModel", StridedOracle)
+    rae_oracle, doc_oracle = run("oracle")
+    assert all(
+        type(b.forecaster) is StridedOracle for b in registries[-1].bundles.values()
+    )
+    assert rae_kernel.hex() == rae_oracle.hex()
+    assert doc_kernel == doc_oracle
 
 
 def test_report_serialization_round_trip(small_log):

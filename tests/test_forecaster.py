@@ -303,6 +303,15 @@ class StridedOracle(SequenceModel):
         return self.value_norm.unscale(ys).T, horizons
 
 
+class RebindingMinMax(RunningMinMax):
+    """RunningMinMax as it was before observe skipped unchanged bounds, kept
+    verbatim as its bit-exact oracle."""
+
+    def observe(self, lo: np.ndarray, hi: np.ndarray):
+        """Fold in observed element-wise bounds; +inf/-inf leave an element as is."""
+        self._bind(np.minimum(self.lo, lo), np.maximum(self.hi, hi))
+
+
 def max_param_gradient_error(model, fenc, inputs, targets, lengths=None, step=1e-5):
     """Worst per-tensor relative error between analytic and numeric gradients.
 
@@ -312,7 +321,7 @@ def max_param_gradient_error(model, fenc, inputs, targets, lengths=None, step=1e
     """
     if lengths is None:
         lengths = np.full(len(inputs), inputs.shape[1])
-    _, analytic = model._gradients(fenc, inputs, targets, lengths)
+    analytic = model._views(model._gradients(fenc, inputs, targets, lengths)[1])
     worst = 0.0
     for name, grad in analytic.items():
         numeric = np.zeros_like(grad)
@@ -423,6 +432,50 @@ def test_gate_major_kernel_matches_the_strided_oracle_bit_for_bit():
         assert ha == hb and a.tobytes() == b.tobytes(), step
     assert any(clipped) and not all(clipped)
     assert json.dumps(bank.to_dict()) == json.dumps(oracle.to_dict())
+
+
+@pytest.mark.parametrize("n_metrics", [1, 2])
+def test_small_banks_match_the_strided_oracle_bit_for_bit(n_metrics):
+    # a metric axis of length 1 or 2, which the 13-metric test never has
+    kw = dict(
+        input_dim=3, hidden_size=4, learning_rate=0.3, clip_norm=0.05, tau=5,
+        seeds=range(7, 7 + n_metrics),
+    )
+    bank, oracle = SequenceModel(**kw), StridedOracle(**kw)
+    rng = np.random.default_rng(47)
+    for step in range(30):
+        fv = _fv(rng.uniform(1, 9, size=3).tolist())
+        series = [tuple(rng.uniform(0, 50, size=int(rng.integers(1, 9)))) for _ in range(n_metrics)]
+        bank.update_all(fv, *_block(series))
+        oracle.update_all(fv, *_block(series))
+        assert bank.flat_params.tobytes() == oracle.flat_params.tobytes(), step
+        (a, ha), (b, hb) = bank.forecast_all(fv), oracle.forecast_all(fv)
+        assert ha == hb and a.tobytes() == b.tobytes(), step
+    assert json.dumps(bank.to_dict()) == json.dumps(oracle.to_dict())
+
+
+@pytest.mark.parametrize("n_metrics", [1, 2, 13])
+def test_clip_adds_the_per_parameter_sums_in_parameter_order(n_metrics):
+    # with one metric the per-parameter sums form a (9, 1) array, which a
+    # pairwise reduce adds in another order than one parameter after the other
+    rng = np.random.default_rng(48)
+    model = SequenceModel(input_dim=3, hidden_size=4, clip_norm=1.0, seeds=range(n_metrics))
+    for trial in range(50):
+        grads = {
+            k: rng.uniform(-1, 1, v.shape) * 10.0 ** rng.integers(-4, 4)
+            for k, v in model.params.items()
+        }
+        g = np.concatenate([v.reshape(-1) for v in grads.values()])
+        model._gradients = lambda *args: (np.zeros(n_metrics), g.copy())
+        before = {k: v.copy() for k, v in model.params.items()}
+        model.update_all(_fv([1.0, 2.0, 3.0]), *_block([(1.0, 2.0)] * n_metrics))
+        # the StridedOracle's clip and step
+        total = np.sqrt(sum(np.sum((v * v).reshape(n_metrics, -1), axis=1) for v in grads.values()))
+        clipped = total > model.clip_norm
+        scale = np.where(clipped, model.clip_norm / np.where(clipped, total, 1.0), 1.0)
+        for k, v in grads.items():
+            step = (model.learning_rate * scale).reshape((-1,) + (1,) * (v.ndim - 1))
+            assert model.params[k].tobytes() == (before[k] - step * v).tobytes(), (trial, k)
 
 
 def test_params_stay_views_of_the_flat_buffer():
@@ -555,7 +608,7 @@ def test_diverged_update_rolls_back_parameters():
 
     def explode(fenc, inputs, targets, lengths):
         losses = np.array([0.5, math.inf])  # only the second metric diverges
-        return losses, {k: np.zeros_like(v) for k, v in model.params.items()}
+        return losses, np.zeros_like(model.flat_params)
 
     before = json.dumps(model.to_dict())
     model._gradients = explode
@@ -600,6 +653,46 @@ def test_running_min_max_matches_the_plain_formulas_on_ranges_that_fit():
     # an element never observed passes y through, the sign of a zero included
     y = np.array([-0.0, 0.0, 1.5, -2.0, 5e-324])
     assert RunningMinMax(5).unscale(y).tobytes() == y.tobytes()
+
+
+def _terms(n):
+    return [getattr(n, k).tobytes() for k in ("lo", "hi", "_f", "_seen", "_den", "_lo", "_rng")]
+
+
+def test_running_min_max_observe_matches_the_rebinding_oracle_bit_for_bit():
+    rng = np.random.default_rng(563)
+    big = np.finfo(np.float64).max
+    pool = np.array([0.0, -0.0, np.inf, -np.inf, big, -big, 1.0, -1.0, 5e-324])
+    for trial in range(200):
+        shape = (3, 4) if trial % 2 else 5
+        a, b = RunningMinMax(shape), RebindingMinMax(shape)
+        for step in range(12):
+            if step % 3 == 2:  # bounds already held: nothing moves
+                lo, hi = a.lo.copy(), a.hi.copy()
+            else:
+                lo = np.where(rng.random(shape) < 0.5, rng.choice(pool, shape),
+                              rng.uniform(-1e3, 1e3, shape))
+                hi = np.where(rng.random(shape) < 0.3, rng.choice(pool, shape), lo)
+            with np.errstate(over="ignore", invalid="ignore"):
+                a.observe(lo, hi)
+                b.observe(lo, hi)
+                x, y = rng.choice(pool, shape), rng.uniform(-2, 2, shape)
+                assert _terms(a) == _terms(b), (trial, step)
+                assert a.scale(x).tobytes() == b.scale(x).tobytes(), (trial, step)
+                assert a.unscale(y).tobytes() == b.unscale(y).tobytes(), (trial, step)
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_running_min_max_observe_keeps_the_sign_of_a_zero_bound(first, second):
+    n = RunningMinMax(2)
+    lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
+    for v in (first, second):
+        bound = np.array([v, -1.0])
+        n.observe(bound, bound)
+        lo, hi = np.minimum(lo, bound), np.maximum(hi, bound)
+    # json.dumps tells -0.0 from 0.0, which == does not
+    assert json.dumps(n.to_dict()) == json.dumps({"lo": lo.tolist(), "hi": hi.tolist()})
+    assert _terms(n) == _terms(RebindingMinMax.from_dict(n.to_dict()))
 
 
 def test_running_min_max_range_past_the_float64_maximum():

@@ -14,7 +14,7 @@ from wfpredict.domain import (
     encode_pre_runtime,
 )
 from wfpredict.evaluation import GeneratorConfig, TaskTypeSpec, generate_synthetic
-from wfpredict.forecaster import TrainingDivergedError
+from wfpredict.forecaster import SequenceModel, TrainingDivergedError
 from wfpredict.knn import InstanceWindow
 from wfpredict.pipeline import (
     REGISTRY_VERSION, PipelineConfig, Registry, pearson, select_features, trev_history,
@@ -234,6 +234,40 @@ def test_observe_completes_on_samples_whose_trev_moments_overflow():
     bundle = reg.bundles[("align", Scenario.time_series)]
     assert bundle.runtime_count == 2
     assert np.all(np.isfinite(bundle.regressor.lo)) and np.all(np.isfinite(bundle.regressor.hi))
+
+
+@pytest.mark.parametrize("profile", ["steady", "curved"])
+def test_time_series_forecasts_only_while_a_trev_column_is_live(tmp_path, monkeypatch, profile):
+    spec = dict(base_seconds=40.0, input_names=("i1", "i2"), input_scales=(1.0, 1.5),
+                series_profile=profile)
+    cfg = GeneratorConfig(tasks=(TaskTypeSpec(name="a", **spec),), n_records=40)
+    records = generate_synthetic(cfg, 3, tmp_path / "log.jsonl").read_all()
+    forecast_all = SequenceModel.forecast_all
+    calls = []
+
+    def counted(model, f, n=None):
+        calls.append(len(reg.bundles[("a", Scenario.time_series)].regressor))
+        return forecast_all(model, f, n)
+
+    monkeypatch.setattr(SequenceModel, "forecast_all", counted)
+    reg = Registry(config=PipelineConfig(target_tau=5, k=3))
+    for rec in records:
+        got = reg.predict_task(rec.features, Scenario.time_series).runtime_seconds
+        bundle = reg.bundles.get(("a", Scenario.time_series))
+        if bundle is not None:
+            # the answer of a query that always carries the forecast's trevs
+            sigma = encode_pre_runtime(rec.features, reg.vocab.lookup)
+            block, horizons = forecast_all(bundle.forecaster, sigma)
+            query = reg._time_series_vector(tuple(MetricKind), sigma, block, horizons)
+            assert bundle.regressor.predict(query, k=3) == got
+        reg.observe_completion(rec, Scenario.time_series)
+    live = bundle.regressor.ranges()[8:] > 0
+    if profile == "steady":
+        # every series is constant, so every trev is 0.0 and none is live
+        assert calls == [] and not live.any()
+    else:
+        # one held row has no ranges; after that some trev column is live
+        assert calls == list(range(2, len(records))) and live.any()
 
 
 def test_metric_selection_restricts_models(small_log):

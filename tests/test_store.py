@@ -5,6 +5,7 @@ import json
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from conftest import legacy_dict, make_record
@@ -283,6 +284,52 @@ def test_downsample_block_matches_window_means_bit_for_bit():
             # float.hex tells -0.0 from 0.0, which == does not
             assert [v.hex() for v in row[:n]] == [v.hex() for v in w]
             assert row[n:] == [0.0] * (len(row) - n)
+
+
+def _downsample_block_before(values, interval, target_tau):
+    """downsample_block as it was before its one-length fast path, kept
+    verbatim as its bit-exact oracle."""
+    if target_tau < 1:
+        raise StoreError(f"target_tau must be >= 1, got {target_tau}")
+    if target_tau % interval != 0:
+        raise StoreError(f"target_tau {target_tau} is not a multiple of interval {interval}")
+    width = target_tau // interval
+    n = np.array([0 if v is None else len(v) for v in values], dtype=np.int64)
+    lengths = -(-n // width)
+    T = int(lengths.max(initial=0))
+    block = np.zeros((len(values), T * width))
+    for m, v in enumerate(values):
+        if v is not None:
+            block[m, :len(v)] = v
+    if width > 1:
+        with np.errstate(over="ignore"):
+            sums = np.cumsum(block.reshape(len(values), T, width), axis=2)[:, :, -1] + 0.0
+            block = sums / np.clip(n[:, None] - width * np.arange(T), 1, width)
+    if not np.all(np.isfinite(block)):
+        raise DomainError(f"non-finite window mean at target_tau {target_tau}")
+    return block, lengths
+
+
+def test_downsample_block_matches_its_loop_oracle_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for trial in range(400):
+        width, M = int(rng.integers(1, 8)), int(rng.integers(1, 14))
+        n = int(rng.integers(0, 40))  # any n, so trailing partial windows too
+        kind = trial % 4
+        if kind == 0:  # every row present and of one length
+            rows = [rng.uniform(-1e3, 1e3, n) for _ in range(M)]
+        elif kind == 1:  # ragged
+            rows = [rng.uniform(-1e3, 1e3, int(rng.integers(0, 40))) for _ in range(M)]
+        elif kind == 2:  # one length, some rows absent
+            rows = [None if rng.random() < 0.3 else rng.uniform(0, 1e6, n) for _ in range(M)]
+        else:  # one length, windows of -0.0 and of mixed-sign zeros
+            rows = [rng.choice([-0.0, 0.0] if m % 2 else [-0.0], n) for m in range(M)]
+        if trial % 3 == 0:  # plain float sequences, as downsample passes them
+            rows = [None if r is None else r.tolist() for r in rows]
+        got = downsample_block(rows, 1, width)
+        want = _downsample_block_before(rows, 1, width)
+        assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes(), trial
+        assert got[1].tobytes() == want[1].tobytes(), trial
 
 
 def test_downsample_is_one_row_of_the_block():

@@ -166,6 +166,59 @@ def test_strip_padding_rows_matches_a_loop():
     assert strip_padding_rows(np.zeros((0, 0)), np.zeros(0, dtype=int)).tolist() == []
 
 
+def _moments_before(x, l):
+    """Per row, the mean of d^2 and of d^3 over the lagged differences d."""
+    d = x[:, l:] - x[:, :-l]
+    return np.mean(d * d, axis=1), np.mean(d * d * d, axis=1)
+
+
+def _trev_rows_before(block, lengths, cfg):
+    """trev_rows as it was before its one-length fast path, kept verbatim as
+    its bit-exact oracle."""
+    l = cfg.lag
+    lengths = np.asarray(lengths)
+    out = np.zeros(len(lengths))
+    for n in np.unique(lengths[lengths > l]).tolist():
+        rows = np.flatnonzero(lengths == n)
+        x = block[rows, :n]
+        with np.errstate(over="ignore", invalid="ignore"):
+            m2, m3 = _moments_before(x, l)
+            scale = np.max(np.abs(x), axis=1).tolist()
+            for k, (r, a, b, s) in enumerate(zip(rows.tolist(), m2.tolist(), m3.tolist(), scale)):
+                if not (math.isfinite(a) and math.isfinite(b)):
+                    a, b = (float(v[0]) for v in _moments_before(x[k:k + 1] / s, l))
+                    s = 1.0
+                if not (a == 0.0 or math.sqrt(a) <= 1e-9 * s):
+                    out[r] = b / a ** 1.5
+    return out
+
+
+def test_trev_rows_matches_its_grouping_oracle_bit_for_bit():
+    rng = np.random.default_rng(131)
+    big = np.finfo(np.float64).max
+    for trial in range(400):
+        cfg = TrevConfig(lag=int(rng.integers(1, 4)))
+        M, width = int(rng.integers(1, 14)), int(rng.integers(0, 40))
+        block = rng.lognormal(0, 2, (M, width)) * rng.choice([-1.0, 1.0], (M, width))
+        kind = trial % 4
+        if kind == 0:  # every row of one length, the block's width or shorter
+            lengths = np.full(M, rng.integers(0, width + 1))
+        elif kind == 1:  # ragged, rows of length 0 among them
+            lengths = rng.integers(0, width + 1, M)
+        elif kind == 2:  # one length, rows whose moments overflow
+            lengths = np.full(M, width)
+            block[rng.random(M) < 0.5] *= 0.5 * big / np.abs(block).max(initial=1.0)
+        else:  # constant rows, some with 1-ulp wobble, and rows of zeros
+            block[:] = rng.uniform(1, 900, (M, 1))
+            block += rng.integers(-1, 2, (M, width)) * np.spacing(block)
+            block[rng.random(M) < 0.3] = rng.choice([0.0, -0.0])
+            lengths = np.full(M, width) if trial % 8 == 3 else rng.integers(0, width + 1, M)
+        with np.errstate(over="ignore"):
+            want = _trev_rows_before(block, lengths, cfg)
+            got = trev_rows(block, lengths, cfg)
+        assert got.tobytes() == want.tobytes(), trial
+
+
 def test_trev_rows_rescales_rows_whose_moments_overflow():
     big = 1.7976931348623157e308
     cfg = TrevConfig(lag=2)
