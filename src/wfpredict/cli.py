@@ -14,6 +14,7 @@ from .evaluation import (
     STANDARD_SEED,
     EvalReport,
     generate_synthetic,
+    prequential,
     run_batch_offline,
     run_online,
     standard_corpus_config,
@@ -83,8 +84,7 @@ def cmd_replay_predict(args) -> int:
     )
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for rec in log.records():
-            pred = registry.predict_task(rec.features, scenario)
+        for rec, pred in prequential(registry, log.records(), scenario):
             out.write(
                 json.dumps(
                     {
@@ -95,7 +95,6 @@ def cmd_replay_predict(args) -> int:
                 )
                 + "\n"
             )
-            registry.observe_completion(rec, scenario)
     finally:
         if args.out:
             out.close()

@@ -6,12 +6,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .domain import (
     MetricKind,
+    Prediction,
     PreRuntimeFeatures,
     Scenario,
     SeriesBlock,
@@ -97,6 +98,15 @@ def _score(pairs: List[Tuple[str, float, float]], scenario, tau, lag, mode) -> E
     )
 
 
+def prequential(
+    registry: Registry, records: Iterable[TaskExecutionRecord], scenario: Scenario
+) -> Iterator[Tuple[TaskExecutionRecord, Prediction]]:
+    """Test-then-train: yield each record with its prediction, then observe it."""
+    for rec in records:
+        yield rec, registry.predict_task(rec.features, scenario)
+        registry.observe_completion(rec, scenario)
+
+
 def run_online(
     log: RecordLog,
     scenario: Scenario,
@@ -114,13 +124,9 @@ def run_online(
         raise ValueError(f"skip_first must be in [0, {log.count}) for this log, got {skip_first}")
     config = PipelineConfig(target_tau=tau, trev_lag=lag, seed=seed, **config_overrides)
     registry = Registry(config=config)
-    pairs: List[Tuple[str, float, float]] = []
-    for idx, rec in enumerate(log.records()):
-        pred = registry.predict_task(rec.features, scenario)
-        if idx >= skip_first:
-            pairs.append((rec.features.task_name, rec.runtime_seconds, pred.runtime_seconds))
-        registry.observe_completion(rec, scenario)
-    return _score(pairs, scenario, tau, lag, "online")
+    pairs = [(rec.features.task_name, rec.runtime_seconds, pred.runtime_seconds)
+             for rec, pred in prequential(registry, log.records(), scenario)]
+    return _score(pairs[skip_first:], scenario, tau, lag, "online")
 
 
 def run_batch_offline(

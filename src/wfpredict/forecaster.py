@@ -429,13 +429,19 @@ class SequenceModel:
 
     def restore(self, d: dict) -> None:
         """Take on the learned state to_dict wrote; ValueError if its parameter
-        count differs from this model's."""
+        count or a statistic's shape differs from this model's."""
         saved = np.array(d["flat_params"], dtype=float)
         if saved.shape != self.flat_params.shape:
             raise ValueError(f"{saved.size} parameters, expected {self.flat_params.size}")
+        value_norm = RunningMinMax.from_dict(d["value_norm"])
+        feat_norm = RunningMinMax.from_dict(d["feat_norm"])
+        lens = [np.array(d[k], dtype=np.int64) for k in ("len_sum", "len_count")]
+        M, F = self.n_metrics, self.input_dim
+        bounds = (value_norm.lo, value_norm.hi, feat_norm.lo, feat_norm.hi)
+        shapes = [a.shape for a in (*bounds, *lens)]
+        if shapes != [(M,), (M,), (M, F), (M, F), (M,), (M,)]:
+            raise ValueError(f"normalizer and length statistics of shapes {shapes} for {M} metrics")
         # in place, so that every params[k] stays a view of the buffer
         self.flat_params[...] = saved
-        self.value_norm = RunningMinMax.from_dict(d["value_norm"])
-        self.feat_norm = RunningMinMax.from_dict(d["feat_norm"])
-        self.len_sum = np.array(d["len_sum"], dtype=np.int64)
-        self.len_count = np.array(d["len_count"], dtype=np.int64)
+        self.value_norm, self.feat_norm = value_norm, feat_norm
+        self.len_sum, self.len_count = lens

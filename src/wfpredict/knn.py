@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,12 +22,12 @@ class InstanceWindow:
     """Bounded FIFO of (feature vector, runtime) instances with range-normalized
     Euclidean distance.
 
-    The first add fixes the feature-name schema. A target is a positive
-    runtime; predict returns the mean runtime of the k nearest instances, and
-    nearest returns the nearest held row on a prefix of the schema. The
-    per-feature min/max over the held instances normalizes distances;
-    zero-range dimensions contribute nothing to distance. capacity=None means
-    unbounded.
+    The schema, the feature names of every row, is fixed at construction. A
+    target is a positive runtime; predict returns the mean runtime of the k
+    nearest instances, and nearest returns the nearest held row on a prefix of
+    the schema. The per-feature min/max over the held instances normalizes
+    distances; zero-range dimensions contribute nothing to distance.
+    capacity=None means unbounded.
 
     The held instances are the rows [start, end) of one (rows, d) array, in
     arrival order. An add writes the next row; an eviction advances start.
@@ -35,32 +35,21 @@ class InstanceWindow:
     with room for as many again, so an add costs amortised O(d).
     """
 
-    def __init__(self, capacity: Optional[int] = None):
+    def __init__(self, schema: Sequence[str], capacity: Optional[int] = None):
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
         self.capacity = capacity
-        self.schema: Optional[Tuple[str, ...]] = None
-        self.lo: Optional[np.ndarray] = None
-        self.hi: Optional[np.ndarray] = None
-        self._X = np.empty((0, 0))
+        self.schema: Tuple[str, ...] = tuple(schema)
+        dim = len(self.schema)
+        self.lo = np.full(dim, np.inf)
+        self.hi = np.full(dim, -np.inf)
+        self._X = np.empty((0, dim))
         self._y = np.empty(0)
         self._start = 0
         self._end = 0
 
     def __len__(self) -> int:
         return self._end - self._start
-
-    def _check_schema(self, fv: FeatureVector):
-        if self.schema is None:
-            self.schema = tuple(fv.names)
-            dim = len(self.schema)
-            self.lo = np.full(dim, np.inf)
-            self.hi = np.full(dim, -np.inf)
-            self._X = np.empty((0, dim))
-        elif tuple(fv.names) != self.schema:
-            raise SchemaMismatchError(
-                f"feature schema mismatch: {fv.names} vs window schema {self.schema}"
-            )
 
     def _make_room(self) -> None:
         n = len(self)
@@ -75,7 +64,10 @@ class InstanceWindow:
         """Append an instance; returns the evicted oldest one when over capacity."""
         if not (target > 0 and math.isfinite(target)):
             raise ValueError(f"runtime must be positive, got {target}")
-        self._check_schema(fv)
+        if tuple(fv.names) != self.schema:
+            raise SchemaMismatchError(
+                f"feature schema mismatch: {fv.names} vs window schema {self.schema}"
+            )
         if self._end == len(self._X):
             self._make_room()
         x = np.asarray(fv.values, dtype=float)
@@ -151,21 +143,18 @@ class InstanceWindow:
         return self._X[self._start + int(np.argmin(dist2))].copy()
 
     def to_dict(self) -> dict:
-        """The held instances and ranges, which restore reads back."""
+        """The held instances, oldest first, which restore reads back."""
         return {
-            "schema": list(self.schema) if self.schema else None,
-            "lo": self.lo.tolist() if self.lo is not None else None,
-            "hi": self.hi.tolist() if self.hi is not None else None,
             "rows": self._X[self._start:self._end].tolist(),
             "targets": self._y[self._start:self._end].tolist(),
         }
 
     def restore(self, d: dict) -> None:
-        """Fill this empty window with the instances to_dict wrote."""
-        if d["schema"] is not None:
-            self.schema = tuple(d["schema"])
-            self.lo = np.array(d["lo"], dtype=float)
-            self.hi = np.array(d["hi"], dtype=float)
-            self._X = np.array(d["rows"], dtype=float).reshape(-1, len(self.schema))
-            self._y = np.array(d["targets"], dtype=float).reshape(-1)
-            self._start, self._end = 0, len(self._X)
+        """Fill this empty window with the instances to_dict wrote and take
+        the ranges from their rows; ValueError for an instance add would refuse."""
+        X = np.array(d["rows"], dtype=float).reshape(len(d["rows"]), len(self.schema))
+        y = np.array(d["targets"], dtype=float)
+        if y.shape != (len(X),) or not (np.isfinite(X).all() and ((0 < y) & (y < np.inf)).all()):
+            raise ValueError(f"{len(X)} rows need finite features and as many finite runtimes > 0")
+        self.lo, self.hi = X.min(axis=0, initial=np.inf), X.max(axis=0, initial=-np.inf)
+        self._X, self._y, self._start, self._end = X, y, 0, len(X)

@@ -16,6 +16,7 @@ from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Set, T
 import numpy as np
 
 from .domain import (
+    PRE_RUNTIME_FEATURE_NAMES,
     CategoryVocab,
     FeatureVector,
     MetricKind,
@@ -33,7 +34,7 @@ from .store import downsample, downsample_block  # noqa: F401
 from .tsfeat import TrevConfig, strip_padding_rows, trev, trev_rows  # noqa: F401
 
 REGISTRY_MAGIC = "wfpredict-registry"
-REGISTRY_VERSION = 6
+REGISTRY_VERSION = 7
 
 ALL_METRICS: Tuple[MetricKind, ...] = tuple(MetricKind)
 
@@ -154,8 +155,7 @@ class TaskModelBundle:
 
     task_name: str
     scenario: Scenario
-    # the kNN window of runtimes; for two_stages its rows are sigma followed
-    # by each selected metric's aggregate, and stage 1 reads those rows
+    # the kNN window of runtimes; the two_stages stage 1 reads its rows too
     regressor: InstanceWindow
     # time_series: one forecaster over the selected metrics, None when none are selected
     forecaster: Optional[SequenceModel] = None
@@ -193,15 +193,20 @@ class Registry:
     # -- bundle management -------------------------------------------------
 
     def _new_bundle(self, task_name: str, scenario: Scenario) -> TaskModelBundle:
-        """An untrained bundle built from the config; observe_completion and
-        load both build every bundle here."""
+        """An untrained bundle built from the config, on first observe and on
+        load; the one place that lays out the rows of its window."""
         cfg = self.config
+        metrics = cfg.metrics_for(task_name)
+        if scenario == Scenario.baseline:
+            schema = ("input_name",)
+        else:
+            prefix = "agg_" if scenario == Scenario.two_stages else "trev_"
+            schema = PRE_RUNTIME_FEATURE_NAMES + tuple(prefix + m.value for m in metrics)
         bundle = TaskModelBundle(
             task_name=task_name,
             scenario=scenario,
-            regressor=InstanceWindow(capacity=cfg.window_capacity),
+            regressor=InstanceWindow(schema, cfg.window_capacity),
         )
-        metrics = cfg.metrics_for(task_name)
         if scenario == Scenario.time_series and metrics:
             bundle.forecaster = SequenceModel(
                 input_dim=8,
@@ -230,17 +235,15 @@ class Registry:
         )
 
     def _time_series_vector(
-        self, metrics: Sequence[MetricKind], sigma: FeatureVector, block: np.ndarray,
+        self, bundle: TaskModelBundle, sigma: FeatureVector, block: np.ndarray,
         lengths: Sequence[int],
     ) -> FeatureVector:
         """sigma plus the trev of each selected metric's row of the block,
         stripped of trailing zeros; 0.0 for a row of length 0."""
         trev_cfg = TrevConfig(self.config.trev_lag)
         trevs = trev_rows(block, strip_padding_rows(block, lengths), trev_cfg)
-        return FeatureVector(
-            names=sigma.names + tuple(f"trev_{m.value}" for m in metrics),
-            values=sigma.values + tuple(trevs.tolist()),
-        )
+        values = sigma.values + tuple(trevs.tolist())
+        return FeatureVector(names=bundle.regressor.schema, values=values)
 
     @staticmethod
     def _two_stages_query_vector(bundle: TaskModelBundle, sigma: FeatureVector) -> FeatureVector:
@@ -251,8 +254,7 @@ class Registry:
 
     @staticmethod
     def _two_stages_observed_vector(
-        metrics: Sequence[MetricKind], sigma: FeatureVector, block: np.ndarray,
-        lengths: np.ndarray,
+        bundle: TaskModelBundle, sigma: FeatureVector, block: np.ndarray, lengths: np.ndarray,
     ) -> FeatureVector:
         """sigma plus the aggregate (the sum) of each selected metric's row of
         the block, floored at _AGG_FLOOR."""
@@ -260,8 +262,7 @@ class Registry:
         # past a row's length leave its last running sum unchanged
         sums = np.cumsum(block, axis=1)[:, -1] if block.shape[1] else np.zeros(len(block))
         aggs = tuple(np.where(lengths > 0, np.maximum(sums, _AGG_FLOOR), _AGG_FLOOR).tolist())
-        names = tuple(f"agg_{m.value}" for m in metrics)
-        return FeatureVector(names=sigma.names + names, values=sigma.values + aggs)
+        return FeatureVector(names=bundle.regressor.schema, values=sigma.values + aggs)
 
     def _observed_block(
         self, metrics: Sequence[MetricKind], rec: TaskExecutionRecord
@@ -293,17 +294,15 @@ class Registry:
                 sigma = encode_pre_runtime(f, self.vocab.lookup)
                 if scenario == Scenario.two_stages:
                     query = self._two_stages_query_vector(bundle, sigma)
-                elif bundle.forecaster is None:
-                    query = sigma
+                elif bundle.regressor.ranges()[len(sigma.values):].any():
+                    block, horizons = bundle.forecaster.forecast_all(sigma)
+                    query = self._time_series_vector(bundle, sigma, block, horizons)
                 else:
-                    metrics = self.config.metrics_for(f.task_name)
-                    if bundle.regressor.ranges()[len(sigma.values):].any():
-                        block, horizons = bundle.forecaster.forecast_all(sigma)
-                    else:
-                        # no trev column is live, so no trev can move a
-                        # distance: skip the forecast; empty rows give trevs of 0.0
-                        block, horizons = np.zeros((len(metrics), 0)), np.zeros(len(metrics), int)
-                    query = self._time_series_vector(metrics, sigma, block, horizons)
+                    # no trev column is live, so no trev can move a distance:
+                    # skip the forecast and read every trev as 0.0
+                    schema = bundle.regressor.schema
+                    trevs = (0.0,) * (len(schema) - len(sigma.values))
+                    query = FeatureVector(names=schema, values=sigma.values + trevs)
             runtime = bundle.regressor.predict(query, k=self.config.k)
         except EmptyWindowError:
             runtime = 1.0
@@ -324,13 +323,13 @@ class Registry:
             metrics = self.config.metrics_for(rec.features.task_name)
             block, lengths = self._observed_block(metrics, rec)
             if scenario == Scenario.two_stages:
-                fv = self._two_stages_observed_vector(metrics, sigma, block, lengths)
+                fv = self._two_stages_observed_vector(bundle, sigma, block, lengths)
             else:
                 # update the forecaster first so a diverged update, which rolls
                 # it back whole, cannot leave a freshly added regressor instance
                 if bundle.forecaster is not None:
                     bundle.forecaster.update_all(sigma, block, lengths)
-                fv = self._time_series_vector(metrics, sigma, block, lengths)
+                fv = self._time_series_vector(bundle, sigma, block, lengths)
         bundle.regressor.add(fv, rec.runtime_seconds)
         bundle.runtime_count += 1
 

@@ -151,14 +151,14 @@ def test_criterion_05_knn_oracle():
             )
             for _ in range(n)
         ]
-        w = InstanceWindow()
+        w = InstanceWindow(_fv(instances[0][0].tolist()).names)
         for x, r in instances:
             w.add(_fv(x.tolist()), r)
         query = [float(random.randrange(0, 4)) for _ in range(dim)]
         k = random.randrange(1, 6)
         ok = ok and w.predict(_fv(query), k) == oracle_predict(instances, query, k)
     cap = 8
-    w = InstanceWindow(capacity=cap)
+    w = InstanceWindow(_fv([0.0]).names, capacity=cap)
     for i in range(cap + 1):
         w.add(_fv([float(i)]), float(i + 1))
     members = [x[0] for x in w.to_dict()["rows"]]

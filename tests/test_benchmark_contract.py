@@ -49,23 +49,29 @@ def test_zero_range_dims_reads_every_window(replay, small_log, scenario, trev_di
 def test_saved_streams_reload_with_identical_predictions(replay, small_log, tmp_path, scenario):
     """The restart workload's two halves: train_and_save writes one registry
     per stream, load_streams reads them back, and the reloaded registries must
-    predict bit for bit as the registries that were saved."""
+    predict bit for bit as the registries that were saved. A load derives each
+    window's ranges from its rows, and the restart workload counts the
+    zero-range dimensions of the loaded registries: the count must be the
+    saved registries' count."""
     segment = 60
     replay.train_and_save(small_log, scenario, segment, tmp_path, replay.Samples())
     loaded = replay.load_streams(tmp_path)
     records = small_log.read_all()
     assert len(loaded) == len(records) // segment
+    saved_all = []
     for reg, j in zip(loaded, range(0, len(records), segment)):
         stream = records[j:j + segment]
         split = replay.train_split(len(stream))
         saved = replay.new_registry()
         for rec in stream[:split]:
             saved.observe_completion(rec, scenario)
+        saved_all.append(saved)
         for rec in stream[split:]:
             assert (
                 reg.predict_task(rec.features, scenario).runtime_seconds
                 == saved.predict_task(rec.features, scenario).runtime_seconds
             )
+    assert replay.zero_range_dims(loaded) == replay.zero_range_dims(saved_all)
 
 
 def test_tracer_installs_on_the_current_package():

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import wfpredict.store as store_mod
 from wfpredict.cli import main
 from wfpredict.domain import Scenario
 from wfpredict.forecaster import SequenceModel
-from wfpredict.pipeline import REGISTRY_VERSION, PipelineConfig
+from wfpredict.pipeline import REGISTRY_VERSION, PipelineConfig, Registry
 from wfpredict.store import RecordLog
 
 
@@ -197,7 +198,7 @@ def test_registry_list_counts_forecast_metrics_and_rejects_version_1(tmp_path, g
 
     index_path = reg_dir / "index.json"
     index = json.loads(index_path.read_text(encoding="utf-8"))
-    for version in (1, 2):
+    for version in (1, 2, 6):
         index["version"] = version
         index_path.write_text(json.dumps(index), encoding="utf-8")
         assert main(["registry", "list", "--dir", str(reg_dir)]) == 1
@@ -260,7 +261,44 @@ def test_sweep_rejects_bad_grid(tmp_path, gen_log):
      "config": {**PipelineConfig().to_dict(), "k": 0}, "bundles": []},
 ])
 def test_registry_list_reports_a_malformed_registry_in_one_line(tmp_path, capsys, doc):
+    _assert_listing_fails_in_one_line(tmp_path, capsys, doc)
+
+
+def _assert_listing_fails_in_one_line(tmp_path, capsys, doc):
     (tmp_path / "index.json").write_text(json.dumps(doc), encoding="utf-8")
     assert main(["registry", "list", "--dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: malformed registry in {tmp_path}")
+
+
+@pytest.fixture(scope="module")
+def saved_doc(gen_log, tmp_path_factory):
+    """The document save wrote for every scenario, trained on the log's first records."""
+    reg_dir = tmp_path_factory.mktemp("saved")
+    reg = Registry(storage_dir=reg_dir, config=PipelineConfig(target_tau=5))
+    for rec in RecordLog(gen_log).read_all()[:12]:
+        for scenario in Scenario:
+            reg.observe_completion(rec, scenario)
+    reg.save()
+    return json.loads((reg_dir / "index.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("scenario, part, key, edit", [
+    ("baseline", "regressor", "targets", lambda v: v[:1]),
+    ("two_stages", "regressor", "rows", lambda v: [row[:8] for row in v]),
+    ("two_stages", "regressor", "targets", lambda v: [0.0] + v[1:]),
+    ("time_series", "regressor", "rows", lambda v: [[math.nan] + row[1:] for row in v]),
+    ("time_series", "forecaster", "len_sum", lambda v: v[:5]),
+    ("time_series", "forecaster", "len_count", lambda v: v[:5]),
+    ("time_series", "forecaster", "value_norm", lambda v: {b: v[b][:5] for b in v}),
+    ("time_series", "forecaster", "feat_norm", lambda v: {b: v[b][:5] for b in v}),
+])
+def test_registry_list_reports_state_that_does_not_fit_the_model_in_one_line(
+    tmp_path, capsys, saved_doc, scenario, part, key, edit
+):
+    doc = json.loads(json.dumps(saved_doc))
+    bundle = max((b for b in doc["bundles"] if b["scenario"] == scenario),
+                 key=lambda b: len(b["regressor"]["rows"]))
+    assert len(bundle["regressor"]["rows"]) > 1
+    bundle[part][key] = edit(bundle[part][key])
+    _assert_listing_fails_in_one_line(tmp_path, capsys, doc)

@@ -17,11 +17,13 @@ from wfpredict.evaluation import (
     GeneratorConfig,
     TaskTypeSpec,
     generate_synthetic,
+    prequential,
     rae,
     run_batch_offline,
     run_online,
     standard_corpus_config,
 )
+from wfpredict.pipeline import PipelineConfig, Registry
 from wfpredict.store import RecordLog
 
 
@@ -129,6 +131,21 @@ def test_run_online_scores_every_record(small_log):
     assert report.mode == "online"
     assert math.isfinite(report.rae)
     assert set(report.per_task) == {"align"}
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_prequential_predicts_each_record_before_it_observes_it(small_log, scenario):
+    records = small_log.read_all()[:30]
+    registry = Registry(config=PipelineConfig(target_tau=5))
+    reference = Registry(config=PipelineConfig(target_tau=5))
+    n = 0
+    for rec, pred in prequential(registry, records, scenario):
+        assert rec is records[n]
+        assert pred == reference.predict_task(rec.features, scenario)
+        reference.observe_completion(rec, scenario)
+        n += 1
+    assert n == len(records)
+    assert registry.bundles[("align", scenario)].runtime_count == len(records)
 
 
 def test_run_online_skip_first(small_log):

@@ -1,6 +1,7 @@
 """Windowed nearest-neighbor regressor against a brute-force oracle."""
 
 import json
+import math
 import random
 
 import numpy as np
@@ -10,10 +11,12 @@ from wfpredict.domain import FeatureVector
 from wfpredict.knn import EmptyWindowError, InstanceWindow, SchemaMismatchError
 
 
+def _names(dim):
+    return tuple(f"f{i}" for i in range(dim))
+
+
 def _fv(values):
-    return FeatureVector(
-        names=tuple(f"f{i}" for i in range(len(values))), values=tuple(values)
-    )
+    return FeatureVector(names=_names(len(values)), values=tuple(values))
 
 
 def oracle_predict(instances, query, k):
@@ -34,13 +37,17 @@ def oracle_predict(instances, query, k):
 
 
 def test_empty_window_raises():
-    w = InstanceWindow()
+    w = InstanceWindow(_names(1))
     with pytest.raises(EmptyWindowError):
         w.predict(_fv([1.0]))
 
 
-def test_schema_fixed_by_first_add():
-    w = InstanceWindow()
+def test_schema_fixed_at_construction():
+    w = InstanceWindow(_names(2))
+    assert w.schema == ("f0", "f1")
+    with pytest.raises(SchemaMismatchError):
+        w.add(FeatureVector(names=("a", "b"), values=(1.0, 2.0)), 5.0)
+    assert len(w) == 0
     w.add(_fv([1.0, 2.0]), 5.0)
     with pytest.raises(SchemaMismatchError):
         w.add(FeatureVector(names=("a", "b"), values=(1.0, 2.0)), 5.0)
@@ -49,9 +56,9 @@ def test_schema_fixed_by_first_add():
 
 
 def test_rejects_bad_inputs():
-    w = InstanceWindow()
+    w = InstanceWindow(_names(1))
     with pytest.raises(ValueError):
-        InstanceWindow(capacity=0)
+        InstanceWindow(_names(1), capacity=0)
     with pytest.raises(ValueError):
         w.add(_fv([1.0]), 0.0)
     w.add(_fv([1.0]), 2.0)
@@ -60,7 +67,7 @@ def test_rejects_bad_inputs():
 
 
 def test_single_instance_always_wins():
-    w = InstanceWindow()
+    w = InstanceWindow(_names(2))
     w.add(_fv([3.0, 4.0]), 17.0)
     assert w.predict(_fv([100.0, -100.0])) == 17.0
 
@@ -79,7 +86,7 @@ def test_matches_oracle_on_random_cases():
             for _ in range(n)
         ]
         cap = random.choice([None, random.randrange(1, 8)])
-        w = InstanceWindow(capacity=cap)
+        w = InstanceWindow(_names(dim), capacity=cap)
         for x, r in instances:
             w.add(_fv(x.tolist()), r)
         query = [float(random.randrange(0, 4)) for _ in range(dim)]
@@ -90,7 +97,7 @@ def test_matches_oracle_on_random_cases():
 
 
 def test_tie_break_prefers_older_instance():
-    w = InstanceWindow()
+    w = InstanceWindow(_names(1))
     w.add(_fv([0.0]), 10.0)
     w.add(_fv([2.0]), 20.0)
     w.add(_fv([2.0]), 30.0)  # same point as the second, inserted later
@@ -98,7 +105,7 @@ def test_tie_break_prefers_older_instance():
 
 
 def test_k_larger_than_window_means_global_mean():
-    w = InstanceWindow()
+    w = InstanceWindow(_names(1))
     for v, r in ((0.0, 10.0), (1.0, 20.0), (2.0, 60.0)):
         w.add(_fv([v]), r)
     assert w.predict(_fv([0.0]), k=50) == 30.0
@@ -106,7 +113,7 @@ def test_k_larger_than_window_means_global_mean():
 
 def test_fifo_eviction_after_capacity():
     cap = 5
-    w = InstanceWindow(capacity=cap)
+    w = InstanceWindow(_names(1), capacity=cap)
     evicted = []
     for i in range(cap + 3):
         out = w.add(_fv([float(i)]), float(i + 1))
@@ -119,7 +126,7 @@ def test_fifo_eviction_after_capacity():
 
 
 def test_zero_range_dimension_is_ignored():
-    w = InstanceWindow()
+    w = InstanceWindow(_names(2))
     w.add(_fv([5.0, 1.0]), 10.0)
     w.add(_fv([5.0, 9.0]), 50.0)
     # first dim constant: only the second decides the neighbor
@@ -127,7 +134,7 @@ def test_zero_range_dimension_is_ignored():
 
 
 def test_rounding_level_range_counts_as_zero():
-    w = InstanceWindow()
+    w = InstanceWindow(_names(2))
     w.add(_fv([1.0, 1.0]), 10.0)
     w.add(_fv([1.0 + 1e-15, 2.0]), 50.0)
     # the first dimension's spread is float noise; it must not dominate
@@ -140,8 +147,8 @@ def test_prediction_invariant_under_affine_feature_rescaling():
         n = random.randrange(2, 15)
         pts = [(random.uniform(-5, 5), random.uniform(-5, 5)) for _ in range(n)]
         runtimes = [float(random.randrange(1, 30)) for _ in range(n)]
-        a = InstanceWindow()
-        b = InstanceWindow()
+        a = InstanceWindow(_names(2))
+        b = InstanceWindow(_names(2))
         scale, shift = random.uniform(0.5, 20), random.uniform(-40, 40)
         for (x, y), r in zip(pts, runtimes):
             a.add(_fv([x, y]), r)
@@ -154,13 +161,14 @@ def test_prediction_invariant_under_affine_feature_rescaling():
 
 
 def test_serialization_round_trip():
-    w = InstanceWindow(capacity=4)
+    w = InstanceWindow(_names(2), capacity=4)
     for i in range(6):
         w.add(_fv([float(i), float(i % 2)]), float(i + 1))
-    again = InstanceWindow(capacity=4)
+    again = InstanceWindow(_names(2), capacity=4)
     again.restore(json.loads(json.dumps(w.to_dict())))
     assert again.schema == w.schema
     assert len(again) == len(w)
+    assert again.lo.tolist() == w.lo.tolist() and again.hi.tolist() == w.hi.tolist()
     q = _fv([2.5, 1.0])
     assert again.predict(q, 2) == w.predict(q, 2)
     # both keep evicting alike past another wrap of the buffer
@@ -172,6 +180,35 @@ def test_serialization_round_trip():
         assert again.lo.tolist() == w.lo.tolist() and again.hi.tolist() == w.hi.tolist()
 
 
+def test_restoring_an_empty_window_leaves_its_ranges_unset():
+    again = InstanceWindow(_names(2))
+    again.restore(json.loads(json.dumps(InstanceWindow(_names(2)).to_dict())))
+    assert len(again) == 0
+    assert again.lo.tolist() == [math.inf] * 2 and again.hi.tolist() == [-math.inf] * 2
+    again.add(_fv([1.0, 2.0]), 3.0)
+    assert again.lo.tolist() == again.hi.tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("payload", [
+    {"rows": [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], "targets": [1.0]},
+    {"rows": [], "targets": [1.0]},
+    {"rows": [[1.0, 2.0, 3.0]], "targets": [1.0]},
+    {"rows": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], "targets": [1.0, 2.0, 3.0]},
+    {"rows": [[1.0, 2.0], [3.0]], "targets": [1.0, 2.0]},
+    {"rows": [[1.0, 2.0]], "targets": [[1.0]]},
+    {"rows": [[math.nan, 2.0]], "targets": [1.0]},
+    {"rows": [[1.0, math.inf]], "targets": [1.0]},
+    {"rows": [[1.0, 2.0]], "targets": [0.0]},
+    {"rows": [[1.0, 2.0]], "targets": [-1.0]},
+    {"rows": [[1.0, 2.0]], "targets": [math.inf]},
+])
+def test_restore_rejects_what_add_would_refuse(payload):
+    w = InstanceWindow(_names(2))
+    with pytest.raises(ValueError):
+        w.restore(payload)
+    assert len(w) == 0
+
+
 def test_nearest_matches_oracle_on_the_prefix_columns():
     random.seed(227)
     for _ in range(300):
@@ -180,7 +217,7 @@ def test_nearest_matches_oracle_on_the_prefix_columns():
         n = random.randrange(1, 25)
         rows = [[float(random.randrange(0, 4)) for _ in range(dim)] for _ in range(n)]
         cap = random.choice([None, random.randrange(1, 8)])
-        w = InstanceWindow(capacity=cap)
+        w = InstanceWindow(_names(dim), capacity=cap)
         for x in rows:
             w.add(_fv(x), 1.0)
         held = rows if cap is None else rows[-cap:]
@@ -192,7 +229,7 @@ def test_nearest_matches_oracle_on_the_prefix_columns():
 
 
 def test_nearest_ties_go_to_the_older_row_and_it_checks_the_query():
-    w = InstanceWindow()
+    w = InstanceWindow(_names(2))
     with pytest.raises(EmptyWindowError):
         w.nearest(_fv([0.0]))
     w.add(_fv([0.0, 5.0]), 10.0)

@@ -10,8 +10,8 @@ import pytest
 from conftest import make_record, write_legacy
 import wfpredict.pipeline as pipeline_mod
 from wfpredict.domain import (
-    CategoryVocab, FeatureVector, MetricKind, MetricSeries, Scenario, TaskExecutionRecord,
-    encode_pre_runtime,
+    PRE_RUNTIME_FEATURE_NAMES, CategoryVocab, FeatureVector, MetricKind, MetricSeries, Scenario,
+    TaskExecutionRecord, encode_pre_runtime,
 )
 from wfpredict.evaluation import GeneratorConfig, TaskTypeSpec, generate_synthetic
 from wfpredict.forecaster import SequenceModel, TrainingDivergedError
@@ -137,7 +137,7 @@ def test_two_stages_at_k1_is_pre_runtime_1nn(small_log):
     every other row's are >= 0."""
     reg = Registry(config=PipelineConfig(target_tau=5, k=1))
     vocab = CategoryVocab()
-    window = InstanceWindow()
+    window = InstanceWindow(PRE_RUNTIME_FEATURE_NAMES)
     for rec in small_log.read_all():
         got = reg.predict_task(rec.features, Scenario.two_stages).runtime_seconds
         sigma = encode_pre_runtime(rec.features, vocab.code)
@@ -156,8 +156,9 @@ class TwoWindowReference:
     def __init__(self, tau, k, capacity):
         self.tau, self.k = tau, k
         self.vocab = CategoryVocab()
-        self.index = InstanceWindow(capacity)
-        self.regressor = InstanceWindow(capacity)
+        self.index = InstanceWindow(PRE_RUNTIME_FEATURE_NAMES, capacity)
+        names = PRE_RUNTIME_FEATURE_NAMES + tuple(f"agg_{m.value}" for m in MetricKind)
+        self.regressor = InstanceWindow(names, capacity)
         self.aggs = []
 
     def predict(self, f):
@@ -176,8 +177,7 @@ class TwoWindowReference:
         )
         self.aggs.append(aggs)
         self.index.add(sigma, float(len(self.aggs)))
-        names = sigma.names + tuple(f"agg_{m.value}" for m in MetricKind)
-        self.regressor.add(FeatureVector(names=names, values=sigma.values + aggs),
+        self.regressor.add(FeatureVector(names=self.regressor.schema, values=sigma.values + aggs),
                            rec.runtime_seconds)
 
 
@@ -258,7 +258,7 @@ def test_time_series_forecasts_only_while_a_trev_column_is_live(tmp_path, monkey
             # the answer of a query that always carries the forecast's trevs
             sigma = encode_pre_runtime(rec.features, reg.vocab.lookup)
             block, horizons = forecast_all(bundle.forecaster, sigma)
-            query = reg._time_series_vector(tuple(MetricKind), sigma, block, horizons)
+            query = reg._time_series_vector(bundle, sigma, block, horizons)
             assert bundle.regressor.predict(query, k=3) == got
         reg.observe_completion(rec, Scenario.time_series)
     live = bundle.regressor.ranges()[8:] > 0
@@ -433,7 +433,7 @@ def test_the_document_holds_each_setting_and_format_version_once(tmp_path, small
             reg.observe_completion(rec, scenario)
     reg.save()
     doc = json.loads((tmp_path / "index.json").read_text(encoding="utf-8"))
-    assert doc["magic"] == "wfpredict-registry" and doc["version"] == REGISTRY_VERSION == 6
+    assert doc["magic"] == "wfpredict-registry" and doc["version"] == REGISTRY_VERSION == 7
 
     def keys(node):
         if isinstance(node, dict):
@@ -455,7 +455,7 @@ def test_the_document_holds_each_setting_and_format_version_once(tmp_path, small
     # learned state only
     for b in doc["bundles"]:
         assert set(b) == {"task_name", "scenario", "runtime_count", "regressor", "forecaster"}
-        assert set(b["regressor"]) == {"schema", "lo", "hi", "rows", "targets"}
+        assert set(b["regressor"]) == {"rows", "targets"}
     assert set(bundles["time_series"]["forecaster"]) == {
         "flat_params", "value_norm", "feat_norm", "len_sum", "len_count"
     }
@@ -580,7 +580,7 @@ def test_save_writes_one_file_and_an_interrupted_save_keeps_the_previous_one(
     assert predictions(Registry.load(tmp_path / "reg")) == saved
 
 
-@pytest.mark.parametrize("version", [3, 4, 5])
+@pytest.mark.parametrize("version", [3, 4, 5, 6])
 def test_registry_load_rejects_older_versions(tmp_path, small_log, version):
     reg = _trained(tmp_path, small_log.read_all()[:3])
     reg.save()
