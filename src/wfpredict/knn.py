@@ -24,29 +24,39 @@ class InstanceWindow:
 
     The schema, the feature names of every row, is fixed at construction. A
     target is a positive runtime; predict returns the mean runtime of the k
-    nearest instances, and nearest returns the nearest held row on a prefix of
-    the schema. The per-feature min/max over the held instances normalizes
-    distances; zero-range dimensions contribute nothing to distance.
-    capacity=None means unbounded.
+    nearest instances. A query names the schema's first query_width columns
+    (all when None); a narrower query is completed from the held row nearest
+    to it on those columns, which is how two_stages reads its aggregates. The
+    per-feature min/max over the held instances normalizes distances;
+    zero-range dimensions contribute nothing to distance. capacity=None means
+    unbounded.
 
     The held instances are the rows [start, end) of one (rows, d) array, in
     arrival order. An add writes the next row; an eviction advances start.
     When the array is full, the held rows move to the front of a new array
-    with room for as many again, so an add costs amortised O(d).
+    with room for as many again, so an add costs amortised O(d). The
+    normalization is computed by the first query after the held rows change
+    and kept until they change again; it is never saved.
     """
 
-    def __init__(self, schema: Sequence[str], capacity: Optional[int] = None):
+    def __init__(self, schema: Sequence[str], capacity: Optional[int] = None,
+                 query_width: Optional[int] = None):
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
         self.capacity = capacity
         self.schema: Tuple[str, ...] = tuple(schema)
         dim = len(self.schema)
+        if query_width is not None and not 1 <= query_width <= dim:
+            raise ValueError(f"query_width must be in [1, {dim}] or None, got {query_width}")
+        self.query_width = dim if query_width is None else query_width
         self.lo = np.full(dim, np.inf)
         self.hi = np.full(dim, -np.inf)
         self._X = np.empty((0, dim))
         self._y = np.empty(0)
         self._start = 0
         self._end = 0
+        # (ranges, live, denom) of the held rows; None until a query needs it
+        self._norm: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def __len__(self) -> int:
         return self._end - self._start
@@ -76,6 +86,7 @@ class InstanceWindow:
         self._end += 1
         self.lo = np.minimum(self.lo, x)
         self.hi = np.maximum(self.hi, x)
+        self._norm = None
         if self.capacity is not None and len(self) > self.capacity:
             return self._evict()
         return None
@@ -84,6 +95,7 @@ class InstanceWindow:
         x = self._X[self._start].copy()
         y = float(self._y[self._start])
         self._start += 1
+        self._norm = None
         # the evicted row may have been the only one on a bound: recompute the
         # ranges from the held rows, so an old outlier stops squashing its
         # dimension once it has left the window
@@ -93,54 +105,59 @@ class InstanceWindow:
             self.hi = held.max(axis=0)
         return x, y
 
+    def _normalization(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """ranges(), its live mask, and its denominators: 1.0 where dead."""
+        if self._norm is None:
+            if not len(self):
+                raise EmptyWindowError("no training instances in window")
+            # a range smaller than float rounding noise on the stored values is
+            # indistinguishable from a constant feature; treat it as zero-range
+            # so it cannot blow up the normalized distance
+            rng = self.hi - self.lo
+            eps = 1e-12 * np.maximum(1.0, np.maximum(np.abs(self.lo), np.abs(self.hi)))
+            rng = np.where(rng > eps, rng, 0.0)
+            rng.flags.writeable = False  # ranges() hands it out
+            live = rng > 0
+            self._norm = (rng, live, np.where(live, rng, 1.0))
+        return self._norm
+
     def ranges(self) -> np.ndarray:
         """Per column, the range of the held rows. A column is live, and moves
         a distance, only where its range is > 0. EmptyWindowError when the
         window holds no rows."""
-        if not len(self):
-            raise EmptyWindowError("no training instances in window")
-        # a range smaller than float rounding noise on the stored values is
-        # indistinguishable from a constant feature; treat it as zero-range
-        # so it cannot blow up the normalized distance
-        rng = self.hi - self.lo
-        eps = 1e-12 * np.maximum(1.0, np.maximum(np.abs(self.lo), np.abs(self.hi)))
-        return np.where(rng > eps, rng, 0.0)
-
-    def _dist2(self, query: FeatureVector, width: Optional[int]) -> np.ndarray:
-        """Squared normalized distance from the query to each held row, oldest
-        first, on the schema's first width columns (all when width is None),
-        which must be the query's names. All rows are scored in one expression."""
-        rng = self.ranges()[:width]
-        if tuple(query.names) != self.schema[:width]:
-            raise SchemaMismatchError(
-                f"query schema {query.names} does not match window schema {self.schema}"
-            )
-        live = rng > 0
-        denom = np.where(live, rng, 1.0)
-        q = np.asarray(query.values, dtype=float)
-        d = np.where(live, (q - self._X[self._start:self._end, :width]) / denom, 0.0)
-        return np.sum(d * d, axis=1)
+        return self._normalization()[0]
 
     def predict(self, query: FeatureVector, k: int = 1) -> float:
         """Unweighted mean runtime of the k nearest stored instances; ties
-        break toward the older (earlier inserted) instance."""
+        break toward the older (earlier inserted) instance. A narrower query
+        takes its other columns from the row nearest to it on its own, whose
+        normalized differences are the first columns of the full ones."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        dist2 = self._dist2(query, None)
+        _, live, denom = self._normalization()
+        w = self.query_width
+        if query.names != self.schema[:w]:
+            raise SchemaMismatchError(
+                f"query schema {query.names} does not match window schema {self.schema}"
+            )
+        X = self._X[self._start:self._end]
+        q = np.asarray(query.values, dtype=float)
+        # all rows are scored in one expression; each sum runs over a fresh
+        # contiguous array, as numpy's pairwise row sums depend on the layout
+        diff = np.where(live[:w], (q - X[:, :w]) / denom[:w], 0.0)
+        if w < len(self.schema):
+            # stage 1: argmin gives the first, that is the oldest, nearest row
+            j = np.add.reduce(diff * diff, axis=1).argmin()
+            tail = np.where(live[w:], (X[j, w:] - X[:, w:]) / denom[w:], 0.0)
+            diff = np.concatenate((diff, tail), axis=1)
+        dist2 = np.add.reduce(diff * diff, axis=1)
         if k == 1:
-            chosen = [np.argmin(dist2)]
+            chosen = [dist2.argmin()]
         else:
-            chosen = np.argsort(dist2, kind="stable")[:k]
+            chosen = dist2.argsort(kind="stable")[:k]
         targets = self._y[self._start:self._end]
         # summed one at a time in rank order, as a plain Python mean would
         return float(sum(targets[i] for i in chosen) / len(chosen))
-
-    def nearest(self, prefix: FeatureVector) -> np.ndarray:
-        """A copy of the held row nearest to prefix on the schema's first
-        len(prefix.names) columns, which prefix must name; ties break toward
-        the older row."""
-        dist2 = self._dist2(prefix, len(prefix.names))
-        return self._X[self._start + int(np.argmin(dist2))].copy()
 
     def to_dict(self) -> dict:
         """The held instances, oldest first, which restore reads back."""
@@ -150,11 +167,13 @@ class InstanceWindow:
         }
 
     def restore(self, d: dict) -> None:
-        """Fill this empty window with the instances to_dict wrote and take
-        the ranges from their rows; ValueError for an instance add would refuse."""
+        """Hold exactly the instances to_dict wrote and take the ranges from
+        their rows; ValueError, with the window unchanged, for an instance add
+        would refuse."""
         X = np.array(d["rows"], dtype=float).reshape(len(d["rows"]), len(self.schema))
         y = np.array(d["targets"], dtype=float)
         if y.shape != (len(X),) or not (np.isfinite(X).all() and ((0 < y) & (y < np.inf)).all()):
             raise ValueError(f"{len(X)} rows need finite features and as many finite runtimes > 0")
         self.lo, self.hi = X.min(axis=0, initial=np.inf), X.max(axis=0, initial=-np.inf)
         self._X, self._y, self._start, self._end = X, y, 0, len(X)
+        self._norm = None

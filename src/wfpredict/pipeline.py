@@ -23,6 +23,7 @@ from .domain import (
     Prediction,
     PreRuntimeFeatures,
     Scenario,
+    SeriesBlock,
     TaskExecutionRecord,
     encode_pre_runtime,
 )
@@ -82,6 +83,16 @@ def select_features(
     return {m for m, rho in correlations(history).items() if abs(rho) > threshold}
 
 
+def _series_rows(series: SeriesBlock, metrics: Sequence[MetricKind]):
+    """The metrics' samples in a record's series block, as downsample_block
+    reads them: one (M, n) view of the block when it holds exactly these
+    metrics, in order, each of n samples; else one view, or None, per metric."""
+    lengths = series.lengths
+    if series.metrics == metrics and lengths and lengths.count(lengths[0]) == len(lengths):
+        return series.samples.reshape(len(lengths), lengths[0])
+    return [series.row(m) for m in metrics]
+
+
 def trev_history(records: Iterable[TaskExecutionRecord], tau: int, lag: int) -> dict:
     """Per task name, in log order, the history select_features reads: each
     record's trev of every series it carries, downsampled to tau and stripped
@@ -90,7 +101,7 @@ def trev_history(records: Iterable[TaskExecutionRecord], tau: int, lag: int) -> 
     history: Dict[str, list] = {}
     for rec in records:
         s = rec.series
-        block, lengths = downsample_block([s.row(m) for m in s.metrics], s.tau, tau)
+        block, lengths = downsample_block(_series_rows(s, s.metrics), s.tau, tau)
         trevs = trev_rows(block, strip_padding_rows(block, lengths), cfg)
         history.setdefault(rec.features.task_name, []).append(
             (dict(zip(s.metrics, trevs.tolist())), rec.runtime_seconds)
@@ -202,10 +213,13 @@ class Registry:
         else:
             prefix = "agg_" if scenario == Scenario.two_stages else "trev_"
             schema = PRE_RUNTIME_FEATURE_NAMES + tuple(prefix + m.value for m in metrics)
+        # a two_stages query names the pre-runtime columns only: the window
+        # completes it with the aggregates of the row nearest to it on those
+        width = len(PRE_RUNTIME_FEATURE_NAMES) if scenario == Scenario.two_stages else None
         bundle = TaskModelBundle(
             task_name=task_name,
             scenario=scenario,
-            regressor=InstanceWindow(schema, cfg.window_capacity),
+            regressor=InstanceWindow(schema, cfg.window_capacity, width),
         )
         if scenario == Scenario.time_series and metrics:
             bundle.forecaster = SequenceModel(
@@ -246,13 +260,6 @@ class Registry:
         return FeatureVector(names=bundle.regressor.schema, values=values)
 
     @staticmethod
-    def _two_stages_query_vector(bundle: TaskModelBundle, sigma: FeatureVector) -> FeatureVector:
-        """Stage 1: sigma plus the aggregates of the held row nearest to sigma
-        on the sigma columns. EmptyWindowError when the regressor is empty."""
-        aggs = tuple(bundle.regressor.nearest(sigma)[len(sigma.values):].tolist())
-        return FeatureVector(names=bundle.regressor.schema, values=sigma.values + aggs)
-
-    @staticmethod
     def _two_stages_observed_vector(
         bundle: TaskModelBundle, sigma: FeatureVector, block: np.ndarray, lengths: np.ndarray,
     ) -> FeatureVector:
@@ -272,7 +279,7 @@ class Registry:
         tau = self.config.target_tau
         series = rec.series
         interval = series.tau if series else tau
-        return downsample_block([series.row(m) for m in metrics], interval, tau)
+        return downsample_block(_series_rows(series, metrics), interval, tau)
 
     # -- the three phases --------------------------------------------------
 
@@ -290,11 +297,13 @@ class Registry:
         try:
             if scenario == Scenario.baseline:
                 query = self._baseline_vector(f, self.vocab.lookup)
+            elif scenario == Scenario.two_stages:
+                # sigma alone: the window completes it with the aggregates of
+                # the row nearest to it on the pre-runtime columns
+                query = encode_pre_runtime(f, self.vocab.lookup)
             else:
                 sigma = encode_pre_runtime(f, self.vocab.lookup)
-                if scenario == Scenario.two_stages:
-                    query = self._two_stages_query_vector(bundle, sigma)
-                elif bundle.regressor.ranges()[len(sigma.values):].any():
+                if bundle.regressor.ranges()[len(sigma.values):].any():
                     block, horizons = bundle.forecaster.forecast_all(sigma)
                     query = self._time_series_vector(bundle, sigma, block, horizons)
                 else:

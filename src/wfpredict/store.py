@@ -107,7 +107,8 @@ def downsample_block(
     """Aggregate M series sampled every `interval` seconds to target_tau by
     windowed arithmetic means, all in one block.
 
-    values[m] holds one series' samples, or None for an absent series. Returns
+    values[m] holds one series' samples, or None for an absent series; an
+    (M, n) array stands for M present series of n samples each. Returns
     the block (M, T), whose row m holds its window means and then zeros, and
     each row's window count (0 for None); T is the largest count. target_tau
     must be an integer multiple of the interval; a trailing partial window is
@@ -119,7 +120,10 @@ def downsample_block(
     if target_tau % interval != 0:
         raise StoreError(f"target_tau {target_tau} is not a multiple of interval {interval}")
     width = target_tau // interval
-    n = np.array([0 if v is None else len(v) for v in values], dtype=np.int64)
+    if isinstance(values, np.ndarray):
+        n = np.full(len(values), values.shape[1], dtype=np.int64)
+    else:
+        n = np.array([0 if v is None else len(v) for v in values], dtype=np.int64)
     lengths = -(-n // width)
     T = int(lengths.max(initial=0))
     block = np.zeros((len(values), T * width))

@@ -5,6 +5,7 @@ module here makes a renamed attribute fail in this suite, not only in a
 benchmark run.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -83,3 +84,43 @@ def test_tracer_installs_on_the_current_package():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+TRACED_TWO_STAGES = """
+import json, sys
+import layers
+tracer = layers.Tracer()
+layers.install(tracer)
+from wfpredict.domain import Scenario
+from wfpredict.pipeline import PipelineConfig, Registry
+from wfpredict.store import RecordLog
+
+reg = Registry(config=PipelineConfig(target_tau=5, k=3))
+calls = scanned = 0
+for rec in RecordLog(sys.argv[1]).read_all()[:40]:
+    bundle = reg.bundles.get((rec.features.task_name, Scenario.two_stages))
+    if bundle is not None:
+        calls += 1
+        scanned += len(bundle.regressor)
+    reg.predict_task(rec.features, Scenario.two_stages)
+    reg.observe_completion(rec, Scenario.two_stages)
+print(json.dumps({"metrics": tracer.metrics(), "calls": calls, "scanned": scanned}))
+"""
+
+
+def test_traced_two_stages_scans_once_per_prediction_inside_knn_predict(small_log):
+    """Both stages of a two_stages prediction run inside the one traced
+    `InstanceWindow.predict`, so the knn.* metrics cover the whole scan."""
+    src = PERFBENCH.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(PERFBENCH))))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_TWO_STAGES, str(small_log.path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    metrics = out["metrics"]
+    assert out["calls"] == 39  # one task: every prediction but the first
+    assert metrics["knn.predict_calls"] == out["calls"]
+    assert metrics["knn.scanned"] == out["scanned"]
+    assert metrics["knn.predict_s"] > 0

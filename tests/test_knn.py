@@ -209,36 +209,92 @@ def test_restore_rejects_what_add_would_refuse(payload):
     assert len(w) == 0
 
 
-def test_nearest_matches_oracle_on_the_prefix_columns():
+def test_prefix_query_matches_the_oracle_completed_from_the_nearest_row():
     random.seed(227)
     for _ in range(300):
         dim = random.randrange(2, 6)
         width = random.randrange(1, dim)
         n = random.randrange(1, 25)
-        rows = [[float(random.randrange(0, 4)) for _ in range(dim)] for _ in range(n)]
+        # coarse grid values make exact distance ties common, on both stages
+        instances = [
+            ([float(random.randrange(0, 4)) for _ in range(dim)], float(random.randrange(1, 50)))
+            for _ in range(n)
+        ]
         cap = random.choice([None, random.randrange(1, 8)])
-        w = InstanceWindow(_names(dim), capacity=cap)
-        for x in rows:
-            w.add(_fv(x), 1.0)
-        held = rows if cap is None else rows[-cap:]
+        w = InstanceWindow(_names(dim), capacity=cap, query_width=width)
+        for x, r in instances:
+            w.add(_fv(x), r)
+        held = instances if cap is None else instances[-cap:]
         query = [float(random.randrange(0, 4)) for _ in range(width)]
         # a target naming each held row turns the oracle's 1-NN into an index
-        named = [(np.array(x[:width]), float(i + 1)) for i, x in enumerate(held)]
-        want = held[int(oracle_predict(named, query, 1)) - 1]
-        assert w.nearest(_fv(query)).tolist() == want
+        named = [(np.array(x[:width]), float(i + 1)) for i, (x, _) in enumerate(held)]
+        nearest = held[int(oracle_predict(named, query, 1)) - 1]
+        assert w.predict(_fv(query), 1) == nearest[1]
+        completed = query + nearest[0][width:]
+        for k in (1, 3, 5):
+            got = w.predict(_fv(query), k)
+            assert got.hex() == oracle_predict(held, completed, k).hex()
 
 
-def test_nearest_ties_go_to_the_older_row_and_it_checks_the_query():
-    w = InstanceWindow(_names(2))
+def test_prefix_ties_go_to_the_older_row_and_it_checks_the_query():
+    w = InstanceWindow(_names(3), query_width=2)
     with pytest.raises(EmptyWindowError):
-        w.nearest(_fv([0.0]))
+        w.predict(_fv([0.0, 5.0]))
+    w.add(_fv([0.0, 5.0, 1.0]), 10.0)
+    w.add(_fv([2.0, 7.0, 4.0]), 20.0)
+    w.add(_fv([2.0, 7.0, 9.0]), 30.0)  # same prefix as the second, inserted later
+    assert w.predict(_fv([2.0, 7.0])) == 20.0
+    # completed from the second row, the query is nearer the third than the first
+    assert w.predict(_fv([2.0, 7.0]), k=2) == 25.0
+    for names in (("f1", "f2"), ("f0",), ("f0", "f1", "f2"), ("f1", "f0")):
+        with pytest.raises(SchemaMismatchError):
+            w.predict(FeatureVector(names=names, values=(2.0,) * len(names)))
+    for width in (0, 4):
+        with pytest.raises(ValueError):
+            InstanceWindow(_names(3), query_width=width)
+    w = InstanceWindow(_names(2))
     w.add(_fv([0.0, 5.0]), 10.0)
-    w.add(_fv([2.0, 7.0]), 20.0)
-    w.add(_fv([2.0, 9.0]), 30.0)  # same prefix as the second, inserted later
-    assert w.nearest(_fv([2.0])).tolist() == [2.0, 7.0]
-    with pytest.raises(SchemaMismatchError):
-        w.nearest(FeatureVector(names=("f1",), values=(2.0,)))
-    with pytest.raises(SchemaMismatchError):
-        w.nearest(_fv([2.0, 7.0, 1.0]))
     with pytest.raises(SchemaMismatchError):
         w.predict(_fv([2.0]))
+
+
+def test_cached_normalization_follows_every_change_of_the_rows():
+    """Random adds (evicting at capacity), evictions, restores and queries:
+    after each step the window must rank and predict as a fresh one restored
+    from its rows, and queries must change nothing."""
+    rng = random.Random(229)
+    for _ in range(80):
+        dim = rng.randrange(2, 5)
+        width = rng.randrange(1, dim + 1)
+        cap = rng.choice([None, rng.randrange(1, 8)])
+
+        def window():
+            return InstanceWindow(_names(dim), cap, width)
+
+        def row():
+            return [float(rng.randrange(0, 4)) for _ in range(dim)]
+
+        w = window()
+        for _ in range(40):
+            op = rng.random()
+            if op < 0.55:
+                w.add(_fv(row()), float(rng.randrange(1, 50)))
+            elif op < 0.7 and len(w) >= 2:
+                w._evict()
+            elif op < 0.8:
+                other = window()
+                for _ in range(rng.randrange(0, 10)):
+                    other.add(_fv(row()), float(rng.randrange(1, 50)))
+                w.restore(json.loads(json.dumps(other.to_dict())))
+            fresh = window()
+            fresh.restore(json.loads(json.dumps(w.to_dict())))
+            state = (json.dumps(w.to_dict()), w.lo.tobytes(), w.hi.tobytes())
+            if not len(w):
+                with pytest.raises(EmptyWindowError):
+                    w.ranges()
+                continue
+            for _ in range(3):
+                assert w.ranges().tobytes() == fresh.ranges().tobytes()
+                query, k = _fv(row()[:width]), rng.randrange(1, 6)
+                assert w.predict(query, k).hex() == fresh.predict(query, k).hex()
+            assert (json.dumps(w.to_dict()), w.lo.tobytes(), w.hi.tobytes()) == state

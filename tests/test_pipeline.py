@@ -181,8 +181,8 @@ class TwoWindowReference:
                            rec.runtime_seconds)
 
 
-@pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("capacity", [None, 7])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("capacity", [None, 7, 1])
 def test_two_stages_matches_the_two_window_reference(small_log, k, capacity):
     reg = Registry(config=PipelineConfig(target_tau=5, k=k, window_capacity=capacity))
     ref = TwoWindowReference(5, k, capacity)

@@ -326,10 +326,16 @@ def test_downsample_block_matches_its_loop_oracle_bit_for_bit():
             rows = [rng.choice([-0.0, 0.0] if m % 2 else [-0.0], n) for m in range(M)]
         if trial % 3 == 0:  # plain float sequences, as downsample passes them
             rows = [None if r is None else r.tolist() for r in rows]
-        got = downsample_block(rows, 1, width)
         want = _downsample_block_before(rows, 1, width)
-        assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes(), trial
-        assert got[1].tobytes() == want[1].tobytes(), trial
+        inputs = [rows]
+        if kind in (0, 3):  # also as one read-only (M, n) array, as a record's block is read
+            block = np.array(rows, dtype=float).reshape(M, n)
+            block.flags.writeable = False
+            inputs.append(block)
+        for values in inputs:
+            got = downsample_block(values, 1, width)
+            assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes(), trial
+            assert got[1].tobytes() == want[1].tobytes(), trial
 
 
 def test_downsample_is_one_row_of_the_block():
