@@ -339,14 +339,10 @@ class CategoryVocab:
         return v
 
 
-def encode_pre_runtime(f: PreRuntimeFeatures, code: Callable[[str, str], int]) -> FeatureVector:
-    """Encode pre-runtime features as an 8-dimensional numeric vector.
-
-    Categorical fields get integer codes from code(field, value), a
-    CategoryVocab's code (which stores a fresh code for an unseen category) or
-    lookup (which does not); numerics pass through.
-    """
-    values = (
+def pre_runtime_values(f: PreRuntimeFeatures, code: Callable[[str, str], int]) -> tuple:
+    """The values of encode_pre_runtime's vector, in PRE_RUNTIME_FEATURE_NAMES
+    order, for a caller that extends them into a wider vector."""
+    return (
         float(code("task_name", f.task_name)),
         float(code("task_id", f.task_id)),
         float(code("input_name", f.input_name)),
@@ -356,4 +352,13 @@ def encode_pre_runtime(f: PreRuntimeFeatures, code: Callable[[str, str], int]) -
         float(f.submission_day),
         float(f.submission_hour),
     )
-    return FeatureVector(names=PRE_RUNTIME_FEATURE_NAMES, values=values)
+
+
+def encode_pre_runtime(f: PreRuntimeFeatures, code: Callable[[str, str], int]) -> FeatureVector:
+    """Encode pre-runtime features as an 8-dimensional numeric vector.
+
+    Categorical fields get integer codes from code(field, value), a
+    CategoryVocab's code (which stores a fresh code for an unseen category) or
+    lookup (which does not); numerics pass through.
+    """
+    return FeatureVector(names=PRE_RUNTIME_FEATURE_NAMES, values=pre_runtime_values(f, code))

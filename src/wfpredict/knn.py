@@ -35,8 +35,9 @@ class InstanceWindow:
     arrival order. An add writes the next row; an eviction advances start.
     When the array is full, the held rows move to the front of a new array
     with room for as many again, so an add costs amortised O(d). The
-    normalization is computed by the first query after the held rows change
-    and kept until they change again; it is never saved.
+    normalization is computed by the first query after lo or hi changes (by
+    an add, an eviction or a restore) and kept until one changes again; it
+    is never saved.
     """
 
     def __init__(self, schema: Sequence[str], capacity: Optional[int] = None,
@@ -84,9 +85,7 @@ class InstanceWindow:
         self._X[self._end] = x
         self._y[self._end] = target
         self._end += 1
-        self.lo = np.minimum(self.lo, x)
-        self.hi = np.maximum(self.hi, x)
-        self._norm = None
+        self._bound(np.minimum(self.lo, x), np.maximum(self.hi, x))
         if self.capacity is not None and len(self) > self.capacity:
             return self._evict()
         return None
@@ -95,15 +94,23 @@ class InstanceWindow:
         x = self._X[self._start].copy()
         y = float(self._y[self._start])
         self._start += 1
-        self._norm = None
         # the evicted row may have been the only one on a bound: recompute the
         # ranges from the held rows, so an old outlier stops squashing its
         # dimension once it has left the window
         if np.any((x == self.lo) | (x == self.hi)):
             held = self._X[self._start:self._end]
-            self.lo = held.min(axis=0)
-            self.hi = held.max(axis=0)
+            self._bound(held.min(axis=0), held.max(axis=0))
         return x, y
+
+    def _bound(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Take new bounds. The normalization is a function of their bits, so
+        a cached one is dropped only when a bit moves; comparing bytes, not
+        values, keeps a 0.0 bound that becomes -0.0 a change."""
+        if self._norm is not None and (
+            lo.tobytes() != self.lo.tobytes() or hi.tobytes() != self.hi.tobytes()
+        ):
+            self._norm = None
+        self.lo, self.hi = lo, hi
 
     def _normalization(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """ranges(), its live mask, and its denominators: 1.0 where dead."""

@@ -26,6 +26,7 @@ from .domain import (
     SeriesBlock,
     TaskExecutionRecord,
     encode_pre_runtime,
+    pre_runtime_values,
 )
 from .forecaster import SequenceModel
 from .knn import EmptyWindowError, InstanceWindow
@@ -260,16 +261,14 @@ class Registry:
         return FeatureVector(names=bundle.regressor.schema, values=values)
 
     @staticmethod
-    def _two_stages_observed_vector(
-        bundle: TaskModelBundle, sigma: FeatureVector, block: np.ndarray, lengths: np.ndarray,
-    ) -> FeatureVector:
-        """sigma plus the aggregate (the sum) of each selected metric's row of
-        the block, floored at _AGG_FLOOR."""
-        # cumsum adds left to right, as sum() over the series did; the zeros
-        # past a row's length leave its last running sum unchanged
-        sums = np.cumsum(block, axis=1)[:, -1] if block.shape[1] else np.zeros(len(block))
-        aggs = tuple(np.where(lengths > 0, np.maximum(sums, _AGG_FLOOR), _AGG_FLOOR).tolist())
-        return FeatureVector(names=bundle.regressor.schema, values=sigma.values + aggs)
+    def _aggregates(block: np.ndarray) -> tuple:
+        """The aggregate (the sum) of each row of the block, floored at
+        _AGG_FLOOR; a metric the record lacks has an all-zero row, whose sum
+        0.0 floors to _AGG_FLOOR."""
+        # accumulate adds each row left to right, as sum() over the series did;
+        # the zeros past a row's length leave its last running sum unchanged
+        sums = np.add.accumulate(block.T)[-1] if block.shape[1] else np.zeros(len(block))
+        return tuple(np.maximum(sums, _AGG_FLOOR).tolist())
 
     def _observed_block(
         self, metrics: Sequence[MetricKind], rec: TaskExecutionRecord
@@ -328,12 +327,15 @@ class Registry:
         if scenario == Scenario.baseline:
             fv = self._baseline_vector(rec.features, self.vocab.code)
         else:
-            sigma = encode_pre_runtime(rec.features, self.vocab.code)
+            # encoded before downsampling, so a record whose series fail still
+            # leaves its codes in the vocabulary
+            values = pre_runtime_values(rec.features, self.vocab.code)
             metrics = self.config.metrics_for(rec.features.task_name)
             block, lengths = self._observed_block(metrics, rec)
             if scenario == Scenario.two_stages:
-                fv = self._two_stages_observed_vector(bundle, sigma, block, lengths)
+                fv = FeatureVector(bundle.regressor.schema, values + self._aggregates(block))
             else:
+                sigma = FeatureVector(PRE_RUNTIME_FEATURE_NAMES, values)
                 # update the forecaster first so a diverged update, which rolls
                 # it back whole, cannot leave a freshly added regressor instance
                 if bundle.forecaster is not None:

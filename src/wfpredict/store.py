@@ -120,32 +120,55 @@ def downsample_block(
     if target_tau % interval != 0:
         raise StoreError(f"target_tau {target_tau} is not a multiple of interval {interval}")
     width = target_tau // interval
-    if isinstance(values, np.ndarray):
-        n = np.full(len(values), values.shape[1], dtype=np.int64)
+    if isinstance(values, np.ndarray) and len(values):
+        block, lengths = _window_means(values, width)
     else:
         n = np.array([0 if v is None else len(v) for v in values], dtype=np.int64)
-    lengths = -(-n // width)
-    T = int(lengths.max(initial=0))
-    block = np.zeros((len(values), T * width))
-    if n.size and n[0] > 0 and (n == n[0]).all():
-        # every row present and of one length, the usual case: one assignment
-        block[:, :n[0]] = values
-    else:
+        if n.size and n[0] > 0 and (n == n[0]).all():  # every row present, of one length
+            return downsample_block(np.array(values, dtype=float), interval, target_tau)
+        lengths = -(-n // width)
+        T = int(lengths.max(initial=0))
+        block = np.zeros((len(values), T * width))
         for m, v in enumerate(values):
             if v is not None:
                 block[m, :len(v)] = v
-    if width > 1:
-        # cumsum adds along the window left to right, as sum() does, where
-        # sum(axis) adds pairwise; + 0.0 gives an all -0.0 window sum()'s 0.0
-        members = n[:, None] - width * np.arange(T)
-        np.minimum(members, width, out=members)
-        np.maximum(members, 1, out=members)
-        with np.errstate(over="ignore"):
-            sums = np.cumsum(block.reshape(len(values), T, width), axis=2)[:, :, -1] + 0.0
-            block = sums / members
-    if not np.all(np.isfinite(block)):
+        if width > 1:
+            # cumsum adds along the window left to right, as sum() does, where
+            # sum(axis) adds pairwise; + 0.0 gives an all -0.0 window sum()'s 0.0
+            members = n[:, None] - width * np.arange(T)
+            np.minimum(members, width, out=members)
+            np.maximum(members, 1, out=members)
+            with np.errstate(over="ignore"):
+                sums = np.cumsum(block.reshape(len(values), T, width), axis=2)[:, :, -1] + 0.0
+                block = sums / members
+    if not np.isfinite(block).all():
         raise DomainError(f"non-finite window mean at target_tau {target_tau}")
     return block, lengths
+
+
+def _window_means(values: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """downsample_block of M present series of n samples each, an (M, n)
+    array: no zero padding, the full windows summed by one accumulate over
+    the window axis, and a trailing partial window on its own."""
+    M, n = values.shape
+    full, rest = divmod(n, width)
+    T = full + (rest > 0)
+    if width == 1:
+        return np.array(values, dtype=float), np.full(M, T, dtype=np.int64)
+    block = np.empty((M, T))
+    with np.errstate(over="ignore"):
+        # accumulate adds the members strictly in order, as cumsum along the
+        # window did; reduce would add 8 or more of them pairwise
+        windows = values[:, :n - rest].reshape(M, full, width).transpose(2, 0, 1)
+        block[:, :full] = np.add.accumulate(windows)[-1]
+        den = width
+        if rest:
+            block[:, full] = np.add.accumulate(values[:, full * width:], axis=1)[:, -1]
+            den = np.full(T, float(width))
+            den[full] = rest
+        block += 0.0  # an all -0.0 window's sum is sum()'s 0.0
+        block /= den
+    return block, np.full(M, T, dtype=np.int64)
 
 
 def downsample(s: MetricSeries, target_tau: int) -> MetricSeries:

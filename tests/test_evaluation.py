@@ -230,3 +230,40 @@ def test_report_serialization_round_trip(small_log):
     text = report.to_text()
     assert f"rae {report.rae!r}" in text
     assert "rae[align]" in text
+
+
+# sha256 of every replay below, taken before the bit-exact rewrites of the
+# two_stages observe (downsampling, the aggregate row, the kept normalization)
+_REPLAY_DIGESTS = {
+    "predictions": "385ee35f6845f2aded2af2eca348fdee4a9b79a94de7d5ab0bdb435bd93d8bdb",
+    "index.json": "6f247bf2dbfa435234826275ff5cad2356a34afad1ead22c6eedeafbf72744ed",
+}
+
+
+def test_replays_keep_their_pinned_digests(tmp_path):
+    """Every scenario at k 1 and 3 replayed prequentially over 150 steady and
+    150 curved standard-task records (seed 3, tau 5, lag 2) must give the
+    predictions and the saved index.json they gave when the digests were
+    taken: float.hex of each prediction, and the document's bytes.
+
+    Pinned with numpy 2.4.6 on Python 3.11. A speedup that keeps every bit
+    keeps both; another numpy may round differently and need new digests.
+    """
+    std = standard_corpus_config(150)
+    curved = GeneratorConfig(
+        tasks=tuple(dataclasses.replace(t, series_profile="curved") for t in std.tasks),
+        n_records=150,
+    )
+    preds, docs = hashlib.sha256(), hashlib.sha256()
+    for name, cfg in (("steady", std), ("curved", curved)):
+        records = generate_synthetic(cfg, 3, tmp_path / f"{name}.jsonl").read_all()
+        for scenario in Scenario:
+            for k in (1, 3):
+                registry = Registry(tmp_path / f"{name}-{scenario.value}-{k}",
+                                    PipelineConfig(k=k, target_tau=5, trev_lag=2))
+                for _, pred in prequential(registry, records, scenario):
+                    preds.update(pred.runtime_seconds.hex().encode() + b"\n")
+                registry.save()
+                docs.update((registry.storage_dir / "index.json").read_bytes())
+    got = {"predictions": preds.hexdigest(), "index.json": docs.hexdigest()}
+    assert got == _REPLAY_DIGESTS

@@ -298,3 +298,33 @@ def test_cached_normalization_follows_every_change_of_the_rows():
                 query, k = _fv(row()[:width]), rng.randrange(1, 6)
                 assert w.predict(query, k).hex() == fresh.predict(query, k).hex()
             assert (json.dumps(w.to_dict()), w.lo.tobytes(), w.hi.tobytes()) == state
+
+
+def test_normalization_is_kept_until_a_bound_moves():
+    """Adds inside the bounds keep the cached normalization, the same tuple
+    object; an add past a bound, the eviction of the only row on a bound and
+    a restore each give a new one. Evicting a row whose bound another row
+    still holds keeps it."""
+    w = InstanceWindow(_names(2), capacity=6)
+    w.add(_fv([0.0, 10.0]), 1.0)
+    w.add(_fv([4.0, 20.0]), 2.0)
+    norm = w._normalization()
+    for row in ([1.0, 12.0], [1.5, 13.0], [2.0, 14.0]):  # strictly inside the bounds
+        w.add(_fv(row), 3.0)
+        assert w._normalization() is norm
+    w.add(_fv([2.0, 25.0]), 4.0)  # past hi[1]; the window is now full
+    assert w._normalization() is not norm
+    norm = w._normalization()
+    w.add(_fv([3.0, 13.0]), 5.0)  # evicts [0, 10], the only row on lo
+    assert w.lo.tolist() == [1.0, 12.0]
+    assert w._normalization() is not norm
+    norm = w._normalization()
+    w.add(_fv([1.0, 12.0]), 6.0)  # evicts [4, 20], the only row on hi[0]
+    assert w.hi.tolist() == [3.0, 25.0]
+    assert w._normalization() is not norm
+    norm = w._normalization()
+    w.add(_fv([2.0, 14.0]), 7.0)  # evicts [1, 12]; the row added before holds lo too
+    assert w.lo.tolist() == [1.0, 12.0]
+    assert w._normalization() is norm
+    w.restore(w.to_dict())  # the same rows: a restore always drops the cache
+    assert w._normalization() is not norm

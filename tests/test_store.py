@@ -310,30 +310,51 @@ def _downsample_block_before(values, interval, target_tau):
     return block, lengths
 
 
+def _or_domain_error(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError:
+        return DomainError
+
+
 def test_downsample_block_matches_its_loop_oracle_bit_for_bit():
+    """Widths 1-12, so windows of 8 or more members, which numpy's reduce
+    would add pairwise; n that fills whole windows exactly and n that leaves
+    a partial one; window sums of -0.0, and window sums that overflow; no
+    rows at all."""
     rng = np.random.default_rng(43)
-    for trial in range(400):
-        width, M = int(rng.integers(1, 8)), int(rng.integers(1, 14))
-        n = int(rng.integers(0, 40))  # any n, so trailing partial windows too
-        kind = trial % 4
+    for trial in range(1000):
+        width, M = int(rng.integers(1, 13)), int(rng.integers(0, 14))
+        if trial % 2:  # any n, so trailing partial windows too
+            n = int(rng.integers(0, 40))
+        else:  # whole windows only
+            n = width * int(rng.integers(0, 6))
+        kind = trial % 5
         if kind == 0:  # every row present and of one length
             rows = [rng.uniform(-1e3, 1e3, n) for _ in range(M)]
         elif kind == 1:  # ragged
             rows = [rng.uniform(-1e3, 1e3, int(rng.integers(0, 40))) for _ in range(M)]
         elif kind == 2:  # one length, some rows absent
             rows = [None if rng.random() < 0.3 else rng.uniform(0, 1e6, n) for _ in range(M)]
-        else:  # one length, windows of -0.0 and of mixed-sign zeros
+        elif kind == 3:  # one length, windows of -0.0 and of mixed-sign zeros
             rows = [rng.choice([-0.0, 0.0] if m % 2 else [-0.0], n) for m in range(M)]
+        else:  # one length, one row whose window sums overflow past 2 members
+            rows = [rng.uniform(-1e3, 1e3, n) for _ in range(M)]
+            if M:
+                rows[int(rng.integers(0, M))] = rng.uniform(0.9e308, 1.7e308, n)
         if trial % 3 == 0:  # plain float sequences, as downsample passes them
             rows = [None if r is None else r.tolist() for r in rows]
-        want = _downsample_block_before(rows, 1, width)
+        want = _or_domain_error(_downsample_block_before, rows, 1, width)
         inputs = [rows]
-        if kind in (0, 3):  # also as one read-only (M, n) array, as a record's block is read
+        if kind in (0, 3, 4):  # also as one read-only (M, n) array, as a record's block is read
             block = np.array(rows, dtype=float).reshape(M, n)
             block.flags.writeable = False
             inputs.append(block)
         for values in inputs:
-            got = downsample_block(values, 1, width)
+            got = _or_domain_error(downsample_block, values, 1, width)
+            if want is DomainError:
+                assert got is DomainError, trial
+                continue
             assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes(), trial
             assert got[1].tobytes() == want[1].tobytes(), trial
 
