@@ -120,27 +120,20 @@ def downsample_block(
     if target_tau % interval != 0:
         raise StoreError(f"target_tau {target_tau} is not a multiple of interval {interval}")
     width = target_tau // interval
+    if not (isinstance(values, np.ndarray) and len(values)):
+        n = np.array([0 if v is None else len(v) for v in values], dtype=np.int64)
+        if n.size and n[0] > 0 and (n == n[0]).all():  # every row present, of one length
+            values = np.array(values, dtype=float)
     if isinstance(values, np.ndarray) and len(values):
         block, lengths = _window_means(values, width)
     else:
-        n = np.array([0 if v is None else len(v) for v in values], dtype=np.int64)
-        if n.size and n[0] > 0 and (n == n[0]).all():  # every row present, of one length
-            return downsample_block(np.array(values, dtype=float), interval, target_tau)
+        # ragged or absent rows: the rows of each length at once, zeros after
         lengths = -(-n // width)
-        T = int(lengths.max(initial=0))
-        block = np.zeros((len(values), T * width))
-        for m, v in enumerate(values):
-            if v is not None:
-                block[m, :len(v)] = v
-        if width > 1:
-            # cumsum adds along the window left to right, as sum() does, where
-            # sum(axis) adds pairwise; + 0.0 gives an all -0.0 window sum()'s 0.0
-            members = n[:, None] - width * np.arange(T)
-            np.minimum(members, width, out=members)
-            np.maximum(members, 1, out=members)
-            with np.errstate(over="ignore"):
-                sums = np.cumsum(block.reshape(len(values), T, width), axis=2)[:, :, -1] + 0.0
-                block = sums / members
+        block = np.zeros((len(values), int(lengths.max(initial=0))))
+        for L in set(n.tolist()) - {0}:
+            rows = np.flatnonzero(n == L)
+            block[rows, :-(-L // width)] = _window_means(
+                np.array([values[m] for m in rows], dtype=float), width)[0]
     if not np.isfinite(block).all():
         raise DomainError(f"non-finite window mean at target_tau {target_tau}")
     return block, lengths
@@ -157,8 +150,8 @@ def _window_means(values: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarra
         return np.array(values, dtype=float), np.full(M, T, dtype=np.int64)
     block = np.empty((M, T))
     with np.errstate(over="ignore"):
-        # accumulate adds the members strictly in order, as cumsum along the
-        # window did; reduce would add 8 or more of them pairwise
+        # accumulate adds the members strictly in order, as a left-to-right
+        # sum does; reduce would add 8 or more of them pairwise
         windows = values[:, :n - rest].reshape(M, full, width).transpose(2, 0, 1)
         block[:, :full] = np.add.accumulate(windows)[-1]
         den = width

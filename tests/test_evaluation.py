@@ -233,7 +233,10 @@ def test_report_serialization_round_trip(small_log):
 
 
 # sha256 of every replay below, taken before the bit-exact rewrites of the
-# two_stages observe (downsampling, the aggregate row, the kept normalization)
+# two_stages observe (downsampling, the aggregate row, the kept normalization).
+# To retake them (another numpy, or a change meant to move predictions): check
+# out the commit before the change, print `got` in the test in place of the
+# assert, run it with `pytest -s -k pinned_digests`, and paste both hexdigests.
 _REPLAY_DIGESTS = {
     "predictions": "385ee35f6845f2aded2af2eca348fdee4a9b79a94de7d5ab0bdb435bd93d8bdb",
     "index.json": "6f247bf2dbfa435234826275ff5cad2356a34afad1ead22c6eedeafbf72744ed",

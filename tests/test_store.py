@@ -287,7 +287,7 @@ def test_downsample_block_matches_window_means_bit_for_bit():
 
 
 def _downsample_block_before(values, interval, target_tau):
-    """downsample_block as it was before its one-length fast path, kept
+    """downsample_block as it was before its accumulate rewrite, kept
     verbatim as its bit-exact oracle."""
     if target_tau < 1:
         raise StoreError(f"target_tau must be >= 1, got {target_tau}")
