@@ -2,7 +2,6 @@
 
 from .domain import (
     CategoryVocab,
-    FeatureVector,
     MetricKind,
     MetricSeries,
     Prediction,

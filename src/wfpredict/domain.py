@@ -1,4 +1,4 @@
-"""Shared vocabulary: tasks, metrics, consumption series, feature vectors."""
+"""Shared vocabulary: tasks, metrics, consumption series, the pre-runtime encoding."""
 
 from __future__ import annotations
 
@@ -66,8 +66,8 @@ class PreRuntimeFeatures:
             raise DomainError(f"submission_hour out of range: {self.submission_hour}")
         if self.vm_vcpus < 1:
             raise DomainError(f"vm_vcpus must be >= 1, got {self.vm_vcpus}")
-        if self.vm_memory <= 0 or self.vm_storage <= 0:
-            raise DomainError("vm_memory and vm_storage must be positive")
+        if not (0 < self.vm_memory < math.inf and 0 < self.vm_storage < math.inf):
+            raise DomainError("vm_memory and vm_storage must be positive and finite")
 
     def to_dict(self) -> dict:
         return {
@@ -264,24 +264,6 @@ class TaskExecutionRecord:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """Named numeric vector fed to the regressors."""
-
-    names: tuple
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
-        if len(self.names) != len(self.values):
-            raise DomainError("names/values length mismatch")
-        if len(set(self.names)) != len(self.names):
-            raise DomainError("feature names must be unique")
-        if not all(map(math.isfinite, self.values)):
-            raise DomainError("non-finite feature value")
-
-
-@dataclass(frozen=True)
 class Prediction:
     runtime_seconds: float
     scenario: Scenario
@@ -339,9 +321,13 @@ class CategoryVocab:
         return v
 
 
-def pre_runtime_values(f: PreRuntimeFeatures, code: Callable[[str, str], int]) -> tuple:
-    """The values of encode_pre_runtime's vector, in PRE_RUNTIME_FEATURE_NAMES
-    order, for a caller that extends them into a wider vector."""
+def encode_pre_runtime(f: PreRuntimeFeatures, code: Callable[[str, str], int]) -> tuple:
+    """The 8 pre-runtime features as floats, in PRE_RUNTIME_FEATURE_NAMES order.
+
+    Categorical fields get integer codes from code(field, value), a
+    CategoryVocab's code (which stores a fresh code for an unseen category) or
+    lookup (which does not); numerics pass through.
+    """
     return (
         float(code("task_name", f.task_name)),
         float(code("task_id", f.task_id)),
@@ -352,13 +338,3 @@ def pre_runtime_values(f: PreRuntimeFeatures, code: Callable[[str, str], int]) -
         float(f.submission_day),
         float(f.submission_hour),
     )
-
-
-def encode_pre_runtime(f: PreRuntimeFeatures, code: Callable[[str, str], int]) -> FeatureVector:
-    """Encode pre-runtime features as an 8-dimensional numeric vector.
-
-    Categorical fields get integer codes from code(field, value), a
-    CategoryVocab's code (which stores a fresh code for an unseen category) or
-    lookup (which does not); numerics pass through.
-    """
-    return FeatureVector(names=PRE_RUNTIME_FEATURE_NAMES, values=pre_runtime_values(f, code))

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .domain import FeatureVector, MetricKind, MetricSeries
+from .domain import DomainError, MetricKind, MetricSeries
 from .tsfeat import strip_padding
 
 _FLOAT_MAX = np.finfo(np.float64).max
@@ -201,15 +201,19 @@ class SequenceModel:
         p = self.params
         return _matvec(p["W_h0"], fenc) + p["b_h0"], _matvec(p["W_c0"], fenc) + p["b_c0"]
 
-    def _feature_values(self, f: FeatureVector) -> np.ndarray:
-        x = np.asarray(f.values, dtype=float)
+    def _feature_values(self, f: Sequence[float]) -> np.ndarray:
+        """f, the input_dim encoded features, as a float array; ValueError for
+        another width, DomainError for a value that is not finite."""
+        x = np.asarray(f, dtype=float)
         if x.shape != (self.input_dim,):
-            raise ValueError(f"feature dimension mismatch: {x.shape[0]} != {self.input_dim}")
+            raise ValueError(f"feature shape {x.shape} != ({self.input_dim},)")
+        if not all(map(math.isfinite, f)):
+            raise DomainError("non-finite feature value")
         return x
 
     # -- training ----------------------------------------------------------
 
-    def _training_data(self, f: FeatureVector, block: np.ndarray, lengths: np.ndarray):
+    def _training_data(self, f: Sequence[float], block: np.ndarray, lengths: np.ndarray):
         """Normalized teacher-forcing arrays for one example: fenc (M, F),
         inputs and targets (M, T), and each metric's length."""
         if len(block) != self.n_metrics:
@@ -298,7 +302,7 @@ class SequenceModel:
         np.add.reduce(dY, 1, None, grads["b_y"])
         return losses, flat
 
-    def update_all(self, f: FeatureVector, block: np.ndarray, lengths: np.ndarray) -> None:
+    def update_all(self, f: Sequence[float], block: np.ndarray, lengths: np.ndarray) -> None:
         """Train every metric on one example: row m of block (M, T) holds
         metric m's first lengths[m] values, then zeros. A metric of length 0,
         which the example lacks, is left untouched.
@@ -361,7 +365,7 @@ class SequenceModel:
         return [max(1, math.ceil(s / max(n, 1))) for s, n in counts]
 
     def forecast_all(
-        self, f: FeatureVector, n: Optional[int] = None
+        self, f: Sequence[float], n: Optional[int] = None
     ) -> Tuple[np.ndarray, List[int]]:
         """Autoregressive forecast of every metric, denormalized, padding kept.
 
@@ -397,17 +401,17 @@ class SequenceModel:
             x += p["b_y"]
         return self.value_norm.unscale(ys).T, horizons
 
-    def update(self, f: FeatureVector, observed: MetricSeries) -> None:
+    def update(self, f: Sequence[float], observed: MetricSeries) -> None:
         self.update_all(f, *_one_row(observed))
 
-    def loss(self, f: FeatureVector, observed: MetricSeries) -> float:
+    def loss(self, f: Sequence[float], observed: MetricSeries) -> float:
         """Mean squared error on one example, with the normalizers as they stand."""
         return float(self._forward(*self._training_data(f, *_one_row(observed)))[0][0])
 
     def default_horizon(self) -> int:
         return self.default_horizons()[0]
 
-    def forecast(self, f: FeatureVector, n: Optional[int] = None) -> MetricSeries:
+    def forecast(self, f: Sequence[float], n: Optional[int] = None) -> MetricSeries:
         """Autoregressive n-step forecast, denormalized and padding-stripped."""
         block, horizons = self.forecast_all(f, n)
         preds = block[0, :horizons[0]].tolist()

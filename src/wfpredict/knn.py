@@ -7,7 +7,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .domain import FeatureVector
+from .domain import DomainError
 
 
 class EmptyWindowError(RuntimeError):
@@ -15,18 +15,19 @@ class EmptyWindowError(RuntimeError):
 
 
 class SchemaMismatchError(ValueError):
-    pass
+    """A row or query of another width than the window's."""
 
 
 class InstanceWindow:
-    """Bounded FIFO of (feature vector, runtime) instances with range-normalized
+    """Bounded FIFO of (row, runtime) instances with range-normalized
     Euclidean distance.
 
-    The schema, the feature names of every row, is fixed at construction. A
-    target is a positive runtime; predict returns the mean runtime of the k
-    nearest instances. A query names the schema's first query_width columns
-    (all when None); a narrower query is completed from the held row nearest
-    to it on those columns, which is how two_stages reads its aggregates. The
+    The schema, the names of a row's columns, is fixed at construction. A row
+    is a sequence of finite floats in schema order, and a target a positive
+    runtime; predict returns the mean runtime of the k nearest instances. A
+    query holds the schema's first query_width columns (all when None); a
+    narrower query is completed from the held row nearest to it on those
+    columns, which is how two_stages reads its aggregates. The
     per-feature min/max over the held instances normalizes distances;
     zero-range dimensions contribute nothing to distance. capacity=None means
     unbounded.
@@ -71,17 +72,27 @@ class InstanceWindow:
         y[:n] = self._y[self._start:self._end]
         self._X, self._y, self._start, self._end = X, y, 0, n
 
-    def add(self, fv: FeatureVector, target: float) -> Optional[Tuple[np.ndarray, float]]:
-        """Append an instance; returns the evicted oldest one when over capacity."""
+    def _checked(self, values: Sequence[float], width: int) -> np.ndarray:
+        """values as a float array; SchemaMismatchError unless width wide, and
+        DomainError if one is not finite."""
+        x = np.asarray(values, dtype=float)
+        if x.shape != (width,):
+            raise SchemaMismatchError(
+                f"values of shape {x.shape} for the {width} columns {self.schema[:width]}"
+            )
+        # on the values, not x: for a few floats, cheaper than np.isfinite
+        if not all(map(math.isfinite, values)):
+            raise DomainError("non-finite feature value")
+        return x
+
+    def add(self, row: Sequence[float], target: float) -> Optional[Tuple[np.ndarray, float]]:
+        """Append an instance; returns the evicted oldest one when over capacity.
+        Refuses, with the window unchanged, what restore would refuse."""
         if not (target > 0 and math.isfinite(target)):
             raise ValueError(f"runtime must be positive, got {target}")
-        if tuple(fv.names) != self.schema:
-            raise SchemaMismatchError(
-                f"feature schema mismatch: {fv.names} vs window schema {self.schema}"
-            )
+        x = self._checked(row, len(self.schema))
         if self._end == len(self._X):
             self._make_room()
-        x = np.asarray(fv.values, dtype=float)
         self._X[self._end] = x
         self._y[self._end] = target
         self._end += 1
@@ -134,21 +145,17 @@ class InstanceWindow:
         window holds no rows."""
         return self._normalization()[0]
 
-    def predict(self, query: FeatureVector, k: int = 1) -> float:
+    def predict(self, query: Sequence[float], k: int = 1) -> float:
         """Unweighted mean runtime of the k nearest stored instances; ties
         break toward the older (earlier inserted) instance. A narrower query
         takes its other columns from the row nearest to it on its own, whose
         normalized differences are the first columns of the full ones."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        _, live, denom = self._normalization()
         w = self.query_width
-        if query.names != self.schema[:w]:
-            raise SchemaMismatchError(
-                f"query schema {query.names} does not match window schema {self.schema}"
-            )
+        q = self._checked(query, w)
+        _, live, denom = self._normalization()
         X = self._X[self._start:self._end]
-        q = np.asarray(query.values, dtype=float)
         # all rows are scored in one expression; each sum runs over a fresh
         # contiguous array, as numpy's pairwise row sums depend on the layout
         diff = np.where(live[:w], (q - X[:, :w]) / denom[:w], 0.0)

@@ -18,7 +18,6 @@ import numpy as np
 from .domain import (
     PRE_RUNTIME_FEATURE_NAMES,
     CategoryVocab,
-    FeatureVector,
     MetricKind,
     Prediction,
     PreRuntimeFeatures,
@@ -26,7 +25,6 @@ from .domain import (
     SeriesBlock,
     TaskExecutionRecord,
     encode_pre_runtime,
-    pre_runtime_values,
 )
 from .forecaster import SequenceModel
 from .knn import EmptyWindowError, InstanceWindow
@@ -244,21 +242,17 @@ class Registry:
     # -- feature assembly --------------------------------------------------
 
     @staticmethod
-    def _baseline_vector(f: PreRuntimeFeatures, code: Callable[[str, str], int]) -> FeatureVector:
-        return FeatureVector(
-            names=("input_name",), values=(float(code("input_name", f.input_name)),)
-        )
+    def _baseline_vector(f: PreRuntimeFeatures, code: Callable[[str, str], int]) -> tuple:
+        return (float(code("input_name", f.input_name)),)
 
     def _time_series_vector(
-        self, bundle: TaskModelBundle, sigma: FeatureVector, block: np.ndarray,
-        lengths: Sequence[int],
-    ) -> FeatureVector:
+        self, sigma: tuple, block: np.ndarray, lengths: Sequence[int]
+    ) -> tuple:
         """sigma plus the trev of each selected metric's row of the block,
         stripped of trailing zeros; 0.0 for a row of length 0."""
         trev_cfg = TrevConfig(self.config.trev_lag)
         trevs = trev_rows(block, strip_padding_rows(block, lengths), trev_cfg)
-        values = sigma.values + tuple(trevs.tolist())
-        return FeatureVector(names=bundle.regressor.schema, values=values)
+        return sigma + tuple(trevs.tolist())
 
     @staticmethod
     def _aggregates(block: np.ndarray) -> tuple:
@@ -266,8 +260,10 @@ class Registry:
         _AGG_FLOOR; a metric the record lacks has an all-zero row, whose sum
         0.0 floors to _AGG_FLOOR."""
         # accumulate adds each row left to right, as sum() over the series did;
-        # the zeros past a row's length leave its last running sum unchanged
-        sums = np.add.accumulate(block.T)[-1] if block.shape[1] else np.zeros(len(block))
+        # the zeros past a row's length leave its last running sum unchanged.
+        # A sum that overflows is inf, which the window's add refuses
+        with np.errstate(over="ignore"):
+            sums = np.add.accumulate(block.T)[-1] if block.shape[1] else np.zeros(len(block))
         return tuple(np.maximum(sums, _AGG_FLOOR).tolist())
 
     def _observed_block(
@@ -302,15 +298,13 @@ class Registry:
                 query = encode_pre_runtime(f, self.vocab.lookup)
             else:
                 sigma = encode_pre_runtime(f, self.vocab.lookup)
-                if bundle.regressor.ranges()[len(sigma.values):].any():
+                if bundle.regressor.ranges()[len(sigma):].any():
                     block, horizons = bundle.forecaster.forecast_all(sigma)
-                    query = self._time_series_vector(bundle, sigma, block, horizons)
+                    query = self._time_series_vector(sigma, block, horizons)
                 else:
                     # no trev column is live, so no trev can move a distance:
                     # skip the forecast and read every trev as 0.0
-                    schema = bundle.regressor.schema
-                    trevs = (0.0,) * (len(schema) - len(sigma.values))
-                    query = FeatureVector(names=schema, values=sigma.values + trevs)
+                    query = sigma + (0.0,) * (len(bundle.regressor.schema) - len(sigma))
             runtime = bundle.regressor.predict(query, k=self.config.k)
         except EmptyWindowError:
             runtime = 1.0
@@ -325,23 +319,22 @@ class Registry:
         """
         bundle = self._get_bundle(rec.features.task_name, scenario)
         if scenario == Scenario.baseline:
-            fv = self._baseline_vector(rec.features, self.vocab.code)
+            row = self._baseline_vector(rec.features, self.vocab.code)
         else:
             # encoded before downsampling, so a record whose series fail still
             # leaves its codes in the vocabulary
-            values = pre_runtime_values(rec.features, self.vocab.code)
+            sigma = encode_pre_runtime(rec.features, self.vocab.code)
             metrics = self.config.metrics_for(rec.features.task_name)
             block, lengths = self._observed_block(metrics, rec)
             if scenario == Scenario.two_stages:
-                fv = FeatureVector(bundle.regressor.schema, values + self._aggregates(block))
+                row = sigma + self._aggregates(block)
             else:
-                sigma = FeatureVector(PRE_RUNTIME_FEATURE_NAMES, values)
                 # update the forecaster first so a diverged update, which rolls
                 # it back whole, cannot leave a freshly added regressor instance
                 if bundle.forecaster is not None:
                     bundle.forecaster.update_all(sigma, block, lengths)
-                fv = self._time_series_vector(bundle, sigma, block, lengths)
-        bundle.regressor.add(fv, rec.runtime_seconds)
+                row = self._time_series_vector(sigma, block, lengths)
+        bundle.regressor.add(row, rec.runtime_seconds)
         bundle.runtime_count += 1
 
     # -- persistence -------------------------------------------------------

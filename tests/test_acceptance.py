@@ -15,7 +15,7 @@ import pytest
 from test_forecaster import max_param_gradient_error
 from test_knn import oracle_predict
 from wfpredict.cli import main
-from wfpredict.domain import FeatureVector, MetricKind, MetricSeries, Scenario
+from wfpredict.domain import MetricKind, MetricSeries, Scenario
 from wfpredict.evaluation import rae, run_batch_offline, run_online
 from wfpredict.forecaster import SequenceModel
 from wfpredict.knn import InstanceWindow
@@ -32,12 +32,6 @@ ACCEPT_SEED = 0
 def verdict(number, name, ok):
     print(f"CRITERION {number:02d} {name}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {number} ({name}) failed"
-
-
-def _fv(values):
-    return FeatureVector(
-        names=tuple(f"f{i}" for i in range(len(values))), values=tuple(values)
-    )
 
 
 def _reference_trev(values, lag):
@@ -116,7 +110,7 @@ def test_criterion_03_gradient_check():
 
 
 def test_criterion_04_convergence():
-    f = _fv([1.0, 2.0])
+    f = [1.0, 2.0]
     target_values = (2.0, 3.0, 5.0, 8.0)
     s = MetricSeries(metric=MetricKind.utime, interval_seconds=1, values=target_values)
     # an untrained twin measures the starting loss without taking a step
@@ -151,16 +145,16 @@ def test_criterion_05_knn_oracle():
             )
             for _ in range(n)
         ]
-        w = InstanceWindow(_fv(instances[0][0].tolist()).names)
+        w = InstanceWindow([f"f{i}" for i in range(dim)])
         for x, r in instances:
-            w.add(_fv(x.tolist()), r)
+            w.add(x.tolist(), r)
         query = [float(random.randrange(0, 4)) for _ in range(dim)]
         k = random.randrange(1, 6)
-        ok = ok and w.predict(_fv(query), k) == oracle_predict(instances, query, k)
+        ok = ok and w.predict(query, k) == oracle_predict(instances, query, k)
     cap = 8
-    w = InstanceWindow(_fv([0.0]).names, capacity=cap)
+    w = InstanceWindow(["f0"], capacity=cap)
     for i in range(cap + 1):
-        w.add(_fv([float(i)]), float(i + 1))
+        w.add([float(i)], float(i + 1))
     members = [x[0] for x in w.to_dict()["rows"]]
     ok = ok and len(w) == cap and members == [float(i) for i in range(1, cap + 1)]
     verdict(5, "knn oracle and eviction", ok)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import wfpredict.store as store_mod
+from conftest import make_record
 from wfpredict.cli import main
 from wfpredict.domain import Scenario
 from wfpredict.forecaster import SequenceModel
@@ -171,6 +172,44 @@ def test_replay_predict_streams_jsonl(tmp_path, gen_log):
     lines = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
     assert len(lines) == 60
     assert {"task_name", "predicted", "actual"} <= set(lines[0])
+
+
+def _write_log(path, records):
+    path.write_text("".join(json.dumps(d) + "\n" for d in records), encoding="utf-8")
+    return path
+
+
+def test_a_non_finite_vm_memory_stops_every_scenario_at_decode(tmp_path, capsys):
+    """A record whose vm_memory reads NaN is a corrupt line: every scenario
+    prints the predictions before it and one error line, and ingest refuses it."""
+    docs = [make_record(runtime=10.0 + i, input_name=f"chr{20 + i}").to_dict() for i in range(3)]
+    docs[1]["features"]["vm_memory"] = math.nan
+    log = _write_log(tmp_path / "nan.jsonl", docs)
+    assert '"vm_memory": NaN' in log.read_text(encoding="utf-8")
+    runs = []
+    for scenario in Scenario:
+        rc = main(["replay-predict", "--log", str(log), "--scenario", scenario.value])
+        runs.append((rc, *capsys.readouterr()))
+    assert runs[0] == runs[1] == runs[2]
+    rc, out, err = runs[0]
+    assert rc == 1 and len(out.splitlines()) == 1
+    assert err.startswith(f"error: corrupt trailing entry in {log} after 1 records")
+    assert "vm_memory and vm_storage must be positive and finite" in err
+    assert err.count("\n") == 1
+    assert main(["ingest", "--input", str(log), "--log", str(tmp_path / "copy.jsonl")]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_an_overflowing_aggregate_is_one_error_line(tmp_path, capsys):
+    """Eight finite samples of 1e308 sum to inf: two_stages refuses the row
+    with one error line and no numpy warning."""
+    docs = [make_record(runtime=12.0, n=8).to_dict(),
+            make_record(runtime=10.0, n=8, level=1e308).to_dict()]
+    log = _write_log(tmp_path / "huge.jsonl", docs)
+    rc = main(["replay-predict", "--log", str(log), "--scenario", "two_stages", "--tau", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and len(out.splitlines()) == 2
+    assert err == "error: non-finite feature value\n"
 
 
 def test_replay_predict_saves_registry(tmp_path, gen_log):

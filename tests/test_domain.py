@@ -10,7 +10,6 @@ from wfpredict.domain import (
     PRE_RUNTIME_FEATURE_NAMES,
     CategoryVocab,
     DomainError,
-    FeatureVector,
     MetricKind,
     MetricSeries,
     Prediction,
@@ -44,6 +43,15 @@ def test_pre_runtime_features_validation():
         make_features(vm_vcpus=0)
     with pytest.raises(DomainError):
         make_features(vm_memory=0.0)
+
+
+@pytest.mark.parametrize("field", ["vm_memory", "vm_storage"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_pre_runtime_features_need_a_finite_positive_vm_shape(field, value):
+    with pytest.raises(DomainError, match="positive and finite"):
+        make_features(**{field: value})
+    with pytest.raises(DomainError, match="positive and finite"):
+        PreRuntimeFeatures.from_dict({**make_features().to_dict(), field: value})
 
 
 def test_pre_runtime_features_round_trip():
@@ -192,15 +200,6 @@ def test_series_block_validation():
         SeriesBlock(**{**ok, "samples": [1.0, 2.0, float("nan")]})
 
 
-def test_feature_vector_validation():
-    with pytest.raises(DomainError):
-        FeatureVector(names=("a", "b"), values=(1.0,))
-    with pytest.raises(DomainError):
-        FeatureVector(names=("a", "a"), values=(1.0, 2.0))
-    with pytest.raises(DomainError):
-        FeatureVector(names=("a",), values=(float("inf"),))
-
-
 def test_prediction_requires_positive_runtime():
     with pytest.raises(DomainError):
         Prediction(runtime_seconds=0.0, scenario=Scenario.baseline, task_name="t")
@@ -230,11 +229,12 @@ def test_vocab_round_trip_preserves_codes():
 def test_encode_pre_runtime_shape_and_determinism():
     v = CategoryVocab()
     f = make_features()
-    fv1 = encode_pre_runtime(f, v.code)
-    fv2 = encode_pre_runtime(f, v.code)
-    assert fv1.names == PRE_RUNTIME_FEATURE_NAMES
-    assert len(fv1.values) == 8
-    assert fv1 == fv2
+    row1 = encode_pre_runtime(f, v.code)
+    row2 = encode_pre_runtime(f, v.code)
+    assert len(row1) == len(PRE_RUNTIME_FEATURE_NAMES) == 8
+    assert all(type(x) is float for x in row1)
+    assert row1 == row2
+    assert row1 == (0.0, 0.0, 0.0, 2.0, 4096.0, 40.0, 1.0, 9.0)
 
 
 def test_encode_pre_runtime_codes_follow_vocab():
@@ -243,6 +243,6 @@ def test_encode_pre_runtime_codes_follow_vocab():
     b = encode_pre_runtime(make_features(input_name="x2"), v.code)
     c = encode_pre_runtime(make_features(input_name="x1"), v.code)
     idx = PRE_RUNTIME_FEATURE_NAMES.index("input_name")
-    assert a.values[idx] == 0.0
-    assert b.values[idx] == 1.0
-    assert c.values[idx] == 0.0
+    assert a[idx] == 0.0
+    assert b[idx] == 1.0
+    assert c[idx] == 0.0

@@ -233,13 +233,16 @@ def test_report_serialization_round_trip(small_log):
 
 
 # sha256 of every replay below, taken before the bit-exact rewrites of the
-# two_stages observe (downsampling, the aggregate row, the kept normalization).
-# To retake them (another numpy, or a change meant to move predictions): check
-# out the commit before the change, print `got` in the test in place of the
-# assert, run it with `pytest -s -k pinned_digests`, and paste both hexdigests.
+# two_stages observe (downsampling, the aggregate row, the kept normalization);
+# the window_capacity=40 one, of predictions and documents together, was taken
+# before feature rows became plain tuples. To retake them (another numpy, or a
+# change meant to move predictions): check out the commit before the change,
+# print `got` in the test in place of the assert, run it with
+# `pytest -s -k pinned_digests`, and paste the three hexdigests.
 _REPLAY_DIGESTS = {
     "predictions": "385ee35f6845f2aded2af2eca348fdee4a9b79a94de7d5ab0bdb435bd93d8bdb",
     "index.json": "6f247bf2dbfa435234826275ff5cad2356a34afad1ead22c6eedeafbf72744ed",
+    "window_capacity=40": "ff54851b837c5666879072de8b6122d42ab575420cc573f7f3757f2cac3fe381",
 }
 
 
@@ -247,7 +250,9 @@ def test_replays_keep_their_pinned_digests(tmp_path):
     """Every scenario at k 1 and 3 replayed prequentially over 150 steady and
     150 curved standard-task records (seed 3, tau 5, lag 2) must give the
     predictions and the saved index.json they gave when the digests were
-    taken: float.hex of each prediction, and the document's bytes.
+    taken: float.hex of each prediction, and the document's bytes. The same
+    replays with a window of 40 rows, which evicts, are pinned by one digest
+    of both.
 
     Pinned with numpy 2.4.6 on Python 3.11. A speedup that keeps every bit
     keeps both; another numpy may round differently and need new digests.
@@ -257,16 +262,20 @@ def test_replays_keep_their_pinned_digests(tmp_path):
         tasks=tuple(dataclasses.replace(t, series_profile="curved") for t in std.tasks),
         n_records=150,
     )
-    preds, docs = hashlib.sha256(), hashlib.sha256()
+    preds, docs, evicting = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for name, cfg in (("steady", std), ("curved", curved)):
         records = generate_synthetic(cfg, 3, tmp_path / f"{name}.jsonl").read_all()
-        for scenario in Scenario:
-            for k in (1, 3):
-                registry = Registry(tmp_path / f"{name}-{scenario.value}-{k}",
-                                    PipelineConfig(k=k, target_tau=5, trev_lag=2))
-                for _, pred in prequential(registry, records, scenario):
-                    preds.update(pred.runtime_seconds.hex().encode() + b"\n")
-                registry.save()
-                docs.update((registry.storage_dir / "index.json").read_bytes())
-    got = {"predictions": preds.hexdigest(), "index.json": docs.hexdigest()}
+        for capacity, (p, d) in ((None, (preds, docs)), (40, (evicting, evicting))):
+            for scenario in Scenario:
+                for k in (1, 3):
+                    registry = Registry(
+                        tmp_path / f"{name}-{scenario.value}-{k}-{capacity}",
+                        PipelineConfig(k=k, window_capacity=capacity, target_tau=5, trev_lag=2),
+                    )
+                    for _, pred in prequential(registry, records, scenario):
+                        p.update(pred.runtime_seconds.hex().encode() + b"\n")
+                    registry.save()
+                    d.update((registry.storage_dir / "index.json").read_bytes())
+    got = {"predictions": preds.hexdigest(), "index.json": docs.hexdigest(),
+           "window_capacity=40": evicting.hexdigest()}
     assert got == _REPLAY_DIGESTS

@@ -3,22 +3,16 @@
 import copy
 import json
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
 
-from wfpredict.domain import FeatureVector, MetricKind, MetricSeries
+from wfpredict.domain import DomainError, MetricKind, MetricSeries
 from wfpredict.forecaster import RunningMinMax, SequenceModel, TrainingDivergedError
 from wfpredict.pipeline import _model_seed
 
 GATES = ("i", "f", "o", "c")
-
-
-def _fv(values):
-    return FeatureVector(
-        names=tuple(f"f{i}" for i in range(len(values))), values=tuple(values)
-    )
 
 
 def _series(values, tau=1):
@@ -229,7 +223,7 @@ class StridedOracle(SequenceModel):
         }
         return losses, grads
 
-    def update_all(self, f: FeatureVector, block: np.ndarray, lengths: np.ndarray) -> None:
+    def update_all(self, f: Sequence[float], block: np.ndarray, lengths: np.ndarray) -> None:
         """Train every metric on one example: row m of block (M, T) holds
         metric m's first lengths[m] values, then zeros. A metric of length 0,
         which the example lacks, is left untouched.
@@ -278,7 +272,7 @@ class StridedOracle(SequenceModel):
             raise
 
     def forecast_all(
-        self, f: FeatureVector, n: Optional[int] = None
+        self, f: Sequence[float], n: Optional[int] = None
     ) -> Tuple[np.ndarray, List[int]]:
         """Autoregressive forecast of every metric, denormalized, padding kept.
 
@@ -387,10 +381,10 @@ def test_bank_matches_per_metric_reference():
     fx = rng.uniform(1, 9, size=8)
     series = [tuple(rng.uniform(0, 50, size=int(rng.integers(1, 12)))) for _ in metrics]
     series[4] = None  # a metric the record lacks is left untouched
-    bank.update_all(_fv(fx.tolist()), *_block(series))
+    bank.update_all(fx.tolist(), *_block(series))
     clipped = [ref.update(fx, s) for ref, s in zip(refs, series) if s is not None]
     assert any(clipped) and not all(clipped)
-    forecasts, horizons = bank.forecast_all(_fv(fx.tolist()))
+    forecasts, horizons = bank.forecast_all(fx.tolist())
     for m, (ref, s) in enumerate(zip(refs, series)):
         for k, v in ref.fused().items():
             assert np.allclose(bank.params[k][m], v, rtol=0, atol=1e-12), (m, k)
@@ -420,7 +414,7 @@ def test_gate_major_kernel_matches_the_strided_oracle_bit_for_bit():
     oracle._gradients = recorded
     rng = np.random.default_rng(46)
     for step in range(20):
-        fv = _fv(rng.uniform(1, 9, size=8).tolist())
+        fv = rng.uniform(1, 9, size=8).tolist()
         # unequal lengths, and one metric the record lacks
         series = [tuple(rng.uniform(0, 50, size=int(rng.integers(1, 14)))) for _ in metrics]
         series[step % len(metrics)] = None
@@ -444,7 +438,7 @@ def test_small_banks_match_the_strided_oracle_bit_for_bit(n_metrics):
     bank, oracle = SequenceModel(**kw), StridedOracle(**kw)
     rng = np.random.default_rng(47)
     for step in range(30):
-        fv = _fv(rng.uniform(1, 9, size=3).tolist())
+        fv = rng.uniform(1, 9, size=3).tolist()
         series = [tuple(rng.uniform(0, 50, size=int(rng.integers(1, 9)))) for _ in range(n_metrics)]
         bank.update_all(fv, *_block(series))
         oracle.update_all(fv, *_block(series))
@@ -468,7 +462,7 @@ def test_clip_adds_the_per_parameter_sums_in_parameter_order(n_metrics):
         g = np.concatenate([v.reshape(-1) for v in grads.values()])
         model._gradients = lambda *args: (np.zeros(n_metrics), g.copy())
         before = {k: v.copy() for k, v in model.params.items()}
-        model.update_all(_fv([1.0, 2.0, 3.0]), *_block([(1.0, 2.0)] * n_metrics))
+        model.update_all([1.0, 2.0, 3.0], *_block([(1.0, 2.0)] * n_metrics))
         # the StridedOracle's clip and step
         total = np.sqrt(sum(np.sum((v * v).reshape(n_metrics, -1), axis=1) for v in grads.values()))
         clipped = total > model.clip_norm
@@ -491,13 +485,13 @@ def test_params_stay_views_of_the_flat_buffer():
         return again
 
     model = SequenceModel(input_dim=1, seeds=(2, 3))
-    model.update_all(_fv([1.0]), *_block([(1.0, 2.0), (4.0,)]))
+    model.update_all([1.0], *_block([(1.0, 2.0), (4.0,)]))
     assert bound(model)
     before = json.dumps(model.to_dict())
     model.params["w_y"][1] = 1e300  # a write through a view reaches the buffer
     assert model.flat_params.max() == 1e300
     with pytest.raises(TrainingDivergedError), np.errstate(over="ignore", invalid="ignore"):
-        model.update_all(_fv([3.0]), *_block([(0.0, 9.0, 2.0), (7.0, 1.0)]))
+        model.update_all([3.0], *_block([(0.0, 9.0, 2.0), (7.0, 1.0)]))
     assert bound(model)
     assert model.params["w_y"][1, 0] == 1e300
     model.params["w_y"][1] = restored(json.loads(before)).params["w_y"][1]
@@ -508,7 +502,7 @@ def test_params_stay_views_of_the_flat_buffer():
 
 def test_update_reduces_loss_on_repeated_series():
     model = SequenceModel(input_dim=2, hidden_size=10, learning_rate=0.3, seeds=(3,))
-    f = _fv([1.0, 2.0])
+    f = [1.0, 2.0]
     s = _series([2.0, 3.0, 5.0, 8.0])
     model.update(f, s)
     first = model.loss(f, s)
@@ -520,8 +514,8 @@ def test_update_reduces_loss_on_repeated_series():
 def test_update_with_zero_epochs_is_a_no_op_on_parameters():
     model = SequenceModel(input_dim=2, epochs_per_update=0, seeds=(1,))
     before = {k: v.copy() for k, v in model.params.items()}
-    model.update(_fv([1.0, 2.0]), _series([1.0, 4.0, 2.0]))
-    assert math.isfinite(model.loss(_fv([1.0, 2.0]), _series([1.0, 4.0, 2.0])))
+    model.update([1.0, 2.0], _series([1.0, 4.0, 2.0]))
+    assert math.isfinite(model.loss([1.0, 2.0], _series([1.0, 4.0, 2.0])))
     for k, v in model.params.items():
         assert np.array_equal(v, before[k])
     # the normalizers and length statistics still advance
@@ -549,24 +543,24 @@ def test_forget_gate_bias_starts_at_one():
 def test_default_horizon_tracks_mean_observed_length():
     model = SequenceModel(input_dim=1, seeds=(0,))
     assert model.default_horizon() == 1
-    model.update(_fv([1.0]), _series([1.0, 2.0, 3.0]))
-    model.update(_fv([1.0]), _series([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+    model.update([1.0], _series([1.0, 2.0, 3.0]))
+    model.update([1.0], _series([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
     assert model.default_horizon() == math.ceil((3 + 6) / 2)
 
 
 def test_forecast_length_and_interval():
     model = SequenceModel(input_dim=1, tau=5, seeds=(0,))
-    model.update(_fv([1.0]), _series([2.0, 6.0, 4.0], tau=5))
-    out = model.forecast(_fv([1.0]), 7)
+    model.update([1.0], _series([2.0, 6.0, 4.0], tau=5))
+    out = model.forecast([1.0], 7)
     assert out.interval_seconds == 5
     assert 1 <= len(out.values) <= 7
     with pytest.raises(ValueError):
-        model.forecast(_fv([1.0]), 0)
+        model.forecast([1.0], 0)
 
 
 def test_forecast_is_deterministic():
     model = SequenceModel(input_dim=2, learning_rate=0.05, seeds=(9,))
-    f = _fv([0.5, 1.5])
+    f = [0.5, 1.5]
     for _ in range(20):
         model.update(f, _series([1.0, 3.0, 2.0, 5.0]))
     a = model.forecast(f, 6)
@@ -578,7 +572,7 @@ def test_serialization_round_trip_is_bit_exact():
     model = SequenceModel(
         input_dim=2, learning_rate=0.05, seeds=(4,), metrics=(MetricKind.vmRSS,)
     )
-    f = _fv([0.5, 1.5])
+    f = [0.5, 1.5]
     for _ in range(10):
         model.update(f, _series([1.0, 3.0, 2.0]))
     again = SequenceModel(
@@ -604,7 +598,7 @@ def test_restore_rejects_a_parameter_count_mismatch():
 
 def test_diverged_update_rolls_back_parameters():
     model = SequenceModel(input_dim=1, seeds=(2, 3))
-    model.update_all(_fv([1.0]), *_block([(1.0, 2.0), (4.0,)]))
+    model.update_all([1.0], *_block([(1.0, 2.0), (4.0,)]))
 
     def explode(fenc, inputs, targets, lengths):
         losses = np.array([0.5, math.inf])  # only the second metric diverges
@@ -613,8 +607,31 @@ def test_diverged_update_rolls_back_parameters():
     before = json.dumps(model.to_dict())
     model._gradients = explode
     with pytest.raises(TrainingDivergedError):
-        model.update_all(_fv([3.0]), *_block([(0.0, 9.0, 2.0), (7.0, 1.0)]))
+        model.update_all([3.0], *_block([(0.0, 9.0, 2.0), (7.0, 1.0)]))
     # parameters, normalizers and length statistics of both metrics
+    assert json.dumps(model.to_dict()) == before
+
+
+@pytest.mark.parametrize("f, error", [
+    ([1.0], ValueError),
+    ([1.0, 2.0, 3.0], ValueError),
+    ([[1.0, 2.0]], ValueError),
+    ([math.nan, 2.0], DomainError),
+    ([1.0, math.inf], DomainError),
+    ([-math.inf, 2.0], DomainError),
+])
+def test_features_are_checked_before_any_change(f, error):
+    """update, forecast and loss refuse features of another width or with a
+    non-finite value, and an update refused so changes nothing."""
+    model = SequenceModel(input_dim=2, seeds=(4,))
+    model.update([0.5, 1.5], _series([1.0, 3.0, 2.0]))
+    before = json.dumps(model.to_dict())
+    with pytest.raises(error):
+        model.update(f, _series([2.0, 1.0, 4.0]))
+    with pytest.raises(error):
+        model.forecast(f, 3)
+    with pytest.raises(error):
+        model.loss(f, _series([2.0, 1.0, 4.0]))
     assert json.dumps(model.to_dict()) == before
 
 

@@ -7,16 +7,12 @@ import random
 import numpy as np
 import pytest
 
-from wfpredict.domain import FeatureVector
+from wfpredict.domain import DomainError
 from wfpredict.knn import EmptyWindowError, InstanceWindow, SchemaMismatchError
 
 
 def _names(dim):
     return tuple(f"f{i}" for i in range(dim))
-
-
-def _fv(values):
-    return FeatureVector(names=_names(len(values)), values=tuple(values))
 
 
 def oracle_predict(instances, query, k):
@@ -39,20 +35,16 @@ def oracle_predict(instances, query, k):
 def test_empty_window_raises():
     w = InstanceWindow(_names(1))
     with pytest.raises(EmptyWindowError):
-        w.predict(_fv([1.0]))
+        w.predict([1.0])
 
 
 def test_schema_fixed_at_construction():
     w = InstanceWindow(_names(2))
     assert w.schema == ("f0", "f1")
+    # a row is one flat sequence, as wide as the schema
     with pytest.raises(SchemaMismatchError):
-        w.add(FeatureVector(names=("a", "b"), values=(1.0, 2.0)), 5.0)
+        w.add([[1.0, 2.0]], 5.0)
     assert len(w) == 0
-    w.add(_fv([1.0, 2.0]), 5.0)
-    with pytest.raises(SchemaMismatchError):
-        w.add(FeatureVector(names=("a", "b"), values=(1.0, 2.0)), 5.0)
-    with pytest.raises(SchemaMismatchError):
-        w.predict(_fv([1.0]))
 
 
 def test_rejects_bad_inputs():
@@ -60,16 +52,16 @@ def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         InstanceWindow(_names(1), capacity=0)
     with pytest.raises(ValueError):
-        w.add(_fv([1.0]), 0.0)
-    w.add(_fv([1.0]), 2.0)
+        w.add([1.0], 0.0)
+    w.add([1.0], 2.0)
     with pytest.raises(ValueError):
-        w.predict(_fv([1.0]), k=0)
+        w.predict([1.0], k=0)
 
 
 def test_single_instance_always_wins():
     w = InstanceWindow(_names(2))
-    w.add(_fv([3.0, 4.0]), 17.0)
-    assert w.predict(_fv([100.0, -100.0])) == 17.0
+    w.add([3.0, 4.0], 17.0)
+    assert w.predict([100.0, -100.0]) == 17.0
 
 
 def test_matches_oracle_on_random_cases():
@@ -88,27 +80,27 @@ def test_matches_oracle_on_random_cases():
         cap = random.choice([None, random.randrange(1, 8)])
         w = InstanceWindow(_names(dim), capacity=cap)
         for x, r in instances:
-            w.add(_fv(x.tolist()), r)
+            w.add(x.tolist(), r)
         query = [float(random.randrange(0, 4)) for _ in range(dim)]
         k = random.randrange(1, 6)
         # a bounded window holds, and takes its ranges from, the last cap instances
         held = instances if cap is None else instances[-cap:]
-        assert w.predict(_fv(query), k) == oracle_predict(held, query, k)
+        assert w.predict(query, k) == oracle_predict(held, query, k)
 
 
 def test_tie_break_prefers_older_instance():
     w = InstanceWindow(_names(1))
-    w.add(_fv([0.0]), 10.0)
-    w.add(_fv([2.0]), 20.0)
-    w.add(_fv([2.0]), 30.0)  # same point as the second, inserted later
-    assert w.predict(_fv([2.0]), k=1) == 20.0
+    w.add([0.0], 10.0)
+    w.add([2.0], 20.0)
+    w.add([2.0], 30.0)  # same point as the second, inserted later
+    assert w.predict([2.0], k=1) == 20.0
 
 
 def test_k_larger_than_window_means_global_mean():
     w = InstanceWindow(_names(1))
     for v, r in ((0.0, 10.0), (1.0, 20.0), (2.0, 60.0)):
-        w.add(_fv([v]), r)
-    assert w.predict(_fv([0.0]), k=50) == 30.0
+        w.add([v], r)
+    assert w.predict([0.0], k=50) == 30.0
 
 
 def test_fifo_eviction_after_capacity():
@@ -116,7 +108,7 @@ def test_fifo_eviction_after_capacity():
     w = InstanceWindow(_names(1), capacity=cap)
     evicted = []
     for i in range(cap + 3):
-        out = w.add(_fv([float(i)]), float(i + 1))
+        out = w.add([float(i)], float(i + 1))
         if out is not None:
             evicted.append(out)
     assert len(w) == cap
@@ -127,18 +119,18 @@ def test_fifo_eviction_after_capacity():
 
 def test_zero_range_dimension_is_ignored():
     w = InstanceWindow(_names(2))
-    w.add(_fv([5.0, 1.0]), 10.0)
-    w.add(_fv([5.0, 9.0]), 50.0)
+    w.add([5.0, 1.0], 10.0)
+    w.add([5.0, 9.0], 50.0)
     # first dim constant: only the second decides the neighbor
-    assert w.predict(_fv([-1000.0, 8.9]), k=1) == 50.0
+    assert w.predict([-1000.0, 8.9], k=1) == 50.0
 
 
 def test_rounding_level_range_counts_as_zero():
     w = InstanceWindow(_names(2))
-    w.add(_fv([1.0, 1.0]), 10.0)
-    w.add(_fv([1.0 + 1e-15, 2.0]), 50.0)
+    w.add([1.0, 1.0], 10.0)
+    w.add([1.0 + 1e-15, 2.0], 50.0)
     # the first dimension's spread is float noise; it must not dominate
-    assert w.predict(_fv([0.5, 2.0]), k=1) == 50.0
+    assert w.predict([0.5, 2.0], k=1) == 50.0
 
 
 def test_prediction_invariant_under_affine_feature_rescaling():
@@ -151,30 +143,30 @@ def test_prediction_invariant_under_affine_feature_rescaling():
         b = InstanceWindow(_names(2))
         scale, shift = random.uniform(0.5, 20), random.uniform(-40, 40)
         for (x, y), r in zip(pts, runtimes):
-            a.add(_fv([x, y]), r)
-            b.add(_fv([x * scale + shift, y]), r)
+            a.add([x, y], r)
+            b.add([x * scale + shift, y], r)
         qx, qy = random.uniform(-5, 5), random.uniform(-5, 5)
         k = random.randrange(1, 4)
-        pa = a.predict(_fv([qx, qy]), k)
-        pb = b.predict(_fv([qx * scale + shift, qy]), k)
+        pa = a.predict([qx, qy], k)
+        pb = b.predict([qx * scale + shift, qy], k)
         assert abs(pa - pb) < 1e-9
 
 
 def test_serialization_round_trip():
     w = InstanceWindow(_names(2), capacity=4)
     for i in range(6):
-        w.add(_fv([float(i), float(i % 2)]), float(i + 1))
+        w.add([float(i), float(i % 2)], float(i + 1))
     again = InstanceWindow(_names(2), capacity=4)
     again.restore(json.loads(json.dumps(w.to_dict())))
     assert again.schema == w.schema
     assert len(again) == len(w)
     assert again.lo.tolist() == w.lo.tolist() and again.hi.tolist() == w.hi.tolist()
-    q = _fv([2.5, 1.0])
+    q = [2.5, 1.0]
     assert again.predict(q, 2) == w.predict(q, 2)
     # both keep evicting alike past another wrap of the buffer
     for i in range(6, 30):
-        fv = _fv([float(i % 7), float(i % 3)])
-        out_w, out_again = w.add(fv, float(i + 1)), again.add(fv, float(i + 1))
+        row = [float(i % 7), float(i % 3)]
+        out_w, out_again = w.add(row, float(i + 1)), again.add(row, float(i + 1))
         assert out_w[0].tolist() == out_again[0].tolist() and out_w[1] == out_again[1]
         assert again.predict(q, 2) == w.predict(q, 2)
         assert again.lo.tolist() == w.lo.tolist() and again.hi.tolist() == w.hi.tolist()
@@ -185,7 +177,7 @@ def test_restoring_an_empty_window_leaves_its_ranges_unset():
     again.restore(json.loads(json.dumps(InstanceWindow(_names(2)).to_dict())))
     assert len(again) == 0
     assert again.lo.tolist() == [math.inf] * 2 and again.hi.tolist() == [-math.inf] * 2
-    again.add(_fv([1.0, 2.0]), 3.0)
+    again.add([1.0, 2.0], 3.0)
     assert again.lo.tolist() == again.hi.tolist() == [1.0, 2.0]
 
 
@@ -209,6 +201,59 @@ def test_restore_rejects_what_add_would_refuse(payload):
     assert len(w) == 0
 
 
+_BAD_INSTANCES = [
+    ([1.0, 2.0, 3.0], 1.0, SchemaMismatchError),
+    ([1.0], 1.0, SchemaMismatchError),
+    ([math.nan, 2.0], 1.0, DomainError),
+    ([1.0, math.inf], 1.0, DomainError),
+    ([-math.inf, 2.0], 1.0, DomainError),
+    ([1.0, 2.0], 0.0, ValueError),
+    ([1.0, 2.0], -1.0, ValueError),
+    ([1.0, 2.0], math.inf, ValueError),
+    ([1.0, 2.0], math.nan, ValueError),
+]
+
+
+@pytest.mark.parametrize("row, target, error", _BAD_INSTANCES)
+@pytest.mark.parametrize("held", [0, 2])
+def test_add_refuses_what_restore_refuses_and_changes_nothing(row, target, error, held):
+    """An add of a row of another width, of a non-finite value or of a target
+    that is not a finite positive runtime raises before it touches the
+    window: rows, bounds and a cached normalization stay, and a full window
+    evicts nothing. restore refuses the same instance."""
+    w = InstanceWindow(_names(2), capacity=2)
+    for i in range(held):
+        w.add([float(i), 10.0 * i], float(i + 1))
+    norm = w._normalization() if held else None
+    state = (json.dumps(w.to_dict()), w.lo.tobytes(), w.hi.tobytes())
+    with pytest.raises(error):
+        w.add(row, target)
+    assert (json.dumps(w.to_dict()), w.lo.tobytes(), w.hi.tobytes()) == state
+    assert w._norm is norm
+    with pytest.raises(ValueError):
+        InstanceWindow(_names(2)).restore({"rows": [row], "targets": [target]})
+
+
+@pytest.mark.parametrize("width", [None, 1])
+def test_predict_refuses_a_query_of_another_width_or_not_finite(width):
+    w = InstanceWindow(_names(2), query_width=width)
+    w.add([0.0, 5.0], 10.0)
+    w.add([1.0, 6.0], 20.0)
+    query = [0.9, 5.9][:w.query_width]
+    want = w.predict(query)
+    norm = w._normalization()
+    state = (json.dumps(w.to_dict()), w.lo.tobytes(), w.hi.tobytes())
+    for bad in (query + [1.0], query[:-1], [query]):
+        with pytest.raises(SchemaMismatchError):
+            w.predict(bad)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="non-finite feature value"):
+            w.predict([value] + query[1:])
+    assert (json.dumps(w.to_dict()), w.lo.tobytes(), w.hi.tobytes()) == state
+    assert w._norm is norm
+    assert w.predict(query) == want == 20.0
+
+
 def test_prefix_query_matches_the_oracle_completed_from_the_nearest_row():
     random.seed(227)
     for _ in range(300):
@@ -223,39 +268,39 @@ def test_prefix_query_matches_the_oracle_completed_from_the_nearest_row():
         cap = random.choice([None, random.randrange(1, 8)])
         w = InstanceWindow(_names(dim), capacity=cap, query_width=width)
         for x, r in instances:
-            w.add(_fv(x), r)
+            w.add(x, r)
         held = instances if cap is None else instances[-cap:]
         query = [float(random.randrange(0, 4)) for _ in range(width)]
         # a target naming each held row turns the oracle's 1-NN into an index
         named = [(np.array(x[:width]), float(i + 1)) for i, (x, _) in enumerate(held)]
         nearest = held[int(oracle_predict(named, query, 1)) - 1]
-        assert w.predict(_fv(query), 1) == nearest[1]
+        assert w.predict(query, 1) == nearest[1]
         completed = query + nearest[0][width:]
         for k in (1, 3, 5):
-            got = w.predict(_fv(query), k)
+            got = w.predict(query, k)
             assert got.hex() == oracle_predict(held, completed, k).hex()
 
 
 def test_prefix_ties_go_to_the_older_row_and_it_checks_the_query():
     w = InstanceWindow(_names(3), query_width=2)
     with pytest.raises(EmptyWindowError):
-        w.predict(_fv([0.0, 5.0]))
-    w.add(_fv([0.0, 5.0, 1.0]), 10.0)
-    w.add(_fv([2.0, 7.0, 4.0]), 20.0)
-    w.add(_fv([2.0, 7.0, 9.0]), 30.0)  # same prefix as the second, inserted later
-    assert w.predict(_fv([2.0, 7.0])) == 20.0
+        w.predict([0.0, 5.0])
+    w.add([0.0, 5.0, 1.0], 10.0)
+    w.add([2.0, 7.0, 4.0], 20.0)
+    w.add([2.0, 7.0, 9.0], 30.0)  # same prefix as the second, inserted later
+    assert w.predict([2.0, 7.0]) == 20.0
     # completed from the second row, the query is nearer the third than the first
-    assert w.predict(_fv([2.0, 7.0]), k=2) == 25.0
-    for names in (("f1", "f2"), ("f0",), ("f0", "f1", "f2"), ("f1", "f0")):
+    assert w.predict([2.0, 7.0], k=2) == 25.0
+    for query in ([2.0], [2.0, 7.0, 4.0]):
         with pytest.raises(SchemaMismatchError):
-            w.predict(FeatureVector(names=names, values=(2.0,) * len(names)))
+            w.predict(query)
     for width in (0, 4):
         with pytest.raises(ValueError):
             InstanceWindow(_names(3), query_width=width)
     w = InstanceWindow(_names(2))
-    w.add(_fv([0.0, 5.0]), 10.0)
+    w.add([0.0, 5.0], 10.0)
     with pytest.raises(SchemaMismatchError):
-        w.predict(_fv([2.0]))
+        w.predict([2.0])
 
 
 def test_cached_normalization_follows_every_change_of_the_rows():
@@ -278,13 +323,13 @@ def test_cached_normalization_follows_every_change_of_the_rows():
         for _ in range(40):
             op = rng.random()
             if op < 0.55:
-                w.add(_fv(row()), float(rng.randrange(1, 50)))
+                w.add(row(), float(rng.randrange(1, 50)))
             elif op < 0.7 and len(w) >= 2:
                 w._evict()
             elif op < 0.8:
                 other = window()
                 for _ in range(rng.randrange(0, 10)):
-                    other.add(_fv(row()), float(rng.randrange(1, 50)))
+                    other.add(row(), float(rng.randrange(1, 50)))
                 w.restore(json.loads(json.dumps(other.to_dict())))
             fresh = window()
             fresh.restore(json.loads(json.dumps(w.to_dict())))
@@ -295,7 +340,7 @@ def test_cached_normalization_follows_every_change_of_the_rows():
                 continue
             for _ in range(3):
                 assert w.ranges().tobytes() == fresh.ranges().tobytes()
-                query, k = _fv(row()[:width]), rng.randrange(1, 6)
+                query, k = row()[:width], rng.randrange(1, 6)
                 assert w.predict(query, k).hex() == fresh.predict(query, k).hex()
             assert (json.dumps(w.to_dict()), w.lo.tobytes(), w.hi.tobytes()) == state
 
@@ -306,24 +351,24 @@ def test_normalization_is_kept_until_a_bound_moves():
     a restore each give a new one. Evicting a row whose bound another row
     still holds keeps it."""
     w = InstanceWindow(_names(2), capacity=6)
-    w.add(_fv([0.0, 10.0]), 1.0)
-    w.add(_fv([4.0, 20.0]), 2.0)
+    w.add([0.0, 10.0], 1.0)
+    w.add([4.0, 20.0], 2.0)
     norm = w._normalization()
     for row in ([1.0, 12.0], [1.5, 13.0], [2.0, 14.0]):  # strictly inside the bounds
-        w.add(_fv(row), 3.0)
+        w.add(row, 3.0)
         assert w._normalization() is norm
-    w.add(_fv([2.0, 25.0]), 4.0)  # past hi[1]; the window is now full
+    w.add([2.0, 25.0], 4.0)  # past hi[1]; the window is now full
     assert w._normalization() is not norm
     norm = w._normalization()
-    w.add(_fv([3.0, 13.0]), 5.0)  # evicts [0, 10], the only row on lo
+    w.add([3.0, 13.0], 5.0)  # evicts [0, 10], the only row on lo
     assert w.lo.tolist() == [1.0, 12.0]
     assert w._normalization() is not norm
     norm = w._normalization()
-    w.add(_fv([1.0, 12.0]), 6.0)  # evicts [4, 20], the only row on hi[0]
+    w.add([1.0, 12.0], 6.0)  # evicts [4, 20], the only row on hi[0]
     assert w.hi.tolist() == [3.0, 25.0]
     assert w._normalization() is not norm
     norm = w._normalization()
-    w.add(_fv([2.0, 14.0]), 7.0)  # evicts [1, 12]; the row added before holds lo too
+    w.add([2.0, 14.0], 7.0)  # evicts [1, 12]; the row added before holds lo too
     assert w.lo.tolist() == [1.0, 12.0]
     assert w._normalization() is norm
     w.restore(w.to_dict())  # the same rows: a restore always drops the cache

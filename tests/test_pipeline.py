@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ import pytest
 from conftest import make_record, write_legacy
 import wfpredict.pipeline as pipeline_mod
 from wfpredict.domain import (
-    PRE_RUNTIME_FEATURE_NAMES, CategoryVocab, FeatureVector, MetricKind, MetricSeries, Scenario,
+    PRE_RUNTIME_FEATURE_NAMES, CategoryVocab, DomainError, MetricKind, MetricSeries, Scenario,
     TaskExecutionRecord, encode_pre_runtime,
 )
-from wfpredict.evaluation import GeneratorConfig, TaskTypeSpec, generate_synthetic
+from wfpredict.evaluation import (
+    GeneratorConfig, TaskTypeSpec, generate_synthetic, standard_corpus_config,
+)
 from wfpredict.forecaster import SequenceModel, TrainingDivergedError
 from wfpredict.knn import InstanceWindow
 from wfpredict.pipeline import (
@@ -166,8 +169,7 @@ class TwoWindowReference:
             return 1.0
         sigma = encode_pre_runtime(f, self.vocab.lookup)
         aggs = self.aggs[int(self.index.predict(sigma, k=1)) - 1]
-        query = FeatureVector(names=self.regressor.schema, values=sigma.values + aggs)
-        return self.regressor.predict(query, k=self.k)
+        return self.regressor.predict(sigma + aggs, k=self.k)
 
     def observe(self, rec):
         sigma = encode_pre_runtime(rec.features, self.vocab.code)
@@ -177,8 +179,7 @@ class TwoWindowReference:
         )
         self.aggs.append(aggs)
         self.index.add(sigma, float(len(self.aggs)))
-        self.regressor.add(FeatureVector(names=self.regressor.schema, values=sigma.values + aggs),
-                           rec.runtime_seconds)
+        self.regressor.add(sigma + aggs, rec.runtime_seconds)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
@@ -236,6 +237,20 @@ def test_observe_completes_on_samples_whose_trev_moments_overflow():
     assert np.all(np.isfinite(bundle.regressor.lo)) and np.all(np.isfinite(bundle.regressor.hi))
 
 
+def test_an_aggregate_that_overflows_is_refused_without_a_warning():
+    # finite samples whose sum overflows to inf: the window refuses the row
+    reg = Registry(config=PipelineConfig(target_tau=1))
+    reg.observe_completion(make_record(runtime=12.0, n=8), Scenario.two_stages)
+    bundle = reg.bundles[("align", Scenario.two_stages)]
+    before = json.dumps(bundle.to_dict())
+    huge = make_record(runtime=10.0, n=8, level=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite feature value"):
+            reg.observe_completion(huge, Scenario.two_stages)
+    assert json.dumps(bundle.to_dict()) == before
+
+
 @pytest.mark.parametrize("profile", ["steady", "curved"])
 def test_time_series_forecasts_only_while_a_trev_column_is_live(tmp_path, monkeypatch, profile):
     spec = dict(base_seconds=40.0, input_names=("i1", "i2"), input_scales=(1.0, 1.5),
@@ -258,7 +273,7 @@ def test_time_series_forecasts_only_while_a_trev_column_is_live(tmp_path, monkey
             # the answer of a query that always carries the forecast's trevs
             sigma = encode_pre_runtime(rec.features, reg.vocab.lookup)
             block, horizons = forecast_all(bundle.forecaster, sigma)
-            query = reg._time_series_vector(bundle, sigma, block, horizons)
+            query = reg._time_series_vector(sigma, block, horizons)
             assert bundle.regressor.predict(query, k=3) == got
         reg.observe_completion(rec, Scenario.time_series)
     live = bundle.regressor.ranges()[8:] > 0
@@ -288,6 +303,41 @@ def _online_predictions(records, scenario, config):
         preds.append(reg.predict_task(rec.features, scenario).runtime_seconds)
         reg.observe_completion(rec, scenario)
     return preds
+
+
+def _pre_runtime_1nn(records):
+    """Pre-runtime 1-NN replayed as the pipeline replays: per task, one window
+    over encode_pre_runtime rows, and 1.0 before the task's first completion."""
+    vocab, windows, preds = CategoryVocab(), {}, []
+    for rec in records:
+        window = windows.get(rec.features.task_name)
+        sigma = encode_pre_runtime(rec.features, vocab.lookup)
+        preds.append(1.0 if window is None else window.predict(sigma, k=1))
+        if window is None:
+            window = windows[rec.features.task_name] = InstanceWindow(PRE_RUNTIME_FEATURE_NAMES)
+        window.add(encode_pre_runtime(rec.features, vocab.code), rec.runtime_seconds)
+    return preds
+
+
+def test_time_series_does_not_collapse_to_pre_runtime_1nn_on_a_curved_corpus(tmp_path):
+    """Where a trev column is live, the forecast trevs must move some answer
+    away from the one pre-runtime 1-NN gives, which two_stages gives at k 1."""
+    std = standard_corpus_config(80)
+    cfg = GeneratorConfig(
+        tasks=tuple(dataclasses.replace(t, series_profile="curved") for t in std.tasks),
+        n_records=80,
+    )
+    records = generate_synthetic(cfg, 3, tmp_path / "curved.jsonl").read_all()
+    config = PipelineConfig(target_tau=5)
+    reg = Registry(config=config)
+    got = []
+    for rec in records:
+        got.append(reg.predict_task(rec.features, Scenario.time_series).runtime_seconds)
+        reg.observe_completion(rec, Scenario.time_series)
+    assert any((b.regressor.ranges()[8:] > 0).any() for b in reg.bundles.values())
+    nearest = _pre_runtime_1nn(records)
+    assert _online_predictions(records, Scenario.two_stages, config) == nearest
+    assert sum(g != n for g, n in zip(got, nearest)) > 0
 
 
 def test_baseline_reads_no_series_and_encodes_no_pre_runtime_vector(small_log, monkeypatch):
