@@ -184,10 +184,15 @@ class InstanceWindow:
         """Hold exactly the instances to_dict wrote and take the ranges from
         their rows; ValueError, with the window unchanged, for an instance add
         would refuse."""
-        X = np.array(d["rows"], dtype=float).reshape(len(d["rows"]), len(self.schema))
+        rows, width = d["rows"], len(self.schema)
+        X = np.array(rows, dtype=float) if len(rows) else np.empty((0, width))
         y = np.array(d["targets"], dtype=float)
-        if y.shape != (len(X),) or not (np.isfinite(X).all() and ((0 < y) & (y < np.inf)).all()):
-            raise ValueError(f"{len(X)} rows need finite features and as many finite runtimes > 0")
+        if X.shape != (len(X), width) or y.shape != (len(X),) or not (
+            np.isfinite(X).all() and ((0 < y) & (y < np.inf)).all()
+        ):
+            raise ValueError(
+                f"{len(X)} rows need {width} finite features each and as many finite runtimes > 0"
+            )
         self.lo, self.hi = X.min(axis=0, initial=np.inf), X.max(axis=0, initial=-np.inf)
         self._X, self._y, self._start, self._end = X, y, 0, len(X)
         self._norm = None

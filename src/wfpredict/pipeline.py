@@ -31,7 +31,7 @@ from .knn import EmptyWindowError, InstanceWindow
 # the pipeline calls neither downsample nor trev; perfbench/layers.py wraps
 # both by name in this module's namespace, so they stay importable from here
 from .store import downsample, downsample_block  # noqa: F401
-from .tsfeat import TrevConfig, strip_padding_rows, trev, trev_rows  # noqa: F401
+from .tsfeat import strip_padding_rows, trev, trev_rows  # noqa: F401
 
 REGISTRY_MAGIC = "wfpredict-registry"
 REGISTRY_VERSION = 7
@@ -82,28 +82,39 @@ def select_features(
     return {m for m, rho in correlations(history).items() if abs(rho) > threshold}
 
 
-def _series_rows(series: SeriesBlock, metrics: Sequence[MetricKind]):
-    """The metrics' samples in a record's series block, as downsample_block
-    reads them: one (M, n) view of the block when it holds exactly these
-    metrics, in order, each of n samples; else one view, or None, per metric."""
+def _observed_block(
+    series: SeriesBlock, metrics: Sequence[MetricKind], tau: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The metrics' series of a record downsampled to tau: the block (M, T)
+    and each row's length, 0 where the record lacks the metric.
+
+    The samples are read as one (M, n) view of the series block when it holds
+    exactly these metrics, in order, each of n samples; else as one view, or
+    None, per metric. A record without series is read as sampled every tau."""
     lengths = series.lengths
     if series.metrics == metrics and lengths and lengths.count(lengths[0]) == len(lengths):
-        return series.samples.reshape(len(lengths), lengths[0])
-    return [series.row(m) for m in metrics]
+        rows = series.samples.reshape(len(lengths), lengths[0])
+    else:
+        rows = [series.row(m) for m in metrics]
+    return downsample_block(rows, series.tau if series else tau, tau)
+
+
+def _trevs(block: np.ndarray, lengths: Sequence[int], lag: int) -> tuple:
+    """The trev of each row of the block, stripped of trailing zeros; 0.0
+    for a row of length 0."""
+    return tuple(trev_rows(block, strip_padding_rows(block, lengths), lag).tolist())
 
 
 def trev_history(records: Iterable[TaskExecutionRecord], tau: int, lag: int) -> dict:
     """Per task name, in log order, the history select_features reads: each
     record's trev of every series it carries, downsampled to tau and stripped
     of trailing zeros, and its runtime."""
-    cfg = TrevConfig(lag)
     history: Dict[str, list] = {}
     for rec in records:
-        s = rec.series
-        block, lengths = downsample_block(_series_rows(s, s.metrics), s.tau, tau)
-        trevs = trev_rows(block, strip_padding_rows(block, lengths), cfg)
+        metrics = rec.series.metrics
+        trevs = _trevs(*_observed_block(rec.series, metrics, tau), lag)
         history.setdefault(rec.features.task_name, []).append(
-            (dict(zip(s.metrics, trevs.tolist())), rec.runtime_seconds)
+            (dict(zip(metrics, trevs)), rec.runtime_seconds)
         )
     return history
 
@@ -245,15 +256,6 @@ class Registry:
     def _baseline_vector(f: PreRuntimeFeatures, code: Callable[[str, str], int]) -> tuple:
         return (float(code("input_name", f.input_name)),)
 
-    def _time_series_vector(
-        self, sigma: tuple, block: np.ndarray, lengths: Sequence[int]
-    ) -> tuple:
-        """sigma plus the trev of each selected metric's row of the block,
-        stripped of trailing zeros; 0.0 for a row of length 0."""
-        trev_cfg = TrevConfig(self.config.trev_lag)
-        trevs = trev_rows(block, strip_padding_rows(block, lengths), trev_cfg)
-        return sigma + tuple(trevs.tolist())
-
     @staticmethod
     def _aggregates(block: np.ndarray) -> tuple:
         """The aggregate (the sum) of each row of the block, floored at
@@ -265,16 +267,6 @@ class Registry:
         with np.errstate(over="ignore"):
             sums = np.add.accumulate(block.T)[-1] if block.shape[1] else np.zeros(len(block))
         return tuple(np.maximum(sums, _AGG_FLOOR).tolist())
-
-    def _observed_block(
-        self, metrics: Sequence[MetricKind], rec: TaskExecutionRecord
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The metrics' series downsampled to the target tau: the block (M, T)
-        and each row's length, 0 where the record lacks the metric."""
-        tau = self.config.target_tau
-        series = rec.series
-        interval = series.tau if series else tau
-        return downsample_block(_series_rows(series, metrics), interval, tau)
 
     # -- the three phases --------------------------------------------------
 
@@ -300,7 +292,7 @@ class Registry:
                 sigma = encode_pre_runtime(f, self.vocab.lookup)
                 if bundle.regressor.ranges()[len(sigma):].any():
                     block, horizons = bundle.forecaster.forecast_all(sigma)
-                    query = self._time_series_vector(sigma, block, horizons)
+                    query = sigma + _trevs(block, horizons, self.config.trev_lag)
                 else:
                     # no trev column is live, so no trev can move a distance:
                     # skip the forecast and read every trev as 0.0
@@ -324,8 +316,9 @@ class Registry:
             # encoded before downsampling, so a record whose series fail still
             # leaves its codes in the vocabulary
             sigma = encode_pre_runtime(rec.features, self.vocab.code)
-            metrics = self.config.metrics_for(rec.features.task_name)
-            block, lengths = self._observed_block(metrics, rec)
+            cfg = self.config
+            metrics = cfg.metrics_for(rec.features.task_name)
+            block, lengths = _observed_block(rec.series, metrics, cfg.target_tau)
             if scenario == Scenario.two_stages:
                 row = sigma + self._aggregates(block)
             else:
@@ -333,7 +326,7 @@ class Registry:
                 # it back whole, cannot leave a freshly added regressor instance
                 if bundle.forecaster is not None:
                     bundle.forecaster.update_all(sigma, block, lengths)
-                row = self._time_series_vector(sigma, block, lengths)
+                row = sigma + _trevs(block, lengths, cfg.trev_lag)
         bundle.regressor.add(row, rec.runtime_seconds)
         bundle.runtime_count += 1
 

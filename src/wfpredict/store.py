@@ -17,14 +17,14 @@ class StoreError(ValueError):
 
 
 class CorruptLogError(StoreError):
-    """Trailing entry of the log could not be decoded.
+    """An entry of the log could not be decoded, and reading stopped there.
 
     Complete records before the corruption were already delivered;
     `delivered` carries their count.
     """
 
     def __init__(self, path, delivered: int, detail: str):
-        super().__init__(f"corrupt trailing entry in {path} after {delivered} records: {detail}")
+        super().__init__(f"corrupt entry in {path} after {delivered} records: {detail}")
         self.delivered = delivered
 
 
@@ -60,17 +60,23 @@ class RecordLog:
 
         One open, one flush and one fsync per call; records are written as the
         iterable yields them. A non-record raises StoreError, and the records
-        before it stay appended.
+        before it stay appended. A log that ends in a partial line, as a crash
+        mid-write leaves it, raises StoreError before anything is written: a
+        record appended to it would join that line and never be read.
         """
         start = self._count
-        with open(self.path, "a", encoding="utf-8") as fh:
+        with open(self.path, "ab+") as fh:
+            if fh.tell():
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    raise StoreError(f"{self.path} ends in a partial line; not appending")
             try:
                 for record in records:
                     if not isinstance(record, TaskExecutionRecord):
                         raise StoreError(
                             f"expected TaskExecutionRecord, got {type(record).__name__}"
                         )
-                    fh.write(json.dumps(record.to_dict()) + "\n")
+                    fh.write(json.dumps(record.to_dict()).encode("utf-8") + b"\n")
                     self._count += 1
             finally:
                 fh.flush()
@@ -78,7 +84,8 @@ class RecordLog:
         return list(range(start, self._count))
 
     def records(self) -> Iterator[TaskExecutionRecord]:
-        """Iterate records in arrival order; raises CorruptLogError on a bad tail."""
+        """Iterate records in arrival order; raises CorruptLogError at the
+        first line that does not decode."""
         if not self.path.exists():
             return
         delivered = 0

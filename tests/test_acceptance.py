@@ -21,7 +21,7 @@ from wfpredict.forecaster import SequenceModel
 from wfpredict.knn import InstanceWindow
 from wfpredict.pipeline import Registry, PipelineConfig, pearson, select_features, trev_history
 from wfpredict.store import downsample
-from wfpredict.tsfeat import TrevConfig, trev
+from wfpredict.tsfeat import trev
 
 # the fixed end-to-end configuration every corpus threshold refers to
 ACCEPT_TAU = 5
@@ -65,13 +65,13 @@ def test_criterion_01_trev_oracle():
         n = random.randrange(0, 101)
         lag = random.randrange(1, 6)
         values = [random.gauss(0, 4) for _ in range(n)]
-        got = trev(values, TrevConfig(lag=lag))
+        got = trev(values, lag)
         want = _reference_trev(values, lag)
         ok = ok and abs(got - want) < 1e-9
         if n <= lag:
             ok = ok and got == 0.0
-    ok = ok and trev([], TrevConfig(lag=1)) == 0.0
-    ok = ok and trev([7.0] * 50, TrevConfig(lag=3)) == 0.0
+    ok = ok and trev([], 1) == 0.0
+    ok = ok and trev([7.0] * 50, 3) == 0.0
     ok = ok and (time.monotonic() - t0) < 5.0
     verdict(1, "trev oracle", ok)
 
@@ -83,13 +83,12 @@ def test_criterion_02_trev_symmetry():
         n = random.randrange(5, 80)
         lag = random.randrange(1, 5)
         values = [random.gauss(0, 3) for _ in range(n)]
-        cfg = TrevConfig(lag=lag)
-        base = trev(values, cfg)
-        ok = ok and abs(trev(values[::-1], cfg) + base) < 1e-9
+        base = trev(values, lag)
+        ok = ok and abs(trev(values[::-1], lag) + base) < 1e-9
         scale = random.uniform(0.2, 30)
         shift = random.uniform(-60, 60)
-        ok = ok and abs(trev([v * scale for v in values], cfg) - base) < 1e-9
-        ok = ok and abs(trev([v + shift for v in values], cfg) - base) < 1e-9
+        ok = ok and abs(trev([v * scale for v in values], lag) - base) < 1e-9
+        ok = ok and abs(trev([v + shift for v in values], lag) - base) < 1e-9
     verdict(2, "trev symmetry suite", ok)
 
 

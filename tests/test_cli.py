@@ -193,11 +193,43 @@ def test_a_non_finite_vm_memory_stops_every_scenario_at_decode(tmp_path, capsys)
     assert runs[0] == runs[1] == runs[2]
     rc, out, err = runs[0]
     assert rc == 1 and len(out.splitlines()) == 1
-    assert err.startswith(f"error: corrupt trailing entry in {log} after 1 records")
+    assert err.startswith(f"error: corrupt entry in {log} after 1 records")
     assert "vm_memory and vm_storage must be positive and finite" in err
     assert err.count("\n") == 1
     assert main(["ingest", "--input", str(log), "--log", str(tmp_path / "copy.jsonl")]) == 1
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_ingest_into_a_log_that_ends_in_a_partial_line_is_one_error_line(tmp_path, capsys):
+    """A log whose last line a crash cut short takes no record: ingest prints
+    one error line, exits 1 and leaves the log's bytes as they were."""
+    docs = [make_record(runtime=5.0 + i).to_dict() for i in range(3)]
+    dest = _write_log(tmp_path / "torn.jsonl", docs)
+    dest.write_bytes(dest.read_bytes()[:-60])
+    torn = dest.read_bytes()
+    src = _write_log(tmp_path / "src.jsonl", [make_record(runtime=9.0).to_dict()])
+    assert main(["ingest", "--input", str(src), "--log", str(dest)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {dest} ends in a partial line; not appending\n"
+    assert dest.read_bytes() == torn
+
+
+def test_a_record_without_series_reads_as_sampled_at_tau_in_every_command(tmp_path, capsys):
+    """A record that holds no series has no interval of its own, so its
+    series interval (3) is not held against --tau 5: select-features reads
+    it through the same block reader as replay-predict, and both succeed."""
+    empty = make_record(runtime=4.0).to_dict()
+    empty["series"] = {"tau": 3, "metrics": [], "lengths": [], "f64": ""}
+    log = _write_log(tmp_path / "empty.jsonl", [empty, make_record(runtime=12.0).to_dict()])
+    out = tmp_path / "sel.json"
+    assert main([
+        "select-features", "--log", str(log), "--tau", "5", "--threshold", "0.5", "--out", str(out),
+    ]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["align"]["rho"]["utime"] == 0.0
+    for scenario in Scenario:
+        rc = main(["replay-predict", "--log", str(log), "--scenario", scenario.value, "--tau", "5"])
+        assert rc == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_an_overflowing_aggregate_is_one_error_line(tmp_path, capsys):

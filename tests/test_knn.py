@@ -175,7 +175,7 @@ def test_serialization_round_trip():
 def test_restoring_an_empty_window_leaves_its_ranges_unset():
     again = InstanceWindow(_names(2))
     again.restore(json.loads(json.dumps(InstanceWindow(_names(2)).to_dict())))
-    assert len(again) == 0
+    assert len(again) == 0 and again._X.shape == (0, 2)
     assert again.lo.tolist() == [math.inf] * 2 and again.hi.tolist() == [-math.inf] * 2
     again.add([1.0, 2.0], 3.0)
     assert again.lo.tolist() == again.hi.tolist() == [1.0, 2.0]
@@ -187,6 +187,8 @@ def test_restoring_an_empty_window_leaves_its_ranges_unset():
     {"rows": [[1.0, 2.0, 3.0]], "targets": [1.0]},
     {"rows": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], "targets": [1.0, 2.0, 3.0]},
     {"rows": [[1.0, 2.0], [3.0]], "targets": [1.0, 2.0]},
+    {"rows": [[[1.0, 2.0]]], "targets": [1.0]},
+    {"rows": [[[1.0], [2.0]]], "targets": [1.0]},
     {"rows": [[1.0, 2.0]], "targets": [[1.0]]},
     {"rows": [[math.nan, 2.0]], "targets": [1.0]},
     {"rows": [[1.0, math.inf]], "targets": [1.0]},
@@ -196,9 +198,11 @@ def test_restoring_an_empty_window_leaves_its_ranges_unset():
 ])
 def test_restore_rejects_what_add_would_refuse(payload):
     w = InstanceWindow(_names(2))
+    w.add([7.0, 8.0], 9.0)
+    state = (json.dumps(w.to_dict()), w.lo.tobytes(), w.hi.tobytes())
     with pytest.raises(ValueError):
         w.restore(payload)
-    assert len(w) == 0
+    assert (json.dumps(w.to_dict()), w.lo.tobytes(), w.hi.tobytes()) == state
 
 
 _BAD_INSTANCES = [

@@ -23,7 +23,7 @@ from wfpredict.pipeline import (
     REGISTRY_VERSION, PipelineConfig, Registry, pearson, select_features, trev_history,
 )
 from wfpredict.store import RecordLog, downsample, downsample_block
-from wfpredict.tsfeat import TrevConfig, strip_padding, trev
+from wfpredict.tsfeat import strip_padding, trev
 
 
 def reference_pearson(xs, ys):
@@ -273,7 +273,7 @@ def test_time_series_forecasts_only_while_a_trev_column_is_live(tmp_path, monkey
             # the answer of a query that always carries the forecast's trevs
             sigma = encode_pre_runtime(rec.features, reg.vocab.lookup)
             block, horizons = forecast_all(bundle.forecaster, sigma)
-            query = reg._time_series_vector(sigma, block, horizons)
+            query = sigma + pipeline_mod._trevs(block, horizons, reg.config.trev_lag)
             assert bundle.regressor.predict(query, k=3) == got
         reg.observe_completion(rec, Scenario.time_series)
     live = bundle.regressor.ranges()[8:] > 0
@@ -548,11 +548,10 @@ def test_trev_history_matches_the_per_metric_path(tmp_path):
         features = records[0].features
         records.append(TaskExecutionRecord(features=features, series=series, runtime_seconds=12.0))
     for tau, lag in ((1, 2), (5, 2), (10, 3)):
-        trev_cfg = TrevConfig(lag=lag)
         want = {}
         for rec in records:
             feats = {
-                m: trev(strip_padding(downsample(s, tau).values), trev_cfg)
+                m: trev(strip_padding(downsample(s, tau).values), lag)
                 for m, s in rec.series.items()
             }
             want.setdefault(rec.features.task_name, []).append((feats, rec.runtime_seconds))

@@ -51,6 +51,33 @@ def test_extend_keeps_the_records_before_a_rejected_one(tmp_path):
     assert RecordLog(tmp_path / "log.jsonl").read_all() == [make_record(runtime=5.0)]
 
 
+def test_extend_refuses_a_log_that_ends_in_a_partial_line(tmp_path, monkeypatch):
+    """A last line cut short, as a crash mid-write leaves it: a record
+    appended to it would join that line and never be read, so extend writes
+    nothing, syncs nothing and acknowledges nothing."""
+    path = tmp_path / "log.jsonl"
+    RecordLog(path).extend([make_record(runtime=5.0 + i) for i in range(3)])
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:2]) + lines[2][:50])
+    torn = path.read_bytes()
+    calls = []
+    monkeypatch.setattr(store_mod.os, "fsync", lambda fd: calls.append(fd))
+    log = RecordLog(path)
+    with pytest.raises(StoreError, match="ends in a partial line"):
+        log.extend([make_record(runtime=9.0)])
+    assert path.read_bytes() == torn and calls == [] and log.count == 3
+    with pytest.raises(CorruptLogError) as info:
+        RecordLog(path).read_all()
+    assert info.value.delivered == 2
+    # an empty file, and a log whose last line is whole, take the record
+    empty = tmp_path / "empty.jsonl"
+    empty.touch()
+    assert RecordLog(empty).extend([make_record(runtime=9.0)]) == [0]
+    path.write_bytes(b"".join(lines[:2]))
+    assert RecordLog(path).extend([make_record(runtime=9.0)]) == [2]
+    assert len(RecordLog(path).read_all()) == 3
+
+
 def test_round_trip_preserves_order_and_content(tmp_path):
     log = RecordLog(tmp_path / "log.jsonl")
     random.seed(11)
@@ -81,6 +108,19 @@ def test_corrupt_tail_reports_delivered_count(tmp_path):
             delivered.append(rec)
     assert len(delivered) == 3
     assert info.value.delivered == 3
+
+
+def test_a_corrupt_line_mid_log_stops_the_read_there(tmp_path):
+    path = tmp_path / "log.jsonl"
+    RecordLog(path).extend([make_record(runtime=5.0 + i) for i in range(3)])
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(lines[0] + "{this is not json\n" + lines[2], encoding="utf-8")
+    delivered = []
+    with pytest.raises(CorruptLogError) as info:
+        for rec in RecordLog(path).records():
+            delivered.append(rec)
+    assert str(info.value).startswith(f"corrupt entry in {path} after 1 records: ")
+    assert delivered == [make_record(runtime=5.0)] and info.value.delivered == 1
 
 
 def test_corrupt_tail_bad_schema(tmp_path):

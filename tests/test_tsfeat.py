@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from wfpredict.tsfeat import TrevConfig, strip_padding, strip_padding_rows, trev, trev_rows
+from wfpredict.tsfeat import strip_padding, strip_padding_rows, trev, trev_rows
 
 
 def reference_trev(values, lag):
@@ -21,9 +21,9 @@ def reference_trev(values, lag):
     return m3 / m2 ** 1.5
 
 
-def test_trev_config_rejects_bad_lag():
-    with pytest.raises(ValueError):
-        TrevConfig(lag=0)
+def test_trev_rejects_a_lag_below_one():
+    with pytest.raises(ValueError, match="lag must be >= 1"):
+        trev([1.0, 3.0, 2.0], 0)
 
 
 def test_trev_matches_reference_on_random_series():
@@ -32,18 +32,17 @@ def test_trev_matches_reference_on_random_series():
         n = random.randrange(0, 80)
         lag = random.randrange(1, 6)
         values = [random.gauss(0, 3) for _ in range(n)]
-        got = trev(values, TrevConfig(lag=lag))
+        got = trev(values, lag)
         want = reference_trev(values, lag)
         assert abs(got - want) < 1e-9
 
 
 def test_trev_degenerate_cases_are_exactly_zero():
-    cfg = TrevConfig(lag=2)
-    assert trev([], cfg) == 0.0
-    assert trev([5.0], cfg) == 0.0
-    assert trev([5.0, 5.0], cfg) == 0.0  # length == lag
-    assert trev([3.0] * 20, cfg) == 0.0  # constant series
-    assert trev([1.0, 2.0], TrevConfig(lag=5)) == 0.0
+    assert trev([], 2) == 0.0
+    assert trev([5.0], 2) == 0.0
+    assert trev([5.0, 5.0], 2) == 0.0  # length == lag
+    assert trev([3.0] * 20, 2) == 0.0  # constant series
+    assert trev([1.0, 2.0], 5) == 0.0
 
 
 def test_trev_rounding_level_differences_count_as_degenerate():
@@ -51,7 +50,7 @@ def test_trev_rounding_level_differences_count_as_degenerate():
     random.seed(5)
     base = 123.456
     values = [base + k * 1e-14 * random.choice([-1, 0, 1]) for k in range(30)]
-    assert trev(values, TrevConfig(lag=2)) == 0.0
+    assert trev(values, 2) == 0.0
 
 
 def test_trev_sign_antisymmetry_under_reversal():
@@ -60,8 +59,7 @@ def test_trev_sign_antisymmetry_under_reversal():
         n = random.randrange(5, 60)
         lag = random.randrange(1, 4)
         values = [random.gauss(0, 2) for _ in range(n)]
-        cfg = TrevConfig(lag=lag)
-        assert abs(trev(values, cfg) + trev(values[::-1], cfg)) < 1e-9
+        assert abs(trev(values, lag) + trev(values[::-1], lag)) < 1e-9
 
 
 def test_trev_invariant_under_positive_scaling_and_shift():
@@ -72,17 +70,15 @@ def test_trev_invariant_under_positive_scaling_and_shift():
         values = [random.gauss(0, 2) for _ in range(n)]
         scale = random.uniform(0.1, 50)
         shift = random.uniform(-100, 100)
-        cfg = TrevConfig(lag=lag)
-        base = trev(values, cfg)
-        assert abs(trev([v * scale for v in values], cfg) - base) < 1e-9
-        assert abs(trev([v + shift for v in values], cfg) - base) < 1e-9
+        base = trev(values, lag)
+        assert abs(trev([v * scale for v in values], lag) - base) < 1e-9
+        assert abs(trev([v + shift for v in values], lag) - base) < 1e-9
 
 
 def test_trev_flips_sign_under_negation():
     values = [math.exp(0.2 * t) for t in range(25)]
-    cfg = TrevConfig(lag=2)
-    assert trev(values, cfg) > 0
-    assert abs(trev([-v for v in values], cfg) + trev(values, cfg)) < 1e-9
+    assert trev(values, 2) > 0
+    assert abs(trev([-v for v in values], 2) + trev(values, 2)) < 1e-9
 
 
 def test_strip_padding_removes_trailing_zeros_only():
@@ -125,7 +121,6 @@ def _ragged_block(rows):
 def test_trev_rows_equals_one_series_trev_bit_for_bit():
     rng = random.Random(113)
     for lag in (1, 2, 3):
-        cfg = TrevConfig(lag=lag)
         rows = []
         for _ in range(60):
             n = rng.choice([0, 1, lag, lag + 1, rng.randrange(0, 40), rng.randrange(200, 320)])
@@ -138,12 +133,12 @@ def test_trev_rows_equals_one_series_trev_bit_for_bit():
                 base = rng.uniform(1, 900)
                 rows.append([base + k * math.ulp(base) * rng.choice([-1, 0, 1]) for k in range(n)])
         block, lengths = _ragged_block(rows)
-        got = trev_rows(block, lengths, cfg)
+        got = trev_rows(block, lengths, lag)
         assert got.tolist() == [_trev_1d(r, lag) for r in rows]
-        assert got.tolist() == [trev(r, cfg) for r in rows]
+        assert got.tolist() == [trev(r, lag) for r in rows]
         # only the first lengths[m] values of a row count
         junk = block + (np.arange(block.shape[1]) >= lengths[:, None]) * 7.0
-        assert trev_rows(junk, lengths, cfg).tolist() == got.tolist()
+        assert trev_rows(junk, lengths, lag).tolist() == got.tolist()
 
 
 def _strip_loop(values):
@@ -172,10 +167,10 @@ def _moments_before(x, l):
     return np.mean(d * d, axis=1), np.mean(d * d * d, axis=1)
 
 
-def _trev_rows_before(block, lengths, cfg):
+def _trev_rows_before(block, lengths, lag):
     """trev_rows as it was before its one-length fast path, kept verbatim as
     its bit-exact oracle."""
-    l = cfg.lag
+    l = lag
     lengths = np.asarray(lengths)
     out = np.zeros(len(lengths))
     for n in np.unique(lengths[lengths > l]).tolist():
@@ -197,7 +192,7 @@ def test_trev_rows_matches_its_grouping_oracle_bit_for_bit():
     rng = np.random.default_rng(131)
     big = np.finfo(np.float64).max
     for trial in range(400):
-        cfg = TrevConfig(lag=int(rng.integers(1, 4)))
+        lag = int(rng.integers(1, 4))
         M, width = int(rng.integers(1, 14)), int(rng.integers(0, 40))
         block = rng.lognormal(0, 2, (M, width)) * rng.choice([-1.0, 1.0], (M, width))
         kind = trial % 4
@@ -214,14 +209,13 @@ def test_trev_rows_matches_its_grouping_oracle_bit_for_bit():
             block[rng.random(M) < 0.3] = rng.choice([0.0, -0.0])
             lengths = np.full(M, width) if trial % 8 == 3 else rng.integers(0, width + 1, M)
         with np.errstate(over="ignore"):
-            want = _trev_rows_before(block, lengths, cfg)
-            got = trev_rows(block, lengths, cfg)
+            want = _trev_rows_before(block, lengths, lag)
+            got = trev_rows(block, lengths, lag)
         assert got.tobytes() == want.tobytes(), trial
 
 
 def test_trev_rows_rescales_rows_whose_moments_overflow():
     big = 1.7976931348623157e308
-    cfg = TrevConfig(lag=2)
     rows = np.array([
         [big, -big, 0.5 * big, big, -0.25 * big, 0.0, big],
         [0.0, 1e200, -1e200, 3e200, 2e200, -5e200, 1e199],
@@ -229,12 +223,12 @@ def test_trev_rows_rescales_rows_whose_moments_overflow():
     ])
     lengths = np.full(3, rows.shape[1])
     with np.errstate(all="raise"):
-        out = trev_rows(rows, lengths, cfg)
+        out = trev_rows(rows, lengths, 2)
     assert np.all(np.isfinite(out))
     for r in range(2):
         # the statistic does not change under scaling; 2**-1000 scales exactly
-        scaled = trev_rows(rows[r:r + 1] * 2.0 ** -1000, lengths[:1], cfg)[0]
+        scaled = trev_rows(rows[r:r + 1] * 2.0 ** -1000, lengths[:1], 2)[0]
         assert out[r] != 0.0
         assert abs(out[r] - scaled) <= 1e-12 * abs(scaled)
     # a row that does not overflow keeps its own statistic bit for bit
-    assert out[2] == trev(rows[2], cfg)
+    assert out[2] == trev(rows[2], 2)
