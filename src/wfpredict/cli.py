@@ -34,7 +34,7 @@ def _write_report(report: EvalReport, out_prefix: Path) -> None:
 
 
 def _add_common_eval_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--log", required=True, help="record log (JSONL)")
+    p.add_argument("--log", required=True, help="record log")
     p.add_argument("--scenario", choices=[s.value for s in Scenario], default="time_series")
     p.add_argument("--tau", type=int, default=1)
     p.add_argument("--lag", type=int, default=2)
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser(
-        "ingest", help="validate JSONL records in either layout and append them as series blocks"
+        "ingest", help="validate records in any log layout and append them in the current one"
     )
     p.add_argument("--input", required=True)
     p.add_argument("--log", required=True)

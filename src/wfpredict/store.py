@@ -1,4 +1,4 @@
-"""Append-only JSONL log of task execution records, plus series downsampling."""
+"""Append-only log of task execution records, plus series downsampling."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .domain import DomainError, MetricSeries, TaskExecutionRecord
+from .domain import DomainError, MetricSeries, PreRuntimeFeatures, SeriesBlock, TaskExecutionRecord
 
 
 class StoreError(ValueError):
@@ -29,21 +29,28 @@ class CorruptLogError(StoreError):
 
 
 class RecordLog:
-    """Append-only store of TaskExecutionRecords, one JSON object per line.
+    """Append-only store of TaskExecutionRecords, one record per line.
 
-    Re-opening a log yields the same records in the same order. Single
-    writer; replay snapshots the current length and never observes a
-    partial append.
+    A line is a JSON header, a NUL byte and the samples as little-endian
+    float64 bytes, then a newline. The header is the record's to_dict() with
+    the series' "f64" replaced by "nl": the payload offsets that held a 0x0A
+    byte, which the payload carries as 0x00, so that the terminator is the
+    line's one newline byte. A line without a NUL is read as a JSON record of
+    either earlier layout. Re-opening a log yields the same records in the
+    same order. Single writer; replay snapshots the current length and never
+    observes a partial append.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self._count = sum(1 for _ in self._raw_lines()) if self.path.exists() else 0
 
-    def _raw_lines(self) -> Iterator[str]:
-        with open(self.path, "r", encoding="utf-8") as fh:
+    def _raw_lines(self) -> Iterator[bytes]:
+        # strips the terminator alone: a payload may end in any other byte
+        with open(self.path, "rb") as fh:
             for line in fh:
-                line = line.rstrip("\n")
+                if line.endswith(b"\n"):
+                    line = line[:-1]
                 if line:
                     yield line
 
@@ -76,7 +83,7 @@ class RecordLog:
                         raise StoreError(
                             f"expected TaskExecutionRecord, got {type(record).__name__}"
                         )
-                    fh.write(json.dumps(record.to_dict()).encode("utf-8") + b"\n")
+                    fh.write(_encode(record))
                     self._count += 1
             finally:
                 fh.flush()
@@ -94,18 +101,60 @@ class RecordLog:
             if delivered >= snapshot:
                 break
             try:
-                obj = json.loads(line)
-                rec = TaskExecutionRecord.from_dict(obj)
+                cut = line.find(b"\0")  # none: a JSON line, which holds no raw NUL
+                rec = (TaskExecutionRecord.from_dict(json.loads(line)) if cut < 0
+                       else _decode(line, cut))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 # ValueError covers JSONDecodeError, DomainError, a bad base64
-                # character, an unknown metric name and a non-numeric field;
-                # OverflowError an Infinity where an integer belongs
+                # character, an unknown metric name, a non-numeric field and a
+                # payload that is not whole float64s; OverflowError an
+                # Infinity where an integer belongs
                 raise CorruptLogError(self.path, delivered, str(exc))
             yield rec
             delivered += 1
 
     def read_all(self) -> List[TaskExecutionRecord]:
         return list(self.records())
+
+
+def _encode(record: TaskExecutionRecord) -> bytes:
+    """The log line of a record: header, NUL, payload, newline."""
+    s = record.series
+    raw = s.samples.astype("<f8", copy=False).tobytes()
+    header = {
+        "features": record.features.to_dict(),
+        "runtime_seconds": record.runtime_seconds,
+        "series": {
+            "tau": s.tau,
+            "metrics": [m.value for m in s.metrics],
+            "lengths": list(s.lengths),
+            "nl": np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == 0x0A).tolist(),
+        },
+    }
+    return json.dumps(header).encode("ascii") + b"\0" + raw.replace(b"\n", b"\0") + b"\n"
+
+
+def _decode(line: bytes, cut: int) -> TaskExecutionRecord:
+    """The record of a line whose header ends at its first NUL, `cut`."""
+    d = json.loads(line[:cut])
+    sd = d["series"]
+    # a copy: aligned, writable, and free of the line's buffer
+    raw = np.frombuffer(line, dtype=np.uint8, offset=cut + 1).copy()
+    nl = sd["nl"]
+    if type(nl) is not list or not set(map(type, nl)) <= {int}:
+        raise DomainError("nl must be a list of integer offsets")
+    if nl:
+        at = np.array(nl, dtype=np.int64)
+        if not (0 <= nl[0] and nl[-1] < raw.size and (at[1:] > at[:-1]).all()):
+            raise DomainError("nl offsets must increase strictly inside the payload")
+        if raw[at].any():
+            raise DomainError("an nl offset points at a byte that is not 0x00")
+        raw[at] = 0x0A
+    return TaskExecutionRecord(
+        features=PreRuntimeFeatures.from_dict(d["features"]),
+        series=SeriesBlock(sd["tau"], sd["metrics"], sd["lengths"], raw.view("<f8")),
+        runtime_seconds=float(d["runtime_seconds"]),
+    )
 
 
 def downsample_block(

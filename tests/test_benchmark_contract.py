@@ -5,6 +5,7 @@ module here makes a renamed attribute fail in this suite, not only in a
 benchmark run.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 
 from wfpredict.domain import Scenario
 from wfpredict.pipeline import PipelineConfig, Registry
+from wfpredict.store import RecordLog
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -27,6 +29,43 @@ def replay():
     finally:
         sys.path.remove(str(PERFBENCH))
     return replay
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import bench
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return bench
+
+
+def test_the_benchmark_splits_a_log_into_records_at_its_newlines(bench, tmp_path):
+    """The benchmark counts a corpus's records by its b"\\n" bytes, replays a
+    prefix of its lines and holds lines out by index: a log must be one record
+    per newline-terminated line, with no header line and no raw newline
+    inside a record."""
+    wl = dataclasses.replace(bench.WORKLOADS["ts-online-curved"], records=20, segments=2)
+    corpus = tmp_path / "corpus.jsonl"
+    info = bench.generate_corpus(wl, 3, corpus)
+    records = RecordLog(corpus).read_all()
+    assert info["records"] == len(records) == wl.total
+    with open(corpus, "rb") as fh:
+        lines = fh.readlines()
+    assert len(lines) == len(records) and all(line.endswith(b"\n") for line in lines)
+    # the curved samples' bytes hold newlines, which the lines must not
+    assert any(json.loads(line[:line.index(b"\0")])["series"]["nl"] for line in lines)
+    prefix = tmp_path / "prefix.jsonl"
+    for n in (1, 7, wl.total):
+        prefix.write_bytes(b"".join(lines[:n]))
+        assert RecordLog(prefix).read_all() == records[:n]
+    held_out = tmp_path / "held_out.jsonl"
+    bench.write_held_out(corpus, held_out, wl.records)
+    split = bench.replay.train_split(wl.records)
+    assert RecordLog(held_out).read_all() == [
+        rec for i, rec in enumerate(records) if i % wl.records >= split
+    ]
 
 
 @pytest.mark.parametrize("scenario,trev_dims", [
@@ -93,6 +132,7 @@ tracer = layers.Tracer()
 layers.install(tracer)
 from wfpredict.domain import Scenario
 from wfpredict.pipeline import PipelineConfig, Registry
+from wfpredict.store import RecordLog
 from wfpredict.store import RecordLog
 
 reg = Registry(config=PipelineConfig(target_tau=5, k=3))

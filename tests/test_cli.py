@@ -84,26 +84,36 @@ LEGACY_LINES = [
 
 
 def test_ingest_converts_a_legacy_log_to_the_block_layout(tmp_path):
+    """Both JSON layouts, per-metric objects and one base64 block, convert to
+    the binary layout, and every scenario predicts the same bytes from the
+    source log as from the converted one."""
     legacy = tmp_path / "legacy.jsonl"
     legacy.write_text("\n".join(LEGACY_LINES) + "\n", encoding="utf-8")
-    converted = tmp_path / "converted.jsonl"
-    assert main(["ingest", "--input", str(legacy), "--log", str(converted)]) == 0
-    lines = [json.loads(l) for l in converted.read_text(encoding="utf-8").splitlines()]
-    assert len(lines) == len(LEGACY_LINES)
-    for line in lines:
-        assert list(line["series"]) == ["tau", "metrics", "lengths", "f64"]
-        assert line["series"]["metrics"] == ["utime", "vmRSS"]
-    assert RecordLog(converted).read_all() == RecordLog(legacy).read_all()
-    for scenario in Scenario:
-        outs = []
-        for log in (legacy, converted):
-            out = tmp_path / f"{log.stem}_{scenario.value}.jsonl"
-            assert main([
-                "replay-predict", "--log", str(log), "--scenario", scenario.value,
-                "--tau", "5", "--out", str(out),
-            ]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1] and outs[0].count(b"\n") == len(LEGACY_LINES)
+    records = RecordLog(legacy).read_all()
+    base64_block = tmp_path / "base64_block.jsonl"
+    base64_block.write_text(
+        "".join(json.dumps(rec.to_dict()) + "\n" for rec in records), encoding="utf-8")
+    assert '"f64": ' in base64_block.read_text(encoding="utf-8")
+    for source in (legacy, base64_block):
+        converted = tmp_path / f"{source.stem}_converted.jsonl"
+        assert main(["ingest", "--input", str(source), "--log", str(converted)]) == 0
+        lines = converted.read_bytes().split(b"\n")
+        assert lines.pop() == b"" and len(lines) == len(LEGACY_LINES)
+        for line in lines:
+            header = json.loads(line[:line.index(b"\0")])
+            assert list(header["series"]) == ["tau", "metrics", "lengths", "nl"]
+            assert header["series"]["metrics"] == ["utime", "vmRSS"]
+        assert RecordLog(converted).read_all() == records
+        for scenario in Scenario:
+            outs = []
+            for log in (source, converted):
+                out = tmp_path / f"{log.stem}_{scenario.value}.jsonl"
+                assert main([
+                    "replay-predict", "--log", str(log), "--scenario", scenario.value,
+                    "--tau", "5", "--out", str(out),
+                ]) == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1] and outs[0].count(b"\n") == len(LEGACY_LINES)
 
 
 def test_ingest_missing_input(tmp_path):

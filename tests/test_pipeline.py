@@ -375,7 +375,9 @@ def test_time_series_block_holds_only_the_selected_metrics(small_log, monkeypatc
 
 
 def test_block_and_legacy_logs_give_identical_predictions_and_registries(tmp_path, small_log):
-    assert '"f64": ' in small_log.path.read_text(encoding="utf-8").splitlines()[0]
+    with open(small_log.path, "rb") as fh:
+        first = fh.readline()
+    assert "nl" in json.loads(first[:first.index(b"\0")])["series"]  # the binary layout
     legacy = RecordLog(write_legacy(small_log.read_all(), tmp_path / "legacy.jsonl"))
     assert legacy.read_all() == small_log.read_all()
     for scenario in Scenario:

@@ -10,7 +10,13 @@ import pytest
 
 from conftest import legacy_dict, make_record
 import wfpredict.store as store_mod
-from wfpredict.domain import DomainError, MetricKind, MetricSeries, TaskExecutionRecord
+from wfpredict.domain import (
+    DomainError,
+    MetricKind,
+    MetricSeries,
+    SeriesBlock,
+    TaskExecutionRecord,
+)
 from wfpredict.store import CorruptLogError, RecordLog, StoreError, downsample, downsample_block
 
 
@@ -57,7 +63,8 @@ def test_extend_refuses_a_log_that_ends_in_a_partial_line(tmp_path, monkeypatch)
     nothing, syncs nothing and acknowledges nothing."""
     path = tmp_path / "log.jsonl"
     RecordLog(path).extend([make_record(runtime=5.0 + i) for i in range(3)])
-    lines = path.read_bytes().splitlines(keepends=True)
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
     path.write_bytes(b"".join(lines[:2]) + lines[2][:50])
     torn = path.read_bytes()
     calls = []
@@ -113,8 +120,9 @@ def test_corrupt_tail_reports_delivered_count(tmp_path):
 def test_a_corrupt_line_mid_log_stops_the_read_there(tmp_path):
     path = tmp_path / "log.jsonl"
     RecordLog(path).extend([make_record(runtime=5.0 + i) for i in range(3)])
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text(lines[0] + "{this is not json\n" + lines[2], encoding="utf-8")
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    path.write_bytes(lines[0] + b"{this is not json\n" + lines[2])
     delivered = []
     with pytest.raises(CorruptLogError) as info:
         for rec in RecordLog(path).records():
@@ -228,6 +236,135 @@ def test_block_layout_controls_decode():
     ):
         rec = TaskExecutionRecord.from_dict(_block_with(**changes))
         assert list(rec.series.lengths) == changes["lengths"]
+
+
+# 1.0 with its lowest byte set to 0x0A: a finite sample whose bytes hold a newline
+_NL_SAMPLE = b"\n" + bytes(5) + b"\xf0\x3f"
+
+
+def _binary_line(payload, lengths, nl=None, metrics=("utime",), runtime=10.0):
+    """A line of the binary layout, built by hand: the JSON header, a NUL and
+    the payload with each 0x0A byte written as 0x00; no terminator. `nl`
+    defaults to the payload's true newline offsets."""
+    d = make_record(runtime=runtime).to_dict()
+    if nl is None:
+        nl = [i for i, byte in enumerate(payload) if byte == 0x0A]
+    d["series"] = {"tau": 1, "metrics": list(metrics), "lengths": list(lengths), "nl": nl}
+    return json.dumps(d).encode("ascii") + b"\0" + payload.replace(b"\n", b"\0")
+
+
+_TWO_NL = _NL_SAMPLE * 2  # newlines at offsets 0 and 8
+_WHOLE = _binary_line(_TWO_NL, [2])
+_HEADER_END = _WHOLE.index(b"\0")
+
+# name -> (a line that must not decode, the line one defect away that must)
+_REJECTED_LINES = {
+    "cut-inside-header": (_WHOLE[:_HEADER_END // 2], _WHOLE),
+    "cut-at-the-nul": (_WHOLE[:_HEADER_END + 1], _WHOLE),
+    "cut-mid-payload": (_WHOLE[:-5], _WHOLE),
+    "cut-at-a-sample-boundary": (_WHOLE[:-8], _WHOLE),
+    "nl-missing": (_WHOLE.replace(b', "nl": [0, 8]', b""), _WHOLE),
+    "nl-not-a-list": (_binary_line(_TWO_NL[8:], [1], nl=0), _binary_line(_TWO_NL[8:], [1], nl=[0])),
+    "nl-negative": (_binary_line(_TWO_NL, [2], nl=[-8, 0, 8]), _WHOLE),
+    "nl-out-of-range": (_binary_line(_TWO_NL, [2], nl=[0, 8, 16]), _WHOLE),
+    "nl-not-increasing": (_binary_line(_TWO_NL, [2], nl=[8, 0]), _WHOLE),
+    "nl-repeated": (_binary_line(_TWO_NL, [2], nl=[0, 0, 8]), _WHOLE),
+    "nl-holding-a-float": (_binary_line(_TWO_NL, [2], nl=[0, 8.0]), _WHOLE),
+    "nl-holding-true": (_binary_line(_TWO_NL[8:], [1], nl=[True]), _binary_line(_TWO_NL[8:], [1])),
+    # 1.0's top byte is 0x3f, so the newline it names was never written as 0x00
+    "nl-at-a-non-zero-byte": (_binary_line(_TWO_NL, [2], nl=[0, 7, 8]), _WHOLE),
+    "payload-not-whole-float64s": (
+        _binary_line(_NL_SAMPLE + b"\x01" * 4, [1]), _binary_line(_NL_SAMPLE, [1])),
+    "lengths-short-of-payload": (_binary_line(_TWO_NL, [1]), _WHOLE),
+    "nan-bytes": (_binary_line(_NL_SAMPLE + struct.pack("<d", float("nan")), [2]), _WHOLE),
+    "inf-bytes": (_binary_line(struct.pack("<d", float("inf")) + _NL_SAMPLE, [2]), _WHOLE),
+    "minus-inf-bytes": (_binary_line(struct.pack("<d", float("-inf")), [1]),
+                        _binary_line(struct.pack("<d", -1.0), [1])),
+}
+
+
+def _read_after_two_good_records(tmp_path, line):
+    """Append `line` to a log of two good records and read it; return the
+    records after the good ones, and the CorruptLogError reading raised or
+    None."""
+    path = tmp_path / "log.jsonl"
+    good = [make_record(runtime=5.0 + i) for i in range(2)]
+    RecordLog(path).extend(good)
+    with open(path, "ab") as fh:
+        fh.write(line + b"\n")
+    delivered, error = [], None
+    try:
+        for rec in RecordLog(path).records():
+            delivered.append(rec)
+    except CorruptLogError as exc:
+        error = exc
+    assert delivered[:2] == good
+    return delivered[2:], error
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED_LINES))
+def test_binary_layout_rejections_report_delivered_count(tmp_path, case):
+    assert _REJECTED_LINES[case][0] != _REJECTED_LINES[case][1]
+    rest, error = _read_after_two_good_records(tmp_path, _REJECTED_LINES[case][0])
+    assert rest == [] and error is not None and error.delivered == 2
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED_LINES))
+def test_binary_layout_controls_decode(tmp_path, case):
+    """Each rejected line is one defect away from a line that decodes, and
+    decodes to the samples its payload held, newlines put back."""
+    line = _REJECTED_LINES[case][1]
+    header = json.loads(line[:line.index(b"\0")])
+    payload = bytearray(line[line.index(b"\0") + 1:])
+    for i in header["series"]["nl"]:
+        payload[i] = 0x0A
+    (rec,), error = _read_after_two_good_records(tmp_path, line)
+    assert error is None
+    assert rec.series.samples.tobytes() == bytes(payload)
+
+
+def _block_record(samples, runtime=5000.0):
+    """A record whose samples, split over up to 13 metrics, are `samples`."""
+    samples = np.asarray(samples, dtype=np.float64)
+    parts = np.array_split(samples, min(13, len(samples))) if len(samples) else []
+    return TaskExecutionRecord(
+        features=make_record().features,
+        series=SeriesBlock(1, [m.value for m in MetricKind][:len(parts)],
+                           [len(p) for p in parts], samples),
+        runtime_seconds=runtime,
+    )
+
+
+def test_binary_layout_round_trips_every_byte_value_bit_for_bit(tmp_path):
+    """Every byte value at every offset of a sample, with a filler that keeps
+    each sample finite; signed zeros, subnormals, the largest finite values,
+    a record without series, and payloads that end in a byte that is not a
+    newline but which a text reader would strip or split at."""
+    every_byte = bytearray()
+    for value in range(256):
+        for offset in range(8):
+            sample = bytearray(b"\x11" * 8)
+            sample[offset] = value
+            every_byte += sample
+    tiny = np.finfo(np.float64).smallest_subnormal
+    big = np.finfo(np.float64).max
+    records = [
+        _block_record(np.frombuffer(bytes(every_byte), dtype="<f8")),
+        _block_record([-0.0, 0.0, tiny, -tiny, 2.2250738585072009e-308, big, -big]),
+        _block_record([]),
+    ] + [
+        _block_record(np.frombuffer(b"\x11" * 7 + bytes([last]), dtype="<f8"))
+        for last in (0x0D, 0x20, 0x0A, 0x85, 0x0B, 0x0C, 0x1C)
+    ]
+    path = tmp_path / "log.jsonl"
+    RecordLog(path).extend(records)
+    data = path.read_bytes()
+    assert data.count(b"\n") == len(records) and data.endswith(b"\n")
+    back = RecordLog(path).read_all()
+    assert back == records
+    for rec, got in zip(records, back):
+        assert got.series.samples.tobytes() == rec.series.samples.tobytes()
+        assert got.series.metrics == rec.series.metrics and got.series.lengths == rec.series.lengths
 
 
 def test_missing_log_iterates_empty(tmp_path):
