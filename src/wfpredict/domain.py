@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import binascii
 import math
 import operator
 from collections.abc import Iterable, Mapping
@@ -68,18 +67,6 @@ class PreRuntimeFeatures:
             raise DomainError(f"vm_vcpus must be >= 1, got {self.vm_vcpus}")
         if not (0 < self.vm_memory < math.inf and 0 < self.vm_storage < math.inf):
             raise DomainError("vm_memory and vm_storage must be positive and finite")
-
-    def to_dict(self) -> dict:
-        return {
-            "task_name": self.task_name,
-            "task_id": self.task_id,
-            "input_name": self.input_name,
-            "vm_vcpus": self.vm_vcpus,
-            "vm_memory": self.vm_memory,
-            "vm_storage": self.vm_storage,
-            "submission_day": self.submission_day,
-            "submission_hour": self.submission_hour,
-        }
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "PreRuntimeFeatures":
@@ -191,31 +178,6 @@ class SeriesBlock(Mapping):
     def __len__(self) -> int:
         return len(self.metrics)
 
-    def to_dict(self) -> dict:
-        raw = self.samples.astype("<f8", copy=False).tobytes()
-        return {
-            "tau": self.tau,
-            "metrics": [m.value for m in self.metrics],
-            "lengths": list(self.lengths),
-            "f64": binascii.b2a_base64(raw, newline=False).decode("ascii"),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "SeriesBlock":
-        """The block of to_dict's layout, checked whole."""
-        # frombuffer rejects a byte count that is not whole float64s
-        raw = binascii.a2b_base64(d["f64"], strict_mode=True)
-        return cls(d["tau"], d["metrics"], d["lengths"], np.frombuffer(raw, dtype="<f8"))
-
-    @classmethod
-    def from_legacy_dict(cls, d: Mapping) -> "SeriesBlock":
-        """The block of the layout written before it: {name: {"tau", "values"}}."""
-        return cls._of_rows(
-            d,
-            (int(s["tau"]) for s in d.values()),
-            [np.asarray(s["values"], dtype=np.float64) for s in d.values()],
-        )
-
 
 @dataclass(frozen=True)
 class TaskExecutionRecord:
@@ -241,26 +203,6 @@ class TaskExecutionRecord:
                 f"{s.metrics[s.lengths.index(longest)].value} series outlives the task: "
                 f"{longest} samples at tau={s.tau} vs runtime {self.runtime_seconds}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "features": self.features.to_dict(),
-            "runtime_seconds": self.runtime_seconds,
-            "series": self.series.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "TaskExecutionRecord":
-        """Decode either layout: one block ({"tau", "metrics", "lengths", "f64"})
-        or, as written before the block, one {"tau", "values"} per metric name."""
-        sd = d["series"]
-        if not isinstance(sd, Mapping):
-            raise DomainError(f"series must be an object, got {type(sd).__name__}")
-        return cls(
-            features=PreRuntimeFeatures.from_dict(d["features"]),
-            series=SeriesBlock.from_dict(sd) if "tau" in sd else SeriesBlock.from_legacy_dict(sd),
-            runtime_seconds=float(d["runtime_seconds"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import binascii
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -32,23 +34,35 @@ class RecordLog:
     """Append-only store of TaskExecutionRecords, one record per line.
 
     A line is a JSON header, a NUL byte and the samples as little-endian
-    float64 bytes, then a newline. The header is the record's to_dict() with
-    the series' "f64" replaced by "nl": the payload offsets that held a 0x0A
-    byte, which the payload carries as 0x00, so that the terminator is the
-    line's one newline byte. A line without a NUL is read as a JSON record of
-    either earlier layout. Re-opening a log yields the same records in the
-    same order. Single writer; replay snapshots the current length and never
-    observes a partial append.
+    float64 bytes, then a newline. The header holds the record's features,
+    runtime and series block with "nl" in place of samples: the payload
+    offsets that held a 0x0A byte, which the payload carries as 0x00, so that
+    the terminator is the line's one newline byte. A line without a NUL is
+    read as a JSON record of either earlier layout. Re-opening a log yields
+    the same records in the same order.
+
+    Opening reads nothing: `count` scans the log on first use and is kept up
+    to date by `extend`. Single writer; a read takes the file's byte size when
+    it starts and stops before any line that ends past it, so it never
+    observes an append made after it began, its own writer's included.
     """
 
     def __init__(self, path):
         self.path = Path(path)
-        self._count = sum(1 for _ in self._raw_lines()) if self.path.exists() else 0
+        self._count: Optional[int] = None
 
     def _raw_lines(self) -> Iterator[bytes]:
-        # strips the terminator alone: a payload may end in any other byte
-        with open(self.path, "rb") as fh:
+        try:
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
+            return
+        with fh:
+            left = os.fstat(fh.fileno()).st_size
             for line in fh:
+                left -= len(line)
+                if left < 0:
+                    return
+                # strips the terminator alone: a payload may end in any other byte
                 if line.endswith(b"\n"):
                     line = line[:-1]
                 if line:
@@ -56,6 +70,8 @@ class RecordLog:
 
     @property
     def count(self) -> int:
+        if self._count is None:
+            self._count = sum(1 for _ in self._raw_lines())
         return self._count
 
     def ingest(self, record: TaskExecutionRecord) -> int:
@@ -71,7 +87,7 @@ class RecordLog:
         mid-write leaves it, raises StoreError before anything is written: a
         record appended to it would join that line and never be read.
         """
-        start = self._count
+        start = self.count
         with open(self.path, "ab+") as fh:
             if fh.tell():
                 fh.seek(-1, os.SEEK_END)
@@ -93,17 +109,10 @@ class RecordLog:
     def records(self) -> Iterator[TaskExecutionRecord]:
         """Iterate records in arrival order; raises CorruptLogError at the
         first line that does not decode."""
-        if not self.path.exists():
-            return
         delivered = 0
-        snapshot = self._count
         for line in self._raw_lines():
-            if delivered >= snapshot:
-                break
             try:
-                cut = line.find(b"\0")  # none: a JSON line, which holds no raw NUL
-                rec = (TaskExecutionRecord.from_dict(json.loads(line)) if cut < 0
-                       else _decode(line, cut))
+                rec = _decode(line)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 # ValueError covers JSONDecodeError, DomainError, a bad base64
                 # character, an unknown metric name, a non-numeric field and a
@@ -122,7 +131,7 @@ def _encode(record: TaskExecutionRecord) -> bytes:
     s = record.series
     raw = s.samples.astype("<f8", copy=False).tobytes()
     header = {
-        "features": record.features.to_dict(),
+        "features": dataclasses.asdict(record.features),
         "runtime_seconds": record.runtime_seconds,
         "series": {
             "tau": s.tau,
@@ -134,25 +143,46 @@ def _encode(record: TaskExecutionRecord) -> bytes:
     return json.dumps(header).encode("ascii") + b"\0" + raw.replace(b"\n", b"\0") + b"\n"
 
 
-def _decode(line: bytes, cut: int) -> TaskExecutionRecord:
-    """The record of a line whose header ends at its first NUL, `cut`."""
-    d = json.loads(line[:cut])
+def _decode(line: bytes) -> TaskExecutionRecord:
+    """The record of a log line, in any of its three layouts.
+
+    A line with a NUL is a header, the NUL and the payload. A JSON line whose
+    series has "tau" holds the same block with the payload as base64 "f64".
+    Any other JSON line holds one {"tau", "values"} object per metric name.
+    """
+    cut = line.find(b"\0")  # none: a JSON line, which holds no raw NUL
+    d = json.loads(line[:cut] if cut >= 0 else line)
     sd = d["series"]
-    # a copy: aligned, writable, and free of the line's buffer
-    raw = np.frombuffer(line, dtype=np.uint8, offset=cut + 1).copy()
-    nl = sd["nl"]
-    if type(nl) is not list or not set(map(type, nl)) <= {int}:
-        raise DomainError("nl must be a list of integer offsets")
-    if nl:
-        at = np.array(nl, dtype=np.int64)
-        if not (0 <= nl[0] and nl[-1] < raw.size and (at[1:] > at[:-1]).all()):
-            raise DomainError("nl offsets must increase strictly inside the payload")
-        if raw[at].any():
-            raise DomainError("an nl offset points at a byte that is not 0x00")
-        raw[at] = 0x0A
+    if type(sd) is not dict:
+        raise DomainError(f"series must be an object, got {type(sd).__name__}")
+    if cut < 0 and "tau" not in sd:
+        series = SeriesBlock._of_rows(
+            sd,
+            (int(s["tau"]) for s in sd.values()),
+            [np.asarray(s["values"], dtype=np.float64) for s in sd.values()],
+        )
+    else:
+        if cut < 0:
+            # frombuffer rejects a byte count that is not whole float64s
+            samples = np.frombuffer(binascii.a2b_base64(sd["f64"], strict_mode=True), dtype="<f8")
+        else:
+            # a copy: aligned, writable, and free of the line's buffer
+            raw = np.frombuffer(line, dtype=np.uint8, offset=cut + 1).copy()
+            nl = sd["nl"]
+            if type(nl) is not list or not set(map(type, nl)) <= {int}:
+                raise DomainError("nl must be a list of integer offsets")
+            if nl:
+                at = np.array(nl, dtype=np.int64)
+                if not (0 <= nl[0] and nl[-1] < raw.size and (at[1:] > at[:-1]).all()):
+                    raise DomainError("nl offsets must increase strictly inside the payload")
+                if raw[at].any():
+                    raise DomainError("an nl offset points at a byte that is not 0x00")
+                raw[at] = 0x0A
+            samples = raw.view("<f8")
+        series = SeriesBlock(sd["tau"], sd["metrics"], sd["lengths"], samples)
     return TaskExecutionRecord(
         features=PreRuntimeFeatures.from_dict(d["features"]),
-        series=SeriesBlock(sd["tau"], sd["metrics"], sd["lengths"], raw.view("<f8")),
+        series=series,
         runtime_seconds=float(d["runtime_seconds"]),
     )
 

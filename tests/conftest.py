@@ -1,5 +1,7 @@
 """Shared fixtures: corpora reused across test modules."""
 
+import base64
+import dataclasses
 import json
 
 import pytest
@@ -80,11 +82,28 @@ def legacy_dict(rec):
     """A record in the layout written before the series block: one
     {"tau", "values"} object per metric name."""
     return {
-        "features": rec.features.to_dict(),
+        "features": dataclasses.asdict(rec.features),
         "runtime_seconds": rec.runtime_seconds,
         "series": {
             m.value: {"tau": s.interval_seconds, "values": list(s.values)}
             for m, s in rec.series.items()
+        },
+    }
+
+
+def block_dict(rec):
+    """A record in the layout written before the binary payload: the series
+    as one block whose "f64" is the base64 text of its little-endian float64
+    samples."""
+    s = rec.series
+    return {
+        "features": dataclasses.asdict(rec.features),
+        "runtime_seconds": rec.runtime_seconds,
+        "series": {
+            "tau": s.tau,
+            "metrics": [m.value for m in s.metrics],
+            "lengths": list(s.lengths),
+            "f64": base64.b64encode(s.samples.astype("<f8").tobytes()).decode("ascii"),
         },
     }
 

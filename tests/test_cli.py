@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import wfpredict.store as store_mod
-from conftest import make_record
+from conftest import block_dict, make_record
 from wfpredict.cli import main
 from wfpredict.domain import Scenario
 from wfpredict.forecaster import SequenceModel
@@ -84,19 +84,23 @@ LEGACY_LINES = [
 
 
 def test_ingest_converts_a_legacy_log_to_the_block_layout(tmp_path):
-    """Both JSON layouts, per-metric objects and one base64 block, convert to
-    the binary layout, and every scenario predicts the same bytes from the
-    source log as from the converted one."""
+    """All three layouts, per-metric objects, one base64 block and the binary
+    payload, ingest to the bytes that RecordLog.extend writes for the same
+    records, and every scenario predicts the same bytes from the source log
+    as from the converted one."""
     legacy = tmp_path / "legacy.jsonl"
     legacy.write_text("\n".join(LEGACY_LINES) + "\n", encoding="utf-8")
     records = RecordLog(legacy).read_all()
     base64_block = tmp_path / "base64_block.jsonl"
     base64_block.write_text(
-        "".join(json.dumps(rec.to_dict()) + "\n" for rec in records), encoding="utf-8")
+        "".join(json.dumps(block_dict(rec)) + "\n" for rec in records), encoding="utf-8")
     assert '"f64": ' in base64_block.read_text(encoding="utf-8")
-    for source in (legacy, base64_block):
+    binary = tmp_path / "binary.jsonl"
+    RecordLog(binary).extend(records)
+    for source in (legacy, base64_block, binary):
         converted = tmp_path / f"{source.stem}_converted.jsonl"
         assert main(["ingest", "--input", str(source), "--log", str(converted)]) == 0
+        assert converted.read_bytes() == binary.read_bytes()
         lines = converted.read_bytes().split(b"\n")
         assert lines.pop() == b"" and len(lines) == len(LEGACY_LINES)
         for line in lines:
@@ -114,6 +118,17 @@ def test_ingest_converts_a_legacy_log_to_the_block_layout(tmp_path):
                 ]) == 0
                 outs.append(out.read_bytes())
             assert outs[0] == outs[1] and outs[0].count(b"\n") == len(LEGACY_LINES)
+
+
+def test_ingest_of_a_log_into_itself_appends_its_records_once(tmp_path, gen_log):
+    """A read stops at the log's size when it began, so ingest never reads
+    the records it appends to its own input."""
+    log = tmp_path / "self.jsonl"
+    log.write_bytes(gen_log.read_bytes())
+    records = RecordLog(log).read_all()
+    assert main(["ingest", "--input", str(log), "--log", str(log)]) == 0
+    assert RecordLog(log).read_all() == records + records
+    assert log.read_bytes() == gen_log.read_bytes() * 2
 
 
 def test_ingest_missing_input(tmp_path):
@@ -192,7 +207,7 @@ def _write_log(path, records):
 def test_a_non_finite_vm_memory_stops_every_scenario_at_decode(tmp_path, capsys):
     """A record whose vm_memory reads NaN is a corrupt line: every scenario
     prints the predictions before it and one error line, and ingest refuses it."""
-    docs = [make_record(runtime=10.0 + i, input_name=f"chr{20 + i}").to_dict() for i in range(3)]
+    docs = [block_dict(make_record(runtime=10.0 + i, input_name=f"chr{20 + i}")) for i in range(3)]
     docs[1]["features"]["vm_memory"] = math.nan
     log = _write_log(tmp_path / "nan.jsonl", docs)
     assert '"vm_memory": NaN' in log.read_text(encoding="utf-8")
@@ -213,11 +228,11 @@ def test_a_non_finite_vm_memory_stops_every_scenario_at_decode(tmp_path, capsys)
 def test_ingest_into_a_log_that_ends_in_a_partial_line_is_one_error_line(tmp_path, capsys):
     """A log whose last line a crash cut short takes no record: ingest prints
     one error line, exits 1 and leaves the log's bytes as they were."""
-    docs = [make_record(runtime=5.0 + i).to_dict() for i in range(3)]
+    docs = [block_dict(make_record(runtime=5.0 + i)) for i in range(3)]
     dest = _write_log(tmp_path / "torn.jsonl", docs)
     dest.write_bytes(dest.read_bytes()[:-60])
     torn = dest.read_bytes()
-    src = _write_log(tmp_path / "src.jsonl", [make_record(runtime=9.0).to_dict()])
+    src = _write_log(tmp_path / "src.jsonl", [block_dict(make_record(runtime=9.0))])
     assert main(["ingest", "--input", str(src), "--log", str(dest)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {dest} ends in a partial line; not appending\n"
@@ -228,9 +243,9 @@ def test_a_record_without_series_reads_as_sampled_at_tau_in_every_command(tmp_pa
     """A record that holds no series has no interval of its own, so its
     series interval (3) is not held against --tau 5: select-features reads
     it through the same block reader as replay-predict, and both succeed."""
-    empty = make_record(runtime=4.0).to_dict()
+    empty = block_dict(make_record(runtime=4.0))
     empty["series"] = {"tau": 3, "metrics": [], "lengths": [], "f64": ""}
-    log = _write_log(tmp_path / "empty.jsonl", [empty, make_record(runtime=12.0).to_dict()])
+    log = _write_log(tmp_path / "empty.jsonl", [empty, block_dict(make_record(runtime=12.0))])
     out = tmp_path / "sel.json"
     assert main([
         "select-features", "--log", str(log), "--tau", "5", "--threshold", "0.5", "--out", str(out),
@@ -245,8 +260,8 @@ def test_a_record_without_series_reads_as_sampled_at_tau_in_every_command(tmp_pa
 def test_an_overflowing_aggregate_is_one_error_line(tmp_path, capsys):
     """Eight finite samples of 1e308 sum to inf: two_stages refuses the row
     with one error line and no numpy warning."""
-    docs = [make_record(runtime=12.0, n=8).to_dict(),
-            make_record(runtime=10.0, n=8, level=1e308).to_dict()]
+    docs = [block_dict(make_record(runtime=12.0, n=8)),
+            block_dict(make_record(runtime=10.0, n=8, level=1e308))]
     log = _write_log(tmp_path / "huge.jsonl", docs)
     rc = main(["replay-predict", "--log", str(log), "--scenario", "two_stages", "--tau", "1"])
     out, err = capsys.readouterr()

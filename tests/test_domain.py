@@ -1,11 +1,11 @@
 """Domain model: validation rules, encoding, vocabulary, serialization."""
 
-import json
+import dataclasses
 import random
 
 import pytest
 
-from conftest import legacy_dict, make_features, make_record
+from conftest import make_features, make_record
 from wfpredict.domain import (
     PRE_RUNTIME_FEATURE_NAMES,
     CategoryVocab,
@@ -19,6 +19,7 @@ from wfpredict.domain import (
     TaskExecutionRecord,
     encode_pre_runtime,
 )
+from wfpredict.store import RecordLog
 
 
 def test_metric_kind_has_thirteen_members():
@@ -51,12 +52,12 @@ def test_pre_runtime_features_need_a_finite_positive_vm_shape(field, value):
     with pytest.raises(DomainError, match="positive and finite"):
         make_features(**{field: value})
     with pytest.raises(DomainError, match="positive and finite"):
-        PreRuntimeFeatures.from_dict({**make_features().to_dict(), field: value})
+        PreRuntimeFeatures.from_dict({**dataclasses.asdict(make_features()), field: value})
 
 
 def test_pre_runtime_features_round_trip():
     f = make_features(task_name="merge", input_name="batchB", submission_hour=23)
-    assert PreRuntimeFeatures.from_dict(f.to_dict()) == f
+    assert PreRuntimeFeatures.from_dict(dataclasses.asdict(f)) == f
 
 
 def test_metric_series_validation():
@@ -96,73 +97,9 @@ def test_record_rejects_nonpositive_runtime():
         make_record(runtime=-3.0)
 
 
-def test_record_round_trip():
-    rec = make_record(runtime=12.5, n=12, level=7.25)
-    again = TaskExecutionRecord.from_dict(rec.to_dict())
-    assert again.features == rec.features
-    assert again.runtime_seconds == rec.runtime_seconds
-    assert set(again.series) == set(rec.series)
-    for m in rec.series:
-        assert again.series[m].values == rec.series[m].values
-        assert again.series[m].interval_seconds == rec.series[m].interval_seconds
-
-
-# the float64 values a text layout is most likely to get wrong
-EXTREMES = (-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
-
-
-def _hex(values):
-    """float.hex tells -0.0 from 0.0 and every ulp apart, which == does not."""
-    return [float(v).hex() for v in values]
-
-
-def test_block_layout_round_trips_bit_for_bit():
-    rng = random.Random(41)
-    # a subset of the metrics, out of canonical order, with rows of length 1
-    series = {
-        MetricKind.write_bytes: MetricSeries(MetricKind.write_bytes, 2, EXTREMES),
-        MetricKind.procs: MetricSeries(MetricKind.procs, 2, (0.0,)),
-        MetricKind.vmRSS: MetricSeries(
-            MetricKind.vmRSS, 2, tuple(rng.uniform(-1e300, 1e300) for _ in range(9))
-        ),
-        MetricKind.iowait: MetricSeries(MetricKind.iowait, 2, (-0.0,)),
-    }
-    rec = TaskExecutionRecord(features=make_features(), series=series, runtime_seconds=18.0)
-    line = json.dumps(rec.to_dict())
-    d = json.loads(line)
-    assert list(d) == ["features", "runtime_seconds", "series"]
-    assert list(d["series"]) == ["tau", "metrics", "lengths", "f64"]
-    assert d["series"]["metrics"] == ["write_bytes", "procs", "vmRSS", "iowait"]
-    assert d["series"]["lengths"] == [5, 1, 9, 1]
-    back = TaskExecutionRecord.from_dict(d)
-    assert list(back.series) == list(series)
-    assert back.series.tau == 2
-    for m, s in series.items():
-        assert _hex(back.series[m].values) == _hex(s.values)
-        assert _hex(back.series.row(m)) == _hex(s.values)
-    assert json.dumps(back.to_dict()) == line
-
-
-def test_legacy_and_block_lines_decode_to_equal_records():
-    rng = random.Random(43)
-    for _ in range(20):
-        metrics = rng.sample(list(MetricKind), rng.randrange(0, 14))
-        series = {
-            m: MetricSeries(m, 1, [rng.choice(EXTREMES + (rng.uniform(-9, 9),))
-                                   for _ in range(rng.randrange(1, 12))])
-            for m in metrics
-        }
-        rec = TaskExecutionRecord(features=make_features(), series=series, runtime_seconds=11.0)
-        legacy = TaskExecutionRecord.from_dict(json.loads(json.dumps(legacy_dict(rec))))
-        block = TaskExecutionRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
-        assert legacy == block == rec
-        assert list(legacy.series) == list(block.series) == metrics
-        for m in metrics:
-            assert _hex(legacy.series[m].values) == _hex(block.series[m].values)
-
-
-def test_series_block_is_a_read_only_mapping_of_metric_series():
-    rec = TaskExecutionRecord.from_dict(make_record(runtime=6.0, n=4, level=2.5).to_dict())
+def test_series_block_is_a_read_only_mapping_of_metric_series(tmp_path):
+    RecordLog(tmp_path / "log.jsonl").extend([make_record(runtime=6.0, n=4, level=2.5)])
+    (rec,) = RecordLog(tmp_path / "log.jsonl").read_all()
     block = rec.series
     assert isinstance(block, SeriesBlock)
     assert len(block) == 13 and list(block) == list(MetricKind)

@@ -10,6 +10,7 @@ import pytest
 
 import wfpredict.evaluation as evaluation_mod
 import wfpredict.pipeline as pipeline_mod
+from conftest import block_dict
 from test_forecaster import StridedOracle
 from wfpredict.domain import MetricKind, Scenario
 from wfpredict.evaluation import (
@@ -80,7 +81,7 @@ def test_generator_output_bytes_are_pinned(tmp_path):
     # held one JSON object per line, each written with its own open, flush and
     # fsync: the generated records stay bit for bit those records
     log = generate_synthetic(standard_corpus_config(n_records=40), 7, tmp_path / "g.jsonl")
-    rendered = "".join(json.dumps(rec.to_dict()) + "\n" for rec in log.records())
+    rendered = "".join(json.dumps(block_dict(rec)) + "\n" for rec in log.records())
     digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
     assert digest == "4a2f62487091d0a7e86ecdb63f9af9681af836249a147c94f5e12a8e90739f4a"
     digest = hashlib.sha256((tmp_path / "g.jsonl").read_bytes()).hexdigest()

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import legacy_dict, make_record
+from conftest import block_dict, legacy_dict, make_features, make_record
 import wfpredict.store as store_mod
 from wfpredict.domain import (
     DomainError,
@@ -151,7 +151,7 @@ def _corrupt_after_good_lines(tmp_path, layout, bad):
     CorruptLogError reading raised and the records delivered before it."""
     path = tmp_path / f"{layout}.jsonl"
     good = [make_record(runtime=5.0 + i) for i in range(2)]
-    encode = legacy_dict if layout == "legacy" else lambda rec: rec.to_dict()
+    encode = legacy_dict if layout == "legacy" else block_dict
     path.write_text(
         "".join(json.dumps(d) + "\n" for d in [encode(rec) for rec in good] + [bad]),
         encoding="utf-8",
@@ -175,7 +175,7 @@ def _legacy_with(**changes):
 
 
 def _block_with(**changes):
-    d = make_record(runtime=10.0).to_dict()
+    d = block_dict(make_record(runtime=10.0))
     d["series"].update(changes)
     return d
 
@@ -225,7 +225,14 @@ def test_block_layout_rejections_report_delivered_count(tmp_path, case):
     assert err.delivered == 2
 
 
-def test_block_layout_controls_decode():
+def _read_back(tmp_path, *docs):
+    """Write each JSON object as one line of a log and read the log back."""
+    path = tmp_path / "docs.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+    return RecordLog(path).read_all()
+
+
+def test_block_layout_controls_decode(tmp_path):
     """The rejected blocks are one defect away from lines that decode."""
     for changes in (
         dict(metrics=["utime"], lengths=[2], f64=_f64(1.0, 2.0)),
@@ -234,8 +241,80 @@ def test_block_layout_controls_decode():
         dict(metrics=["utime"], lengths=[11], f64=_f64(*[1.0] * 11)),
         dict(tau=1, metrics=["utime"], lengths=[1], f64=_f64(-0.0)),
     ):
-        rec = TaskExecutionRecord.from_dict(_block_with(**changes))
+        (rec,) = _read_back(tmp_path, _block_with(**changes))
         assert list(rec.series.lengths) == changes["lengths"]
+
+
+def test_record_round_trip(tmp_path):
+    """A record reads back equal from its line in the current layout and in
+    the base64 block layout."""
+    rec = make_record(runtime=12.5, n=12, level=7.25)
+    RecordLog(tmp_path / "log.jsonl").extend([rec])
+    for again in RecordLog(tmp_path / "log.jsonl").read_all() + _read_back(tmp_path, block_dict(rec)):
+        assert again.features == rec.features
+        assert again.runtime_seconds == rec.runtime_seconds
+        assert set(again.series) == set(rec.series)
+        for m in rec.series:
+            assert again.series[m].values == rec.series[m].values
+            assert again.series[m].interval_seconds == rec.series[m].interval_seconds
+
+
+# the float64 values a text layout is most likely to get wrong
+EXTREMES = (-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def _hex(values):
+    """float.hex tells -0.0 from 0.0 and every ulp apart, which == does not."""
+    return [float(v).hex() for v in values]
+
+
+def test_block_layout_round_trips_bit_for_bit(tmp_path):
+    rng = random.Random(41)
+    # a subset of the metrics, out of canonical order, with rows of length 1
+    series = {
+        MetricKind.write_bytes: MetricSeries(MetricKind.write_bytes, 2, EXTREMES),
+        MetricKind.procs: MetricSeries(MetricKind.procs, 2, (0.0,)),
+        MetricKind.vmRSS: MetricSeries(
+            MetricKind.vmRSS, 2, tuple(rng.uniform(-1e300, 1e300) for _ in range(9))
+        ),
+        MetricKind.iowait: MetricSeries(MetricKind.iowait, 2, (-0.0,)),
+    }
+    rec = TaskExecutionRecord(features=make_features(), series=series, runtime_seconds=18.0)
+    line = json.dumps(block_dict(rec))
+    d = json.loads(line)
+    assert list(d) == ["features", "runtime_seconds", "series"]
+    assert list(d["series"]) == ["tau", "metrics", "lengths", "f64"]
+    assert d["series"]["metrics"] == ["write_bytes", "procs", "vmRSS", "iowait"]
+    assert d["series"]["lengths"] == [5, 1, 9, 1]
+    (back,) = _read_back(tmp_path, d)
+    assert list(back.series) == list(series)
+    assert back.series.tau == 2
+    for m, s in series.items():
+        assert _hex(back.series[m].values) == _hex(s.values)
+        assert _hex(back.series.row(m)) == _hex(s.values)
+    assert json.dumps(block_dict(back)) == line
+
+
+def test_legacy_and_block_lines_decode_to_equal_records(tmp_path):
+    """The per-metric, base64 block and current layouts of a record read
+    back as equal records."""
+    rng = random.Random(43)
+    for i in range(20):
+        metrics = rng.sample(list(MetricKind), rng.randrange(0, 14))
+        series = {
+            m: MetricSeries(m, 1, [rng.choice(EXTREMES + (rng.uniform(-9, 9),))
+                                   for _ in range(rng.randrange(1, 12))])
+            for m in metrics
+        }
+        rec = TaskExecutionRecord(features=make_features(), series=series, runtime_seconds=11.0)
+        legacy, block = _read_back(tmp_path, legacy_dict(rec), block_dict(rec))
+        RecordLog(tmp_path / f"binary{i}.jsonl").extend([rec])
+        (binary,) = RecordLog(tmp_path / f"binary{i}.jsonl").read_all()
+        assert legacy == block == binary == rec
+        assert list(legacy.series) == list(block.series) == list(binary.series) == metrics
+        for m in metrics:
+            assert _hex(legacy.series[m].values) == _hex(block.series[m].values)
+            assert _hex(binary.series[m].values) == _hex(block.series[m].values)
 
 
 # 1.0 with its lowest byte set to 0x0A: a finite sample whose bytes hold a newline
@@ -246,7 +325,7 @@ def _binary_line(payload, lengths, nl=None, metrics=("utime",), runtime=10.0):
     """A line of the binary layout, built by hand: the JSON header, a NUL and
     the payload with each 0x0A byte written as 0x00; no terminator. `nl`
     defaults to the payload's true newline offsets."""
-    d = make_record(runtime=runtime).to_dict()
+    d = block_dict(make_record(runtime=runtime))
     if nl is None:
         nl = [i for i, byte in enumerate(payload) if byte == 0x0A]
     d["series"] = {"tau": 1, "metrics": list(metrics), "lengths": list(lengths), "nl": nl}
@@ -365,6 +444,23 @@ def test_binary_layout_round_trips_every_byte_value_bit_for_bit(tmp_path):
     for rec, got in zip(records, back):
         assert got.series.samples.tobytes() == rec.series.samples.tobytes()
         assert got.series.metrics == rec.series.metrics and got.series.lengths == rec.series.lengths
+
+
+def test_opening_reads_nothing_and_a_read_opens_the_log_once(tmp_path, monkeypatch):
+    path = tmp_path / "log.jsonl"
+    records = [make_record(runtime=5.0 + i) for i in range(3)]
+    RecordLog(path).extend(records)
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(store_mod, "open", counting_open, raising=False)
+    log = RecordLog(path)
+    assert opened == []
+    assert log.read_all() == records
+    assert opened == [path]
 
 
 def test_missing_log_iterates_empty(tmp_path):
