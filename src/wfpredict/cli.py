@@ -56,7 +56,7 @@ def cmd_ingest(args) -> int:
     src = Path(args.input)
     if not src.is_file():
         raise ValueError(f"unreadable input file: {src}")
-    n = len(RecordLog(args.log).extend(RecordLog(src).records()))
+    n = RecordLog(args.log).extend(RecordLog(src).records())
     print(f"ingested {n} records into {args.log}")
     return 0
 
@@ -68,8 +68,8 @@ def cmd_generate(args) -> int:
     if out.exists():
         raise ValueError(f"refusing to append to existing log: {out}")
     cfg = standard_corpus_config(n_records=args.records)
-    log = generate_synthetic(cfg, seed=args.seed, path=out)
-    print(f"generated {log.count} records into {out}")
+    generate_synthetic(cfg, seed=args.seed, path=out)
+    print(f"generated {cfg.n_records} records into {out}")
     return 0
 
 
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser(
-        "ingest", help="validate records in any log layout and append them in the current one"
+        "ingest", help="validate the records of one log and append them to another"
     )
     p.add_argument("--input", required=True)
     p.add_argument("--log", required=True)

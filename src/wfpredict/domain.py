@@ -8,7 +8,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -100,12 +100,11 @@ class MetricSeries:
             raise DomainError(f"non-finite measurement in {self.metric.value} series")
 
 
-class SeriesBlock(Mapping):
+class SeriesBlock:
     """All consumption series of one record in one read-only float64 array.
 
     Row i holds the lengths[i] samples of metrics[i], taken every tau seconds;
-    the rows lie end to end in `samples`. As a Mapping it is the record's
-    series: looking a metric up builds a MetricSeries from its row.
+    the rows lie end to end in `samples`.
     """
 
     __slots__ = ("tau", "metrics", "lengths", "samples", "_offsets")
@@ -138,23 +137,6 @@ class SeriesBlock(Mapping):
             row = np.searchsorted(self._offsets, np.argmin(finite), side="right") - 1
             raise DomainError(f"non-finite measurement in {self.metrics[row].value} series")
 
-    @classmethod
-    def _of_rows(cls, metrics: Iterable, taus: Iterable[int], rows: List[np.ndarray]):
-        taus = set(taus)
-        if len(taus) > 1:
-            raise DomainError(f"series intervals are not uniform: {sorted(taus)}")
-        samples = np.concatenate(rows) if rows else ()
-        return cls(taus.pop() if taus else 1, metrics, [len(r) for r in rows], samples)
-
-    @classmethod
-    def of(cls, series: Mapping[MetricKind, MetricSeries]) -> "SeriesBlock":
-        """The block of per-metric series, which must share one interval."""
-        return cls._of_rows(
-            series,
-            (s.interval_seconds for s in series.values()),
-            [np.asarray(s.values, dtype=np.float64) for s in series.values()],
-        )
-
     def row(self, m: MetricKind) -> Optional[np.ndarray]:
         """A read-only view of m's samples, None if the record lacks m."""
         try:
@@ -163,37 +145,26 @@ class SeriesBlock(Mapping):
             return None
         return self.samples[self._offsets[i]:self._offsets[i + 1]]
 
-    def __getitem__(self, m) -> MetricSeries:
-        values = self.row(m)
-        if values is None:
-            raise KeyError(m)
-        return MetricSeries(metric=MetricKind(m), interval_seconds=self.tau, values=values.tolist())
-
-    def __contains__(self, m) -> bool:
-        return m in self.metrics
-
-    def __iter__(self):
-        return iter(self.metrics)
-
-    def __len__(self) -> int:
-        return len(self.metrics)
+    def __eq__(self, other) -> bool:
+        """Same tau, metrics in the same order, lengths and samples; samples
+        compare as floats, so -0.0 equals 0.0."""
+        if not isinstance(other, SeriesBlock):
+            return NotImplemented
+        return (
+            (self.tau, self.metrics, self.lengths) == (other.tau, other.metrics, other.lengths)
+            and np.array_equal(self.samples, other.samples)
+        )
 
 
 @dataclass(frozen=True)
 class TaskExecutionRecord:
-    """One completed task: pre-runtime features, consumption series, observed runtime.
-
-    `series` may be given as any mapping of MetricSeries; the record keeps it
-    as one SeriesBlock.
-    """
+    """One completed task: pre-runtime features, consumption series, observed runtime."""
 
     features: PreRuntimeFeatures
-    series: Mapping[MetricKind, MetricSeries]
+    series: SeriesBlock
     runtime_seconds: float
 
     def __post_init__(self):
-        if not isinstance(self.series, SeriesBlock):
-            object.__setattr__(self, "series", SeriesBlock.of(self.series))
         if not (self.runtime_seconds > 0 and math.isfinite(self.runtime_seconds)):
             raise DomainError(f"runtime_seconds must be positive, got {self.runtime_seconds}")
         s = self.series

@@ -118,10 +118,11 @@ def run_online(
 ) -> EvalReport:
     """Prequential pass over the log: predict each record, then train on it;
     the first skip_first predictions are not scored."""
-    if log.count == 0:
+    n = log.count
+    if n == 0:
         raise ValueError("log is empty")
-    if not 0 <= skip_first < log.count:
-        raise ValueError(f"skip_first must be in [0, {log.count}) for this log, got {skip_first}")
+    if not 0 <= skip_first < n:
+        raise ValueError(f"skip_first must be in [0, {n}) for this log, got {skip_first}")
     config = PipelineConfig(target_tau=tau, trev_lag=lag, seed=seed, **config_overrides)
     registry = Registry(config=config)
     pairs = [(rec.features.task_name, rec.runtime_seconds, pred.runtime_seconds)

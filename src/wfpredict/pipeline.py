@@ -96,7 +96,7 @@ def _observed_block(
         rows = series.samples.reshape(len(lengths), lengths[0])
     else:
         rows = [series.row(m) for m in metrics]
-    return downsample_block(rows, series.tau if series else tau, tau)
+    return downsample_block(rows, series.tau if series.metrics else tau, tau)
 
 
 def _trevs(block: np.ndarray, lengths: Sequence[int], lag: int) -> tuple:

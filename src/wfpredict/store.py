@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import binascii
 import dataclasses
 import json
 import os
@@ -38,18 +37,17 @@ class RecordLog:
     runtime and series block with "nl" in place of samples: the payload
     offsets that held a 0x0A byte, which the payload carries as 0x00, so that
     the terminator is the line's one newline byte. A line without a NUL is
-    read as a JSON record of either earlier layout. Re-opening a log yields
-    the same records in the same order.
+    a corrupt entry. Re-opening a log yields the same records in the same
+    order.
 
-    Opening reads nothing: `count` scans the log on first use and is kept up
-    to date by `extend`. Single writer; a read takes the file's byte size when
-    it starts and stops before any line that ends past it, so it never
+    Opening reads nothing, and neither does `extend`; `count` scans the log
+    each time it is read. Single writer; a read takes the file's byte size
+    when it starts and stops before any line that ends past it, so it never
     observes an append made after it began, its own writer's included.
     """
 
     def __init__(self, path):
         self.path = Path(path)
-        self._count: Optional[int] = None
 
     def _raw_lines(self) -> Iterator[bytes]:
         try:
@@ -70,16 +68,11 @@ class RecordLog:
 
     @property
     def count(self) -> int:
-        if self._count is None:
-            self._count = sum(1 for _ in self._raw_lines())
-        return self._count
+        """The log's lines, a torn or undecodable one included; a scan on each read."""
+        return sum(1 for _ in self._raw_lines())
 
-    def ingest(self, record: TaskExecutionRecord) -> int:
-        """Append a record, returning its strictly increasing sequence number."""
-        return self.extend([record])[0]
-
-    def extend(self, records: Iterable[TaskExecutionRecord]) -> List[int]:
-        """Append records in order, returning their sequence numbers.
+    def extend(self, records: Iterable[TaskExecutionRecord]) -> int:
+        """Append records in order, returning how many were appended.
 
         One open, one flush and one fsync per call; records are written as the
         iterable yields them. A non-record raises StoreError, and the records
@@ -87,7 +80,7 @@ class RecordLog:
         mid-write leaves it, raises StoreError before anything is written: a
         record appended to it would join that line and never be read.
         """
-        start = self.count
+        appended = 0
         with open(self.path, "ab+") as fh:
             if fh.tell():
                 fh.seek(-1, os.SEEK_END)
@@ -100,11 +93,11 @@ class RecordLog:
                             f"expected TaskExecutionRecord, got {type(record).__name__}"
                         )
                     fh.write(_encode(record))
-                    self._count += 1
+                    appended += 1
             finally:
                 fh.flush()
                 os.fsync(fh.fileno())
-        return list(range(start, self._count))
+        return appended
 
     def records(self) -> Iterator[TaskExecutionRecord]:
         """Iterate records in arrival order; raises CorruptLogError at the
@@ -114,10 +107,10 @@ class RecordLog:
             try:
                 rec = _decode(line)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                # ValueError covers JSONDecodeError, DomainError, a bad base64
-                # character, an unknown metric name, a non-numeric field and a
-                # payload that is not whole float64s; OverflowError an
-                # Infinity where an integer belongs
+                # ValueError covers JSONDecodeError, DomainError, an unknown
+                # metric name, a non-numeric field and a payload that is not
+                # whole float64s; OverflowError an Infinity where an integer
+                # belongs
                 raise CorruptLogError(self.path, delivered, str(exc))
             yield rec
             delivered += 1
@@ -144,45 +137,29 @@ def _encode(record: TaskExecutionRecord) -> bytes:
 
 
 def _decode(line: bytes) -> TaskExecutionRecord:
-    """The record of a log line, in any of its three layouts.
-
-    A line with a NUL is a header, the NUL and the payload. A JSON line whose
-    series has "tau" holds the same block with the payload as base64 "f64".
-    Any other JSON line holds one {"tau", "values"} object per metric name.
-    """
-    cut = line.find(b"\0")  # none: a JSON line, which holds no raw NUL
-    d = json.loads(line[:cut] if cut >= 0 else line)
+    """The record of a log line: a JSON header, a NUL and the payload."""
+    cut = line.find(b"\0")  # the JSON header holds no raw NUL
+    if cut < 0:
+        raise DomainError("no NUL after a header: not a line of the record log")
+    d = json.loads(line[:cut])
     sd = d["series"]
     if type(sd) is not dict:
         raise DomainError(f"series must be an object, got {type(sd).__name__}")
-    if cut < 0 and "tau" not in sd:
-        series = SeriesBlock._of_rows(
-            sd,
-            (int(s["tau"]) for s in sd.values()),
-            [np.asarray(s["values"], dtype=np.float64) for s in sd.values()],
-        )
-    else:
-        if cut < 0:
-            # frombuffer rejects a byte count that is not whole float64s
-            samples = np.frombuffer(binascii.a2b_base64(sd["f64"], strict_mode=True), dtype="<f8")
-        else:
-            # a copy: aligned, writable, and free of the line's buffer
-            raw = np.frombuffer(line, dtype=np.uint8, offset=cut + 1).copy()
-            nl = sd["nl"]
-            if type(nl) is not list or not set(map(type, nl)) <= {int}:
-                raise DomainError("nl must be a list of integer offsets")
-            if nl:
-                at = np.array(nl, dtype=np.int64)
-                if not (0 <= nl[0] and nl[-1] < raw.size and (at[1:] > at[:-1]).all()):
-                    raise DomainError("nl offsets must increase strictly inside the payload")
-                if raw[at].any():
-                    raise DomainError("an nl offset points at a byte that is not 0x00")
-                raw[at] = 0x0A
-            samples = raw.view("<f8")
-        series = SeriesBlock(sd["tau"], sd["metrics"], sd["lengths"], samples)
+    # a copy: aligned, writable, and free of the line's buffer
+    raw = np.frombuffer(line, dtype=np.uint8, offset=cut + 1).copy()
+    nl = sd["nl"]
+    if type(nl) is not list or not set(map(type, nl)) <= {int}:
+        raise DomainError("nl must be a list of integer offsets")
+    if nl:
+        at = np.array(nl, dtype=np.int64)
+        if not (0 <= nl[0] and nl[-1] < raw.size and (at[1:] > at[:-1]).all()):
+            raise DomainError("nl offsets must increase strictly inside the payload")
+        if raw[at].any():
+            raise DomainError("an nl offset points at a byte that is not 0x00")
+        raw[at] = 0x0A
     return TaskExecutionRecord(
         features=PreRuntimeFeatures.from_dict(d["features"]),
-        series=series,
+        series=SeriesBlock(sd["tau"], sd["metrics"], sd["lengths"], raw.view("<f8")),
         runtime_seconds=float(d["runtime_seconds"]),
     )
 

@@ -1,12 +1,12 @@
 """Shared fixtures: corpora reused across test modules."""
 
-import base64
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from wfpredict.domain import MetricKind, MetricSeries, PreRuntimeFeatures, TaskExecutionRecord
+from wfpredict.domain import MetricKind, PreRuntimeFeatures, SeriesBlock, TaskExecutionRecord
 from wfpredict.evaluation import (
     STANDARD_SEED,
     GeneratorConfig,
@@ -63,54 +63,44 @@ def make_features(
     )
 
 
+def series_block(rows, tau=1):
+    """The SeriesBlock of {metric: values}, its rows in the mapping's order."""
+    return SeriesBlock(
+        tau, list(rows), [len(v) for v in rows.values()], [x for v in rows.values() for x in v]
+    )
+
+
 def make_record(runtime=10.0, tau=1, n=None, level=3.0, **feature_kwargs):
     """A record whose 13 series are flat at `level` (procs/threads fixed counts)."""
     if n is None:
         n = int(runtime)
-    series = {
-        m: MetricSeries(metric=m, interval_seconds=tau, values=(level,) * n)
-        for m in MetricKind
-    }
     return TaskExecutionRecord(
         features=make_features(**feature_kwargs),
-        series=series,
+        series=series_block({m: (level,) * n for m in MetricKind}, tau),
         runtime_seconds=runtime,
     )
 
 
-def legacy_dict(rec):
-    """A record in the layout written before the series block: one
-    {"tau", "values"} object per metric name."""
-    return {
-        "features": dataclasses.asdict(rec.features),
-        "runtime_seconds": rec.runtime_seconds,
-        "series": {
-            m.value: {"tau": s.interval_seconds, "values": list(s.values)}
-            for m, s in rec.series.items()
-        },
-    }
-
-
-def block_dict(rec):
-    """A record in the layout written before the binary payload: the series
-    as one block whose "f64" is the base64 text of its little-endian float64
-    samples."""
+def header_of(rec):
+    """The header of rec's log line, without "nl"; its samples are
+    rec.series.samples."""
     s = rec.series
     return {
         "features": dataclasses.asdict(rec.features),
         "runtime_seconds": rec.runtime_seconds,
         "series": {
-            "tau": s.tau,
-            "metrics": [m.value for m in s.metrics],
-            "lengths": list(s.lengths),
-            "f64": base64.b64encode(s.samples.astype("<f8").tobytes()).decode("ascii"),
+            "tau": s.tau, "metrics": [m.value for m in s.metrics], "lengths": list(s.lengths),
         },
     }
 
 
-def write_legacy(records, path):
-    """Write records as a log in the legacy layout; returns the path."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(legacy_dict(rec)) + "\n")
-    return path
+def log_line(header, samples, nl=None):
+    """A line of the record log, built by hand from a header and its samples
+    (floats, or the payload's raw bytes): the JSON header, its series given
+    "nl", a NUL and the payload with each 0x0A byte written as 0x00; no
+    terminator. `nl` defaults to the payload's true newline offsets."""
+    payload = samples if isinstance(samples, bytes) else np.asarray(samples, "<f8").tobytes()
+    if nl is None:
+        nl = [i for i, byte in enumerate(payload) if byte == 0x0A]
+    header = {**header, "series": {**header["series"], "nl": nl}}
+    return json.dumps(header).encode("ascii") + b"\0" + payload.replace(b"\n", b"\0")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import wfpredict.store as store_mod
-from conftest import block_dict, make_record
+from conftest import header_of, log_line, make_record
 from wfpredict.cli import main
 from wfpredict.domain import Scenario
 from wfpredict.forecaster import SequenceModel
@@ -61,63 +61,34 @@ def test_diverged_forecaster_update_is_one_error_line(tmp_path, gen_log, monkeyp
     assert err.startswith("error: non-finite loss") and err.count("\n") == 1
 
 
-def _legacy_line(input_name, runtime, utime, vm_rss):
-    """One record as a foreign tool writes it in the legacy layout: an object
-    of {"tau", "values"} per metric name."""
-    return (
-        '{"features": {"task_name": "align", "task_id": "align", '
-        f'"input_name": "{input_name}", "vm_vcpus": 2, "vm_memory": 4096.0, '
-        '"vm_storage": 40.0, "submission_day": 3, "submission_hour": 14}, '
-        f'"runtime_seconds": {runtime}, "series": {{'
-        f'"utime": {{"tau": 5, "values": {utime}}}, '
-        f'"vmRSS": {{"tau": 5, "values": {vm_rss}}}}}}}'
-    )
+_JSON_HEAD = (
+    '{"features": {"task_name": "align", "task_id": "align", "input_name": "chr20", '
+    '"vm_vcpus": 2, "vm_memory": 4096.0, "vm_storage": 40.0, "submission_day": 3, '
+    '"submission_hour": 14}, "runtime_seconds": 12.0, "series": '
+)
+_JSON_LINES = {
+    # one {"tau", "values"} object per metric name
+    "per-metric": _JSON_HEAD + '{"utime": {"tau": 5, "values": [1, 2.5]}}}',
+    # one block, its samples the base64 text of their float64 bytes
+    "base64-block": _JSON_HEAD
+    + '{"tau": 5, "metrics": ["utime"], "lengths": [2], "f64": "AAAAAAAA8D8AAAAAAAAEQA=="}}',
+}
 
 
-LEGACY_LINES = [
-    _legacy_line("chr20", 12.0, "[1, 2.5, 3.25]", "[100.0, 120.5, 99.75]"),
-    _legacy_line("chr21", 7.5, "[0.125, 4]", "[1e-300, 2.2250738585072014e-308]"),
-    _legacy_line("chr20", 11.0, "[-0.0, 3.5, 1e100]", "[64.0, 64.0]"),
-    _legacy_line("chr22", 20.0, "[9.75, 9.5, 9.25, 9.0, 8.75]", "[5e-324]"),
-    _legacy_line("chr21", 6.0, "[0.5]", "[2048.0, 4096.0]"),
-]
-
-
-def test_ingest_converts_a_legacy_log_to_the_block_layout(tmp_path):
-    """All three layouts, per-metric objects, one base64 block and the binary
-    payload, ingest to the bytes that RecordLog.extend writes for the same
-    records, and every scenario predicts the same bytes from the source log
-    as from the converted one."""
-    legacy = tmp_path / "legacy.jsonl"
-    legacy.write_text("\n".join(LEGACY_LINES) + "\n", encoding="utf-8")
-    records = RecordLog(legacy).read_all()
-    base64_block = tmp_path / "base64_block.jsonl"
-    base64_block.write_text(
-        "".join(json.dumps(block_dict(rec)) + "\n" for rec in records), encoding="utf-8")
-    assert '"f64": ' in base64_block.read_text(encoding="utf-8")
-    binary = tmp_path / "binary.jsonl"
-    RecordLog(binary).extend(records)
-    for source in (legacy, base64_block, binary):
-        converted = tmp_path / f"{source.stem}_converted.jsonl"
-        assert main(["ingest", "--input", str(source), "--log", str(converted)]) == 0
-        assert converted.read_bytes() == binary.read_bytes()
-        lines = converted.read_bytes().split(b"\n")
-        assert lines.pop() == b"" and len(lines) == len(LEGACY_LINES)
-        for line in lines:
-            header = json.loads(line[:line.index(b"\0")])
-            assert list(header["series"]) == ["tau", "metrics", "lengths", "nl"]
-            assert header["series"]["metrics"] == ["utime", "vmRSS"]
-        assert RecordLog(converted).read_all() == records
-        for scenario in Scenario:
-            outs = []
-            for log in (source, converted):
-                out = tmp_path / f"{log.stem}_{scenario.value}.jsonl"
-                assert main([
-                    "replay-predict", "--log", str(log), "--scenario", scenario.value,
-                    "--tau", "5", "--out", str(out),
-                ]) == 0
-                outs.append(out.read_bytes())
-            assert outs[0] == outs[1] and outs[0].count(b"\n") == len(LEGACY_LINES)
+@pytest.mark.parametrize("layout", sorted(_JSON_LINES))
+def test_ingest_refuses_a_log_in_a_json_layout(tmp_path, capsys, layout):
+    """The JSON layouts written before the binary payload are not read: a
+    line without a NUL is a corrupt entry, and ingest appends nothing."""
+    src = tmp_path / "json.jsonl"
+    src.write_text(_JSON_LINES[layout] + "\n", encoding="utf-8")
+    dest = tmp_path / "dest.jsonl"
+    RecordLog(dest).extend([make_record()])
+    before = dest.read_bytes()
+    assert main(["ingest", "--input", str(src), "--log", str(dest)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: corrupt entry in {src} after 0 records: "
+                   "no NUL after a header: not a line of the record log\n")
+    assert dest.read_bytes() == before
 
 
 def test_ingest_of_a_log_into_itself_appends_its_records_once(tmp_path, gen_log):
@@ -199,18 +170,24 @@ def test_replay_predict_streams_jsonl(tmp_path, gen_log):
     assert {"task_name", "predicted", "actual"} <= set(lines[0])
 
 
-def _write_log(path, records):
-    path.write_text("".join(json.dumps(d) + "\n" for d in records), encoding="utf-8")
+def _line(rec):
+    return log_line(header_of(rec), rec.series.samples)
+
+
+def _write_log(path, lines):
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
     return path
 
 
 def test_a_non_finite_vm_memory_stops_every_scenario_at_decode(tmp_path, capsys):
     """A record whose vm_memory reads NaN is a corrupt line: every scenario
     prints the predictions before it and one error line, and ingest refuses it."""
-    docs = [block_dict(make_record(runtime=10.0 + i, input_name=f"chr{20 + i}")) for i in range(3)]
-    docs[1]["features"]["vm_memory"] = math.nan
-    log = _write_log(tmp_path / "nan.jsonl", docs)
-    assert '"vm_memory": NaN' in log.read_text(encoding="utf-8")
+    records = [make_record(runtime=10.0 + i, input_name=f"chr{20 + i}") for i in range(3)]
+    headers = [header_of(rec) for rec in records]
+    headers[1]["features"]["vm_memory"] = math.nan
+    log = _write_log(tmp_path / "nan.jsonl", [
+        log_line(h, rec.series.samples) for h, rec in zip(headers, records)])
+    assert b'"vm_memory": NaN' in log.read_bytes()
     runs = []
     for scenario in Scenario:
         rc = main(["replay-predict", "--log", str(log), "--scenario", scenario.value])
@@ -228,11 +205,11 @@ def test_a_non_finite_vm_memory_stops_every_scenario_at_decode(tmp_path, capsys)
 def test_ingest_into_a_log_that_ends_in_a_partial_line_is_one_error_line(tmp_path, capsys):
     """A log whose last line a crash cut short takes no record: ingest prints
     one error line, exits 1 and leaves the log's bytes as they were."""
-    docs = [block_dict(make_record(runtime=5.0 + i)) for i in range(3)]
-    dest = _write_log(tmp_path / "torn.jsonl", docs)
+    dest = _write_log(tmp_path / "torn.jsonl",
+                      [_line(make_record(runtime=5.0 + i)) for i in range(3)])
     dest.write_bytes(dest.read_bytes()[:-60])
     torn = dest.read_bytes()
-    src = _write_log(tmp_path / "src.jsonl", [block_dict(make_record(runtime=9.0))])
+    src = _write_log(tmp_path / "src.jsonl", [_line(make_record(runtime=9.0))])
     assert main(["ingest", "--input", str(src), "--log", str(dest)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {dest} ends in a partial line; not appending\n"
@@ -243,9 +220,10 @@ def test_a_record_without_series_reads_as_sampled_at_tau_in_every_command(tmp_pa
     """A record that holds no series has no interval of its own, so its
     series interval (3) is not held against --tau 5: select-features reads
     it through the same block reader as replay-predict, and both succeed."""
-    empty = block_dict(make_record(runtime=4.0))
-    empty["series"] = {"tau": 3, "metrics": [], "lengths": [], "f64": ""}
-    log = _write_log(tmp_path / "empty.jsonl", [empty, block_dict(make_record(runtime=12.0))])
+    empty = header_of(make_record(runtime=4.0))
+    empty["series"] = {"tau": 3, "metrics": [], "lengths": []}
+    log = _write_log(tmp_path / "empty.jsonl",
+                     [log_line(empty, ()), _line(make_record(runtime=12.0))])
     out = tmp_path / "sel.json"
     assert main([
         "select-features", "--log", str(log), "--tau", "5", "--threshold", "0.5", "--out", str(out),
@@ -260,9 +238,8 @@ def test_a_record_without_series_reads_as_sampled_at_tau_in_every_command(tmp_pa
 def test_an_overflowing_aggregate_is_one_error_line(tmp_path, capsys):
     """Eight finite samples of 1e308 sum to inf: two_stages refuses the row
     with one error line and no numpy warning."""
-    docs = [block_dict(make_record(runtime=12.0, n=8)),
-            block_dict(make_record(runtime=10.0, n=8, level=1e308))]
-    log = _write_log(tmp_path / "huge.jsonl", docs)
+    log = _write_log(tmp_path / "huge.jsonl", [
+        _line(make_record(runtime=12.0, n=8)), _line(make_record(runtime=10.0, n=8, level=1e308))])
     rc = main(["replay-predict", "--log", str(log), "--scenario", "two_stages", "--tau", "1"])
     out, err = capsys.readouterr()
     assert rc == 1 and len(out.splitlines()) == 2

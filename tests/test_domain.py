@@ -2,10 +2,12 @@
 
 import dataclasses
 import random
+from collections.abc import Mapping
 
+import numpy as np
 import pytest
 
-from conftest import make_features, make_record
+from conftest import make_features, make_record, series_block
 from wfpredict.domain import (
     PRE_RUNTIME_FEATURE_NAMES,
     CategoryVocab,
@@ -75,17 +77,8 @@ def test_metric_series_coerces_values_to_float():
     assert all(isinstance(v, float) for v in s.values)
 
 
-def test_record_rejects_mixed_intervals():
-    series = {
-        MetricKind.utime: MetricSeries(MetricKind.utime, 1, (1.0, 2.0)),
-        MetricKind.stime: MetricSeries(MetricKind.stime, 5, (1.0,)),
-    }
-    with pytest.raises(DomainError):
-        TaskExecutionRecord(features=make_features(), series=series, runtime_seconds=10.0)
-
-
 def test_record_rejects_series_longer_than_runtime():
-    series = {MetricKind.utime: MetricSeries(MetricKind.utime, 5, (1.0,) * 10)}
+    series = series_block({MetricKind.utime: (1.0,) * 10}, tau=5)
     with pytest.raises(DomainError):
         TaskExecutionRecord(features=make_features(), series=series, runtime_seconds=20.0)
 
@@ -97,26 +90,38 @@ def test_record_rejects_nonpositive_runtime():
         make_record(runtime=-3.0)
 
 
-def test_series_block_is_a_read_only_mapping_of_metric_series(tmp_path):
+def test_series_block_is_read_only(tmp_path):
     RecordLog(tmp_path / "log.jsonl").extend([make_record(runtime=6.0, n=4, level=2.5)])
     (rec,) = RecordLog(tmp_path / "log.jsonl").read_all()
     block = rec.series
-    assert isinstance(block, SeriesBlock)
-    assert len(block) == 13 and list(block) == list(MetricKind)
-    assert block[MetricKind.utime] == MetricSeries(MetricKind.utime, 1, (2.5,) * 4)
+    assert isinstance(block, SeriesBlock) and not isinstance(block, Mapping)
+    assert block.metrics == tuple(MetricKind) and block.lengths == (4,) * 13
     row = block.row(MetricKind.utime)
+    assert row.tolist() == [2.5] * 4
     with pytest.raises(ValueError):
         row[0] = 1.0
-    with pytest.raises(TypeError):
-        block[MetricKind.utime] = block[MetricKind.stime]
-    subset = TaskExecutionRecord(
-        features=make_features(),
-        series={MetricKind.stime: MetricSeries(MetricKind.stime, 1, (1.0,))},
-        runtime_seconds=3.0,
-    ).series
-    assert MetricKind.utime not in subset and subset.row(MetricKind.utime) is None
-    with pytest.raises(KeyError):
-        subset[MetricKind.utime]
+    with pytest.raises(ValueError):
+        block.samples[0] = 1.0
+    subset = series_block({MetricKind.stime: (1.0,)})
+    assert subset.row(MetricKind.utime) is None
+
+
+def test_series_blocks_are_equal_on_tau_metrics_lengths_and_samples(tmp_path):
+    path = tmp_path / "log.jsonl"
+    RecordLog(path).extend([make_record(runtime=6.0, n=4, level=2.5)])
+    (a,) = RecordLog(path).read_all()
+    (b,) = RecordLog(path).read_all()
+    assert a == b and a.series == b.series and a.series is not b.series
+    s = a.series
+    bits = s.samples.view(np.uint64).copy()
+    bits[0] ^= 1  # the lowest bit of the first sample
+    assert SeriesBlock(s.tau, s.metrics, s.lengths, bits.view(np.float64)) != s
+    # the same rows under another metric order: equal as a mapping, but not as a block
+    assert SeriesBlock(s.tau, s.metrics[::-1], s.lengths, s.samples) != s
+    assert SeriesBlock(2, s.metrics, s.lengths, s.samples) != s
+    assert SeriesBlock(s.tau, s.metrics, s.lengths, s.samples.copy()) == s
+    assert series_block({MetricKind.utime: (-0.0,)}) == series_block({MetricKind.utime: (0.0,)})
+    assert s != {m: s.row(m) for m in s.metrics}
 
 
 def test_series_block_validation():

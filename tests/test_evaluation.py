@@ -1,5 +1,6 @@
 """RAE metric, online/batch evaluation runs, synthetic generator."""
 
+import base64
 import dataclasses
 import hashlib
 import json
@@ -10,7 +11,7 @@ import pytest
 
 import wfpredict.evaluation as evaluation_mod
 import wfpredict.pipeline as pipeline_mod
-from conftest import block_dict
+from conftest import header_of
 from test_forecaster import StridedOracle
 from wfpredict.domain import MetricKind, Scenario
 from wfpredict.evaluation import (
@@ -76,6 +77,16 @@ def test_generator_is_deterministic(tmp_path):
     assert a.count == b.count == c.count == 30
 
 
+def block_dict(rec):
+    """A record as one JSON object, its series block's samples the base64
+    text of their little-endian float64 bytes: the layout logs had before
+    the binary payload."""
+    d = header_of(rec)
+    samples = rec.series.samples.astype("<f8").tobytes()
+    d["series"]["f64"] = base64.b64encode(samples).decode("ascii")
+    return d
+
+
 def test_generator_output_bytes_are_pinned(tmp_path):
     # the records' JSON rendering is the bytes this corpus had when the log
     # held one JSON object per line, each written with its own open, flush and
@@ -92,8 +103,8 @@ def test_generator_record_invariants(tmp_path):
     log = generate_synthetic(standard_corpus_config(n_records=40), 7, tmp_path / "g.jsonl")
     for rec in log.records():
         assert rec.runtime_seconds >= 1.0
-        assert set(rec.series) == set(MetricKind)
-        length = len(rec.series[MetricKind.utime].values)
+        assert set(rec.series.metrics) == set(MetricKind)
+        length = len(rec.series.row(MetricKind.utime))
         assert length == min(int(rec.runtime_seconds) + 1, 600)
 
 
@@ -112,9 +123,9 @@ def test_generator_curved_profile(tmp_path):
     )
     log = generate_synthetic(cfg, 3, tmp_path / "c.jsonl")
     for rec in log.records():
-        values = rec.series[MetricKind.utime].values
+        values = rec.series.row(MetricKind.utime)
         assert values[-1] > values[0]  # counters ramp upward
-        flat = rec.series[MetricKind.vmRSS].values
+        flat = rec.series.row(MetricKind.vmRSS)
         assert max(flat) != min(flat)  # measurement noise present
 
 

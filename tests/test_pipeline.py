@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_record, write_legacy
+from conftest import make_record, series_block
 import wfpredict.pipeline as pipeline_mod
 from wfpredict.domain import (
     PRE_RUNTIME_FEATURE_NAMES, CategoryVocab, DomainError, MetricKind, MetricSeries, Scenario,
@@ -22,8 +22,13 @@ from wfpredict.knn import InstanceWindow
 from wfpredict.pipeline import (
     REGISTRY_VERSION, PipelineConfig, Registry, pearson, select_features, trev_history,
 )
-from wfpredict.store import RecordLog, downsample, downsample_block
+from wfpredict.store import downsample, downsample_block
 from wfpredict.tsfeat import strip_padding, trev
+
+
+def metric_series(rec, m):
+    """rec's series of m as a MetricSeries, the per-metric references' input."""
+    return MetricSeries(m, rec.series.tau, rec.series.row(m))
 
 
 def reference_pearson(xs, ys):
@@ -174,7 +179,7 @@ class TwoWindowReference:
     def observe(self, rec):
         sigma = encode_pre_runtime(rec.features, self.vocab.code)
         aggs = tuple(
-            max(sum(downsample(rec.series[m], self.tau).values), pipeline_mod._AGG_FLOOR)
+            max(sum(downsample(metric_series(rec, m), self.tau).values), pipeline_mod._AGG_FLOOR)
             for m in MetricKind
         )
         self.aggs.append(aggs)
@@ -227,7 +232,7 @@ def test_observe_completes_on_samples_whose_trev_moments_overflow():
     big = 1.7976931348623157e308
     rec = make_record(runtime=10.0, n=8)
     values = (1.0, big, -big, 0.5 * big, 1e200, -1e200, big, 2.0)
-    series = {m: MetricSeries(m, 1, values) for m in MetricKind}
+    series = series_block({m: values for m in MetricKind})
     rec = TaskExecutionRecord(features=rec.features, series=series, runtime_seconds=10.0)
     reg = Registry(config=PipelineConfig(target_tau=1))
     reg.observe_completion(make_record(runtime=12.0, n=8), Scenario.time_series)
@@ -368,34 +373,10 @@ def test_time_series_block_holds_only_the_selected_metrics(small_log, monkeypatc
             reg.observe_completion(rec, Scenario.time_series)
     assert len(blocks) == len(records)
     for rec, (block, lengths) in zip(records, blocks):
-        rows = [downsample(rec.series[m], 5).values for m in chosen]
+        rows = [downsample(metric_series(rec, m), 5).values for m in chosen]
         assert block.shape[0] == 3
         assert lengths.tolist() == [len(r) for r in rows]
         assert [tuple(row[:len(r)]) for row, r in zip(block.tolist(), rows)] == rows
-
-
-def test_block_and_legacy_logs_give_identical_predictions_and_registries(tmp_path, small_log):
-    with open(small_log.path, "rb") as fh:
-        first = fh.readline()
-    assert "nl" in json.loads(first[:first.index(b"\0")])["series"]  # the binary layout
-    legacy = RecordLog(write_legacy(small_log.read_all(), tmp_path / "legacy.jsonl"))
-    assert legacy.read_all() == small_log.read_all()
-    for scenario in Scenario:
-        runs = []
-        for name, log in (("block", small_log), ("legacy", legacy)):
-            reg = Registry(storage_dir=tmp_path / name / scenario.value,
-                           config=PipelineConfig(target_tau=5))
-            preds = []
-            for rec in log.records():
-                preds.append(reg.predict_task(rec.features, scenario).runtime_seconds)
-                reg.observe_completion(rec, scenario)
-            reg.save()
-            files = {
-                path.relative_to(reg.storage_dir): path.read_bytes()
-                for path in sorted(reg.storage_dir.rglob("*.json"))
-            }
-            runs.append((preds, files))
-        assert runs[0] == runs[1], scenario
 
 
 def test_two_stages_observe_hands_downsample_block_the_record_rows(small_log, monkeypatch):
@@ -413,7 +394,7 @@ def test_two_stages_observe_hands_downsample_block_the_record_rows(small_log, mo
     assert len(calls) == len(records)
     for rec, (rows, interval) in zip(records, calls):
         assert interval == 1
-        assert [tuple(row.tolist()) for row in rows] == [rec.series[m].values for m in MetricKind]
+        assert [row.tolist() for row in rows] == [rec.series.row(m).tolist() for m in MetricKind]
         # views into the record's block, not copies
         assert all(np.shares_memory(row, rec.series.samples) for row in rows)
 
@@ -546,15 +527,15 @@ def test_trev_history_matches_the_per_metric_path(tmp_path):
     # trailing zeros to strip, and a record that carries only two metrics
     padded = (1.0, 5.0, 2.0, 8.0, 3.0, 9.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     for metrics in (tuple(MetricKind), (MetricKind.utime, MetricKind.vmRSS)):
-        series = {m: MetricSeries(m, 1, padded) for m in metrics}
+        series = series_block({m: padded for m in metrics})
         features = records[0].features
         records.append(TaskExecutionRecord(features=features, series=series, runtime_seconds=12.0))
     for tau, lag in ((1, 2), (5, 2), (10, 3)):
         want = {}
         for rec in records:
             feats = {
-                m: trev(strip_padding(downsample(s, tau).values), lag)
-                for m, s in rec.series.items()
+                m: trev(strip_padding(downsample(metric_series(rec, m), tau).values), lag)
+                for m in rec.series.metrics
             }
             want.setdefault(rec.features.task_name, []).append((feats, rec.runtime_seconds))
         got = trev_history(records, tau, lag)

@@ -8,28 +8,24 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import block_dict, legacy_dict, make_features, make_record
+from conftest import header_of, log_line, make_features, make_record, series_block
 import wfpredict.store as store_mod
-from wfpredict.domain import (
-    DomainError,
-    MetricKind,
-    MetricSeries,
-    SeriesBlock,
-    TaskExecutionRecord,
-)
+from wfpredict.domain import DomainError, MetricKind, MetricSeries, SeriesBlock, TaskExecutionRecord
 from wfpredict.store import CorruptLogError, RecordLog, StoreError, downsample, downsample_block
 
 
-def test_ingest_returns_increasing_sequence_numbers(tmp_path):
-    log = RecordLog(tmp_path / "log.jsonl")
-    assert [log.ingest(make_record(runtime=5.0 + i)) for i in range(5)] == [0, 1, 2, 3, 4]
-    assert log.count == 5
+def test_extend_onto_a_log_another_record_log_wrote_reads_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "log.jsonl"
+    records = [make_record(runtime=5.0 + i) for i in range(4)]
+    RecordLog(path).extend(records[:3])
 
+    def no_read(self):
+        raise AssertionError("extend read the log")
 
-def test_ingest_rejects_non_records(tmp_path):
-    log = RecordLog(tmp_path / "log.jsonl")
-    with pytest.raises(StoreError):
-        log.ingest({"not": "a record"})
+    with monkeypatch.context() as m:
+        m.setattr(RecordLog, "_raw_lines", no_read)
+        assert RecordLog(path).extend(records[3:]) == 1
+    assert RecordLog(path).read_all() == records
 
 
 def test_extend_appends_in_order_with_one_fsync(tmp_path, monkeypatch):
@@ -37,14 +33,14 @@ def test_extend_appends_in_order_with_one_fsync(tmp_path, monkeypatch):
     monkeypatch.setattr(store_mod.os, "fsync", lambda fd: calls.append(fd))
     records = [make_record(runtime=5.0 + i) for i in range(6)]
     log = RecordLog(tmp_path / "log.jsonl")
-    assert log.extend(records[:4]) == [0, 1, 2, 3]
+    assert log.extend(records[:4]) == 4
     assert len(calls) == 1
-    assert log.extend(iter(records[4:])) == [4, 5]
+    assert log.extend(iter(records[4:])) == 2
     assert len(calls) == 2
-    assert log.extend([]) == []
+    assert log.extend([]) == 0
     assert RecordLog(tmp_path / "log.jsonl").read_all() == records
     one_by_one = RecordLog(tmp_path / "single.jsonl")
-    assert [one_by_one.ingest(rec) for rec in records] == list(range(6))
+    assert [one_by_one.extend([rec]) for rec in records] == [1] * 6
     assert len(calls) == 9
     assert one_by_one.path.read_bytes() == log.path.read_bytes()
 
@@ -79,9 +75,9 @@ def test_extend_refuses_a_log_that_ends_in_a_partial_line(tmp_path, monkeypatch)
     # an empty file, and a log whose last line is whole, take the record
     empty = tmp_path / "empty.jsonl"
     empty.touch()
-    assert RecordLog(empty).extend([make_record(runtime=9.0)]) == [0]
+    assert RecordLog(empty).extend([make_record(runtime=9.0)]) == 1
     path.write_bytes(b"".join(lines[:2]))
-    assert RecordLog(path).extend([make_record(runtime=9.0)]) == [2]
+    assert RecordLog(path).extend([make_record(runtime=9.0)]) == 1
     assert len(RecordLog(path).read_all()) == 3
 
 
@@ -90,7 +86,7 @@ def test_round_trip_preserves_order_and_content(tmp_path):
     random.seed(11)
     originals = [make_record(runtime=float(random.randrange(3, 40))) for _ in range(20)]
     for rec in originals:
-        log.ingest(rec)
+        log.extend([rec])
     reopened = RecordLog(tmp_path / "log.jsonl")
     assert reopened.count == 20
     loaded = reopened.read_all()
@@ -98,14 +94,12 @@ def test_round_trip_preserves_order_and_content(tmp_path):
         assert back.features == orig.features
         assert back.runtime_seconds == orig.runtime_seconds
         for m in MetricKind:
-            assert back.series[m].values == orig.series[m].values
+            assert back.series.row(m).tolist() == orig.series.row(m).tolist()
 
 
 def test_corrupt_tail_reports_delivered_count(tmp_path):
     path = tmp_path / "log.jsonl"
-    log = RecordLog(path)
-    for i in range(3):
-        log.ingest(make_record(runtime=5.0 + i))
+    RecordLog(path).extend([make_record(runtime=5.0 + i) for i in range(3)])
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("{this is not json\n")
     reopened = RecordLog(path)
@@ -133,130 +127,26 @@ def test_a_corrupt_line_mid_log_stops_the_read_there(tmp_path):
 
 def test_corrupt_tail_bad_schema(tmp_path):
     path = tmp_path / "log.jsonl"
-    log = RecordLog(path)
-    log.ingest(make_record())
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"features": {}, "series": {}, "runtime_seconds": 1.0}) + "\n")
-    with pytest.raises(CorruptLogError):
-        RecordLog(path).read_all()
-
-
-def _f64(*values):
-    """The block layout's text for these samples: base64 of little-endian float64s."""
-    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
-
-
-def _corrupt_after_good_lines(tmp_path, layout, bad):
-    """Write two good records in `layout` and then `bad`; return the
-    CorruptLogError reading raised and the records delivered before it."""
-    path = tmp_path / f"{layout}.jsonl"
-    good = [make_record(runtime=5.0 + i) for i in range(2)]
-    encode = legacy_dict if layout == "legacy" else block_dict
-    path.write_text(
-        "".join(json.dumps(d) + "\n" for d in [encode(rec) for rec in good] + [bad]),
-        encoding="utf-8",
-    )
-    delivered = []
+    RecordLog(path).extend([make_record()])
+    series = {"tau": 1, "metrics": [], "lengths": []}
+    header = {"features": {}, "runtime_seconds": 1.0, "series": series}
+    with open(path, "ab") as fh:
+        fh.write(log_line(header, ()) + b"\n")
     with pytest.raises(CorruptLogError) as info:
-        for rec in RecordLog(path).records():
-            delivered.append(rec)
-    assert delivered == good
-    return info.value
-
-
-def _legacy_with(**changes):
-    d = legacy_dict(make_record(runtime=10.0))
-    for key, value in changes.items():
-        if key == "bogus":
-            d["series"][key] = value
-        else:
-            d["series"]["utime"][key] = value
-    return d
-
-
-def _block_with(**changes):
-    d = block_dict(make_record(runtime=10.0))
-    d["series"].update(changes)
-    return d
-
-
-@pytest.mark.parametrize("layout,bad", [
-    ("legacy", _legacy_with(bogus={"tau": 1, "values": [1.0]})),
-    ("block", _block_with(metrics=["bogus"] + [m.value for m in MetricKind][1:])),
-    ("legacy", _legacy_with(values=[1.0, "x"])),
-    ("block", _block_with(lengths=["x"] + [10] * 12)),
-    ("legacy", _legacy_with(tau="x")),
-    ("block", _block_with(tau="x")),
-    ("block", _block_with(tau=1.5)),
-    ("legacy", _legacy_with(tau=float("inf"))),
-    ("block", _block_with(tau=float("inf"))),
-], ids=[
-    "unknown-metric-legacy", "unknown-metric-block",
-    "non-numeric-sample-legacy", "non-numeric-length-block",
-    "non-integer-tau-legacy", "non-integer-tau-block", "fractional-tau-block",
-    "infinite-tau-legacy", "infinite-tau-block",
-])
-def test_malformed_fields_raise_corrupt_log_error_with_delivered_count(tmp_path, layout, bad):
-    assert _corrupt_after_good_lines(tmp_path, layout, bad).delivered == 2
-
-
-_REJECTED_BLOCKS = {
-    # a lenient decoder would skip the stray character and accept the line
-    "bad-base64-character": dict(metrics=["utime"], lengths=[2], f64="AAAA*" + _f64(1.0, 2.0)[4:]),
-    "bytes-not-whole-float64s": dict(
-        metrics=["utime"], lengths=[1],
-        f64=base64.b64encode(struct.pack("<d", 1.0) + b"\0" * 4).decode("ascii"),
-    ),
-    "lengths-short-of-byte-count": dict(metrics=["utime"], lengths=[2], f64=_f64(1.0, 2.0, 3.0)),
-    "lengths-past-byte-count": dict(metrics=["utime"], lengths=[4], f64=_f64(1.0, 2.0, 3.0)),
-    "row-of-length-0": dict(metrics=["utime", "stime"], lengths=[0, 2], f64=_f64(1.0, 2.0)),
-    "duplicate-metric": dict(metrics=["utime", "utime"], lengths=[1, 1], f64=_f64(1.0, 2.0)),
-    "nan-bytes": dict(metrics=["utime"], lengths=[2], f64=_f64(1.0, float("nan"))),
-    "inf-bytes": dict(metrics=["utime"], lengths=[2], f64=_f64(float("inf"), 1.0)),
-    "minus-inf-bytes": dict(metrics=["utime"], lengths=[1], f64=_f64(float("-inf"))),
-    "series-outlives-task": dict(metrics=["utime"], lengths=[12], f64=_f64(*[1.0] * 12)),
-    "tau-0": dict(tau=0, metrics=["utime"], lengths=[1], f64=_f64(1.0)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_REJECTED_BLOCKS))
-def test_block_layout_rejections_report_delivered_count(tmp_path, case):
-    err = _corrupt_after_good_lines(tmp_path, "block", _block_with(**_REJECTED_BLOCKS[case]))
-    assert err.delivered == 2
-
-
-def _read_back(tmp_path, *docs):
-    """Write each JSON object as one line of a log and read the log back."""
-    path = tmp_path / "docs.jsonl"
-    path.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
-    return RecordLog(path).read_all()
-
-
-def test_block_layout_controls_decode(tmp_path):
-    """The rejected blocks are one defect away from lines that decode."""
-    for changes in (
-        dict(metrics=["utime"], lengths=[2], f64=_f64(1.0, 2.0)),
-        dict(metrics=["utime"], lengths=[1], f64=_f64(1.0)),
-        dict(metrics=["utime", "stime"], lengths=[1, 1], f64=_f64(1.0, 2.0)),
-        dict(metrics=["utime"], lengths=[11], f64=_f64(*[1.0] * 11)),
-        dict(tau=1, metrics=["utime"], lengths=[1], f64=_f64(-0.0)),
-    ):
-        (rec,) = _read_back(tmp_path, _block_with(**changes))
-        assert list(rec.series.lengths) == changes["lengths"]
+        RecordLog(path).read_all()
+    assert info.value.delivered == 1
 
 
 def test_record_round_trip(tmp_path):
-    """A record reads back equal from its line in the current layout and in
-    the base64 block layout."""
     rec = make_record(runtime=12.5, n=12, level=7.25)
     RecordLog(tmp_path / "log.jsonl").extend([rec])
-    for again in RecordLog(tmp_path / "log.jsonl").read_all() + _read_back(tmp_path, block_dict(rec)):
-        assert again.features == rec.features
-        assert again.runtime_seconds == rec.runtime_seconds
-        assert set(again.series) == set(rec.series)
-        for m in rec.series:
-            assert again.series[m].values == rec.series[m].values
-            assert again.series[m].interval_seconds == rec.series[m].interval_seconds
+    (again,) = RecordLog(tmp_path / "log.jsonl").read_all()
+    assert again.features == rec.features
+    assert again.runtime_seconds == rec.runtime_seconds
+    assert again.series.metrics == rec.series.metrics == tuple(MetricKind)
+    assert again.series.tau == rec.series.tau
+    for m in MetricKind:
+        assert again.series.row(m).tolist() == rec.series.row(m).tolist()
 
 
 # the float64 values a text layout is most likely to get wrong
@@ -268,73 +158,79 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
-def test_block_layout_round_trips_bit_for_bit(tmp_path):
+def test_a_subset_of_metrics_round_trips_bit_for_bit(tmp_path):
     rng = random.Random(41)
     # a subset of the metrics, out of canonical order, with rows of length 1
-    series = {
-        MetricKind.write_bytes: MetricSeries(MetricKind.write_bytes, 2, EXTREMES),
-        MetricKind.procs: MetricSeries(MetricKind.procs, 2, (0.0,)),
-        MetricKind.vmRSS: MetricSeries(
-            MetricKind.vmRSS, 2, tuple(rng.uniform(-1e300, 1e300) for _ in range(9))
-        ),
-        MetricKind.iowait: MetricSeries(MetricKind.iowait, 2, (-0.0,)),
+    rows = {
+        MetricKind.write_bytes: EXTREMES,
+        MetricKind.procs: (0.0,),
+        MetricKind.vmRSS: tuple(rng.uniform(-1e300, 1e300) for _ in range(9)),
+        MetricKind.iowait: (-0.0,),
     }
-    rec = TaskExecutionRecord(features=make_features(), series=series, runtime_seconds=18.0)
-    line = json.dumps(block_dict(rec))
-    d = json.loads(line)
+    rec = TaskExecutionRecord(features=make_features(), series=series_block(rows, 2),
+                              runtime_seconds=18.0)
+    path = tmp_path / "log.jsonl"
+    RecordLog(path).extend([rec])
+    line = path.read_bytes()
+    d = json.loads(line[:line.index(b"\0")])
     assert list(d) == ["features", "runtime_seconds", "series"]
-    assert list(d["series"]) == ["tau", "metrics", "lengths", "f64"]
+    assert list(d["series"]) == ["tau", "metrics", "lengths", "nl"]
     assert d["series"]["metrics"] == ["write_bytes", "procs", "vmRSS", "iowait"]
     assert d["series"]["lengths"] == [5, 1, 9, 1]
-    (back,) = _read_back(tmp_path, d)
-    assert list(back.series) == list(series)
+    (back,) = RecordLog(path).read_all()
+    assert back.series.metrics == tuple(rows)
     assert back.series.tau == 2
-    for m, s in series.items():
-        assert _hex(back.series[m].values) == _hex(s.values)
-        assert _hex(back.series.row(m)) == _hex(s.values)
-    assert json.dumps(block_dict(back)) == line
+    for m, values in rows.items():
+        assert _hex(back.series.row(m)) == _hex(values)
+    RecordLog(tmp_path / "again.jsonl").extend([back])
+    assert (tmp_path / "again.jsonl").read_bytes() == line
 
 
-def test_legacy_and_block_lines_decode_to_equal_records(tmp_path):
-    """The per-metric, base64 block and current layouts of a record read
-    back as equal records."""
+def test_random_records_read_back_equal_bit_for_bit(tmp_path):
+    """Records with any subset of the metrics, in any order, and extreme
+    samples read back as equal records, row for row and bit for bit."""
     rng = random.Random(43)
-    for i in range(20):
+    records = []
+    for _ in range(20):
         metrics = rng.sample(list(MetricKind), rng.randrange(0, 14))
-        series = {
-            m: MetricSeries(m, 1, [rng.choice(EXTREMES + (rng.uniform(-9, 9),))
-                                   for _ in range(rng.randrange(1, 12))])
+        rows = {
+            m: [rng.choice(EXTREMES + (rng.uniform(-9, 9),)) for _ in range(rng.randrange(1, 12))]
             for m in metrics
         }
-        rec = TaskExecutionRecord(features=make_features(), series=series, runtime_seconds=11.0)
-        legacy, block = _read_back(tmp_path, legacy_dict(rec), block_dict(rec))
-        RecordLog(tmp_path / f"binary{i}.jsonl").extend([rec])
-        (binary,) = RecordLog(tmp_path / f"binary{i}.jsonl").read_all()
-        assert legacy == block == binary == rec
-        assert list(legacy.series) == list(block.series) == list(binary.series) == metrics
-        for m in metrics:
-            assert _hex(legacy.series[m].values) == _hex(block.series[m].values)
-            assert _hex(binary.series[m].values) == _hex(block.series[m].values)
+        records.append(TaskExecutionRecord(
+            features=make_features(), series=series_block(rows), runtime_seconds=11.0))
+    RecordLog(tmp_path / "log.jsonl").extend(records)
+    back = RecordLog(tmp_path / "log.jsonl").read_all()
+    assert back == records
+    for rec, got in zip(records, back):
+        assert got.series.metrics == rec.series.metrics
+        for m in rec.series.metrics:
+            assert _hex(got.series.row(m)) == _hex(rec.series.row(m))
 
 
 # 1.0 with its lowest byte set to 0x0A: a finite sample whose bytes hold a newline
 _NL_SAMPLE = b"\n" + bytes(5) + b"\xf0\x3f"
 
 
-def _binary_line(payload, lengths, nl=None, metrics=("utime",), runtime=10.0):
-    """A line of the binary layout, built by hand: the JSON header, a NUL and
-    the payload with each 0x0A byte written as 0x00; no terminator. `nl`
-    defaults to the payload's true newline offsets."""
-    d = block_dict(make_record(runtime=runtime))
-    if nl is None:
-        nl = [i for i, byte in enumerate(payload) if byte == 0x0A]
-    d["series"] = {"tau": 1, "metrics": list(metrics), "lengths": list(lengths), "nl": nl}
-    return json.dumps(d).encode("ascii") + b"\0" + payload.replace(b"\n", b"\0")
+_FEATURES = header_of(make_record(runtime=10.0))["features"]
+
+
+def _binary_line(payload, lengths, nl=None, metrics=("utime",), tau=1):
+    """A line of a 10-second record with these series fields; see log_line."""
+    series = {"tau": tau, "metrics": list(metrics), "lengths": list(lengths)}
+    return log_line({"features": _FEATURES, "runtime_seconds": 10.0, "series": series}, payload, nl)
+
+
+def _json_line(series):
+    """A line of a 10-second record as one JSON object, with no NUL."""
+    return json.dumps(
+        {"features": _FEATURES, "runtime_seconds": 10.0, "series": series}).encode("ascii")
 
 
 _TWO_NL = _NL_SAMPLE * 2  # newlines at offsets 0 and 8
 _WHOLE = _binary_line(_TWO_NL, [2])
 _HEADER_END = _WHOLE.index(b"\0")
+_UTIME_STIME = _binary_line(_TWO_NL, [1, 1], metrics=["utime", "stime"])
 
 # name -> (a line that must not decode, the line one defect away that must)
 _REJECTED_LINES = {
@@ -359,6 +255,25 @@ _REJECTED_LINES = {
     "inf-bytes": (_binary_line(struct.pack("<d", float("inf")) + _NL_SAMPLE, [2]), _WHOLE),
     "minus-inf-bytes": (_binary_line(struct.pack("<d", float("-inf")), [1]),
                         _binary_line(struct.pack("<d", -1.0), [1])),
+    "unknown-metric": (_binary_line(_TWO_NL, [2], metrics=["bogus"]), _WHOLE),
+    "duplicate-metric": (_binary_line(_TWO_NL, [1, 1], metrics=["utime", "utime"]), _UTIME_STIME),
+    "non-numeric-length": (_binary_line(_TWO_NL, ["x"]), _WHOLE),
+    "row-of-length-0": (_binary_line(_TWO_NL, [0, 2], metrics=["utime", "stime"]), _UTIME_STIME),
+    "lengths-past-payload": (_binary_line(_TWO_NL, [3]), _WHOLE),
+    "tau-not-a-number": (_binary_line(_TWO_NL, [2], tau="x"), _WHOLE),
+    "fractional-tau": (_binary_line(_TWO_NL, [2], tau=1.5), _WHOLE),
+    "infinite-tau": (_binary_line(_TWO_NL, [2], tau=float("inf")), _WHOLE),
+    "tau-0": (_binary_line(_TWO_NL, [2], tau=0), _WHOLE),
+    "series-not-an-object": (
+        _WHOLE.replace(b'"series": {"tau": 1, "metrics": ["utime"], "lengths": [2], "nl": [0, 8]}',
+                       b'"series": [1, ["utime"], [2], [0, 8]]'), _WHOLE),
+    "series-outlives-task": (
+        _binary_line(_NL_SAMPLE * 12, [12]), _binary_line(_NL_SAMPLE * 11, [11])),
+    # the two JSON layouts written before the binary payload
+    "json-per-metric-layout": (_json_line({"utime": {"tau": 1, "values": [1.0, 1.0]}}), _WHOLE),
+    "json-base64-block-layout": (_json_line(
+        {"tau": 1, "metrics": ["utime"], "lengths": [2],
+         "f64": base64.b64encode(_TWO_NL).decode("ascii")}), _WHOLE),
 }
 
 
