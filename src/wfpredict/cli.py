@@ -56,7 +56,8 @@ def cmd_ingest(args) -> int:
     src = Path(args.input)
     if not src.is_file():
         raise ValueError(f"unreadable input file: {src}")
-    n = RecordLog(args.log).extend(RecordLog(src).records())
+    # every input record decodes before any is appended: a corrupt entry appends nothing
+    n = RecordLog(args.log).extend(RecordLog(src).read_all())
     print(f"ingested {n} records into {args.log}")
     return 0
 
@@ -189,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser(
-        "ingest", help="validate the records of one log and append them to another"
+        "ingest", help="check every record of one log, then append them all to another"
     )
     p.add_argument("--input", required=True)
     p.add_argument("--log", required=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import accumulate
 from typing import Callable, Optional
@@ -187,16 +187,7 @@ class Prediction:
             raise DomainError(f"predicted runtime must be positive, got {self.runtime_seconds}")
 
 
-PRE_RUNTIME_FEATURE_NAMES = (
-    "task_name",
-    "task_id",
-    "input_name",
-    "vm_vcpus",
-    "vm_memory",
-    "vm_storage",
-    "submission_day",
-    "submission_hour",
-)
+PRE_RUNTIME_FEATURE_NAMES = tuple(f.name for f in fields(PreRuntimeFeatures))
 
 _CATEGORICAL_FIELDS = ("task_name", "task_id", "input_name")
 
@@ -230,7 +221,7 @@ class CategoryVocab:
     def from_dict(cls, d: Mapping) -> "CategoryVocab":
         v = cls()
         for f in _CATEGORICAL_FIELDS:
-            v.codes[f] = {k: int(c) for k, c in d.get(f, {}).items()}
+            v.codes[f] = {k: int(c) for k, c in d[f].items()}
         return v
 
 

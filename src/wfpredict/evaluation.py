@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -52,30 +52,19 @@ class EvalReport:
     per_task: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.value,
-            "tau": self.tau,
-            "lag": self.lag,
-            "mode": self.mode,
-            "rae": self.rae,
-            "n_predictions": self.n_predictions,
-            "per_task": dict(sorted(self.per_task.items())),
-        }
+        d = asdict(self)
+        d["scenario"] = self.scenario.value
+        d["per_task"] = dict(sorted(self.per_task.items()))
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
     def to_text(self) -> str:
-        lines = [
-            f"scenario {self.scenario.value}",
-            f"tau {self.tau}",
-            f"lag {self.lag}",
-            f"mode {self.mode}",
-            f"rae {self.rae!r}",
-            f"n_predictions {self.n_predictions}",
-        ]
-        for task, value in sorted(self.per_task.items()):
-            lines.append(f"rae[{task}] {value!r}")
+        d = self.to_dict()
+        per_task = d.pop("per_task")
+        lines = [f"{k} {v}" for k, v in d.items()]
+        lines += [f"rae[{task}] {value}" for task, value in per_task.items()]
         return "\n".join(lines) + "\n"
 
 
@@ -164,8 +153,8 @@ def run_batch_offline(
 class TaskTypeSpec:
     """Parametric generator for one task type.
 
-    Runtime model: base_seconds * input_scale / vcpus * hour_profile[hour]
-    * (1 + noise), with noise ~ N(0, noise_level). Consumption series are
+    Runtime model: base_seconds * input_scale / vcpus * _HOUR_FACTORS[hour]
+    * (1 + noise), with noise ~ N(0, _RUNTIME_NOISE). Consumption series are
     sampled at tau=1 with shapes whose parameters track the runtime.
     """
 
@@ -173,20 +162,11 @@ class TaskTypeSpec:
     base_seconds: float
     input_names: Tuple[str, ...]
     input_scales: Tuple[float, ...]
-    vcpus_choices: Tuple[int, ...] = (1, 2, 4)
-    noise_level: float = 0.04
     series_profile: str = "steady"
-    shape_exponents: Tuple[float, ...] = (1.0, 2.0, 4.0, 7.0)
-    series_noise: float = 0.002
-    hour_profile: Tuple[float, ...] = tuple(
-        1.0 + 0.2 * math.sin(2 * math.pi * (h - 6) / 24.0) for h in range(24)
-    )
 
     def __post_init__(self):
         if len(self.input_names) != len(self.input_scales):
             raise ValueError("input_names/input_scales length mismatch")
-        if len(self.hour_profile) != 24:
-            raise ValueError("hour_profile must have 24 entries")
         if self.base_seconds <= 0:
             raise ValueError("base_seconds must be positive")
         if self.series_profile not in ("steady", "curved"):
@@ -205,7 +185,13 @@ class GeneratorConfig:
             raise ValueError("n_records must be >= 1")
 
 
+# every task draws its VM among these shapes: vcpus -> (memory MiB, storage GiB)
 _VM_SHAPES = {1: (2048.0, 40.0), 2: (4096.0, 40.0), 4: (8192.0, 40.0)}
+_RUNTIME_NOISE = 0.04
+_HOUR_FACTORS = tuple(1.0 + 0.2 * math.sin(2 * math.pi * (h - 6) / 24.0) for h in range(24))
+# the curved profile's ramp exponent, by input index, and its relative sample noise
+_RAMP_EXPONENTS = (1.0, 2.0, 4.0, 7.0)
+_SAMPLE_NOISE = 0.002
 
 
 # per-second reading level for each metric as a multiple of the task runtime;
@@ -246,7 +232,6 @@ def _series_values(
     runtime: float,
     shape_exp: float,
     profile: str,
-    series_noise: float,
 ):
     """Per-metric consumption values; levels track the runtime.
 
@@ -262,7 +247,7 @@ def _series_values(
     if profile == "steady":
         return np.full(length, level)
     t = np.arange(length, dtype=float)
-    noise = 1.0 + series_noise * rng.standard_normal(length)
+    noise = 1.0 + _SAMPLE_NOISE * rng.standard_normal(length)
     if metric in _RAMP_METRICS:
         frac = (t + 1) / length
         return np.abs(level * frac ** shape_exp * noise)
@@ -281,19 +266,19 @@ def _synthetic_records(config: GeneratorConfig, seed: int) -> Iterator[TaskExecu
     for _ in range(config.n_records):
         ts = config.tasks[int(rng.integers(len(config.tasks)))]
         input_idx = int(rng.integers(len(ts.input_names)))
-        vcpus = int(ts.vcpus_choices[int(rng.integers(len(ts.vcpus_choices)))])
+        vcpus = tuple(_VM_SHAPES)[int(rng.integers(len(_VM_SHAPES)))]
         day = int(rng.integers(7))
         hour = int(rng.integers(24))
-        noise = float(rng.normal(0.0, ts.noise_level)) if ts.noise_level > 0 else 0.0
+        noise = float(rng.normal(0.0, _RUNTIME_NOISE))
         runtime = (
             ts.base_seconds
             * ts.input_scales[input_idx]
             / vcpus
-            * ts.hour_profile[hour]
+            * _HOUR_FACTORS[hour]
             * (1.0 + noise)
         )
         runtime = max(runtime, 1.0)
-        mem, storage = _VM_SHAPES.get(vcpus, (2048.0 * vcpus, 40.0))
+        mem, storage = _VM_SHAPES[vcpus]
         features = PreRuntimeFeatures(
             task_name=ts.name,
             task_id=ts.name,
@@ -305,15 +290,13 @@ def _synthetic_records(config: GeneratorConfig, seed: int) -> Iterator[TaskExecu
             submission_hour=hour,
         )
         length = min(int(runtime) + 1, 600)
-        shape_exp = ts.shape_exponents[input_idx % len(ts.shape_exponents)]
+        shape_exp = _RAMP_EXPONENTS[input_idx % len(_RAMP_EXPONENTS)]
         series = SeriesBlock(
             tau=1,
             metrics=MetricKind,
             lengths=(length,) * len(MetricKind),
             samples=np.concatenate([
-                _series_values(
-                    rng, m, length, runtime, shape_exp, ts.series_profile, ts.series_noise
-                )
+                _series_values(rng, m, length, runtime, shape_exp, ts.series_profile)
                 for m in MetricKind
             ]),
         )

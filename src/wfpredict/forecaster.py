@@ -159,10 +159,6 @@ class SequenceModel:
         self._spans = list(zip([0] + ends[:-1], ends))
         self._shapes = {k: v.shape for k, v in init.items()}
         self.params: Dict[str, np.ndarray] = self._views(self.flat_params)
-        # the metric and the size of each (parameter, metric) block of the
-        # buffer, which spread a per-metric clip scale over its elements
-        self._block_metric = np.tile(np.arange(M), len(init))
-        self._block_sizes = np.repeat([v.size // M for v in init.values()], M)
         self.value_norm = RunningMinMax(M)
         self.feat_norm = RunningMinMax((M, F))
         self.len_sum = np.zeros(M, dtype=np.int64)
@@ -213,12 +209,13 @@ class SequenceModel:
 
     # -- training ----------------------------------------------------------
 
-    def _training_data(self, f: Sequence[float], block: np.ndarray, lengths: np.ndarray):
+    def _training_data(self, fx: np.ndarray, block: np.ndarray, lengths: np.ndarray):
         """Normalized teacher-forcing arrays for one example: fenc (M, F),
-        inputs and targets (M, T), and each metric's length."""
+        inputs and targets (M, T), and each metric's length. fx is the
+        feature array that _feature_values returned."""
         if len(block) != self.n_metrics:
             raise ValueError(f"{len(block)} series for {self.n_metrics} metrics")
-        fenc = self.feat_norm.scale(self._feature_values(f))
+        fenc = self.feat_norm.scale(fx)
         targets = self.value_norm.scale(block.T).T
         # one-step-ahead: a zero start token, then each observed value
         inputs = np.zeros_like(targets)
@@ -327,7 +324,7 @@ class SequenceModel:
                 np.max(block, axis=1, where=held, initial=-np.inf),
             )
             self.feat_norm.observe(np.where(present, fx, np.inf), np.where(present, fx, -np.inf))
-            fenc, inputs, targets, lengths = self._training_data(f, block, lengths)
+            fenc, inputs, targets, lengths = self._training_data(fx, block, lengths)
             self.len_sum += lengths
             self.len_count += present[:, 0]
             M = self.n_metrics
@@ -345,7 +342,9 @@ class SequenceModel:
                 total = np.sqrt(np.add.accumulate(sums, 0)[-1])
                 clipped = total > self.clip_norm
                 scale = np.where(clipped, self.clip_norm / np.where(clipped, total, 1.0), 1.0)
-                g *= np.repeat((self.learning_rate * scale)[self._block_metric], self._block_sizes)
+                step = self.learning_rate * scale
+                for v in self._views(g).values():
+                    v *= step.reshape((M,) + (1,) * (v.ndim - 1))
                 self.flat_params -= g
             if not np.isfinite(self.flat_params).all():
                 raise TrainingDivergedError("non-finite parameters after update")
@@ -406,7 +405,8 @@ class SequenceModel:
 
     def loss(self, f: Sequence[float], observed: MetricSeries) -> float:
         """Mean squared error on one example, with the normalizers as they stand."""
-        return float(self._forward(*self._training_data(f, *_one_row(observed)))[0][0])
+        data = self._training_data(self._feature_values(f), *_one_row(observed))
+        return float(self._forward(*data)[0][0])
 
     def default_horizon(self) -> int:
         return self.default_horizons()[0]

@@ -233,7 +233,7 @@ class Registry:
         )
         if scenario == Scenario.time_series and metrics:
             bundle.forecaster = SequenceModel(
-                input_dim=8,
+                input_dim=len(PRE_RUNTIME_FEATURE_NAMES),
                 hidden_size=cfg.hidden_size,
                 learning_rate=cfg.learning_rate,
                 epochs_per_update=cfg.epochs_per_update,

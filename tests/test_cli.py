@@ -202,6 +202,28 @@ def test_a_non_finite_vm_memory_stops_every_scenario_at_decode(tmp_path, capsys)
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def test_ingest_of_an_input_with_a_corrupt_entry_appends_nothing(tmp_path, capsys):
+    """Every input record is checked before any is appended: a corrupt entry
+    leaves the destination's bytes as they were, so one ingest of the mended
+    input appends each of its records once."""
+    records = [make_record(runtime=10.0 + i, input_name=f"chr{20 + i}") for i in range(3)]
+    headers = [header_of(rec) for rec in records]
+    headers[1]["features"]["vm_memory"] = math.nan
+    src = _write_log(tmp_path / "src.jsonl", [
+        log_line(h, rec.series.samples) for h, rec in zip(headers, records)])
+    first = make_record(runtime=7.0)
+    dest = tmp_path / "dest.jsonl"
+    RecordLog(dest).extend([first])
+    before = dest.read_bytes()
+    assert main(["ingest", "--input", str(src), "--log", str(dest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: corrupt entry in {src} after 1 records") and err.count("\n") == 1
+    assert dest.read_bytes() == before
+    _write_log(src, [_line(rec) for rec in records])
+    assert main(["ingest", "--input", str(src), "--log", str(dest)]) == 0
+    assert RecordLog(dest).read_all() == [first] + records
+
+
 def test_ingest_into_a_log_that_ends_in_a_partial_line_is_one_error_line(tmp_path, capsys):
     """A log whose last line a crash cut short takes no record: ingest prints
     one error line, exits 1 and leaves the log's bytes as they were."""
@@ -354,6 +376,17 @@ def saved_doc(gen_log, tmp_path_factory):
             reg.observe_completion(rec, scenario)
     reg.save()
     return json.loads((reg_dir / "index.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("field", ["task_name", "task_id", "input_name"])
+def test_registry_list_reports_a_vocabulary_without_a_field_in_one_line(
+    tmp_path, capsys, saved_doc, field
+):
+    """A vocabulary that lacks a categorical field would code every value of
+    it afresh and change predictions; the registry is refused instead."""
+    doc = json.loads(json.dumps(saved_doc))
+    del doc["vocab"][field]
+    _assert_listing_fails_in_one_line(tmp_path, capsys, doc)
 
 
 @pytest.mark.parametrize("scenario, part, key, edit", [

@@ -177,6 +177,19 @@ def test_encode_pre_runtime_shape_and_determinism():
     assert all(type(x) is float for x in row1)
     assert row1 == row2
     assert row1 == (0.0, 0.0, 0.0, 2.0, 4096.0, 40.0, 1.0, 9.0)
+    # every value distinct, the codes too: each lands in its named column
+    v.code("task_id", "other")
+    v.code("input_name", "other")
+    v.code("input_name", "another")
+    f = make_features(task_name="screen", task_id="screen-7", input_name="ligand3",
+                      vm_vcpus=4, vm_memory=8192.0, vm_storage=60.0,
+                      submission_day=5, submission_hour=17)
+    row = encode_pre_runtime(f, v.code)
+    for name in ("task_name", "task_id", "input_name"):
+        assert row[PRE_RUNTIME_FEATURE_NAMES.index(name)] == v.lookup(name, getattr(f, name))
+    assert sorted(row[:3]) == [1.0, 2.0, 3.0]
+    for name in ("vm_vcpus", "vm_memory", "vm_storage", "submission_day", "submission_hour"):
+        assert row[PRE_RUNTIME_FEATURE_NAMES.index(name)] == float(getattr(f, name))
 
 
 def test_encode_pre_runtime_codes_follow_vocab():
