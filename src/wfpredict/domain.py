@@ -7,6 +7,7 @@ import operator
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Optional
 
@@ -33,6 +34,19 @@ class MetricKind(str, Enum):
 
 # name -> member; a member looks itself up too, as its name is its value
 _METRIC_BY_NAME = {m.value: m for m in MetricKind}
+
+
+@lru_cache(maxsize=64)
+def _members_of(names: tuple) -> tuple:
+    """The members a metric-name list names, each at most once; cached, as
+    the records of a log name few distinct lists."""
+    try:
+        members = tuple(map(_METRIC_BY_NAME.__getitem__, names))
+    except (KeyError, TypeError) as exc:
+        raise DomainError(f"unknown metric: {exc}") from None
+    if len(set(members)) != len(members):
+        raise DomainError(f"duplicate metric in {[m.value for m in members]}")
+    return members
 
 
 class Scenario(str, Enum):
@@ -112,8 +126,8 @@ class SeriesBlock:
     def __init__(self, tau: int, metrics: Iterable, lengths: Iterable[int], samples):
         self.tau = operator.index(tau)
         try:
-            self.metrics = tuple(map(_METRIC_BY_NAME.__getitem__, metrics))
-        except (KeyError, TypeError) as exc:
+            self.metrics = _members_of(tuple(metrics))
+        except TypeError as exc:  # an unhashable name
             raise DomainError(f"unknown metric: {exc}") from None
         self.lengths = tuple(map(operator.index, lengths))
         self.samples = np.asarray(samples, dtype=np.float64).view()
@@ -121,11 +135,9 @@ class SeriesBlock:
         self._offsets = (0, *accumulate(self.lengths))
         if self.tau < 1:
             raise DomainError(f"tau must be >= 1, got {self.tau}")
-        if len(set(self.metrics)) != len(self.metrics):
-            raise DomainError(f"duplicate metric in {[m.value for m in self.metrics]}")
         if len(self.lengths) != len(self.metrics):
             raise DomainError(f"{len(self.lengths)} lengths for {len(self.metrics)} metrics")
-        if min(self.lengths, default=1) < 1:
+        if self.lengths and min(self.lengths) < 1:
             raise DomainError("stored series must be non-empty")
         if self.samples.ndim != 1 or self._offsets[-1] != self.samples.size:
             raise DomainError(
@@ -133,7 +145,7 @@ class SeriesBlock:
                 f"the block holds {self.samples.size}"
             )
         finite = np.isfinite(self.samples)
-        if not finite.all():
+        if np.count_nonzero(finite) != finite.size:
             row = np.searchsorted(self._offsets, np.argmin(finite), side="right") - 1
             raise DomainError(f"non-finite measurement in {self.metrics[row].value} series")
 
@@ -168,7 +180,7 @@ class TaskExecutionRecord:
         if not (self.runtime_seconds > 0 and math.isfinite(self.runtime_seconds)):
             raise DomainError(f"runtime_seconds must be positive, got {self.runtime_seconds}")
         s = self.series
-        longest = max(s.lengths, default=0)
+        longest = max(s.lengths) if s.lengths else 0
         if longest * s.tau > self.runtime_seconds + s.tau:
             raise DomainError(
                 f"{s.metrics[s.lengths.index(longest)].value} series outlives the task: "
@@ -219,9 +231,15 @@ class CategoryVocab:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "CategoryVocab":
+        """The vocabulary to_dict wrote; DomainError unless each field's codes
+        are the integers 0..n-1, each once, as code() assigns them."""
         v = cls()
         for f in _CATEGORICAL_FIELDS:
-            v.codes[f] = {k: int(c) for k, c in d[f].items()}
+            table = dict(d[f].items())
+            codes = list(table.values())
+            if set(map(type, codes)) - {int} or sorted(codes) != list(range(len(codes))):
+                raise DomainError(f"{f} codes are not 0..{len(codes) - 1}, each once")
+            v.codes[f] = table
         return v
 
 

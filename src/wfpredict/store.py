@@ -29,6 +29,10 @@ class CorruptLogError(StoreError):
         self.delivered = delivered
 
 
+# bytes per read of the log, which is never held whole
+_CHUNK = 256 * 1024
+
+
 class RecordLog:
     """Append-only store of TaskExecutionRecords, one record per line.
 
@@ -49,27 +53,46 @@ class RecordLog:
     def __init__(self, path):
         self.path = Path(path)
 
-    def _raw_lines(self) -> Iterator[bytes]:
+    def _spans(self) -> Iterator[Tuple[bytes, int, int]]:
+        """Each non-empty line as (buffer, start, end), its newline excluded.
+
+        The log is read _CHUNK bytes at a time, and a line is a span of the
+        read that holds it; only a line that spans two reads is joined into
+        bytes of its own.
+        """
         try:
             fh = open(self.path, "rb")
         except FileNotFoundError:
             return
         with fh:
             left = os.fstat(fh.fileno()).st_size
-            for line in fh:
-                left -= len(line)
-                if left < 0:
-                    return
-                # strips the terminator alone: a payload may end in any other byte
-                if line.endswith(b"\n"):
-                    line = line[:-1]
-                if line:
-                    yield line
+            head = []  # the pieces of a line that began in an earlier read
+            while left > 0:
+                chunk = fh.read(min(_CHUNK, left))
+                if not chunk:
+                    break
+                left -= len(chunk)
+                pos, end = 0, chunk.find(b"\n")
+                while end >= 0:
+                    if head:
+                        head.append(chunk[pos:end])
+                        line = b"".join(head)
+                        head = []
+                        yield line, 0, len(line)
+                    elif end > pos:
+                        yield chunk, pos, end
+                    pos, end = end + 1, chunk.find(b"\n", end + 1)
+                if pos < len(chunk):
+                    head.append(chunk[pos:])
+            # a last line without a newline is whole only if the file ends there
+            if head and not fh.read(1):
+                line = b"".join(head)
+                yield line, 0, len(line)
 
     @property
     def count(self) -> int:
         """The log's lines, a torn or undecodable one included; a scan on each read."""
-        return sum(1 for _ in self._raw_lines())
+        return sum(1 for _ in self._spans())
 
     def extend(self, records: Iterable[TaskExecutionRecord]) -> int:
         """Append records in order, returning how many were appended.
@@ -103,9 +126,9 @@ class RecordLog:
         """Iterate records in arrival order; raises CorruptLogError at the
         first line that does not decode."""
         delivered = 0
-        for line in self._raw_lines():
+        for buf, start, end in self._spans():
             try:
-                rec = _decode(line)
+                rec = _decode(buf, start, end)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 # ValueError covers JSONDecodeError, DomainError, an unknown
                 # metric name, a non-numeric field and a payload that is not
@@ -136,25 +159,26 @@ def _encode(record: TaskExecutionRecord) -> bytes:
     return json.dumps(header).encode("ascii") + b"\0" + raw.replace(b"\n", b"\0") + b"\n"
 
 
-def _decode(line: bytes) -> TaskExecutionRecord:
-    """The record of a log line: a JSON header, a NUL and the payload."""
-    cut = line.find(b"\0")  # the JSON header holds no raw NUL
+def _decode(buf: bytes, start: int, end: int) -> TaskExecutionRecord:
+    """The record of the log line buf[start:end]: a JSON header, a NUL and
+    the payload."""
+    cut = buf.find(b"\0", start, end)  # the JSON header holds no raw NUL
     if cut < 0:
         raise DomainError("no NUL after a header: not a line of the record log")
-    d = json.loads(line[:cut])
+    d = json.loads(buf[start:cut])
     sd = d["series"]
     if type(sd) is not dict:
         raise DomainError(f"series must be an object, got {type(sd).__name__}")
-    # a copy: aligned, writable, and free of the line's buffer
-    raw = np.frombuffer(line, dtype=np.uint8, offset=cut + 1).copy()
+    # the one copy of the payload: aligned, writable, and free of the buffer
+    raw = np.frombuffer(buf, np.uint8, end - cut - 1, cut + 1).copy()
     nl = sd["nl"]
-    if type(nl) is not list or not set(map(type, nl)) <= {int}:
+    if type(nl) is not list or nl and not set(map(type, nl)) <= {int}:
         raise DomainError("nl must be a list of integer offsets")
     if nl:
         at = np.array(nl, dtype=np.int64)
-        if not (0 <= nl[0] and nl[-1] < raw.size and (at[1:] > at[:-1]).all()):
+        if not (0 <= nl[0] and nl[-1] < raw.size) or np.count_nonzero(at[1:] <= at[:-1]):
             raise DomainError("nl offsets must increase strictly inside the payload")
-        if raw[at].any():
+        if np.count_nonzero(raw[at]):
             raise DomainError("an nl offset points at a byte that is not 0x00")
         raw[at] = 0x0A
     return TaskExecutionRecord(

@@ -389,6 +389,23 @@ def test_registry_list_reports_a_vocabulary_without_a_field_in_one_line(
     _assert_listing_fails_in_one_line(tmp_path, capsys, doc)
 
 
+def test_registry_list_reports_a_vocabulary_that_merges_categories_in_one_line(
+    tmp_path, capsys, gen_log
+):
+    """Every input_name coded 0: the values would become one, and 31 of the
+    60 two_stages predictions would change; the registry is refused instead."""
+    reg_dir = tmp_path / "registry"
+    assert main([
+        "replay-predict", "--log", str(gen_log), "--scenario", "two_stages",
+        "--tau", "5", "--out", str(tmp_path / "p.jsonl"), "--registry-dir", str(reg_dir),
+    ]) == 0
+    doc = json.loads((reg_dir / "index.json").read_text(encoding="utf-8"))
+    assert len(doc["vocab"]["input_name"]) > 1
+    doc["vocab"]["input_name"] = dict.fromkeys(doc["vocab"]["input_name"], 0)
+    capsys.readouterr()
+    _assert_listing_fails_in_one_line(reg_dir, capsys, doc)
+
+
 @pytest.mark.parametrize("scenario, part, key, edit", [
     ("baseline", "regressor", "targets", lambda v: v[:1]),
     ("two_stages", "regressor", "rows", lambda v: [row[:8] for row in v]),

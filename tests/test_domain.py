@@ -168,6 +168,25 @@ def test_vocab_round_trip_preserves_codes():
         assert again.lookup("input_name", name) == v.lookup("input_name", name)
 
 
+@pytest.mark.parametrize("codes", [
+    [0, 0, 1],  # a repeated code
+    [0, 2, 3],  # a gap
+    [-1, 0, 1],
+    [0, 1, True],  # int() would take each of these for 2
+    [0, 1, 2.0],
+    [0, 1, "2"],
+])
+def test_vocab_from_dict_refuses_codes_that_are_not_0_to_n_minus_1(codes):
+    v = CategoryVocab()
+    for name in ("a", "b", "c"):
+        v.code("input_name", name)
+    d = v.to_dict()
+    assert CategoryVocab.from_dict(d).to_dict() == d
+    d["input_name"] = dict(zip("abc", codes))
+    with pytest.raises(DomainError, match="input_name codes are not 0..2, each once"):
+        CategoryVocab.from_dict(d)
+
+
 def test_encode_pre_runtime_shape_and_determinism():
     v = CategoryVocab()
     f = make_features()

@@ -2,6 +2,7 @@
 
 import base64
 import json
+import os
 import random
 import struct
 
@@ -23,7 +24,7 @@ def test_extend_onto_a_log_another_record_log_wrote_reads_nothing(tmp_path, monk
         raise AssertionError("extend read the log")
 
     with monkeypatch.context() as m:
-        m.setattr(RecordLog, "_raw_lines", no_read)
+        m.setattr(RecordLog, "_spans", no_read)
         assert RecordLog(path).extend(records[3:]) == 1
     assert RecordLog(path).read_all() == records
 
@@ -382,6 +383,128 @@ def test_missing_log_iterates_empty(tmp_path):
     log = RecordLog(tmp_path / "absent.jsonl")
     assert log.count == 0
     assert log.read_all() == []
+
+
+def _lines_before(path):
+    """The log's lines as the reader before the chunked one split them, kept
+    verbatim as its oracle: a line at a time from the file object, the
+    terminator stripped, empty lines skipped, and nothing that ends past the
+    byte size taken when the read starts."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with fh:
+        left = os.fstat(fh.fileno()).st_size
+        for line in fh:
+            left -= len(line)
+            if left < 0:
+                return
+            if line.endswith(b"\n"):
+                line = line[:-1]
+            if line:
+                yield line
+
+
+def _read_through(records):
+    """The records an iterator delivers, and the delivered count of the
+    CorruptLogError that stopped it, or None."""
+    got = []
+    try:
+        for rec in records:
+            got.append(rec)
+    except CorruptLogError as exc:
+        return got, exc.delivered
+    return got, None
+
+
+def _oracle_records(path):
+    """records() over the oracle's lines: each line decoded on its own."""
+    for delivered, line in enumerate(_lines_before(path)):
+        try:
+            rec = store_mod._decode(line, 0, len(line))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CorruptLogError(path, delivered, str(exc))
+        yield rec
+
+
+# bytes a text reader would treat as line ends, with the newline and a filler;
+# any 8 of them make a finite float64, as none is an exponent of all ones
+_EDGE_BYTES = b"\x0d\x85\x0b\x0a\x11"
+
+
+def _random_log(rng, path):
+    """A log of whole records, empty lines, now and then an undecodable line
+    and a torn last line, whose payloads are dense in _EDGE_BYTES."""
+    pieces = []
+    for _ in range(rng.randrange(0, 9)):
+        kind = rng.random()
+        if kind < 0.15:
+            pieces.append(b"\n" * rng.randrange(1, 3))
+        elif kind < 0.2:
+            pieces.append(b"{not a record\n")
+        else:
+            raw = bytes(rng.choice(_EDGE_BYTES) for _ in range(8 * rng.randrange(0, 40)))
+            rec = _block_record(np.frombuffer(raw, dtype="<f8"))
+            pieces.append(store_mod._encode(rec))
+    if pieces and rng.random() < 0.3:  # torn: the last line loses its newline and more
+        pieces[-1] = pieces[-1][:rng.randrange(len(pieces[-1]))]
+    path.write_bytes(b"".join(pieces))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 4096])
+def test_the_chunked_reader_splits_a_log_as_its_line_oracle(tmp_path, monkeypatch, chunk):
+    """Lines that straddle reads and outgrow them, empty lines, undecodable
+    and torn lines, and payload bytes that end lines in text at read edges:
+    count and records() agree with the line-at-a-time reader."""
+    monkeypatch.setattr(store_mod, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    path = tmp_path / "log.jsonl"
+    for trial in range(40):
+        _random_log(rng, path)
+        log = RecordLog(path)
+        assert log.count == len(list(_lines_before(path))), trial
+        got, stopped = _read_through(log.records())
+        want, want_stopped = _read_through(_oracle_records(path))
+        assert got == want and stopped == want_stopped, trial
+        for a, b in zip(got, want):
+            assert a.series.samples.tobytes() == b.series.samples.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [64, store_mod._CHUNK])
+def test_a_read_delivers_no_record_appended_after_it_began(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(store_mod, "_CHUNK", chunk)
+    path = tmp_path / "log.jsonl"
+    records = [make_record(runtime=5.0 + i) for i in range(3)]
+    RecordLog(path).extend(records)
+    it = RecordLog(path).records()
+    assert next(it) == records[0]
+    RecordLog(path).extend([make_record(runtime=20.0)])
+    assert list(it) == records[1:]
+    assert RecordLog(path).count == 4
+
+
+@pytest.mark.parametrize("chunk", [64, store_mod._CHUNK])
+@pytest.mark.parametrize("follows", [b"", b"\n", b"rest of the line\n"])
+def test_a_last_line_without_a_newline_is_read_only_if_the_file_ends_there(
+    tmp_path, monkeypatch, chunk, follows
+):
+    """A torn last line is delivered, and so raises CorruptLogError, only
+    when nothing follows it once the read began; an append that completes it
+    makes it a line that ends past the read's snapshot."""
+    monkeypatch.setattr(store_mod, "_CHUNK", chunk)
+    path = tmp_path / "log.jsonl"
+    records = [make_record(runtime=5.0 + i) for i in range(2)]
+    RecordLog(path).extend(records)
+    with open(path, "ab") as fh:
+        fh.write(store_mod._encode(make_record(runtime=9.0))[:50])
+    it = RecordLog(path).records()
+    assert next(it) == records[0]
+    with open(path, "ab") as fh:
+        fh.write(follows)
+    got, stopped = _read_through(it)
+    assert got == records[1:]
+    assert stopped == (None if follows else 2)
 
 
 def _series(values, tau=1):
