@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -42,7 +43,7 @@ def _members_of(names: tuple) -> tuple:
     the records of a log name few distinct lists."""
     try:
         members = tuple(map(_METRIC_BY_NAME.__getitem__, names))
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise DomainError(f"unknown metric: {exc}") from None
     if len(set(members)) != len(members):
         raise DomainError(f"duplicate metric in {[m.value for m in members]}")
@@ -59,6 +60,10 @@ class DomainError(ValueError):
     """Invalid domain object or operation input."""
 
 
+# each integer feature, its least and greatest value; a float holds 2**53 exactly
+_INTEGER_FEATURES = (("vm_vcpus", 1, 2**53), ("submission_day", 0, 6), ("submission_hour", 0, 23))
+
+
 @dataclass(frozen=True)
 class PreRuntimeFeatures:
     """Attributes known before a task executes: identity, VM shape, submission time."""
@@ -73,27 +78,24 @@ class PreRuntimeFeatures:
     submission_hour: int  # 0-23
 
     def __post_init__(self):
-        if not (0 <= self.submission_day <= 6):
-            raise DomainError(f"submission_day out of range: {self.submission_day}")
-        if not (0 <= self.submission_hour <= 23):
-            raise DomainError(f"submission_hour out of range: {self.submission_hour}")
-        if self.vm_vcpus < 1:
-            raise DomainError(f"vm_vcpus must be >= 1, got {self.vm_vcpus}")
-        if not (0 < self.vm_memory < math.inf and 0 < self.vm_storage < math.inf):
-            raise DomainError("vm_memory and vm_storage must be positive and finite")
+        if not type(self.task_name) is type(self.task_id) is type(self.input_name) is str:
+            raise DomainError("task_name, task_id and input_name must be strings")
+        for name, lo, hi in _INTEGER_FEATURES:
+            v = getattr(self, name)
+            if type(v) is not int or not lo <= v <= hi:
+                raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {repr(v)[:20]}")
+        for name in ("vm_memory", "vm_storage"):
+            v = getattr(self, name)
+            if type(v) is int and 0 < v <= sys.float_info.max:
+                v = float(v)  # an int size is stored as the float it encodes to
+                object.__setattr__(self, name, v)
+            if type(v) is not float or not 0 < v < math.inf:
+                raise DomainError("vm_memory and vm_storage must be positive and finite numbers")
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "PreRuntimeFeatures":
-        return cls(
-            task_name=d["task_name"],
-            task_id=d["task_id"],
-            input_name=d["input_name"],
-            vm_vcpus=int(d["vm_vcpus"]),
-            vm_memory=float(d["vm_memory"]),
-            vm_storage=float(d["vm_storage"]),
-            submission_day=int(d["submission_day"]),
-            submission_hour=int(d["submission_hour"]),
-        )
+        """The features of a mapping of exactly the field names, checked by the constructor."""
+        return cls(**d)
 
 
 @dataclass(frozen=True)

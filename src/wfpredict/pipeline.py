@@ -27,7 +27,7 @@ from .domain import (
     encode_pre_runtime,
 )
 from .forecaster import SequenceModel
-from .knn import EmptyWindowError, InstanceWindow
+from .knn import InstanceWindow
 # the pipeline calls neither downsample nor trev; perfbench/layers.py wraps
 # both by name in this module's namespace, so they stay importable from here
 from .store import downsample, downsample_block  # noqa: F401
@@ -134,13 +134,15 @@ class PipelineConfig:
     selected_metrics: Optional[Dict[str, Set[MetricKind]]] = None
 
     def __post_init__(self):
-        for name in ("k", "trev_lag", "target_tau"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.window_capacity is not None and self.window_capacity < 1:
-            raise ValueError(f"window_capacity must be >= 1 or None, got {self.window_capacity}")
-        if self.epochs_per_update < 0:
-            raise ValueError(f"epochs_per_update must be >= 0, got {self.epochs_per_update}")
+        # each integer setting and its least value, if it has one
+        for name, least in (("k", 1), ("window_capacity", 1), ("trev_lag", 1), ("target_tau", 1),
+                            ("epochs_per_update", 0), ("hidden_size", None), ("seed", None)):
+            v = getattr(self, name)
+            if v is None and name == "window_capacity":
+                continue
+            if type(v) is not int or least is not None and v < least:
+                at_least = "" if least is None else f">= {least} and "
+                raise ValueError(f"{name} must be {at_least}an integer, got {v!r}")
 
     def metrics_for(self, task_name: str) -> Tuple[MetricKind, ...]:
         if self.selected_metrics is None or task_name not in self.selected_metrics:
@@ -244,12 +246,6 @@ class Registry:
             )
         return bundle
 
-    def _get_bundle(self, task_name: str, scenario: Scenario) -> TaskModelBundle:
-        key = (task_name, scenario)
-        if key not in self.bundles:
-            self.bundles[key] = self._new_bundle(task_name, scenario)
-        return self.bundles[key]
-
     # -- feature assembly --------------------------------------------------
 
     @staticmethod
@@ -273,23 +269,21 @@ class Registry:
     def predict_task(self, f: PreRuntimeFeatures, scenario: Scenario) -> Prediction:
         """Predict the runtime of a not-yet-executed task.
 
-        Cold start: a task with no completion in this scenario gets a 1.0
-        second default without any change to the registry.
+        Cold start: a task with no completion in this scenario has no bundle,
+        and gets a 1.0 second default without any change to the registry.
         Predicting changes no state: an unseen category reads the code that
         observing it would assign, and only observe_completion stores codes.
         """
         bundle = self.bundles.get((f.task_name, scenario))
         if bundle is None:
             return Prediction(runtime_seconds=1.0, scenario=scenario, task_name=f.task_name)
-        try:
-            if scenario == Scenario.baseline:
-                query = self._baseline_vector(f, self.vocab.lookup)
-            elif scenario == Scenario.two_stages:
-                # sigma alone: the window completes it with the aggregates of
-                # the row nearest to it on the pre-runtime columns
-                query = encode_pre_runtime(f, self.vocab.lookup)
-            else:
-                sigma = encode_pre_runtime(f, self.vocab.lookup)
+        if scenario == Scenario.baseline:
+            query = self._baseline_vector(f, self.vocab.lookup)
+        else:
+            # two_stages queries with sigma alone: the window completes it with
+            # the aggregates of the row nearest to it on the pre-runtime columns
+            query = sigma = encode_pre_runtime(f, self.vocab.lookup)
+            if scenario == Scenario.time_series:
                 if bundle.regressor.ranges()[len(sigma):].any():
                     block, horizons = bundle.forecaster.forecast_all(sigma)
                     query = sigma + _trevs(block, horizons, self.config.trev_lag)
@@ -297,9 +291,7 @@ class Registry:
                     # no trev column is live, so no trev can move a distance:
                     # skip the forecast and read every trev as 0.0
                     query = sigma + (0.0,) * (len(bundle.regressor.schema) - len(sigma))
-            runtime = bundle.regressor.predict(query, k=self.config.k)
-        except EmptyWindowError:
-            runtime = 1.0
+        runtime = bundle.regressor.predict(query, k=self.config.k)
         return Prediction(runtime_seconds=runtime, scenario=scenario, task_name=f.task_name)
 
     def observe_completion(self, rec: TaskExecutionRecord, scenario: Scenario) -> None:
@@ -307,9 +299,12 @@ class Registry:
 
         Training features come from the observed consumption, downsampled once
         and only for the selected metrics; baseline reads no series. Any
-        forecaster failure propagates before the regressor is touched.
+        forecaster failure propagates before the regressor is touched. A
+        bundle joins the registry with its first row, so a refused first
+        record leaves none.
         """
-        bundle = self._get_bundle(rec.features.task_name, scenario)
+        key = (rec.features.task_name, scenario)
+        bundle = self.bundles.get(key) or self._new_bundle(*key)
         if scenario == Scenario.baseline:
             row = self._baseline_vector(rec.features, self.vocab.code)
         else:
@@ -329,6 +324,7 @@ class Registry:
                 row = sigma + _trevs(block, lengths, cfg.trev_lag)
         bundle.regressor.add(row, rec.runtime_seconds)
         bundle.runtime_count += 1
+        self.bundles[key] = bundle
 
     # -- persistence -------------------------------------------------------
 
@@ -363,7 +359,8 @@ class Registry:
         """The registry save wrote; ValueError if index.json is not one.
 
         Each bundle is built from the saved config, as a first observe would
-        build it, and then takes on its saved learned state."""
+        build it, and then takes on its saved learned state; a bundle saved
+        without rows is checked and dropped, as observe keeps none."""
         storage_dir = Path(storage_dir)
         doc = json.loads((storage_dir / "index.json").read_text(encoding="utf-8"))
         if not isinstance(doc, dict) or doc.get("magic") != REGISTRY_MAGIC:
@@ -379,7 +376,8 @@ class Registry:
                 bundle.regressor.restore(payload["regressor"])
                 if bundle.forecaster is not None:
                     bundle.forecaster.restore(payload["forecaster"])
-                reg.bundles[(bundle.task_name, bundle.scenario)] = bundle
+                if len(bundle.regressor):
+                    reg.bundles[(bundle.task_name, bundle.scenario)] = bundle
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"malformed registry in {storage_dir}: {exc!r}") from exc
         return reg

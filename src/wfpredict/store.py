@@ -132,8 +132,8 @@ class RecordLog:
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 # ValueError covers JSONDecodeError, DomainError, an unknown
                 # metric name, a non-numeric field and a payload that is not
-                # whole float64s; OverflowError an Infinity where an integer
-                # belongs
+                # whole float64s; TypeError a missing or extra feature key;
+                # OverflowError a runtime too large for a float
                 raise CorruptLogError(self.path, delivered, str(exc))
             yield rec
             delivered += 1
@@ -195,26 +195,24 @@ def downsample_block(
     windowed arithmetic means, all in one block.
 
     values[m] holds one series' samples, or None for an absent series; an
-    (M, n) array stands for M present series of n samples each. Returns
-    the block (M, T), whose row m holds its window means and then zeros, and
-    each row's window count (0 for None); T is the largest count. target_tau
-    must be an integer multiple of the interval; a trailing partial window is
-    averaged over its actual members. A window's samples are added left to
-    right, so each mean is bit for bit that of a plain left-to-right sum.
+    (M, n) array of M present series of n samples each is averaged in one
+    shot, a list per length. Returns the block (M, T), whose row m holds its
+    window means and then zeros, and each row's window count (0 for None); T
+    is the largest count. target_tau must be an integer multiple of the
+    interval; a trailing partial window is averaged over its actual members.
+    A window's samples are added left to right, so each mean is bit for bit
+    that of a plain left-to-right sum.
     """
     if target_tau < 1:
         raise StoreError(f"target_tau must be >= 1, got {target_tau}")
     if target_tau % interval != 0:
         raise StoreError(f"target_tau {target_tau} is not a multiple of interval {interval}")
     width = target_tau // interval
-    if not (isinstance(values, np.ndarray) and len(values)):
-        n = np.array([0 if v is None else len(v) for v in values], dtype=np.int64)
-        if n.size and n[0] > 0 and (n == n[0]).all():  # every row present, of one length
-            values = np.array(values, dtype=float)
     if isinstance(values, np.ndarray) and len(values):
         block, lengths = _window_means(values, width)
     else:
-        # ragged or absent rows: the rows of each length at once, zeros after
+        # a list of rows: the rows of each length at once, zeros after
+        n = np.array([0 if v is None else len(v) for v in values], dtype=np.int64)
         lengths = -(-n // width)
         block = np.zeros((len(values), int(lengths.max(initial=0))))
         for L in set(n.tolist()) - {0}:

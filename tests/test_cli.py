@@ -202,6 +202,41 @@ def test_a_non_finite_vm_memory_stops_every_scenario_at_decode(tmp_path, capsys)
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def _log_with_features(path, n, **values):
+    """A log of n records; values[field][i], where given, is record i's value of field."""
+    records = [make_record(runtime=10.0 + 2 * i) for i in range(n)]
+    headers = [header_of(rec) for rec in records]
+    for field, column in values.items():
+        for h, v in zip(headers, column):
+            h["features"][field] = v
+    return _write_log(path, [log_line(h, rec.series.samples) for h, rec in zip(headers, records)])
+
+
+@pytest.mark.parametrize("argv, values, delivered, detail", [
+    # an int input_name once read back as another value after a save and load
+    (["replay-predict", "--scenario", "baseline", "--registry-dir", "OUT"],
+     dict(input_name=[7, 8, 7, 8, 9, 7]), 0, "task_name, task_id and input_name must be strings"),
+    # a null task_name once failed the registry save with a traceback
+    (["replay-predict", "--scenario", "two_stages", "--registry-dir", "OUT"],
+     dict(task_name=["align", None]), 1, "task_name, task_id and input_name must be strings"),
+    # a vcpu count too large for a float once failed the replay with a traceback
+    (["eval-online", "--scenario", "two_stages", "--out", "OUT"],
+     dict(vm_vcpus=[2, 2, 10**400]), 2, "vm_vcpus must be an integer in [1, 9007199254740992]"),
+])
+def test_a_feature_of_another_type_is_one_corrupt_entry_line(
+    tmp_path, capsys, argv, values, delivered, detail
+):
+    """The record is refused at decode: no registry or report is written."""
+    log = _log_with_features(tmp_path / "log.jsonl", 6, **values)
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    assert main(argv[:1] + ["--log", str(log)] + argv[1:]) == 1
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == (delivered if argv[0] == "replay-predict" else 0)
+    assert err.startswith(f"error: corrupt entry in {log} after {delivered} records: {detail}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["log.jsonl"]
+
+
 def test_ingest_of_an_input_with_a_corrupt_entry_appends_nothing(tmp_path, capsys):
     """Every input record is checked before any is appended: a corrupt entry
     leaves the destination's bytes as they were, so one ingest of the mended
@@ -354,6 +389,9 @@ def test_sweep_rejects_bad_grid(tmp_path, gen_log):
      "bundles": [{}]},
     {"magic": "wfpredict-registry", "version": REGISTRY_VERSION, "vocab": {},
      "config": {**PipelineConfig().to_dict(), "k": 0}, "bundles": []},
+    {"magic": "wfpredict-registry", "version": REGISTRY_VERSION,
+     "vocab": {"task_name": {}, "task_id": {}, "input_name": {}},
+     "config": {**PipelineConfig().to_dict(), "k": 2.5}, "bundles": []},
 ])
 def test_registry_list_reports_a_malformed_registry_in_one_line(tmp_path, capsys, doc):
     _assert_listing_fails_in_one_line(tmp_path, capsys, doc)

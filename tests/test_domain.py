@@ -48,6 +48,22 @@ def test_pre_runtime_features_validation():
         make_features(vm_memory=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("task_name", None), ("task_id", 3), ("input_name", 7), ("vm_vcpus", 2.5),
+    ("vm_vcpus", True), pytest.param("vm_vcpus", np.int64(2), id="vm_vcpus-int64"),
+    ("vm_vcpus", 2**53 + 1), ("submission_day", True), ("submission_hour", 9.0),
+    ("vm_memory", "4096"), ("vm_storage", True),
+    pytest.param("vm_memory", 10**400, id="vm_memory-10**400"),
+])
+def test_pre_runtime_features_refuse_a_value_of_another_type(field, value):
+    """The constructor checks every field's type, so from_dict needs no
+    coercion of its own, and no value is read as another."""
+    with pytest.raises(DomainError, match=f"{field}.* must be"):
+        make_features(**{field: value})
+    with pytest.raises(DomainError, match=f"{field}.* must be"):
+        PreRuntimeFeatures.from_dict({**dataclasses.asdict(make_features()), field: value})
+
+
 @pytest.mark.parametrize("field", ["vm_memory", "vm_storage"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0])
 def test_pre_runtime_features_need_a_finite_positive_vm_shape(field, value):

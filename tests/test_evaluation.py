@@ -195,6 +195,10 @@ def test_run_batch_offline_split(small_log):
     (Scenario.baseline, dict(window_capacity=0), "window_capacity"),
     (Scenario.baseline, dict(epochs_per_update=-1), "epochs_per_update"),
     (Scenario.time_series, dict(epochs_per_update=-1), "epochs_per_update"),
+    (Scenario.baseline, dict(k=2.5), "k"),
+    (Scenario.baseline, dict(window_capacity=2.5), "window_capacity"),
+    (Scenario.baseline, dict(lag=2.5), "trev_lag"),
+    (Scenario.baseline, dict(k=True), "k"),
 ])
 def test_runs_reject_out_of_range_settings(small_log, scenario, overrides, field):
     # the config checks its own ranges, so a run from Python refuses what the CLI refuses

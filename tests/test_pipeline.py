@@ -256,6 +256,83 @@ def test_an_aggregate_that_overflows_is_refused_without_a_warning():
     assert json.dumps(bundle.to_dict()) == before
 
 
+def test_a_refused_first_record_leaves_no_bundle(tmp_path):
+    """A bundle joins the registry with its first row: a first record whose
+    aggregate overflows leaves none, so a save holds none either."""
+    reg = Registry(storage_dir=tmp_path, config=PipelineConfig(target_tau=1))
+    huge = make_record(runtime=10.0, n=8, level=1e308)
+    with pytest.raises(DomainError, match="non-finite feature value"):
+        reg.observe_completion(huge, Scenario.two_stages)
+    assert reg.bundles == {}
+    assert reg.predict_task(huge.features, Scenario.two_stages).runtime_seconds == 1.0
+    reg.save()
+    assert json.loads((tmp_path / "index.json").read_text(encoding="utf-8"))["bundles"] == []
+
+
+@pytest.mark.parametrize("scenario", [Scenario.two_stages, Scenario.time_series])
+def test_a_replay_that_goes_on_after_a_refused_first_record_predicts_as_one_without_it(
+    small_log, monkeypatch, scenario
+):
+    """A loop that catches the refusal and goes on, as a serving caller does:
+    the refused record was the task's first, so every later prediction is
+    that of a replay that never saw it. The refused record carries the
+    features of the first good one, so both replays code the same values."""
+    records = small_log.read_all()[:40]
+    if scenario == Scenario.two_stages:
+        bad = TaskExecutionRecord(records[0].features, make_record(n=8, level=1e308).series, 10.0)
+    else:
+        bad = records[0]
+        gradients = SequenceModel._gradients
+        calls = []
+
+        def diverge_once(self, *args):
+            calls.append(1)
+            if len(calls) == 1:
+                return np.full(self.n_metrics, np.nan), np.zeros_like(self.flat_params)
+            return gradients(self, *args)
+
+        monkeypatch.setattr(SequenceModel, "_gradients", diverge_once)
+
+    def replay(stream):
+        reg = Registry(config=PipelineConfig(target_tau=5))
+        preds, refused = [], 0
+        for rec in stream:
+            preds.append(reg.predict_task(rec.features, scenario).runtime_seconds)
+            try:
+                reg.observe_completion(rec, scenario)
+            except (DomainError, TrainingDivergedError):
+                refused += 1
+                assert (rec.features.task_name, scenario) not in reg.bundles
+        return preds, refused
+
+    after_refusal, refused = replay([bad] + records)
+    assert refused == 1
+    assert replay(records) == (after_refusal[1:], 0)
+
+
+def test_a_saved_bundle_without_rows_is_dropped_at_load(tmp_path, small_log):
+    """Observe keeps no rowless bundle, so load drops one that an earlier
+    save wrote, after checking it, and predicts as before."""
+    reg = Registry(storage_dir=tmp_path, config=PipelineConfig(target_tau=5))
+    records = small_log.read_all()
+    for rec in records[:20]:
+        for scenario in Scenario:
+            reg.observe_completion(rec, scenario)
+    reg.save()
+    doc = json.loads((tmp_path / "index.json").read_text(encoding="utf-8"))
+    ghosts = [{**b, "task_name": "ghost", "runtime_count": 0,
+               "regressor": {"rows": [], "targets": []}} for b in doc["bundles"][:3]]
+    assert {b["scenario"] for b in ghosts} == {s.value for s in Scenario}
+    doc["bundles"] += ghosts
+    (tmp_path / "index.json").write_text(json.dumps(doc), encoding="utf-8")
+    loaded = Registry.load(tmp_path)
+    assert sorted(loaded.bundles) == sorted(reg.bundles)
+    for rec in records[20:40]:
+        for scenario in Scenario:
+            want = reg.predict_task(rec.features, scenario).runtime_seconds
+            assert loaded.predict_task(rec.features, scenario).runtime_seconds == want
+
+
 @pytest.mark.parametrize("profile", ["steady", "curved"])
 def test_time_series_forecasts_only_while_a_trev_column_is_live(tmp_path, monkeypatch, profile):
     spec = dict(base_seconds=40.0, input_names=("i1", "i2"), input_scales=(1.0, 1.5),

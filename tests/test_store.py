@@ -216,10 +216,10 @@ _NL_SAMPLE = b"\n" + bytes(5) + b"\xf0\x3f"
 _FEATURES = header_of(make_record(runtime=10.0))["features"]
 
 
-def _binary_line(payload, lengths, nl=None, metrics=("utime",), tau=1):
+def _binary_line(payload, lengths, nl=None, metrics=("utime",), tau=1, features=_FEATURES):
     """A line of a 10-second record with these series fields; see log_line."""
     series = {"tau": tau, "metrics": list(metrics), "lengths": list(lengths)}
-    return log_line({"features": _FEATURES, "runtime_seconds": 10.0, "series": series}, payload, nl)
+    return log_line({"features": features, "runtime_seconds": 10.0, "series": series}, payload, nl)
 
 
 def _json_line(series):
@@ -232,6 +232,12 @@ _TWO_NL = _NL_SAMPLE * 2  # newlines at offsets 0 and 8
 _WHOLE = _binary_line(_TWO_NL, [2])
 _HEADER_END = _WHOLE.index(b"\0")
 _UTIME_STIME = _binary_line(_TWO_NL, [1, 1], metrics=["utime", "stime"])
+
+
+def _with_features(**changes):
+    """_WHOLE with these feature values."""
+    return _binary_line(_TWO_NL, [2], features={**_FEATURES, **changes})
+
 
 # name -> (a line that must not decode, the line one defect away that must)
 _REJECTED_LINES = {
@@ -270,12 +276,37 @@ _REJECTED_LINES = {
                        b'"series": [1, ["utime"], [2], [0, 8]]'), _WHOLE),
     "series-outlives-task": (
         _binary_line(_NL_SAMPLE * 12, [12]), _binary_line(_NL_SAMPLE * 11, [11])),
+    # feature values of another type or out of range, and a feature key too many or too few
+    "input-name-a-number": (_with_features(input_name=7), _WHOLE),
+    "task-name-null": (_with_features(task_name=None), _WHOLE),
+    "fractional-vcpus": (_with_features(vm_vcpus=2.5), _WHOLE),
+    "vcpus-past-2**53": (_with_features(vm_vcpus=2**53 + 1), _with_features(vm_vcpus=2**53)),
+    "vcpus-10**400": (_with_features(vm_vcpus=10**400), _with_features(vm_vcpus=2**53)),
+    "submission-day-true": (_with_features(submission_day=True), _WHOLE),
+    "vm-memory-a-string": (_with_features(vm_memory="4096"), _WHOLE),
+    "extra-feature-key": (_with_features(vm_gpus=1), _WHOLE),
+    "missing-feature-key": (_binary_line(_TWO_NL, [2], features={
+        k: v for k, v in _FEATURES.items() if k != "submission_hour"}), _WHOLE),
     # the two JSON layouts written before the binary payload
     "json-per-metric-layout": (_json_line({"utime": {"tau": 1, "values": [1.0, 1.0]}}), _WHOLE),
     "json-base64-block-layout": (_json_line(
         {"tau": 1, "metrics": ["utime"], "lengths": [2],
          "f64": base64.b64encode(_TWO_NL).decode("ascii")}), _WHOLE),
 }
+
+
+def test_an_int_vm_size_is_held_as_the_float_it_encodes_to(tmp_path):
+    """vm_memory 4096, from a log line or the constructor, is 4096.0 and is
+    written back as the bytes of the 4096.0 line."""
+    line = _with_features(vm_memory=4096)
+    assert b'"vm_memory": 4096,' in line and b'"vm_memory": 4096.0,' in _WHOLE
+    (rec,), error = _read_after_two_good_records(tmp_path, line)
+    assert error is None and type(rec.features.vm_memory) is float
+    assert rec.features == make_features(vm_memory=4096) == make_features(vm_memory=4096.0)
+    made = TaskExecutionRecord(make_features(vm_memory=4096), rec.series, rec.runtime_seconds)
+    for i, again in enumerate((rec, made)):
+        RecordLog(tmp_path / f"again{i}.jsonl").extend([again])
+        assert (tmp_path / f"again{i}.jsonl").read_bytes() == _WHOLE + b"\n"
 
 
 def _read_after_two_good_records(tmp_path, line):
