@@ -126,6 +126,10 @@ class SeriesBlock:
     __slots__ = ("tau", "metrics", "lengths", "samples", "_offsets")
 
     def __init__(self, tau: int, metrics: Iterable, lengths: Iterable[int], samples):
+        lengths = tuple(lengths)
+        # operator.index takes a bool as 0 or 1
+        if type(tau) is bool or bool in map(type, lengths):
+            raise DomainError("tau and lengths must be integers, not booleans")
         self.tau = operator.index(tau)
         try:
             self.metrics = _members_of(tuple(metrics))
@@ -179,8 +183,12 @@ class TaskExecutionRecord:
     runtime_seconds: float
 
     def __post_init__(self):
-        if not (self.runtime_seconds > 0 and math.isfinite(self.runtime_seconds)):
-            raise DomainError(f"runtime_seconds must be positive, got {self.runtime_seconds}")
+        rt = self.runtime_seconds
+        if type(rt) is int and 0 < rt <= sys.float_info.max:
+            rt = float(rt)  # an int runtime is stored as the float it encodes to
+            object.__setattr__(self, "runtime_seconds", rt)
+        if not isinstance(rt, float) or not 0 < rt < math.inf:
+            raise DomainError(f"runtime_seconds must be a positive number, got {repr(rt)[:20]}")
         s = self.series
         longest = max(s.lengths) if s.lengths else 0
         if longest * s.tau > self.runtime_seconds + s.tau:

@@ -36,9 +36,9 @@ class InstanceWindow:
     arrival order. An add writes the next row; an eviction advances start.
     When the array is full, the held rows move to the front of a new array
     with room for as many again, so an add costs amortised O(d). The
-    normalization is computed by the first query after lo or hi changes (by
-    an add, an eviction or a restore) and kept until one changes again; it
-    is never saved.
+    normalization is computed by a restore of rows, and by the first query
+    after an add or an eviction changes lo or hi, and kept until one changes
+    again; it is never saved.
     """
 
     def __init__(self, schema: Sequence[str], capacity: Optional[int] = None,
@@ -196,3 +196,6 @@ class InstanceWindow:
         self.lo, self.hi = X.min(axis=0, initial=np.inf), X.max(axis=0, initial=-np.inf)
         self._X, self._y, self._start, self._end = X, y, 0, len(X)
         self._norm = None
+        if len(X):
+            # now, at load, rather than in the first query after it
+            self._normalization()

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +43,9 @@ ALL_METRICS: Tuple[MetricKind, ...] = tuple(MetricKind)
 # also the aggregate of a metric the record lacks; the floor enters the
 # aggregate columns' ranges, so it can move k>1 answers
 _AGG_FLOOR = 1e-9
+
+# the most answers a bundle keeps; a full cache is cleared whole
+_ANSWERS_CAP = 1024
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -143,6 +147,10 @@ class PipelineConfig:
             if type(v) is not int or least is not None and v < least:
                 at_least = "" if least is None else f">= {least} and "
                 raise ValueError(f"{name} must be {at_least}an integer, got {v!r}")
+        for name in ("learning_rate", "clip_norm"):
+            v = getattr(self, name)
+            if type(v) not in (int, float) or not 0 < v <= sys.float_info.max:
+                raise ValueError(f"{name} must be a finite number > 0, got {v!r}")
 
     def metrics_for(self, task_name: str) -> Tuple[MetricKind, ...]:
         if self.selected_metrics is None or task_name not in self.selected_metrics:
@@ -183,6 +191,11 @@ class TaskModelBundle:
     # time_series: one forecaster over the selected metrics, None when none are selected
     forecaster: Optional[SequenceModel] = None
     runtime_count: int = 0
+    # encoded query -> the Prediction predict_task gave for it; observe clears
+    # it first, and it is never saved
+    answers: Dict[tuple, Prediction] = dataclasses.field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def agg_estimators(self) -> Mapping[MetricKind, InstanceWindow]:
@@ -271,28 +284,42 @@ class Registry:
 
         Cold start: a task with no completion in this scenario has no bundle,
         and gets a 1.0 second default without any change to the registry.
-        Predicting changes no state: an unseen category reads the code that
-        observing it would assign, and only observe_completion stores codes.
+        Predicting changes no model state: an unseen category reads the code
+        that observing it would assign, and only observe_completion stores
+        codes. A query the bundle has answered since its last observe gets
+        the cached answer, which is a function of the encoded query and the
+        bundle's state alone.
         """
         bundle = self.bundles.get((f.task_name, scenario))
         if bundle is None:
             return Prediction(runtime_seconds=1.0, scenario=scenario, task_name=f.task_name)
+        # the key is the encoded query, not f: an unseen category codes as its
+        # table's length, which another task's observe can grow. Each value in
+        # it is an int as a float or a positive VM size, so no two equal keys
+        # differ in a bit (as 0.0 and -0.0 would)
         if scenario == Scenario.baseline:
-            query = self._baseline_vector(f, self.vocab.lookup)
+            key = query = self._baseline_vector(f, self.vocab.lookup)
         else:
             # two_stages queries with sigma alone: the window completes it with
             # the aggregates of the row nearest to it on the pre-runtime columns
-            query = sigma = encode_pre_runtime(f, self.vocab.lookup)
-            if scenario == Scenario.time_series:
-                if bundle.regressor.ranges()[len(sigma):].any():
-                    block, horizons = bundle.forecaster.forecast_all(sigma)
-                    query = sigma + _trevs(block, horizons, self.config.trev_lag)
-                else:
-                    # no trev column is live, so no trev can move a distance:
-                    # skip the forecast and read every trev as 0.0
-                    query = sigma + (0.0,) * (len(bundle.regressor.schema) - len(sigma))
+            key = query = sigma = encode_pre_runtime(f, self.vocab.lookup)
+        answer = bundle.answers.get(key)
+        if answer is not None:
+            return answer
+        if scenario == Scenario.time_series:
+            if bundle.regressor.ranges()[len(sigma):].any():
+                block, horizons = bundle.forecaster.forecast_all(sigma)
+                query = sigma + _trevs(block, horizons, self.config.trev_lag)
+            else:
+                # no trev column is live, so no trev can move a distance:
+                # skip the forecast and read every trev as 0.0
+                query = sigma + (0.0,) * (len(bundle.regressor.schema) - len(sigma))
         runtime = bundle.regressor.predict(query, k=self.config.k)
-        return Prediction(runtime_seconds=runtime, scenario=scenario, task_name=f.task_name)
+        answer = Prediction(runtime_seconds=runtime, scenario=scenario, task_name=f.task_name)
+        if len(bundle.answers) >= _ANSWERS_CAP:
+            bundle.answers.clear()
+        bundle.answers[key] = answer
+        return answer
 
     def observe_completion(self, rec: TaskExecutionRecord, scenario: Scenario) -> None:
         """Fold a completed task into the models for its (task, scenario) bundle.
@@ -305,6 +332,8 @@ class Registry:
         """
         key = (rec.features.task_name, scenario)
         bundle = self.bundles.get(key) or self._new_bundle(*key)
+        # first, so an observe refused or half applied leaves no stale answer
+        bundle.answers.clear()
         if scenario == Scenario.baseline:
             row = self._baseline_vector(rec.features, self.vocab.code)
         else:
@@ -371,9 +400,16 @@ class Registry:
             reg = cls(storage_dir=storage_dir, config=PipelineConfig.from_dict(doc["config"]))
             reg.vocab = CategoryVocab.from_dict(doc["vocab"])
             for payload in doc["bundles"]:
-                bundle = reg._new_bundle(payload["task_name"], Scenario(payload["scenario"]))
-                bundle.runtime_count = payload["runtime_count"]
+                name, count = payload["task_name"], payload["runtime_count"]
+                if type(name) is not str:
+                    raise ValueError(f"task name {name!r} is not a string")
+                bundle = reg._new_bundle(name, Scenario(payload["scenario"]))
                 bundle.regressor.restore(payload["regressor"])
+                # every row held was once a completion; eviction only drops rows
+                if type(count) is not int or count < len(bundle.regressor):
+                    raise ValueError(f"runtime_count {count!r} of {name!r} is not an "
+                                     f"integer >= its {len(bundle.regressor)} rows")
+                bundle.runtime_count = count
                 if bundle.forecaster is not None:
                     bundle.forecaster.restore(payload["forecaster"])
                 if len(bundle.regressor):

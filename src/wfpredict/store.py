@@ -133,7 +133,7 @@ class RecordLog:
                 # ValueError covers JSONDecodeError, DomainError, an unknown
                 # metric name, a non-numeric field and a payload that is not
                 # whole float64s; TypeError a missing or extra feature key;
-                # OverflowError a runtime too large for a float
+                # OverflowError an nl offset too large for an int64
                 raise CorruptLogError(self.path, delivered, str(exc))
             yield rec
             delivered += 1
@@ -184,7 +184,7 @@ def _decode(buf: bytes, start: int, end: int) -> TaskExecutionRecord:
     return TaskExecutionRecord(
         features=PreRuntimeFeatures.from_dict(d["features"]),
         series=SeriesBlock(sd["tau"], sd["metrics"], sd["lengths"], raw.view("<f8")),
-        runtime_seconds=float(d["runtime_seconds"]),
+        runtime_seconds=d["runtime_seconds"],
     )
 
 

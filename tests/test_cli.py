@@ -444,6 +444,52 @@ def test_registry_list_reports_a_vocabulary_that_merges_categories_in_one_line(
     _assert_listing_fails_in_one_line(reg_dir, capsys, doc)
 
 
+def _largest_bundle(doc, scenario):
+    return max((b for b in doc["bundles"] if b["scenario"] == scenario),
+               key=lambda b: len(b["regressor"]["rows"]))
+
+
+def _set_bundle(scenario, key, value):
+    """An edit of a saved doc: set key of its largest bundle in the scenario
+    to value(bundle)."""
+    def edit(doc):
+        bundle = _largest_bundle(doc, scenario)
+        bundle[key] = value(bundle)
+    return edit
+
+
+def _set_config(key, value):
+    return lambda doc: doc["config"].update({key: value})
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_set_bundle("baseline", "task_name", lambda b: 7), id="task-name-7"),
+    pytest.param(_set_bundle("two_stages", "task_name", lambda b: None), id="task-name-null"),
+    pytest.param(_set_bundle("baseline", "runtime_count", lambda b: "x"),
+                 id="runtime-count-a-string"),
+    pytest.param(_set_bundle("baseline", "runtime_count", lambda b: True),
+                 id="runtime-count-true"),
+    pytest.param(_set_bundle("time_series", "runtime_count", lambda b: float(b["runtime_count"])),
+                 id="runtime-count-a-float"),
+    pytest.param(_set_bundle("two_stages", "runtime_count", lambda b: b["runtime_count"] - 1),
+                 id="runtime-count-below-the-rows"),
+    pytest.param(_set_config("learning_rate", None), id="learning-rate-null"),
+    pytest.param(_set_config("learning_rate", True), id="learning-rate-true"),
+    pytest.param(_set_config("clip_norm", {}), id="clip-norm-an-object"),
+    pytest.param(_set_config("clip_norm", math.nan), id="clip-norm-nan"),
+])
+def test_registry_list_reports_a_setting_or_bundle_field_of_another_type_in_one_line(
+    tmp_path, capsys, saved_doc, edit
+):
+    """Each loaded before: a string runtime_count listed as "x completions",
+    a task name 7 died in a traceback, and a null learning rate failed only at
+    the next update."""
+    assert all(len(b["regressor"]["rows"]) == b["runtime_count"] > 1 for b in saved_doc["bundles"])
+    doc = json.loads(json.dumps(saved_doc))
+    edit(doc)
+    _assert_listing_fails_in_one_line(tmp_path, capsys, doc)
+
+
 @pytest.mark.parametrize("scenario, part, key, edit", [
     ("baseline", "regressor", "targets", lambda v: v[:1]),
     ("two_stages", "regressor", "rows", lambda v: [row[:8] for row in v]),

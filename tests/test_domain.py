@@ -106,6 +106,27 @@ def test_record_rejects_nonpositive_runtime():
         make_record(runtime=-3.0)
 
 
+@pytest.mark.parametrize("value", [
+    "10.5", True, pytest.param(np.int64(10), id="int64"), float("nan"),
+    pytest.param(10**400, id="10**400"),
+])
+def test_record_refuses_a_runtime_that_is_not_a_positive_number(value):
+    with pytest.raises(DomainError, match="runtime_seconds must be a positive number"):
+        make_record(runtime=value, n=1)
+
+
+def test_an_int_runtime_is_held_as_the_float_it_encodes_to():
+    rec = make_record(runtime=10, n=1)
+    assert type(rec.runtime_seconds) is float and rec == make_record(runtime=10.0, n=1)
+
+
+@pytest.mark.parametrize("tau, lengths", [(True, [1]), (1, [True]), (2, [1, False])])
+def test_series_block_refuses_a_bool_tau_or_length(tau, lengths):
+    """operator.index reads a bool as 0 or 1; the block refuses it instead."""
+    with pytest.raises(DomainError, match="tau and lengths must be integers, not booleans"):
+        SeriesBlock(tau, ["utime", "stime"][:len(lengths)], lengths, [1.0] * sum(lengths))
+
+
 def test_series_block_is_read_only(tmp_path):
     RecordLog(tmp_path / "log.jsonl").extend([make_record(runtime=6.0, n=4, level=2.5)])
     (rec,) = RecordLog(tmp_path / "log.jsonl").read_all()

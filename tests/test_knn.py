@@ -377,3 +377,15 @@ def test_normalization_is_kept_until_a_bound_moves():
     assert w._normalization() is norm
     w.restore(w.to_dict())  # the same rows: a restore always drops the cache
     assert w._normalization() is not norm
+
+
+def test_a_restore_of_rows_computes_the_normalization_and_of_none_does_not():
+    """So the first query after a load costs what the queries after it do."""
+    w = InstanceWindow(_names(2))
+    w.add([0.0, 10.0], 1.0)
+    w.add([4.0, 10.0], 2.0)
+    again = InstanceWindow(_names(2))
+    again.restore(w.to_dict())
+    assert again._norm is not None and again.ranges().tolist() == w.ranges().tolist() == [4.0, 0.0]
+    again.restore(InstanceWindow(_names(2)).to_dict())
+    assert again._norm is None and len(again) == 0

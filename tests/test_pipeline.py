@@ -1,6 +1,7 @@
 """Pipeline: correlation, feature selection, registry behavior, persistence."""
 
 import dataclasses
+import itertools
 import json
 import random
 import warnings
@@ -94,6 +95,18 @@ def test_config_round_trip():
     assert again == cfg
     assert again.metrics_for("align") == (MetricKind.utime, MetricKind.vmRSS)
     assert len(again.metrics_for("other")) == 13
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "clip_norm"])
+@pytest.mark.parametrize("value", [
+    None, True, 0, -0.5, float("nan"), float("inf"), "0.01", pytest.param({}, id="an-object"),
+    pytest.param(10**400, id="10**400"),
+])
+def test_config_refuses_a_float_setting_that_is_not_a_finite_positive_number(field, value):
+    """Such a setting would fail only at the next forecaster update."""
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number > 0, got "):
+        PipelineConfig(**{field: value})
+    assert getattr(PipelineConfig(**{field: 2}), field) == 2
 
 
 def test_cold_start_prediction_policy():
@@ -698,3 +711,150 @@ def test_registry_load_rejects_older_versions(tmp_path, small_log, version):
     (tmp_path / "index.json").write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match=f"unsupported registry version {version}"):
         Registry.load(tmp_path)
+
+
+# a runtime whose row the interleaving test makes the window refuse: no valid
+# record reaches add with a row add refuses once the forecaster has updated,
+# and an observe half applied that way is what clearing the cache first is for
+_REFUSED_RUNTIME = 4321.0
+
+
+@pytest.fixture(scope="module")
+def three_task_records(tmp_path_factory):
+    """150 records of three task types whose series have a shape."""
+    spec = dict(base_seconds=15.0, input_names=("i1", "i2", "i3"),
+                input_scales=(1.0, 1.4, 1.8), series_profile="curved")
+    cfg = GeneratorConfig(
+        tasks=tuple(TaskTypeSpec(name=n, **spec) for n in ("a", "b", "c")), n_records=150
+    )
+    return generate_synthetic(cfg, 8, tmp_path_factory.mktemp("three") / "log.jsonl").read_all()
+
+
+@pytest.mark.parametrize("capacity", [None, 40])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_a_cached_answer_is_bit_identical_to_one_computed_afresh(
+    tmp_path, monkeypatch, three_task_records, scenario, k, capacity
+):
+    """Random interleavings of predict, observe, save and load: each answer of
+    a registry is bit for bit that of one whose caches are cleared before
+    every predict, a save with warm caches writes the bytes of a cold one,
+    and a load starts with every cache empty. The interleavings take unseen
+    input names, which code as the vocabulary's length until another task's
+    observe grows it, and observes that are refused, half applied or not."""
+    add = InstanceWindow.add
+
+    def refusing_add(window, row, target):
+        if target == _REFUSED_RUNTIME:
+            raise DomainError("refused by the test")
+        return add(window, row, target)
+
+    monkeypatch.setattr(InstanceWindow, "add", refusing_add)
+    config = PipelineConfig(k=k, window_capacity=capacity, target_tau=5, hidden_size=4)
+    regs = {"cached": Registry(tmp_path / "cached", config),
+            "fresh": Registry(tmp_path / "fresh", config)}
+    rng = random.Random(f"{scenario.value} {k} {capacity}")
+    stream = iter(three_task_records)
+    queries = [rec.features for rec in three_task_records]
+    unseen = 0  # input names u0, u1, ... below this one have been observed
+    asked = []
+    hits = 0
+
+    def predict(f):
+        nonlocal hits
+        for bundle in regs["fresh"].bundles.values():
+            bundle.answers.clear()
+        want = regs["fresh"].predict_task(f, scenario)
+        warm = {id(a) for b in regs["cached"].bundles.values() for a in b.answers.values()}
+        got = regs["cached"].predict_task(f, scenario)
+        assert got == want and got.runtime_seconds.hex() == want.runtime_seconds.hex()
+        hits += id(got) in warm
+        return got
+
+    def observe(rec):
+        """Whether both registries took rec; each refuses what the other does."""
+        refused = []
+        for reg in regs.values():
+            try:
+                reg.observe_completion(rec, scenario)
+            except DomainError as exc:
+                refused.append(str(exc))
+        assert len(refused) in (0, 2) and len(set(refused)) <= 1
+        return not refused
+
+    def renamed(f, input_name):
+        return dataclasses.replace(f, input_name=input_name)
+
+    def save():
+        for bundle in regs["fresh"].bundles.values():
+            bundle.answers.clear()
+        for reg in regs.values():
+            reg.save()
+        return [(tmp_path / name / "index.json").read_bytes() for name in regs]
+
+    for rec in itertools.islice(stream, 12):
+        assert observe(rec)
+    a = next(r for r in three_task_records if r.features.task_name == "a")
+    b = next(r for r in three_task_records if r.features.task_name == "b")
+    # an unseen name codes as its table's length, u0 and u1 alike; once task
+    # b observes u0, u0 keeps that code and u1 codes one higher, so task a's
+    # answer for u1 becomes its answer for u0
+    first = predict(renamed(a.features, "u1"))
+    assert predict(renamed(a.features, "u0")) is first
+    assert observe(dataclasses.replace(b, features=renamed(b.features, "u0")))
+    assert predict(renamed(a.features, "u0")) is first
+    assert predict(renamed(a.features, "u1")) is not first
+    # a refused observe of task a, in time_series made after its forecaster
+    # updated, still drops a's answers
+    before = predict(a.features)
+    assert not observe(dataclasses.replace(a, runtime_seconds=_REFUSED_RUNTIME))
+    assert predict(a.features) is not before
+    unseen = 1
+
+    huge = make_record(n=8, level=1e308).series  # its tau-5 window means overflow
+    for i, rec in enumerate(stream):
+        choice = rng.random()
+        if choice < 0.1:
+            # refused after the vocabulary took u<unseen> and, in time_series,
+            # after the forecaster updated
+            observe(dataclasses.replace(rec, runtime_seconds=_REFUSED_RUNTIME,
+                                        features=renamed(rec.features, f"u{unseen}")))
+            unseen += 1
+        elif choice < 0.15:
+            # refused by every scenario but baseline, which reads no series
+            observe(dataclasses.replace(rec, series=huge, runtime_seconds=40.0))
+        for _ in range(rng.randrange(4)):
+            # a scheduler asks again about tasks it asked about before
+            if asked and rng.random() < 0.5:
+                f = rng.choice(asked[-8:])
+            else:
+                f = rng.choice(queries)
+                if rng.random() < 0.2:
+                    f = renamed(f, f"u{unseen + rng.randrange(2)}")
+                asked.append(f)
+            predict(f)
+        if i % 45 == 44:  # a save and load cost an fsync each: few of them
+            predict(rec.features)
+            assert any(b.answers for b in regs["cached"].bundles.values())
+            warm, cold = save()
+            assert warm == cold
+            regs = {name: Registry.load(tmp_path / name) for name in regs}
+            assert not any(b.answers for r in regs.values() for b in r.bundles.values())
+        observe(rec)
+    warm, cold = save()
+    assert warm == cold
+    assert hits > 20
+    counts = [(b.runtime_count, len(b.regressor)) for b in regs["cached"].bundles.values()]
+    assert len(counts) == 3 and any(n > rows for n, rows in counts) == (capacity is not None)
+
+
+def test_a_full_answer_cache_is_cleared_whole(monkeypatch, small_log):
+    monkeypatch.setattr(pipeline_mod, "_ANSWERS_CAP", 2)
+    reg = Registry(config=PipelineConfig(target_tau=5))
+    records = small_log.read_all()
+    for rec in records[:10]:
+        reg.observe_completion(rec, Scenario.two_stages)
+    answers = reg.bundles[("align", Scenario.two_stages)].answers
+    for n, rec in zip((1, 2, 1), records[10:]):
+        reg.predict_task(rec.features, Scenario.two_stages)
+        assert len(answers) == n

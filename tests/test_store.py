@@ -216,10 +216,13 @@ _NL_SAMPLE = b"\n" + bytes(5) + b"\xf0\x3f"
 _FEATURES = header_of(make_record(runtime=10.0))["features"]
 
 
-def _binary_line(payload, lengths, nl=None, metrics=("utime",), tau=1, features=_FEATURES):
-    """A line of a 10-second record with these series fields; see log_line."""
+def _binary_line(payload, lengths, nl=None, metrics=("utime",), tau=1, features=_FEATURES,
+                 runtime=10.0):
+    """A line of a record with these series fields, 10 seconds long by
+    default; see log_line."""
     series = {"tau": tau, "metrics": list(metrics), "lengths": list(lengths)}
-    return log_line({"features": features, "runtime_seconds": 10.0, "series": series}, payload, nl)
+    header = {"features": features, "runtime_seconds": runtime, "series": series}
+    return log_line(header, payload, nl)
 
 
 def _json_line(series):
@@ -271,6 +274,12 @@ _REJECTED_LINES = {
     "fractional-tau": (_binary_line(_TWO_NL, [2], tau=1.5), _WHOLE),
     "infinite-tau": (_binary_line(_TWO_NL, [2], tau=float("inf")), _WHOLE),
     "tau-0": (_binary_line(_TWO_NL, [2], tau=0), _WHOLE),
+    "tau-true": (_binary_line(_TWO_NL, [2], tau=True), _WHOLE),
+    "length-true": (_binary_line(_TWO_NL[8:], [True]), _binary_line(_TWO_NL[8:], [1])),
+    "runtime-a-string": (_binary_line(_TWO_NL, [2], runtime="1e6"), _WHOLE),
+    # one sample at tau 1 outlives no runtime of 1 s, so only the bool is refused
+    "runtime-true": (_binary_line(_TWO_NL[8:], [1], runtime=True),
+                     _binary_line(_TWO_NL[8:], [1], runtime=1.0)),
     "series-not-an-object": (
         _WHOLE.replace(b'"series": {"tau": 1, "metrics": ["utime"], "lengths": [2], "nl": [0, 8]}',
                        b'"series": [1, ["utime"], [2], [0, 8]]'), _WHOLE),
@@ -304,6 +313,19 @@ def test_an_int_vm_size_is_held_as_the_float_it_encodes_to(tmp_path):
     assert error is None and type(rec.features.vm_memory) is float
     assert rec.features == make_features(vm_memory=4096) == make_features(vm_memory=4096.0)
     made = TaskExecutionRecord(make_features(vm_memory=4096), rec.series, rec.runtime_seconds)
+    for i, again in enumerate((rec, made)):
+        RecordLog(tmp_path / f"again{i}.jsonl").extend([again])
+        assert (tmp_path / f"again{i}.jsonl").read_bytes() == _WHOLE + b"\n"
+
+
+def test_an_int_runtime_is_held_as_the_float_it_encodes_to(tmp_path):
+    """runtime_seconds 10, from a log line or the constructor, is 10.0 and is
+    written back as the bytes of the 10.0 line."""
+    line = _binary_line(_TWO_NL, [2], runtime=10)
+    assert b'"runtime_seconds": 10,' in line and b'"runtime_seconds": 10.0,' in _WHOLE
+    (rec,), error = _read_after_two_good_records(tmp_path, line)
+    assert error is None and type(rec.runtime_seconds) is float
+    made = TaskExecutionRecord(rec.features, rec.series, 10)
     for i, again in enumerate((rec, made)):
         RecordLog(tmp_path / f"again{i}.jsonl").extend([again])
         assert (tmp_path / f"again{i}.jsonl").read_bytes() == _WHOLE + b"\n"
