@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, fields
@@ -92,11 +91,6 @@ class PreRuntimeFeatures:
             if type(v) is not float or not 0 < v < math.inf:
                 raise DomainError("vm_memory and vm_storage must be positive and finite numbers")
 
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "PreRuntimeFeatures":
-        """The features of a mapping of exactly the field names, checked by the constructor."""
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class MetricSeries:
@@ -127,30 +121,30 @@ class SeriesBlock:
 
     def __init__(self, tau: int, metrics: Iterable, lengths: Iterable[int], samples):
         lengths = tuple(lengths)
-        # operator.index takes a bool as 0 or 1
-        if type(tau) is bool or bool in map(type, lengths):
-            raise DomainError("tau and lengths must be integers, not booleans")
-        self.tau = operator.index(tau)
+        # exact types: a bool is an int subclass, and a numpy integer is not an int
+        if type(tau) is not int or any(type(x) is not int for x in lengths):
+            raise DomainError("tau and lengths must be integers, not booleans or other types")
         try:
             self.metrics = _members_of(tuple(metrics))
         except TypeError as exc:  # an unhashable name
             raise DomainError(f"unknown metric: {exc}") from None
-        self.lengths = tuple(map(operator.index, lengths))
-        self.samples = np.asarray(samples, dtype=np.float64).view()
-        self.samples.flags.writeable = False
-        self._offsets = (0, *accumulate(self.lengths))
-        if self.tau < 1:
-            raise DomainError(f"tau must be >= 1, got {self.tau}")
-        if len(self.lengths) != len(self.metrics):
-            raise DomainError(f"{len(self.lengths)} lengths for {len(self.metrics)} metrics")
-        if self.lengths and min(self.lengths) < 1:
+        self.tau, self.lengths = tau, lengths
+        samples = np.asarray(samples, dtype=np.float64)
+        if samples.flags.writeable:  # a read-only view; the caller's array stays writable
+            samples = samples.view()
+            samples.flags.writeable = False
+        self.samples = samples
+        self._offsets = (0, *accumulate(lengths))
+        if tau < 1:
+            raise DomainError(f"tau must be >= 1, got {tau}")
+        if len(lengths) != len(self.metrics):
+            raise DomainError(f"{len(lengths)} lengths for {len(self.metrics)} metrics")
+        if lengths and min(lengths) < 1:
             raise DomainError("stored series must be non-empty")
-        if self.samples.ndim != 1 or self._offsets[-1] != self.samples.size:
+        if samples.ndim != 1 or self._offsets[-1] != samples.size:
             raise DomainError(
-                f"lengths add up to {self._offsets[-1]} samples, "
-                f"the block holds {self.samples.size}"
-            )
-        finite = np.isfinite(self.samples)
+                f"lengths add up to {self._offsets[-1]} samples, the block holds {samples.size}")
+        finite = np.isfinite(samples)
         if np.count_nonzero(finite) != finite.size:
             row = np.searchsorted(self._offsets, np.argmin(finite), side="right") - 1
             raise DomainError(f"non-finite measurement in {self.metrics[row].value} series")

@@ -433,13 +433,22 @@ class SequenceModel:
 
     def restore(self, d: dict) -> None:
         """Take on the learned state to_dict wrote; ValueError if its parameter
-        count or a statistic's shape differs from this model's."""
+        count or a statistic's shape differs from this model's, a parameter is
+        not finite, or a length statistic is not a list of integers that an
+        int64 holds and that are not negative."""
         saved = np.array(d["flat_params"], dtype=float)
         if saved.shape != self.flat_params.shape:
             raise ValueError(f"{saved.size} parameters, expected {self.flat_params.size}")
+        if not np.isfinite(saved).all():
+            raise ValueError("a parameter is not finite")
         value_norm = RunningMinMax.from_dict(d["value_norm"])
         feat_norm = RunningMinMax.from_dict(d["feat_norm"])
-        lens = [np.array(d[k], dtype=np.int64) for k in ("len_sum", "len_count")]
+        lens = []
+        for k in ("len_sum", "len_count"):
+            v = d[k]
+            if type(v) is not list or any(type(x) is not int or not 0 <= x < 2**63 for x in v):
+                raise ValueError(f"{k} is not a list of integers in [0, 2**63)")
+            lens.append(np.array(v, dtype=np.int64))
         M, F = self.n_metrics, self.input_dim
         bounds = (value_norm.lo, value_norm.hi, feat_norm.lo, feat_norm.hi)
         shapes = [a.shape for a in (*bounds, *lens)]

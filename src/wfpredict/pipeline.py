@@ -399,11 +399,15 @@ class Registry:
         try:
             reg = cls(storage_dir=storage_dir, config=PipelineConfig.from_dict(doc["config"]))
             reg.vocab = CategoryVocab.from_dict(doc["vocab"])
+            listed = set()
             for payload in doc["bundles"]:
                 name, count = payload["task_name"], payload["runtime_count"]
                 if type(name) is not str:
                     raise ValueError(f"task name {name!r} is not a string")
                 bundle = reg._new_bundle(name, Scenario(payload["scenario"]))
+                if (name, bundle.scenario) in listed:
+                    raise ValueError(f"bundle {name!r} {bundle.scenario.value} is listed twice")
+                listed.add((name, bundle.scenario))
                 bundle.regressor.restore(payload["regressor"])
                 # every row held was once a completion; eviction only drops rows
                 if type(count) is not int or count < len(bundle.regressor):

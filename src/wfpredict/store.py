@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
-import dataclasses
-import json
+import binascii
 import os
+import struct
+from binascii import a2b_base64, b2a_base64
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .domain import DomainError, MetricSeries, PreRuntimeFeatures, SeriesBlock, TaskExecutionRecord
+from .domain import (
+    DomainError, MetricKind, MetricSeries, PreRuntimeFeatures, SeriesBlock, TaskExecutionRecord,
+)
 
 
 class StoreError(ValueError):
@@ -36,12 +40,13 @@ _CHUNK = 256 * 1024
 class RecordLog:
     """Append-only store of TaskExecutionRecords, one record per line.
 
-    A line is a JSON header, a NUL byte and the samples as little-endian
-    float64 bytes, then a newline. The header holds the record's features,
-    runtime and series block with "nl" in place of samples: the payload
-    offsets that held a 0x0A byte, which the payload carries as 0x00, so that
-    the terminator is the line's one newline byte. A line without a NUL is
-    a corrupt entry. Re-opening a log yields the same records in the same
+    A line is a packed header in base64, a NUL byte and the samples as
+    little-endian float64 bytes, then a newline. The header holds the
+    record's features, runtime and series block (see _FIXED), with the nl
+    offsets in place of samples: the payload offsets that held a 0x0A byte,
+    which the payload carries as 0x00, so that the terminator is the line's
+    one newline byte. A line that does not open with a header of this layout
+    is a corrupt entry. Re-opening a log yields the same records in the same
     order.
 
     Opening reads nothing, and neither does `extend`; `count` scans the log
@@ -129,11 +134,8 @@ class RecordLog:
         for buf, start, end in self._spans():
             try:
                 rec = _decode(buf, start, end)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                # ValueError covers JSONDecodeError, DomainError, an unknown
-                # metric name, a non-numeric field and a payload that is not
-                # whole float64s; TypeError a missing or extra feature key;
-                # OverflowError an nl offset too large for an int64
+            except ValueError as exc:
+                # DomainError, and a payload that is not whole float64s
                 raise CorruptLogError(self.path, delivered, str(exc))
             yield rec
             delivered += 1
@@ -142,49 +144,96 @@ class RecordLog:
         return list(self.records())
 
 
+# A header is its fixed part, then a byte per metric id, a u32 per row
+# length and per nl offset, and the UTF-8 bytes of task_name, task_id and
+# input_name. The fixed part holds the layout byte, runtime_seconds, vm_vcpus,
+# vm_memory, vm_storage, submission_day, submission_hour, tau, the counts of
+# metrics and of nl offsets, and each name's byte length; all little-endian.
+_FIXED = struct.Struct("<BdQddBBQBIIII")
+_LAYOUT = 1
+# a metric's id is its position in MetricKind
+_METRICS = tuple(MetricKind)
+_METRIC_ID = {m: i for i, m in enumerate(_METRICS)}
+
+
+@lru_cache(maxsize=64)
+def _metrics_of_ids(ids: bytes) -> tuple:
+    """The members a header's metric ids name; cached, as the records of a
+    log name few distinct lists."""
+    try:
+        return tuple(map(_METRICS.__getitem__, ids))
+    except IndexError:
+        raise DomainError(f"unknown metric id in {list(ids)}") from None
+
+
 def _encode(record: TaskExecutionRecord) -> bytes:
-    """The log line of a record: header, NUL, payload, newline."""
-    s = record.series
+    """The log line of a record: the base64 header, a NUL, the payload and a
+    newline; StoreError if a value does not fit its field."""
+    f, s = record.features, record.series
     raw = s.samples.astype("<f8", copy=False).tobytes()
-    header = {
-        "features": dataclasses.asdict(record.features),
-        "runtime_seconds": record.runtime_seconds,
-        "series": {
-            "tau": s.tau,
-            "metrics": [m.value for m in s.metrics],
-            "lengths": list(s.lengths),
-            "nl": np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == 0x0A).tolist(),
-        },
-    }
-    return json.dumps(header).encode("ascii") + b"\0" + raw.replace(b"\n", b"\0") + b"\n"
+    nl = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == 0x0A).tolist()
+    try:
+        names = [f.task_name.encode(), f.task_id.encode(), f.input_name.encode()]
+        header = b"".join((
+            _FIXED.pack(
+                _LAYOUT, record.runtime_seconds, f.vm_vcpus, f.vm_memory, f.vm_storage,
+                f.submission_day, f.submission_hour, s.tau, len(s.metrics), len(nl),
+                *map(len, names)),
+            bytes(map(_METRIC_ID.__getitem__, s.metrics)),
+            struct.pack(f"<{len(s.lengths) + len(nl)}I", *s.lengths, *nl),
+            *names,
+        ))
+    except (struct.error, UnicodeEncodeError) as exc:  # past a width; a lone surrogate
+        raise StoreError(f"record does not fit the log layout: {exc}") from None
+    return b2a_base64(header, newline=False) + b"\0" + raw.replace(b"\n", b"\0") + b"\n"
 
 
 def _decode(buf: bytes, start: int, end: int) -> TaskExecutionRecord:
-    """The record of the log line buf[start:end]: a JSON header, a NUL and
+    """The record of the log line buf[start:end]: a base64 header, a NUL and
     the payload."""
-    cut = buf.find(b"\0", start, end)  # the JSON header holds no raw NUL
+    cut = buf.find(b"\0", start, end)  # base64 holds no NUL
     if cut < 0:
         raise DomainError("no NUL after a header: not a line of the record log")
-    d = json.loads(buf[start:cut])
-    sd = d["series"]
-    if type(sd) is not dict:
-        raise DomainError(f"series must be an object, got {type(sd).__name__}")
-    # the one copy of the payload: aligned, writable, and free of the buffer
-    raw = np.frombuffer(buf, np.uint8, end - cut - 1, cut + 1).copy()
-    nl = sd["nl"]
-    if type(nl) is not list or nl and not set(map(type, nl)) <= {int}:
-        raise DomainError("nl must be a list of integer offsets")
-    if nl:
-        at = np.array(nl, dtype=np.int64)
-        if not (0 <= nl[0] and nl[-1] < raw.size) or np.count_nonzero(at[1:] <= at[:-1]):
+    try:
+        h = a2b_base64(buf[start:cut], strict_mode=True)
+    except binascii.Error as exc:
+        raise DomainError(f"header is not base64: {exc}") from None
+    # strict mode leaves the unused bits of a padded last group unchecked
+    tail = len(h) % 3
+    if tail and b2a_base64(h[-tail:], newline=False) != buf[cut - 4:cut]:
+        raise DomainError("header is not base64: its padding bits are set")
+    if len(h) < _FIXED.size or h[0] != _LAYOUT:
+        raise DomainError(f"not a header of layout {_LAYOUT}: {len(h)} bytes from {h[:1]!r}")
+    _, runtime, vcpus, memory, storage, day, hour, tau, m, n, a, b, c = _FIXED.unpack_from(h)
+    ids = _FIXED.size
+    nl_at = ids + 5 * m  # after the ids and the lengths
+    names_at = nl_at + 4 * n
+    if len(h) != names_at + a + b + c:
+        raise DomainError(
+            f"a header of {len(h)} bytes, where its counts make {names_at + a + b + c}")
+    # the payload, copied free of the read's buffer; writable only where
+    # newlines are put back
+    payload = buf[cut + 1:end]
+    if n:
+        payload = bytearray(payload)
+        raw = np.frombuffer(payload, np.uint8)
+        nl = np.frombuffer(h, "<u4", n, nl_at)
+        if nl[-1] >= raw.size or np.count_nonzero(nl[1:] <= nl[:-1]):
             raise DomainError("nl offsets must increase strictly inside the payload")
-        if np.count_nonzero(raw[at]):
+        if np.count_nonzero(raw[nl]):
             raise DomainError("an nl offset points at a byte that is not 0x00")
-        raw[at] = 0x0A
+        raw[nl] = 0x0A
+    a += names_at
+    b += a
+    try:
+        task_name, task_id, input_name = h[names_at:a].decode(), h[a:b].decode(), h[b:].decode()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"a name is not UTF-8: {exc}") from None
     return TaskExecutionRecord(
-        features=PreRuntimeFeatures.from_dict(d["features"]),
-        series=SeriesBlock(sd["tau"], sd["metrics"], sd["lengths"], raw.view("<f8")),
-        runtime_seconds=d["runtime_seconds"],
+        PreRuntimeFeatures(task_name, task_id, input_name, vcpus, memory, storage, day, hour),
+        SeriesBlock(tau, _metrics_of_ids(h[ids:ids + m]), struct.unpack_from(f"<{m}I", h, ids + m),
+                    np.frombuffer(payload, "<f8")),
+        runtime,
     )
 
 

@@ -1,7 +1,8 @@
 """Shared fixtures: corpora reused across test modules."""
 
+import base64
 import dataclasses
-import json
+import struct
 
 import numpy as np
 import pytest
@@ -82,8 +83,8 @@ def make_record(runtime=10.0, tau=1, n=None, level=3.0, **feature_kwargs):
 
 
 def header_of(rec):
-    """The header of rec's log line, without "nl"; its samples are
-    rec.series.samples."""
+    """The fields of rec's log line header, as log_line takes them, without
+    "nl"; its samples are rec.series.samples."""
     s = rec.series
     return {
         "features": dataclasses.asdict(rec.features),
@@ -94,13 +95,58 @@ def header_of(rec):
     }
 
 
+# The record log's header, written out here so that a test builds and reads
+# lines on its own: the fields of the fixed part, in order, and their widths.
+# A metric's id is its position in MetricKind.
+HEADER_FIELDS = (
+    "layout", "runtime_seconds", "vm_vcpus", "vm_memory", "vm_storage", "submission_day",
+    "submission_hour", "tau", "n_metrics", "n_nl", "task_name_bytes", "task_id_bytes",
+    "input_name_bytes",
+)
+HEADER_FIXED = struct.Struct("<BdQddBBQBIIII")
+METRIC_IDS = {m.value: i for i, m in enumerate(MetricKind)}
+
+
+def pack_line(fields, variable, payload):
+    """A line from the fixed part's field values (a mapping over
+    HEADER_FIELDS), the variable part's bytes and the payload as written: the
+    header in base64, a NUL and the payload; no terminator."""
+    header = HEADER_FIXED.pack(*(fields[k] for k in HEADER_FIELDS)) + variable
+    return base64.b64encode(header) + b"\0" + payload
+
+
+def parse_line(line):
+    """The (fields, variable, payload) that pack_line took to build line."""
+    cut = line.index(b"\0")
+    header = base64.b64decode(line[:cut], validate=True)
+    fields = dict(zip(HEADER_FIELDS, HEADER_FIXED.unpack_from(header)))
+    return fields, header[HEADER_FIXED.size:], line[cut + 1:]
+
+
+def nl_of(line):
+    """The nl offsets in the header of line."""
+    fields, variable, _ = parse_line(line)
+    return list(struct.unpack_from(f"<{fields['n_nl']}I", variable, 5 * fields["n_metrics"]))
+
+
 def log_line(header, samples, nl=None):
     """A line of the record log, built by hand from a header and its samples
-    (floats, or the payload's raw bytes): the JSON header, its series given
-    "nl", a NUL and the payload with each 0x0A byte written as 0x00; no
-    terminator. `nl` defaults to the payload's true newline offsets."""
+    (floats, or the payload's raw bytes): header_of's fields, each packed at
+    its width whatever the constructors think of it, with "nl", then a NUL
+    and the payload with each 0x0A byte written as 0x00; no terminator. A
+    name may be raw bytes and a metric an id. `nl` defaults to the payload's
+    true newline offsets."""
     payload = samples if isinstance(samples, bytes) else np.asarray(samples, "<f8").tobytes()
     if nl is None:
         nl = [i for i, byte in enumerate(payload) if byte == 0x0A]
-    header = {**header, "series": {**header["series"], "nl": nl}}
-    return json.dumps(header).encode("ascii") + b"\0" + payload.replace(b"\n", b"\0")
+    f, s = header["features"], header["series"]
+    names = [v if isinstance(v, bytes) else v.encode() for v in
+             (f["task_name"], f["task_id"], f["input_name"])]
+    ids = bytes(METRIC_IDS.get(m, m) for m in s["metrics"])
+    fields = {
+        **f, "layout": 1, "runtime_seconds": header["runtime_seconds"], "tau": s["tau"],
+        "n_metrics": len(ids), "n_nl": len(nl), "task_name_bytes": len(names[0]),
+        "task_id_bytes": len(names[1]), "input_name_bytes": len(names[2]),
+    }
+    lengths = struct.pack(f"<{len(s['lengths']) + len(nl)}I", *s["lengths"], *nl)
+    return pack_line(fields, ids + lengths + b"".join(names), payload.replace(b"\n", b"\0"))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import wfpredict.store as store_mod
-from conftest import header_of, log_line, make_record
+from conftest import header_of, log_line, make_record, parse_line
 from wfpredict.cli import main
 from wfpredict.domain import Scenario
 from wfpredict.forecaster import SequenceModel
@@ -187,7 +187,7 @@ def test_a_non_finite_vm_memory_stops_every_scenario_at_decode(tmp_path, capsys)
     headers[1]["features"]["vm_memory"] = math.nan
     log = _write_log(tmp_path / "nan.jsonl", [
         log_line(h, rec.series.samples) for h, rec in zip(headers, records)])
-    assert b'"vm_memory": NaN' in log.read_bytes()
+    assert math.isnan(parse_line(log.read_bytes().split(b"\n")[1])[0]["vm_memory"])
     runs = []
     for scenario in Scenario:
         rc = main(["replay-predict", "--log", str(log), "--scenario", scenario.value])
@@ -213,15 +213,17 @@ def _log_with_features(path, n, **values):
 
 
 @pytest.mark.parametrize("argv, values, delivered, detail", [
-    # an int input_name once read back as another value after a save and load
+    # an int input_name once read back as another value after a save and load;
+    # a line's names are UTF-8 bytes now, so the name it cannot decode
     (["replay-predict", "--scenario", "baseline", "--registry-dir", "OUT"],
-     dict(input_name=[7, 8, 7, 8, 9, 7]), 0, "task_name, task_id and input_name must be strings"),
-    # a null task_name once failed the registry save with a traceback
+     dict(input_name=[b"chr\xff"] * 6), 0, "a name is not UTF-8"),
+    # a null task_name once failed the registry save with a traceback; an
+    # hour is a byte now, so one past the day's last
     (["replay-predict", "--scenario", "two_stages", "--registry-dir", "OUT"],
-     dict(task_name=["align", None]), 1, "task_name, task_id and input_name must be strings"),
+     dict(submission_hour=[9, 24]), 1, "submission_hour must be an integer in [0, 23], got 24"),
     # a vcpu count too large for a float once failed the replay with a traceback
     (["eval-online", "--scenario", "two_stages", "--out", "OUT"],
-     dict(vm_vcpus=[2, 2, 10**400]), 2, "vm_vcpus must be an integer in [1, 9007199254740992]"),
+     dict(vm_vcpus=[2, 2, 2**53 + 1]), 2, "vm_vcpus must be an integer in [1, 9007199254740992]"),
 ])
 def test_a_feature_of_another_type_is_one_corrupt_entry_line(
     tmp_path, capsys, argv, values, delivered, detail
@@ -488,6 +490,50 @@ def test_registry_list_reports_a_setting_or_bundle_field_of_another_type_in_one_
     doc = json.loads(json.dumps(saved_doc))
     edit(doc)
     _assert_listing_fails_in_one_line(tmp_path, capsys, doc)
+
+
+def _set_forecaster(key, value):
+    """An edit of a saved doc: set item 0 of key in the forecaster of its
+    largest time_series bundle to value."""
+    def edit(doc):
+        _largest_bundle(doc, "time_series")["forecaster"][key][0] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_set_forecaster("flat_params", math.nan), id="param-nan"),
+    pytest.param(_set_forecaster("flat_params", math.inf), id="param-inf"),
+    pytest.param(_set_forecaster("flat_params", None), id="param-null"),
+    pytest.param(_set_forecaster("len_sum", 1e308), id="len-sum-1e308"),
+    pytest.param(_set_forecaster("len_sum", math.inf), id="len-sum-inf"),
+    pytest.param(_set_forecaster("len_sum", 2**63), id="len-sum-2**63"),
+    pytest.param(_set_forecaster("len_sum", -1), id="len-sum-minus-1"),
+    pytest.param(_set_forecaster("len_count", 1.0), id="len-count-a-float"),
+    pytest.param(_set_forecaster("len_count", True), id="len-count-true"),
+])
+def test_registry_list_reports_forecaster_state_that_is_not_finite_or_counted_in_one_line(
+    tmp_path, capsys, saved_doc, edit
+):
+    """Each loaded before: a len_sum of 1e308 raised OverflowError out of the
+    load in a traceback, and a NaN parameter listed and failed only at the
+    next update."""
+    doc = json.loads(json.dumps(saved_doc))
+    edit(doc)
+    _assert_listing_fails_in_one_line(tmp_path, capsys, doc)
+
+
+def test_registry_list_reports_a_bundle_listed_twice_in_one_line(tmp_path, capsys, saved_doc):
+    """The later copy once replaced the earlier one in silence, and its
+    predictions were served."""
+    doc = json.loads(json.dumps(saved_doc))
+    twice = json.loads(json.dumps(_largest_bundle(doc, "baseline")))
+    twice["regressor"]["targets"] = [5.0] * len(twice["regressor"]["targets"])
+    doc["bundles"].append(twice)
+    _assert_listing_fails_in_one_line(tmp_path, capsys, doc)
+    # the document without the copy lists
+    doc["bundles"].pop()
+    (tmp_path / "index.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["registry", "list", "--dir", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("scenario, part, key, edit", [

@@ -51,17 +51,18 @@ def test_pre_runtime_features_validation():
 @pytest.mark.parametrize("field, value", [
     ("task_name", None), ("task_id", 3), ("input_name", 7), ("vm_vcpus", 2.5),
     ("vm_vcpus", True), pytest.param("vm_vcpus", np.int64(2), id="vm_vcpus-int64"),
-    ("vm_vcpus", 2**53 + 1), ("submission_day", True), ("submission_hour", 9.0),
+    ("vm_vcpus", 2**53 + 1), pytest.param("vm_vcpus", 10**400, id="vm_vcpus-10**400"),
+    ("submission_day", True), ("submission_hour", 9.0),
     ("vm_memory", "4096"), ("vm_storage", True),
     pytest.param("vm_memory", 10**400, id="vm_memory-10**400"),
 ])
 def test_pre_runtime_features_refuse_a_value_of_another_type(field, value):
-    """The constructor checks every field's type, so from_dict needs no
-    coercion of its own, and no value is read as another."""
+    """The constructor checks every field's type, so no value is read as
+    another, from keywords or from a mapping of them."""
     with pytest.raises(DomainError, match=f"{field}.* must be"):
         make_features(**{field: value})
     with pytest.raises(DomainError, match=f"{field}.* must be"):
-        PreRuntimeFeatures.from_dict({**dataclasses.asdict(make_features()), field: value})
+        PreRuntimeFeatures(**{**dataclasses.asdict(make_features()), field: value})
 
 
 @pytest.mark.parametrize("field", ["vm_memory", "vm_storage"])
@@ -70,12 +71,12 @@ def test_pre_runtime_features_need_a_finite_positive_vm_shape(field, value):
     with pytest.raises(DomainError, match="positive and finite"):
         make_features(**{field: value})
     with pytest.raises(DomainError, match="positive and finite"):
-        PreRuntimeFeatures.from_dict({**dataclasses.asdict(make_features()), field: value})
+        PreRuntimeFeatures(**{**dataclasses.asdict(make_features()), field: value})
 
 
 def test_pre_runtime_features_round_trip():
     f = make_features(task_name="merge", input_name="batchB", submission_hour=23)
-    assert PreRuntimeFeatures.from_dict(dataclasses.asdict(f)) == f
+    assert PreRuntimeFeatures(**dataclasses.asdict(f)) == f
 
 
 def test_metric_series_validation():
@@ -122,9 +123,18 @@ def test_an_int_runtime_is_held_as_the_float_it_encodes_to():
 
 @pytest.mark.parametrize("tau, lengths", [(True, [1]), (1, [True]), (2, [1, False])])
 def test_series_block_refuses_a_bool_tau_or_length(tau, lengths):
-    """operator.index reads a bool as 0 or 1; the block refuses it instead."""
+    """A bool is an int subclass; the block refuses it, not reading it as 0 or 1."""
     with pytest.raises(DomainError, match="tau and lengths must be integers, not booleans"):
         SeriesBlock(tau, ["utime", "stime"][:len(lengths)], lengths, [1.0] * sum(lengths))
+
+
+@pytest.mark.parametrize("tau, lengths", [
+    ("x", [1]), (1.5, [1]), (float("inf"), [1]), (1, ["x"]), (1, [1.0]),
+    (np.int64(1), [1]), (1, [np.uint32(1)]),
+])
+def test_series_block_refuses_a_tau_or_length_that_is_not_an_integer(tau, lengths):
+    with pytest.raises(DomainError, match="tau and lengths must be integers"):
+        SeriesBlock(tau, ["utime"], lengths, [1.0])
 
 
 def test_series_block_is_read_only(tmp_path):

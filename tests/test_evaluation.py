@@ -95,8 +95,9 @@ def test_generator_output_bytes_are_pinned(tmp_path):
     rendered = "".join(json.dumps(block_dict(rec)) + "\n" for rec in log.records())
     digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
     assert digest == "4a2f62487091d0a7e86ecdb63f9af9681af836249a147c94f5e12a8e90739f4a"
+    # the log file's bytes, in the packed-header layout
     digest = hashlib.sha256((tmp_path / "g.jsonl").read_bytes()).hexdigest()
-    assert digest == "d4497119d5abdb18e5cddcfbbe88115ec39a026afb9082e43ec8b8e305ef17cc"
+    assert digest == "a474a203bc48572a4d9f9f2d6a3d416db1287da87af34a7ea0c6ab24bf7ac3bb"
 
 
 def test_generator_record_invariants(tmp_path):

@@ -9,9 +9,15 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import header_of, log_line, make_features, make_record, series_block
+from conftest import (
+    HEADER_FIELDS, HEADER_FIXED, METRIC_IDS, header_of, log_line, make_features, make_record, nl_of,
+    pack_line, parse_line, series_block,
+)
 import wfpredict.store as store_mod
-from wfpredict.domain import DomainError, MetricKind, MetricSeries, SeriesBlock, TaskExecutionRecord
+from wfpredict.domain import (
+    DomainError, MetricKind, MetricSeries, PreRuntimeFeatures, SeriesBlock, TaskExecutionRecord,
+)
+from wfpredict.evaluation import generate_synthetic, standard_corpus_config
 from wfpredict.store import CorruptLogError, RecordLog, StoreError, downsample, downsample_block
 
 
@@ -82,6 +88,18 @@ def test_extend_refuses_a_log_that_ends_in_a_partial_line(tmp_path, monkeypatch)
     assert len(RecordLog(path).read_all()) == 3
 
 
+@pytest.mark.parametrize("record", [
+    # a tau past u64: one sample outlives no runtime, so the record is valid
+    TaskExecutionRecord(make_features(), series_block({MetricKind.utime: (1.0,)}, 2**64), 1.0),
+    make_record(runtime=5.0, task_name="align\ud800"),
+], ids=["tau-2**64", "name-with-a-lone-surrogate"])
+def test_extend_refuses_a_record_that_does_not_fit_the_layout(tmp_path, record):
+    log = RecordLog(tmp_path / "log.jsonl")
+    with pytest.raises(StoreError, match="does not fit the log layout"):
+        log.extend([make_record(runtime=5.0), record, make_record(runtime=6.0)])
+    assert log.read_all() == [make_record(runtime=5.0)]
+
+
 def test_round_trip_preserves_order_and_content(tmp_path):
     log = RecordLog(tmp_path / "log.jsonl")
     random.seed(11)
@@ -129,10 +147,11 @@ def test_a_corrupt_line_mid_log_stops_the_read_there(tmp_path):
 def test_corrupt_tail_bad_schema(tmp_path):
     path = tmp_path / "log.jsonl"
     RecordLog(path).extend([make_record()])
-    series = {"tau": 1, "metrics": [], "lengths": []}
-    header = {"features": {}, "runtime_seconds": 1.0, "series": series}
+    # a length for a metric the header does not name
+    header = header_of(make_record(runtime=1.0, n=1))
+    header["series"] = {"tau": 1, "metrics": [], "lengths": [1]}
     with open(path, "ab") as fh:
-        fh.write(log_line(header, ()) + b"\n")
+        fh.write(log_line(header, (1.0,)) + b"\n")
     with pytest.raises(CorruptLogError) as info:
         RecordLog(path).read_all()
     assert info.value.delivered == 1
@@ -173,11 +192,11 @@ def test_a_subset_of_metrics_round_trips_bit_for_bit(tmp_path):
     path = tmp_path / "log.jsonl"
     RecordLog(path).extend([rec])
     line = path.read_bytes()
-    d = json.loads(line[:line.index(b"\0")])
-    assert list(d) == ["features", "runtime_seconds", "series"]
-    assert list(d["series"]) == ["tau", "metrics", "lengths", "nl"]
-    assert d["series"]["metrics"] == ["write_bytes", "procs", "vmRSS", "iowait"]
-    assert d["series"]["lengths"] == [5, 1, 9, 1]
+    fields, variable, _ = parse_line(line[:-1])
+    assert (fields["layout"], fields["tau"], fields["n_metrics"]) == (1, 2, 4)
+    ids = [METRIC_IDS[m] for m in ("write_bytes", "procs", "vmRSS", "iowait")]
+    assert list(variable[:4]) == ids
+    assert struct.unpack_from("<4I", variable, 4) == (5, 1, 9, 1)
     (back,) = RecordLog(path).read_all()
     assert back.series.metrics == tuple(rows)
     assert back.series.tau == 2
@@ -242,20 +261,39 @@ def _with_features(**changes):
     return _binary_line(_TWO_NL, [2], features={**_FEATURES, **changes})
 
 
+def _with_fields(**changes):
+    """_WHOLE with these values in its header's fixed part, and its variable
+    part and payload as they are."""
+    fields, variable, payload = parse_line(_WHOLE)
+    return pack_line({**fields, **changes}, variable, payload)
+
+
+def _padding_bit_set(line):
+    """line with the lowest bit of its header's last base64 data character
+    set, a bit that a one- or two-byte last group does not use."""
+    cut = line.index(b"\0")
+    last = cut - 1 - line[:cut].count(b"=")
+    alphabet = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    assert last < cut - 1 and alphabet.index(line[last]) % 2 == 0
+    return line[:last] + alphabet[alphabet.index(line[last]) + 1:][:1] + line[last + 1:]
+
+
+# _WHOLE as the layout before the packed header wrote it: a JSON header
+_JSON_HEADER_LINE = json.dumps({
+    "features": _FEATURES, "runtime_seconds": 10.0,
+    "series": {"tau": 1, "metrics": ["utime"], "lengths": [2], "nl": [0, 8]},
+}).encode("ascii") + b"\0" + _TWO_NL.replace(b"\n", b"\0")
+
+
 # name -> (a line that must not decode, the line one defect away that must)
 _REJECTED_LINES = {
     "cut-inside-header": (_WHOLE[:_HEADER_END // 2], _WHOLE),
     "cut-at-the-nul": (_WHOLE[:_HEADER_END + 1], _WHOLE),
     "cut-mid-payload": (_WHOLE[:-5], _WHOLE),
     "cut-at-a-sample-boundary": (_WHOLE[:-8], _WHOLE),
-    "nl-missing": (_WHOLE.replace(b', "nl": [0, 8]', b""), _WHOLE),
-    "nl-not-a-list": (_binary_line(_TWO_NL[8:], [1], nl=0), _binary_line(_TWO_NL[8:], [1], nl=[0])),
-    "nl-negative": (_binary_line(_TWO_NL, [2], nl=[-8, 0, 8]), _WHOLE),
     "nl-out-of-range": (_binary_line(_TWO_NL, [2], nl=[0, 8, 16]), _WHOLE),
     "nl-not-increasing": (_binary_line(_TWO_NL, [2], nl=[8, 0]), _WHOLE),
     "nl-repeated": (_binary_line(_TWO_NL, [2], nl=[0, 0, 8]), _WHOLE),
-    "nl-holding-a-float": (_binary_line(_TWO_NL, [2], nl=[0, 8.0]), _WHOLE),
-    "nl-holding-true": (_binary_line(_TWO_NL[8:], [1], nl=[True]), _binary_line(_TWO_NL[8:], [1])),
     # 1.0's top byte is 0x3f, so the newline it names was never written as 0x00
     "nl-at-a-non-zero-byte": (_binary_line(_TWO_NL, [2], nl=[0, 7, 8]), _WHOLE),
     "payload-not-whole-float64s": (
@@ -265,51 +303,56 @@ _REJECTED_LINES = {
     "inf-bytes": (_binary_line(struct.pack("<d", float("inf")) + _NL_SAMPLE, [2]), _WHOLE),
     "minus-inf-bytes": (_binary_line(struct.pack("<d", float("-inf")), [1]),
                         _binary_line(struct.pack("<d", -1.0), [1])),
-    "unknown-metric": (_binary_line(_TWO_NL, [2], metrics=["bogus"]), _WHOLE),
+    "unknown-metric": (_binary_line(_TWO_NL, [2], metrics=[len(MetricKind)]), _WHOLE),
+    "metric-id-255": (_binary_line(_TWO_NL, [2], metrics=[255]), _WHOLE),
     "duplicate-metric": (_binary_line(_TWO_NL, [1, 1], metrics=["utime", "utime"]), _UTIME_STIME),
-    "non-numeric-length": (_binary_line(_TWO_NL, ["x"]), _WHOLE),
     "row-of-length-0": (_binary_line(_TWO_NL, [0, 2], metrics=["utime", "stime"]), _UTIME_STIME),
     "lengths-past-payload": (_binary_line(_TWO_NL, [3]), _WHOLE),
-    "tau-not-a-number": (_binary_line(_TWO_NL, [2], tau="x"), _WHOLE),
-    "fractional-tau": (_binary_line(_TWO_NL, [2], tau=1.5), _WHOLE),
-    "infinite-tau": (_binary_line(_TWO_NL, [2], tau=float("inf")), _WHOLE),
     "tau-0": (_binary_line(_TWO_NL, [2], tau=0), _WHOLE),
-    "tau-true": (_binary_line(_TWO_NL, [2], tau=True), _WHOLE),
-    "length-true": (_binary_line(_TWO_NL[8:], [True]), _binary_line(_TWO_NL[8:], [1])),
-    "runtime-a-string": (_binary_line(_TWO_NL, [2], runtime="1e6"), _WHOLE),
-    # one sample at tau 1 outlives no runtime of 1 s, so only the bool is refused
-    "runtime-true": (_binary_line(_TWO_NL[8:], [1], runtime=True),
-                     _binary_line(_TWO_NL[8:], [1], runtime=1.0)),
-    "series-not-an-object": (
-        _WHOLE.replace(b'"series": {"tau": 1, "metrics": ["utime"], "lengths": [2], "nl": [0, 8]}',
-                       b'"series": [1, ["utime"], [2], [0, 8]]'), _WHOLE),
     "series-outlives-task": (
         _binary_line(_NL_SAMPLE * 12, [12]), _binary_line(_NL_SAMPLE * 11, [11])),
-    # feature values of another type or out of range, and a feature key too many or too few
-    "input-name-a-number": (_with_features(input_name=7), _WHOLE),
-    "task-name-null": (_with_features(task_name=None), _WHOLE),
-    "fractional-vcpus": (_with_features(vm_vcpus=2.5), _WHOLE),
+    "runtime-nan": (_binary_line(_TWO_NL, [2], runtime=float("nan")), _WHOLE),
+    "runtime-0": (_binary_line(_TWO_NL[8:], [1], runtime=0.0),
+                  _binary_line(_TWO_NL[8:], [1], runtime=1.0)),
+    # feature values out of range, each at a width the field can hold
+    "vcpus-0": (_with_features(vm_vcpus=0), _WHOLE),
     "vcpus-past-2**53": (_with_features(vm_vcpus=2**53 + 1), _with_features(vm_vcpus=2**53)),
-    "vcpus-10**400": (_with_features(vm_vcpus=10**400), _with_features(vm_vcpus=2**53)),
-    "submission-day-true": (_with_features(submission_day=True), _WHOLE),
-    "vm-memory-a-string": (_with_features(vm_memory="4096"), _WHOLE),
-    "extra-feature-key": (_with_features(vm_gpus=1), _WHOLE),
-    "missing-feature-key": (_binary_line(_TWO_NL, [2], features={
-        k: v for k, v in _FEATURES.items() if k != "submission_hour"}), _WHOLE),
-    # the two JSON layouts written before the binary payload
+    "vcpus-2**64-1": (_with_features(vm_vcpus=2**64 - 1), _with_features(vm_vcpus=2**53)),
+    "submission-day-7": (_with_features(submission_day=7), _with_features(submission_day=6)),
+    "submission-hour-255": (_with_features(submission_hour=255), _WHOLE),
+    "vm-memory-nan": (_with_features(vm_memory=float("nan")), _WHOLE),
+    "vm-storage-minus-inf": (_with_features(vm_storage=float("-inf")), _WHOLE),
+    # the packed header's own defects
+    # a lenient base64 decoder skips the "!" and reads _WHOLE
+    "header-not-base64": (_WHOLE[:4] + b"!" + _WHOLE[4:], _WHOLE),
+    "header-base64-cut-by-a-character": (_WHOLE[:_HEADER_END - 1] + _WHOLE[_HEADER_END:], _WHOLE),
+    # the last data character's unused low bits set: base64 of the same bytes
+    "header-base64-padding-bits-set": (_padding_bit_set(_WHOLE), _WHOLE),
+    # 40 bytes, each the layout byte 1, of a fixed part of 60
+    "header-shorter-than-its-fixed-part": (
+        base64.b64encode(b"\x01" * 40) + _WHOLE[_HEADER_END:], _WHOLE),
+    "layout-byte-0": (_with_fields(layout=0), _WHOLE),
+    "layout-byte-2": (_with_fields(layout=2), _WHOLE),
+    "header-shorter-than-its-counts": (_with_fields(n_nl=3), _WHOLE),
+    "header-longer-than-its-counts": (_with_fields(n_nl=1), _WHOLE),
+    "name-longer-than-the-header": (_with_fields(input_name_bytes=6), _WHOLE),
+    "name-not-utf-8": (_with_features(task_name=b"align\xff"), _WHOLE),
+    "name-a-utf-8-surrogate": (_with_features(input_name=b"chr\xed\xa0\x80"), _WHOLE),
+    # the three layouts written before the packed header
     "json-per-metric-layout": (_json_line({"utime": {"tau": 1, "values": [1.0, 1.0]}}), _WHOLE),
     "json-base64-block-layout": (_json_line(
         {"tau": 1, "metrics": ["utime"], "lengths": [2],
          "f64": base64.b64encode(_TWO_NL).decode("ascii")}), _WHOLE),
+    "json-header-layout": (_JSON_HEADER_LINE, _WHOLE),
 }
 
 
 def test_an_int_vm_size_is_held_as_the_float_it_encodes_to(tmp_path):
-    """vm_memory 4096, from a log line or the constructor, is 4096.0 and is
-    written back as the bytes of the 4096.0 line."""
-    line = _with_features(vm_memory=4096)
-    assert b'"vm_memory": 4096,' in line and b'"vm_memory": 4096.0,' in _WHOLE
-    (rec,), error = _read_after_two_good_records(tmp_path, line)
+    """vm_memory 4096, from the constructor, is 4096.0 and is written as the
+    bytes of the 4096.0 line; the header holds a size as a float64 alone, so
+    a line can hold no int size."""
+    assert _with_features(vm_memory=4096) == _WHOLE
+    (rec,), error = _read_after_two_good_records(tmp_path, _WHOLE)
     assert error is None and type(rec.features.vm_memory) is float
     assert rec.features == make_features(vm_memory=4096) == make_features(vm_memory=4096.0)
     made = TaskExecutionRecord(make_features(vm_memory=4096), rec.series, rec.runtime_seconds)
@@ -319,11 +362,10 @@ def test_an_int_vm_size_is_held_as_the_float_it_encodes_to(tmp_path):
 
 
 def test_an_int_runtime_is_held_as_the_float_it_encodes_to(tmp_path):
-    """runtime_seconds 10, from a log line or the constructor, is 10.0 and is
-    written back as the bytes of the 10.0 line."""
-    line = _binary_line(_TWO_NL, [2], runtime=10)
-    assert b'"runtime_seconds": 10,' in line and b'"runtime_seconds": 10.0,' in _WHOLE
-    (rec,), error = _read_after_two_good_records(tmp_path, line)
+    """runtime_seconds 10, from the constructor, is 10.0 and is written as
+    the bytes of the 10.0 line; the header holds it as a float64 alone."""
+    assert _binary_line(_TWO_NL, [2], runtime=10) == _WHOLE
+    (rec,), error = _read_after_two_good_records(tmp_path, _WHOLE)
     assert error is None and type(rec.runtime_seconds) is float
     made = TaskExecutionRecord(rec.features, rec.series, 10)
     for i, again in enumerate((rec, made)):
@@ -362,13 +404,98 @@ def test_binary_layout_controls_decode(tmp_path, case):
     """Each rejected line is one defect away from a line that decodes, and
     decodes to the samples its payload held, newlines put back."""
     line = _REJECTED_LINES[case][1]
-    header = json.loads(line[:line.index(b"\0")])
-    payload = bytearray(line[line.index(b"\0") + 1:])
-    for i in header["series"]["nl"]:
+    payload = bytearray(parse_line(line)[2])
+    for i in nl_of(line):
         payload[i] = 0x0A
     (rec,), error = _read_after_two_good_records(tmp_path, line)
     assert error is None
     assert rec.series.samples.tobytes() == bytes(payload)
+
+
+# the largest value of each width in the header's fixed part
+_WIDTH_MAX = {"B": 2**8 - 1, "I": 2**32 - 1, "Q": 2**64 - 1, "d": 1.7976931348623157e308}
+_COUNTS = ("n_metrics", "n_nl", "task_name_bytes", "task_id_bytes", "input_name_bytes")
+
+
+def _header_mutants(line):
+    """(what, mutant line) for one line of the log: each field of the fixed
+    part set to 0 and to its width's largest value, NaN and infinities for a
+    float, and each count one off; each metric id, row length and nl offset
+    set likewise; a name holding a byte that is not UTF-8; and the header cut
+    short and run on."""
+    fields, variable, payload = parse_line(line)
+    widths = dict(zip(HEADER_FIELDS, HEADER_FIXED.format.lstrip("<")))
+    for name, width in widths.items():
+        values = [0, _WIDTH_MAX[width]]
+        if width == "d":
+            values += [float("nan"), float("inf"), -float("inf")]
+        if name in _COUNTS:
+            values += [fields[name] - 1, fields[name] + 1]
+        for v in values:
+            if width == "d" or 0 <= v <= _WIDTH_MAX[width]:
+                yield f"{name}={v}", pack_line({**fields, name: v}, variable, payload)
+    m, n = fields["n_metrics"], fields["n_nl"]
+    items = [("B", 0, f"metric id {i}") for i in range(m)] + [
+        ("<I", m + 4 * i, f"u32 {i}") for i in range(m + n)]  # the lengths, then the nl offsets
+    for fmt, at, what in items:
+        old = struct.unpack_from(fmt, variable, at)[0]
+        for v in {0, _WIDTH_MAX[fmt[-1]], max(old - 1, 0), old + 1} - {old}:
+            if v <= _WIDTH_MAX[fmt[-1]]:
+                mutated = bytearray(variable)
+                struct.pack_into(fmt, mutated, at, v)
+                yield f"{what}={v}", pack_line(fields, bytes(mutated), payload)
+    names_at = 5 * m + 4 * n
+    for k, count in enumerate(_COUNTS[2:]):
+        at = names_at + sum(fields[c] for c in _COUNTS[2:2 + k])
+        if fields[count]:
+            bad = variable[:at] + b"\xff" + variable[at + 1:]
+            yield f"{count} byte not UTF-8", pack_line(fields, bad, payload)
+    header = HEADER_FIXED.pack(*(fields[k] for k in HEADER_FIELDS)) + variable
+    for what, cut in (
+        ("header cut by a byte", header[:-1]),
+        ("header cut in half", header[:len(header) // 2]),
+        ("header cut inside its fixed part", header[:10]),
+        ("header run on by a byte", header + b"\0"),
+        ("header run on by a name", header + b"chr1"),
+    ):
+        yield what, base64.b64encode(cut) + b"\0" + payload
+
+
+def _typed(rec):
+    """rec, after a check that every field holds its declared type."""
+    f, s = rec.features, rec.series
+    assert [type(getattr(f, k)) for k in PreRuntimeFeatures.__dataclass_fields__] == [
+        str, str, str, int, float, float, int, int]
+    assert type(rec.runtime_seconds) is float and type(s.tau) is int
+    assert {type(x) for x in s.lengths} <= {int} and s.samples.dtype == np.float64
+    return rec
+
+
+def test_every_header_mutant_is_refused_or_reads_back_as_its_own_bytes(tmp_path):
+    """Two seeded lines of a 40-record corpus, and its line with the fewest
+    nl offsets but some, each field of their headers set to each value of a
+    fixed list: a mutant is refused with CorruptLogError alone, or decodes to
+    a record of declared types that encodes to the mutant's bytes. No
+    struct.error, IndexError or other exception gets out of a read."""
+    log = generate_synthetic(standard_corpus_config(n_records=40), 5, tmp_path / "g.jsonl")
+    lines = log.path.read_bytes().split(b"\n")[:-1]
+    rng = random.Random(15)
+    with_nl = [line for line in lines if nl_of(line)]
+    picked = rng.sample(lines, 2) + [min(with_nl, key=lambda line: len(nl_of(line)))]
+    path = tmp_path / "mutant.jsonl"
+    refused = accepted = 0
+    for line in picked:
+        for what, mutant in _header_mutants(line):
+            path.write_bytes(mutant + b"\n")
+            try:
+                (rec,) = RecordLog(path).read_all()
+            except CorruptLogError as exc:
+                assert exc.delivered == 0, what
+                refused += 1
+                continue
+            assert store_mod._encode(_typed(rec)) == mutant + b"\n", what
+            accepted += 1
+    assert refused > 500 and accepted > 10
 
 
 def _block_record(samples, runtime=5000.0):
