@@ -27,10 +27,10 @@ class InstanceWindow:
     runtime; predict returns the mean runtime of the k nearest instances. A
     query holds the schema's first query_width columns (all when None); a
     narrower query is completed from the held row nearest to it on those
-    columns, which is how two_stages reads its aggregates. The
-    per-feature min/max over the held instances normalizes distances;
-    zero-range dimensions contribute nothing to distance. capacity=None means
-    unbounded.
+    columns, which is how two_stages reads its aggregates; at k == 1 that
+    row is the answer (see predict). The per-feature min/max over the held
+    instances normalizes distances; zero-range dimensions contribute nothing
+    to distance. capacity=None means unbounded.
 
     The held instances are the rows [start, end) of one (rows, d) array, in
     arrival order. An add writes the next row; an eviction advances start.
@@ -149,7 +149,24 @@ class InstanceWindow:
         """Unweighted mean runtime of the k nearest stored instances; ties
         break toward the older (earlier inserted) instance. A narrower query
         takes its other columns from the row nearest to it on its own, whose
-        normalized differences are the first columns of the full ones."""
+        normalized differences are the first columns of the full ones.
+
+        At k == 1 a narrower query returns the runtime of that stage-1 row j,
+        the first argmin of the prefix sums, without the full scan. For a
+        query of 8 columns, as two_stages makes, and a schema of at most 128,
+        this is the answer the full scan gives, bit for bit, while no term
+        is NaN:
+        - j's completion terms are exact zeros, and numpy's pairwise row sum
+          adds 8 or more terms as 8 partial sums, term i into sum i mod 8,
+          so j's full distance is its stage-1 sum;
+        - every other row's full distance is at least its own stage-1 sum,
+          as its completion terms are >= 0 and rounded addition is monotone;
+        - a row older than j has a stage-1 sum strictly larger than j's, or
+          argmin would have taken it, so the full argmin is j too.
+        A term is NaN only where a column's range overflows to inf, which
+        takes values of both signs past 8.9e307; every column of a two_stages
+        row is positive. The padding argument fails at query widths 4-7,
+        whose stage-1 sums numpy adds in one chain."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         w = self.query_width
@@ -162,6 +179,8 @@ class InstanceWindow:
         if w < len(self.schema):
             # stage 1: argmin gives the first, that is the oldest, nearest row
             j = np.add.reduce(diff * diff, axis=1).argmin()
+            if k == 1:
+                return float(self._y[self._start + j])
             tail = np.where(live[w:], (X[j, w:] - X[:, w:]) / denom[w:], 0.0)
             diff = np.concatenate((diff, tail), axis=1)
         dist2 = np.add.reduce(diff * diff, axis=1)

@@ -138,15 +138,16 @@ class PipelineConfig:
     selected_metrics: Optional[Dict[str, Set[MetricKind]]] = None
 
     def __post_init__(self):
-        # each integer setting and its least value, if it has one
+        # each integer setting and its least value, if it has one; each must
+        # fit an int64, as numpy takes the sizes among them
         for name, least in (("k", 1), ("window_capacity", 1), ("trev_lag", 1), ("target_tau", 1),
                             ("epochs_per_update", 0), ("hidden_size", None), ("seed", None)):
             v = getattr(self, name)
             if v is None and name == "window_capacity":
                 continue
-            if type(v) is not int or least is not None and v < least:
+            if type(v) is not int or least is not None and v < least or not -2**63 <= v < 2**63:
                 at_least = "" if least is None else f">= {least} and "
-                raise ValueError(f"{name} must be {at_least}an integer, got {v!r}")
+                raise ValueError(f"{name} must be {at_least}an integer an int64 holds, got {v!r}")
         for name in ("learning_rate", "clip_norm"):
             v = getattr(self, name)
             if type(v) not in (int, float) or not 0 < v <= sys.float_info.max:
@@ -418,6 +419,6 @@ class Registry:
                     bundle.forecaster.restore(payload["forecaster"])
                 if len(bundle.regressor):
                     reg.bundles[(bundle.task_name, bundle.scenario)] = bundle
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed registry in {storage_dir}: {exc!r}") from exc
         return reg

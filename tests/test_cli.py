@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import pytest
 import wfpredict.store as store_mod
 from conftest import header_of, log_line, make_record, parse_line
 from wfpredict.cli import main
-from wfpredict.domain import Scenario
-from wfpredict.forecaster import SequenceModel
+from wfpredict.domain import MetricKind, Scenario
+from wfpredict.forecaster import SequenceModel, TrainingDivergedError
 from wfpredict.pipeline import REGISTRY_VERSION, PipelineConfig, Registry
 from wfpredict.store import RecordLog
 
@@ -399,11 +400,12 @@ def test_registry_list_reports_a_malformed_registry_in_one_line(tmp_path, capsys
     _assert_listing_fails_in_one_line(tmp_path, capsys, doc)
 
 
-def _assert_listing_fails_in_one_line(tmp_path, capsys, doc):
+def _assert_listing_fails_in_one_line(tmp_path, capsys, doc, error=None):
     (tmp_path / "index.json").write_text(json.dumps(doc), encoding="utf-8")
     assert main(["registry", "list", "--dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: malformed registry in {tmp_path}")
+    error = error or f"malformed registry in {tmp_path}"
+    assert len(err) == 1 and err[0].startswith(f"error: {error}")
 
 
 @pytest.fixture(scope="module")
@@ -555,3 +557,99 @@ def test_registry_list_reports_state_that_does_not_fit_the_model_in_one_line(
     assert len(bundle["regressor"]["rows"]) > 1
     bundle[part][key] = edit(bundle[part][key])
     _assert_listing_fails_in_one_line(tmp_path, capsys, doc)
+
+
+# each leaf of a saved registry is set to each of these in turn
+_LEAF_VALUES = [True, None, 0, -1, 2.5, 1e308, 10**400, "7", "", [], {}, math.nan]
+
+
+def _leaf_kinds(doc):
+    """One seeded position per kind of leaf: a leaf's path with its list
+    indices taken as one kind, so every row, target or parameter is one."""
+    kinds = {}
+
+    def walk(node, path):
+        if isinstance(node, dict) and node:
+            for key, child in node.items():
+                walk(child, path + (key,))
+        elif isinstance(node, list) and node:
+            for i, child in enumerate(node):
+                walk(child, path + (i,))
+        else:
+            kind = tuple("*" if type(p) is int else p for p in path)
+            kinds.setdefault(kind, []).append(path)
+
+    walk(doc, ())
+    rng = random.Random(15)
+    return {kind: rng.choice(paths) for kind, paths in kinds.items()}
+
+
+def _at(doc, path, value):
+    node = doc
+    for p in path[:-1]:
+        node = node[p]
+    node[path[-1]] = value
+
+
+@pytest.mark.parametrize("scenario", [s.value for s in Scenario])
+def test_every_registry_leaf_mutant_is_refused_or_runs_and_saves_its_own_bytes(
+    tmp_path, capsys, gen_log, scenario
+):
+    """Each leaf kind of a saved registry, set to each value of a fixed list:
+    the mutant is refused with its one error line, or it loads, predicts,
+    observes, saves and loads again, and a second save writes the same bytes."""
+    records = RecordLog(gen_log).read_all()
+    # two metrics a task keep the document small, and put a selection in it
+    selected = {rec.features.task_name: {MetricKind.utime, MetricKind.vmRSS}
+                for rec in records}
+    reg = Registry(storage_dir=tmp_path / "saved", config=PipelineConfig(
+        target_tau=5, hidden_size=1, window_capacity=30, selected_metrics=selected))
+    for rec in records[:12]:
+        reg.observe_completion(rec, Scenario(scenario))
+    reg.save()
+    saved = (tmp_path / "saved" / "index.json").read_text(encoding="utf-8")
+    mutant_dir, first, second = tmp_path / "mutant", tmp_path / "first", tmp_path / "second"
+    mutant_dir.mkdir()
+    kinds = _leaf_kinds(json.loads(saved))
+    accepted = 0
+    for kind, path in kinds.items():
+        error = {("magic",): "not a registry directory",
+                 ("version",): "unsupported registry version"}.get(
+                     kind, f"malformed registry in {mutant_dir}")
+        listed = False
+        for value in _LEAF_VALUES:
+            doc = json.loads(saved)
+            _at(doc, path, value)
+            (mutant_dir / "index.json").write_text(json.dumps(doc), encoding="utf-8")
+            where = f"{kind} = {value!r}"
+            try:
+                reg = Registry.load(mutant_dir)
+            except ValueError as exc:
+                # the CLI prints the error as one line: each message is
+                # checked, and the first refusal of each kind is listed
+                assert str(exc).startswith(error) and "\n" not in str(exc), where
+                if not listed:
+                    _assert_listing_fails_in_one_line(mutant_dir, capsys, doc, error)
+                    listed = True
+                continue
+            accepted += 1
+            reg.storage_dir = first
+            # a finite learning rate or parameter as large as 1e308 is taken
+            # like another: a gate it drives saturates, as exp overflows to inf,
+            # and an update it makes can diverge and be rolled back
+            diverges = value == 1e308 and kind in (
+                ("config", "learning_rate"), ("bundles", "*", "forecaster", "flat_params", "*"))
+            quiet = dict(over="ignore", invalid="ignore") if diverges else {}
+            for rec in records[10:14]:
+                try:
+                    with np.errstate(**quiet):
+                        reg.predict_task(rec.features, Scenario(scenario))
+                        reg.observe_completion(rec, Scenario(scenario))
+                except TrainingDivergedError:
+                    assert diverges, where
+            reg.save()
+            again = Registry.load(first)
+            again.storage_dir = second
+            again.save()
+            assert (first / "index.json").read_bytes() == (second / "index.json").read_bytes(), where
+    assert len(kinds) > 25 and accepted

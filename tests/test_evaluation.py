@@ -200,6 +200,8 @@ def test_run_batch_offline_split(small_log):
     (Scenario.baseline, dict(window_capacity=2.5), "window_capacity"),
     (Scenario.baseline, dict(lag=2.5), "trev_lag"),
     (Scenario.baseline, dict(k=True), "k"),
+    (Scenario.baseline, dict(tau=2**63), "target_tau"),
+    (Scenario.time_series, dict(epochs_per_update=10**400), "epochs_per_update"),
 ])
 def test_runs_reject_out_of_range_settings(small_log, scenario, overrides, field):
     # the config checks its own ranges, so a run from Python refuses what the CLI refuses

@@ -285,6 +285,68 @@ def test_prefix_query_matches_the_oracle_completed_from_the_nearest_row():
             assert got.hex() == oracle_predict(held, completed, k).hex()
 
 
+def _full_scan(w, query, k):
+    """The two-stage answer by the full scan, as predict made it at every k
+    before it answered k == 1 from stage 1: the query completed from the
+    stage-1 row, then where(live, (qc - X) / denom, 0.0), then the row sums of
+    a fresh contiguous array. The normalization is rebuilt from the held rows."""
+    held, targets = np.array(w.to_dict()["rows"]), w.to_dict()["targets"]
+    lo, hi = held.min(axis=0), held.max(axis=0)
+    rng = hi - lo
+    eps = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    live = np.where(rng > eps, rng, 0.0) > 0
+    denom = np.where(live, rng, 1.0)
+    q = np.array(query)
+    width = len(q)
+    prefix = np.where(live[:width], (q - held[:, :width]) / denom[:width], 0.0)
+    j = np.add.reduce(prefix * prefix, axis=1).argmin()
+    diff = np.where(live, (np.concatenate((q, held[j, width:])) - held) / denom, 0.0)
+    chosen = np.add.reduce(diff * diff, axis=1).argsort(kind="stable")[:k]
+    return float(sum(targets[i] for i in chosen) / len(chosen))
+
+
+def test_a_k1_two_stage_answer_is_the_full_scans_bit_for_bit():
+    """8-column queries over the schema widths selected_metrics can give,
+    against the full scan: real rows over several magnitudes, sigmas reused
+    for exact stage-1 ties, a dead column, and evictions."""
+    rng = np.random.default_rng(29)
+
+    def sigma():
+        row = rng.choice([-1.0, 1.0], 8) * rng.random(8) * 10.0 ** rng.integers(-3, 7, 8)
+        row[3] = 4.0  # a dead column: every row holds the same value
+        return row.tolist()
+
+    answers = 0
+    for dim in (9, 13, 21):
+        for cap in (None, 5, 40):
+            w = InstanceWindow(_names(dim), capacity=cap, query_width=8)
+            sigmas = []
+            for _ in range(80):
+                reuse = sigmas and rng.random() < 0.3
+                sigmas.append(sigmas[rng.integers(len(sigmas))] if reuse else sigma())
+                aggs = rng.random(dim - 8) * 10.0 ** rng.integers(-9, 9, dim - 8)
+                w.add(sigmas[-1] + aggs.tolist(), float(rng.random() * 10.0 ** rng.integers(0, 4)))
+                for _ in range(3):
+                    query = sigmas[rng.integers(len(sigmas))] if rng.random() < 0.4 else sigma()
+                    assert w.predict(query, 1).hex() == _full_scan(w, query, 1).hex()
+                    assert w.predict(query, 3).hex() == _full_scan(w, query, 3).hex()
+                    answers += 1
+    assert answers == 3 * 3 * 80 * 3
+
+
+def test_a_zero_padded_8_term_row_sum_keeps_its_bits():
+    """The premise of predict's k == 1 answer: numpy adds a row of 8 or more
+    terms in 8 partial sums, so zeros after 8 terms change no bit. A numpy
+    release that regroups its pairwise sum fails here, not in a replay."""
+    rng = np.random.default_rng(8)
+    terms = rng.random((20000, 8)) * 10.0 ** rng.integers(-6, 6, (20000, 8))
+    want = np.add.reduce(terms, axis=1).tobytes()
+    for dim in range(9, 31):
+        padded = np.zeros((len(terms), dim))
+        padded[:, :8] = terms
+        assert np.add.reduce(padded, axis=1).tobytes() == want, dim
+
+
 def test_prefix_ties_go_to_the_older_row_and_it_checks_the_query():
     w = InstanceWindow(_names(3), query_width=2)
     with pytest.raises(EmptyWindowError):
