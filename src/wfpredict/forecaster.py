@@ -16,12 +16,12 @@ All parameters live in one flat float64 buffer, stored parameter by
 parameter; each `params[k]` is a contiguous (M, ...) view into it. The
 gradients fill a fresh buffer of the same layout. An update backs the buffer
 up with one copy, steps it with one multiply and one subtract, and on failure
-restores it in place, so the views stay bound.
+restores it in place, so the views stay bound. A gradient too small for
+any metric to be clipped skips the per-metric norms (see update_all).
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -80,7 +80,7 @@ class RunningMinMax:
         # y through, and a value past the float64 range saturates at its limit
         with np.errstate(over="ignore"):
             x = (y * self._rng + self._lo) / self._f
-        return np.minimum(np.maximum(x, -_FLOAT_MAX), _FLOAT_MAX)
+        return np.minimum(np.maximum(x, -_FLOAT_MAX, out=x), _FLOAT_MAX, out=x)
 
     def to_dict(self) -> dict:
         return {"lo": self.lo.tolist(), "hi": self.hi.tolist()}
@@ -240,7 +240,7 @@ class SequenceModel:
             self._cell(acts[t], Hs[t], Cs[t], Cs[t + 1], tcs[t], Hs[t + 1], uh)
         ys = np.einsum("tmh,mh->mt", Hs[1:], p["w_y"]) + p["b_y"][:, None]
         err = np.where(np.arange(T) < lengths[:, None], ys - targets, 0.0)
-        losses = np.sum(err * err, axis=1) / np.maximum(lengths, 1)
+        losses = np.add.reduce(err * err, 1) / np.maximum(lengths, 1)
         return losses, (X, Hs, Cs, acts, tcs, err)
 
     def _gradients(self, fenc, inputs, targets, lengths):
@@ -308,50 +308,63 @@ class SequenceModel:
         each clipped per metric by the global norm of that metric's gradients.
         Any failure restores every metric's parameters, normalizers and length
         statistics; a non-finite result raises TrainingDivergedError.
+
+        A pass whose n gradients' squares sum below lim**2 (1 - 1e-15 n) -
+        1e-300, lim = min(clip_norm, 1e150), clips no metric: in any order, a
+        sum of n squares is within a relative n*u (u = 2**-53; 1e-15 n is ~9n*u)
+        plus n * 2**-1075 for underflow of its true sum. It steps by
+        learning_rate, the exact clip's step at scale 1.0; NaN or inf go exact.
         """
         fx = self._feature_values(f)
         lengths = np.asarray(lengths)
         present = (lengths > 0)[:, None]
-        # RunningMinMax.observe rebinds its arrays, so shallow copies of the normalizers hold
+        vn, fn = self.value_norm, self.feat_norm
+        # RunningMinMax.observe rebinds its bounds, so the bounds held here restore both
         backup = (
-            self.flat_params.copy(), copy.copy(self.value_norm),
-            copy.copy(self.feat_norm), self.len_sum.copy(), self.len_count.copy(),
+            self.flat_params.copy(), vn.lo, vn.hi, fn.lo, fn.hi,
+            self.len_sum.copy(), self.len_count.copy(),
         )
         try:
             held = np.arange(block.shape[1]) < lengths[:, None]
-            self.value_norm.observe(
-                np.min(block, axis=1, where=held, initial=np.inf),
-                np.max(block, axis=1, where=held, initial=-np.inf),
+            vn.observe(
+                np.minimum.reduce(block, 1, where=held, initial=np.inf),
+                np.maximum.reduce(block, 1, where=held, initial=-np.inf),
             )
-            self.feat_norm.observe(np.where(present, fx, np.inf), np.where(present, fx, -np.inf))
+            fn.observe(np.where(present, fx, np.inf), np.where(present, fx, -np.inf))
             fenc, inputs, targets, lengths = self._training_data(fx, block, lengths)
             self.len_sum += lengths
             self.len_count += present[:, 0]
             M = self.n_metrics
-            sums = np.empty((len(self._spans), M))
+            bound = min(self.clip_norm, 1e150) ** 2 * (1 - 1e-15 * self.flat_params.size) - 1e-300
             for _ in range(self.epochs_per_update):
                 losses, g = self._gradients(fenc, inputs, targets, lengths)
-                if not np.all(np.isfinite(losses)):
+                if not np.isfinite(losses).all():
                     raise TrainingDivergedError(f"non-finite loss {losses.tolist()}")
-                sq = g * g
-                # each parameter's per-metric sum of squares, added parameter by
-                # parameter: accumulate adds the rows in order for every M, where
-                # reduce adds 8 rows pairwise when M is 1
-                for j, (a, e) in enumerate(self._spans):
-                    np.add.reduce(sq[a:e].reshape(M, -1), 1, None, sums[j])
-                total = np.sqrt(np.add.accumulate(sums, 0)[-1])
-                clipped = total > self.clip_norm
-                scale = np.where(clipped, self.clip_norm / np.where(clipped, total, 1.0), 1.0)
-                step = self.learning_rate * scale
-                for v in self._views(g).values():
-                    v *= step.reshape((M,) + (1,) * (v.ndim - 1))
+                if np.einsum("i,i->", g, g) < bound:
+                    g *= self.learning_rate
+                else:
+                    # each parameter's per-metric sum of squares, added parameter
+                    # by parameter: accumulate adds the rows in order for every
+                    # M, where reduce adds 8 rows pairwise when M is 1
+                    sq = g * g
+                    sums = np.empty((len(self._spans), M))
+                    for j, (a, e) in enumerate(self._spans):
+                        np.add.reduce(sq[a:e].reshape(M, -1), 1, None, sums[j])
+                    total = np.sqrt(np.add.accumulate(sums, 0)[-1])
+                    clipped = total > self.clip_norm
+                    scale = np.where(clipped, self.clip_norm / np.where(clipped, total, 1.0), 1.0)
+                    step = self.learning_rate * scale
+                    for v in self._views(g).values():
+                        v *= step.reshape((M,) + (1,) * (v.ndim - 1))
                 self.flat_params -= g
             if not np.isfinite(self.flat_params).all():
                 raise TrainingDivergedError("non-finite parameters after update")
         except BaseException as exc:
             # in place, so that every params[k] stays a view of the buffer
             self.flat_params[...] = backup[0]
-            (self.value_norm, self.feat_norm, self.len_sum, self.len_count) = backup[1:]
+            vn._bind(*backup[1:3])
+            fn._bind(*backup[3:5])
+            self.len_sum, self.len_count = backup[5:]
             if isinstance(exc, FloatingPointError):
                 raise TrainingDivergedError("floating point failure during update") from exc
             raise

@@ -57,8 +57,8 @@ class InstanceWindow:
         self._y = np.empty(0)
         self._start = 0
         self._end = 0
-        # (ranges, live, denom) of the held rows; None until a query needs it
-        self._norm: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        # (ranges, live, denom, halve) of the held rows; None until a query needs it
+        self._norm: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]] = None
 
     def __len__(self) -> int:
         return self._end - self._start
@@ -123,8 +123,9 @@ class InstanceWindow:
             self._norm = None
         self.lo, self.hi = lo, hi
 
-    def _normalization(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """ranges(), its live mask, and its denominators: 1.0 where dead."""
+    def _normalization(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """ranges(), its live mask, its denominators (1.0 where dead), and None
+        or predict's column factors: 0.5 where a range overflows, as in RunningMinMax."""
         if self._norm is None:
             if not len(self):
                 raise EmptyWindowError("no training instances in window")
@@ -132,11 +133,16 @@ class InstanceWindow:
             # indistinguishable from a constant feature; treat it as zero-range
             # so it cannot blow up the normalized distance
             rng = self.hi - self.lo
-            eps = 1e-12 * np.maximum(1.0, np.maximum(np.abs(self.lo), np.abs(self.hi)))
+            # max(hi, -lo) is max(|lo|, |hi|), as lo <= hi
+            eps = 1e-12 * np.maximum(1.0, np.maximum(self.hi, -self.lo))
             rng = np.where(rng > eps, rng, 0.0)
             rng.flags.writeable = False  # ranges() hands it out
             live = rng > 0
-            self._norm = (rng, live, np.where(live, rng, 1.0))
+            denom, halve = np.where(live, rng, 1.0), None
+            if math.inf in rng.tolist():
+                halve = np.where(rng == np.inf, 0.5, 1.0)
+                denom = np.where(halve < 1.0, self.hi * 0.5 - self.lo * 0.5, denom)
+            self._norm = (rng, live, denom, halve)
         return self._norm
 
     def ranges(self) -> np.ndarray:
@@ -154,8 +160,7 @@ class InstanceWindow:
         At k == 1 a narrower query returns the runtime of that stage-1 row j,
         the first argmin of the prefix sums, without the full scan. For a
         query of 8 columns, as two_stages makes, and a schema of at most 128,
-        this is the answer the full scan gives, bit for bit, while no term
-        is NaN:
+        this is the answer the full scan gives, bit for bit:
         - j's completion terms are exact zeros, and numpy's pairwise row sum
           adds 8 or more terms as 8 partial sums, term i into sum i mod 8,
           so j's full distance is its stage-1 sum;
@@ -163,16 +168,17 @@ class InstanceWindow:
           as its completion terms are >= 0 and rounded addition is monotone;
         - a row older than j has a stage-1 sum strictly larger than j's, or
           argmin would have taken it, so the full argmin is j too.
-        A term is NaN only where a column's range overflows to inf, which
-        takes values of both signs past 8.9e307; every column of a two_stages
-        row is positive. The padding argument fails at query widths 4-7,
-        whose stage-1 sums numpy adds in one chain."""
+        No term is NaN: a column whose range overflows is compared halved
+        (see _normalization). The padding argument fails at query widths
+        4-7, whose stage-1 sums numpy adds in one chain."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         w = self.query_width
         q = self._checked(query, w)
-        _, live, denom = self._normalization()
+        _, live, denom, halve = self._normalization()
         X = self._X[self._start:self._end]
+        if halve is not None:
+            q, X = q * halve[:w], X * halve
         # all rows are scored in one expression; each sum runs over a fresh
         # contiguous array, as numpy's pairwise row sums depend on the layout
         diff = np.where(live[:w], (q - X[:, :w]) / denom[:w], 0.0)

@@ -51,7 +51,7 @@ def trev_rows(block: np.ndarray, lengths: np.ndarray, lag: int) -> np.ndarray:
     for rows, x in _length_groups(block, lengths, lag):
         with np.errstate(over="ignore", invalid="ignore"):
             m2, m3 = _moments(x, lag)
-            scale = np.max(np.abs(x), axis=1).tolist()
+            scale = np.maximum.reduce(np.abs(x), 1).tolist()
             for k, (r, a, b, s) in enumerate(zip(rows, m2.tolist(), m3.tolist(), scale)):
                 if not (math.isfinite(a) and math.isfinite(b)):
                     a, b = (float(v[0]) for v in _moments(x[k:k + 1] / s, lag))
@@ -71,7 +71,7 @@ def strip_padding_rows(block: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Per row, the length of its first lengths[m] values without their trailing zeros."""
     pos = np.arange(1, block.shape[1] + 1)
     kept = (block != 0.0) & (pos <= np.asarray(lengths)[:, None])
-    return np.max(np.where(kept, pos, 0), axis=1, initial=0)
+    return np.maximum.reduce(np.where(kept, pos, 0), 1, initial=0)
 
 
 def strip_padding(values: Sequence[float]) -> List[float]:

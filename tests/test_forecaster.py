@@ -472,6 +472,121 @@ def test_clip_adds_the_per_parameter_sums_in_parameter_order(n_metrics):
             assert model.params[k].tobytes() == (before[k] - step * v).tobytes(), (trial, k)
 
 
+def _exact_steps(model, g, epochs):
+    """The flat parameters after epochs steps on the gradient g, each clipped
+    per metric as the StridedOracle clips; the model is left as it is."""
+    M, flat, grads = model.n_metrics, model.flat_params.copy(), model._views(g)
+    with np.errstate(over="ignore"):
+        total = np.sqrt(sum(np.sum((v * v).reshape(M, -1), axis=1) for v in grads.values()))
+    clipped = total > model.clip_norm
+    scale = np.where(clipped, model.clip_norm / np.where(clipped, total, 1.0), 1.0)
+    step = g.copy()
+    for v in model._views(step).values():
+        v *= (model.learning_rate * scale).reshape((-1,) + (1,) * (v.ndim - 1))
+    for _ in range(epochs):
+        flat -= step
+    return flat, clipped
+
+
+def _near_the_bound(factor):
+    """A gradient whose sum of squares is factor * clip_norm**2 * (1 - 1e-15 n)."""
+    def make(model, g):
+        bound = model.clip_norm ** 2 * (1 - 1e-15 * g.size)
+        return g * math.sqrt(factor * bound / np.einsum("i,i->", g, g))
+    return make
+
+
+def _one_metric_at(value):
+    """Tiny everywhere, and value in metric 0's first parameter."""
+    def make(model, g):
+        g = g * 1e-30
+        g[0] = value(model.clip_norm)
+        return g
+    return make
+
+
+_CLIP_CASES = {
+    # name: (clip_norm, epochs, gradient, takes the fast path, metric 0 clipped)
+    "global-norm-just-under-the-bound": (5.0, 1, _near_the_bound(1 - 1e-13), True, False),
+    "global-norm-just-over-the-bound": (5.0, 1, _near_the_bound(1 + 1e-13), False, False),
+    "global-norm-at-clip-norm": (5.0, 1, _near_the_bound(1 / (1 - 1e-15 * 543)), False, False),
+    "one-metric-at-clip-norm": (5.0, 1, _one_metric_at(lambda c: c), False, False),
+    "one-metric-just-over-clip-norm": (
+        5.0, 1, _one_metric_at(lambda c: np.nextafter(c, np.inf)), False, True),
+    "3-epochs-under-the-bound": (5.0, 3, _near_the_bound(0.3), True, False),
+    "3-epochs-one-metric-over": (5.0, 3, _one_metric_at(lambda c: 2 * c), False, True),
+    "clip-norm-1e308-unit-gradient": (1e308, 1, lambda model, g: g, True, False),
+    "clip-norm-1e308-gradient-1e140": (1e308, 1, lambda model, g: g * 1e140, True, False),
+    # every square overflows: the exact path clips every metric to a step of 0
+    "clip-norm-1e308-gradient-1e200": (1e308, 1, lambda model, g: g * 1e200, False, True),
+}
+
+
+@pytest.mark.parametrize("case", list(_CLIP_CASES))
+def test_the_unclipped_fast_path_steps_as_the_exact_clip_bit_for_bit(case):
+    clip_norm, epochs, make, fast, metric_0_clipped = _CLIP_CASES[case]
+    model = SequenceModel(
+        input_dim=3, hidden_size=4, clip_norm=clip_norm, epochs_per_update=epochs, seeds=range(3),
+    )
+    assert model.flat_params.size == 543
+    g = make(model, np.random.default_rng(49).uniform(-1, 1, model.flat_params.size))
+    expected, clipped = _exact_steps(model, g, epochs)
+    assert clipped[0] == metric_0_clipped
+    model._gradients = lambda *args: (np.zeros(3), g.copy())
+    # the exact path reads the gradient's per-parameter views; the fast path none
+    exact_calls = []
+    views = model._views
+    model._views = lambda flat: exact_calls.append(1) or views(flat)
+    with np.errstate(over="ignore"):
+        model.update_all([1.0, 2.0, 3.0], *_block([(1.0, 2.0)] * 3))
+    assert len(exact_calls) == (0 if fast else epochs)
+    assert model.flat_params.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_gradient_still_diverges_and_rolls_back(bad):
+    model = SequenceModel(input_dim=3, hidden_size=4, seeds=range(3))
+    model.update_all([1.0, 2.0, 3.0], *_block([(1.0, 2.0)] * 3))
+    before, forecast = json.dumps(model.to_dict()), model.forecast_all([1.0, 2.0, 3.0])[0]
+    g = np.random.default_rng(50).uniform(-1e-3, 1e-3, model.flat_params.size)
+    g[100] = bad
+    model._gradients = lambda *args: (np.zeros(3), g.copy())
+    # new values and features, so that both normalizers move before the failure
+    with pytest.raises(TrainingDivergedError), np.errstate(invalid="ignore"):
+        model.update_all([7.0, -2.0, 3.0], *_block([(9.0, -4.0, 2.0)] * 3))
+    assert json.dumps(model.to_dict()) == before
+    assert model.forecast_all([1.0, 2.0, 3.0])[0].tobytes() == forecast.tobytes()
+
+
+def test_forecasts_match_a_fresh_restore_after_every_change_of_state():
+    kw = dict(input_dim=3, hidden_size=4, learning_rate=0.3, tau=5, seeds=range(3))
+    model, f = SequenceModel(**kw), [1.0, 2.0, 3.0]
+
+    def assert_as_restored():
+        again = SequenceModel(**kw)
+        again.restore(json.loads(json.dumps(model.to_dict())))
+        for n in (None, 4):
+            (a, ha), (b, hb) = model.forecast_all(f, n), again.forecast_all(f, n)
+            assert ha == hb and a.tobytes() == b.tobytes()
+
+    model.update_all(f, *_block([(1.0, 4.0, 2.0), (3.0,), None]))
+    assert_as_restored()
+    saved = json.loads(json.dumps(model.to_dict()))
+    # rolled back after both normalizers and the length statistics moved
+    model._gradients = lambda *args: (np.array([0.1, math.nan, 0.2]), np.zeros_like(model.flat_params))
+    with pytest.raises(TrainingDivergedError):
+        model.update_all([9.0, -4.0, 0.5], *_block([(50.0, -7.0), (8.0, 1.0, 2.0, 5.0), (2.0,)]))
+    del model._gradients
+    assert model.to_dict() == saved
+    assert_as_restored()
+    model.update_all([2.0, 0.0, 4.0], *_block([(5.0, 3.0), (1.0, 1.0, 6.0), (2.0, 8.0)]))
+    assert_as_restored()
+    model.restore(saved)
+    assert_as_restored()
+    model.params["w_y"][1] = 0.25
+    assert_as_restored()
+
+
 def test_params_stay_views_of_the_flat_buffer():
     def bound(model):
         return all(

@@ -133,6 +133,38 @@ def test_rounding_level_range_counts_as_zero():
     assert w.predict([0.5, 2.0], k=1) == 50.0
 
 
+@pytest.mark.parametrize("query_width", [None, 1])
+def test_a_range_past_the_float64_maximum_ranks_no_distance_as_nan(query_width):
+    """1e308 - -1e308 overflows, so each such column is compared halved, as
+    RunningMinMax scales a range that overflows: the row equal to the query
+    ranks first, where a NaN distance ranked first before. With query_width 1
+    the second column completes the query from the nearest row. The range
+    itself still overflows, with numpy's warning, and ranges() reports inf."""
+    dim = 1 if query_width is None else 2
+    w = InstanceWindow(_names(dim), query_width=query_width)
+    w.add([1e308] * dim, 1.0)
+    w.add([-1e308] * dim, 2.0)
+    with np.errstate(over="ignore"):
+        assert w.predict([1e308], k=1) == 1.0
+        assert w.predict([-1e308], k=1) == 2.0
+        w.add([0.0] * dim, 3.0)  # halfway: nearer to either end than the ends are to each other
+        assert w.predict([6e307], k=1) == 1.0  # 0.4e308 from the first row, 0.6e308 from this
+        assert w.predict([1e308], k=2) == 2.0
+        assert w.predict([-1e308], k=2) == 2.5
+    assert w.ranges().tolist() == [math.inf] * dim
+
+
+def test_a_halved_column_weighs_its_differences_by_its_whole_range():
+    """Its terms are (q - x) / (hi - lo) as for any column: against the
+    second column's, they pick row 2 (terms 0 + 0.5625) over row 1 (1 + 0.0625)."""
+    w = InstanceWindow(_names(2))
+    for row, runtime in (([1e308, 0.0], 1.0), ([-1e308, 4.0], 2.0), ([0.0, 4.0], 3.0)):
+        w.add(row, runtime)
+    with np.errstate(over="ignore"):
+        assert w.predict([-1e308, 1.0], k=1) == 2.0
+    assert w.predict([1e308, 3.0], k=1) == 3.0
+
+
 def test_prediction_invariant_under_affine_feature_rescaling():
     random.seed(223)
     for _ in range(50):
