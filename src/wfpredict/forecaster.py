@@ -6,11 +6,11 @@ with no shared parameters. The encoded pre-runtime features seed the initial
 state and join the previous (normalized) value in every step's input. Gates
 are fused in the stacked order i, f, o, c: W (M, 4H, 1+F), U (M, 4H, H).
 
-One cell, `SequenceModel._cell`, serves training and forecasting. It steps a
-contiguous gate-major (4, M, H) block in place, and writes c, tanh(c) and h
-into the caller's arrays. Training keeps its activations time- and gate-major,
-(T, 4, M, H), and the backward pass forms every gate delta of a step in place
-from factors computed for all steps before its loop.
+One cell, built once a pass by `SequenceModel._stepper`, serves training and
+forecasting. It steps a contiguous (5, M, H) block in place, the gates
+gate-major and then c, and writes c, tanh(c) and h into the caller's arrays.
+Training keeps one block per step, time-major, and the backward pass forms
+every gate delta of a step in place from factors computed before its loop.
 
 All parameters live in one flat float64 buffer, stored parameter by
 parameter; each `params[k]` is a contiguous (M, ...) view into it. The
@@ -23,7 +23,7 @@ any metric to be clipped skips the per-metric norms (see update_all).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,9 +32,19 @@ from .tsfeat import strip_padding
 
 _FLOAT_MAX = np.finfo(np.float64).max
 
+try:  # the C call np.einsum makes, without its Python dispatch (about 1 us a call)
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy 1.x
+    _einsum = np.einsum
+
 
 class TrainingDivergedError(RuntimeError):
     """An update produced non-finite values; the model was rolled back."""
+
+
+def _cell_views(cell: np.ndarray) -> tuple:
+    """What a step reads of a (5, M, H) cell block: gates, sigmoids, o, g, (i, f), (g, c)."""
+    return cell[:4], cell[:3], cell[2], cell[3], cell[:2], cell[3:]
 
 
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -171,27 +181,31 @@ class SequenceModel:
             for (k, shape), (a, e) in zip(self._shapes.items(), self._spans)
         }
 
-    def _cell(self, act, h, c, c_out, tc_out, h_out, uh) -> None:
-        """One step of every metric's cell, in place. act (4, M, H) holds the
-        step input's projection plus the bias, gate-major; it becomes the gate
-        activations i, f, o, g. The new c, tanh(c) and h go to c_out, tc_out
-        and h_out (M, H), which must not alias h or c; uh (M, 4H, 1) is
-        scratch for the recurrent product."""
-        M, H = h.shape
-        np.matmul(self.params["U"], h[:, :, None], uh)
-        act += uh.reshape(M, 4, H).transpose(1, 0, 2)
-        sig = act[:3]  # 1 / (1 + exp(-a))
-        np.negative(sig, sig)
-        np.exp(sig, sig)
-        sig += 1.0
-        np.divide(1.0, sig, sig)
-        i, f, o, g = act[0], act[1], act[2], act[3]  # indexing is cheaper than iterating
-        np.tanh(g, g)
-        np.multiply(f, c, c_out)
-        np.multiply(i, g, tc_out)
-        c_out += tc_out
-        np.tanh(c_out, tc_out)
-        np.multiply(o, tc_out, h_out)
+    def _stepper(self):
+        """The cell of one pass, U and its scratch bound. step(cell, h, c_out, tc_out, h_out)
+        steps every metric once. cell is _cell_views of a contiguous (5, M, H) block: the
+        step input's projection plus the bias, gate-major, which becomes the activations
+        i, f, o, g, and then c. h is the (M, H, 1) view of the state. The new c, tanh(c) and
+        h go to c_out, tc_out and h_out (M, H); c is read before c_out, and h before h_out."""
+        M, H, U = self.n_metrics, self.hidden_size, self.params["U"]
+        uh, ig_fc = np.empty((M, 4 * H, 1)), np.empty((2, M, H))
+        uh_gates, ig, fc = uh.reshape(M, 4, H).transpose(1, 0, 2), ig_fc[0], ig_fc[1]
+
+        def step(cell, h, c_out, tc_out, h_out):
+            act, sig, o, g, i_f, g_c = cell
+            np.matmul(U, h, uh)
+            act += uh_gates
+            np.negative(sig, sig)  # sigmoid: 1 / (1 + exp(-a))
+            np.exp(sig, sig)
+            sig += 1.0
+            np.reciprocal(sig, sig)
+            np.tanh(g, g)
+            np.multiply(i_f, g_c, ig_fc)
+            np.add(fc, ig, c_out)
+            np.tanh(c_out, tc_out)
+            np.multiply(o, tc_out, h_out)
+
+        return step
 
     def _seed_state(self, fenc: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         p = self.params
@@ -230,14 +244,14 @@ class SequenceModel:
         X = np.empty((M, T, 1 + self.input_dim))
         X[:, :, 0], X[:, :, 1:] = inputs, fenc[:, None, :]
         A = np.matmul(X, p["W"].transpose(0, 2, 1)) + p["b"][:, None, :]
-        # time-major caches, the activations also gate-major (T, 4, M, H);
-        # Hs and Cs hold the seed state first
-        acts = np.ascontiguousarray(A.reshape(M, T, 4, H).transpose(1, 2, 0, 3))
-        Hs, Cs, tcs = np.empty((T + 1, M, H)), np.empty((T + 1, M, H)), np.empty((T, M, H))
-        Hs[0], Cs[0] = self._seed_state(fenc)
-        uh = np.empty((M, 4 * H, 1))
-        for t in range(T):
-            self._cell(acts[t], Hs[t], Cs[t], Cs[t + 1], tcs[t], Hs[t + 1], uh)
+        # time-major caches: Hs, and the cell blocks, whose c is the state each step starts from
+        cells, Hs, tcs = np.empty((T + 1, 5, M, H)), np.empty((T + 1, M, H)), np.empty((T, M, H))
+        cells[:T, :4] = A.reshape(M, T, 4, H).transpose(1, 2, 0, 3)
+        Hs[0], cells[0, 4] = self._seed_state(fenc)
+        step = self._stepper()
+        for cell, h, c_out, tc, h_out in zip(cells, Hs[:, :, :, None], cells[1:, 4], tcs, Hs[1:]):
+            step(_cell_views(cell), h, c_out, tc, h_out)
+        acts, Cs = cells[:T, :4], cells[:, 4]
         ys = np.einsum("tmh,mh->mt", Hs[1:], p["w_y"]) + p["b_y"][:, None]
         err = np.where(np.arange(T) < lengths[:, None], ys - targets, 0.0)
         losses = np.add.reduce(err * err, 1) / np.maximum(lengths, 1)
@@ -371,28 +385,32 @@ class SequenceModel:
 
     # -- inference ---------------------------------------------------------
 
-    def default_horizons(self) -> List[int]:
-        """Per metric: running mean observed length, rounded up; 1 before any update."""
-        counts = zip(self.len_sum.tolist(), self.len_count.tolist())
-        return [max(1, math.ceil(s / max(n, 1))) for s, n in counts]
+    def default_horizons(self) -> np.ndarray:
+        """Per metric: max(1, ceil(len_sum / max(len_count, 1))), the running mean
+        observed length rounded up as Python divides ints; numpy does so below 2**53."""
+        s, n = self.len_sum, np.maximum(self.len_count, 1)
+        if np.bitwise_or.reduce(s) < 2**53:
+            return np.ceil(np.maximum(s, 1) / n).astype(np.int64)  # 1 where s is 0
+        return np.array([max(1, math.ceil(a / b)) for a, b in zip(s.tolist(), n.tolist())])
 
     def forecast_all(
         self, f: Sequence[float], n: Optional[int] = None
-    ) -> Tuple[np.ndarray, List[int]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Autoregressive forecast of every metric, denormalized, padding kept.
 
         Metric m runs n steps, or its own default horizon when n is None.
-        Returns the block (M, T) and the horizons: row m's forecast is its
-        first horizons[m] values, and T is the longest horizon.
+        Returns the block (M, T) and the horizons, an int array: row m's
+        forecast is its first horizons[m] values; T is the longest horizon.
         """
         if n is not None and n < 1:
             raise ValueError(f"forecast horizon must be >= 1, got {n}")
-        horizons = self.default_horizons() if n is None else [n] * self.n_metrics
         p = self.params
         M, H = self.n_metrics, self.hidden_size
+        horizons = self.default_horizons() if n is None else np.full(M, n)
         fenc = self.feat_norm.scale(self._feature_values(f))
-        h, c = self._seed_state(fenc)
-        h_next, c_next, tc = np.empty((3, M, H))
+        # one cell block [i, f, o, g, c] and one h, stepped in place
+        cell, tc = np.empty((5, M, H)), np.empty((M, H))
+        h, cell[4] = self._seed_state(fenc)
 
         def gate_major(a):
             return np.ascontiguousarray(a.reshape(M, 4, H).transpose(1, 0, 2))
@@ -400,18 +418,17 @@ class SequenceModel:
         # the features are constant over the rollout; only the value input moves
         w_x = gate_major(p["W"][:, :, 0])
         a_feat = gate_major(_matvec(p["W"][:, :, 1:], fenc) + p["b"])
-        act, uh = np.empty((4, M, H)), np.empty((M, 4 * H, 1))
-        x = np.zeros(M)
-        ys = np.empty((max(horizons), M))
-        for t in range(len(ys)):
-            np.multiply(w_x, x[:, None], act)
+        act, step = cell[:4], self._stepper()
+        args = (_cell_views(cell), h[:, :, None], cell[4], tc, h)
+        # step t reads the column ys[t] (M, 1), 0 at first, and writes ys[t + 1]
+        ys, w_y, b_y = np.zeros((max(horizons.tolist()) + 1, M, 1)), p["w_y"], p["b_y"]
+        for x, y in zip(ys, ys[1:, :, 0]):
+            np.multiply(w_x, x, act)
             act += a_feat
-            self._cell(act, h, c, c_next, tc, h_next, uh)
-            h, c, h_next, c_next = h_next, c_next, h, c
-            x = ys[t]
-            np.einsum("mh,mh->m", p["w_y"], h, out=x)
-            x += p["b_y"]
-        return self.value_norm.unscale(ys).T, horizons
+            step(*args)
+            _einsum("mh,mh->m", w_y, h, out=y)
+            y += b_y
+        return self.value_norm.unscale(ys[1:, :, 0]).T, horizons
 
     def update(self, f: Sequence[float], observed: MetricSeries) -> None:
         self.update_all(f, *_one_row(observed))
@@ -422,7 +439,7 @@ class SequenceModel:
         return float(self._forward(*data)[0][0])
 
     def default_horizon(self) -> int:
-        return self.default_horizons()[0]
+        return int(self.default_horizons()[0])
 
     def forecast(self, f: Sequence[float], n: Optional[int] = None) -> MetricSeries:
         """Autoregressive n-step forecast, denormalized and padding-stripped."""

@@ -129,17 +129,22 @@ class InstanceWindow:
         if self._norm is None:
             if not len(self):
                 raise EmptyWindowError("no training instances in window")
+            mag = np.maximum(self.hi, -self.lo)  # max(|lo|, |hi|), as lo <= hi
+            far = max(mag.tolist(), default=0.0) > 2.0**1022  # else hi - lo cannot overflow
+            if far:
+                with np.errstate(over="ignore"):
+                    rng = self.hi - self.lo
+            else:
+                rng = self.hi - self.lo
             # a range smaller than float rounding noise on the stored values is
             # indistinguishable from a constant feature; treat it as zero-range
             # so it cannot blow up the normalized distance
-            rng = self.hi - self.lo
-            # max(hi, -lo) is max(|lo|, |hi|), as lo <= hi
-            eps = 1e-12 * np.maximum(1.0, np.maximum(self.hi, -self.lo))
+            eps = 1e-12 * np.maximum(1.0, mag)
             rng = np.where(rng > eps, rng, 0.0)
             rng.flags.writeable = False  # ranges() hands it out
             live = rng > 0
             denom, halve = np.where(live, rng, 1.0), None
-            if math.inf in rng.tolist():
+            if far and math.inf in rng.tolist():
                 halve = np.where(rng == np.inf, 0.5, 1.0)
                 denom = np.where(halve < 1.0, self.hi * 0.5 - self.lo * 0.5, denom)
             self._norm = (rng, live, denom, halve)
@@ -191,9 +196,8 @@ class InstanceWindow:
             diff = np.concatenate((diff, tail), axis=1)
         dist2 = np.add.reduce(diff * diff, axis=1)
         if k == 1:
-            chosen = [dist2.argmin()]
-        else:
-            chosen = dist2.argsort(kind="stable")[:k]
+            return float(self._y[self._start + dist2.argmin()])
+        chosen = dist2.argsort(kind="stable")[:k]
         targets = self._y[self._start:self._end]
         # summed one at a time in rank order, as a plain Python mean would
         return float(sum(targets[i] for i in chosen) / len(chosen))

@@ -308,7 +308,7 @@ class Registry:
         if answer is not None:
             return answer
         if scenario == Scenario.time_series:
-            if bundle.regressor.ranges()[len(sigma):].any():
+            if any(bundle.regressor.ranges()[len(sigma):].tolist()):
                 block, horizons = bundle.forecaster.forecast_all(sigma)
                 query = sigma + _trevs(block, horizons, self.config.trev_lag)
             else:

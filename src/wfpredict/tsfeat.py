@@ -19,10 +19,11 @@ def _moments(x: np.ndarray, l: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def _length_groups(block: np.ndarray, lengths: np.ndarray, l: int):
     """For each length n > l, the rows of that length and their first n values."""
-    if lengths.size and (lengths == lengths[0]).all():
+    ls = lengths.tolist()
+    if ls and ls.count(ls[0]) == len(ls):
         # one length, the usual case: every row at once, with no gather
-        if lengths[0] > l:
-            yield range(len(lengths)), block[:, :lengths[0]]
+        if ls[0] > l:
+            yield range(len(ls)), block[:, :ls[0]]
         return
     for n in np.unique(lengths[lengths > l]).tolist():
         rows = np.flatnonzero(lengths == n)
@@ -69,8 +70,11 @@ def trev(values: Sequence[float], lag: int) -> float:
 
 def strip_padding_rows(block: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Per row, the length of its first lengths[m] values without their trailing zeros."""
-    pos = np.arange(1, block.shape[1] + 1)
-    kept = (block != 0.0) & (pos <= np.asarray(lengths)[:, None])
+    lengths, n = np.asarray(lengths), block.shape[1]
+    if n and (lengths == n).all() and block[:, -1].all():  # no row ends in a zero
+        return lengths
+    pos = np.arange(1, n + 1)
+    kept = (block != 0.0) & (pos <= lengths[:, None])
     return np.maximum.reduce(np.where(kept, pos, 0), 1, initial=0)
 
 

@@ -423,7 +423,7 @@ def test_gate_major_kernel_matches_the_strided_oracle_bit_for_bit():
         for k, v in oracle.params.items():
             assert bank.params[k].tobytes() == v.tobytes(), (step, k)
         (a, ha), (b, hb) = bank.forecast_all(fv), oracle.forecast_all(fv)
-        assert ha == hb and a.tobytes() == b.tobytes(), step
+        assert np.array_equal(ha, hb) and a.tobytes() == b.tobytes(), step
     assert any(clipped) and not all(clipped)
     assert json.dumps(bank.to_dict()) == json.dumps(oracle.to_dict())
 
@@ -444,8 +444,88 @@ def test_small_banks_match_the_strided_oracle_bit_for_bit(n_metrics):
         oracle.update_all(fv, *_block(series))
         assert bank.flat_params.tobytes() == oracle.flat_params.tobytes(), step
         (a, ha), (b, hb) = bank.forecast_all(fv), oracle.forecast_all(fv)
-        assert ha == hb and a.tobytes() == b.tobytes(), step
+        assert np.array_equal(ha, hb) and a.tobytes() == b.tobytes(), step
     assert json.dumps(bank.to_dict()) == json.dumps(oracle.to_dict())
+
+
+def _zero_gates(model, rng):
+    """Signed zeros in every weight and bias of the i and o gates: each of
+    their pre-activations is an exact zero, summed from terms of both signs."""
+    H = model.hidden_size
+    for g in (0, 2):
+        for k in ("W", "U", "b"):
+            v = model.params[k][:, g * H:(g + 1) * H]
+            v[...] = rng.choice([0.0, -0.0], v.shape)
+
+
+def _saturated_gates(model, rng):
+    """Biases of 710 to 900 of either sign, where exp overflows."""
+    b = model.params["b"]
+    b[...] = rng.uniform(710, 900, b.shape) * rng.choice([-1.0, 1.0], b.shape)
+
+
+def _first_forecast_zero_in_i_and_o(pre, H):
+    # the first forecast, before any update, steps from the edited parameters
+    return all(not a[:, :H].any() and not a[:, 2 * H:3 * H].any() for a in pre[:2])
+
+
+def _overflows_both_ways(pre, H):
+    a = np.concatenate(pre)
+    return (a <= -710).any() and (a >= 710).any()
+
+
+_STEPPER_CASES = {
+    # name: (metrics, hidden size, edit of both models' parameters, check of
+    # the oracle's pre-activations a + Uh)
+    "zero-pre-activations": (3, 4, _zero_gates, _first_forecast_zero_in_i_and_o),
+    "exp-overflowing-pre-activations": (3, 4, _saturated_gates, _overflows_both_ways),
+    "one-metric-one-unit": (1, 1, lambda model, rng: None, lambda pre, H: True),
+}
+
+
+@pytest.mark.parametrize("case", list(_STEPPER_CASES))
+def test_the_stepper_matches_the_strided_oracle_on_edge_cases_bit_for_bit(case):
+    M, H, edit, check = _STEPPER_CASES[case]
+    kw = dict(input_dim=3, hidden_size=H, learning_rate=0.3, clip_norm=0.5, tau=5,
+              seeds=range(11, 11 + M))
+    bank, oracle = SequenceModel(**kw), StridedOracle(**kw)
+    for model in (bank, oracle):
+        edit(model, np.random.default_rng(52))
+    pre, cell, U = [], oracle._cell, oracle.params["U"]
+    oracle._cell = lambda a_in, h, c: pre.append(a_in + _matvec(U, h)) or cell(a_in, h, c)
+    rng = np.random.default_rng(53)
+    longest = 1
+    with np.errstate(over="ignore"):
+        for step in range(8):
+            fv = rng.uniform(1, 9, 3).tolist()
+            # horizon 1, the default horizons, and a horizon past every trained length
+            for n in (1, None, 3 * longest):
+                (a, ha), (b, hb) = bank.forecast_all(fv, n), oracle.forecast_all(fv, n)
+                assert np.array_equal(ha, hb) and a.tobytes() == b.tobytes(), (step, n)
+            series = [tuple(rng.uniform(0, 50, size=int(rng.integers(1, 7)))) for _ in range(M)]
+            longest = max(longest, *map(len, series))
+            bank.update_all(fv, *_block(series))
+            oracle.update_all(fv, *_block(series))
+            assert bank.flat_params.tobytes() == oracle.flat_params.tobytes(), step
+    assert check(pre, H)
+    assert json.dumps(bank.to_dict()) == json.dumps(oracle.to_dict())
+
+
+def test_training_and_forecasting_step_through_one_cell():
+    """_forward and forecast_all each take one step of _stepper's cell per time step."""
+    model = SequenceModel(input_dim=3, hidden_size=4, seeds=range(2))
+    steps = []
+    stepper = model._stepper
+
+    def counted():
+        step = stepper()
+        return lambda *args: steps.append(1) or step(*args)
+
+    model._stepper = counted
+    model.update_all([1.0, 2.0, 3.0], *_block([(1.0, 2.0, 3.0, 4.0), (5.0,)]))
+    assert len(steps) == 4
+    model.forecast_all([1.0, 2.0, 3.0], 6)
+    assert len(steps) == 10
 
 
 @pytest.mark.parametrize("n_metrics", [1, 2, 13])
@@ -567,7 +647,7 @@ def test_forecasts_match_a_fresh_restore_after_every_change_of_state():
         again.restore(json.loads(json.dumps(model.to_dict())))
         for n in (None, 4):
             (a, ha), (b, hb) = model.forecast_all(f, n), again.forecast_all(f, n)
-            assert ha == hb and a.tobytes() == b.tobytes()
+            assert np.array_equal(ha, hb) and a.tobytes() == b.tobytes()
 
     model.update_all(f, *_block([(1.0, 4.0, 2.0), (3.0,), None]))
     assert_as_restored()
@@ -653,6 +733,29 @@ def test_forget_gate_bias_starts_at_one():
     assert np.array_equal(b[:, 6:12], np.ones((2, 6)))
     assert np.array_equal(b[:, :6], np.zeros((2, 6)))
     assert np.array_equal(b[:, 12:], np.zeros((2, 12)))
+
+
+def test_default_horizons_round_the_mean_length_up_as_python_does_in_every_state():
+    """max(1, ceil(s / max(n, 1))) with Python's int / int, for sums and
+    counts over the whole range restore takes, counts of 0 among them."""
+    model = SequenceModel(input_dim=1, seeds=range(6))
+    rng = np.random.default_rng(54)
+    edges = [0, 1, 2, 7, 2**52, 2**53 - 1, 2**53, 2**53 + 1, 10 * 2**50 + 1, 2**62, 2**63 - 1]
+    for trial in range(400):
+        top = 2**53 if trial % 2 else 2**63  # every sum exact in float64, or not
+        s = [int(rng.choice(edges)) if rng.random() < 0.3 else int(rng.integers(0, top))
+             for _ in range(6)]
+        n = [int(rng.choice([0, 1, 3, 2**50, 2**53 + 1, int(rng.integers(0, 2**63))]))
+             for _ in range(6)]
+        if trial % 4 == 1:  # lengths as updates count them
+            n = [int(rng.integers(0, 50)) for _ in range(6)]
+            s = [int(rng.integers(c, 40 * c + 1)) for c in n]
+        model.len_sum, model.len_count = np.array(s, dtype=np.int64), np.array(n, dtype=np.int64)
+        want = [max(1, math.ceil(a / max(b, 1))) for a, b in zip(s, n)]
+        assert model.default_horizons().tolist() == want, (s, n)
+    # 10 + 2**-50 rounds to 10 as a float64, where the exact ceiling is 11
+    model.len_sum[:], model.len_count[:] = 10 * 2**50 + 1, 2**50
+    assert model.default_horizons().tolist() == [10] * 6
 
 
 def test_default_horizon_tracks_mean_observed_length():

@@ -138,19 +138,19 @@ def test_a_range_past_the_float64_maximum_ranks_no_distance_as_nan(query_width):
     """1e308 - -1e308 overflows, so each such column is compared halved, as
     RunningMinMax scales a range that overflows: the row equal to the query
     ranks first, where a NaN distance ranked first before. With query_width 1
-    the second column completes the query from the nearest row. The range
-    itself still overflows, with numpy's warning, and ranges() reports inf."""
+    the second column completes the query from the nearest row. ranges()
+    reports inf. No query warns, so with warnings as errors (the pytest
+    configuration) and no np.errstate each one answers."""
     dim = 1 if query_width is None else 2
     w = InstanceWindow(_names(dim), query_width=query_width)
     w.add([1e308] * dim, 1.0)
     w.add([-1e308] * dim, 2.0)
-    with np.errstate(over="ignore"):
-        assert w.predict([1e308], k=1) == 1.0
-        assert w.predict([-1e308], k=1) == 2.0
-        w.add([0.0] * dim, 3.0)  # halfway: nearer to either end than the ends are to each other
-        assert w.predict([6e307], k=1) == 1.0  # 0.4e308 from the first row, 0.6e308 from this
-        assert w.predict([1e308], k=2) == 2.0
-        assert w.predict([-1e308], k=2) == 2.5
+    assert w.predict([1e308], k=1) == 1.0
+    assert w.predict([-1e308], k=1) == 2.0
+    w.add([0.0] * dim, 3.0)  # halfway: nearer to either end than the ends are to each other
+    assert w.predict([6e307], k=1) == 1.0  # 0.4e308 from the first row, 0.6e308 from this
+    assert w.predict([1e308], k=2) == 2.0
+    assert w.predict([-1e308], k=2) == 2.5
     assert w.ranges().tolist() == [math.inf] * dim
 
 
@@ -160,8 +160,7 @@ def test_a_halved_column_weighs_its_differences_by_its_whole_range():
     w = InstanceWindow(_names(2))
     for row, runtime in (([1e308, 0.0], 1.0), ([-1e308, 4.0], 2.0), ([0.0, 4.0], 3.0)):
         w.add(row, runtime)
-    with np.errstate(over="ignore"):
-        assert w.predict([-1e308, 1.0], k=1) == 2.0
+    assert w.predict([-1e308, 1.0], k=1) == 2.0
     assert w.predict([1e308, 3.0], k=1) == 3.0
 
 

@@ -159,6 +159,17 @@ def test_strip_padding_rows_matches_a_loop():
     assert got.tolist() == [len(_strip_loop(r)) for r in rows]
     assert [strip_padding(r) for r in rows] == [_strip_loop(r) for r in rows]
     assert strip_padding_rows(np.zeros((0, 0)), np.zeros(0, dtype=int)).tolist() == []
+    # blocks whose rows all hold the block's width, ending in zeros or not
+    for trial in range(100):
+        M, width = rng.randrange(1, 6), rng.randrange(0, 9)
+        rows = [[rng.uniform(-5, 5) for _ in range(width)] for _ in range(M)]
+        for r in rows:
+            for k in range(min(width, rng.choice([0, 0, 1, width]))):
+                r[-1 - k] = rng.choice([0.0, -0.0])
+        block = np.array(rows).reshape(M, width)
+        want = [len(_strip_loop(r)) for r in rows]
+        for lengths in (np.full(M, width), [width] * M):
+            assert strip_padding_rows(block, lengths).tolist() == want
 
 
 def _moments_before(x, l):
