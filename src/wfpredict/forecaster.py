@@ -12,6 +12,10 @@ gate-major and then c, and writes c, tanh(c) and h into the caller's arrays.
 Training keeps one block per step, time-major, and the backward pass forms
 every gate delta of a step in place from factors computed before its loop.
 
+A training pass carves its large caches from one float64 scratch that this module
+owns (_pass_caches), valid until the next pass of any model: training is not
+re-entrant. Losses, gradients and forecasts are fresh; past _SCRATCH_CAP, caches too.
+
 All parameters live in one flat float64 buffer, stored parameter by
 parameter; each `params[k]` is a contiguous (M, ...) view into it. The
 gradients fill a fresh buffer of the same layout. An update backs the buffer
@@ -36,6 +40,30 @@ try:  # the C call np.einsum makes, without its Python dispatch (about 1 us a ca
     from numpy._core.multiarray import c_einsum as _einsum
 except ImportError:  # numpy 1.x
     _einsum = np.einsum
+
+
+_SCRATCH_CAP = 8 << 20  # bytes; 13 metrics at H 10 and T up to about 260
+_scratch, _carvings = np.empty(0), {}
+
+
+def _pass_caches(M: int, T: int, H: int, F: int) -> tuple:
+    """_forward's X, A, cells, Hs, tcs, then _gradients' dYw, dtanh, S, dA, (dh, dc, dh_next,
+    dc_next): C-contiguous carvings at 64-byte offsets of the scratch, cached per shape."""
+    global _scratch
+    got = _carvings.get((M, T, H, F))
+    if got is None:
+        shapes = ((M, T, 1 + F), (M, T, 4 * H), (T + 1, 5, M, H), (T + 1, M, H), (T, M, H),
+                  (T, M, H), (T, M, H), (3, T, M, 4, H), (T, M, 4, H), (4, M, H))
+        ends = np.cumsum([-(-math.prod(s) // 8) * 8 for s in shapes]).tolist()
+        if ends[-1] * 8 > _SCRATCH_CAP:
+            return tuple(map(np.empty, shapes))
+        if ends[-1] > _scratch.size:  # and drop the carvings, which hold the old buffer
+            _scratch = np.empty(ends[-1])
+            _carvings.clear()
+        got = _carvings[M, T, H, F] = tuple(
+            _scratch[a:a + math.prod(s)].reshape(s) for a, s in zip([0] + ends[:-1], shapes)
+        )
+    return got
 
 
 class TrainingDivergedError(RuntimeError):
@@ -237,22 +265,21 @@ class SequenceModel:
         return fenc, inputs, targets, np.asarray(lengths)
 
     def _forward(self, fenc, inputs, targets, lengths):
-        """Teacher-forced pass over one example; returns per-metric losses
-        (mean squared error over each metric's own length) and caches."""
+        """Teacher-forced pass over one example; returns fresh per-metric losses (mean
+        squared error over each metric's own length) and caches in the scratch."""
         p = self.params
         (M, T), H = inputs.shape, self.hidden_size
-        X = np.empty((M, T, 1 + self.input_dim))
+        X, A, cells, Hs, tcs = _pass_caches(M, T, H, self.input_dim)[:5]
         X[:, :, 0], X[:, :, 1:] = inputs, fenc[:, None, :]
-        A = np.matmul(X, p["W"].transpose(0, 2, 1)) + p["b"][:, None, :]
+        np.add(np.matmul(X, p["W"].transpose(0, 2, 1), A), p["b"][:, None, :], A)
         # time-major caches: Hs, and the cell blocks, whose c is the state each step starts from
-        cells, Hs, tcs = np.empty((T + 1, 5, M, H)), np.empty((T + 1, M, H)), np.empty((T, M, H))
         cells[:T, :4] = A.reshape(M, T, 4, H).transpose(1, 2, 0, 3)
         Hs[0], cells[0, 4] = self._seed_state(fenc)
         step = self._stepper()
         for cell, h, c_out, tc, h_out in zip(cells, Hs[:, :, :, None], cells[1:, 4], tcs, Hs[1:]):
             step(_cell_views(cell), h, c_out, tc, h_out)
         acts, Cs = cells[:T, :4], cells[:, 4]
-        ys = np.einsum("tmh,mh->mt", Hs[1:], p["w_y"]) + p["b_y"][:, None]
+        ys = _einsum("tmh,mh->mt", Hs[1:], p["w_y"]) + p["b_y"][:, None]
         err = np.where(np.arange(T) < lengths[:, None], ys - targets, 0.0)
         losses = np.add.reduce(err * err, 1) / np.maximum(lengths, 1)
         return losses, (X, Hs, Cs, acts, tcs, err)
@@ -264,16 +291,16 @@ class SequenceModel:
         gradient is that of its own unpadded sequence. Returns the losses and
         the gradients in one fresh buffer laid out as flat_params (see _views).
         """
-        p = self.params
+        p, U = self.params, self.params["U"]
         losses, (X, Hs, Cs, acts, tcs, err) = self._forward(fenc, inputs, targets, lengths)
         (M, T), H = inputs.shape, self.hidden_size
+        dYw, dtanh, (S2, S3, S4), dA, dhc = _pass_caches(M, T, H, self.input_dim)[5:]
         dY = 2.0 * err / np.maximum(lengths, 1)[:, None]
         # every factor that needs only the forward caches, for all steps at
         # once; each gate's delta is ((lead * S2) * S3) * S4, lead being dc, or
         # dh for the o gate, as in ((dc * g) * i) * (1 - i)
-        dYw = dY.T[:, :, None] * p["w_y"]
-        dtanh = 1 - tcs * tcs
-        S2, S3, S4 = np.empty((3, T, M, 4, H))
+        np.multiply(dY.T[:, :, None], p["w_y"], dYw)
+        np.subtract(1, np.multiply(tcs, tcs, dtanh), dtanh)
         S3[...] = acts.transpose(0, 2, 1, 3)  # the activations, metric-major
         np.subtract(1, S3, S4)
         S4[:, :, 3] = 1.0
@@ -281,22 +308,22 @@ class SequenceModel:
         S2[:, :, 0], S2[:, :, 1], S2[:, :, 2], S2[:, :, 3] = g, Cs[:-1], tcs, i
         np.multiply(g, g, g)
         np.subtract(1, g, g)
-        f, o = acts[:, 1], acts[:, 2]
-        dA = np.empty((T, M, 4, H))
-        dh_next, dc_next = np.zeros((2, M, H))
-        for t in range(T - 1, -1, -1):
-            # dh and dc read dh_next and dc_next before they are overwritten
-            dh = dYw[t] + dh_next
-            dc = dh * o[t]
-            dc *= dtanh[t]
+        dh, dc, dh_next, dc_next = dhc
+        dhc[2:] = 0.0  # dh_next and dc_next, which each step reads before it overwrites them
+        dc_gates, dh_next_row = dc[:, None, :], dh_next[:, None]
+        views = (dYw, acts[:, 2], dtanh, S2, S2[:, :, 2], S3, S4, dA, dA[:, :, 2],
+                 dA.reshape(T, M, 1, 4 * H), acts[:, 1])
+        for dyw, o, dt, s2, s2_o, s3, s4, da, da_o, da_row, f in zip(*(v[::-1] for v in views)):
+            np.add(dyw, dh_next, dh)
+            np.multiply(dh, o, dc)
+            dc *= dt
             dc += dc_next
-            da, s2 = dA[t], S2[t]
-            np.multiply(dc[:, None, :], s2, da)
-            np.multiply(dh, s2[:, 2], da[:, 2])
-            da *= S3[t]
-            da *= S4[t]
-            np.matmul(da.reshape(M, 1, 4 * H), p["U"], dh_next[:, None])
-            np.multiply(dc, f[t], dc_next)
+            np.multiply(dc_gates, s2, da)
+            np.multiply(dh, s2_o, da_o)
+            da *= s3
+            da *= s4
+            np.matmul(da_row, U, dh_next_row)
+            np.multiply(dc, f, dc_next)
         dA = dA.reshape(T, M, 4 * H)
         dAt = dA.transpose(1, 2, 0)  # (M, 4H, T)
         flat = np.empty_like(self.flat_params)
@@ -309,7 +336,7 @@ class SequenceModel:
         grads["b_h0"][...] = dh_next
         np.multiply(dc_next[:, :, None], fenc[:, None, :], grads["W_c0"])
         grads["b_c0"][...] = dc_next
-        np.einsum("mt,tmh->mh", dY, Hs[1:], out=grads["w_y"])
+        _einsum("mt,tmh->mh", dY, Hs[1:], out=grads["w_y"])
         np.add.reduce(dY, 1, None, grads["b_y"])
         return losses, flat
 
@@ -354,7 +381,7 @@ class SequenceModel:
                 losses, g = self._gradients(fenc, inputs, targets, lengths)
                 if not np.isfinite(losses).all():
                     raise TrainingDivergedError(f"non-finite loss {losses.tolist()}")
-                if np.einsum("i,i->", g, g) < bound:
+                if _einsum("i,i->", g, g) < bound:
                     g *= self.learning_rate
                 else:
                     # each parameter's per-metric sum of squares, added parameter

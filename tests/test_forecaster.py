@@ -3,11 +3,13 @@
 import copy
 import json
 import math
+import tracemalloc
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
 
+from wfpredict import forecaster
 from wfpredict.domain import DomainError, MetricKind, MetricSeries
 from wfpredict.forecaster import RunningMinMax, SequenceModel, TrainingDivergedError
 from wfpredict.pipeline import _model_seed
@@ -693,6 +695,105 @@ def test_params_stay_views_of_the_flat_buffer():
     assert json.dumps(model.to_dict()) == before
     again = restored(json.loads(before))
     assert bound(again) and json.dumps(again.to_dict()) == before
+
+
+def _past_the_cap(M, H):
+    """A block width whose training pass needs more than the scratch's cap:
+    S and dA alone hold 16 T M H float64s."""
+    return forecaster._SCRATCH_CAP // (8 * 16 * M * H) + 1
+
+
+def _state(model):
+    """to_dict, with the parameters read through params: the StridedOracle's
+    rollback rebinds params to copies, which its flat_params no longer holds."""
+    d = model.to_dict()
+    d["flat_params"] = np.concatenate([v.reshape(-1) for v in model.params.values()]).tolist()
+    return json.dumps(d)
+
+
+def test_the_shared_scratch_never_aliases_what_outlives_a_pass():
+    """Two banks of other shapes take turns on the one scratch; every update,
+    forecast and loss of each matches the StridedOracle's, which allocates afresh."""
+    shapes = {"wide": (13, 10, 8), "narrow": (2, 3, 8)}
+    pairs = {
+        name: tuple(cls(input_dim=F, hidden_size=H, learning_rate=0.3, clip_norm=0.5,
+                        seeds=range(M), tau=5) for cls in (SequenceModel, StridedOracle))
+        for name, (M, H, F) in shapes.items()
+    }
+    rng = np.random.default_rng(55)
+    big = _past_the_cap(*shapes["wide"][:2])
+
+    def lengths_for(name, kind):
+        M = shapes[name][0]
+        return {
+            "no-series": [0] * M, "one": [1] * M, "seven": [7] * M,
+            "unequal": rng.integers(0, 8, M).tolist(), "past-the-cap": [big] * M,
+        }[kind]
+
+    def assert_alike(name, fv, where):
+        bank, oracle = pairs[name]
+        assert _state(bank) == _state(oracle), where
+        for n in (None, 3):
+            (a, ha), (b, hb) = bank.forecast_all(fv, n), oracle.forecast_all(fv, n)
+            assert np.array_equal(ha, hb) and a.tobytes() == b.tobytes(), where
+
+    def losses(model, fv, block, lengths):
+        return model._forward(*model._training_data(np.array(fv), block, lengths))[0]
+
+    kinds = ["no-series", "one", "seven", "unequal", "diverged", "unequal", "seven"]
+    steps = [(kind, name) for kind in kinds for name in shapes] + [("past-the-cap", "wide")]
+    for step, (kind, name) in enumerate(steps):
+        bank, oracle = pairs[name]
+        fv = rng.uniform(1, 9, 8).tolist()
+        lens = lengths_for(name, "unequal" if kind == "diverged" else kind)
+        block, lens = _block([tuple(rng.choice([0.0, -0.0, 3.0, 40.0], n)) or None for n in lens])
+        if kind == "diverged":
+            for model in (bank, oracle):
+                real = model._gradients
+                model._gradients = lambda *a, real=real: (real(*a)[0] * math.nan, real(*a)[1])
+                with pytest.raises(TrainingDivergedError), np.errstate(invalid="ignore"):
+                    model.update_all(fv, block, lens)
+                del model._gradients
+        else:
+            bank.update_all(fv, block, lens)
+            oracle.update_all(fv, block, lens)
+        where = (step, kind, name)
+        assert_alike(name, fv, where)
+        # a loss of each bank between the updates of the other
+        other = pairs["narrow" if name == "wide" else "wide"]
+        M = other[0].n_metrics
+        oblock, olens = _block([tuple(rng.uniform(0, 9, 5))] * M)
+        first = losses(other[0], fv, oblock, olens)
+        kept = first.tobytes()
+        assert kept == losses(other[1], fv, oblock, olens).tobytes(), where
+        # the losses outlive the next pass, one of the same shape
+        losses(other[0], fv, *_block([tuple(rng.uniform(0, 9, 5))] * M))
+        assert first.tobytes() == kept, where
+        g = bank._gradients(*bank._training_data(np.array(fv), block, lens))[1]
+        assert not np.may_share_memory(g, forecaster._scratch), where
+        assert_alike(name, fv, where)
+
+
+def test_a_warm_update_allocates_no_large_caches():
+    M, H, F = 13, 10, 8
+    model = SequenceModel(input_dim=F, hidden_size=H, seeds=range(M))
+    rng = np.random.default_rng(56)
+
+    def update(T):
+        model.update_all(rng.uniform(1, 9, F).tolist(), *_block([tuple(rng.uniform(0, 9, T))] * M))
+
+    update(40)
+    tracemalloc.start()
+    try:
+        update(40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # S and dA alone take 666 KB at T = 40, and fresh caches about 1.3 MB
+    assert peak < 400_000
+    size, big = forecaster._scratch.size, _past_the_cap(M, H)
+    update(big)
+    assert forecaster._scratch.size == size and (M, big, H, F) not in forecaster._carvings
 
 
 def test_update_reduces_loss_on_repeated_series():
