@@ -12,7 +12,7 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -103,10 +103,28 @@ def _observed_block(
     return downsample_block(rows, series.tau if series.metrics else tau, tau)
 
 
+def _aggregates(block: np.ndarray, lengths: Sequence[int], lag: int) -> tuple:
+    """The aggregate (the sum) of each row of the block, floored at
+    _AGG_FLOOR; a metric the record lacks has an all-zero row, whose sum
+    0.0 floors to _AGG_FLOOR. It takes _trevs' arguments and reads neither
+    the lengths nor the lag."""
+    # accumulate adds each row left to right, as sum() over the series did;
+    # the zeros past a row's length leave its last running sum unchanged.
+    # A sum that overflows is inf, which the window's add refuses
+    with np.errstate(over="ignore"):
+        sums = np.add.accumulate(block.T)[-1] if block.shape[1] else np.zeros(len(block))
+    return tuple(np.maximum(sums, _AGG_FLOOR).tolist())
+
+
 def _trevs(block: np.ndarray, lengths: Sequence[int], lag: int) -> tuple:
     """The trev of each row of the block, stripped of trailing zeros; 0.0
     for a row of length 0."""
     return tuple(trev_rows(block, strip_padding_rows(block, lengths), lag).tolist())
+
+
+# each monitoring scenario's row statistic: its columns' name prefix, and the
+# function of a block (observed, or a forecast rollout) that fills those columns
+_STATISTICS = {Scenario.two_stages: ("agg_", _aggregates), Scenario.time_series: ("trev_", _trevs)}
 
 
 def trev_history(records: Iterable[TaskExecutionRecord], tau: int, lag: int) -> dict:
@@ -231,13 +249,14 @@ class Registry:
 
     def _new_bundle(self, task_name: str, scenario: Scenario) -> TaskModelBundle:
         """An untrained bundle built from the config, on first observe and on
-        load; the one place that lays out the rows of its window."""
+        load; with _STATISTICS, the one place that lays out its window's rows
+        and picks the source of a query's statistic columns."""
         cfg = self.config
         metrics = cfg.metrics_for(task_name)
         if scenario == Scenario.baseline:
             schema = ("input_name",)
         else:
-            prefix = "agg_" if scenario == Scenario.two_stages else "trev_"
+            prefix = _STATISTICS[scenario][0]
             schema = PRE_RUNTIME_FEATURE_NAMES + tuple(prefix + m.value for m in metrics)
         # a two_stages query names the pre-runtime columns only: the window
         # completes it with the aggregates of the row nearest to it on those
@@ -260,24 +279,6 @@ class Registry:
             )
         return bundle
 
-    # -- feature assembly --------------------------------------------------
-
-    @staticmethod
-    def _baseline_vector(f: PreRuntimeFeatures, code: Callable[[str, str], int]) -> tuple:
-        return (float(code("input_name", f.input_name)),)
-
-    @staticmethod
-    def _aggregates(block: np.ndarray) -> tuple:
-        """The aggregate (the sum) of each row of the block, floored at
-        _AGG_FLOOR; a metric the record lacks has an all-zero row, whose sum
-        0.0 floors to _AGG_FLOOR."""
-        # accumulate adds each row left to right, as sum() over the series did;
-        # the zeros past a row's length leave its last running sum unchanged.
-        # A sum that overflows is inf, which the window's add refuses
-        with np.errstate(over="ignore"):
-            sums = np.add.accumulate(block.T)[-1] if block.shape[1] else np.zeros(len(block))
-        return tuple(np.maximum(sums, _AGG_FLOOR).tolist())
-
     # -- the three phases --------------------------------------------------
 
     def predict_task(self, f: PreRuntimeFeatures, scenario: Scenario) -> Prediction:
@@ -299,21 +300,20 @@ class Registry:
         # it is an int as a float or a positive VM size, so no two equal keys
         # differ in a bit (as 0.0 and -0.0 would)
         if scenario == Scenario.baseline:
-            key = query = self._baseline_vector(f, self.vocab.lookup)
+            key = query = (float(self.vocab.lookup("input_name", f.input_name)),)
         else:
-            # two_stages queries with sigma alone: the window completes it with
-            # the aggregates of the row nearest to it on the pre-runtime columns
             key = query = sigma = encode_pre_runtime(f, self.vocab.lookup)
         answer = bundle.answers.get(key)
         if answer is not None:
             return answer
-        if scenario == Scenario.time_series:
+        # a bundle without a forecaster queries with sigma alone (see _new_bundle)
+        if bundle.forecaster is not None:
             if any(bundle.regressor.ranges()[len(sigma):].tolist()):
                 block, horizons = bundle.forecaster.forecast_all(sigma)
-                query = sigma + _trevs(block, horizons, self.config.trev_lag)
+                query = sigma + _STATISTICS[scenario][1](block, horizons, self.config.trev_lag)
             else:
-                # no trev column is live, so no trev can move a distance:
-                # skip the forecast and read every trev as 0.0
+                # no statistic column is live, so none can move a distance:
+                # skip the forecast and read every statistic as 0.0
                 query = sigma + (0.0,) * (len(bundle.regressor.schema) - len(sigma))
         runtime = bundle.regressor.predict(query, k=self.config.k)
         answer = Prediction(runtime_seconds=runtime, scenario=scenario, task_name=f.task_name)
@@ -336,7 +336,7 @@ class Registry:
         # first, so an observe refused or half applied leaves no stale answer
         bundle.answers.clear()
         if scenario == Scenario.baseline:
-            row = self._baseline_vector(rec.features, self.vocab.code)
+            row = (float(self.vocab.code("input_name", rec.features.input_name)),)
         else:
             # encoded before downsampling, so a record whose series fail still
             # leaves its codes in the vocabulary
@@ -344,14 +344,11 @@ class Registry:
             cfg = self.config
             metrics = cfg.metrics_for(rec.features.task_name)
             block, lengths = _observed_block(rec.series, metrics, cfg.target_tau)
-            if scenario == Scenario.two_stages:
-                row = sigma + self._aggregates(block)
-            else:
-                # update the forecaster first so a diverged update, which rolls
-                # it back whole, cannot leave a freshly added regressor instance
-                if bundle.forecaster is not None:
-                    bundle.forecaster.update_all(sigma, block, lengths)
-                row = sigma + _trevs(block, lengths, cfg.trev_lag)
+            # update the forecaster first so a diverged update, which rolls
+            # it back whole, cannot leave a freshly added regressor instance
+            if bundle.forecaster is not None:
+                bundle.forecaster.update_all(sigma, block, lengths)
+            row = sigma + _STATISTICS[scenario][1](block, lengths, cfg.trev_lag)
         bundle.regressor.add(row, rec.runtime_seconds)
         bundle.runtime_count += 1
         self.bundles[key] = bundle

@@ -391,6 +391,37 @@ def test_metric_selection_restricts_models(small_log):
     assert len(bundle.regressor.schema) == 9  # 8 pre-runtime dims plus one
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_time_series_without_selected_metrics_predicts_as_two_stages(
+    tmp_path, small_log, monkeypatch, k
+):
+    """With no metric selected, a time_series bundle holds sigma alone and no
+    forecaster: it never forecasts, and it answers as two_stages does, before
+    and after a save and load."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a bundle without a forecaster must not forecast")
+
+    monkeypatch.setattr(SequenceModel, "forecast_all", forbidden)
+    records = small_log.read_all()
+    config = PipelineConfig(target_tau=5, k=k, selected_metrics={"align": set()})
+    want = _online_predictions(records, Scenario.two_stages, config)
+    reg = Registry(storage_dir=tmp_path / "reg", config=config)
+    for rec, w in zip(records[:80], want):
+        assert reg.predict_task(rec.features, Scenario.time_series).runtime_seconds == w
+        reg.observe_completion(rec, Scenario.time_series)
+    bundle = reg.bundles[("align", Scenario.time_series)]
+    assert bundle.regressor.schema == PRE_RUNTIME_FEATURE_NAMES and bundle.forecaster is None
+    reg.save()
+    doc = json.loads((tmp_path / "reg" / "index.json").read_text(encoding="utf-8"))
+    assert [b["forecaster"] for b in doc["bundles"]] == [None]
+    loaded = Registry.load(tmp_path / "reg")
+    for rec, w in zip(records[80:], want[80:]):
+        for r in (reg, loaded):
+            assert r.predict_task(rec.features, Scenario.time_series).runtime_seconds == w
+            r.observe_completion(rec, Scenario.time_series)
+
+
 def _online_predictions(records, scenario, config):
     reg = Registry(config=config)
     preds = []
