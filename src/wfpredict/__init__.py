@@ -13,7 +13,7 @@ from .domain import (
 from .evaluation import EvalReport, generate_synthetic, rae, run_batch_offline, run_online
 from .forecaster import SequenceModel
 from .knn import InstanceWindow
-from .pipeline import PipelineConfig, Registry, pearson, select_features
+from .pipeline import PipelineConfig, Registry
 from .store import RecordLog, downsample
 from .tsfeat import strip_padding, trev
 

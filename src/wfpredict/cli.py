@@ -20,7 +20,7 @@ from .evaluation import (
     standard_corpus_config,
 )
 from .forecaster import TrainingDivergedError
-from .pipeline import PipelineConfig, Registry, correlations, trev_history
+from .pipeline import ALL_METRICS, PipelineConfig, Registry, trev_comoments
 from .store import RecordLog
 
 SWEEP_TAUS = (1, 5, 10, 15, 30)
@@ -157,13 +157,13 @@ def cmd_select_features(args) -> int:
         raise ValueError(f"--threshold must be in [0, 1], got {args.threshold}")
     if args.tau < 1 or args.lag < 1:
         raise ValueError("--tau and --lag must be >= 1")
-    history = trev_history(RecordLog(args.log).records(), args.tau, args.lag)
+    per_task = trev_comoments(RecordLog(args.log).records(), args.tau, args.lag)
     result = {}
-    for task, entries in sorted(history.items()):
-        if len(entries) < 2:
+    for task, acc in sorted(per_task.items()):
+        if acc.n < 2:
             continue
-        rho = {m.value: r for m, r in correlations(entries).items()}
-        selected = sorted(m for m, r in rho.items() if abs(r) > args.threshold)
+        rho = {m.value: r for m, r in zip(ALL_METRICS, acc.rho().tolist())}
+        selected = sorted(m.value for m in acc.selected(args.threshold))
         result[task] = {"rho": rho, "selected": selected}
         print(f"{task}: selected {selected}")
     if args.out:

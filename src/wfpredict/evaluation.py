@@ -255,7 +255,11 @@ def _series_values(
 
 
 def generate_synthetic(config: GeneratorConfig, seed: int, path) -> RecordLog:
-    """Emit an arrival-ordered record log, deterministic under the seed."""
+    """Emit an arrival-ordered record log, deterministic under the seed.
+
+    The records are appended: a path that already holds a log ends up with
+    both corpora, and a replay of it replays both. `wfpredict generate`
+    refuses such a path; a caller from Python must pass a fresh one."""
     log = RecordLog(path)
     log.extend(_synthetic_records(config, seed))
     return log

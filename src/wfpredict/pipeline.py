@@ -1,14 +1,14 @@
 """End-to-end prediction pipeline: per-task model registry, the three
-prediction scenarios, and correlation-based feature selection."""
+prediction scenarios, and feature selection from running co-moments."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import sys
 import zlib
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -46,44 +46,6 @@ _AGG_FLOOR = 1e-9
 
 # the most answers a bundle keeps; a full cache is cleared whole
 _ANSWERS_CAP = 1024
-
-
-def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson correlation; 0.0 when either side has zero variance."""
-    if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    if len(xs) < 2:
-        raise ValueError("need at least 2 paired samples")
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    sxx = sum((x - mx) ** 2 for x in xs)
-    syy = sum((y - my) ** 2 for y in ys)
-    if sxx == 0.0 or syy == 0.0:
-        return 0.0
-    return sxy / math.sqrt(sxx * syy)
-
-
-def correlations(
-    history: Sequence[Tuple[Mapping[MetricKind, float], float]]
-) -> Dict[MetricKind, float]:
-    """Each metric's Pearson correlation to runtime over the history; an entry
-    without the metric counts as 0.0."""
-    if len(history) < 2:
-        raise ValueError("need at least 2 history entries")
-    runtimes = [rt for _, rt in history]
-    return {
-        m: pearson([float(feats.get(m, 0.0)) for feats, _ in history], runtimes)
-        for m in ALL_METRICS
-    }
-
-
-def select_features(
-    history: Sequence[Tuple[Mapping[MetricKind, float], float]], threshold: float
-) -> Set[MetricKind]:
-    """Metrics whose |correlation to runtime| over the history exceeds the threshold."""
-    return {m for m, rho in correlations(history).items() if abs(rho) > threshold}
 
 
 def _observed_block(
@@ -127,18 +89,49 @@ def _trevs(block: np.ndarray, lengths: Sequence[int], lag: int) -> tuple:
 _STATISTICS = {Scenario.two_stages: ("agg_", _aggregates), Scenario.time_series: ("trev_", _trevs)}
 
 
-def trev_history(records: Iterable[TaskExecutionRecord], tau: int, lag: int) -> dict:
-    """Per task name, in log order, the history select_features reads: each
-    record's trev of every series it carries, downsampled to tau and stripped
-    of trailing zeros, and its runtime."""
-    history: Dict[str, list] = {}
+class CoMoments:
+    """Running count, means and co-moments of each metric's statistic x (in
+    ALL_METRICS order) against runtime y, in Welford's form (Welford 1962;
+    Chan, Golub & LeVeque 1983): a side that never varies keeps its first
+    value as an exact mean, so its co-moment stays exactly 0.0."""
+
+    def __init__(self) -> None:
+        self.n, self.mean_y, self.yy = 0, 0.0, 0.0
+        self.mean_x, self.xx, self.xy = (np.zeros(len(ALL_METRICS)) for _ in range(3))
+
+    def add(self, stats: Sequence[float], runtime: float) -> None:
+        """Fold in one record: its statistic of every metric and its runtime."""
+        self.n += 1
+        dx, dy = np.subtract(stats, self.mean_x), runtime - self.mean_y
+        self.mean_x += dx / self.n
+        self.mean_y += dy / self.n
+        self.xx += dx * (stats - self.mean_x)
+        self.xy += dx * (runtime - self.mean_y)
+        self.yy += dy * (runtime - self.mean_y)
+
+    def rho(self) -> np.ndarray:
+        """Each metric's Pearson correlation to runtime, 0.0 where either side
+        has not varied; ValueError below 2 records."""
+        if self.n < 2:
+            raise ValueError("need at least 2 records")
+        with np.errstate(all="ignore"):
+            den = np.sqrt(self.xx * self.yy)
+            return np.clip(np.where(den > 0.0, self.xy / den, 0.0), -1.0, 1.0)
+
+    def selected(self, threshold: float) -> Set[MetricKind]:
+        """The metrics whose |correlation to runtime| exceeds the threshold."""
+        return {m for m, r in zip(ALL_METRICS, self.rho().tolist()) if abs(r) > threshold}
+
+
+def trev_comoments(records: Iterable[TaskExecutionRecord], tau: int, lag: int) -> dict:
+    """Per task name, the CoMoments of each metric's trev against runtime over
+    one pass of the records: the trev of the series downsampled to tau and
+    stripped of trailing zeros, 0.0 for a metric the record lacks."""
+    per_task: Dict[str, CoMoments] = defaultdict(CoMoments)
     for rec in records:
-        metrics = rec.series.metrics
-        trevs = _trevs(*_observed_block(rec.series, metrics, tau), lag)
-        history.setdefault(rec.features.task_name, []).append(
-            (dict(zip(metrics, trevs)), rec.runtime_seconds)
-        )
-    return history
+        trevs = _trevs(*_observed_block(rec.series, ALL_METRICS, tau), lag)
+        per_task[rec.features.task_name].add(trevs, rec.runtime_seconds)
+    return dict(per_task)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from wfpredict.evaluation import (
     generate_synthetic,
     standard_corpus_config,
 )
+from wfpredict.pipeline import CoMoments
 
 
 @pytest.fixture(scope="session")
@@ -80,6 +81,17 @@ def make_record(runtime=10.0, tau=1, n=None, level=3.0, **feature_kwargs):
         series=series_block({m: (level,) * n for m in MetricKind}, tau),
         runtime_seconds=runtime,
     )
+
+
+def running_rho(xs, ys):
+    """The correlation of xs to ys as CoMoments reports it, fed xs as every
+    metric's statistic; every metric must read the same."""
+    acc = CoMoments()
+    for x, y in zip(xs, ys):
+        acc.add([x] * len(MetricKind), y)
+    rho = acc.rho().tolist()
+    assert rho.count(rho[0]) == len(rho)
+    return rho[0]
 
 
 def header_of(rec):

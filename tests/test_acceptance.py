@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import running_rho
 from test_forecaster import max_param_gradient_error
 from test_knn import oracle_predict
 from wfpredict.cli import main
@@ -19,7 +20,7 @@ from wfpredict.domain import MetricKind, MetricSeries, Scenario
 from wfpredict.evaluation import rae, run_batch_offline, run_online
 from wfpredict.forecaster import SequenceModel
 from wfpredict.knn import InstanceWindow
-from wfpredict.pipeline import Registry, PipelineConfig, pearson, select_features, trev_history
+from wfpredict.pipeline import ALL_METRICS, CoMoments, Registry, PipelineConfig, trev_comoments
 from wfpredict.store import downsample
 from wfpredict.tsfeat import trev
 
@@ -190,11 +191,11 @@ def test_criterion_07_pearson_correctness():
         sxx = sum((x - mx) ** 2 for x in xs)
         syy = sum((y - my) ** 2 for y in ys)
         want = 0.0 if sxx == 0 or syy == 0 else sxy / math.sqrt(sxx * syy)
-        ok = ok and abs(pearson(xs, ys) - want) < 1e-12
+        ok = ok and abs(running_rho(xs, ys) - want) < 1e-12
     xs = [1.0, 2.0, 5.0, 9.0]
-    ok = ok and abs(pearson(xs, [3 * x + 2 for x in xs]) - 1.0) < 1e-12
-    ok = ok and abs(pearson(xs, [-x for x in xs]) + 1.0) < 1e-12
-    ok = ok and pearson(xs, [4.0] * 4) == 0.0
+    ok = ok and abs(running_rho(xs, [3 * x + 2 for x in xs]) - 1.0) < 1e-12
+    ok = ok and abs(running_rho(xs, [-x for x in xs]) + 1.0) < 1e-12
+    ok = ok and running_rho(xs, [4.0] * 4) == 0.0
     verdict(7, "pearson correctness", ok)
 
 
@@ -229,24 +230,23 @@ def test_criterion_09_batch_trend(standard_log):
 def test_criterion_10_feature_selection(standard_log, online_reports):
     # planted-metric selection on a constructed history
     random.seed(1010)
-    history = []
+    history = CoMoments()
     for _ in range(300):
         runtime = random.uniform(5, 200)
         feats = {m: random.gauss(0, 1) for m in MetricKind}
         feats[MetricKind.utime] = 0.9 * runtime
-        history.append((feats, runtime))
-    runtimes = [rt for _, rt in history]
+        history.add([feats[m] for m in ALL_METRICS], runtime)
     noise_ok = all(
-        abs(pearson([f[m] for f, _ in history], runtimes)) < 0.3
-        for m in MetricKind
+        abs(r) < 0.3
+        for m, r in zip(ALL_METRICS, history.rho().tolist())
         if m is not MetricKind.utime
     )
-    planted_ok = select_features(history, 0.5) == {MetricKind.utime}
+    planted_ok = history.selected(0.5) == {MetricKind.utime}
 
     # data-driven selection on the standard corpus must not hurt the
     # end-to-end error by more than 0.02 absolute
-    per_task = trev_history(standard_log.records(), ACCEPT_TAU, ACCEPT_LAG)
-    selection = {t: select_features(h, 0.5) for t, h in per_task.items()}
+    per_task = trev_comoments(standard_log.records(), ACCEPT_TAU, ACCEPT_LAG)
+    selection = {t: acc.selected(0.5) for t, acc in per_task.items()}
     selected_report = run_online(
         standard_log, Scenario.time_series, tau=ACCEPT_TAU, lag=ACCEPT_LAG,
         seed=ACCEPT_SEED, selected_metrics=selection,

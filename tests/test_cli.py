@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import wfpredict.store as store_mod
-from conftest import header_of, log_line, make_record, parse_line
+from conftest import header_of, log_line, make_features, make_record, parse_line, series_block
 from wfpredict.cli import main
-from wfpredict.domain import MetricKind, Scenario
+from wfpredict.domain import MetricKind, Scenario, TaskExecutionRecord
 from wfpredict.forecaster import SequenceModel, TrainingDivergedError
 from wfpredict.pipeline import REGISTRY_VERSION, PipelineConfig, Registry
 from wfpredict.store import RecordLog
@@ -351,6 +351,25 @@ def test_select_features_reports_correlations(tmp_path, gen_log, capsys):
     for task, entry in body.items():
         assert len(entry["rho"]) == 13
         assert isinstance(entry["selected"], list)
+
+
+def test_select_features_reads_zero_for_sides_that_never_vary(tmp_path):
+    # 3 identical records: runtime and utime's trev (1.673265181724069 at lag
+    # 2) are both constant at values that are not dyadic fractions, so a
+    # two-pass mean leaves a rounding residue on each side, which read +1.0
+    series = series_block({MetricKind.utime: (1.0, 5.0, 2.0, 3.0, 3.0, 9.0, 4.0)})
+    rec = TaskExecutionRecord(features=make_features(), series=series, runtime_seconds=7.1)
+    log = RecordLog(tmp_path / "flat.jsonl")
+    log.extend([rec] * 3)
+    out = tmp_path / "sel.json"
+    rc = main([
+        "select-features", "--log", str(log.path), "--tau", "1",
+        "--threshold", "0.5", "--out", str(out),
+    ])
+    assert rc == 0
+    entry = json.loads(out.read_text(encoding="utf-8"))["align"]
+    assert entry["rho"] == {m.value: 0.0 for m in MetricKind}
+    assert entry["selected"] == []
 
 
 def test_select_features_rejects_bad_threshold(tmp_path, gen_log):

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_record, series_block
+from conftest import make_record, running_rho, series_block
 import wfpredict.pipeline as pipeline_mod
 from wfpredict.domain import (
     PRE_RUNTIME_FEATURE_NAMES, CategoryVocab, DomainError, MetricKind, MetricSeries, Scenario,
@@ -21,7 +21,7 @@ from wfpredict.evaluation import (
 from wfpredict.forecaster import SequenceModel, TrainingDivergedError
 from wfpredict.knn import InstanceWindow
 from wfpredict.pipeline import (
-    REGISTRY_VERSION, PipelineConfig, Registry, pearson, select_features, trev_history,
+    ALL_METRICS, REGISTRY_VERSION, CoMoments, PipelineConfig, Registry, trev_comoments,
 )
 from wfpredict.store import downsample, downsample_block
 from wfpredict.tsfeat import strip_padding, trev
@@ -49,37 +49,50 @@ def test_pearson_matches_reference():
         n = random.randrange(2, 40)
         xs = [random.gauss(0, 5) for _ in range(n)]
         ys = [random.gauss(0, 5) for _ in range(n)]
-        assert abs(pearson(xs, ys) - reference_pearson(xs, ys)) < 1e-12
+        assert abs(running_rho(xs, ys) - reference_pearson(xs, ys)) < 1e-12
 
 
 def test_pearson_extremes_and_degenerate():
     xs = [1.0, 2.0, 3.0, 4.0]
-    assert abs(pearson(xs, [2 * x + 1 for x in xs]) - 1.0) < 1e-12
-    assert abs(pearson(xs, [-3 * x for x in xs]) + 1.0) < 1e-12
-    assert pearson(xs, [5.0, 5.0, 5.0, 5.0]) == 0.0
+    assert abs(running_rho(xs, [2 * x + 1 for x in xs]) - 1.0) < 1e-12
+    assert abs(running_rho(xs, [-3 * x for x in xs]) + 1.0) < 1e-12
+    assert running_rho(xs, [5.0, 5.0, 5.0, 5.0]) == 0.0
+    # both sides constant at values that are not dyadic fractions: a two-pass
+    # mean leaves a rounding residue on each side and reads their ratio, -1.0
+    assert running_rho([0.1] * 3, [0.7] * 3) == 0.0
+    # exact linear pairs whose quotient rounds to 1 ulp past +-1
+    xs = [0.5, 1.5, 2.7]
+    assert running_rho(xs, [0.7 * x for x in xs]) == 1.0
+    assert running_rho(xs, [-0.7 * x for x in xs]) == -1.0
 
 
 def test_pearson_input_validation():
+    # below 2 records there is no correlation; the paired-list API whose
+    # length-mismatch check stood here is gone, since add takes one record
+    acc = CoMoments()
     with pytest.raises(ValueError):
-        pearson([1.0], [1.0])
+        acc.rho()
+    acc.add([1.0] * len(ALL_METRICS), 1.0)
     with pytest.raises(ValueError):
-        pearson([1.0, 2.0], [1.0])
+        acc.rho()
 
 
 def test_select_features_picks_planted_metric():
     random.seed(307)
-    history = []
+    acc = CoMoments()
     for _ in range(60):
         runtime = random.uniform(10, 100)
         feats = {m: random.gauss(0, 1) for m in MetricKind}
         feats[MetricKind.vmRSS] = runtime  # planted: perfectly correlated
-        history.append((feats, runtime))
-    assert select_features(history, 0.5) == {MetricKind.vmRSS}
+        acc.add([feats[m] for m in ALL_METRICS], runtime)
+    assert acc.selected(0.5) == {MetricKind.vmRSS}
 
 
 def test_select_features_requires_history():
+    acc = CoMoments()
+    acc.add([0.0] * len(ALL_METRICS), 1.0)
     with pytest.raises(ValueError):
-        select_features([({}, 1.0)], 0.5)
+        acc.selected(0.5)
 
 
 def test_config_round_trip():
@@ -638,7 +651,7 @@ def test_time_series_forecasts_ranges_near_the_float64_maximum():
     assert failures == 0
 
 
-def test_trev_history_matches_the_per_metric_path(tmp_path):
+def test_trev_comoments_match_the_per_metric_path(tmp_path):
     spec = dict(base_seconds=40.0, input_names=("i1", "i2"), input_scales=(1.0, 1.5),
                 series_profile="curved")
     cfg = GeneratorConfig(
@@ -654,13 +667,18 @@ def test_trev_history_matches_the_per_metric_path(tmp_path):
     for tau, lag in ((1, 2), (5, 2), (10, 3)):
         want = {}
         for rec in records:
-            feats = {
-                m: trev(strip_padding(downsample(metric_series(rec, m), tau).values), lag)
-                for m in rec.series.metrics
-            }
-            want.setdefault(rec.features.task_name, []).append((feats, rec.runtime_seconds))
-        got = trev_history(records, tau, lag)
-        assert repr(got) == repr(want)
+            stats = [
+                trev(strip_padding(downsample(metric_series(rec, m), tau).values), lag)
+                if m in rec.series.metrics else 0.0
+                for m in ALL_METRICS
+            ]
+            want.setdefault(rec.features.task_name, CoMoments()).add(stats, rec.runtime_seconds)
+        got = trev_comoments(records, tau, lag)
+        assert sorted(got) == sorted(want)
+        for task, acc in got.items():
+            # the same inputs in the same order: every running sum bit for bit
+            state = [repr(np.asarray(v).tolist()) for v in vars(acc).values()]
+            assert state == [repr(np.asarray(v).tolist()) for v in vars(want[task]).values()]
 
 
 def _trained(storage_dir, records):
