@@ -348,7 +348,8 @@ class SequenceModel:
         Refreshes the running normalizers, then runs epochs_per_update passes,
         each clipped per metric by the global norm of that metric's gradients.
         Any failure restores every metric's parameters, normalizers and length
-        statistics; a non-finite result raises TrainingDivergedError.
+        statistics; a non-finite result raises TrainingDivergedError, and a
+        length statistic that would pass 2**63 - 1 ValueError.
 
         A pass whose n gradients' squares sum below lim**2 (1 - 1e-15 n) -
         1e-300, lim = min(clip_norm, 1e150), clips no metric: in any order, a
@@ -375,6 +376,9 @@ class SequenceModel:
             fenc, inputs, targets, lengths = self._training_data(fx, block, lengths)
             self.len_sum += lengths
             self.len_count += present[:, 0]
+            # both sides are at least 0, so a sum past 2**63 - 1 wraps below 0
+            if min(self.len_sum.min(), self.len_count.min()) < 0:
+                raise ValueError("a length statistic would pass 2**63 - 1, which restore refuses")
             M = self.n_metrics
             bound = min(self.clip_norm, 1e150) ** 2 * (1 - 1e-15 * self.flat_params.size) - 1e-300
             for _ in range(self.epochs_per_update):

@@ -252,6 +252,31 @@ def test_diverged_forecaster_update_leaves_bundle_unchanged(small_log):
     assert state() == before
 
 
+@pytest.mark.parametrize("stat", ["len_sum", "len_count"])
+def test_an_update_that_would_overflow_a_length_statistic_is_refused(tmp_path, small_log, stat):
+    """A loaded length statistic of 2**63 - 1 is valid, but no update may
+    wrap it past what restore reads back: the update is refused whole, and
+    the registry still saves a document that loads."""
+    records = small_log.read_all()
+    reg = Registry(storage_dir=tmp_path, config=PipelineConfig(target_tau=5))
+    for rec in records[:3]:
+        reg.observe_completion(rec, Scenario.time_series)
+    reg.save()
+    doc = json.loads((tmp_path / "index.json").read_text())
+    (saved,) = doc["bundles"]
+    saved["forecaster"][stat][0] = 2**63 - 1
+    (tmp_path / "index.json").write_text(json.dumps(doc))
+    reg = Registry.load(tmp_path)
+    bundle = reg.bundles[("align", Scenario.time_series)]
+    before = json.dumps(bundle.to_dict())
+    with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+        reg.observe_completion(records[3], Scenario.time_series)
+    assert json.dumps(bundle.to_dict()) == before
+    reg.save()
+    loaded = Registry.load(tmp_path).bundles[("align", Scenario.time_series)]
+    assert json.dumps(loaded.to_dict()) == before
+
+
 def test_observe_completes_on_samples_whose_trev_moments_overflow():
     # finite samples near the float64 maximum: d**2 and d**3 overflow, yet the
     # record is valid and its trev features must come out finite
