@@ -172,14 +172,13 @@ def cmd_select_features(args) -> int:
 
 
 def cmd_registry(args) -> int:
-    if args.action == "list":
-        registry = Registry.load(args.dir)
-        for (task, scenario), bundle in sorted(registry.bundles.items()):
-            print(
-                f"{task} {scenario.value}: {len(bundle.regressor)} instances, "
-                f"{bundle.forecaster.n_metrics if bundle.forecaster else 0} forecasters, "
-                f"{bundle.runtime_count} completions"
-            )
+    registry = Registry.load(args.dir)
+    for (task, scenario), bundle in sorted(registry.bundles.items()):
+        print(
+            f"{task} {scenario.value}: {len(bundle.regressor)} instances, "
+            f"{bundle.forecaster.n_metrics if bundle.forecaster else 0} forecasters, "
+            f"{bundle.runtime_count} completions"
+        )
     return 0
 
 

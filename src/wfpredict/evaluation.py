@@ -69,21 +69,20 @@ class EvalReport:
 
 
 def _score(pairs: List[Tuple[str, float, float]], scenario, tau, lag, mode) -> EvalReport:
-    actuals = [a for _, a, _ in pairs]
-    preds = [p for _, _, p in pairs]
-    per_task: Dict[str, float] = {}
-    for task in sorted({t for t, _, _ in pairs}):
-        ta = [a for t, a, _ in pairs if t == task]
-        tp = [p for t, _, p in pairs if t == task]
-        per_task[task] = rae(ta, tp)
+    # each task's pairs in arrival order: the order of its sums fixes the report's bits
+    by_task: Dict[str, Tuple[List[float], List[float]]] = {}
+    for task, a, p in pairs:
+        ta, tp = by_task.setdefault(task, ([], []))
+        ta.append(a)
+        tp.append(p)
     return EvalReport(
         scenario=scenario,
         tau=tau,
         lag=lag,
         mode=mode,
-        rae=rae(actuals, preds),
+        rae=rae([a for _, a, _ in pairs], [p for _, _, p in pairs]),
         n_predictions=len(pairs),
-        per_task=per_task,
+        per_task={task: rae(*by_task[task]) for task in sorted(by_task)},
     )
 
 

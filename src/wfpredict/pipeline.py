@@ -145,14 +145,14 @@ class PipelineConfig:
     epochs_per_update: int = 1
     clip_norm: float = 5.0
     seed: int = 0
-    # per-task metric selection; None means all 13 metrics
-    selected_metrics: Optional[Dict[str, Set[MetricKind]]] = None
+    # per task, its selected members in ALL_METRICS order; None means all 13
+    selected_metrics: Optional[Dict[str, Tuple[MetricKind, ...]]] = None
 
     def __post_init__(self):
         # each integer setting and its least value, if it has one; each must
         # fit an int64, as numpy takes the sizes among them
         for name, least in (("k", 1), ("window_capacity", 1), ("trev_lag", 1), ("target_tau", 1),
-                            ("epochs_per_update", 0), ("hidden_size", None), ("seed", None)):
+                            ("epochs_per_update", 0), ("hidden_size", 1), ("seed", None)):
             v = getattr(self, name)
             if v is None and name == "window_capacity":
                 continue
@@ -163,12 +163,14 @@ class PipelineConfig:
             v = getattr(self, name)
             if type(v) not in (int, float) or not 0 < v <= sys.float_info.max:
                 raise ValueError(f"{name} must be a finite number > 0, got {v!r}")
+        if self.selected_metrics is not None:
+            self.selected_metrics = {
+                t: tuple(sorted({MetricKind(v) for v in ms}, key=ALL_METRICS.index))
+                for t, ms in self.selected_metrics.items()
+            }
 
     def metrics_for(self, task_name: str) -> Tuple[MetricKind, ...]:
-        if self.selected_metrics is None or task_name not in self.selected_metrics:
-            return ALL_METRICS
-        chosen = self.selected_metrics[task_name]
-        return tuple(m for m in ALL_METRICS if m in chosen)
+        return (self.selected_metrics or {}).get(task_name, ALL_METRICS)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -180,11 +182,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "PipelineConfig":
-        cfg = cls(**{f.name: d[f.name] for f in dataclasses.fields(cls)})
-        if cfg.selected_metrics is not None:
-            sel = cfg.selected_metrics.items()
-            cfg.selected_metrics = {t: {MetricKind(v) for v in ms} for t, ms in sel}
-        return cfg
+        return cls(**{f.name: d[f.name] for f in dataclasses.fields(cls)})
 
 
 def _model_seed(base_seed: int, task_name: str, metric: str) -> int:
@@ -209,14 +207,9 @@ class TaskModelBundle:
         default_factory=dict, repr=False, compare=False
     )
 
-    @property
-    def agg_estimators(self) -> Mapping[MetricKind, InstanceWindow]:
-        """Empty: the aggregates live in the regressor's rows.
-
-        Kept for perfbench/replay.py (zero_range_dims), which counts the
-        windows it maps besides the regressor.
-        """
-        return MappingProxyType({})
+    # empty, as the aggregates live in the regressor's rows; perfbench/replay.py
+    # (zero_range_dims) counts the windows it maps besides the regressor
+    agg_estimators = MappingProxyType({})
 
     def to_dict(self) -> dict:
         return {

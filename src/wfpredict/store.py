@@ -115,15 +115,13 @@ class RecordLog:
     def records(self) -> Iterator[TaskExecutionRecord]:
         """Iterate records in arrival order; raises CorruptLogError at the
         first line that does not decode."""
-        delivered = 0
-        for buf, start, end in self._spans():
+        for delivered, (buf, start, end) in enumerate(self._spans()):
             try:
                 rec = _decode(buf, start, end)
             except ValueError as exc:
                 # DomainError, and a payload that is not whole float64s
                 raise CorruptLogError(self.path, delivered, str(exc))
             yield rec
-            delivered += 1
 
     def read_all(self) -> List[TaskExecutionRecord]:
         return list(self.records())

@@ -377,6 +377,33 @@ def test_select_features_rejects_bad_threshold(tmp_path, gen_log):
     assert rc == 1
 
 
+@pytest.mark.parametrize("flag", ["--tau", "--lag"])
+def test_select_features_refuses_a_tau_or_lag_below_1_in_one_line(tmp_path, gen_log, capsys, flag):
+    out = tmp_path / "sel.json"
+    rc = main([
+        "select-features", "--log", str(gen_log), flag, "0",
+        "--threshold", "0.5", "--out", str(out),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --tau and --lag must be >= 1\n"
+    assert not out.exists()
+
+
+def test_select_features_leaves_out_a_task_with_a_single_record(tmp_path, capsys):
+    """A correlation needs 2 records: a task seen once gets no entry."""
+    log = RecordLog(tmp_path / "log.jsonl")
+    log.extend([make_record(runtime=r) for r in (6.0, 9.0, 7.0)]
+               + [make_record(runtime=8.0, task_name="merge", task_id="merge")])
+    out = tmp_path / "sel.json"
+    rc = main([
+        "select-features", "--log", str(log.path), "--tau", "1",
+        "--threshold", "0.5", "--out", str(out),
+    ])
+    assert rc == 0
+    assert list(json.loads(out.read_text(encoding="utf-8"))) == ["align"]
+    assert capsys.readouterr().out.startswith("align: selected ")
+
+
 def test_sweep_emits_one_report_per_configuration(tmp_path, gen_log):
     out_dir = tmp_path / "sweep"
     rc = main([

@@ -189,6 +189,11 @@ def test_series_block_validation():
         SeriesBlock(**{**ok, "samples": [1.0, 2.0, float("nan")]})
 
 
+def test_series_block_refuses_a_metric_name_that_cannot_be_hashed():
+    with pytest.raises(DomainError, match="^unknown metric: unhashable type: 'list'"):
+        SeriesBlock(1, [["utime"]], [1], [1.0])
+
+
 def test_prediction_requires_positive_runtime():
     with pytest.raises(DomainError):
         Prediction(runtime_seconds=0.0, scenario=Scenario.baseline, task_name="t")

@@ -142,6 +142,15 @@ def test_task_type_spec_validation():
         )
 
 
+@pytest.mark.parametrize("tasks, n_records, error", [
+    ((), 5, "generator needs at least one task type"),
+    (standard_corpus_config().tasks, 0, "n_records must be >= 1"),
+])
+def test_generator_config_needs_a_task_type_and_a_record(tasks, n_records, error):
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        GeneratorConfig(tasks=tasks, n_records=n_records)
+
+
 def test_run_online_scores_every_record(small_log):
     report = run_online(small_log, Scenario.baseline, tau=5, lag=2, seed=0)
     assert report.n_predictions == small_log.count
@@ -187,6 +196,13 @@ def test_run_batch_offline_split(small_log):
     assert report.mode == "batch(0.5)"
     with pytest.raises(ValueError):
         run_batch_offline(small_log, Scenario.baseline, d=1.5)
+
+
+@pytest.mark.parametrize("d", [0.001, 0.008])
+def test_run_batch_offline_refuses_a_fraction_that_leaves_no_training_record(small_log, d):
+    error = f"d={d} leaves an empty train or test side for 120 records"
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        run_batch_offline(small_log, Scenario.baseline, d=d)
 
 
 @pytest.mark.parametrize("scenario, overrides, field", [

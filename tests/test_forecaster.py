@@ -926,6 +926,47 @@ def test_diverged_update_rolls_back_parameters():
     assert json.dumps(model.to_dict()) == before
 
 
+def test_a_floating_point_failure_in_an_update_diverges_and_rolls_back():
+    """numpy raises FloatingPointError under an errstate of "raise": the
+    update is rolled back whole and reported as a divergence."""
+    model = SequenceModel(input_dim=1, seeds=(2, 3))
+    model.update_all([1.0], *_block([(1.0, 2.0), (4.0,)]))
+    before = json.dumps(model.to_dict())
+
+    def fail(*args):
+        raise FloatingPointError("overflow encountered in multiply")
+
+    model._gradients = fail
+    with pytest.raises(TrainingDivergedError, match="^floating point failure during update") as e:
+        model.update_all([3.0], *_block([(0.0, 9.0, 2.0), (7.0, 1.0)]))
+    assert isinstance(e.value.__cause__, FloatingPointError)
+    del model._gradients
+    assert json.dumps(model.to_dict()) == before
+
+
+@pytest.mark.parametrize("kw, error", [
+    (dict(seeds=()), "need one or more seeds and one metric each, got 0 seeds"),
+    (dict(seeds=(4, 5), metrics=(MetricKind.utime,)),
+     "need one or more seeds and one metric each, got 2 seeds"),
+    # PipelineConfig refuses it first; a direct caller meets this check
+    (dict(hidden_size=0), "hidden_size must be >= 1, got 0"),
+])
+def test_the_bank_refuses_a_shape_it_cannot_build(kw, error):
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        SequenceModel(input_dim=2, **kw)
+
+
+def test_an_update_of_another_row_count_is_refused_and_rolls_back():
+    """A one-row block broadcasts over both normalizers, which move before
+    the row count is checked; the refusal restores them."""
+    model = SequenceModel(input_dim=2, seeds=(4, 5))
+    model.update_all([1.0, 2.0], *_block([(1.0, 2.0), (3.0,)]))
+    before = json.dumps(model.to_dict())
+    with pytest.raises(ValueError, match="^1 series for 2 metrics$"):
+        model.update_all([5.0, -2.0], *_block([(9.0, -4.0)]))
+    assert json.dumps(model.to_dict()) == before
+
+
 @pytest.mark.parametrize("f, error", [
     ([1.0], ValueError),
     ([1.0, 2.0, 3.0], ValueError),

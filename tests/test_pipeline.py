@@ -122,6 +122,74 @@ def test_config_refuses_a_float_setting_that_is_not_a_finite_positive_number(fie
     assert getattr(PipelineConfig(**{field: 2}), field) == 2
 
 
+@pytest.mark.parametrize("value", [0, -3])
+def test_config_refuses_a_hidden_size_below_1(value):
+    """Such a config once replayed cold-start answers and failed only at the
+    first forecaster update."""
+    with pytest.raises(ValueError, match="^hidden_size must be >= 1 and an integer"):
+        PipelineConfig(hidden_size=value)
+
+
+def test_registry_load_refuses_a_saved_hidden_size_below_1(tmp_path, small_log):
+    """Even a registry of baseline bundles, which build no forecaster."""
+    reg = Registry(storage_dir=tmp_path, config=PipelineConfig(target_tau=5))
+    for rec in small_log.read_all()[:5]:
+        reg.observe_completion(rec, Scenario.baseline)
+    reg.save()
+    doc = json.loads((tmp_path / "index.json").read_text(encoding="utf-8"))
+    assert [b["scenario"] for b in doc["bundles"]] == ["baseline"]
+    doc["config"]["hidden_size"] = 0
+    (tmp_path / "index.json").write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^malformed registry in {tmp_path}: "):
+        Registry.load(tmp_path)
+
+
+def test_selected_metrics_take_one_form_however_they_are_given():
+    """Names or members, in a list or a set, in any order: each task holds
+    the tuple of its members in ALL_METRICS order, and the configs are equal."""
+    u, v = MetricKind.utime, MetricKind.vmRSS
+    given = [{"align": {u, v}}, {"align": ["vmRSS", "utime"]}, {"align": {"utime", v}},
+             {"align": (m for m in (v, u))}, {"align": [v, u, "vmRSS"]}]
+    configs = [PipelineConfig(target_tau=5, selected_metrics=sel) for sel in given]
+    for cfg in configs:
+        assert cfg.selected_metrics == {"align": (u, v)}
+        assert cfg == configs[0] == PipelineConfig.from_dict(cfg.to_dict())
+        assert cfg.to_dict()["selected_metrics"] == {"align": ["utime", "vmRSS"]}
+        assert cfg.metrics_for("align") == (u, v) and cfg.metrics_for("other") == ALL_METRICS
+    every = PipelineConfig(selected_metrics={"align": [m.value for m in reversed(ALL_METRICS)]})
+    assert every.metrics_for("align") == ALL_METRICS
+
+
+@pytest.mark.parametrize("selected", [{"align": {"bogus"}}, {"align": "utime"}, {"align": [None]}])
+def test_config_refuses_a_selection_that_names_no_metric(selected):
+    with pytest.raises(ValueError, match="is not a valid MetricKind"):
+        PipelineConfig(selected_metrics=selected)
+
+
+def test_a_time_series_replay_selected_by_name_saves_and_loads(tmp_path, small_log):
+    """A selection given as names, as select-features writes them; the save
+    once raised AttributeError after the whole replay."""
+    records = small_log.read_all()
+    config = PipelineConfig(target_tau=5, selected_metrics={"align": ["utime", "vmRSS"]})
+    reg = Registry(storage_dir=tmp_path, config=config)
+    for rec in records[:60]:
+        reg.predict_task(rec.features, Scenario.time_series)
+        reg.observe_completion(rec, Scenario.time_series)
+    assert reg.bundles[("align", Scenario.time_series)].forecaster.metrics == (
+        MetricKind.utime, MetricKind.vmRSS)
+    reg.save()
+    loaded = Registry.load(tmp_path)
+    assert loaded.config == config
+    for rec in records[60:]:
+        want = reg.predict_task(rec.features, Scenario.time_series).runtime_seconds
+        assert loaded.predict_task(rec.features, Scenario.time_series).runtime_seconds == want
+
+
+def test_a_registry_without_a_storage_directory_refuses_to_save():
+    with pytest.raises(ValueError, match="^registry has no storage directory$"):
+        Registry().save()
+
+
 def test_cold_start_prediction_policy():
     reg = Registry(config=PipelineConfig())
     rec = make_record(runtime=40.0, n=40)
