@@ -255,8 +255,6 @@ class SequenceModel:
         """Normalized teacher-forcing arrays for one example: fenc (M, F),
         inputs and targets (M, T), and each metric's length. fx is the
         feature array that _feature_values returned."""
-        if len(block) != self.n_metrics:
-            raise ValueError(f"{len(block)} series for {self.n_metrics} metrics")
         fenc = self.feat_norm.scale(fx)
         targets = self.value_norm.scale(block.T).T
         # one-step-ahead: a zero start token, then each observed value
@@ -358,6 +356,8 @@ class SequenceModel:
         learning_rate, the exact clip's step at scale 1.0; NaN or inf go exact.
         """
         fx = self._feature_values(f)
+        if len(block) != self.n_metrics:
+            raise ValueError(f"{len(block)} series for {self.n_metrics} metrics")
         lengths = np.asarray(lengths)
         present = (lengths > 0)[:, None]
         vn, fn = self.value_norm, self.feat_norm

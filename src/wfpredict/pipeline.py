@@ -84,9 +84,21 @@ def _trevs(block: np.ndarray, lengths: Sequence[int], lag: int) -> tuple:
     return tuple(trev_rows(block, strip_padding_rows(block, lengths), lag).tolist())
 
 
-# each monitoring scenario's row statistic: its columns' name prefix, and the
-# function of a block (observed, or a forecast rollout) that fills those columns
-_STATISTICS = {Scenario.two_stages: ("agg_", _aggregates), Scenario.time_series: ("trev_", _trevs)}
+def _sigma(f: PreRuntimeFeatures, code) -> tuple:
+    """encode_pre_runtime, looked up at each call, so that a wrapper set on it sees each one."""
+    return encode_pre_runtime(f, code)
+
+
+# each scenario's row encoder and the pre-runtime columns it gives; its statistic
+# (a column prefix and the function of an observed or forecast block) or None; and
+# its query's statistic source: None, "neighbor" (the nearest row) or "forecast"
+_SCENARIOS = {
+    # baseline codes input_name alone, so that its registry codes no task name or id
+    Scenario.baseline: (lambda f, code: (float(code("input_name", f.input_name)),),
+                        ("input_name",), None, None),
+    Scenario.two_stages: (_sigma, PRE_RUNTIME_FEATURE_NAMES, ("agg_", _aggregates), "neighbor"),
+    Scenario.time_series: (_sigma, PRE_RUNTIME_FEATURE_NAMES, ("trev_", _trevs), "forecast"),
+}
 
 
 class CoMoments:
@@ -164,6 +176,9 @@ class PipelineConfig:
             if type(v) not in (int, float) or not 0 < v <= sys.float_info.max:
                 raise ValueError(f"{name} must be a finite number > 0, got {v!r}")
         if self.selected_metrics is not None:
+            for t, ms in self.selected_metrics.items():
+                if isinstance(ms, str):
+                    raise ValueError(f"the selection of {t!r} is a string {ms!r}, not metrics")
             self.selected_metrics = {
                 t: tuple(sorted({MetricKind(v) for v in ms}, key=ALL_METRICS.index))
                 for t, ms in self.selected_metrics.items()
@@ -198,7 +213,7 @@ class TaskModelBundle:
     scenario: Scenario
     # the kNN window of runtimes; the two_stages stage 1 reads its rows too
     regressor: InstanceWindow
-    # time_series: one forecaster over the selected metrics, None when none are selected
+    # for a "forecast" source, one forecaster over the selected metrics, None if none are selected
     forecaster: Optional[SequenceModel] = None
     runtime_count: int = 0
     # encoded query -> the Prediction predict_task gave for it; observe clears
@@ -234,27 +249,19 @@ class Registry:
     # -- bundle management -------------------------------------------------
 
     def _new_bundle(self, task_name: str, scenario: Scenario) -> TaskModelBundle:
-        """An untrained bundle built from the config, on first observe and on
-        load; with _STATISTICS, the one place that lays out its window's rows
-        and picks the source of a query's statistic columns."""
+        """An untrained bundle laid out by its scenario's _SCENARIOS row and the
+        config, on first observe and on load."""
         cfg = self.config
-        metrics = cfg.metrics_for(task_name)
-        if scenario == Scenario.baseline:
-            schema = ("input_name",)
-        else:
-            prefix = _STATISTICS[scenario][0]
-            schema = PRE_RUNTIME_FEATURE_NAMES + tuple(prefix + m.value for m in metrics)
-        # a two_stages query names the pre-runtime columns only: the window
-        # completes it with the aggregates of the row nearest to it on those
-        width = len(PRE_RUNTIME_FEATURE_NAMES) if scenario == Scenario.two_stages else None
-        bundle = TaskModelBundle(
-            task_name=task_name,
-            scenario=scenario,
-            regressor=InstanceWindow(schema, cfg.window_capacity, width),
-        )
-        if scenario == Scenario.time_series and metrics:
+        _, columns, statistic, source = _SCENARIOS[scenario]
+        metrics = cfg.metrics_for(task_name) if statistic else ()
+        schema = columns + tuple(statistic[0] + m.value for m in metrics)
+        # a "neighbor" query names only the pre-runtime columns; the nearest row completes it
+        width = len(columns) if source == "neighbor" else None
+        regressor = InstanceWindow(schema, cfg.window_capacity, width)
+        bundle = TaskModelBundle(task_name, scenario, regressor)
+        if source == "forecast" and metrics:
             bundle.forecaster = SequenceModel(
-                input_dim=len(PRE_RUNTIME_FEATURE_NAMES),
+                input_dim=len(columns),
                 hidden_size=cfg.hidden_size,
                 learning_rate=cfg.learning_rate,
                 epochs_per_update=cfg.epochs_per_update,
@@ -285,10 +292,8 @@ class Registry:
         # table's length, which another task's observe can grow. Each value in
         # it is an int as a float or a positive VM size, so no two equal keys
         # differ in a bit (as 0.0 and -0.0 would)
-        if scenario == Scenario.baseline:
-            key = query = (float(self.vocab.lookup("input_name", f.input_name)),)
-        else:
-            key = query = sigma = encode_pre_runtime(f, self.vocab.lookup)
+        encode, _, statistic, _ = _SCENARIOS[scenario]
+        key = query = sigma = encode(f, self.vocab.lookup)
         answer = bundle.answers.get(key)
         if answer is not None:
             return answer
@@ -296,7 +301,7 @@ class Registry:
         if bundle.forecaster is not None:
             if any(bundle.regressor.ranges()[len(sigma):].tolist()):
                 block, horizons = bundle.forecaster.forecast_all(sigma)
-                query = sigma + _STATISTICS[scenario][1](block, horizons, self.config.trev_lag)
+                query = sigma + statistic[1](block, horizons, self.config.trev_lag)
             else:
                 # no statistic column is live, so none can move a distance:
                 # skip the forecast and read every statistic as 0.0
@@ -321,12 +326,10 @@ class Registry:
         bundle = self.bundles.get(key) or self._new_bundle(*key)
         # first, so an observe refused or half applied leaves no stale answer
         bundle.answers.clear()
-        if scenario == Scenario.baseline:
-            row = (float(self.vocab.code("input_name", rec.features.input_name)),)
-        else:
-            # encoded before downsampling, so a record whose series fail still
-            # leaves its codes in the vocabulary
-            sigma = encode_pre_runtime(rec.features, self.vocab.code)
+        encode, _, statistic, _ = _SCENARIOS[scenario]
+        # encoded first, so a record whose series fail still leaves its codes
+        row = sigma = encode(rec.features, self.vocab.code)
+        if statistic:
             cfg = self.config
             metrics = cfg.metrics_for(rec.features.task_name)
             block, lengths = _observed_block(rec.series, metrics, cfg.target_tau)
@@ -334,7 +337,7 @@ class Registry:
             # it back whole, cannot leave a freshly added regressor instance
             if bundle.forecaster is not None:
                 bundle.forecaster.update_all(sigma, block, lengths)
-            row = sigma + _STATISTICS[scenario][1](block, lengths, cfg.trev_lag)
+            row = sigma + statistic[1](block, lengths, cfg.trev_lag)
         bundle.regressor.add(row, rec.runtime_seconds)
         bundle.runtime_count += 1
         self.bundles[key] = bundle

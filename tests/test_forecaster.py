@@ -956,14 +956,19 @@ def test_the_bank_refuses_a_shape_it_cannot_build(kw, error):
         SequenceModel(input_dim=2, **kw)
 
 
-def test_an_update_of_another_row_count_is_refused_and_rolls_back():
-    """A one-row block broadcasts over both normalizers, which move before
-    the row count is checked; the refusal restores them."""
+@pytest.mark.parametrize("series", [
+    # one row broadcasts over both normalizers
+    [(9.0, -4.0)],
+    # three rows broadcast over neither, and once met numpy's error first
+    [(9.0, -4.0), (1.0,), (2.0, 2.0)],
+])
+def test_an_update_of_another_row_count_is_refused_and_rolls_back(series):
+    """The row count is checked before the normalizers see the block."""
     model = SequenceModel(input_dim=2, seeds=(4, 5))
     model.update_all([1.0, 2.0], *_block([(1.0, 2.0), (3.0,)]))
     before = json.dumps(model.to_dict())
-    with pytest.raises(ValueError, match="^1 series for 2 metrics$"):
-        model.update_all([5.0, -2.0], *_block([(9.0, -4.0)]))
+    with pytest.raises(ValueError, match=f"^{len(series)} series for 2 metrics$"):
+        model.update_all([5.0, -2.0], *_block(series))
     assert json.dumps(model.to_dict()) == before
 
 

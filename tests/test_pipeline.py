@@ -160,10 +160,19 @@ def test_selected_metrics_take_one_form_however_they_are_given():
     assert every.metrics_for("align") == ALL_METRICS
 
 
-@pytest.mark.parametrize("selected", [{"align": {"bogus"}}, {"align": "utime"}, {"align": [None]}])
+@pytest.mark.parametrize("selected", [{"align": {"bogus"}}, {"align": [None]}])
 def test_config_refuses_a_selection_that_names_no_metric(selected):
     with pytest.raises(ValueError, match="is not a valid MetricKind"):
         PipelineConfig(selected_metrics=selected)
+
+
+@pytest.mark.parametrize("names", ["utime", ""])
+def test_config_refuses_a_selection_given_as_a_string(names):
+    """A string once read as its characters: "utime" was refused for 'u',
+    and "" taken as an empty selection."""
+    error = f"^the selection of 'align' is a string '{names}', not metrics$"
+    with pytest.raises(ValueError, match=error):
+        PipelineConfig(selected_metrics={"other": ["utime"], "align": names})
 
 
 def test_a_time_series_replay_selected_by_name_saves_and_loads(tmp_path, small_log):
@@ -210,6 +219,11 @@ def test_baseline_keys_on_input_name():
     qb = make_record(runtime=1.0, n=1, input_name="b", submission_hour=2).features
     assert reg.predict_task(qa, Scenario.baseline).runtime_seconds == 30.0
     assert reg.predict_task(qb, Scenario.baseline).runtime_seconds == 90.0
+    # baseline codes input_name alone, so its saved vocabulary holds no task
+    # name or id; a predict stores no code, even for unseen names
+    qc = make_record(runtime=1.0, n=1, task_id="unseen", input_name="c").features
+    assert reg.predict_task(qc, Scenario.baseline).runtime_seconds in (30.0, 90.0)
+    assert reg.vocab.codes == {"task_name": {}, "task_id": {}, "input_name": {"a": 0, "b": 1}}
 
 
 def test_scenarios_do_not_share_state():
@@ -582,6 +596,30 @@ def test_baseline_reads_no_series_and_encodes_no_pre_runtime_vector(small_log, m
     monkeypatch.setattr(pipeline_mod, "downsample_block", forbidden)
     monkeypatch.setattr(pipeline_mod, "encode_pre_runtime", forbidden)
     assert _online_predictions(records, Scenario.baseline, PipelineConfig(target_tau=5)) == want
+
+
+@pytest.mark.parametrize("scenario", [Scenario.two_stages, Scenario.time_series])
+def test_sigma_is_encoded_through_the_module_name_once_per_call(small_log, monkeypatch, scenario):
+    """The scenario table reaches encode_pre_runtime by this module's name at
+    each call, so a wrapper set there, as perfbench/layers.py sets one, sees
+    each observe and each predict, cached or not, encode sigma once."""
+    calls = []
+
+    def spy(f, code):
+        calls.append(code.__name__)
+        return encode_pre_runtime(f, code)
+
+    monkeypatch.setattr(pipeline_mod, "encode_pre_runtime", spy)
+    reg = Registry(config=PipelineConfig(target_tau=5))
+    for rec in small_log.read_all()[:12]:
+        reg.observe_completion(rec, scenario)
+        assert calls == ["code"]
+        # the observe cleared the answers, so the first predict runs uncached
+        # and the second is served from the cache, whose key is sigma
+        want = reg.predict_task(rec.features, scenario)
+        assert reg.predict_task(rec.features, scenario) is want
+        assert calls == ["code", "lookup", "lookup"]
+        calls.clear()
 
 
 def test_time_series_block_holds_only_the_selected_metrics(small_log, monkeypatch):
