@@ -32,6 +32,9 @@ class MetricKind(str, Enum):
     write_bytes = "write_bytes"
 
 
+# every metric, in the order that numbers them in the log and orders a selection
+ALL_METRICS = tuple(MetricKind)
+
 # name -> member; a member looks itself up too, as its name is its value
 _METRIC_BY_NAME = {m.value: m for m in MetricKind}
 
@@ -195,8 +198,6 @@ class TaskExecutionRecord:
 @dataclass(frozen=True)
 class Prediction:
     runtime_seconds: float
-    scenario: Scenario
-    task_name: str
 
     def __post_init__(self):
         if not (self.runtime_seconds > 0 and math.isfinite(self.runtime_seconds)):

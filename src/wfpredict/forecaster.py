@@ -30,17 +30,13 @@ import math
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
+# the C call np.einsum makes, without its Python dispatch (about 1 us a call)
+from numpy._core.multiarray import c_einsum as _einsum
 
 from .domain import DomainError, MetricKind, MetricSeries
 from .tsfeat import strip_padding
 
 _FLOAT_MAX = np.finfo(np.float64).max
-
-try:  # the C call np.einsum makes, without its Python dispatch (about 1 us a call)
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # numpy 1.x
-    _einsum = np.einsum
-
 
 _SCRATCH_CAP = 8 << 20  # bytes; 13 metrics at H 10 and T up to about 260
 _scratch, _carvings = np.empty(0), {}

@@ -17,6 +17,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .domain import (
+    ALL_METRICS,
     PRE_RUNTIME_FEATURE_NAMES,
     CategoryVocab,
     MetricKind,
@@ -36,8 +37,6 @@ from .tsfeat import strip_padding_rows, trev, trev_rows  # noqa: F401
 
 REGISTRY_MAGIC = "wfpredict-registry"
 REGISTRY_VERSION = 7
-
-ALL_METRICS: Tuple[MetricKind, ...] = tuple(MetricKind)
 
 # an aggregate is a consumption sum (>= 0) floored at a tiny epsilon, which is
 # also the aggregate of a metric the record lacks; the floor enters the
@@ -176,7 +175,13 @@ class PipelineConfig:
             if type(v) not in (int, float) or not 0 < v <= sys.float_info.max:
                 raise ValueError(f"{name} must be a finite number > 0, got {v!r}")
         if self.selected_metrics is not None:
+            if not isinstance(self.selected_metrics, Mapping):
+                raise ValueError("selected_metrics must map task names to metrics, "
+                                 f"got a {type(self.selected_metrics).__name__}")
             for t, ms in self.selected_metrics.items():
+                # a task's name is a str: another key would match no task, and load back as one
+                if not isinstance(t, str):
+                    raise ValueError(f"the selection key {t!r} is not a task name")
                 if isinstance(ms, str):
                     raise ValueError(f"the selection of {t!r} is a string {ms!r}, not metrics")
             self.selected_metrics = {
@@ -206,11 +211,9 @@ def _model_seed(base_seed: int, task_name: str, metric: str) -> int:
 
 @dataclass
 class TaskModelBundle:
-    """All models owned by one (task name, scenario) pair: learned state only,
-    every setting is the registry's config."""
+    """All models owned by one (task name, scenario) pair, its key in
+    Registry.bundles: learned state only, every setting is the registry's config."""
 
-    task_name: str
-    scenario: Scenario
     # the kNN window of runtimes; the two_stages stage 1 reads its rows too
     regressor: InstanceWindow
     # for a "forecast" source, one forecaster over the selected metrics, None if none are selected
@@ -228,8 +231,6 @@ class TaskModelBundle:
 
     def to_dict(self) -> dict:
         return {
-            "task_name": self.task_name,
-            "scenario": self.scenario.value,
             "runtime_count": self.runtime_count,
             "regressor": self.regressor.to_dict(),
             "forecaster": self.forecaster.to_dict() if self.forecaster else None,
@@ -258,7 +259,7 @@ class Registry:
         # a "neighbor" query names only the pre-runtime columns; the nearest row completes it
         width = len(columns) if source == "neighbor" else None
         regressor = InstanceWindow(schema, cfg.window_capacity, width)
-        bundle = TaskModelBundle(task_name, scenario, regressor)
+        bundle = TaskModelBundle(regressor)
         if source == "forecast" and metrics:
             bundle.forecaster = SequenceModel(
                 input_dim=len(columns),
@@ -287,7 +288,7 @@ class Registry:
         """
         bundle = self.bundles.get((f.task_name, scenario))
         if bundle is None:
-            return Prediction(runtime_seconds=1.0, scenario=scenario, task_name=f.task_name)
+            return Prediction(runtime_seconds=1.0)
         # the key is the encoded query, not f: an unseen category codes as its
         # table's length, which another task's observe can grow. Each value in
         # it is an int as a float or a positive VM size, so no two equal keys
@@ -307,7 +308,7 @@ class Registry:
                 # skip the forecast and read every statistic as 0.0
                 query = sigma + (0.0,) * (len(bundle.regressor.schema) - len(sigma))
         runtime = bundle.regressor.predict(query, k=self.config.k)
-        answer = Prediction(runtime_seconds=runtime, scenario=scenario, task_name=f.task_name)
+        answer = Prediction(runtime_seconds=runtime)
         if len(bundle.answers) >= _ANSWERS_CAP:
             bundle.answers.clear()
         bundle.answers[key] = answer
@@ -356,7 +357,8 @@ class Registry:
             "version": REGISTRY_VERSION,
             "vocab": self.vocab.to_dict(),
             "config": self.config.to_dict(),
-            "bundles": [self.bundles[key].to_dict() for key in sorted(self.bundles)],
+            "bundles": [{"task_name": t, "scenario": s.value, **self.bundles[t, s].to_dict()}
+                        for t, s in sorted(self.bundles)],
         }
         path = self.storage_dir / "index.json"
         tmp = path.with_name("index.json.tmp")
@@ -391,10 +393,11 @@ class Registry:
                 name, count = payload["task_name"], payload["runtime_count"]
                 if type(name) is not str:
                     raise ValueError(f"task name {name!r} is not a string")
-                bundle = reg._new_bundle(name, Scenario(payload["scenario"]))
-                if (name, bundle.scenario) in listed:
-                    raise ValueError(f"bundle {name!r} {bundle.scenario.value} is listed twice")
-                listed.add((name, bundle.scenario))
+                key = (name, Scenario(payload["scenario"]))
+                if key in listed:
+                    raise ValueError(f"bundle {name!r} {key[1].value} is listed twice")
+                listed.add(key)
+                bundle = reg._new_bundle(*key)
                 bundle.regressor.restore(payload["regressor"])
                 # every row held was once a completion; eviction only drops rows
                 if type(count) is not int or count < len(bundle.regressor):
@@ -404,7 +407,7 @@ class Registry:
                 if bundle.forecaster is not None:
                     bundle.forecaster.restore(payload["forecaster"])
                 if len(bundle.regressor):
-                    reg.bundles[(bundle.task_name, bundle.scenario)] = bundle
+                    reg.bundles[key] = bundle
         except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed registry in {storage_dir}: {exc!r}") from exc
         return reg

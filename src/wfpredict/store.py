@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .domain import (
-    DomainError, MetricKind, MetricSeries, PreRuntimeFeatures, SeriesBlock, TaskExecutionRecord,
+    ALL_METRICS, DomainError, MetricSeries, PreRuntimeFeatures, SeriesBlock, TaskExecutionRecord,
 )
 
 
@@ -59,8 +59,8 @@ class RecordLog:
     def __init__(self, path):
         self.path = Path(path)
 
-    def _spans(self) -> Iterator[Tuple[bytes, int, int]]:
-        """Each non-empty line as (line, 0, end), its newline excluded, split
+    def _spans(self) -> Iterator[Tuple[bytes, int]]:
+        """Each non-empty line as (line, end), its newline excluded, split
         by the file object through a _CHUNK-byte buffer. The first line that
         ends past the byte size taken at the start, as one that an append made
         since completes does, ends the read: so a last line without a newline
@@ -77,7 +77,7 @@ class RecordLog:
                     return
                 end = len(line) - line.endswith(b"\n")
                 if end:
-                    yield line, 0, end
+                    yield line, end
 
     @property
     def count(self) -> int:
@@ -115,9 +115,9 @@ class RecordLog:
     def records(self) -> Iterator[TaskExecutionRecord]:
         """Iterate records in arrival order; raises CorruptLogError at the
         first line that does not decode."""
-        for delivered, (buf, start, end) in enumerate(self._spans()):
+        for delivered, (line, end) in enumerate(self._spans()):
             try:
-                rec = _decode(buf, start, end)
+                rec = _decode(line, end)
             except ValueError as exc:
                 # DomainError, and a payload that is not whole float64s
                 raise CorruptLogError(self.path, delivered, str(exc))
@@ -134,9 +134,8 @@ class RecordLog:
 # metrics and of nl offsets, and each name's byte length; all little-endian.
 _FIXED = struct.Struct("<BdQddBBQBIIII")
 _LAYOUT = 1
-# a metric's id is its position in MetricKind
-_METRICS = tuple(MetricKind)
-_METRIC_ID = {m: i for i, m in enumerate(_METRICS)}
+# a metric's id is its position in ALL_METRICS
+_METRIC_ID = {m: i for i, m in enumerate(ALL_METRICS)}
 
 
 @lru_cache(maxsize=64)
@@ -144,7 +143,7 @@ def _metrics_of_ids(ids: bytes) -> tuple:
     """The members a header's metric ids name; cached, as the records of a
     log name few distinct lists."""
     try:
-        return tuple(map(_METRICS.__getitem__, ids))
+        return tuple(map(ALL_METRICS.__getitem__, ids))
     except IndexError:
         raise DomainError(f"unknown metric id in {list(ids)}") from None
 
@@ -171,19 +170,19 @@ def _encode(record: TaskExecutionRecord) -> bytes:
     return b2a_base64(header, newline=False) + b"\0" + raw.replace(b"\n", b"\0") + b"\n"
 
 
-def _decode(buf: bytes, start: int, end: int) -> TaskExecutionRecord:
-    """The record of the log line buf[start:end]: a base64 header, a NUL and
+def _decode(line: bytes, end: int) -> TaskExecutionRecord:
+    """The record of the log line line[:end]: a base64 header, a NUL and
     the payload."""
-    cut = buf.find(b"\0", start, end)  # base64 holds no NUL
+    cut = line.find(b"\0", 0, end)  # base64 holds no NUL
     if cut < 0:
         raise DomainError("no NUL after a header: not a line of the record log")
     try:
-        h = a2b_base64(buf[start:cut], strict_mode=True)
+        h = a2b_base64(line[:cut], strict_mode=True)
     except binascii.Error as exc:
         raise DomainError(f"header is not base64: {exc}") from None
     # strict mode leaves the unused bits of a padded last group unchecked
     tail = len(h) % 3
-    if tail and b2a_base64(h[-tail:], newline=False) != buf[cut - 4:cut]:
+    if tail and b2a_base64(h[-tail:], newline=False) != line[cut - 4:cut]:
         raise DomainError("header is not base64: its padding bits are set")
     if len(h) < _FIXED.size or h[0] != _LAYOUT:
         raise DomainError(f"not a header of layout {_LAYOUT}: {len(h)} bytes from {h[:1]!r}")
@@ -194,11 +193,10 @@ def _decode(buf: bytes, start: int, end: int) -> TaskExecutionRecord:
     if len(h) != names_at + a + b + c:
         raise DomainError(
             f"a header of {len(h)} bytes, where its counts make {names_at + a + b + c}")
-    # the payload, copied into bytes of its own so the samples hold no header
-    # bytes alive; writable only where newlines are put back
-    payload = buf[cut + 1:end]
+    # the payload, copied once into bytes of its own so the samples hold no
+    # header bytes alive; writable only where newlines are put back
+    payload = bytearray(memoryview(line)[cut + 1:end]) if n else line[cut + 1:end]
     if n:
-        payload = bytearray(payload)
         raw = np.frombuffer(payload, np.uint8)
         nl = np.frombuffer(h, "<u4", n, nl_at)
         if nl[-1] >= raw.size or np.count_nonzero(nl[1:] <= nl[:-1]):

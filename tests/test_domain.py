@@ -196,7 +196,7 @@ def test_series_block_refuses_a_metric_name_that_cannot_be_hashed():
 
 def test_prediction_requires_positive_runtime():
     with pytest.raises(DomainError):
-        Prediction(runtime_seconds=0.0, scenario=Scenario.baseline, task_name="t")
+        Prediction(runtime_seconds=0.0)
 
 
 def test_vocab_assigns_first_seen_codes():

@@ -3,8 +3,12 @@
 import dataclasses
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +177,17 @@ def test_config_refuses_a_selection_given_as_a_string(names):
     error = f"^the selection of 'align' is a string '{names}', not metrics$"
     with pytest.raises(ValueError, match=error):
         PipelineConfig(selected_metrics={"other": ["utime"], "align": names})
+
+
+@pytest.mark.parametrize("selected, error", [
+    # a key of 1 once matched no task, and saved and loaded back as "1"
+    ({"align": ["utime"], 1: ["utime"]}, "^the selection key 1 is not a task name$"),
+    # a list of pairs once raised AttributeError for its missing items()
+    ([("align", ["utime"])], "^selected_metrics must map task names to metrics, got a list$"),
+], ids=["int-key", "list-of-pairs"])
+def test_config_refuses_a_selection_not_keyed_by_task_name(selected, error):
+    with pytest.raises(ValueError, match=error):
+        PipelineConfig(selected_metrics=selected)
 
 
 def test_a_time_series_replay_selected_by_name_saves_and_loads(tmp_path, small_log):
@@ -1038,3 +1053,17 @@ def test_a_full_answer_cache_is_cleared_whole(monkeypatch, small_log):
     for n, rec in zip((1, 2, 1), records[10:]):
         reg.predict_task(rec.features, Scenario.two_stages)
         assert len(answers) == n
+
+
+def test_importing_the_pipeline_loads_neither_evaluation_nor_the_cli():
+    """The package root imports no module, so a fresh interpreter that imports
+    the pipeline compiles and runs neither the evaluation harness nor the CLI."""
+    src = Path(pipeline_mod.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, wfpredict.pipeline; print(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "wfpredict.pipeline" in loaded
+    assert not loaded & {"wfpredict.evaluation", "wfpredict.cli"}

@@ -602,7 +602,7 @@ def _oracle_records(path):
     """records() over the oracle's lines: each line decoded on its own."""
     for delivered, line in enumerate(_lines_before(path)):
         try:
-            rec = store_mod._decode(line, 0, len(line))
+            rec = store_mod._decode(line, len(line))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorruptLogError(path, delivered, str(exc))
         yield rec
