@@ -66,8 +66,6 @@ def cmd_generate(args) -> int:
     if args.records < 1:
         raise ValueError(f"--records must be >= 1, got {args.records}")
     out = Path(args.out)
-    if out.exists():
-        raise ValueError(f"refusing to append to existing log: {out}")
     cfg = standard_corpus_config(n_records=args.records)
     generate_synthetic(cfg, seed=args.seed, path=out)
     print(f"generated {cfg.n_records} records into {out}")

@@ -193,79 +193,46 @@ _RAMP_EXPONENTS = (1.0, 2.0, 4.0, 7.0)
 _SAMPLE_NOISE = 0.002
 
 
-# per-second reading level for each metric as a multiple of the task runtime;
-# procs and threads are absolute counts
-_LEVEL_FACTORS = {
-    MetricKind.utime: 0.8,
-    MetricKind.stime: 0.1,
-    MetricKind.vmRSS: 100.0,
-    MetricKind.vmSize: 150.0,
-    MetricKind.syscr: 80.0,
-    MetricKind.syscw: 50.0,
-    MetricKind.rchar: 1000.0,
-    MetricKind.read_bytes: 900.0,
-    MetricKind.wchar: 400.0,
-    MetricKind.write_bytes: 350.0,
-    MetricKind.iowait: 0.05,
+# each metric's per-second reading: a "count" reads its factor, a "ramp" or a
+# "level" its factor times the task runtime. The steady profile holds every
+# reading constant, as a task in a resource steady state does; the curved one
+# turns each "ramp" into a noisy power law whose curvature follows the input,
+# and gives each "level" noise alone.
+_METRIC_MODEL = {
+    MetricKind.procs: ("count", 1.0),
+    MetricKind.stime: ("ramp", 0.1),
+    MetricKind.threads: ("count", 4.0),
+    MetricKind.utime: ("ramp", 0.8),
+    MetricKind.vmRSS: ("level", 100.0),
+    MetricKind.vmSize: ("level", 150.0),
+    MetricKind.iowait: ("level", 0.05),
+    MetricKind.rchar: ("ramp", 1000.0),
+    MetricKind.read_bytes: ("ramp", 900.0),
+    MetricKind.syscr: ("ramp", 80.0),
+    MetricKind.syscw: ("ramp", 50.0),
+    MetricKind.wchar: ("ramp", 400.0),
+    MetricKind.write_bytes: ("ramp", 350.0),
 }
-
-# metrics that behave like cumulative counters under the curved profile
-_RAMP_METRICS = frozenset(
-    {
-        MetricKind.utime,
-        MetricKind.stime,
-        MetricKind.syscr,
-        MetricKind.syscw,
-        MetricKind.rchar,
-        MetricKind.read_bytes,
-        MetricKind.wchar,
-        MetricKind.write_bytes,
-    }
-)
-
-
-def _series_values(
-    rng,
-    metric: MetricKind,
-    length: int,
-    runtime: float,
-    shape_exp: float,
-    profile: str,
-):
-    """Per-metric consumption values; levels track the runtime.
-
-    The steady profile emits exactly constant readings, matching tasks in a
-    resource steady state. The curved profile turns the counter metrics into
-    noisy power-law ramps whose curvature class follows shape_exp.
-    """
-    if metric is MetricKind.procs:
-        return np.ones(length)
-    if metric is MetricKind.threads:
-        return np.full(length, 4.0)
-    level = _LEVEL_FACTORS[metric] * runtime
-    if profile == "steady":
-        return np.full(length, level)
-    t = np.arange(length, dtype=float)
-    noise = 1.0 + _SAMPLE_NOISE * rng.standard_normal(length)
-    if metric in _RAMP_METRICS:
-        frac = (t + 1) / length
-        return np.abs(level * frac ** shape_exp * noise)
-    return np.abs(level * noise)
+# read in MetricKind order, which numbers a record's rows, whatever the table's order
+_KINDS = np.array([_METRIC_MODEL[m][0] for m in MetricKind])
+_FACTORS = np.array([_METRIC_MODEL[m][1] for m in MetricKind])
+_LIVE = _KINDS != "count"
 
 
 def generate_synthetic(config: GeneratorConfig, seed: int, path) -> RecordLog:
     """Emit an arrival-ordered record log, deterministic under the seed.
 
-    The records are appended: a path that already holds a log ends up with
-    both corpora, and a replay of it replays both. `wfpredict generate`
-    refuses such a path; a caller from Python must pass a fresh one."""
+    A path that already exists is refused, as appending would leave a log
+    holding both corpora; a bad seed is refused before the file is created."""
+    rng = np.random.default_rng(seed)
     log = RecordLog(path)
-    log.extend(_synthetic_records(config, seed))
+    if log.path.exists():
+        raise ValueError(f"refusing to append to existing log: {path}")
+    log.extend(_synthetic_records(config, rng))
     return log
 
 
-def _synthetic_records(config: GeneratorConfig, seed: int) -> Iterator[TaskExecutionRecord]:
-    rng = np.random.default_rng(seed)
+def _synthetic_records(config: GeneratorConfig, rng) -> Iterator[TaskExecutionRecord]:
     for _ in range(config.n_records):
         ts = config.tasks[int(rng.integers(len(config.tasks)))]
         input_idx = int(rng.integers(len(ts.input_names)))
@@ -293,15 +260,19 @@ def _synthetic_records(config: GeneratorConfig, seed: int) -> Iterator[TaskExecu
             submission_hour=hour,
         )
         length = min(int(runtime) + 1, 600)
-        shape_exp = _RAMP_EXPONENTS[input_idx % len(_RAMP_EXPONENTS)]
+        level = np.where(_LIVE, _FACTORS * runtime, _FACTORS)
+        block = np.repeat(level[:, None], length, axis=1)
+        if ts.series_profile == "curved":
+            shape_exp = _RAMP_EXPONENTS[input_idx % len(_RAMP_EXPONENTS)]
+            frac = np.arange(1, length + 1) / length
+            curve = np.where(_KINDS[_LIVE, None] == "ramp", frac ** shape_exp, 1.0)
+            noise = 1.0 + _SAMPLE_NOISE * rng.standard_normal((np.count_nonzero(_LIVE), length))
+            block[_LIVE] = np.abs(level[_LIVE, None] * curve * noise)
         series = SeriesBlock(
             tau=1,
             metrics=MetricKind,
             lengths=(length,) * len(MetricKind),
-            samples=np.concatenate([
-                _series_values(rng, m, length, runtime, shape_exp, ts.series_profile)
-                for m in MetricKind
-            ]),
+            samples=block.ravel(),
         )
         yield TaskExecutionRecord(features=features, series=series, runtime_seconds=runtime)
 

@@ -27,6 +27,18 @@ def test_generate_refuses_overwrite(gen_log):
     assert main(["generate", "--out", str(gen_log), "--records", "5"]) == 1
 
 
+def test_a_failed_generate_leaves_no_file_and_blocks_no_retry(tmp_path, capsys):
+    """A bad seed is refused before the log is opened, so no empty file is
+    left behind for the existing-path refusal to turn a retry away."""
+    out = tmp_path / "c.jsonl"
+    assert main(["generate", "--out", str(out), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+    assert main(["generate", "--out", str(out), "--records", "5"]) == 0
+    assert RecordLog(out).count == 5
+
+
 def test_generate_rejects_bad_count(tmp_path):
     assert main(["generate", "--out", str(tmp_path / "x.jsonl"), "--records", "0"]) == 1
 

@@ -1,8 +1,10 @@
 """RAE metric, online/batch evaluation runs, synthetic generator."""
 
+import ast
 import base64
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import random
@@ -98,6 +100,41 @@ def test_generator_output_bytes_are_pinned(tmp_path):
     # the log file's bytes, in the packed-header layout
     digest = hashlib.sha256((tmp_path / "g.jsonl").read_bytes()).hexdigest()
     assert digest == "a474a203bc48572a4d9f9f2d6a3d416db1287da87af34a7ea0c6ab24bf7ac3bb"
+
+
+def test_curved_generator_output_bytes_are_pinned(tmp_path):
+    # the curved profile draws sample noise and ramps the counters, which the
+    # steady corpus above never reaches
+    std = standard_corpus_config(n_records=40)
+    tasks = tuple(dataclasses.replace(t, series_profile="curved") for t in std.tasks)
+    generate_synthetic(GeneratorConfig(tasks=tasks, n_records=40), 7, tmp_path / "c.jsonl")
+    digest = hashlib.sha256((tmp_path / "c.jsonl").read_bytes()).hexdigest()
+    assert digest == "a7dc4013568d49d2ae0019eacd236a9c3411c70d21feb74e4208bb2410cf0954"
+
+
+def test_the_metric_model_states_every_metric_once():
+    # a key written twice in the table's literal would silently keep one line
+    tree = ast.parse(inspect.getsource(evaluation_mod))
+    table = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_METRIC_MODEL"
+    )
+    assert sorted(key.attr for key in table.keys) == sorted(m.name for m in MetricKind)
+    model = evaluation_mod._METRIC_MODEL
+    assert {kind for kind, _ in model.values()} == {"count", "ramp", "level"}
+    # the arrays follow MetricKind's order, which numbers a record's rows
+    assert [(str(k), float(f)) for k, f in zip(evaluation_mod._KINDS, evaluation_mod._FACTORS)] == [
+        model[m] for m in MetricKind
+    ]
+
+
+def test_generate_refuses_an_existing_path_and_leaves_it_unchanged(tmp_path):
+    path = tmp_path / "g.jsonl"
+    generate_synthetic(standard_corpus_config(n_records=5), 7, path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="refusing to append to existing log"):
+        generate_synthetic(standard_corpus_config(n_records=5), 8, path)
+    assert path.read_bytes() == before
 
 
 def test_generator_record_invariants(tmp_path):
