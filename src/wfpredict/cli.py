@@ -53,11 +53,8 @@ def _overrides(args) -> dict:
 
 
 def cmd_ingest(args) -> int:
-    src = Path(args.input)
-    if not src.is_file():
-        raise ValueError(f"unreadable input file: {src}")
     # every input record decodes before any is appended: a corrupt entry appends nothing
-    n = RecordLog(args.log).extend(RecordLog(src).read_all())
+    n = RecordLog(args.log).extend(RecordLog(args.input).read_all())
     print(f"ingested {n} records into {args.log}")
     return 0
 
@@ -65,6 +62,8 @@ def cmd_ingest(args) -> int:
 def cmd_generate(args) -> int:
     if args.records < 1:
         raise ValueError(f"--records must be >= 1, got {args.records}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     out = Path(args.out)
     cfg = standard_corpus_config(n_records=args.records)
     generate_synthetic(cfg, seed=args.seed, path=out)

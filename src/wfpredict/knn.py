@@ -11,7 +11,7 @@ from .domain import DomainError
 
 
 class EmptyWindowError(RuntimeError):
-    """No training data yet; callers fall back per pipeline policy."""
+    """A read of a window without rows; each window in a registry holds one."""
 
 
 class SchemaMismatchError(ValueError):

@@ -6,7 +6,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import sys
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from .store import downsample, downsample_block  # noqa: F401
 from .tsfeat import strip_padding_rows, trev, trev_rows  # noqa: F401
 
 REGISTRY_MAGIC = "wfpredict-registry"
-REGISTRY_VERSION = 7
+REGISTRY_VERSION = 8
 
 # an aggregate is a consumption sum (>= 0) floored at a tiny epsilon, which is
 # also the aggregate of a metric the record lacks; the floor enters the
@@ -152,9 +151,7 @@ class PipelineConfig:
     trev_lag: int = 2
     target_tau: int = 1
     hidden_size: int = 10
-    learning_rate: float = 0.01
     epochs_per_update: int = 1
-    clip_norm: float = 5.0
     seed: int = 0
     # per task, its selected members in ALL_METRICS order; None means all 13
     selected_metrics: Optional[Dict[str, Tuple[MetricKind, ...]]] = None
@@ -170,10 +167,6 @@ class PipelineConfig:
             if type(v) is not int or least is not None and v < least or not -2**63 <= v < 2**63:
                 at_least = "" if least is None else f">= {least} and "
                 raise ValueError(f"{name} must be {at_least}an integer an int64 holds, got {v!r}")
-        for name in ("learning_rate", "clip_norm"):
-            v = getattr(self, name)
-            if type(v) not in (int, float) or not 0 < v <= sys.float_info.max:
-                raise ValueError(f"{name} must be a finite number > 0, got {v!r}")
         if self.selected_metrics is not None:
             if not isinstance(self.selected_metrics, Mapping):
                 raise ValueError("selected_metrics must map task names to metrics, "
@@ -264,9 +257,7 @@ class Registry:
             bundle.forecaster = SequenceModel(
                 input_dim=len(columns),
                 hidden_size=cfg.hidden_size,
-                learning_rate=cfg.learning_rate,
                 epochs_per_update=cfg.epochs_per_update,
-                clip_norm=cfg.clip_norm,
                 seeds=[_model_seed(cfg.seed, task_name, m.value) for m in metrics],
                 metrics=metrics,
                 tau=cfg.target_tau,

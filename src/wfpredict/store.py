@@ -50,8 +50,9 @@ class RecordLog:
     is a corrupt entry. Re-opening a log yields the same records in the same
     order.
 
-    Opening reads nothing, and neither does `extend`; `count` scans the log
-    each time it is read. Single writer; a read takes the file's byte size
+    Opening reads nothing, and neither does `extend`, which creates the log;
+    `count` scans it each time it is read. A read of a log that does not exist
+    raises FileNotFoundError. Single writer; a read takes the file's byte size
     when it starts and stops before any line that ends past it, so it never
     observes an append made after it began, its own writer's included.
     """
@@ -65,11 +66,7 @@ class RecordLog:
         ends past the byte size taken at the start, as one that an append made
         since completes does, ends the read: so a last line without a newline
         is read only if the file ends there."""
-        try:
-            fh = open(self.path, "rb", buffering=_CHUNK)
-        except FileNotFoundError:
-            return
-        with fh:
+        with open(self.path, "rb", buffering=_CHUNK) as fh:
             left = os.fstat(fh.fileno()).st_size
             for line in fh:
                 left -= len(line)

@@ -33,7 +33,7 @@ def test_a_failed_generate_leaves_no_file_and_blocks_no_retry(tmp_path, capsys):
     out = tmp_path / "c.jsonl"
     assert main(["generate", "--out", str(out), "--seed", "-1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: --seed must be >= 0, got -1\n"
     assert not out.exists()
     assert main(["generate", "--out", str(out), "--records", "5"]) == 0
     assert RecordLog(out).count == 5
@@ -115,9 +115,22 @@ def test_ingest_of_a_log_into_itself_appends_its_records_once(tmp_path, gen_log)
     assert log.read_bytes() == gen_log.read_bytes() * 2
 
 
-def test_ingest_missing_input(tmp_path):
-    rc = main(["ingest", "--input", str(tmp_path / "no.jsonl"), "--log", str(tmp_path / "d.jsonl")])
-    assert rc == 1
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--input", "{log}", "--log", "{out}"],
+    ["eval-online", "--log", "{log}", "--out", "{out}"],
+    ["eval-batch", "--log", "{log}", "--d", "0.8", "--out", "{out}"],
+    ["replay-predict", "--log", "{log}"],
+    ["sweep", "--log", "{log}", "--out-dir", "{out}"],
+    ["select-features", "--log", "{log}", "--threshold", "0.5"],
+], ids=lambda argv: argv[0])
+def test_a_reading_command_refuses_a_missing_log(tmp_path, capsys, argv):
+    """All but ingest once read a missing log as an empty one: replay-predict
+    and select-features exited 0 with no output."""
+    log = tmp_path / "missing.jsonl"
+    assert main([a.format(log=log, out=tmp_path / "out") for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(log) in err and err.count("\n") == 1
+    assert not log.exists()
 
 
 def test_eval_online_writes_reports(tmp_path, gen_log):
@@ -520,10 +533,6 @@ def _set_bundle(scenario, key, value):
     return edit
 
 
-def _set_config(key, value):
-    return lambda doc: doc["config"].update({key: value})
-
-
 @pytest.mark.parametrize("edit", [
     pytest.param(_set_bundle("baseline", "task_name", lambda b: 7), id="task-name-7"),
     pytest.param(_set_bundle("two_stages", "task_name", lambda b: None), id="task-name-null"),
@@ -535,17 +544,12 @@ def _set_config(key, value):
                  id="runtime-count-a-float"),
     pytest.param(_set_bundle("two_stages", "runtime_count", lambda b: b["runtime_count"] - 1),
                  id="runtime-count-below-the-rows"),
-    pytest.param(_set_config("learning_rate", None), id="learning-rate-null"),
-    pytest.param(_set_config("learning_rate", True), id="learning-rate-true"),
-    pytest.param(_set_config("clip_norm", {}), id="clip-norm-an-object"),
-    pytest.param(_set_config("clip_norm", math.nan), id="clip-norm-nan"),
 ])
 def test_registry_list_reports_a_setting_or_bundle_field_of_another_type_in_one_line(
     tmp_path, capsys, saved_doc, edit
 ):
     """Each loaded before: a string runtime_count listed as "x completions",
-    a task name 7 died in a traceback, and a null learning rate failed only at
-    the next update."""
+    and a task name 7 died in a traceback."""
     assert all(len(b["regressor"]["rows"]) == b["runtime_count"] > 1 for b in saved_doc["bundles"])
     doc = json.loads(json.dumps(saved_doc))
     edit(doc)
@@ -692,11 +696,10 @@ def test_every_registry_leaf_mutant_is_refused_or_runs_and_saves_its_own_bytes(
                 continue
             accepted += 1
             reg.storage_dir = first
-            # a finite learning rate or parameter as large as 1e308 is taken
-            # like another: a gate it drives saturates, as exp overflows to inf,
-            # and an update it makes can diverge and be rolled back
-            diverges = value == 1e308 and kind in (
-                ("config", "learning_rate"), ("bundles", "*", "forecaster", "flat_params", "*"))
+            # a parameter as large as 1e308 is taken like another: a gate it
+            # drives saturates, as exp overflows to inf, and an update it makes
+            # can diverge and be rolled back
+            diverges = value == 1e308 and kind == ("bundles", "*", "forecaster", "flat_params", "*")
             quiet = dict(over="ignore", invalid="ignore") if diverges else {}
             for rec in records[10:14]:
                 try:

@@ -265,8 +265,9 @@ def test_runs_reject_out_of_range_settings(small_log, scenario, overrides, field
 
 
 def test_run_online_rejects_empty_log(tmp_path):
-    with pytest.raises(ValueError):
-        run_online(RecordLog(tmp_path / "none.jsonl"), Scenario.baseline)
+    (tmp_path / "empty.jsonl").touch()
+    with pytest.raises(ValueError, match="^log is empty$"):
+        run_online(RecordLog(tmp_path / "empty.jsonl"), Scenario.baseline)
 
 
 def test_time_series_run_matches_the_strided_oracle_bit_for_bit(tmp_path, monkeypatch):
@@ -317,8 +318,8 @@ def test_report_serialization_round_trip(small_log):
 # `pytest -s -k pinned_digests`, and paste the three hexdigests.
 _REPLAY_DIGESTS = {
     "predictions": "385ee35f6845f2aded2af2eca348fdee4a9b79a94de7d5ab0bdb435bd93d8bdb",
-    "index.json": "6f247bf2dbfa435234826275ff5cad2356a34afad1ead22c6eedeafbf72744ed",
-    "window_capacity=40": "ff54851b837c5666879072de8b6122d42ab575420cc573f7f3757f2cac3fe381",
+    "index.json": "55e28e75c3fcb1080b22aed83b003afb001e2722bbfba3b5ee35f8d830149d98",
+    "window_capacity=40": "c0e1df5ad4c34c3a3667e10dac908af904dfc440a5e23e03d6a3a7d4cee104da",
 }
 
 

@@ -559,10 +559,13 @@ def test_opening_reads_nothing_and_a_read_opens_the_log_once(tmp_path, monkeypat
     assert opened == [path]
 
 
-def test_missing_log_iterates_empty(tmp_path):
+def test_a_missing_log_is_refused_where_it_is_read(tmp_path):
+    """A read once took a missing log for an empty one; extend creates it."""
     log = RecordLog(tmp_path / "absent.jsonl")
-    assert log.count == 0
-    assert log.read_all() == []
+    for read in (lambda: log.count, lambda: next(log.records()), log.read_all):
+        with pytest.raises(FileNotFoundError, match="absent.jsonl"):
+            read()
+    assert log.extend([]) == 0 and log.count == 0
 
 
 def _lines_before(path):
