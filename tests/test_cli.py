@@ -533,6 +533,10 @@ def _set_bundle(scenario, key, value):
     return edit
 
 
+def _set_config(key, value):
+    return lambda doc: doc["config"].update({key: value})
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(_set_bundle("baseline", "task_name", lambda b: 7), id="task-name-7"),
     pytest.param(_set_bundle("two_stages", "task_name", lambda b: None), id="task-name-null"),
@@ -544,12 +548,17 @@ def _set_bundle(scenario, key, value):
                  id="runtime-count-a-float"),
     pytest.param(_set_bundle("two_stages", "runtime_count", lambda b: b["runtime_count"] - 1),
                  id="runtime-count-below-the-rows"),
+    pytest.param(_set_config("seed", 1.5), id="seed-a-float"),
+    pytest.param(_set_config("trev_lag", None), id="trev-lag-null"),
+    pytest.param(_set_config("hidden_size", "4"), id="hidden-size-a-string"),
+    pytest.param(_set_config("window_capacity", True), id="window-capacity-true"),
 ])
 def test_registry_list_reports_a_setting_or_bundle_field_of_another_type_in_one_line(
     tmp_path, capsys, saved_doc, edit
 ):
-    """Each loaded before: a string runtime_count listed as "x completions",
-    and a task name 7 died in a traceback."""
+    """Each bundle field loaded before: a string runtime_count listed as
+    "x completions", and a task name 7 died in a traceback. A saved setting
+    is refused as PipelineConfig refuses it."""
     assert all(len(b["regressor"]["rows"]) == b["runtime_count"] > 1 for b in saved_doc["bundles"])
     doc = json.loads(json.dumps(saved_doc))
     edit(doc)

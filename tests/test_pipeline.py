@@ -114,6 +114,30 @@ def test_config_round_trip():
     assert len(again.metrics_for("other")) == 13
 
 
+@pytest.mark.parametrize("field", [
+    "k", "window_capacity", "trev_lag", "target_tau", "hidden_size", "epochs_per_update", "seed",
+])
+@pytest.mark.parametrize("value", [True, 1.0, "1", pytest.param(2**63, id="2**63")])
+def test_config_refuses_an_integer_setting_that_is_not_an_int64(field, value):
+    """numpy takes the sizes among them; a bool or a float would pass as a number."""
+    with pytest.raises(ValueError, match=f"^{field} must be .*an integer an int64 holds, got "):
+        PipelineConfig(**{field: value})
+    assert getattr(PipelineConfig(**{field: 2**63 - 1}), field) == 2**63 - 1
+
+
+def test_config_has_no_learning_rate_or_clip_norm_and_forecasters_take_their_own():
+    """The two were settable but set by no caller; each forecaster keeps
+    SequenceModel's defaults, the values the config once repeated."""
+    for field in ("learning_rate", "clip_norm"):
+        with pytest.raises(TypeError, match=field):
+            PipelineConfig(**{field: 0.5})
+    reg = Registry(config=PipelineConfig(target_tau=1, hidden_size=1))
+    for i in range(3):
+        reg.observe_completion(make_record(runtime=10.0 + i), Scenario.time_series)
+    forecaster = reg.bundles[("align", Scenario.time_series)].forecaster
+    assert (forecaster.learning_rate, forecaster.clip_norm) == (0.01, 5.0)
+
+
 @pytest.mark.parametrize("value", [0, -3])
 def test_config_refuses_a_hidden_size_below_1(value):
     """Such a config once replayed cold-start answers and failed only at the
