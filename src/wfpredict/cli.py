@@ -20,7 +20,7 @@ from .evaluation import (
     standard_corpus_config,
 )
 from .forecaster import TrainingDivergedError
-from .pipeline import ALL_METRICS, PipelineConfig, Registry, trev_comoments
+from .pipeline import ALL_METRICS, PipelineConfig, Registry, replace_file, trev_comoments
 from .store import RecordLog
 
 SWEEP_TAUS = (1, 5, 10, 15, 30)
@@ -28,9 +28,13 @@ SWEEP_LAGS = (2, 3)
 
 
 def _write_report(report: EvalReport, out_prefix: Path) -> None:
-    out_prefix.parent.mkdir(parents=True, exist_ok=True)
-    Path(str(out_prefix) + ".json").write_text(report.to_json() + "\n", encoding="utf-8")
-    Path(str(out_prefix) + ".txt").write_text(report.to_text(), encoding="utf-8")
+    replace_file(f"{out_prefix}.json", [report.to_json() + "\n"])
+    replace_file(f"{out_prefix}.txt", [report.to_text()])
+
+
+def _refuse_out_on_log(args) -> None:
+    if args.out and Path(args.out).resolve() == Path(args.log).resolve():
+        raise ValueError(f"--out {args.out} is the --log file; choose another path")
 
 
 def _add_common_eval_flags(p: argparse.ArgumentParser) -> None:
@@ -72,30 +76,23 @@ def cmd_generate(args) -> int:
 
 
 def cmd_replay_predict(args) -> int:
+    _refuse_out_on_log(args)
     log = RecordLog(args.log)
-    scenario = Scenario(args.scenario)
     registry = Registry(
         storage_dir=args.registry_dir,
         config=PipelineConfig(
             target_tau=args.tau, trev_lag=args.lag, seed=args.seed, **_overrides(args)
         ),
     )
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for rec, pred in prequential(registry, log.records(), scenario):
-            out.write(
-                json.dumps(
-                    {
-                        "task_name": rec.features.task_name,
-                        "predicted": pred.runtime_seconds,
-                        "actual": rec.runtime_seconds,
-                    }
-                )
-                + "\n"
-            )
-    finally:
-        if args.out:
-            out.close()
+    lines = (
+        json.dumps({"task_name": rec.features.task_name, "predicted": pred.runtime_seconds,
+                    "actual": rec.runtime_seconds}) + "\n"
+        for rec, pred in prequential(registry, log.records(), Scenario(args.scenario))
+    )
+    if args.out:
+        replace_file(args.out, lines)
+    else:
+        sys.stdout.writelines(lines)
     if args.registry_dir:
         registry.save()
     return 0
@@ -139,7 +136,6 @@ def cmd_sweep(args) -> int:
     if any(t < 1 for t in taus) or any(l < 1 for l in lags):
         raise ValueError("sweep taus and lags must be >= 1")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n = 0
     for scenario, tau, lag in itertools.product(scenarios, taus, lags):
         report = run_online(log, scenario, tau=tau, lag=lag, seed=args.seed)
@@ -150,6 +146,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_select_features(args) -> int:
+    _refuse_out_on_log(args)
     if not (0.0 <= args.threshold <= 1.0):
         raise ValueError(f"--threshold must be in [0, 1], got {args.threshold}")
     if args.tau < 1 or args.lag < 1:
@@ -164,7 +161,7 @@ def cmd_select_features(args) -> int:
         result[task] = {"rho": rho, "selected": selected}
         print(f"{task}: selected {selected}")
     if args.out:
-        Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+        replace_file(args.out, [json.dumps(result, indent=2) + "\n"])
     return 0
 
 

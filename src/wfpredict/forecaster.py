@@ -34,7 +34,7 @@ import numpy as np
 from numpy._core.multiarray import c_einsum as _einsum
 
 from .domain import DomainError, MetricKind, MetricSeries
-from .tsfeat import strip_padding
+from .tsfeat import strip_padding_rows
 
 _FLOAT_MAX = np.finfo(np.float64).max
 
@@ -471,9 +471,9 @@ class SequenceModel:
     def forecast(self, f: Sequence[float], n: Optional[int] = None) -> MetricSeries:
         """Autoregressive n-step forecast, denormalized and padding-stripped."""
         block, horizons = self.forecast_all(f, n)
-        preds = block[0, :horizons[0]].tolist()
+        kept = max(1, strip_padding_rows(block[:1], horizons[:1])[0])
         metric = self.metrics[0] or MetricKind.utime
-        return MetricSeries(metric, self.tau, tuple(strip_padding(preds) or preds[:1]))
+        return MetricSeries(metric, self.tau, tuple(block[0, :kept].tolist()))
 
     # -- persistence -------------------------------------------------------
 

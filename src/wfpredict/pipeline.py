@@ -230,6 +230,26 @@ class TaskModelBundle:
         }
 
 
+def replace_file(path, chunks: Iterable[str]) -> None:
+    """Write the chunks as UTF-8 to <path>.tmp, synced, then rename it over path.
+    path's directory is created once the first chunk is taken; a failure at any
+    point, the chunks' producer included, removes <path>.tmp and leaves path as it was."""
+    chunks = iter(chunks)
+    first = next(chunks, "")
+    tmp = Path(f"{path}.tmp")
+    tmp.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(first)
+            fh.writelines(chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 class Registry:
     """Holds one TaskModelBundle per (task name, scenario) and the shared
     category vocabulary; persists everything as one file in a storage directory."""
@@ -337,12 +357,10 @@ class Registry:
     # -- persistence -------------------------------------------------------
 
     def save(self) -> None:
-        """Write the registry as one JSON document, storage_dir/index.json: to
-        index.json.tmp first, synced to disk, then renamed over index.json, so a
-        save that fails at any point leaves the previous registry in place."""
+        """Write the registry as one JSON document, storage_dir/index.json, through
+        replace_file, so a save that fails at any point leaves the previous one."""
         if self.storage_dir is None:
             raise ValueError("registry has no storage directory")
-        self.storage_dir.mkdir(parents=True, exist_ok=True)
         doc = {
             "magic": REGISTRY_MAGIC,
             "version": REGISTRY_VERSION,
@@ -351,17 +369,7 @@ class Registry:
             "bundles": [{"task_name": t, "scenario": s.value, **self.bundles[t, s].to_dict()}
                         for t, s in sorted(self.bundles)],
         }
-        path = self.storage_dir / "index.json"
-        tmp = path.with_name("index.json.tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(doc))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        replace_file(self.storage_dir / "index.json", [json.dumps(doc)])
 
     @classmethod
     def load(cls, storage_dir) -> "Registry":

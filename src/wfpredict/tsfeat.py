@@ -1,9 +1,9 @@
-"""Time-reversal asymmetry feature extraction and zero-padding helpers."""
+"""Time-reversal asymmetry feature extraction and the zero-padding length helper."""
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -76,9 +76,3 @@ def strip_padding_rows(block: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     pos = np.arange(1, n + 1)
     kept = (block != 0.0) & (pos <= lengths[:, None])
     return np.maximum.reduce(np.where(kept, pos, 0), 1, initial=0)
-
-
-def strip_padding(values: Sequence[float]) -> List[float]:
-    """Drop trailing zeros; interior zeros are preserved."""
-    v = list(values)
-    return v[:int(strip_padding_rows(np.array([v], dtype=float), (len(v),))[0])]

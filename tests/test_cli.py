@@ -196,6 +196,66 @@ def test_replay_predict_streams_jsonl(tmp_path, gen_log):
     assert {"task_name", "predicted", "actual"} <= set(lines[0])
 
 
+def _corpus_with_a_corrupt_line(path, gen_log, index):
+    lines = gen_log.read_bytes().splitlines()
+    lines[index] = b"not a record"
+    return _write_log(path, lines)
+
+
+@pytest.mark.parametrize("corrupt", [None, 3], ids=["missing-log", "corrupt-4th-line"])
+def test_a_refused_replay_leaves_an_existing_out_as_it_was(tmp_path, gen_log, capsys, corrupt):
+    """The predictions reach --out only when the whole replay succeeds: a
+    refused one once left an existing file at 0 bytes."""
+    log = tmp_path / "log.jsonl"
+    if corrupt is not None:
+        _corpus_with_a_corrupt_line(log, gen_log, corrupt)
+    out = tmp_path / "p.jsonl"
+    out.write_bytes(b'{"kept": true}\n')
+    assert main(["replay-predict", "--log", str(log), "--tau", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_bytes() == b'{"kept": true}\n'
+    assert not (tmp_path / "p.jsonl.tmp").exists()
+
+
+@pytest.mark.parametrize("corrupt", [None, 0], ids=["missing-log", "corrupt-1st-line"])
+def test_a_replay_refused_before_its_first_record_creates_no_out_or_directory(
+    tmp_path, gen_log, corrupt
+):
+    log = tmp_path / "log.jsonl"
+    if corrupt is not None:
+        _corpus_with_a_corrupt_line(log, gen_log, corrupt)
+    out = tmp_path / "new_dir" / "p.jsonl"
+    assert main(["replay-predict", "--log", str(log), "--tau", "5", "--out", str(out)]) == 1
+    assert not (tmp_path / "new_dir").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["replay-predict", "--tau", "5", "--scenario", "baseline"],
+    ["select-features", "--tau", "5", "--threshold", "0.5"],
+], ids=lambda argv: argv[0])
+def test_an_out_in_a_directory_that_does_not_exist_creates_it(tmp_path, gen_log, argv):
+    out = tmp_path / "a" / "b" / "out.json"
+    assert main(argv + ["--log", str(gen_log), "--out", str(out)]) == 0
+    assert out.read_bytes() and [p.name for p in out.parent.iterdir()] == ["out.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["replay-predict", "--tau", "5"],
+    ["select-features", "--threshold", "0.5"],
+], ids=lambda argv: argv[0])
+def test_an_out_that_is_the_log_is_refused_with_the_log_intact(tmp_path, gen_log, capsys, argv):
+    """--out naming the --log file, by another spelling too, once emptied the log and exited 0."""
+    log = tmp_path / "c.jsonl"
+    log.write_bytes(gen_log.read_bytes())
+    for out in (log, tmp_path / "." / "c.jsonl"):
+        assert main(argv + ["--log", str(log), "--out", str(out)]) == 1
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith("error: --out ") and err.count("\n") == 1
+        assert "--log" in err
+        assert log.read_bytes() == gen_log.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
+
+
 def _line(rec):
     return log_line(header_of(rec), rec.series.samples)
 
@@ -442,6 +502,12 @@ def test_sweep_emits_one_report_per_configuration(tmp_path, gen_log):
         "baseline_tau5_lag2.json", "baseline_tau5_lag3.json",
     ]
     assert len(list(out_dir.glob("*.txt"))) == 4
+
+
+def test_a_refused_sweep_leaves_no_out_dir(tmp_path):
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--log", str(tmp_path / "missing.jsonl"), "--out-dir", str(out_dir)]) == 1
+    assert not out_dir.exists()
 
 
 def test_sweep_rejects_bad_grid(tmp_path, gen_log):

@@ -25,10 +25,11 @@ from wfpredict.evaluation import (
 from wfpredict.forecaster import SequenceModel, TrainingDivergedError
 from wfpredict.knn import InstanceWindow
 from wfpredict.pipeline import (
-    ALL_METRICS, REGISTRY_VERSION, CoMoments, PipelineConfig, Registry, trev_comoments,
+    ALL_METRICS, REGISTRY_VERSION, CoMoments, PipelineConfig, Registry, replace_file,
+    trev_comoments,
 )
 from wfpredict.store import downsample, downsample_block
-from wfpredict.tsfeat import strip_padding, trev
+from wfpredict.tsfeat import trev
 
 
 def metric_series(rec, m):
@@ -817,6 +818,14 @@ def test_time_series_forecasts_ranges_near_the_float64_maximum(monkeypatch):
     assert len(forecasts) == 58
 
 
+def _strip_trailing_zeros(values):
+    """values without their trailing zeros, by a plain loop independent of the library."""
+    end = len(values)
+    while end > 0 and values[end - 1] == 0.0:
+        end -= 1
+    return values[:end]
+
+
 def test_trev_comoments_match_the_per_metric_path(tmp_path):
     spec = dict(base_seconds=40.0, input_names=("i1", "i2"), input_scales=(1.0, 1.5),
                 series_profile="curved")
@@ -834,7 +843,7 @@ def test_trev_comoments_match_the_per_metric_path(tmp_path):
         want = {}
         for rec in records:
             stats = [
-                trev(strip_padding(downsample(metric_series(rec, m), tau).values), lag)
+                trev(_strip_trailing_zeros(downsample(metric_series(rec, m), tau).values), lag)
                 if m in rec.series.metrics else 0.0
                 for m in ALL_METRICS
             ]
@@ -915,6 +924,25 @@ def test_save_writes_one_file_and_an_interrupted_save_keeps_the_previous_one(
     monkeypatch.undo()
     assert [p.name for p in (tmp_path / "reg").iterdir()] == ["index.json"]
     assert predictions(Registry.load(tmp_path / "reg")) == saved
+
+
+def test_replace_file_keeps_the_target_when_the_producer_raises(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"before\n")
+
+    def chunks():
+        yield "a"
+        yield "b"
+        raise ValueError("producer failed")
+
+    with pytest.raises(ValueError, match="producer failed"):
+        replace_file(target, chunks())
+    assert target.read_bytes() == b"before\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    # a producer that finishes replaces the file, written as UTF-8
+    replace_file(target, ["é", "\n"])
+    assert target.read_bytes() == "é\n".encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 @pytest.mark.parametrize("version", [3, 4, 5, 6, 7])
