@@ -136,6 +136,8 @@ def cmd_sweep(args) -> int:
     if any(t < 1 for t in taus) or any(l < 1 for l in lags):
         raise ValueError("sweep taus and lags must be >= 1")
     out_dir = Path(args.out_dir)
+    if not next(p for p in (out_dir, *out_dir.absolute().parents) if p.exists()).is_dir():
+        raise ValueError(f"--out-dir {out_dir} is, or lies under, a file that is not a directory")
     n = 0
     for scenario, tau, lag in itertools.product(scenarios, taus, lags):
         report = run_online(log, scenario, tau=tau, lag=lag, seed=args.seed)

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-import sys
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,6 +61,19 @@ class DomainError(ValueError):
     """Invalid domain object or operation input."""
 
 
+# the largest magnitude of a sample, numeric feature or runtime, past any u64 counter:
+# checked where a value enters, so a range is at most 2B, a cube 8B**3 and a sum of n nB
+B = 2.0**64
+
+
+def check_within_b(values: Sequence[float], names: Iterable[str]) -> None:
+    """DomainError naming the first value outside [-B, B], NaN too, by names[i]."""
+    if not sum(map(abs, values)) <= B:  # as it is where one value is outside, NaN too
+        for name, v in zip(names, values):
+            if not abs(v) <= B:
+                raise DomainError(f"{name} {float(v)!r} is outside [-B, B], B = 2**64")
+
+
 # each integer feature, its least and greatest value; a float holds 2**53 exactly
 _INTEGER_FEATURES = (("vm_vcpus", 1, 2**53), ("submission_day", 0, 6), ("submission_hour", 0, 23))
 
@@ -88,11 +100,10 @@ class PreRuntimeFeatures:
                 raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {repr(v)[:20]}")
         for name in ("vm_memory", "vm_storage"):
             v = getattr(self, name)
-            if type(v) is int and 0 < v <= sys.float_info.max:
-                v = float(v)  # an int size is stored as the float it encodes to
-                object.__setattr__(self, name, v)
-            if type(v) is not float or not 0 < v < math.inf:
-                raise DomainError("vm_memory and vm_storage must be positive and finite numbers")
+            if type(v) not in (int, float) or not 0 < v <= B:
+                raise DomainError(f"{name} must be in (0, B], B = 2**64, got {repr(v)[:20]}")
+            if type(v) is int:  # held as the float it encodes to
+                object.__setattr__(self, name, float(v))
 
 
 @dataclass(frozen=True)
@@ -109,8 +120,7 @@ class MetricSeries:
         object.__setattr__(self, "values", tuple(map(float, self.values)))
         if not self.values:
             raise DomainError("stored series must be non-empty")
-        if not all(map(math.isfinite, self.values)):
-            raise DomainError(f"non-finite measurement in {self.metric.value} series")
+        check_within_b(self.values, repeat(f"{self.metric.value} sample"))
 
 
 class SeriesBlock:
@@ -147,10 +157,9 @@ class SeriesBlock:
         if samples.ndim != 1 or self._offsets[-1] != samples.size:
             raise DomainError(
                 f"lengths add up to {self._offsets[-1]} samples, the block holds {samples.size}")
-        finite = np.isfinite(samples)
-        if np.count_nonzero(finite) != finite.size:
-            row = np.searchsorted(self._offsets, np.argmin(finite), side="right") - 1
-            raise DomainError(f"non-finite measurement in {self.metrics[row].value} series")
+        if not np.maximum.reduce(np.abs(samples), initial=0.0) <= B:  # NaN too: maximum keeps it
+            check_within_b(samples.tolist(), (
+                f"{m.value} sample" for m, n in zip(self.metrics, lengths) for _ in range(n)))
 
     def row(self, m: MetricKind) -> Optional[np.ndarray]:
         """A read-only view of m's samples, None if the record lacks m."""
@@ -181,11 +190,11 @@ class TaskExecutionRecord:
 
     def __post_init__(self):
         rt = self.runtime_seconds
-        if type(rt) is int and 0 < rt <= sys.float_info.max:
+        if type(rt) is int and 0 < rt <= B:
             rt = float(rt)  # an int runtime is stored as the float it encodes to
             object.__setattr__(self, "runtime_seconds", rt)
-        if not isinstance(rt, float) or not 0 < rt < math.inf:
-            raise DomainError(f"runtime_seconds must be a positive number, got {repr(rt)[:20]}")
+        if not isinstance(rt, float) or not 0 < rt <= B:
+            raise DomainError(f"runtime_seconds must be in (0, B], B = 2**64, got {repr(rt)[:20]}")
         s = self.series
         longest = max(s.lengths) if s.lengths else 0
         if longest * s.tau > self.runtime_seconds + s.tau:

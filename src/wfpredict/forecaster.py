@@ -33,10 +33,8 @@ import numpy as np
 # the C call np.einsum makes, without its Python dispatch (about 1 us a call)
 from numpy._core.multiarray import c_einsum as _einsum
 
-from .domain import DomainError, MetricKind, MetricSeries
+from .domain import B, MetricKind, MetricSeries, check_within_b
 from .tsfeat import strip_padding_rows
-
-_FLOAT_MAX = np.finfo(np.float64).max
 
 _SCRATCH_CAP = 8 << 20  # bytes; 13 metrics at H 10 and T up to about 260
 _scratch, _carvings = np.empty(0), {}
@@ -83,18 +81,15 @@ class RunningMinMax:
         self._bind(np.full(shape, np.inf), np.full(shape, -np.inf))
 
     def _bind(self, lo: np.ndarray, hi: np.ndarray) -> None:
-        """Set the bounds and the terms scale and unscale read. Where hi - lo
-        overflows float64 (where half of it exceeds half the maximum) both work
-        on halved values; halving is exact, so a range that fits is kept."""
+        """Set the bounds and the terms scale and unscale read. A bound is within
+        [-B, B], or +inf (lo) and -inf (hi) where unobserved: a range is at most 2B."""
         self.lo, self.hi = lo, hi
-        f = self._f = np.where(hi * 0.5 - lo * 0.5 > _FLOAT_MAX * 0.5, 0.5, 1.0)
-        lo_f = lo * f
-        rng = hi * f - lo_f
-        self._seen = np.isfinite(rng) & (rng > 0)
+        rng = hi - lo
+        self._seen = rng > 0  # False where unobserved, as rng is -inf there
         self._den = np.where(self._seen, rng, 1.0)
         # where lo is unobserved, y * 1.0 + -0.0 gives back any y bit for bit
         observed = np.isfinite(lo)
-        self._lo, self._rng = np.where(observed, lo_f, -0.0), np.where(observed, rng, 1.0)
+        self._lo, self._rng = np.where(observed, lo, -0.0), np.where(observed, rng, 1.0)
 
     def observe(self, lo: np.ndarray, hi: np.ndarray):
         """Fold in observed element-wise bounds; +inf/-inf leave an element as is.
@@ -107,14 +102,14 @@ class RunningMinMax:
             self._bind(lo, hi)
 
     def scale(self, x: np.ndarray) -> np.ndarray:
-        return np.where(self._seen, (x * self._f - self._lo) / self._den, 0.0)
+        return np.where(self._seen, (x - self._lo) / self._den, 0.0)
 
     def unscale(self, y: np.ndarray) -> np.ndarray:
-        # inverse of scale along the trailing axes; an unobserved element passes
-        # y through, and a value past the float64 range saturates at its limit
+        # inverse of scale along the trailing axes; an unobserved element passes y
+        # through. y comes from the unbounded parameters: clamped at B, as inputs are
         with np.errstate(over="ignore"):
-            x = (y * self._rng + self._lo) / self._f
-        return np.minimum(np.maximum(x, -_FLOAT_MAX, out=x), _FLOAT_MAX, out=x)
+            x = y * self._rng + self._lo
+        return np.minimum(np.maximum(x, -B, out=x), B, out=x)
 
     def to_dict(self) -> dict:
         return {"lo": self.lo.tolist(), "hi": self.hi.tolist()}
@@ -237,12 +232,11 @@ class SequenceModel:
 
     def _feature_values(self, f: Sequence[float]) -> np.ndarray:
         """f, the input_dim encoded features, as a float array; ValueError for
-        another width, DomainError for a value that is not finite."""
+        another width, DomainError for a value outside [-B, B]."""
         x = np.asarray(f, dtype=float)
         if x.shape != (self.input_dim,):
             raise ValueError(f"feature shape {x.shape} != ({self.input_dim},)")
-        if not all(map(math.isfinite, f)):
-            raise DomainError("non-finite feature value")
+        check_within_b(f, map("feature {}".format, range(self.input_dim)))
         return x
 
     # -- training ----------------------------------------------------------
@@ -342,8 +336,9 @@ class SequenceModel:
         Refreshes the running normalizers, then runs epochs_per_update passes,
         each clipped per metric by the global norm of that metric's gradients.
         Any failure restores every metric's parameters, normalizers and length
-        statistics; a non-finite result raises TrainingDivergedError, and a
-        length statistic that would pass 2**63 - 1 ValueError.
+        statistics; a value outside [-B, B] raises DomainError, a non-finite
+        result TrainingDivergedError, and a length statistic that would reach
+        2**53 ValueError.
 
         A pass whose n gradients' squares sum below lim**2 (1 - 1e-15 n) -
         1e-300, lim = min(clip_norm, 1e150), clips no metric: in any order, a
@@ -364,17 +359,18 @@ class SequenceModel:
         )
         try:
             held = np.arange(block.shape[1]) < lengths[:, None]
-            vn.observe(
-                np.minimum.reduce(block, 1, where=held, initial=np.inf),
-                np.maximum.reduce(block, 1, where=held, initial=-np.inf),
-            )
+            lo = np.minimum.reduce(block, 1, where=held, initial=np.inf)
+            hi = np.maximum.reduce(block, 1, where=held, initial=-np.inf)
+            # each row's largest magnitude: 0.0 for an absent row, NaN for a NaN
+            check_within_b(np.maximum(np.maximum(hi, -lo), 0.0).tolist(),
+                           (f"{getattr(m, 'value', 'a')} series" for m in self.metrics))
+            vn.observe(lo, hi)
             fn.observe(np.where(present, fx, np.inf), np.where(present, fx, -np.inf))
             fenc, inputs, targets, lengths = self._training_data(fx, block, lengths)
             self.len_sum += lengths
             self.len_count += present[:, 0]
-            # both sides are at least 0, so a sum past 2**63 - 1 wraps below 0
-            if min(self.len_sum.min(), self.len_count.min()) < 0:
-                raise ValueError("a length statistic would pass 2**63 - 1, which restore refuses")
+            if max(self.len_sum.max(), self.len_count.max()) >= 2**53:
+                raise ValueError("a length statistic would reach 2**53, which restore refuses")
             M = self.n_metrics
             bound = min(self.clip_norm, 1e150) ** 2 * (1 - 1e-15 * self.flat_params.size) - 1e-300
             for _ in range(self.epochs_per_update):
@@ -413,12 +409,10 @@ class SequenceModel:
     # -- inference ---------------------------------------------------------
 
     def default_horizons(self) -> np.ndarray:
-        """Per metric: max(1, ceil(len_sum / max(len_count, 1))), the running mean
-        observed length rounded up as Python divides ints; numpy does so below 2**53."""
+        """Per metric: max(1, ceil(len_sum / max(len_count, 1))), the running mean observed
+        length rounded up as Python divides ints; update_all and restore keep both < 2**53."""
         s, n = self.len_sum, np.maximum(self.len_count, 1)
-        if np.bitwise_or.reduce(s) < 2**53:
-            return np.ceil(np.maximum(s, 1) / n).astype(np.int64)  # 1 where s is 0
-        return np.array([max(1, math.ceil(a / b)) for a, b in zip(s.tolist(), n.tolist())])
+        return np.ceil(np.maximum(s, 1) / n).astype(np.int64)  # 1 where s is 0
 
     def forecast_all(
         self, f: Sequence[float], n: Optional[int] = None
@@ -489,10 +483,10 @@ class SequenceModel:
         }
 
     def restore(self, d: dict) -> None:
-        """Take on the learned state to_dict wrote; ValueError if its parameter
-        count or a statistic's shape differs from this model's, a parameter is
-        not finite, or a length statistic is not a list of integers that an
-        int64 holds and that are not negative."""
+        """Take on the learned state to_dict wrote; ValueError if its parameter count
+        or a statistic's shape differs from this model's, a parameter is not finite,
+        a normalizer bound is past B and not unobserved (lo +inf, hi -inf), or a
+        length statistic is not a list of integers in [0, 2**53)."""
         saved = np.array(d["flat_params"], dtype=float)
         if saved.shape != self.flat_params.shape:
             raise ValueError(f"{saved.size} parameters, expected {self.flat_params.size}")
@@ -503,14 +497,18 @@ class SequenceModel:
         lens = []
         for k in ("len_sum", "len_count"):
             v = d[k]
-            if type(v) is not list or any(type(x) is not int or not 0 <= x < 2**63 for x in v):
-                raise ValueError(f"{k} is not a list of integers in [0, 2**63)")
+            if type(v) is not list or any(type(x) is not int or not 0 <= x < 2**53 for x in v):
+                raise ValueError(f"{k} is not a list of integers in [0, 2**53)")
             lens.append(np.array(v, dtype=np.int64))
         M, F = self.n_metrics, self.input_dim
         bounds = (value_norm.lo, value_norm.hi, feat_norm.lo, feat_norm.hi)
         shapes = [a.shape for a in (*bounds, *lens)]
         if shapes != [(M,), (M,), (M, F), (M, F), (M,), (M,)]:
             raise ValueError(f"normalizer and length statistics of shapes {shapes} for {M} metrics")
+        names = ("value_norm lo", "value_norm hi", "feat_norm lo", "feat_norm hi")
+        for name, v, unseen in zip(names, bounds, (np.inf, -np.inf) * 2):
+            if not ((np.abs(v) <= B) | (v == unseen)).all():
+                raise ValueError(f"a {name} bound is outside [-B, B], B = 2**64")
         # in place, so that every params[k] stays a view of the buffer
         self.flat_params[...] = saved
         self.value_norm, self.feat_norm = value_norm, feat_norm

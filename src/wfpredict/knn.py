@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .domain import DomainError
+from .domain import B, check_within_b
 
 
 class EmptyWindowError(RuntimeError):
@@ -23,14 +22,14 @@ class InstanceWindow:
     Euclidean distance.
 
     The schema, the names of a row's columns, is fixed at construction. A row
-    is a sequence of finite floats in schema order, and a target a positive
-    runtime; predict returns the mean runtime of the k nearest instances. A
-    query holds the schema's first query_width columns (all when None); a
-    narrower query is completed from the held row nearest to it on those
-    columns, which is how two_stages reads its aggregates; at k == 1 that
-    row is the answer (see predict). The per-feature min/max over the held
-    instances normalizes distances; zero-range dimensions contribute nothing
-    to distance. capacity=None means unbounded.
+    is a sequence of floats in [-B, B] (domain.B) in schema order, and a target
+    a runtime in (0, B]; predict returns the mean runtime of the k nearest
+    instances. A query holds the schema's first query_width columns (all when
+    None); a narrower query is completed from the held row nearest to it on
+    those columns, which is how two_stages reads its aggregates; at k == 1
+    that row is the answer (see predict). The per-feature min/max over the
+    held instances normalizes distances; zero-range dimensions contribute
+    nothing to distance. capacity=None means unbounded.
 
     The held instances are the rows [start, end) of one (rows, d) array, in
     arrival order. An add writes the next row; an eviction advances start.
@@ -57,8 +56,8 @@ class InstanceWindow:
         self._y = np.empty(0)
         self._start = 0
         self._end = 0
-        # (ranges, live, denom, halve) of the held rows; None until a query needs it
-        self._norm: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]] = None
+        # (ranges, live, denom) of the held rows; None until a query needs it
+        self._norm: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def __len__(self) -> int:
         return self._end - self._start
@@ -74,22 +73,21 @@ class InstanceWindow:
 
     def _checked(self, values: Sequence[float], width: int) -> np.ndarray:
         """values as a float array; SchemaMismatchError unless width wide, and
-        DomainError if one is not finite."""
+        DomainError, naming its column, for one outside [-B, B]."""
         x = np.asarray(values, dtype=float)
         if x.shape != (width,):
             raise SchemaMismatchError(
                 f"values of shape {x.shape} for the {width} columns {self.schema[:width]}"
             )
-        # on the values, not x: for a few floats, cheaper than np.isfinite
-        if not all(map(math.isfinite, values)):
-            raise DomainError("non-finite feature value")
+        if not sum(map(abs, values)) <= B:  # check_within_b's own test, saving a call a query
+            check_within_b(values, self.schema)
         return x
 
     def add(self, row: Sequence[float], target: float) -> Optional[Tuple[np.ndarray, float]]:
         """Append an instance; returns the evicted oldest one when over capacity.
         Refuses, with the window unchanged, what restore would refuse."""
-        if not (target > 0 and math.isfinite(target)):
-            raise ValueError(f"runtime must be positive, got {target}")
+        if not 0 < target <= B:
+            raise ValueError(f"runtime must be in (0, B], B = 2**64, got {target}")
         x = self._checked(row, len(self.schema))
         if self._end == len(self._X):
             self._make_room()
@@ -123,19 +121,13 @@ class InstanceWindow:
             self._norm = None
         self.lo, self.hi = lo, hi
 
-    def _normalization(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """ranges(), its live mask, its denominators (1.0 where dead), and None
-        or predict's column factors: 0.5 where a range overflows, as in RunningMinMax."""
+    def _normalization(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """ranges(), its live mask and its denominators (1.0 where dead)."""
         if self._norm is None:
             if not len(self):
                 raise EmptyWindowError("no training instances in window")
             mag = np.maximum(self.hi, -self.lo)  # max(|lo|, |hi|), as lo <= hi
-            far = max(mag.tolist(), default=0.0) > 2.0**1022  # else hi - lo cannot overflow
-            if far:
-                with np.errstate(over="ignore"):
-                    rng = self.hi - self.lo
-            else:
-                rng = self.hi - self.lo
+            rng = self.hi - self.lo  # at most 2B
             # a range smaller than float rounding noise on the stored values is
             # indistinguishable from a constant feature; treat it as zero-range
             # so it cannot blow up the normalized distance
@@ -143,11 +135,7 @@ class InstanceWindow:
             rng = np.where(rng > eps, rng, 0.0)
             rng.flags.writeable = False  # ranges() hands it out
             live = rng > 0
-            denom, halve = np.where(live, rng, 1.0), None
-            if far and math.inf in rng.tolist():
-                halve = np.where(rng == np.inf, 0.5, 1.0)
-                denom = np.where(halve < 1.0, self.hi * 0.5 - self.lo * 0.5, denom)
-            self._norm = (rng, live, denom, halve)
+            self._norm = (rng, live, np.where(live, rng, 1.0))
         return self._norm
 
     def ranges(self) -> np.ndarray:
@@ -173,17 +161,14 @@ class InstanceWindow:
           as its completion terms are >= 0 and rounded addition is monotone;
         - a row older than j has a stage-1 sum strictly larger than j's, or
           argmin would have taken it, so the full argmin is j too.
-        No term is NaN: a column whose range overflows is compared halved
-        (see _normalization). The padding argument fails at query widths
-        4-7, whose stage-1 sums numpy adds in one chain."""
+        No term is NaN, as every value is within B. The padding argument
+        fails at query widths 4-7, whose stage-1 sums numpy adds in one chain."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         w = self.query_width
         q = self._checked(query, w)
-        _, live, denom, halve = self._normalization()
+        _, live, denom = self._normalization()
         X = self._X[self._start:self._end]
-        if halve is not None:
-            q, X = q * halve[:w], X * halve
         # all rows are scored in one expression; each sum runs over a fresh
         # contiguous array, as numpy's pairwise row sums depend on the layout
         diff = np.where(live[:w], (q - X[:, :w]) / denom[:w], 0.0)
@@ -216,12 +201,12 @@ class InstanceWindow:
         rows, width = d["rows"], len(self.schema)
         X = np.array(rows, dtype=float) if len(rows) else np.empty((0, width))
         y = np.array(d["targets"], dtype=float)
-        if X.shape != (len(X), width) or y.shape != (len(X),) or not (
-            np.isfinite(X).all() and ((0 < y) & (y < np.inf)).all()
-        ):
-            raise ValueError(
-                f"{len(X)} rows need {width} finite features each and as many finite runtimes > 0"
-            )
+        if X.shape != (len(X), width) or y.shape != (len(X),):
+            raise ValueError(f"{len(X)} rows need {width} features each and as many targets")
+        if not (np.abs(X) <= B).all():
+            raise ValueError("rows hold a value outside [-B, B], B = 2**64")
+        if not ((0 < y) & (y <= B)).all():
+            raise ValueError("targets hold a runtime outside (0, B], B = 2**64")
         self.lo, self.hi = X.min(axis=0, initial=np.inf), X.max(axis=0, initial=-np.inf)
         self._X, self._y, self._start, self._end = X, y, 0, len(X)
         self._norm = None

@@ -68,11 +68,9 @@ def _aggregates(block: np.ndarray, lengths: Sequence[int], lag: int) -> tuple:
     _AGG_FLOOR; a metric the record lacks has an all-zero row, whose sum
     0.0 floors to _AGG_FLOOR. It takes _trevs' arguments and reads neither
     the lengths nor the lag."""
-    # accumulate adds each row left to right, as sum() over the series did;
-    # the zeros past a row's length leave its last running sum unchanged.
-    # A sum that overflows is inf, which the window's add refuses
-    with np.errstate(over="ignore"):
-        sums = np.add.accumulate(block.T)[-1] if block.shape[1] else np.zeros(len(block))
+    # accumulate adds each row left to right, as sum() over the series did, and the
+    # padding zeros keep its sum; a sum of means within B is finite (add refuses > B)
+    sums = np.add.accumulate(block.T)[-1] if block.shape[1] else np.zeros(len(block))
     return tuple(np.maximum(sums, _AGG_FLOOR).tolist())
 
 

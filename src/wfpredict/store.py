@@ -228,7 +228,8 @@ def downsample_block(
     is the largest count. target_tau must be an integer multiple of the
     interval; a trailing partial window is averaged over its actual members.
     A window's samples are added left to right, so each mean is bit for bit
-    that of a plain left-to-right sum.
+    that of a plain left-to-right sum. Samples within [-B, B] (domain.B), as
+    a SeriesBlock or MetricSeries holds them, have finite sums and means.
     """
     if target_tau < 1:
         raise StoreError(f"target_tau must be >= 1, got {target_tau}")
@@ -246,8 +247,6 @@ def downsample_block(
             rows = np.flatnonzero(n == L)
             block[rows, :-(-L // width)] = _window_means(
                 np.array([values[m] for m in rows], dtype=float), width)[0]
-    if not np.isfinite(block).all():
-        raise DomainError(f"non-finite window mean at target_tau {target_tau}")
     return block, lengths
 
 
@@ -261,18 +260,17 @@ def _window_means(values: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarra
     if width == 1:
         return np.array(values, dtype=float), np.full(M, T, dtype=np.int64)
     block = np.empty((M, T))
-    with np.errstate(over="ignore"):
-        # accumulate adds the members strictly in order, as a left-to-right
-        # sum does; reduce would add 8 or more of them pairwise
-        windows = values[:, :n - rest].reshape(M, full, width).transpose(2, 0, 1)
-        block[:, :full] = np.add.accumulate(windows)[-1]
-        den = width
-        if rest:
-            block[:, full] = np.add.accumulate(values[:, full * width:], axis=1)[:, -1]
-            den = np.full(T, float(width))
-            den[full] = rest
-        block += 0.0  # an all -0.0 window's sum is sum()'s 0.0
-        block /= den
+    # accumulate adds the members strictly in order, as a left-to-right
+    # sum does; reduce would add 8 or more of them pairwise
+    windows = values[:, :n - rest].reshape(M, full, width).transpose(2, 0, 1)
+    block[:, :full] = np.add.accumulate(windows)[-1]
+    den = width
+    if rest:
+        block[:, full] = np.add.accumulate(values[:, full * width:], axis=1)[:, -1]
+        den = np.full(T, float(width))
+        den[full] = rest
+    block += 0.0  # an all -0.0 window's sum is sum()'s 0.0
+    block /= den
     return block, np.full(M, T, dtype=np.int64)
 
 

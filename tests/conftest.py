@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from wfpredict.domain import MetricKind, PreRuntimeFeatures, SeriesBlock, TaskExecutionRecord
+from wfpredict.domain import B, MetricKind, PreRuntimeFeatures, SeriesBlock, TaskExecutionRecord
 from wfpredict.evaluation import (
     STANDARD_SEED,
     GeneratorConfig,
@@ -16,6 +16,8 @@ from wfpredict.evaluation import (
     standard_corpus_config,
 )
 from wfpredict.pipeline import CoMoments
+
+PAST_B = float(np.nextafter(B, np.inf))  # the least float past the domain bound B
 
 
 @pytest.fixture(scope="session")

@@ -7,10 +7,13 @@ import random
 import numpy as np
 import pytest
 
+import wfpredict.cli as cli_mod
 import wfpredict.store as store_mod
-from conftest import header_of, log_line, make_features, make_record, parse_line, series_block
+from conftest import (
+    PAST_B, header_of, log_line, make_features, make_record, parse_line, series_block,
+)
 from wfpredict.cli import main
-from wfpredict.domain import MetricKind, Scenario, TaskExecutionRecord
+from wfpredict.domain import B, MetricKind, Scenario, TaskExecutionRecord
 from wfpredict.forecaster import SequenceModel, TrainingDivergedError
 from wfpredict.pipeline import REGISTRY_VERSION, PipelineConfig, Registry
 from wfpredict.store import RecordLog
@@ -282,7 +285,7 @@ def test_a_non_finite_vm_memory_stops_every_scenario_at_decode(tmp_path, capsys)
     rc, out, err = runs[0]
     assert rc == 1 and len(out.splitlines()) == 1
     assert err.startswith(f"error: corrupt entry in {log} after 1 records")
-    assert "vm_memory and vm_storage must be positive and finite" in err
+    assert err.endswith(": vm_memory must be in (0, B], B = 2**64, got nan\n")
     assert err.count("\n") == 1
     assert main(["ingest", "--input", str(log), "--log", str(tmp_path / "copy.jsonl")]) == 1
     assert capsys.readouterr().err.count("\n") == 1
@@ -380,15 +383,42 @@ def test_a_record_without_series_reads_as_sampled_at_tau_in_every_command(tmp_pa
     assert capsys.readouterr().err == ""
 
 
-def test_an_overflowing_aggregate_is_one_error_line(tmp_path, capsys):
-    """Eight finite samples of 1e308 sum to inf: two_stages refuses the row
-    with one error line and no numpy warning."""
+def test_a_sample_past_b_is_one_error_line_in_every_scenario(tmp_path, capsys):
+    """Eight samples of 1e308, past the domain bound B, are a corrupt line:
+    every scenario prints the prediction before it and one error line naming
+    the series and B. Before, only two_stages stopped, as their sum, the
+    aggregate, overflowed; the other scenarios took the record."""
+    huge = make_record(runtime=10.0, n=8)
     log = _write_log(tmp_path / "huge.jsonl", [
-        _line(make_record(runtime=12.0, n=8)), _line(make_record(runtime=10.0, n=8, level=1e308))])
+        _line(make_record(runtime=12.0, n=8)),
+        log_line(header_of(huge), np.full(huge.series.samples.size, 1e308))])
+    runs = []
+    for scenario in Scenario:
+        rc = main(["replay-predict", "--log", str(log), "--scenario", scenario.value, "--tau", "1"])
+        runs.append((rc, *capsys.readouterr()))
+    assert runs[0] == runs[1] == runs[2]
+    rc, out, err = runs[0]
+    assert rc == 1 and len(out.splitlines()) == 1
+    assert err == (f"error: corrupt entry in {log} after 1 records: "
+                   "procs sample 1e+308 is outside [-B, B], B = 2**64\n")
+
+
+def test_an_aggregate_past_b_is_one_error_line(tmp_path, capsys):
+    """Four samples of 2**63, within B, add up to an aggregate of 2**65:
+    two_stages refuses the row where the window adds it, with one error line
+    naming the column and B and no numpy warning. The other scenarios read
+    no aggregate and take the record."""
+    log = _write_log(tmp_path / "big.jsonl", [
+        _line(make_record(runtime=12.0, n=8)),
+        _line(make_record(runtime=10.0, n=4, level=2.0**63))])
     rc = main(["replay-predict", "--log", str(log), "--scenario", "two_stages", "--tau", "1"])
     out, err = capsys.readouterr()
     assert rc == 1 and len(out.splitlines()) == 2
-    assert err == "error: non-finite feature value\n"
+    assert err == f"error: agg_procs {4 * 2.0**63!r} is outside [-B, B], B = 2**64\n"
+    for scenario in ("baseline", "time_series"):
+        rc = main(["replay-predict", "--log", str(log), "--scenario", scenario, "--tau", "1"])
+        out, err = capsys.readouterr()
+        assert rc == 0 and len(out.splitlines()) == 2 and err == ""
 
 
 def test_replay_predict_saves_registry(tmp_path, gen_log):
@@ -508,6 +538,28 @@ def test_a_refused_sweep_leaves_no_out_dir(tmp_path):
     out_dir = tmp_path / "sweep"
     assert main(["sweep", "--log", str(tmp_path / "missing.jsonl"), "--out-dir", str(out_dir)]) == 1
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_a_sweep_out_dir_at_or_under_a_file_is_refused_before_any_run(
+    tmp_path, gen_log, capsys, monkeypatch, under
+):
+    """An --out-dir that is, or lies under, a regular file is refused before
+    the first configuration runs, with one error line naming --out-dir; the
+    file keeps its bytes and nothing is created. Before, the first
+    configuration ran in full, and only then a bare "[Errno 17] File exists"."""
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"kept\n")
+    runs = []
+    monkeypatch.setattr(cli_mod, "run_online", lambda *args, **kwargs: runs.append(args))
+    out_dir = afile / "sub" if under else afile
+    rc = main(["sweep", "--log", str(gen_log), "--scenarios", "baseline", "--taus", "1",
+               "--lags", "2", "--out-dir", str(out_dir)])
+    out, err = capsys.readouterr()
+    assert (rc, out, runs) == (1, "", [])
+    assert err == f"error: --out-dir {out_dir} is, or lies under, a file that is not a directory\n"
+    assert afile.read_bytes() == b"kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 def test_sweep_rejects_bad_grid(tmp_path, gen_log):
@@ -646,6 +698,8 @@ def _set_forecaster(key, value):
     pytest.param(_set_forecaster("len_sum", 1e308), id="len-sum-1e308"),
     pytest.param(_set_forecaster("len_sum", math.inf), id="len-sum-inf"),
     pytest.param(_set_forecaster("len_sum", 2**63), id="len-sum-2**63"),
+    pytest.param(_set_forecaster("len_sum", 2**53), id="len-sum-2**53"),
+    pytest.param(_set_forecaster("len_count", 2**53), id="len-count-2**53"),
     pytest.param(_set_forecaster("len_sum", -1), id="len-sum-minus-1"),
     pytest.param(_set_forecaster("len_count", 1.0), id="len-count-a-float"),
     pytest.param(_set_forecaster("len_count", True), id="len-count-true"),
@@ -699,6 +753,20 @@ def test_registry_list_reports_state_that_does_not_fit_the_model_in_one_line(
 # each leaf of a saved registry is set to each of these in turn
 _LEAF_VALUES = [True, None, 0, -1, 2.5, 1e308, 10**400, "7", "", [], {}, math.nan]
 
+# a leaf that holds a model input or a length statistic: the name its refusal
+# gives, and the value just past its bound, which it is set to as well: B for
+# an input, 2**53 for a length; 1e308 is past both
+_BOUNDED_LEAVES = {
+    ("bundles", "*", "regressor", "rows", "*", "*"): ("rows", PAST_B),
+    ("bundles", "*", "regressor", "targets", "*"): ("targets", PAST_B),
+    ("bundles", "*", "forecaster", "value_norm", "lo", "*"): ("value_norm lo", PAST_B),
+    ("bundles", "*", "forecaster", "value_norm", "hi", "*"): ("value_norm hi", -PAST_B),
+    ("bundles", "*", "forecaster", "feat_norm", "lo", "*", "*"): ("feat_norm lo", -PAST_B),
+    ("bundles", "*", "forecaster", "feat_norm", "hi", "*", "*"): ("feat_norm hi", PAST_B),
+    ("bundles", "*", "forecaster", "len_sum", "*"): ("len_sum", 2**53),
+    ("bundles", "*", "forecaster", "len_count", "*"): ("len_count", 2**53),
+}
+
 
 def _leaf_kinds(doc):
     """One seeded position per kind of leaf: a leaf's path with its list
@@ -734,7 +802,9 @@ def test_every_registry_leaf_mutant_is_refused_or_runs_and_saves_its_own_bytes(
 ):
     """Each leaf kind of a saved registry, set to each value of a fixed list:
     the mutant is refused with its one error line, or it loads, predicts,
-    observes, saves and loads again, and a second save writes the same bytes."""
+    observes, saves and loads again, and a second save writes the same bytes.
+    A value past its leaf's bound (_BOUNDED_LEAVES) is refused, naming the leaf;
+    a parameter past B loads, as parameters are not inputs."""
     records = RecordLog(gen_log).read_all()
     # two metrics a task keep the document small, and put a selection in it
     selected = {rec.features.task_name: {MetricKind.utime, MetricKind.vmRSS}
@@ -754,14 +824,17 @@ def test_every_registry_leaf_mutant_is_refused_or_runs_and_saves_its_own_bytes(
                  ("version",): "unsupported registry version"}.get(
                      kind, f"malformed registry in {mutant_dir}")
         listed = False
-        for value in _LEAF_VALUES:
+        name, past_bound = _BOUNDED_LEAVES.get(kind, (None, None))
+        for value in _LEAF_VALUES + [past_bound] * (name is not None):
             doc = json.loads(saved)
             _at(doc, path, value)
             (mutant_dir / "index.json").write_text(json.dumps(doc), encoding="utf-8")
             where = f"{kind} = {value!r}"
+            past = name is not None and value in (past_bound, 1e308)
             try:
                 reg = Registry.load(mutant_dir)
             except ValueError as exc:
+                assert not past or name in str(exc), where
                 # the CLI prints the error as one line: each message is
                 # checked, and the first refusal of each kind is listed
                 assert str(exc).startswith(error) and "\n" not in str(exc), where
@@ -769,6 +842,7 @@ def test_every_registry_leaf_mutant_is_refused_or_runs_and_saves_its_own_bytes(
                     _assert_listing_fails_in_one_line(mutant_dir, capsys, doc, error)
                     listed = True
                 continue
+            assert not past, where
             accepted += 1
             reg.storage_dir = first
             # a parameter as large as 1e308 is taken like another: a gate it
@@ -789,3 +863,6 @@ def test_every_registry_leaf_mutant_is_refused_or_runs_and_saves_its_own_bytes(
             again.save()
             assert (first / "index.json").read_bytes() == (second / "index.json").read_bytes(), where
     assert len(kinds) > 25 and accepted
+    if scenario == "time_series":
+        assert set(_BOUNDED_LEAVES) <= set(kinds)
+        assert ("bundles", "*", "forecaster", "flat_params", "*") in kinds

@@ -7,9 +7,10 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
-from conftest import make_features, make_record, series_block
+from conftest import PAST_B, make_features, make_record, series_block
 from wfpredict.domain import (
     PRE_RUNTIME_FEATURE_NAMES,
+    B,
     CategoryVocab,
     DomainError,
     MetricKind,
@@ -66,11 +67,16 @@ def test_pre_runtime_features_refuse_a_value_of_another_type(field, value):
 
 
 @pytest.mark.parametrize("field", ["vm_memory", "vm_storage"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0])
-def test_pre_runtime_features_need_a_finite_positive_vm_shape(field, value):
-    with pytest.raises(DomainError, match="positive and finite"):
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), -float("inf"), -1.0, PAST_B, 1e308,
+    pytest.param(2**64 + 1, id="2**64+1"),
+])
+def test_pre_runtime_features_need_a_vm_shape_in_0_to_b(field, value):
+    """NaN, inf and a size past B are refused where the features are made,
+    naming the field and B."""
+    with pytest.raises(DomainError, match=rf"^{field} must be in \(0, B\], B = 2\*\*64, got"):
         make_features(**{field: value})
-    with pytest.raises(DomainError, match="positive and finite"):
+    with pytest.raises(DomainError, match=rf"^{field} must be in \(0, B\]"):
         PreRuntimeFeatures(**{**dataclasses.asdict(make_features()), field: value})
 
 
@@ -109,11 +115,32 @@ def test_record_rejects_nonpositive_runtime():
 
 @pytest.mark.parametrize("value", [
     "10.5", True, pytest.param(np.int64(10), id="int64"), float("nan"),
-    pytest.param(10**400, id="10**400"),
+    pytest.param(10**400, id="10**400"), float("inf"), PAST_B, 1e308,
+    pytest.param(2**64 + 1, id="2**64+1"),
 ])
-def test_record_refuses_a_runtime_that_is_not_a_positive_number(value):
-    with pytest.raises(DomainError, match="runtime_seconds must be a positive number"):
+def test_record_refuses_a_runtime_that_is_not_a_number_in_0_to_b(value):
+    with pytest.raises(DomainError, match=r"^runtime_seconds must be in \(0, B\], B = 2\*\*64"):
         make_record(runtime=value, n=1)
+
+
+def test_values_at_b_are_taken():
+    """B itself is within the bound: a VM size or a runtime of B, as a float or
+    as the int 2**64, which is held as its float, and samples of -B and B."""
+    f = make_features(vm_memory=2**64, vm_storage=B)
+    assert (f.vm_memory, f.vm_storage) == (B, B) and type(f.vm_memory) is float
+    assert make_record(runtime=2**64, n=1).runtime_seconds == B
+    block = SeriesBlock(1, ["utime", "stime"], [1, 2], [B, -B, 0.0])
+    assert block.row(MetricKind.stime).tolist() == [-B, 0.0]
+
+
+@pytest.mark.parametrize("value", [PAST_B, -PAST_B, 1e308, float("inf"), float("nan")])
+def test_a_sample_past_b_is_refused_naming_its_series_and_b(value):
+    """A sample outside [-B, B], NaN and inf included, is refused where the
+    block is made; the error names the first such sample's series."""
+    with pytest.raises(DomainError, match=r"^stime sample .* is outside \[-B, B\], B = 2\*\*64$"):
+        SeriesBlock(1, ["utime", "stime"], [2, 2], [1.0, B, 3.0, value])
+    with pytest.raises(DomainError, match=r"^utime sample .* is outside \[-B, B\]"):
+        MetricSeries(MetricKind.utime, 1, (1.0, value))
 
 
 def test_an_int_runtime_is_held_as_the_float_it_encodes_to():

@@ -9,8 +9,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import pytest
 
+from conftest import PAST_B
 from wfpredict import forecaster
-from wfpredict.domain import DomainError, MetricKind, MetricSeries
+from wfpredict.domain import B, DomainError, MetricKind, MetricSeries
 from wfpredict.forecaster import RunningMinMax, SequenceModel, TrainingDivergedError
 from wfpredict.pipeline import _model_seed
 
@@ -833,15 +834,14 @@ def test_forget_gate_bias_starts_at_one():
 
 def test_default_horizons_round_the_mean_length_up_as_python_does_in_every_state():
     """max(1, ceil(s / max(n, 1))) with Python's int / int, for sums and
-    counts over the whole range restore takes, counts of 0 among them."""
+    counts over the whole range restore takes, [0, 2**53), counts of 0 among them."""
     model = SequenceModel(input_dim=1, seeds=range(6))
     rng = np.random.default_rng(54)
-    edges = [0, 1, 2, 7, 2**52, 2**53 - 1, 2**53, 2**53 + 1, 10 * 2**50 + 1, 2**62, 2**63 - 1]
+    edges = [0, 1, 2, 7, 2**52, 2**53 - 2, 2**53 - 1, 10 * 2**50 + 1]
     for trial in range(400):
-        top = 2**53 if trial % 2 else 2**63  # every sum exact in float64, or not
-        s = [int(rng.choice(edges)) if rng.random() < 0.3 else int(rng.integers(0, top))
+        s = [int(rng.choice(edges)) if rng.random() < 0.3 else int(rng.integers(0, 2**53))
              for _ in range(6)]
-        n = [int(rng.choice([0, 1, 3, 2**50, 2**53 + 1, int(rng.integers(0, 2**63))]))
+        n = [int(rng.choice([0, 1, 3, 2**50, 2**53 - 1, int(rng.integers(0, 2**53))]))
              for _ in range(6)]
         if trial % 4 == 1:  # lengths as updates count them
             n = [int(rng.integers(0, 50)) for _ in range(6)]
@@ -979,10 +979,12 @@ def test_an_update_of_another_row_count_is_refused_and_rolls_back(series):
     ([math.nan, 2.0], DomainError),
     ([1.0, math.inf], DomainError),
     ([-math.inf, 2.0], DomainError),
+    ([PAST_B, 2.0], DomainError),
+    ([1.0, -1e308], DomainError),
 ])
 def test_features_are_checked_before_any_change(f, error):
     """update, forecast and loss refuse features of another width or with a
-    non-finite value, and an update refused so changes nothing."""
+    value outside [-B, B], and an update refused so changes nothing."""
     model = SequenceModel(input_dim=2, seeds=(4,))
     model.update([0.5, 1.5], _series([1.0, 3.0, 2.0]))
     before = json.dumps(model.to_dict())
@@ -992,6 +994,19 @@ def test_features_are_checked_before_any_change(f, error):
         model.forecast(f, 3)
     with pytest.raises(error):
         model.loss(f, _series([2.0, 1.0, 4.0]))
+    assert json.dumps(model.to_dict()) == before
+
+
+@pytest.mark.parametrize("value", [PAST_B, -1e308, math.inf, math.nan])
+def test_update_all_refuses_an_observed_value_past_b_before_any_change(value):
+    """A held value outside [-B, B] is refused, naming its metric's series and
+    B, with parameters, normalizers and length statistics as they were."""
+    model = SequenceModel(input_dim=2, seeds=(4, 5), metrics=(MetricKind.utime, MetricKind.stime))
+    model.update_all([0.5, 1.5], np.array([[1.0, 3.0, 2.0], [2.0, B, 0.0]]), np.array([3, 2]))
+    before = json.dumps(model.to_dict())
+    with pytest.raises(DomainError, match=r"^stime series .* is outside \[-B, B\], B = 2\*\*64$"):
+        block = np.array([[1.0, 2.0, 0.0], [3.0, value, 1.0]])
+        model.update_all([0.5, 1.5], block, np.array([2, 3]))
     assert json.dumps(model.to_dict()) == before
 
 
@@ -1010,12 +1025,12 @@ def test_running_min_max_unseen_dimension_maps_to_zero():
     assert np.array_equal(out, np.zeros(2))
 
 
-def test_running_min_max_matches_the_plain_formulas_on_ranges_that_fit():
-    # the formulas scale and unscale used before ranges near the float64 maximum
-    # were handled; every range that fits must give the same bits
+def test_running_min_max_matches_the_plain_formulas_on_ranges_within_b():
+    # bounds within [-B, B], as update_all and restore hold them: scale and
+    # unscale are the plain formulas, bit for bit, and no unscale here reaches B
     rng = np.random.default_rng(561)
     for _ in range(200):
-        exp = rng.integers(-320, 300)
+        exp = rng.integers(-320, 19)
         lo = rng.uniform(-1, 1, 7) * 10.0 ** exp
         hi = lo + rng.uniform(0, 2, 7) * 10.0 ** exp
         n = RunningMinMax(7)
@@ -1033,13 +1048,15 @@ def test_running_min_max_matches_the_plain_formulas_on_ranges_that_fit():
 
 
 def _terms(n):
-    return [getattr(n, k).tobytes() for k in ("lo", "hi", "_f", "_seen", "_den", "_lo", "_rng")]
+    return [getattr(n, k).tobytes() for k in ("lo", "hi", "_seen", "_den", "_lo", "_rng")]
 
 
 def test_running_min_max_observe_matches_the_rebinding_oracle_bit_for_bit():
+    """Bounds within [-B, B], or unobserved (a lo of +inf, a hi of -inf), as
+    update_all and restore hold them. Only a scale may overflow: B over a range
+    of 5e-324 is past the float64 maximum, as the bound limits values, not quotients."""
     rng = np.random.default_rng(563)
-    big = np.finfo(np.float64).max
-    pool = np.array([0.0, -0.0, np.inf, -np.inf, big, -big, 1.0, -1.0, 5e-324])
+    pool = np.array([0.0, -0.0, B, -B, 1.0, -1.0, 5e-324])
     for trial in range(200):
         shape = (3, 4) if trial % 2 else 5
         a, b = RunningMinMax(shape), RebindingMinMax(shape)
@@ -1047,16 +1064,17 @@ def test_running_min_max_observe_matches_the_rebinding_oracle_bit_for_bit():
             if step % 3 == 2:  # bounds already held: nothing moves
                 lo, hi = a.lo.copy(), a.hi.copy()
             else:
-                lo = np.where(rng.random(shape) < 0.5, rng.choice(pool, shape),
+                lo = np.where(rng.random(shape) < 0.5, rng.choice([*pool, np.inf], shape),
                               rng.uniform(-1e3, 1e3, shape))
-                hi = np.where(rng.random(shape) < 0.3, rng.choice(pool, shape), lo)
-            with np.errstate(over="ignore", invalid="ignore"):
-                a.observe(lo, hi)
-                b.observe(lo, hi)
-                x, y = rng.choice(pool, shape), rng.uniform(-2, 2, shape)
-                assert _terms(a) == _terms(b), (trial, step)
+                hi = np.where(rng.random(shape) < 0.3, rng.choice([*pool, -np.inf], shape), lo)
+                hi[lo == np.inf] = -np.inf  # an element is observed on both sides or neither
+            a.observe(lo, hi)
+            b.observe(lo, hi)
+            x, y = rng.choice(pool, shape), rng.uniform(-2, 2, shape)
+            assert _terms(a) == _terms(b), (trial, step)
+            with np.errstate(over="ignore"):
                 assert a.scale(x).tobytes() == b.scale(x).tobytes(), (trial, step)
-                assert a.unscale(y).tobytes() == b.unscale(y).tobytes(), (trial, step)
+            assert a.unscale(y).tobytes() == b.unscale(y).tobytes(), (trial, step)
 
 
 @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
@@ -1072,13 +1090,34 @@ def test_running_min_max_observe_keeps_the_sign_of_a_zero_bound(first, second):
     assert _terms(n) == _terms(RebindingMinMax.from_dict(n.to_dict()))
 
 
-def test_running_min_max_range_past_the_float64_maximum():
-    big = np.finfo(np.float64).max
+def test_running_min_max_range_of_2b_and_a_forecast_clamped_at_b():
+    """A range of 2B, the widest that bounds within [-B, B] make, scales as any
+    other; a forecast past B, inf or past the float64 maximum included, is
+    clamped at B without a warning, as an observed value is bounded by B."""
     n = RunningMinMax(2)
-    n.observe(np.array([-big, 0.0]), np.array([big, big]))
-    assert n.scale(np.array([-big, 0.0])).tolist() == [0.0, 0.0]
-    assert n.scale(np.array([big, big])).tolist() == [1.0, 1.0]
-    assert n.scale(np.array([0.0, big / 2])).tolist() == [0.5, 0.5]
-    assert n.unscale(np.array([0.5, 0.5])).tolist() == [0.0, big / 2]
-    # a forecast past the observed range saturates at the float64 limit
-    assert n.unscale(np.array([2.0, -2.0])).tolist() == [big, -big]
+    n.observe(np.array([-B, 0.0]), np.array([B, B]))
+    assert n.scale(np.array([-B, 0.0])).tolist() == [0.0, 0.0]
+    assert n.scale(np.array([B, B])).tolist() == [1.0, 1.0]
+    assert n.scale(np.array([0.0, B / 2])).tolist() == [0.5, 0.5]
+    assert n.unscale(np.array([0.5, 0.5])).tolist() == [0.0, B / 2]
+    assert n.unscale(np.array([2.0, -2.0])).tolist() == [B, -B]
+    assert n.unscale(np.array([1e308, -np.inf])).tolist() == [B, -B]
+    assert RunningMinMax(1).unscale(np.array([np.inf])).tolist() == [B]
+
+
+@pytest.mark.parametrize("key, side, value", [
+    ("value_norm", "lo", PAST_B), ("value_norm", "hi", -1e308), ("value_norm", "hi", np.inf),
+    ("feat_norm", "lo", -np.inf), ("feat_norm", "hi", PAST_B), ("feat_norm", "lo", np.nan),
+])
+def test_restore_refuses_a_normalizer_bound_past_b(key, side, value):
+    """A bound outside [-B, B] is refused, naming its normalizer and B, other
+    than an unobserved one (a lo of +inf, a hi of -inf), which a fresh model saves."""
+    model = SequenceModel(input_dim=2, seeds=(0, 1))
+    model.update_all([1.0, 2.0], np.array([[1.0, B], [-B, 0.0]]), np.array([2, 1]))
+    saved = json.loads(json.dumps(model.to_dict()))
+    again = SequenceModel(input_dim=2, seeds=(0, 1))
+    again.restore(json.loads(json.dumps(SequenceModel(input_dim=2, seeds=(0, 1)).to_dict())))
+    again.restore(saved)
+    saved[key][side][0] = value if key == "value_norm" else [value, 0.0]
+    with pytest.raises(ValueError, match=rf"^a {key} {side} bound is outside \[-B, B\], B = 2"):
+        again.restore(saved)

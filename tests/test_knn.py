@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from wfpredict.domain import DomainError
+from conftest import PAST_B
+from wfpredict.domain import B, DomainError
 from wfpredict.knn import EmptyWindowError, InstanceWindow, SchemaMismatchError
 
 
@@ -134,34 +135,40 @@ def test_rounding_level_range_counts_as_zero():
 
 
 @pytest.mark.parametrize("query_width", [None, 1])
-def test_a_range_past_the_float64_maximum_ranks_no_distance_as_nan(query_width):
-    """1e308 - -1e308 overflows, so each such column is compared halved, as
-    RunningMinMax scales a range that overflows: the row equal to the query
-    ranks first, where a NaN distance ranked first before. With query_width 1
-    the second column completes the query from the nearest row. ranges()
-    reports inf. No query warns, so with warnings as errors (the pytest
-    configuration) and no np.errstate each one answers."""
+def test_a_range_of_2b_ranks_every_distance_and_a_value_past_b_is_refused(query_width):
+    """Values at -B and B, the domain bound, span 2B, which a float64 holds: the
+    row equal to the query ranks first, and no query warns (warnings are errors
+    in the pytest configuration). With query_width 1 the second column completes
+    the query from the nearest row. A value past B, in a row or a query, is
+    refused where it enters, naming its column and B, and changes nothing."""
     dim = 1 if query_width is None else 2
     w = InstanceWindow(_names(dim), query_width=query_width)
-    w.add([1e308] * dim, 1.0)
-    w.add([-1e308] * dim, 2.0)
-    assert w.predict([1e308], k=1) == 1.0
-    assert w.predict([-1e308], k=1) == 2.0
+    w.add([B] * dim, 1.0)
+    w.add([-B] * dim, 2.0)
+    assert w.predict([B], k=1) == 1.0
+    assert w.predict([-B], k=1) == 2.0
     w.add([0.0] * dim, 3.0)  # halfway: nearer to either end than the ends are to each other
-    assert w.predict([6e307], k=1) == 1.0  # 0.4e308 from the first row, 0.6e308 from this
-    assert w.predict([1e308], k=2) == 2.0
-    assert w.predict([-1e308], k=2) == 2.5
-    assert w.ranges().tolist() == [math.inf] * dim
+    assert w.predict([0.6 * B], k=1) == 1.0  # 0.4B from the first row, 0.6B from this
+    assert w.predict([B], k=2) == 2.0
+    assert w.predict([-B], k=2) == 2.5
+    assert w.ranges().tolist() == [2 * B] * dim
+    state = (json.dumps(w.to_dict()), w.lo.tobytes(), w.hi.tobytes())
+    for bad in (PAST_B, -PAST_B, 1e308):
+        with pytest.raises(DomainError, match=r"^f0 .* is outside \[-B, B\], B = 2\*\*64$"):
+            w.add([bad] * dim, 4.0)
+        with pytest.raises(DomainError, match=r"^f0 .* is outside \[-B, B\]"):
+            w.predict([bad])
+    assert (json.dumps(w.to_dict()), w.lo.tobytes(), w.hi.tobytes()) == state
 
 
-def test_a_halved_column_weighs_its_differences_by_its_whole_range():
+def test_a_column_of_range_2b_weighs_its_differences_by_its_whole_range():
     """Its terms are (q - x) / (hi - lo) as for any column: against the
     second column's, they pick row 2 (terms 0 + 0.5625) over row 1 (1 + 0.0625)."""
     w = InstanceWindow(_names(2))
-    for row, runtime in (([1e308, 0.0], 1.0), ([-1e308, 4.0], 2.0), ([0.0, 4.0], 3.0)):
+    for row, runtime in (([B, 0.0], 1.0), ([-B, 4.0], 2.0), ([0.0, 4.0], 3.0)):
         w.add(row, runtime)
-    assert w.predict([-1e308, 1.0], k=1) == 2.0
-    assert w.predict([1e308, 3.0], k=1) == 3.0
+    assert w.predict([-B, 1.0], k=1) == 2.0
+    assert w.predict([B, 3.0], k=1) == 3.0
 
 
 def test_prediction_invariant_under_affine_feature_rescaling():
@@ -226,6 +233,9 @@ def test_restoring_an_empty_window_leaves_its_ranges_unset():
     {"rows": [[1.0, 2.0]], "targets": [0.0]},
     {"rows": [[1.0, 2.0]], "targets": [-1.0]},
     {"rows": [[1.0, 2.0]], "targets": [math.inf]},
+    {"rows": [[1.0, PAST_B]], "targets": [1.0]},
+    {"rows": [[-1e308, 2.0]], "targets": [1.0]},
+    {"rows": [[1.0, 2.0]], "targets": [PAST_B]},
 ])
 def test_restore_rejects_what_add_would_refuse(payload):
     w = InstanceWindow(_names(2))
@@ -246,14 +256,17 @@ _BAD_INSTANCES = [
     ([1.0, 2.0], -1.0, ValueError),
     ([1.0, 2.0], math.inf, ValueError),
     ([1.0, 2.0], math.nan, ValueError),
+    ([PAST_B, 2.0], 1.0, DomainError),
+    ([1.0, -1e308], 1.0, DomainError),
+    ([1.0, 2.0], PAST_B, ValueError),
 ]
 
 
 @pytest.mark.parametrize("row, target, error", _BAD_INSTANCES)
 @pytest.mark.parametrize("held", [0, 2])
 def test_add_refuses_what_restore_refuses_and_changes_nothing(row, target, error, held):
-    """An add of a row of another width, of a non-finite value or of a target
-    that is not a finite positive runtime raises before it touches the
+    """An add of a row of another width, of a value outside [-B, B] or of a
+    target that is not a runtime in (0, B] raises before it touches the
     window: rows, bounds and a cached normalization stay, and a full window
     evicts nothing. restore refuses the same instance."""
     w = InstanceWindow(_names(2), capacity=2)
@@ -270,7 +283,7 @@ def test_add_refuses_what_restore_refuses_and_changes_nothing(row, target, error
 
 
 @pytest.mark.parametrize("width", [None, 1])
-def test_predict_refuses_a_query_of_another_width_or_not_finite(width):
+def test_predict_refuses_a_query_of_another_width_or_past_b(width):
     w = InstanceWindow(_names(2), query_width=width)
     w.add([0.0, 5.0], 10.0)
     w.add([1.0, 6.0], 20.0)
@@ -281,8 +294,8 @@ def test_predict_refuses_a_query_of_another_width_or_not_finite(width):
     for bad in (query + [1.0], query[:-1], [query]):
         with pytest.raises(SchemaMismatchError):
             w.predict(bad)
-    for value in (math.nan, math.inf, -math.inf):
-        with pytest.raises(DomainError, match="non-finite feature value"):
+    for value in (math.nan, math.inf, -math.inf, PAST_B, -1e308):
+        with pytest.raises(DomainError, match=r"^f0 .* is outside \[-B, B\], B = 2\*\*64$"):
             w.predict([value] + query[1:])
     assert (json.dumps(w.to_dict()), w.lo.tobytes(), w.hi.tobytes()) == state
     assert w._norm is norm

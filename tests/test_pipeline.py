@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -16,7 +17,7 @@ import pytest
 from conftest import make_features, make_record, running_rho, series_block
 import wfpredict.pipeline as pipeline_mod
 from wfpredict.domain import (
-    PRE_RUNTIME_FEATURE_NAMES, CategoryVocab, DomainError, MetricKind, MetricSeries, Scenario,
+    B, PRE_RUNTIME_FEATURE_NAMES, CategoryVocab, DomainError, MetricKind, MetricSeries, Scenario,
     TaskExecutionRecord, encode_pre_runtime,
 )
 from wfpredict.evaluation import (
@@ -364,8 +365,8 @@ def test_diverged_forecaster_update_leaves_bundle_unchanged(small_log):
 
 @pytest.mark.parametrize("stat", ["len_sum", "len_count"])
 def test_an_update_that_would_overflow_a_length_statistic_is_refused(tmp_path, small_log, stat):
-    """A loaded length statistic of 2**63 - 1 is valid, but no update may
-    wrap it past what restore reads back: the update is refused whole, and
+    """A loaded length statistic of 2**53 - 1 is valid, but no update may
+    take it past what restore reads back: the update is refused whole, and
     the registry still saves a document that loads."""
     records = small_log.read_all()
     reg = Registry(storage_dir=tmp_path, config=PipelineConfig(target_tau=5))
@@ -374,12 +375,12 @@ def test_an_update_that_would_overflow_a_length_statistic_is_refused(tmp_path, s
     reg.save()
     doc = json.loads((tmp_path / "index.json").read_text())
     (saved,) = doc["bundles"]
-    saved["forecaster"][stat][0] = 2**63 - 1
+    saved["forecaster"][stat][0] = 2**53 - 1
     (tmp_path / "index.json").write_text(json.dumps(doc))
     reg = Registry.load(tmp_path)
     bundle = reg.bundles[("align", Scenario.time_series)]
     before = json.dumps(bundle.to_dict())
-    with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+    with pytest.raises(ValueError, match=r"^a length statistic would reach 2\*\*53"):
         reg.observe_completion(records[3], Scenario.time_series)
     assert json.dumps(bundle.to_dict()) == before
     reg.save()
@@ -387,12 +388,12 @@ def test_an_update_that_would_overflow_a_length_statistic_is_refused(tmp_path, s
     assert json.dumps(loaded.to_dict()) == before
 
 
-def test_observe_completes_on_samples_whose_trev_moments_overflow():
-    # finite samples near the float64 maximum: d**2 and d**3 overflow, yet the
-    # record is valid and its trev features must come out finite
-    big = 1.7976931348623157e308
+def test_observe_completes_on_samples_at_the_domain_bound():
+    # samples of magnitude B: d**2 and d**3 stay finite, and the trev features
+    # come out finite, with no warning (warnings are errors in the pytest
+    # configuration); a sample past B is refused where its block is made
     rec = make_record(runtime=10.0, n=8)
-    values = (1.0, big, -big, 0.5 * big, 1e200, -1e200, big, 2.0)
+    values = (1.0, B, -B, 0.5 * B, 1e18, -1e18, B, 2.0)
     series = series_block({m: values for m in MetricKind})
     rec = TaskExecutionRecord(features=rec.features, series=series, runtime_seconds=10.0)
     reg = Registry(config=PipelineConfig(target_tau=1))
@@ -403,26 +404,30 @@ def test_observe_completes_on_samples_whose_trev_moments_overflow():
     assert np.all(np.isfinite(bundle.regressor.lo)) and np.all(np.isfinite(bundle.regressor.hi))
 
 
-def test_an_aggregate_that_overflows_is_refused_without_a_warning():
-    # finite samples whose sum overflows to inf: the window refuses the row
+@pytest.mark.parametrize("level, n", [
+    pytest.param(2.0**63, 4, id="2**63-x4"), pytest.param(B, 8, id="B-x8"),
+])
+def test_an_aggregate_past_b_is_refused_without_a_warning(level, n):
+    # samples within B whose sum passes it: the window refuses the row,
+    # naming the first aggregate column and B
     reg = Registry(config=PipelineConfig(target_tau=1))
     reg.observe_completion(make_record(runtime=12.0, n=8), Scenario.two_stages)
     bundle = reg.bundles[("align", Scenario.two_stages)]
     before = json.dumps(bundle.to_dict())
-    huge = make_record(runtime=10.0, n=8, level=1e308)
+    huge = make_record(runtime=10.0, n=n, level=level)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="non-finite feature value"):
+        with pytest.raises(DomainError, match=f"^agg_procs {re.escape(repr(n * level))} is out"):
             reg.observe_completion(huge, Scenario.two_stages)
     assert json.dumps(bundle.to_dict()) == before
 
 
 def test_a_refused_first_record_leaves_no_bundle(tmp_path):
     """A bundle joins the registry with its first row: a first record whose
-    aggregate overflows leaves none, so a save holds none either."""
+    aggregate passes B leaves none, so a save holds none either."""
     reg = Registry(storage_dir=tmp_path, config=PipelineConfig(target_tau=1))
-    huge = make_record(runtime=10.0, n=8, level=1e308)
-    with pytest.raises(DomainError, match="non-finite feature value"):
+    huge = make_record(runtime=10.0, n=8, level=B)
+    with pytest.raises(DomainError, match=r"^agg_procs .* is outside \[-B, B\]"):
         reg.observe_completion(huge, Scenario.two_stages)
     assert reg.bundles == {}
     assert reg.predict_task(huge.features, Scenario.two_stages).runtime_seconds == 1.0
@@ -440,7 +445,8 @@ def test_a_replay_that_goes_on_after_a_refused_first_record_predicts_as_one_with
     features of the first good one, so both replays code the same values."""
     records = small_log.read_all()[:40]
     if scenario == Scenario.two_stages:
-        bad = TaskExecutionRecord(records[0].features, make_record(n=8, level=1e308).series, 10.0)
+        # its two tau-5 window means of B add up to an aggregate of 2B
+        bad = TaskExecutionRecord(records[0].features, make_record(n=8, level=B).series, 10.0)
     else:
         bad = records[0]
         gradients = SequenceModel._gradients
@@ -793,13 +799,12 @@ def test_registry_load_rejects_foreign_directory(tmp_path):
         Registry.load(tmp_path)
 
 
-def test_time_series_forecasts_ranges_near_the_float64_maximum(monkeypatch):
-    # series that swing between the float64 minimum and maximum, so the
-    # forecaster's value range overflows hi - lo and is taken halved; turned
-    # end for end record by record, their trev moves, so the statistic
-    # columns are live and each prediction from the third on forecasts
-    big = 1.7976931348623157e308
-    swing = tuple(big / 8 * (j + 1) if j % 2 else -big for j in range(8))
+def test_time_series_forecasts_a_value_range_of_2b(monkeypatch):
+    # series that swing between -B and B, the domain bound, so the
+    # forecaster's value range is 2B; turned end for end record by record,
+    # their trev moves, so the statistic columns are live and each prediction
+    # from the third on forecasts, with no warning
+    swing = tuple(B / 8 * (j + 1) if j % 2 else -B for j in range(8))
     forecast_all, forecasts = SequenceModel.forecast_all, []
 
     def counted(model, f, n=None):
@@ -814,7 +819,7 @@ def test_time_series_forecasts_ranges_near_the_float64_maximum(monkeypatch):
         reg.predict_task(rec.features, Scenario.time_series)
         reg.observe_completion(rec, Scenario.time_series)
     forecaster = reg.bundles[("align", Scenario.time_series)].forecaster
-    assert forecaster.value_norm._f.tolist() == [0.5] * 13
+    assert (forecaster.value_norm.hi - forecaster.value_norm.lo).tolist() == [2 * B] * 13
     assert len(forecasts) == 58
 
 
@@ -1054,7 +1059,7 @@ def test_a_cached_answer_is_bit_identical_to_one_computed_afresh(
     assert predict(a.features) is not before
     unseen = 1
 
-    huge = make_record(n=8, level=1e308).series  # its tau-5 window means overflow
+    huge = make_record(n=8, level=B).series  # its tau-5 window means add up past B
     for i, rec in enumerate(stream):
         choice = rng.random()
         if choice < 0.1:
@@ -1064,7 +1069,8 @@ def test_a_cached_answer_is_bit_identical_to_one_computed_afresh(
                                         features=renamed(rec.features, f"u{unseen}")))
             unseen += 1
         elif choice < 0.15:
-            # refused by every scenario but baseline, which reads no series
+            # refused by two_stages, whose aggregate is 2B; baseline reads no
+            # series, and time_series takes samples within B
             observe(dataclasses.replace(rec, series=huge, runtime_seconds=40.0))
         for _ in range(rng.randrange(4)):
             # a scheduler asks again about tasks it asked about before

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from conftest import (
-    HEADER_FIELDS, HEADER_FIXED, METRIC_IDS, header_of, log_line, make_features, make_record, nl_of,
-    pack_line, parse_line, series_block,
+    HEADER_FIELDS, HEADER_FIXED, METRIC_IDS, PAST_B, header_of, log_line, make_features,
+    make_record, nl_of, pack_line, parse_line, series_block,
 )
 import wfpredict.store as store_mod
 from wfpredict.domain import (
-    DomainError, MetricKind, MetricSeries, PreRuntimeFeatures, SeriesBlock, TaskExecutionRecord,
+    B, DomainError, MetricKind, MetricSeries, PreRuntimeFeatures, SeriesBlock, TaskExecutionRecord,
 )
 from wfpredict.evaluation import generate_synthetic, standard_corpus_config
 from wfpredict.store import CorruptLogError, RecordLog, StoreError, downsample, downsample_block
@@ -169,8 +169,9 @@ def test_record_round_trip(tmp_path):
         assert again.series.row(m).tolist() == rec.series.row(m).tolist()
 
 
-# the float64 values a text layout is most likely to get wrong
-EXTREMES = (-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+# the float64 values a text layout is most likely to get wrong, among those a
+# sample may take: its magnitude is at most B, the domain bound
+EXTREMES = (-0.0, 5e-324, -5e-324, B, -B, float(np.nextafter(B, 0.0)))
 
 
 def _hex(values):
@@ -184,7 +185,7 @@ def test_a_subset_of_metrics_round_trips_bit_for_bit(tmp_path):
     rows = {
         MetricKind.write_bytes: EXTREMES,
         MetricKind.procs: (0.0,),
-        MetricKind.vmRSS: tuple(rng.uniform(-1e300, 1e300) for _ in range(9)),
+        MetricKind.vmRSS: tuple(rng.uniform(-B, B) for _ in range(9)),
         MetricKind.iowait: (-0.0,),
     }
     rec = TaskExecutionRecord(features=make_features(), series=series_block(rows, 2),
@@ -196,7 +197,7 @@ def test_a_subset_of_metrics_round_trips_bit_for_bit(tmp_path):
     assert (fields["layout"], fields["tau"], fields["n_metrics"]) == (1, 2, 4)
     ids = [METRIC_IDS[m] for m in ("write_bytes", "procs", "vmRSS", "iowait")]
     assert list(variable[:4]) == ids
-    assert struct.unpack_from("<4I", variable, 4) == (5, 1, 9, 1)
+    assert struct.unpack_from("<4I", variable, 4) == (6, 1, 9, 1)
     (back,) = RecordLog(path).read_all()
     assert back.series.metrics == tuple(rows)
     assert back.series.tau == 2
@@ -303,6 +304,11 @@ _REJECTED_LINES = {
     "inf-bytes": (_binary_line(struct.pack("<d", float("inf")) + _NL_SAMPLE, [2]), _WHOLE),
     "minus-inf-bytes": (_binary_line(struct.pack("<d", float("-inf")), [1]),
                         _binary_line(struct.pack("<d", -1.0), [1])),
+    # one ulp past the domain bound B, and B itself
+    "sample-past-b": (_binary_line(struct.pack("<d", PAST_B), [1]),
+                      _binary_line(struct.pack("<d", B), [1])),
+    "sample-past-minus-b": (_binary_line(struct.pack("<d", -PAST_B), [1]),
+                            _binary_line(struct.pack("<d", -B), [1])),
     "unknown-metric": (_binary_line(_TWO_NL, [2], metrics=[len(MetricKind)]), _WHOLE),
     "metric-id-255": (_binary_line(_TWO_NL, [2], metrics=[255]), _WHOLE),
     "duplicate-metric": (_binary_line(_TWO_NL, [1, 1], metrics=["utime", "utime"]), _UTIME_STIME),
@@ -314,6 +320,8 @@ _REJECTED_LINES = {
     "runtime-nan": (_binary_line(_TWO_NL, [2], runtime=float("nan")), _WHOLE),
     "runtime-0": (_binary_line(_TWO_NL[8:], [1], runtime=0.0),
                   _binary_line(_TWO_NL[8:], [1], runtime=1.0)),
+    "runtime-past-b": (_binary_line(_TWO_NL, [2], runtime=PAST_B),
+                       _binary_line(_TWO_NL, [2], runtime=B)),
     # feature values out of range, each at a width the field can hold
     "vcpus-0": (_with_features(vm_vcpus=0), _WHOLE),
     "vcpus-past-2**53": (_with_features(vm_vcpus=2**53 + 1), _with_features(vm_vcpus=2**53)),
@@ -322,6 +330,7 @@ _REJECTED_LINES = {
     "submission-hour-255": (_with_features(submission_hour=255), _WHOLE),
     "vm-memory-nan": (_with_features(vm_memory=float("nan")), _WHOLE),
     "vm-storage-minus-inf": (_with_features(vm_storage=float("-inf")), _WHOLE),
+    "vm-memory-past-b": (_with_features(vm_memory=PAST_B), _with_features(vm_memory=B)),
     # the packed header's own defects
     # a lenient base64 decoder skips the "!" and reads _WHOLE
     "header-not-base64": (_WHOLE[:4] + b"!" + _WHOLE[4:], _WHOLE),
@@ -419,16 +428,16 @@ _COUNTS = ("n_metrics", "n_nl", "task_name_bytes", "task_id_bytes", "input_name_
 
 def _header_mutants(line):
     """(what, mutant line) for one line of the log: each field of the fixed
-    part set to 0 and to its width's largest value, NaN and infinities for a
-    float, and each count one off; each metric id, row length and nl offset
-    set likewise; a name holding a byte that is not UTF-8; and the header cut
-    short and run on."""
+    part set to 0 and to its width's largest value, NaN, infinities, the domain
+    bound B and the float past it for a float, and each count one off; each
+    metric id, row length and nl offset set likewise; a name holding a byte
+    that is not UTF-8; and the header cut short and run on."""
     fields, variable, payload = parse_line(line)
     widths = dict(zip(HEADER_FIELDS, HEADER_FIXED.format.lstrip("<")))
     for name, width in widths.items():
         values = [0, _WIDTH_MAX[width]]
         if width == "d":
-            values += [float("nan"), float("inf"), -float("inf")]
+            values += [float("nan"), float("inf"), -float("inf"), B, PAST_B]
         if name in _COUNTS:
             values += [fields[name] - 1, fields[name] + 1]
         for v in values:
@@ -512,9 +521,10 @@ def _block_record(samples, runtime=5000.0):
 
 def test_binary_layout_round_trips_every_byte_value_bit_for_bit(tmp_path):
     """Every byte value at every offset of a sample, with a filler that keeps
-    each sample finite; signed zeros, subnormals, the largest finite values,
-    a record without series, and payloads that end in a byte that is not a
-    newline but which a text reader would strip or split at."""
+    each sample finite; signed zeros, subnormals, the domain bound B, a record
+    without series, and payloads that end in a byte that is not a newline but
+    which a text reader would strip or split at. A top byte of 0x44-0x7f or
+    0xc4-0xff puts the sample past B, and SeriesBlock refuses it."""
     every_byte = bytearray()
     for value in range(256):
         for offset in range(8):
@@ -522,10 +532,15 @@ def test_binary_layout_round_trips_every_byte_value_bit_for_bit(tmp_path):
             sample[offset] = value
             every_byte += sample
     tiny = np.finfo(np.float64).smallest_subnormal
-    big = np.finfo(np.float64).max
+    samples = np.frombuffer(bytes(every_byte), dtype="<f8")
+    past = ~(np.abs(samples) <= B)
+    assert {v.tobytes()[7] for v in samples[past]} == {*range(0x44, 0x80), *range(0xC4, 0x100)}
+    for v in samples[past]:
+        with pytest.raises(DomainError, match=r"^procs sample .* is outside \[-B, B\]"):
+            _block_record([v])
     records = [
-        _block_record(np.frombuffer(bytes(every_byte), dtype="<f8")),
-        _block_record([-0.0, 0.0, tiny, -tiny, 2.2250738585072009e-308, big, -big]),
+        _block_record(samples[~past]),
+        _block_record([-0.0, 0.0, tiny, -tiny, 2.2250738585072009e-308, B, -B]),
         _block_record([]),
     ] + [
         _block_record(np.frombuffer(b"\x11" * 7 + bytes([last]), dtype="<f8"))
@@ -818,8 +833,8 @@ def _or_domain_error(fn, *args):
 def test_downsample_block_matches_its_loop_oracle_bit_for_bit():
     """Widths 1-12, so windows of 8 or more members, which numpy's reduce
     would add pairwise; n that fills whole windows exactly and n that leaves
-    a partial one; window sums of -0.0, and window sums that overflow; no
-    rows at all."""
+    a partial one; window sums of -0.0, and window sums past the domain bound
+    B of samples within it; no rows at all."""
     rng = np.random.default_rng(43)
     for trial in range(1000):
         width, M = int(rng.integers(1, 13)), int(rng.integers(0, 14))
@@ -836,10 +851,10 @@ def test_downsample_block_matches_its_loop_oracle_bit_for_bit():
             rows = [None if rng.random() < 0.3 else rng.uniform(0, 1e6, n) for _ in range(M)]
         elif kind == 3:  # one length, windows of -0.0 and of mixed-sign zeros
             rows = [rng.choice([-0.0, 0.0] if m % 2 else [-0.0], n) for m in range(M)]
-        else:  # one length, one row whose window sums overflow past 2 members
+        else:  # one length, one row of samples near B, whose window sums pass it
             rows = [rng.uniform(-1e3, 1e3, n) for _ in range(M)]
             if M:
-                rows[int(rng.integers(0, M))] = rng.uniform(0.9e308, 1.7e308, n)
+                rows[int(rng.integers(0, M))] = rng.uniform(0.5 * B, B, n)
         if trial % 3 == 0:  # plain float sequences, as downsample passes them
             rows = [None if r is None else r.tolist() for r in rows]
         want = _or_domain_error(_downsample_block_before, rows, 1, width)
@@ -865,11 +880,18 @@ def test_downsample_is_one_row_of_the_block():
     assert lengths.tolist() == [5]
 
 
-def test_downsample_block_overflowing_window_mean_raises():
-    with pytest.raises(DomainError):
-        downsample_block([[1.0, 2.0], [1e308, 1e308]], 1, 2)
-    with pytest.raises(DomainError):
-        downsample(_series([1e308, 1e308]), 2)
+def test_window_means_at_b_are_finite_and_a_sample_past_b_is_refused_where_it_enters():
+    """Samples of B sum past B but far below the float64 maximum: their mean is
+    B, and no sum warns (warnings are errors in the pytest configuration). A
+    sample past B never reaches a window sum: the series or block that would
+    hold it is refused, naming its metric and B."""
+    block, _ = downsample_block([[1.0, 2.0], [B, B]], 1, 2)
+    assert block.tolist() == [[1.5], [B]]
+    assert downsample(_series([B, B, -B, -B]), 2).values == (B, -B)
+    with pytest.raises(DomainError, match=r"^utime sample 1e\+308 is outside \[-B, B\], B = 2"):
+        _series([1.0, 1e308])
+    with pytest.raises(DomainError, match=r"^stime sample 1e\+308 is outside \[-B, B\]"):
+        SeriesBlock(1, ["utime", "stime"], [1, 2], [1.0, 1e308, 1e308])
 
 
 def test_downsample_block_rejects_bad_tau_and_takes_no_rows():

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from wfpredict.domain import B
 from wfpredict.tsfeat import strip_padding_rows, trev, trev_rows
 
 
@@ -206,7 +207,6 @@ def _trev_rows_before(block, lengths, lag):
 
 def test_trev_rows_matches_its_grouping_oracle_bit_for_bit():
     rng = np.random.default_rng(131)
-    big = np.finfo(np.float64).max
     for trial in range(400):
         lag = int(rng.integers(1, 4))
         M, width = int(rng.integers(1, 14)), int(rng.integers(0, 40))
@@ -216,25 +216,29 @@ def test_trev_rows_matches_its_grouping_oracle_bit_for_bit():
             lengths = np.full(M, rng.integers(0, width + 1))
         elif kind == 1:  # ragged, rows of length 0 among them
             lengths = rng.integers(0, width + 1, M)
-        elif kind == 2:  # one length, rows whose moments overflow
+        elif kind == 2:  # one length, rows scaled up to the domain bound B
             lengths = np.full(M, width)
-            block[rng.random(M) < 0.5] *= 0.5 * big / np.abs(block).max(initial=1.0)
+            block[rng.random(M) < 0.5] *= B / np.abs(block).max(initial=1.0)
         else:  # constant rows, some with 1-ulp wobble, and rows of zeros
             block[:] = rng.uniform(1, 900, (M, 1))
             block += rng.integers(-1, 2, (M, width)) * np.spacing(block)
             block[rng.random(M) < 0.3] = rng.choice([0.0, -0.0])
             lengths = np.full(M, width) if trial % 8 == 3 else rng.integers(0, width + 1, M)
-        with np.errstate(over="ignore"):
-            want = _trev_rows_before(block, lengths, lag)
+        want = _trev_rows_before(block, lengths, lag)
+        with np.errstate(all="raise", under="ignore"):
             got = trev_rows(block, lengths, lag)
         assert got.tobytes() == want.tobytes(), trial
 
 
-def test_trev_rows_rescales_rows_whose_moments_overflow():
-    big = 1.7976931348623157e308
+def test_trev_rows_of_rows_at_the_domain_bound_do_not_overflow():
+    """Values within [-B, B] give lagged differences of at most 2B, whose cubes,
+    at most 8B**3, and their sums stay far below the float64 maximum: no
+    operation raises, and each statistic is that of the row scaled down. A
+    sample past B never reaches trev_rows; SeriesBlock and MetricSeries refuse it
+    (test_domain's test_a_sample_past_b_is_refused_naming_its_series_and_b)."""
     rows = np.array([
-        [big, -big, 0.5 * big, big, -0.25 * big, 0.0, big],
-        [0.0, 1e200, -1e200, 3e200, 2e200, -5e200, 1e199],
+        [B, -B, 0.5 * B, B, -0.25 * B, 0.0, B],
+        [0.0, 1e18, -1e18, 3e18, 2e18, -5e18, 1e17],
         [1.0, 4.0, 2.0, 8.0, 5.0, 7.0, 3.0],
     ])
     lengths = np.full(3, rows.shape[1])
@@ -242,8 +246,8 @@ def test_trev_rows_rescales_rows_whose_moments_overflow():
         out = trev_rows(rows, lengths, 2)
     assert np.all(np.isfinite(out))
     for r in range(2):
-        # the statistic does not change under scaling; 2**-1000 scales exactly
-        scaled = trev_rows(rows[r:r + 1] * 2.0 ** -1000, lengths[:1], 2)[0]
+        # the statistic does not change under scaling; 2**-60 scales exactly
+        scaled = trev_rows(rows[r:r + 1] * 2.0 ** -60, lengths[:1], 2)[0]
         assert out[r] != 0.0
         assert abs(out[r] - scaled) <= 1e-12 * abs(scaled)
     # a row that does not overflow keeps its own statistic bit for bit
