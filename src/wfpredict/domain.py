@@ -7,7 +7,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -130,7 +130,7 @@ class SeriesBlock:
     the rows lie end to end in `samples`.
     """
 
-    __slots__ = ("tau", "metrics", "lengths", "samples", "_offsets")
+    __slots__ = ("tau", "metrics", "lengths", "samples")
 
     def __init__(self, tau: int, metrics: Iterable, lengths: Iterable[int], samples):
         lengths = tuple(lengths)
@@ -147,16 +147,15 @@ class SeriesBlock:
             samples = samples.view()
             samples.flags.writeable = False
         self.samples = samples
-        self._offsets = (0, *accumulate(lengths))
         if tau < 1:
             raise DomainError(f"tau must be >= 1, got {tau}")
         if len(lengths) != len(self.metrics):
             raise DomainError(f"{len(lengths)} lengths for {len(self.metrics)} metrics")
         if lengths and min(lengths) < 1:
             raise DomainError("stored series must be non-empty")
-        if samples.ndim != 1 or self._offsets[-1] != samples.size:
+        if samples.ndim != 1 or sum(lengths) != samples.size:
             raise DomainError(
-                f"lengths add up to {self._offsets[-1]} samples, the block holds {samples.size}")
+                f"lengths add up to {sum(lengths)} samples, the block holds {samples.size}")
         if not np.maximum.reduce(np.abs(samples), initial=0.0) <= B:  # NaN too: maximum keeps it
             check_within_b(samples.tolist(), (
                 f"{m.value} sample" for m, n in zip(self.metrics, lengths) for _ in range(n)))
@@ -167,7 +166,7 @@ class SeriesBlock:
             i = self.metrics.index(m)
         except ValueError:
             return None
-        return self.samples[self._offsets[i]:self._offsets[i + 1]]
+        return self.samples[sum(self.lengths[:i]):sum(self.lengths[:i + 1])]
 
     def __eq__(self, other) -> bool:
         """Same tau, metrics in the same order, lengths and samples; samples

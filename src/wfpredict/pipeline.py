@@ -35,7 +35,7 @@ from .store import downsample, downsample_block  # noqa: F401
 from .tsfeat import strip_padding_rows, trev, trev_rows  # noqa: F401
 
 REGISTRY_MAGIC = "wfpredict-registry"
-REGISTRY_VERSION = 8
+REGISTRY_VERSION = 9
 
 # an aggregate is a consumption sum (>= 0) floored at a tiny epsilon, which is
 # also the aggregate of a metric the record lacks; the floor enters the
@@ -148,7 +148,6 @@ class PipelineConfig:
     window_capacity: Optional[int] = None
     trev_lag: int = 2
     target_tau: int = 1
-    hidden_size: int = 10
     epochs_per_update: int = 1
     seed: int = 0
     # per task, its selected members in ALL_METRICS order; None means all 13
@@ -158,7 +157,7 @@ class PipelineConfig:
         # each integer setting and its least value, if it has one; each must
         # fit an int64, as numpy takes the sizes among them
         for name, least in (("k", 1), ("window_capacity", 1), ("trev_lag", 1), ("target_tau", 1),
-                            ("epochs_per_update", 0), ("hidden_size", 1), ("seed", None)):
+                            ("epochs_per_update", 0), ("seed", None)):
             v = getattr(self, name)
             if v is None and name == "window_capacity":
                 continue
@@ -274,7 +273,6 @@ class Registry:
         if source == "forecast" and metrics:
             bundle.forecaster = SequenceModel(
                 input_dim=len(columns),
-                hidden_size=cfg.hidden_size,
                 epochs_per_update=cfg.epochs_per_update,
                 seeds=[_model_seed(cfg.seed, task_name, m.value) for m in metrics],
                 metrics=metrics,

@@ -34,7 +34,8 @@ def trev_rows(block: np.ndarray, lengths: np.ndarray, lag: int) -> np.ndarray:
     """Time-reversal asymmetry statistic of each row's first lengths[m] values.
 
     mean(d^3) / mean(d^2)^1.5 over lagged differences d = x[t+lag] - x[t].
-    Degenerate rows (too short, or all differences zero) yield 0.0.
+    Degenerate rows (too short, or all differences zero) yield 0.0, as do
+    rows whose mean(d^2)^1.5 underflows to 0.0 (an rms difference below about 1.35e-108).
     Differences at the float rounding level of the series (relative 1e-9)
     also count as degenerate: a constant series that picked up 1-ulp wobble
     from upstream arithmetic must not produce an O(1) statistic. A lag below
@@ -52,8 +53,9 @@ def trev_rows(block: np.ndarray, lengths: np.ndarray, lag: int) -> np.ndarray:
         m2, m3 = _moments(x, lag)
         scale = np.maximum.reduce(np.abs(x), 1).tolist()
         for r, a, b, s in zip(rows, m2.tolist(), m3.tolist(), scale):
-            if not (a == 0.0 or math.sqrt(a) <= 1e-9 * s):
-                out[r] = b / a ** 1.5
+            den = a ** 1.5
+            if not (den == 0.0 or math.sqrt(a) <= 1e-9 * s):
+                out[r] = b / den
     return out
 
 

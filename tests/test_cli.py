@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import functools
 import json
 import math
 import random
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import wfpredict.cli as cli_mod
+import wfpredict.pipeline as pipeline_mod
 import wfpredict.store as store_mod
 from conftest import (
     PAST_B, header_of, log_line, make_features, make_record, parse_line, series_block,
@@ -421,6 +423,25 @@ def test_an_aggregate_past_b_is_one_error_line(tmp_path, capsys):
         assert rc == 0 and len(out.splitlines()) == 2 and err == ""
 
 
+@pytest.mark.parametrize("command, lines", [
+    pytest.param(["replay-predict", "--scenario", "time_series"], 3, id="replay-predict"),
+    pytest.param(["select-features", "--threshold", "0.5"], 1, id="select-features"),
+])
+def test_samples_whose_trev_moments_underflow_are_taken(tmp_path, capsys, command, lines):
+    """utime samples of 1e-110 to 5e-110: the power 1.5 of their mean squared
+    difference underflows to 0.0, and a time_series replay once died in
+    ZeroDivisionError after its first prediction, a selection before its
+    report. Each such trev reads 0.0."""
+    samples = (1e-110, 3e-110, 5e-110, 2e-110, 4e-110)
+    log = _write_log(tmp_path / "tiny.jsonl", [
+        _line(TaskExecutionRecord(
+            make_features(), series_block({MetricKind.utime: samples}), 10.0 + i))
+        for i in range(3)])
+    rc = main([*command, "--log", str(log), "--tau", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 0 and len(out.splitlines()) == lines and err == ""
+
+
 def test_replay_predict_saves_registry(tmp_path, gen_log):
     reg_dir = tmp_path / "registry"
     rc = main([
@@ -668,7 +689,6 @@ def _set_config(key, value):
                  id="runtime-count-below-the-rows"),
     pytest.param(_set_config("seed", 1.5), id="seed-a-float"),
     pytest.param(_set_config("trev_lag", None), id="trev-lag-null"),
-    pytest.param(_set_config("hidden_size", "4"), id="hidden-size-a-string"),
     pytest.param(_set_config("window_capacity", True), id="window-capacity-true"),
 ])
 def test_registry_list_reports_a_setting_or_bundle_field_of_another_type_in_one_line(
@@ -681,6 +701,24 @@ def test_registry_list_reports_a_setting_or_bundle_field_of_another_type_in_one_
     doc = json.loads(json.dumps(saved_doc))
     edit(doc)
     _assert_listing_fails_in_one_line(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize("hidden_size", [pytest.param(2**53, id="2**53"), 0, "4"])
+def test_registry_list_reads_only_the_settings_of_its_config(
+    tmp_path, capsys, saved_doc, hidden_size
+):
+    """A saved hidden_size once sized the forecasters' weights: at 2**53 the
+    listing died in numpy's _ArrayMemoryError, and 0 or "4" were refused. The
+    forecaster's width is its own, and the key is not read."""
+    (tmp_path / "index.json").write_text(json.dumps(saved_doc), encoding="utf-8")
+    assert main(["registry", "list", "--dir", str(tmp_path)]) == 0
+    listed = capsys.readouterr()
+    assert any("time_series" in line for line in listed.out.splitlines())
+    doc = json.loads(json.dumps(saved_doc))
+    doc["config"]["hidden_size"] = hidden_size
+    (tmp_path / "index.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["registry", "list", "--dir", str(tmp_path)]) == 0
+    assert capsys.readouterr() == listed
 
 
 def _set_forecaster(key, value):
@@ -798,7 +836,7 @@ def _at(doc, path, value):
 
 @pytest.mark.parametrize("scenario", [s.value for s in Scenario])
 def test_every_registry_leaf_mutant_is_refused_or_runs_and_saves_its_own_bytes(
-    tmp_path, capsys, gen_log, scenario
+    tmp_path, capsys, monkeypatch, gen_log, scenario
 ):
     """Each leaf kind of a saved registry, set to each value of a fixed list:
     the mutant is refused with its one error line, or it loads, predicts,
@@ -806,11 +844,14 @@ def test_every_registry_leaf_mutant_is_refused_or_runs_and_saves_its_own_bytes(
     A value past its leaf's bound (_BOUNDED_LEAVES) is refused, naming the leaf;
     a parameter past B loads, as parameters are not inputs."""
     records = RecordLog(gen_log).read_all()
+    # forecasters of width 1 keep the test fast; a registry loads with the width it saved with
+    monkeypatch.setattr(pipeline_mod, "SequenceModel",
+                        functools.partial(SequenceModel, hidden_size=1))
     # two metrics a task keep the document small, and put a selection in it
     selected = {rec.features.task_name: {MetricKind.utime, MetricKind.vmRSS}
                 for rec in records}
     reg = Registry(storage_dir=tmp_path / "saved", config=PipelineConfig(
-        target_tau=5, hidden_size=1, window_capacity=30, selected_metrics=selected))
+        target_tau=5, window_capacity=30, selected_metrics=selected))
     for rec in records[:12]:
         reg.observe_completion(rec, Scenario(scenario))
     reg.save()

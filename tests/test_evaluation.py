@@ -318,8 +318,8 @@ def test_report_serialization_round_trip(small_log):
 # `pytest -s -k pinned_digests`, and paste the three hexdigests.
 _REPLAY_DIGESTS = {
     "predictions": "385ee35f6845f2aded2af2eca348fdee4a9b79a94de7d5ab0bdb435bd93d8bdb",
-    "index.json": "55e28e75c3fcb1080b22aed83b003afb001e2722bbfba3b5ee35f8d830149d98",
-    "window_capacity=40": "c0e1df5ad4c34c3a3667e10dac908af904dfc440a5e23e03d6a3a7d4cee104da",
+    "index.json": "dbd595a7b65f60821410b04d12820f46e1dec2aa8ba3d6d2cb00c29fbe756dae",
+    "window_capacity=40": "787a6a3062406323142bead76b3eb93885c8d9784e69204672f8dbc868f35597",
 }
 
 

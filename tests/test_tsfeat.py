@@ -252,3 +252,19 @@ def test_trev_rows_of_rows_at_the_domain_bound_do_not_overflow():
         assert abs(out[r] - scaled) <= 1e-12 * abs(scaled)
     # a row that does not overflow keeps its own statistic bit for bit
     assert out[2] == trev(rows[2], 2)
+
+
+def test_trev_rows_of_rows_whose_moments_underflow_read_zero():
+    """Samples 1e-110 to 5e-110 give a mean(d^2) near 1e-220, whose power 1.5
+    underflows to 0.0 while its square root passes the rounding-level test:
+    such a row once raised ZeroDivisionError, and now reads 0.0, as a
+    degenerate row does. A row scaled by 2**-330, whose power 1.5 does not
+    underflow, keeps the statistic of the row unscaled, and a row beside the
+    tiny one keeps its own statistic bit for bit."""
+    tiny = [1e-110, 3e-110, 5e-110, 2e-110, 4e-110]
+    assert trev(tiny, 1) == trev(tiny, 2) == 0.0
+    rows = np.array([tiny, [1.0, 4.0, 2.0, 8.0, 5.0], [v * 2.0 ** -330 for v in (1, 4, 2, 8, 5)]])
+    out = trev_rows(rows, np.full(3, 5), 2)
+    assert out[0] == 0.0
+    assert out[1] == trev(rows[1], 2) != 0.0
+    assert out[2] == pytest.approx(out[1], rel=1e-12)
