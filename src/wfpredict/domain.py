@@ -7,7 +7,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
-from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -104,23 +103,6 @@ class PreRuntimeFeatures:
                 raise DomainError(f"{name} must be in (0, B], B = 2**64, got {repr(v)[:20]}")
             if type(v) is int:  # held as the float it encodes to
                 object.__setattr__(self, name, float(v))
-
-
-@dataclass(frozen=True)
-class MetricSeries:
-    """Uniformly sampled measurements for one metric; index i means offset i*tau."""
-
-    metric: MetricKind
-    interval_seconds: int
-    values: tuple
-
-    def __post_init__(self):
-        if self.interval_seconds < 1:
-            raise DomainError(f"interval_seconds must be >= 1, got {self.interval_seconds}")
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
-        if not self.values:
-            raise DomainError("stored series must be non-empty")
-        check_within_b(self.values, repeat(f"{self.metric.value} sample"))
 
 
 class SeriesBlock:

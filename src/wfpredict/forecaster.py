@@ -33,8 +33,7 @@ import numpy as np
 # the C call np.einsum makes, without its Python dispatch (about 1 us a call)
 from numpy._core.multiarray import c_einsum as _einsum
 
-from .domain import B, MetricKind, MetricSeries, check_within_b
-from .tsfeat import strip_padding_rows
+from .domain import B, MetricKind, SeriesBlock, check_within_b
 
 _SCRATCH_CAP = 8 << 20  # bytes; 13 metrics at H 10 and T up to about 260
 _scratch, _carvings = np.empty(0), {}
@@ -121,9 +120,11 @@ class RunningMinMax:
         return n
 
 
-def _one_row(s: MetricSeries) -> Tuple[np.ndarray, np.ndarray]:
-    """The block and lengths of a one-metric example."""
-    return np.array([s.values]), np.array([len(s.values)])
+def _one_row(s: SeriesBlock) -> Tuple[np.ndarray, np.ndarray]:
+    """The block and lengths of a one-metric example; ValueError for another metric count."""
+    if len(s.metrics) != 1:
+        raise ValueError(f"a one-metric block is needed, got {len(s.metrics)} metrics")
+    return s.samples[None, :], np.array(s.lengths)
 
 
 def _initial_weights(seed: int, hidden_size: int, input_dim: int) -> Tuple[np.ndarray, ...]:
@@ -154,7 +155,6 @@ class SequenceModel:
         clip_norm: float = 5.0,
         seeds: Sequence[int] = (0,),
         metrics: Optional[Sequence[Optional[MetricKind]]] = None,
-        tau: int = 1,
     ):
         if hidden_size < 1:
             raise ValueError(f"hidden_size must be >= 1, got {hidden_size}")
@@ -168,7 +168,6 @@ class SequenceModel:
         self.learning_rate = learning_rate
         self.epochs_per_update = epochs_per_update
         self.clip_norm = clip_norm
-        self.tau = tau
 
         H, F = hidden_size, input_dim
         W, U, W_h0, W_c0, w_y = (
@@ -451,10 +450,10 @@ class SequenceModel:
             y += b_y
         return self.value_norm.unscale(ys[1:, :, 0]).T, horizons
 
-    def update(self, f: Sequence[float], observed: MetricSeries) -> None:
+    def update(self, f: Sequence[float], observed: SeriesBlock) -> None:
         self.update_all(f, *_one_row(observed))
 
-    def loss(self, f: Sequence[float], observed: MetricSeries) -> float:
+    def loss(self, f: Sequence[float], observed: SeriesBlock) -> float:
         """Mean squared error on one example, with the normalizers as they stand."""
         data = self._training_data(self._feature_values(f), *_one_row(observed))
         return float(self._forward(*data)[0][0])
@@ -462,12 +461,11 @@ class SequenceModel:
     def default_horizon(self) -> int:
         return int(self.default_horizons()[0])
 
-    def forecast(self, f: Sequence[float], n: Optional[int] = None) -> MetricSeries:
-        """Autoregressive n-step forecast, denormalized and padding-stripped."""
+    def forecast(self, f: Sequence[float], n: Optional[int] = None) -> np.ndarray:
+        """The first metric's autoregressive forecast, denormalized: n values,
+        or its default horizon's."""
         block, horizons = self.forecast_all(f, n)
-        kept = max(1, strip_padding_rows(block[:1], horizons[:1])[0])
-        metric = self.metrics[0] or MetricKind.utime
-        return MetricSeries(metric, self.tau, tuple(block[0, :kept].tolist()))
+        return block[0, :horizons[0]]
 
     # -- persistence -------------------------------------------------------
 

@@ -276,7 +276,6 @@ class Registry:
                 epochs_per_update=cfg.epochs_per_update,
                 seeds=[_model_seed(cfg.seed, task_name, m.value) for m in metrics],
                 metrics=metrics,
-                tau=cfg.target_tau,
             )
         return bundle
 

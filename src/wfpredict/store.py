@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .domain import (
-    ALL_METRICS, DomainError, MetricSeries, PreRuntimeFeatures, SeriesBlock, TaskExecutionRecord,
+    ALL_METRICS, DomainError, PreRuntimeFeatures, SeriesBlock, TaskExecutionRecord,
 )
 
 
@@ -229,7 +229,7 @@ def downsample_block(
     interval; a trailing partial window is averaged over its actual members.
     A window's samples are added left to right, so each mean is bit for bit
     that of a plain left-to-right sum. Samples within [-B, B] (domain.B), as
-    a SeriesBlock or MetricSeries holds them, have finite sums and means.
+    a SeriesBlock holds them, have finite sums and means.
     """
     if target_tau < 1:
         raise StoreError(f"target_tau must be >= 1, got {target_tau}")
@@ -274,13 +274,11 @@ def _window_means(values: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarra
     return block, np.full(M, T, dtype=np.int64)
 
 
-def downsample(s: MetricSeries, target_tau: int) -> MetricSeries:
-    """Aggregate a series to a coarser interval by windowed arithmetic means.
-
-    The one-row case of downsample_block; returns s itself when target_tau is
-    its interval.
-    """
-    block, _ = downsample_block((s.values,), s.interval_seconds, target_tau)
-    if target_tau == s.interval_seconds:
+def downsample(s: SeriesBlock, target_tau: int) -> SeriesBlock:
+    """The block of s's series at target_tau, each row's window means as
+    downsample_block gives them; s itself when target_tau is its tau."""
+    if target_tau == s.tau:
         return s
-    return MetricSeries(metric=s.metric, interval_seconds=target_tau, values=block[0].tolist())
+    block, lengths = downsample_block([s.row(m) for m in s.metrics], s.tau, target_tau)
+    held = np.arange(block.shape[1]) < lengths[:, None]
+    return SeriesBlock(target_tau, s.metrics, lengths.tolist(), block[held])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -35,7 +36,8 @@ def trev_rows(block: np.ndarray, lengths: np.ndarray, lag: int) -> np.ndarray:
 
     mean(d^3) / mean(d^2)^1.5 over lagged differences d = x[t+lag] - x[t].
     Degenerate rows (too short, or all differences zero) yield 0.0, as do
-    rows whose mean(d^2)^1.5 underflows to 0.0 (an rms difference below about 1.35e-108).
+    rows whose mean(d^2)^1.5 is below the normal range (sys.float_info.min,
+    an rms difference below about 2.8e-103), where the moments lose precision.
     Differences at the float rounding level of the series (relative 1e-9)
     also count as degenerate: a constant series that picked up 1-ulp wobble
     from upstream arithmetic must not produce an O(1) statistic. A lag below
@@ -54,7 +56,7 @@ def trev_rows(block: np.ndarray, lengths: np.ndarray, lag: int) -> np.ndarray:
         scale = np.maximum.reduce(np.abs(x), 1).tolist()
         for r, a, b, s in zip(rows, m2.tolist(), m3.tolist(), scale):
             den = a ** 1.5
-            if not (den == 0.0 or math.sqrt(a) <= 1e-9 * s):
+            if not (den < sys.float_info.min or math.sqrt(a) <= 1e-9 * s):
                 out[r] = b / den
     return out
 

@@ -16,7 +16,7 @@ from conftest import running_rho
 from test_forecaster import max_param_gradient_error
 from test_knn import oracle_predict
 from wfpredict.cli import main
-from wfpredict.domain import MetricKind, MetricSeries, Scenario
+from wfpredict.domain import MetricKind, Scenario, SeriesBlock
 from wfpredict.evaluation import rae, run_batch_offline, run_online
 from wfpredict.forecaster import SequenceModel
 from wfpredict.knn import InstanceWindow
@@ -112,7 +112,7 @@ def test_criterion_03_gradient_check():
 def test_criterion_04_convergence():
     f = [1.0, 2.0]
     target_values = (2.0, 3.0, 5.0, 8.0)
-    s = MetricSeries(metric=MetricKind.utime, interval_seconds=1, values=target_values)
+    s = SeriesBlock(1, ["utime"], [len(target_values)], target_values)
     # an untrained twin measures the starting loss without taking a step
     probe = SequenceModel(
         input_dim=2, hidden_size=10, learning_rate=0.3, epochs_per_update=0, seeds=(1004,)
@@ -123,11 +123,11 @@ def test_criterion_04_convergence():
     for _ in range(500):
         model.update(f, s)
     last = model.loss(f, s)
-    forecast = model.forecast(f, len(target_values))
+    forecast = model.forecast(f, len(target_values)).tolist()
     ok = last < initial / 10
-    ok = ok and len(forecast.values) == len(target_values)
+    ok = ok and len(forecast) == len(target_values)
     ok = ok and all(
-        abs(got - want) < 0.5 for got, want in zip(forecast.values, target_values)
+        abs(got - want) < 0.5 for got, want in zip(forecast, target_values)
     )
     verdict(4, "forecaster convergence", ok)
 
@@ -290,20 +290,21 @@ def test_criterion_12_downsampling_and_sweep(tmp_path):
         n = random.randrange(1, 80)
         width = random.choice([1, 2, 3, 5, 6])
         values = [random.uniform(0, 100) for _ in range(n)]
-        s = MetricSeries(metric=MetricKind.utime, interval_seconds=1, values=tuple(values))
+        s = SeriesBlock(1, ["utime"], [n], values)
         out = downsample(s, width)
         total = sum(
-            v * len(values[j * width:(j + 1) * width]) for j, v in enumerate(out.values)
+            v * len(values[j * width:(j + 1) * width])
+            for j, v in enumerate(out.samples.tolist())
         )
         props_ok = props_ok and abs(total / n - sum(values) / n) < 1e-12
         # composition on evenly divisible lengths
         blocks = random.randrange(1, 6)
         comp = [random.uniform(0, 100) for _ in range(blocks * 6)]
-        cs = MetricSeries(metric=MetricKind.utime, interval_seconds=1, values=tuple(comp))
+        cs = SeriesBlock(1, ["utime"], [len(comp)], comp)
         direct = downsample(cs, 6)
         staged = downsample(downsample(cs, 2), 6)
         props_ok = props_ok and all(
-            abs(x - y) < 1e-12 for x, y in zip(direct.values, staged.values)
+            abs(x - y) < 1e-12 for x, y in zip(direct.samples.tolist(), staged.samples.tolist())
         )
 
     corpus = tmp_path / "sweep_corpus.jsonl"

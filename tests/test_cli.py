@@ -4,6 +4,8 @@ import functools
 import json
 import math
 import random
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -907,3 +909,27 @@ def test_every_registry_leaf_mutant_is_refused_or_runs_and_saves_its_own_bytes(
     if scenario == "time_series":
         assert set(_BOUNDED_LEAVES) <= set(kinds)
         assert ("bundles", "*", "forecaster", "flat_params", "*") in kinds
+
+
+def _readme_commands():
+    """The wfpredict lines of README.md's first sh block under "## Command-line
+    usage", each continuation line joined to its command, as argument lists."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    usage = readme.split("\n## Command-line usage\n", 1)[1]
+    block = usage.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("wfpredict ")]
+
+
+def test_the_readme_command_block_runs(tmp_path, monkeypatch):
+    """Every command of the README's block exits 0, in its order, in one
+    directory, with its --records 2000 set to 60."""
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert commands and commands[0][:2] == ["wfpredict", "generate"]
+    for argv in commands:
+        if "--records" in argv:
+            at = argv.index("--records") + 1
+            assert argv[at] == "2000"
+            argv[at] = "60"
+        assert main(argv[1:]) == 0, argv

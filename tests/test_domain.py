@@ -14,7 +14,6 @@ from wfpredict.domain import (
     CategoryVocab,
     DomainError,
     MetricKind,
-    MetricSeries,
     Prediction,
     PreRuntimeFeatures,
     Scenario,
@@ -85,19 +84,11 @@ def test_pre_runtime_features_round_trip():
     assert PreRuntimeFeatures(**dataclasses.asdict(f)) == f
 
 
-def test_metric_series_validation():
-    with pytest.raises(DomainError):
-        MetricSeries(metric=MetricKind.utime, interval_seconds=0, values=(1.0,))
-    with pytest.raises(DomainError):
-        MetricSeries(metric=MetricKind.utime, interval_seconds=1, values=())
-    with pytest.raises(DomainError):
-        MetricSeries(metric=MetricKind.utime, interval_seconds=1, values=(1.0, float("nan")))
-
-
-def test_metric_series_coerces_values_to_float():
-    s = MetricSeries(metric=MetricKind.procs, interval_seconds=1, values=(1, 2, 3))
-    assert s.values == (1.0, 2.0, 3.0)
-    assert all(isinstance(v, float) for v in s.values)
+def test_series_block_holds_int_samples_as_float64():
+    s = SeriesBlock(1, ["procs", "threads"], [2, 1], [1, 2, 3])
+    assert s.samples.dtype == np.float64
+    assert s.row(MetricKind.procs).tolist() == [1.0, 2.0]
+    assert all(type(v) is float for v in s.samples.tolist())
 
 
 def test_record_rejects_series_longer_than_runtime():
@@ -139,8 +130,6 @@ def test_a_sample_past_b_is_refused_naming_its_series_and_b(value):
     block is made; the error names the first such sample's series."""
     with pytest.raises(DomainError, match=r"^stime sample .* is outside \[-B, B\], B = 2\*\*64$"):
         SeriesBlock(1, ["utime", "stime"], [2, 2], [1.0, B, 3.0, value])
-    with pytest.raises(DomainError, match=r"^utime sample .* is outside \[-B, B\]"):
-        MetricSeries(MetricKind.utime, 1, (1.0, value))
 
 
 def test_an_int_runtime_is_held_as_the_float_it_encodes_to():

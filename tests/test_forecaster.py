@@ -9,17 +9,17 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import pytest
 
-from conftest import PAST_B
+from conftest import PAST_B, series_block
 from wfpredict import forecaster
-from wfpredict.domain import B, DomainError, MetricKind, MetricSeries
+from wfpredict.domain import B, DomainError, MetricKind
 from wfpredict.forecaster import RunningMinMax, SequenceModel, TrainingDivergedError
 from wfpredict.pipeline import _model_seed
 
 GATES = ("i", "f", "o", "c")
 
 
-def _series(values, tau=1):
-    return MetricSeries(metric=MetricKind.utime, interval_seconds=tau, values=tuple(values))
+def _series(values):
+    return series_block({MetricKind.utime: values})
 
 
 def _block(series):
@@ -375,7 +375,7 @@ def test_bank_matches_per_metric_reference():
     seeds = [_model_seed(0, "align", m.value) for m in metrics]
     # a small clip norm so that some metrics are clipped and others are not
     kw = dict(input_dim=8, hidden_size=10, learning_rate=0.2, clip_norm=0.2)
-    bank = SequenceModel(seeds=seeds, metrics=metrics, tau=5, **kw)
+    bank = SequenceModel(seeds=seeds, metrics=metrics, **kw)
     refs = [
         ReferenceModel(8, 10, kw["learning_rate"], kw["clip_norm"], seed) for seed in seeds
     ]
@@ -405,7 +405,7 @@ def test_bank_matches_per_metric_reference():
 def test_gate_major_kernel_matches_the_strided_oracle_bit_for_bit():
     metrics = tuple(MetricKind)
     kw = dict(
-        input_dim=8, hidden_size=10, learning_rate=0.2, clip_norm=0.2, tau=5, metrics=metrics,
+        input_dim=8, hidden_size=10, learning_rate=0.2, clip_norm=0.2, metrics=metrics,
         seeds=[_model_seed(3, "align", m.value) for m in metrics],
     )
     bank, oracle = SequenceModel(**kw), StridedOracle(**kw)
@@ -438,7 +438,7 @@ def test_gate_major_kernel_matches_the_strided_oracle_bit_for_bit():
 def test_small_banks_match_the_strided_oracle_bit_for_bit(n_metrics):
     # a metric axis of length 1 or 2, which the 13-metric test never has
     kw = dict(
-        input_dim=3, hidden_size=4, learning_rate=0.3, clip_norm=0.05, tau=5,
+        input_dim=3, hidden_size=4, learning_rate=0.3, clip_norm=0.05,
         seeds=range(7, 7 + n_metrics),
     )
     bank, oracle = SequenceModel(**kw), StridedOracle(**kw)
@@ -492,7 +492,7 @@ _STEPPER_CASES = {
 @pytest.mark.parametrize("case", list(_STEPPER_CASES))
 def test_the_stepper_matches_the_strided_oracle_on_edge_cases_bit_for_bit(case):
     M, H, edit, check = _STEPPER_CASES[case]
-    kw = dict(input_dim=3, hidden_size=H, learning_rate=0.3, clip_norm=0.5, tau=5,
+    kw = dict(input_dim=3, hidden_size=H, learning_rate=0.3, clip_norm=0.5,
               seeds=range(11, 11 + M))
     bank, oracle = SequenceModel(**kw), StridedOracle(**kw)
     for model in (bank, oracle):
@@ -645,7 +645,7 @@ def test_a_non_finite_gradient_still_diverges_and_rolls_back(bad):
 
 
 def test_forecasts_match_a_fresh_restore_after_every_change_of_state():
-    kw = dict(input_dim=3, hidden_size=4, learning_rate=0.3, tau=5, seeds=range(3))
+    kw = dict(input_dim=3, hidden_size=4, learning_rate=0.3, seeds=range(3))
     model, f = SequenceModel(**kw), [1.0, 2.0, 3.0]
 
     def assert_as_restored():
@@ -713,7 +713,7 @@ def test_the_shared_scratch_never_aliases_what_outlives_a_pass():
     shapes = {"wide": (13, 10, 8), "narrow": (2, 3, 8)}
     pairs = {
         name: tuple(cls(input_dim=F, hidden_size=H, learning_rate=0.3, clip_norm=0.5,
-                        seeds=range(M), tau=5) for cls in (SequenceModel, StridedOracle))
+                        seeds=range(M)) for cls in (SequenceModel, StridedOracle))
         for name, (M, H, F) in shapes.items()
     }
     rng = np.random.default_rng(55)
@@ -816,6 +816,29 @@ def test_update_with_zero_epochs_is_a_no_op_on_parameters():
     assert model.value_norm.hi[0] == 4.0
 
 
+def test_update_of_a_one_metric_block_leaves_the_bytes_of_update_all_on_its_row():
+    one, block = (SequenceModel(input_dim=2, seeds=(5,)) for _ in range(2))
+    f = [0.5, 1.5]
+    for values in ([1.0, 3.0, 2.0], [2.0, 7.0, 4.0, 1.0, 0.0], [-3.0]):
+        one.update(f, _series(values))
+        block.update_all(f, np.array([values]), np.array([len(values)]))
+        assert json.dumps(one.to_dict()) == json.dumps(block.to_dict())
+
+
+@pytest.mark.parametrize("rows", [
+    {}, {MetricKind.utime: (1.0, 2.0), MetricKind.stime: (3.0,)},
+], ids=["0-metrics", "2-metrics"])
+def test_update_and_loss_refuse_a_block_of_another_metric_count(rows):
+    model = SequenceModel(input_dim=2, seeds=(4,))
+    model.update([0.5, 1.5], _series([1.0, 3.0, 2.0]))
+    before = json.dumps(model.to_dict())
+    error = f"^a one-metric block is needed, got {len(rows)} metrics$"
+    for call in (model.update, model.loss):
+        with pytest.raises(ValueError, match=error):
+            call([0.5, 1.5], series_block(rows))
+    assert json.dumps(model.to_dict()) == before
+
+
 def test_same_seed_gives_identical_initialization():
     a = SequenceModel(input_dim=4, seeds=(77,))
     b = SequenceModel(input_dim=4, seeds=(77,))
@@ -862,14 +885,19 @@ def test_default_horizon_tracks_mean_observed_length():
     assert model.default_horizon() == math.ceil((3 + 6) / 2)
 
 
-def test_forecast_length_and_interval():
-    model = SequenceModel(input_dim=1, tau=5, seeds=(0,))
-    model.update([1.0], _series([2.0, 6.0, 4.0], tau=5))
-    out = model.forecast([1.0], 7)
-    assert out.interval_seconds == 5
-    assert 1 <= len(out.values) <= 7
+def test_forecast_gives_n_values_trailing_zeros_included():
+    """forecast is row 0 of forecast_all, cut at its horizon: a bank trained
+    once on six 0.0 samples forecasts zeros, and keeps all n of them."""
+    model = SequenceModel(input_dim=2, seeds=(0,))
+    model.update([1.0, 2.0], _series([0.0] * 6))
+    block = model.forecast_all([1.0, 2.0], 5)[0]
+    out = model.forecast([1.0, 2.0], 5)
+    assert out.dtype == np.float64 and out.tolist() == block[0].tolist() == [0.0] * 5
+    assert len(model.forecast([1.0, 2.0])) == model.default_horizon() == 6
+    model.update([1.0, 2.0], _series([2.0, 6.0, 4.0]))
+    assert len(model.forecast([1.0, 2.0], 7)) == 7
     with pytest.raises(ValueError):
-        model.forecast([1.0], 0)
+        model.forecast([1.0, 2.0], 0)
 
 
 def test_forecast_is_deterministic():
@@ -879,7 +907,7 @@ def test_forecast_is_deterministic():
         model.update(f, _series([1.0, 3.0, 2.0, 5.0]))
     a = model.forecast(f, 6)
     b = model.forecast(f, 6)
-    assert a.values == b.values
+    assert a.tobytes() == b.tobytes()
 
 
 def test_serialization_round_trip_is_bit_exact():
@@ -894,7 +922,7 @@ def test_serialization_round_trip_is_bit_exact():
     )
     again.restore(json.loads(json.dumps(model.to_dict())))
     assert all(np.array_equal(model.params[k], again.params[k]) for k in model.params)
-    assert again.forecast(f, 5).values == model.forecast(f, 5).values
+    assert again.forecast(f, 5).tobytes() == model.forecast(f, 5).tobytes()
     # both keep training alike
     for _ in range(3):
         model.update(f, _series([2.0, 1.0, 4.0]))

@@ -18,7 +18,7 @@ import pytest
 from conftest import make_features, make_record, running_rho, series_block
 import wfpredict.pipeline as pipeline_mod
 from wfpredict.domain import (
-    B, PRE_RUNTIME_FEATURE_NAMES, CategoryVocab, DomainError, MetricKind, MetricSeries, Scenario,
+    B, PRE_RUNTIME_FEATURE_NAMES, CategoryVocab, DomainError, MetricKind, Scenario,
     TaskExecutionRecord, encode_pre_runtime,
 )
 from wfpredict.evaluation import (
@@ -34,9 +34,10 @@ from wfpredict.store import downsample, downsample_block
 from wfpredict.tsfeat import trev
 
 
-def metric_series(rec, m):
-    """rec's series of m as a MetricSeries, the per-metric references' input."""
-    return MetricSeries(m, rec.series.tau, rec.series.row(m))
+def downsampled(rec, m, tau):
+    """rec's series of m alone downsampled to tau, as a tuple: the per-metric references' input."""
+    alone = series_block({m: rec.series.row(m)}, rec.series.tau)
+    return tuple(downsample(alone, tau).samples.tolist())
 
 
 def reference_pearson(xs, ys):
@@ -296,7 +297,7 @@ class TwoWindowReference:
     def observe(self, rec):
         sigma = encode_pre_runtime(rec.features, self.vocab.code)
         aggs = tuple(
-            max(sum(downsample(metric_series(rec, m), self.tau).values), pipeline_mod._AGG_FLOOR)
+            max(sum(downsampled(rec, m, self.tau)), pipeline_mod._AGG_FLOOR)
             for m in MetricKind
         )
         self.aggs.append(aggs)
@@ -652,7 +653,7 @@ def test_time_series_block_holds_only_the_selected_metrics(small_log, monkeypatc
             reg.observe_completion(rec, Scenario.time_series)
     assert len(blocks) == len(records)
     for rec, (block, lengths) in zip(records, blocks):
-        rows = [downsample(metric_series(rec, m), 5).values for m in chosen]
+        rows = [downsampled(rec, m, 5) for m in chosen]
         assert block.shape[0] == 3
         assert lengths.tolist() == [len(r) for r in rows]
         assert [tuple(row[:len(r)]) for row, r in zip(block.tolist(), rows)] == rows
@@ -828,7 +829,7 @@ def test_trev_comoments_match_the_per_metric_path(tmp_path):
         want = {}
         for rec in records:
             stats = [
-                trev(_strip_trailing_zeros(downsample(metric_series(rec, m), tau).values), lag)
+                trev(_strip_trailing_zeros(downsampled(rec, m, tau)), lag)
                 if m in rec.series.metrics else 0.0
                 for m in ALL_METRICS
             ]

@@ -15,7 +15,7 @@ from conftest import (
 )
 import wfpredict.store as store_mod
 from wfpredict.domain import (
-    B, DomainError, MetricKind, MetricSeries, PreRuntimeFeatures, SeriesBlock, TaskExecutionRecord,
+    B, DomainError, MetricKind, PreRuntimeFeatures, SeriesBlock, TaskExecutionRecord,
 )
 from wfpredict.evaluation import generate_synthetic, standard_corpus_config
 from wfpredict.store import CorruptLogError, RecordLog, StoreError, downsample, downsample_block
@@ -710,20 +710,20 @@ def test_a_last_line_without_a_newline_is_read_only_if_the_file_ends_there(
 
 
 def _series(values, tau=1):
-    return MetricSeries(metric=MetricKind.utime, interval_seconds=tau, values=tuple(values))
+    return series_block({MetricKind.utime: values}, tau)
 
 
 def test_downsample_exact_windows():
     s = _series([1.0, 3.0, 5.0, 7.0])
     out = downsample(s, 2)
-    assert out.values == (2.0, 6.0)
-    assert out.interval_seconds == 2
+    assert out.samples.tolist() == [2.0, 6.0]
+    assert out.tau == 2
 
 
 def test_downsample_trailing_partial_window():
     s = _series([2.0, 4.0, 6.0, 10.0, 20.0])
     out = downsample(s, 2)
-    assert out.values == (3.0, 8.0, 20.0)
+    assert out.samples.tolist() == [3.0, 8.0, 20.0]
 
 
 def test_downsample_identity_when_tau_matches():
@@ -748,7 +748,7 @@ def test_downsample_mean_preservation_random():
         out = downsample(_series(values), width)
         # weighted mean over window sizes reproduces the original mean
         total = 0.0
-        for j, v in enumerate(out.values):
+        for j, v in enumerate(out.samples.tolist()):
             members = len(values[j * width:(j + 1) * width])
             total += v * members
         assert abs(total / n - sum(values) / n) < 1e-12
@@ -763,8 +763,8 @@ def test_downsample_composition_random():
         values = [random.uniform(0, 100) for _ in range(blocks * a * b)]
         direct = downsample(_series(values), a * b)
         staged = downsample(downsample(_series(values), a), a * b)
-        assert len(direct.values) == len(staged.values)
-        for x, y in zip(direct.values, staged.values):
+        assert direct.lengths == staged.lengths
+        for x, y in zip(direct.samples.tolist(), staged.samples.tolist()):
             assert abs(x - y) < 1e-12
 
 
@@ -876,8 +876,21 @@ def test_downsample_is_one_row_of_the_block():
     values = [random.Random(37).uniform(0, 50) for _ in range(41)]
     out = downsample(_series(values), 9)
     block, lengths = downsample_block([values], 1, 9)
-    assert out.values == tuple(block[0].tolist())
-    assert lengths.tolist() == [5]
+    assert out.samples.tolist() == block[0].tolist()
+    assert out.lengths == (5,) and lengths.tolist() == [5]
+
+
+def test_downsample_of_a_ragged_block_is_downsample_block_row_by_row():
+    rng = random.Random(41)
+    rows = {m: [rng.uniform(-50, 50) for _ in range(n)]
+            for m, n in ((MetricKind.vmRSS, 17), (MetricKind.utime, 3), (MetricKind.rchar, 12))}
+    s = series_block(rows, tau=2)
+    out = downsample(s, 10)
+    block, lengths = downsample_block(list(rows.values()), 2, 10)
+    assert (out.tau, out.metrics, out.lengths) == (10, s.metrics, (4, 1, 3))
+    assert lengths.tolist() == [4, 1, 3]
+    for m, row, n in zip(rows, block, lengths.tolist()):
+        assert out.row(m).tobytes() == row[:n].tobytes()
 
 
 def test_window_means_at_b_are_finite_and_a_sample_past_b_is_refused_where_it_enters():
@@ -887,7 +900,7 @@ def test_window_means_at_b_are_finite_and_a_sample_past_b_is_refused_where_it_en
     hold it is refused, naming its metric and B."""
     block, _ = downsample_block([[1.0, 2.0], [B, B]], 1, 2)
     assert block.tolist() == [[1.5], [B]]
-    assert downsample(_series([B, B, -B, -B]), 2).values == (B, -B)
+    assert downsample(_series([B, B, -B, -B]), 2).samples.tolist() == [B, -B]
     with pytest.raises(DomainError, match=r"^utime sample 1e\+308 is outside \[-B, B\], B = 2"):
         _series([1.0, 1e308])
     with pytest.raises(DomainError, match=r"^stime sample 1e\+308 is outside \[-B, B\]"):

@@ -234,7 +234,7 @@ def test_trev_rows_of_rows_at_the_domain_bound_do_not_overflow():
     """Values within [-B, B] give lagged differences of at most 2B, whose cubes,
     at most 8B**3, and their sums stay far below the float64 maximum: no
     operation raises, and each statistic is that of the row scaled down. A
-    sample past B never reaches trev_rows; SeriesBlock and MetricSeries refuse it
+    sample past B never reaches trev_rows; SeriesBlock refuses it
     (test_domain's test_a_sample_past_b_is_refused_naming_its_series_and_b)."""
     rows = np.array([
         [B, -B, 0.5 * B, B, -0.25 * B, 0.0, B],
@@ -268,3 +268,15 @@ def test_trev_rows_of_rows_whose_moments_underflow_read_zero():
     assert out[0] == 0.0
     assert out[1] == trev(rows[1], 2) != 0.0
     assert out[2] == pytest.approx(out[1], rel=1e-12)
+
+
+def test_trev_of_a_series_scaled_toward_underflow_reads_its_own_value_or_zero():
+    """The statistic does not change under scaling. Scaled by 10**-k, for
+    every k in 0..330, a series reads within 1e-12 of its unscaled value while
+    its mean(d^2)**1.5 is a normal float, and 0.0 from k = 104 on, where it is
+    not: subnormal moments once read up to 1.4545 for k = 105 to 108."""
+    x = [1.0, 3.0, 5.0, 2.0, 4.0, 9.0, 1.5]
+    want = trev(x, 2)
+    got = [trev([v * 10.0 ** -k for v in x], 2) for k in range(331)]
+    assert got[:104] == pytest.approx([want] * 104, rel=1e-12)
+    assert got[104:] == [0.0] * 227
