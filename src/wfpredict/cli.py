@@ -32,9 +32,18 @@ def _write_report(report: EvalReport, out_prefix: Path) -> None:
     replace_file(f"{out_prefix}.txt", [report.to_text()])
 
 
-def _refuse_out_on_log(args) -> None:
-    if args.out and Path(args.out).resolve() == Path(args.log).resolve():
-        raise ValueError(f"--out {args.out} is the --log file; choose another path")
+def _refuse_writes(log: str, flag: str, value, *suffixes: str) -> None:
+    """ValueError naming flag where a path the command will write, the flag's
+    value followed by a suffix, is the --log, an existing directory or lies
+    under a file. Called before the first record is read, so a refused
+    command writes nothing and does no work; a flag not given writes nothing."""
+    for path in (Path(f"{value}{s}") for s in suffixes if value):
+        if path.resolve() == Path(log).resolve():
+            raise ValueError(f"{flag} {value} would overwrite the --log file; choose another path")
+        if path.is_dir():
+            raise ValueError(f"{flag} {value}: {path} is an existing directory")
+        if not next(p for p in path.absolute().parents if p.exists()).is_dir():
+            raise ValueError(f"{flag} {value} is, or lies under, a file that is not a directory")
 
 
 def _add_common_eval_flags(p: argparse.ArgumentParser) -> None:
@@ -76,7 +85,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_replay_predict(args) -> int:
-    _refuse_out_on_log(args)
+    _refuse_writes(args.log, "--out", args.out, "")
+    _refuse_writes(args.log, "--registry-dir", args.registry_dir, "/index.json")
     log = RecordLog(args.log)
     registry = Registry(
         storage_dir=args.registry_dir,
@@ -99,6 +109,7 @@ def cmd_replay_predict(args) -> int:
 
 
 def cmd_eval_online(args) -> int:
+    _refuse_writes(args.log, "--out", args.out, ".json", ".txt")
     report = run_online(
         RecordLog(args.log),
         Scenario(args.scenario),
@@ -114,6 +125,7 @@ def cmd_eval_online(args) -> int:
 
 
 def cmd_eval_batch(args) -> int:
+    _refuse_writes(args.log, "--out", args.out, ".json", ".txt")
     report = run_batch_offline(
         RecordLog(args.log),
         Scenario(args.scenario),
@@ -136,19 +148,19 @@ def cmd_sweep(args) -> int:
     if any(t < 1 for t in taus) or any(l < 1 for l in lags):
         raise ValueError("sweep taus and lags must be >= 1")
     out_dir = Path(args.out_dir)
-    if not next(p for p in (out_dir, *out_dir.absolute().parents) if p.exists()).is_dir():
-        raise ValueError(f"--out-dir {out_dir} is, or lies under, a file that is not a directory")
-    n = 0
-    for scenario, tau, lag in itertools.product(scenarios, taus, lags):
+    grid = list(itertools.product(scenarios, taus, lags))
+    names = [f"{s.value}_tau{t}_lag{l}" for s, t, l in grid]
+    suffixes = (f"/{n}{ext}" for n in names for ext in (".json", ".txt"))
+    _refuse_writes(args.log, "--out-dir", args.out_dir, *suffixes)
+    for (scenario, tau, lag), name in zip(grid, names):
         report = run_online(log, scenario, tau=tau, lag=lag, seed=args.seed)
-        _write_report(report, out_dir / f"{scenario.value}_tau{tau}_lag{lag}")
-        n += 1
-    print(f"wrote {n} reports to {out_dir}")
+        _write_report(report, out_dir / name)
+    print(f"wrote {len(grid)} reports to {out_dir}")
     return 0
 
 
 def cmd_select_features(args) -> int:
-    _refuse_out_on_log(args)
+    _refuse_writes(args.log, "--out", args.out, "")
     if not (0.0 <= args.threshold <= 1.0):
         raise ValueError(f"--threshold must be in [0, 1], got {args.threshold}")
     if args.tau < 1 or args.lag < 1:

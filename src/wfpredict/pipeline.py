@@ -23,7 +23,6 @@ from .domain import (
     Prediction,
     PreRuntimeFeatures,
     Scenario,
-    SeriesBlock,
     TaskExecutionRecord,
     encode_pre_runtime,
 )
@@ -44,23 +43,6 @@ _AGG_FLOOR = 1e-9
 
 # the most answers a bundle keeps; a full cache is cleared whole
 _ANSWERS_CAP = 1024
-
-
-def _observed_block(
-    series: SeriesBlock, metrics: Sequence[MetricKind], tau: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The metrics' series of a record downsampled to tau: the block (M, T)
-    and each row's length, 0 where the record lacks the metric.
-
-    The samples are read as one (M, n) view of the series block when it holds
-    exactly these metrics, in order, each of n samples; else as one view, or
-    None, per metric. A record without series is read as sampled every tau."""
-    lengths = series.lengths
-    if series.metrics == metrics and lengths and lengths.count(lengths[0]) == len(lengths):
-        rows = series.samples.reshape(len(lengths), lengths[0])
-    else:
-        rows = [series.row(m) for m in metrics]
-    return downsample_block(rows, series.tau if series.metrics else tau, tau)
 
 
 def _aggregates(block: np.ndarray, lengths: Sequence[int], lag: int) -> tuple:
@@ -137,7 +119,7 @@ def trev_comoments(records: Iterable[TaskExecutionRecord], tau: int, lag: int) -
     stripped of trailing zeros, 0.0 for a metric the record lacks."""
     per_task: Dict[str, CoMoments] = defaultdict(CoMoments)
     for rec in records:
-        trevs = _trevs(*_observed_block(rec.series, ALL_METRICS, tau), lag)
+        trevs = _trevs(*downsample_block(rec.series, ALL_METRICS, tau), lag)
         per_task[rec.features.task_name].add(trevs, rec.runtime_seconds)
     return dict(per_task)
 
@@ -339,7 +321,7 @@ class Registry:
         if statistic:
             cfg = self.config
             metrics = cfg.metrics_for(rec.features.task_name)
-            block, lengths = _observed_block(rec.series, metrics, cfg.target_tau)
+            block, lengths = downsample_block(rec.series, metrics, cfg.target_tau)
             # update the forecaster first so a diverged update, which rolls
             # it back whole, cannot leave a freshly added regressor instance
             if bundle.forecaster is not None:

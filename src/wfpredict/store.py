@@ -8,12 +8,12 @@ import struct
 from binascii import a2b_base64, b2a_base64
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .domain import (
-    ALL_METRICS, DomainError, PreRuntimeFeatures, SeriesBlock, TaskExecutionRecord,
+    ALL_METRICS, DomainError, MetricKind, PreRuntimeFeatures, SeriesBlock, TaskExecutionRecord,
 )
 
 
@@ -216,44 +216,46 @@ def _decode(line: bytes, end: int) -> TaskExecutionRecord:
 
 
 def downsample_block(
-    values: Sequence[Optional[Sequence[float]]], interval: int, target_tau: int
+    series: SeriesBlock, metrics: Sequence[MetricKind], target_tau: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Aggregate M series sampled every `interval` seconds to target_tau by
-    windowed arithmetic means, all in one block.
+    """Aggregate the metrics' series of a block to target_tau by windowed
+    arithmetic means, all in one block.
 
-    values[m] holds one series' samples, or None for an absent series; an
-    (M, n) array of M present series of n samples each is averaged in one
-    shot, a list per length. Returns the block (M, T), whose row m holds its
-    window means and then zeros, and each row's window count (0 for None); T
-    is the largest count. target_tau must be an integer multiple of the
-    interval; a trailing partial window is averaged over its actual members.
+    Returns the block (M, T), whose row m holds metrics[m]'s window means and
+    then zeros, and each row's window count (0 where the block lacks the
+    metric); T is the largest count. A block that holds exactly these metrics,
+    in order, each of n samples, is averaged in one shot as an (M, n) view of
+    its samples; any other, per length. target_tau must be an integer multiple
+    of the block's tau; a block without series is read as sampled every
+    target_tau. A trailing partial window is averaged over its actual members.
     A window's samples are added left to right, so each mean is bit for bit
-    that of a plain left-to-right sum. Samples within [-B, B] (domain.B), as
-    a SeriesBlock holds them, have finite sums and means.
+    that of a plain left-to-right sum. Samples within [-B, B] (domain.B), as a
+    SeriesBlock holds them, have finite sums and means.
     """
     if target_tau < 1:
         raise StoreError(f"target_tau must be >= 1, got {target_tau}")
+    interval = series.tau if series.metrics else target_tau
     if target_tau % interval != 0:
         raise StoreError(f"target_tau {target_tau} is not a multiple of interval {interval}")
     width = target_tau // interval
-    if isinstance(values, np.ndarray) and len(values):
-        block, lengths = _window_means(values, width)
-    else:
-        # a list of rows: the rows of each length at once, zeros after
-        n = np.array([0 if v is None else len(v) for v in values], dtype=np.int64)
-        lengths = -(-n // width)
-        block = np.zeros((len(values), int(lengths.max(initial=0))))
-        for L in set(n.tolist()) - {0}:
-            rows = np.flatnonzero(n == L)
-            block[rows, :-(-L // width)] = _window_means(
-                np.array([values[m] for m in rows], dtype=float), width)[0]
+    held = series.lengths
+    if series.metrics == metrics and held and held.count(held[0]) == len(held):
+        return _window_means(series.samples.reshape(len(held), held[0]), width)
+    # the rows of each length at once, zeros after
+    rows = [series.row(m) for m in metrics]
+    n = np.array([0 if v is None else len(v) for v in rows], dtype=np.int64)
+    lengths = -(-n // width)
+    block = np.zeros((len(rows), int(lengths.max(initial=0))))
+    for L in set(n.tolist()) - {0}:
+        at = np.flatnonzero(n == L)
+        block[at, :-(-L // width)] = _window_means(np.array([rows[m] for m in at]), width)[0]
     return block, lengths
 
 
 def _window_means(values: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
-    """downsample_block of M present series of n samples each, an (M, n)
-    array: no zero padding, the full windows summed by one accumulate over
-    the window axis, and a trailing partial window on its own."""
+    """downsample_block of M series of n samples each, an (M, n) array: no
+    zero padding, the full windows summed by one accumulate over the window
+    axis, and a trailing partial window on its own."""
     M, n = values.shape
     full, rest = divmod(n, width)
     T = full + (rest > 0)
@@ -279,6 +281,6 @@ def downsample(s: SeriesBlock, target_tau: int) -> SeriesBlock:
     downsample_block gives them; s itself when target_tau is its tau."""
     if target_tau == s.tau:
         return s
-    block, lengths = downsample_block([s.row(m) for m in s.metrics], s.tau, target_tau)
+    block, lengths = downsample_block(s, s.metrics, target_tau)
     held = np.arange(block.shape[1]) < lengths[:, None]
     return SeriesBlock(target_tau, s.metrics, lengths.tolist(), block[held])

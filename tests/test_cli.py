@@ -246,21 +246,54 @@ def test_an_out_in_a_directory_that_does_not_exist_creates_it(tmp_path, gen_log,
     assert out.read_bytes() and [p.name for p in out.parent.iterdir()] == ["out.json"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["replay-predict", "--tau", "5"],
-    ["select-features", "--threshold", "0.5"],
-], ids=lambda argv: argv[0])
-def test_an_out_that_is_the_log_is_refused_with_the_log_intact(tmp_path, gen_log, capsys, argv):
-    """--out naming the --log file, by another spelling too, once emptied the log and exited 0."""
-    log = tmp_path / "c.jsonl"
+def _spy_reads(monkeypatch):
+    """The list to which each read of a log appends its path."""
+    reads, spans = [], RecordLog._spans
+
+    def spy(self):
+        reads.append(self.path)
+        return spans(self)
+
+    monkeypatch.setattr(RecordLog, "_spans", spy)
+    return reads
+
+
+def _tree(root):
+    """Each path under root with its bytes, None for a directory."""
+    return {p: None if p.is_dir() else p.read_bytes() for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("argv, log_name", [
+    pytest.param(["replay-predict", "--tau", "5", "--out", "{dir}/c.jsonl"], "c.jsonl",
+                 id="replay-predict"),
+    pytest.param(["select-features", "--threshold", "0.5", "--out", "{dir}/c.jsonl"], "c.jsonl",
+                 id="select-features"),
+    pytest.param(["eval-online", "--out", "{dir}/c"], "c.json", id="eval-online"),
+    pytest.param(["eval-batch", "--d", "0.8", "--out", "{dir}/c"], "c.txt", id="eval-batch"),
+    pytest.param(["sweep", "--scenarios", "baseline", "--taus", "5", "--lags", "2",
+                  "--out-dir", "{dir}/d"], "d/baseline_tau5_lag2.json", id="sweep"),
+    pytest.param(["replay-predict", "--tau", "5", "--registry-dir", "{dir}/d"], "d/index.json",
+                 id="registry-dir"),
+])
+def test_an_out_that_is_the_log_is_refused_with_the_log_intact(
+    tmp_path, gen_log, capsys, monkeypatch, argv, log_name
+):
+    """A written path naming the --log file, by another spelling too, is
+    refused before the log is read, in one error line naming the flag and
+    --log. --out once emptied the log and exited 0; an eval or sweep report
+    and a registry's index.json replaced the log with themselves."""
+    log = tmp_path / log_name
+    log.parent.mkdir(exist_ok=True)
     log.write_bytes(gen_log.read_bytes())
-    for out in (log, tmp_path / "." / "c.jsonl"):
-        assert main(argv + ["--log", str(log), "--out", str(out)]) == 1
+    before = _tree(tmp_path)
+    reads = _spy_reads(monkeypatch)
+    for spelling in (str(tmp_path), f"{tmp_path}/."):
+        args = [a.format(dir=spelling) for a in argv]
+        assert main(args + ["--log", str(log)]) == 1
         out_text, err = capsys.readouterr()
-        assert out_text == "" and err.startswith("error: --out ") and err.count("\n") == 1
-        assert "--log" in err
-        assert log.read_bytes() == gen_log.read_bytes()
-        assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
+        assert out_text == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {args[-2]} {args[-1]} ") and "--log" in err
+        assert (reads, _tree(tmp_path)) == ([], before)
 
 
 def _line(rec):
@@ -563,26 +596,50 @@ def test_a_refused_sweep_leaves_no_out_dir(tmp_path):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+_UNDER_A_FILE = "{flag} {value} is, or lies under, a file that is not a directory"
+
+
+@pytest.mark.parametrize("argv, error", [
+    pytest.param(["sweep", "--scenarios", "baseline", "--taus", "1", "--lags", "2",
+                  "--out-dir", "{afile}"], _UNDER_A_FILE, id="a-file"),
+    pytest.param(["sweep", "--scenarios", "baseline", "--taus", "1", "--lags", "2",
+                  "--out-dir", "{afile}/sub"], _UNDER_A_FILE, id="under-a-file"),
+    pytest.param(["replay-predict", "--tau", "5", "--out", "{keep}", "--registry-dir", "{afile}"],
+                 _UNDER_A_FILE, id="registry-dir-a-file"),
+    pytest.param(["replay-predict", "--tau", "5", "--out", "{afile}/p.jsonl"], _UNDER_A_FILE,
+                 id="replay-out-under-a-file"),
+    pytest.param(["select-features", "--threshold", "0.5", "--out", "{afile}/s.json"],
+                 _UNDER_A_FILE, id="select-out-under-a-file"),
+    pytest.param(["eval-online", "--out", "{afile}/r"], _UNDER_A_FILE, id="online-under-a-file"),
+    pytest.param(["eval-batch", "--d", "0.8", "--out", "{afile}/r"], _UNDER_A_FILE,
+                 id="batch-under-a-file"),
+    pytest.param(["replay-predict", "--tau", "5", "--out", "{adir}"],
+                 "{flag} {value}: {value} is an existing directory", id="replay-out-a-directory"),
+    pytest.param(["select-features", "--threshold", "0.5", "--out", "{adir}"],
+                 "{flag} {value}: {value} is an existing directory", id="select-out-a-directory"),
+])
 def test_a_sweep_out_dir_at_or_under_a_file_is_refused_before_any_run(
-    tmp_path, gen_log, capsys, monkeypatch, under
+    tmp_path, gen_log, capsys, monkeypatch, argv, error
 ):
-    """An --out-dir that is, or lies under, a regular file is refused before
-    the first configuration runs, with one error line naming --out-dir; the
-    file keeps its bytes and nothing is created. Before, the first
-    configuration ran in full, and only then a bare "[Errno 17] File exists"."""
-    afile = tmp_path / "afile"
+    """A written path that is an existing directory, or that lies under a
+    regular file, as a sweep --out-dir or a --registry-dir that is a file
+    does, is refused before the log is read, with one error line naming the
+    flag; every file keeps its bytes and nothing is created. Before, the
+    sweep ran its first configuration in full and only then failed with a
+    bare "[Errno 17] File exists"; a replay with such a --registry-dir first
+    replaced its --out, and the others ran all their work before failing."""
+    afile, adir, keep = tmp_path / "afile", tmp_path / "adir", tmp_path / "keep.jsonl"
     afile.write_bytes(b"kept\n")
-    runs = []
-    monkeypatch.setattr(cli_mod, "run_online", lambda *args, **kwargs: runs.append(args))
-    out_dir = afile / "sub" if under else afile
-    rc = main(["sweep", "--log", str(gen_log), "--scenarios", "baseline", "--taus", "1",
-               "--lags", "2", "--out-dir", str(out_dir)])
+    keep.write_bytes(b'{"kept": true}\n')
+    adir.mkdir()
+    before = _tree(tmp_path)
+    reads = _spy_reads(monkeypatch)
+    args = [a.format(afile=afile, adir=adir, keep=keep) for a in argv]
+    rc = main(args + ["--log", str(gen_log)])
     out, err = capsys.readouterr()
-    assert (rc, out, runs) == (1, "", [])
-    assert err == f"error: --out-dir {out_dir} is, or lies under, a file that is not a directory\n"
-    assert afile.read_bytes() == b"kept\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (rc, out, reads) == (1, "", [])
+    assert err == "error: " + error.format(flag=args[-2], value=args[-1]) + "\n"
+    assert _tree(tmp_path) == before
 
 
 def test_sweep_rejects_bad_grid(tmp_path, gen_log):

@@ -17,6 +17,7 @@ import pytest
 
 from conftest import make_features, make_record, running_rho, series_block
 import wfpredict.pipeline as pipeline_mod
+import wfpredict.store as store_mod
 from wfpredict.domain import (
     B, PRE_RUNTIME_FEATURE_NAMES, CategoryVocab, DomainError, MetricKind, Scenario,
     TaskExecutionRecord, encode_pre_runtime,
@@ -660,23 +661,31 @@ def test_time_series_block_holds_only_the_selected_metrics(small_log, monkeypatc
 
 
 def test_two_stages_observe_hands_downsample_block_the_record_rows(small_log, monkeypatch):
-    calls = []
+    calls, averaged = [], []
 
-    def spy(values, interval, target_tau):
-        calls.append((values, interval))
-        return downsample_block(values, interval, target_tau)
+    def spy(series, metrics, target_tau):
+        calls.append((series, metrics, target_tau))
+        return downsample_block(series, metrics, target_tau)
+
+    def window_means(values, width):
+        averaged.append(values)
+        return store_window_means(values, width)
 
     records = small_log.read_all()[:3]
     reg = Registry(config=PipelineConfig(target_tau=5))
+    store_window_means = store_mod._window_means
     monkeypatch.setattr(pipeline_mod, "downsample_block", spy)
+    monkeypatch.setattr(store_mod, "_window_means", window_means)
     for rec in records:
         reg.observe_completion(rec, Scenario.two_stages)
-    assert len(calls) == len(records)
-    for rec, (rows, interval) in zip(records, calls):
-        assert interval == 1
-        assert [row.tolist() for row in rows] == [rec.series.row(m).tolist() for m in MetricKind]
-        # views into the record's block, not copies
-        assert all(np.shares_memory(row, rec.series.samples) for row in rows)
+    assert len(calls) == len(averaged) == len(records)
+    for rec, (series, metrics, tau), values in zip(records, calls, averaged):
+        assert series is rec.series and metrics == ALL_METRICS and tau == 5
+        # the record holds every metric at one length: the uniform path
+        # averages one (M, n) view of the record's samples, not a copy
+        assert series.metrics == ALL_METRICS and len(set(series.lengths)) == 1
+        assert values.shape == (len(ALL_METRICS), series.lengths[0])
+        assert np.shares_memory(values, rec.series.samples)
 
 
 def test_registry_round_trip_predictions_identical(tmp_path, small_log):

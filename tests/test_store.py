@@ -15,7 +15,7 @@ from conftest import (
 )
 import wfpredict.store as store_mod
 from wfpredict.domain import (
-    B, DomainError, MetricKind, PreRuntimeFeatures, SeriesBlock, TaskExecutionRecord,
+    ALL_METRICS, B, DomainError, MetricKind, PreRuntimeFeatures, SeriesBlock, TaskExecutionRecord,
 )
 from wfpredict.evaluation import generate_synthetic, standard_corpus_config
 from wfpredict.store import CorruptLogError, RecordLog, StoreError, downsample, downsample_block
@@ -779,20 +779,24 @@ def _left_sum(window):
 def test_downsample_block_matches_window_means_bit_for_bit():
     rng = random.Random(31)
     for width in range(1, 13):
-        rows = [
+        # a block holds each metric at most once: at most 12 drawn rows and
+        # one of -0.0; a row drawn as None is a metric the block lacks
+        drawn = [
             None if rng.random() < 0.15
             else [rng.uniform(0, 1e6) for _ in range(rng.randrange(1, 60))]
-            for _ in range(rng.randrange(1, 14))
+            for _ in range(rng.randrange(1, 13))
         ] + [[-0.0] * rng.randrange(1, 30)]
-        block, lengths = downsample_block(rows, 2, 2 * width)
+        metrics = rng.sample(ALL_METRICS, len(drawn))
+        held = series_block({m: r for m, r in zip(metrics, drawn) if r is not None}, tau=2)
+        block, lengths = downsample_block(held, tuple(metrics), 2 * width)
         # width 1 leaves a series as it is
         want = [
             [] if r is None else r if width == 1
             else [_left_sum(r[i:i + width]) / len(r[i:i + width]) for i in range(0, len(r), width)]
-            for r in rows
+            for r in drawn
         ]
         assert lengths.tolist() == [len(w) for w in want]
-        assert block.shape == (len(rows), max(lengths))
+        assert block.shape == (len(drawn), max(lengths))
         for row, w, n in zip(block.tolist(), want, lengths.tolist()):
             # float.hex tells -0.0 from 0.0, which == does not
             assert [v.hex() for v in row[:n]] == [v.hex() for v in w]
@@ -834,7 +838,9 @@ def test_downsample_block_matches_its_loop_oracle_bit_for_bit():
     """Widths 1-12, so windows of 8 or more members, which numpy's reduce
     would add pairwise; n that fills whole windows exactly and n that leaves
     a partial one; window sums of -0.0, and window sums past the domain bound
-    B of samples within it; no rows at all."""
+    B of samples within it; no rows at all. Each block is read for its own
+    metrics, which a uniform block averages as one view, and for a subset,
+    the reverse order and metrics it lacks, which go per length."""
     rng = np.random.default_rng(43)
     for trial in range(1000):
         width, M = int(rng.integers(1, 13)), int(rng.integers(0, 14))
@@ -855,16 +861,23 @@ def test_downsample_block_matches_its_loop_oracle_bit_for_bit():
             rows = [rng.uniform(-1e3, 1e3, n) for _ in range(M)]
             if M:
                 rows[int(rng.integers(0, M))] = rng.uniform(0.5 * B, B, n)
-        if trial % 3 == 0:  # plain float sequences, as downsample passes them
-            rows = [None if r is None else r.tolist() for r in rows]
-        want = _or_domain_error(_downsample_block_before, rows, 1, width)
-        inputs = [rows]
-        if kind in (0, 3, 4):  # also as one read-only (M, n) array, as a record's block is read
-            block = np.array(rows, dtype=float).reshape(M, n)
-            block.flags.writeable = False
-            inputs.append(block)
-        for values in inputs:
-            got = _or_domain_error(downsample_block, values, 1, width)
+        # a block has no empty rows: a row of no samples is a metric it lacks
+        by_metric = {
+            ALL_METRICS[i]: r for i, r in zip(rng.permutation(13)[:M].tolist(), rows)
+            if r is not None and len(r)
+        }
+        tau = int(rng.integers(1, 4))
+        held = series_block(by_metric, tau)
+        mixed = [m for m in ALL_METRICS if m not in by_metric][:2] + list(held.metrics)
+        for metrics in (
+            held.metrics,
+            held.metrics[int(rng.integers(0, 2))::2],
+            held.metrics[::-1],
+            tuple(mixed[i] for i in rng.permutation(len(mixed))),
+        ):
+            want = _or_domain_error(
+                _downsample_block_before, [by_metric.get(m) for m in metrics], tau, tau * width)
+            got = _or_domain_error(downsample_block, held, metrics, tau * width)
             if want is DomainError:
                 assert got is DomainError, trial
                 continue
@@ -875,7 +888,7 @@ def test_downsample_block_matches_its_loop_oracle_bit_for_bit():
 def test_downsample_is_one_row_of_the_block():
     values = [random.Random(37).uniform(0, 50) for _ in range(41)]
     out = downsample(_series(values), 9)
-    block, lengths = downsample_block([values], 1, 9)
+    block, lengths = downsample_block(_series(values), (MetricKind.utime,), 9)
     assert out.samples.tolist() == block[0].tolist()
     assert out.lengths == (5,) and lengths.tolist() == [5]
 
@@ -886,7 +899,7 @@ def test_downsample_of_a_ragged_block_is_downsample_block_row_by_row():
             for m, n in ((MetricKind.vmRSS, 17), (MetricKind.utime, 3), (MetricKind.rchar, 12))}
     s = series_block(rows, tau=2)
     out = downsample(s, 10)
-    block, lengths = downsample_block(list(rows.values()), 2, 10)
+    block, lengths = downsample_block(s, s.metrics, 10)
     assert (out.tau, out.metrics, out.lengths) == (10, s.metrics, (4, 1, 3))
     assert lengths.tolist() == [4, 1, 3]
     for m, row, n in zip(rows, block, lengths.tolist()):
@@ -898,7 +911,8 @@ def test_window_means_at_b_are_finite_and_a_sample_past_b_is_refused_where_it_en
     B, and no sum warns (warnings are errors in the pytest configuration). A
     sample past B never reaches a window sum: the series or block that would
     hold it is refused, naming its metric and B."""
-    block, _ = downsample_block([[1.0, 2.0], [B, B]], 1, 2)
+    held = series_block({MetricKind.utime: [1.0, 2.0], MetricKind.stime: [B, B]})
+    block, _ = downsample_block(held, held.metrics, 2)
     assert block.tolist() == [[1.5], [B]]
     assert downsample(_series([B, B, -B, -B]), 2).samples.tolist() == [B, -B]
     with pytest.raises(DomainError, match=r"^utime sample 1e\+308 is outside \[-B, B\], B = 2"):
@@ -908,9 +922,14 @@ def test_window_means_at_b_are_finite_and_a_sample_past_b_is_refused_where_it_en
 
 
 def test_downsample_block_rejects_bad_tau_and_takes_no_rows():
-    with pytest.raises(StoreError):
-        downsample_block([[1.0]], 2, 3)
-    with pytest.raises(StoreError):
-        downsample_block([], 2, 3)
-    block, lengths = downsample_block([], 1, 5)
+    one = _series([1.0], tau=2)
+    for metrics in (one.metrics, ()):  # the block's tau, whatever the selection
+        with pytest.raises(StoreError, match="^target_tau 3 is not a multiple of interval 2$"):
+            downsample_block(one, metrics, 3)
+    with pytest.raises(StoreError, match="^target_tau must be >= 1, got 0$"):
+        downsample_block(SeriesBlock(1, [], [], []), (), 0)
+    block, lengths = downsample_block(one, (), 4)
     assert block.shape == (0, 0) and lengths.tolist() == []
+    # a block without series reads as sampled every target_tau
+    block, lengths = downsample_block(SeriesBlock(2, [], [], []), (MetricKind.utime,), 3)
+    assert block.shape == (1, 0) and lengths.tolist() == [0]
