@@ -20,7 +20,7 @@ from .evaluation import (
     standard_corpus_config,
 )
 from .forecaster import TrainingDivergedError
-from .pipeline import ALL_METRICS, PipelineConfig, Registry, replace_file, trev_comoments
+from .pipeline import ALL_METRICS, PipelineConfig, Registry, replace_file, temp_path, trev_comoments
 from .store import RecordLog
 
 SWEEP_TAUS = (1, 5, 10, 15, 30)
@@ -33,15 +33,16 @@ def _write_report(report: EvalReport, out_prefix: Path) -> None:
 
 
 def _refuse_writes(log: str, flag: str, value, *suffixes: str) -> None:
-    """ValueError naming flag where a path the command will write, the flag's
-    value followed by a suffix, is the --log, an existing directory or lies
-    under a file. Called before the first record is read, so a refused
-    command writes nothing and does no work; a flag not given writes nothing."""
+    """ValueError naming flag where a path the command writes, the flag's value
+    and a suffix, is the --log, is or has at its temp_path a directory, or lies
+    under a file. Run before the first record is read, a refusal writes nothing
+    and does no work; a flag not given writes nothing."""
     for path in (Path(f"{value}{s}") for s in suffixes if value):
         if path.resolve() == Path(log).resolve():
             raise ValueError(f"{flag} {value} would overwrite the --log file; choose another path")
-        if path.is_dir():
-            raise ValueError(f"{flag} {value}: {path} is an existing directory")
+        for p in (path, temp_path(path)):
+            if p.is_dir():
+                raise ValueError(f"{flag} {value}: {p} is an existing directory")
         if not next(p for p in path.absolute().parents if p.exists()).is_dir():
             raise ValueError(f"{flag} {value} is, or lies under, a file that is not a directory")
 

@@ -31,7 +31,7 @@ from .knn import InstanceWindow
 # the pipeline calls neither downsample nor trev; perfbench/layers.py wraps
 # both by name in this module's namespace, so they stay importable from here
 from .store import downsample, downsample_block  # noqa: F401
-from .tsfeat import strip_padding_rows, trev, trev_rows  # noqa: F401
+from .tsfeat import trev, trev_rows  # noqa: F401
 
 REGISTRY_MAGIC = "wfpredict-registry"
 REGISTRY_VERSION = 9
@@ -45,21 +45,15 @@ _AGG_FLOOR = 1e-9
 _ANSWERS_CAP = 1024
 
 
-def _aggregates(block: np.ndarray, lengths: Sequence[int], lag: int) -> tuple:
+def _aggregates(block: np.ndarray, lengths: Sequence[int], lag: int) -> np.ndarray:
     """The aggregate (the sum) of each row of the block, floored at
     _AGG_FLOOR; a metric the record lacks has an all-zero row, whose sum
-    0.0 floors to _AGG_FLOOR. It takes _trevs' arguments and reads neither
+    0.0 floors to _AGG_FLOOR. It takes trev_rows' arguments and reads neither
     the lengths nor the lag."""
     # accumulate adds each row left to right, as sum() over the series did, and the
     # padding zeros keep its sum; a sum of means within B is finite (add refuses > B)
     sums = np.add.accumulate(block.T)[-1] if block.shape[1] else np.zeros(len(block))
-    return tuple(np.maximum(sums, _AGG_FLOOR).tolist())
-
-
-def _trevs(block: np.ndarray, lengths: Sequence[int], lag: int) -> tuple:
-    """The trev of each row of the block, stripped of trailing zeros; 0.0
-    for a row of length 0."""
-    return tuple(trev_rows(block, strip_padding_rows(block, lengths), lag).tolist())
+    return np.maximum(sums, _AGG_FLOOR)
 
 
 def _sigma(f: PreRuntimeFeatures, code) -> tuple:
@@ -75,7 +69,7 @@ _SCENARIOS = {
     Scenario.baseline: (lambda f, code: (float(code("input_name", f.input_name)),),
                         ("input_name",), None, None),
     Scenario.two_stages: (_sigma, PRE_RUNTIME_FEATURE_NAMES, ("agg_", _aggregates), "neighbor"),
-    Scenario.time_series: (_sigma, PRE_RUNTIME_FEATURE_NAMES, ("trev_", _trevs), "forecast"),
+    Scenario.time_series: (_sigma, PRE_RUNTIME_FEATURE_NAMES, ("trev_", trev_rows), "forecast"),
 }
 
 
@@ -114,12 +108,11 @@ class CoMoments:
 
 
 def trev_comoments(records: Iterable[TaskExecutionRecord], tau: int, lag: int) -> dict:
-    """Per task name, the CoMoments of each metric's trev against runtime over
-    one pass of the records: the trev of the series downsampled to tau and
-    stripped of trailing zeros, 0.0 for a metric the record lacks."""
+    """Per task name, the CoMoments against runtime of each metric's trev at
+    tau over one pass of the records, 0.0 for a metric the record lacks."""
     per_task: Dict[str, CoMoments] = defaultdict(CoMoments)
     for rec in records:
-        trevs = _trevs(*downsample_block(rec.series, ALL_METRICS, tau), lag)
+        trevs = trev_rows(*downsample_block(rec.series, ALL_METRICS, tau), lag)
         per_task[rec.features.task_name].add(trevs, rec.runtime_seconds)
     return dict(per_task)
 
@@ -209,13 +202,18 @@ class TaskModelBundle:
         }
 
 
+def temp_path(path) -> Path:
+    """<path>.tmp, the file replace_file writes and then renames over path."""
+    return Path(f"{path}.tmp")
+
+
 def replace_file(path, chunks: Iterable[str]) -> None:
     """Write the chunks as UTF-8 to <path>.tmp, synced, then rename it over path.
     path's directory is created once the first chunk is taken; a failure at any
     point, the chunks' producer included, removes <path>.tmp and leaves path as it was."""
     chunks = iter(chunks)
     first = next(chunks, "")
-    tmp = Path(f"{path}.tmp")
+    tmp = temp_path(path)
     tmp.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -290,7 +288,7 @@ class Registry:
         if bundle.forecaster is not None:
             if any(bundle.regressor.ranges()[len(sigma):].tolist()):
                 block, horizons = bundle.forecaster.forecast_all(sigma)
-                query = sigma + statistic[1](block, horizons, self.config.trev_lag)
+                query = sigma + tuple(statistic[1](block, horizons, self.config.trev_lag).tolist())
             else:
                 # no statistic column is live, so none can move a distance:
                 # skip the forecast and read every statistic as 0.0
@@ -326,7 +324,7 @@ class Registry:
             # it back whole, cannot leave a freshly added regressor instance
             if bundle.forecaster is not None:
                 bundle.forecaster.update_all(sigma, block, lengths)
-            row = sigma + statistic[1](block, lengths, cfg.trev_lag)
+            row = sigma + tuple(statistic[1](block, lengths, cfg.trev_lag).tolist())
         bundle.regressor.add(row, rec.runtime_seconds)
         bundle.runtime_count += 1
         self.bundles[key] = bundle

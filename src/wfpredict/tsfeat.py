@@ -1,4 +1,4 @@
-"""Time-reversal asymmetry feature extraction and the zero-padding length helper."""
+"""Time-reversal asymmetry feature extraction."""
 
 from __future__ import annotations
 
@@ -66,12 +66,3 @@ def trev(values: Sequence[float], lag: int) -> float:
     x = np.asarray(values, dtype=float)
     return float(trev_rows(x[None, :], (x.size,), lag)[0])
 
-
-def strip_padding_rows(block: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Per row, the length of its first lengths[m] values without their trailing zeros."""
-    lengths, n = np.asarray(lengths), block.shape[1]
-    if n and (lengths == n).all() and block[:, -1].all():  # no row ends in a zero
-        return lengths
-    pos = np.arange(1, n + 1)
-    kept = (block != 0.0) & (pos <= lengths[:, None])
-    return np.maximum.reduce(np.where(kept, pos, 0), 1, initial=0)

@@ -617,6 +617,15 @@ _UNDER_A_FILE = "{flag} {value} is, or lies under, a file that is not a director
                  "{flag} {value}: {value} is an existing directory", id="replay-out-a-directory"),
     pytest.param(["select-features", "--threshold", "0.5", "--out", "{adir}"],
                  "{flag} {value}: {value} is an existing directory", id="select-out-a-directory"),
+    pytest.param(["eval-online", "--out", "{dir}/r"],
+                 "{flag} {value}: {value}.json.tmp is an existing directory",
+                 id="online-out-tmp-a-directory"),
+    pytest.param(["replay-predict", "--tau", "5", "--out", "{dir}/p.jsonl"],
+                 "{flag} {value}: {value}.tmp is an existing directory",
+                 id="replay-out-tmp-a-directory"),
+    pytest.param(["replay-predict", "--tau", "5", "--registry-dir", "{dir}/reg"],
+                 "{flag} {value}: {value}/index.json.tmp is an existing directory",
+                 id="registry-dir-tmp-a-directory"),
 ])
 def test_a_sweep_out_dir_at_or_under_a_file_is_refused_before_any_run(
     tmp_path, gen_log, capsys, monkeypatch, argv, error
@@ -627,14 +636,18 @@ def test_a_sweep_out_dir_at_or_under_a_file_is_refused_before_any_run(
     flag; every file keeps its bytes and nothing is created. Before, the
     sweep ran its first configuration in full and only then failed with a
     bare "[Errno 17] File exists"; a replay with such a --registry-dir first
-    replaced its --out, and the others ran all their work before failing."""
+    replaced its --out, and the others ran all their work before failing.
+    So is a path whose temp_path, which replace_file writes first, is a
+    directory: that once failed only after all the work, naming no flag."""
     afile, adir, keep = tmp_path / "afile", tmp_path / "adir", tmp_path / "keep.jsonl"
     afile.write_bytes(b"kept\n")
     keep.write_bytes(b'{"kept": true}\n')
-    adir.mkdir()
+    # directories where the -tmp-a-directory cases' writes would stage
+    for d in ("adir", "r.json.tmp", "p.jsonl.tmp", "reg/index.json.tmp"):
+        (tmp_path / d).mkdir(parents=True)
     before = _tree(tmp_path)
     reads = _spy_reads(monkeypatch)
-    args = [a.format(afile=afile, adir=adir, keep=keep) for a in argv]
+    args = [a.format(afile=afile, adir=adir, keep=keep, dir=tmp_path) for a in argv]
     rc = main(args + ["--log", str(gen_log)])
     out, err = capsys.readouterr()
     assert (rc, out, reads) == (1, "", [])

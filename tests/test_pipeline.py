@@ -32,7 +32,7 @@ from wfpredict.pipeline import (
     trev_comoments,
 )
 from wfpredict.store import downsample, downsample_block
-from wfpredict.tsfeat import trev
+from wfpredict.tsfeat import trev, trev_rows
 
 
 def downsampled(rec, m, tau):
@@ -504,7 +504,7 @@ def test_time_series_forecasts_only_while_a_trev_column_is_live(tmp_path, monkey
             # the answer of a query that always carries the forecast's trevs
             sigma = encode_pre_runtime(rec.features, reg.vocab.lookup)
             block, horizons = forecast_all(bundle.forecaster, sigma)
-            query = sigma + pipeline_mod._trevs(block, horizons, reg.config.trev_lag)
+            query = sigma + tuple(trev_rows(block, horizons, reg.config.trev_lag).tolist())
             assert bundle.regressor.predict(query, k=3) == got
         reg.observe_completion(rec, Scenario.time_series)
     live = bundle.regressor.ranges()[8:] > 0
@@ -813,14 +813,6 @@ def test_time_series_forecasts_a_value_range_of_2b(monkeypatch):
     assert len(forecasts) == 58
 
 
-def _strip_trailing_zeros(values):
-    """values without their trailing zeros, by a plain loop independent of the library."""
-    end = len(values)
-    while end > 0 and values[end - 1] == 0.0:
-        end -= 1
-    return values[:end]
-
-
 def test_trev_comoments_match_the_per_metric_path(tmp_path):
     spec = dict(base_seconds=40.0, input_names=("i1", "i2"), input_scales=(1.0, 1.5),
                 series_profile="curved")
@@ -828,7 +820,7 @@ def test_trev_comoments_match_the_per_metric_path(tmp_path):
         tasks=(TaskTypeSpec(name="a", **spec), TaskTypeSpec(name="b", **spec)), n_records=40
     )
     records = generate_synthetic(cfg, 3, tmp_path / "curved.jsonl").read_all()
-    # trailing zeros to strip, and a record that carries only two metrics
+    # series that end in zeros, and a record that carries only two metrics
     padded = (1.0, 5.0, 2.0, 8.0, 3.0, 9.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     for metrics in (tuple(MetricKind), (MetricKind.utime, MetricKind.vmRSS)):
         series = series_block({m: padded for m in metrics})
@@ -838,7 +830,7 @@ def test_trev_comoments_match_the_per_metric_path(tmp_path):
         want = {}
         for rec in records:
             stats = [
-                trev(_strip_trailing_zeros(downsampled(rec, m, tau)), lag)
+                trev(downsampled(rec, m, tau), lag)
                 if m in rec.series.metrics else 0.0
                 for m in ALL_METRICS
             ]
@@ -849,6 +841,29 @@ def test_trev_comoments_match_the_per_metric_path(tmp_path):
             # the same inputs in the same order: every running sum bit for bit
             state = [repr(np.asarray(v).tolist()) for v in vars(acc).values()]
             assert state == [repr(np.asarray(v).tolist()) for v in vars(want[task]).values()]
+
+
+def test_a_series_that_ends_in_zeros_reads_the_trev_of_its_full_length():
+    """Series whose last readings are 0.0: the observed trev_ column and
+    trev_comoments both read tsfeat.trev of the whole downsampled row, zeros
+    included, as the statistic of a row is taken over its stated length.
+    Each once read the trev of the row without its trailing zeros."""
+    rows = {
+        MetricKind.wchar: (4.0, 9.0, 2.0, 7.0, 3.0, 0.0, 0.0, 0.0),
+        MetricKind.utime: (1.0, 5.0, 2.0, 8.0, 3.0, 9.0, 0.0, 0.0),
+        MetricKind.vmRSS: (2.0, 6.0, 1.0, 5.0, 0.0, 0.0),
+    }
+    rec = TaskExecutionRecord(make_features(), series_block(rows), 12.0)
+    for tau in (1, 2):
+        want = [trev(downsampled(rec, m, tau), 2) if m in rows else 0.0 for m in ALL_METRICS]
+        assert all(downsampled(rec, m, tau)[-1] == 0.0 for m in rows)
+        reg = Registry(config=PipelineConfig(target_tau=tau, trev_lag=2))
+        reg.observe_completion(rec, Scenario.time_series)
+        [row] = reg.bundles[("align", Scenario.time_series)].regressor.to_dict()["rows"]
+        assert row[len(PRE_RUNTIME_FEATURE_NAMES):] == want
+        assert trev_comoments([rec], tau, 2)["align"].mean_x.tolist() == want
+    # the wchar example at tau 1: the trev of all 8 samples, not of the first 5
+    assert trev(rows[MetricKind.wchar], 2) != trev(rows[MetricKind.wchar][:5], 2)
 
 
 def test_samples_whose_trev_moments_underflow_read_a_trev_of_zero():

@@ -1,4 +1,4 @@
-"""Time-reversal asymmetry statistic and the padding length helper."""
+"""Time-reversal asymmetry statistic."""
 
 import math
 import random
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wfpredict.domain import B
-from wfpredict.tsfeat import strip_padding_rows, trev, trev_rows
+from wfpredict.tsfeat import trev, trev_rows
 
 
 def reference_trev(values, lag):
@@ -82,27 +82,6 @@ def test_trev_flips_sign_under_negation():
     assert abs(trev([-v for v in values], 2) + trev(values, 2)) < 1e-9
 
 
-def _strip_one_row(values):
-    """values cut to the length strip_padding_rows gives them as a one-row block."""
-    block = np.array(values, dtype=float).reshape(1, len(values))
-    return values[:strip_padding_rows(block, (len(values),))[0]]
-
-
-def test_strip_padding_removes_trailing_zeros_only():
-    assert _strip_one_row([1.0, 0.0, 2.0, 0.0, 0.0]) == [1.0, 0.0, 2.0]
-    assert _strip_one_row([0.0, 0.0]) == []
-    assert _strip_one_row([]) == []
-
-
-def test_pad_strip_round_trip():
-    random.seed(109)
-    for _ in range(100):
-        n = random.randrange(0, 20)
-        values = [random.uniform(0.5, 9) for _ in range(n)]
-        padded = values + [0.0] * random.randrange(0, 10)
-        assert _strip_one_row(padded) == values
-
-
 def _trev_1d(values, lag):
     """The one-series numpy form of the statistic, which trev_rows must
     reproduce bit for bit: a 1-D mean over exactly the series' differences."""
@@ -146,36 +125,6 @@ def test_trev_rows_equals_one_series_trev_bit_for_bit():
         # only the first lengths[m] values of a row count
         junk = block + (np.arange(block.shape[1]) >= lengths[:, None]) * 7.0
         assert trev_rows(junk, lengths, lag).tolist() == got.tolist()
-
-
-def _strip_loop(values):
-    end = len(values)
-    while end > 0 and values[end - 1] == 0.0:
-        end -= 1
-    return values[:end]
-
-
-def test_strip_padding_rows_matches_a_loop():
-    rng = random.Random(127)
-    rows = [
-        [rng.choice([0.0, -0.0, rng.uniform(-5, 5)]) for _ in range(rng.randrange(0, 12))]
-        for _ in range(200)
-    ]
-    block, lengths = _ragged_block(rows)
-    got = strip_padding_rows(block + 3.0 * (np.arange(block.shape[1]) >= lengths[:, None]), lengths)
-    assert got.tolist() == [len(_strip_loop(r)) for r in rows]
-    assert strip_padding_rows(np.zeros((0, 0)), np.zeros(0, dtype=int)).tolist() == []
-    # blocks whose rows all hold the block's width, ending in zeros or not
-    for trial in range(100):
-        M, width = rng.randrange(1, 6), rng.randrange(0, 9)
-        rows = [[rng.uniform(-5, 5) for _ in range(width)] for _ in range(M)]
-        for r in rows:
-            for k in range(min(width, rng.choice([0, 0, 1, width]))):
-                r[-1 - k] = rng.choice([0.0, -0.0])
-        block = np.array(rows).reshape(M, width)
-        want = [len(_strip_loop(r)) for r in rows]
-        for lengths in (np.full(M, width), [width] * M):
-            assert strip_padding_rows(block, lengths).tolist() == want
 
 
 def _moments_before(x, l):
