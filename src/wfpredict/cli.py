@@ -20,24 +20,28 @@ from .evaluation import (
     standard_corpus_config,
 )
 from .forecaster import TrainingDivergedError
-from .pipeline import ALL_METRICS, PipelineConfig, Registry, replace_file, temp_path, trev_comoments
+from .pipeline import (ALL_METRICS, PipelineConfig, Registry, index_path, replace_file,
+                       temp_path, trev_comoments)
 from .store import RecordLog
 
 SWEEP_TAUS = (1, 5, 10, 15, 30)
 SWEEP_LAGS = (2, 3)
 
 
-def _write_report(report: EvalReport, out_prefix: Path) -> None:
-    replace_file(f"{out_prefix}.json", [report.to_json() + "\n"])
-    replace_file(f"{out_prefix}.txt", [report.to_text()])
+def _write_report(report: EvalReport, paths: list) -> None:
+    for path, text in zip(paths, (report.to_json() + "\n", report.to_text()), strict=True):
+        replace_file(path, [text])
 
 
-def _refuse_writes(log: str, flag: str, value, *suffixes: str) -> None:
-    """ValueError naming flag where a path the command writes, the flag's value
-    and a suffix, is the --log, is or has at its temp_path a directory, or lies
-    under a file. Run before the first record is read, a refusal writes nothing
-    and does no work; a flag not given writes nothing."""
-    for path in (Path(f"{value}{s}") for s in suffixes if value):
+def _refuse_writes(log: str, flag: str, value, *suffixes: str, spell=Path) -> list:
+    """The paths the command writes for flag, each spell(value) then a suffix;
+    none for a flag not given. ValueError naming flag where value is empty, or
+    a path is the --log, is or has at its temp_path a directory, or lies under
+    a file. Run before the first record is read, a refusal does no work."""
+    if value == "":
+        raise ValueError(f"{flag} is empty; give a path")
+    paths = [Path(f"{spell(value)}{s}") for s in suffixes if value is not None]
+    for path in paths:
         if path.resolve() == Path(log).resolve():
             raise ValueError(f"{flag} {value} would overwrite the --log file; choose another path")
         for p in (path, temp_path(path)):
@@ -45,6 +49,7 @@ def _refuse_writes(log: str, flag: str, value, *suffixes: str) -> None:
                 raise ValueError(f"{flag} {value}: {p} is an existing directory")
         if not next(p for p in path.absolute().parents if p.exists()).is_dir():
             raise ValueError(f"{flag} {value} is, or lies under, a file that is not a directory")
+    return paths
 
 
 def _add_common_eval_flags(p: argparse.ArgumentParser) -> None:
@@ -86,8 +91,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_replay_predict(args) -> int:
-    _refuse_writes(args.log, "--out", args.out, "")
-    _refuse_writes(args.log, "--registry-dir", args.registry_dir, "/index.json")
+    out = _refuse_writes(args.log, "--out", args.out, "")
+    _refuse_writes(args.log, "--registry-dir", args.registry_dir, "", spell=index_path)
     log = RecordLog(args.log)
     registry = Registry(
         storage_dir=args.registry_dir,
@@ -100,8 +105,8 @@ def cmd_replay_predict(args) -> int:
                     "actual": rec.runtime_seconds}) + "\n"
         for rec, pred in prequential(registry, log.records(), Scenario(args.scenario))
     )
-    if args.out:
-        replace_file(args.out, lines)
+    if out:
+        replace_file(out[0], lines)
     else:
         sys.stdout.writelines(lines)
     if args.registry_dir:
@@ -110,7 +115,7 @@ def cmd_replay_predict(args) -> int:
 
 
 def cmd_eval_online(args) -> int:
-    _refuse_writes(args.log, "--out", args.out, ".json", ".txt")
+    paths = _refuse_writes(args.log, "--out", args.out, ".json", ".txt")
     report = run_online(
         RecordLog(args.log),
         Scenario(args.scenario),
@@ -120,13 +125,13 @@ def cmd_eval_online(args) -> int:
         skip_first=args.skip_first,
         **_overrides(args),
     )
-    _write_report(report, Path(args.out))
+    _write_report(report, paths)
     print(f"online rae {report.rae!r} over {report.n_predictions} predictions")
     return 0
 
 
 def cmd_eval_batch(args) -> int:
-    _refuse_writes(args.log, "--out", args.out, ".json", ".txt")
+    paths = _refuse_writes(args.log, "--out", args.out, ".json", ".txt")
     report = run_batch_offline(
         RecordLog(args.log),
         Scenario(args.scenario),
@@ -136,32 +141,29 @@ def cmd_eval_batch(args) -> int:
         seed=args.seed,
         **_overrides(args),
     )
-    _write_report(report, Path(args.out))
+    _write_report(report, paths)
     print(f"batch(d={args.d}) rae {report.rae!r} over {report.n_predictions} predictions")
     return 0
 
 
 def cmd_sweep(args) -> int:
     log = RecordLog(args.log)
-    scenarios = [Scenario(s) for s in args.scenarios]
     taus = args.taus or list(SWEEP_TAUS)
     lags = args.lags or list(SWEEP_LAGS)
     if any(t < 1 for t in taus) or any(l < 1 for l in lags):
         raise ValueError("sweep taus and lags must be >= 1")
-    out_dir = Path(args.out_dir)
-    grid = list(itertools.product(scenarios, taus, lags))
-    names = [f"{s.value}_tau{t}_lag{l}" for s, t, l in grid]
-    suffixes = (f"/{n}{ext}" for n in names for ext in (".json", ".txt"))
-    _refuse_writes(args.log, "--out-dir", args.out_dir, *suffixes)
-    for (scenario, tau, lag), name in zip(grid, names):
+    grid = list(itertools.product(map(Scenario, args.scenarios), taus, lags))
+    paths = _refuse_writes(args.log, "--out-dir", args.out_dir, *(
+        f"/{s.value}_tau{t}_lag{l}{ext}" for s, t, l in grid for ext in (".json", ".txt")))
+    for i, (scenario, tau, lag) in enumerate(grid):
         report = run_online(log, scenario, tau=tau, lag=lag, seed=args.seed)
-        _write_report(report, out_dir / name)
-    print(f"wrote {len(grid)} reports to {out_dir}")
+        _write_report(report, paths[2 * i:2 * i + 2])
+    print(f"wrote {len(grid)} reports to {Path(args.out_dir)}")
     return 0
 
 
 def cmd_select_features(args) -> int:
-    _refuse_writes(args.log, "--out", args.out, "")
+    out = _refuse_writes(args.log, "--out", args.out, "")
     if not (0.0 <= args.threshold <= 1.0):
         raise ValueError(f"--threshold must be in [0, 1], got {args.threshold}")
     if args.tau < 1 or args.lag < 1:
@@ -175,8 +177,8 @@ def cmd_select_features(args) -> int:
         selected = sorted(m.value for m in acc.selected(args.threshold))
         result[task] = {"rho": rho, "selected": selected}
         print(f"{task}: selected {selected}")
-    if args.out:
-        replace_file(args.out, [json.dumps(result, indent=2) + "\n"])
+    if out:
+        replace_file(out[0], [json.dumps(result, indent=2) + "\n"])
     return 0
 
 

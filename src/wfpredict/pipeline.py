@@ -202,12 +202,17 @@ class TaskModelBundle:
         }
 
 
-def temp_path(path) -> Path:
+def temp_path(path: Path) -> Path:
     """<path>.tmp, the file replace_file writes and then renames over path."""
     return Path(f"{path}.tmp")
 
 
-def replace_file(path, chunks: Iterable[str]) -> None:
+def index_path(storage_dir) -> Path:
+    """storage_dir/index.json, the one file a registry is saved to and loaded from."""
+    return Path(storage_dir) / "index.json"
+
+
+def replace_file(path: Path, chunks: Iterable[str]) -> None:
     """Write the chunks as UTF-8 to <path>.tmp, synced, then rename it over path.
     path's directory is created once the first chunk is taken; a failure at any
     point, the chunks' producer included, removes <path>.tmp and leaves path as it was."""
@@ -332,7 +337,7 @@ class Registry:
     # -- persistence -------------------------------------------------------
 
     def save(self) -> None:
-        """Write the registry as one JSON document, storage_dir/index.json, through
+        """Write the registry as one JSON document, index_path(storage_dir), through
         replace_file, so a save that fails at any point leaves the previous one."""
         if self.storage_dir is None:
             raise ValueError("registry has no storage directory")
@@ -344,17 +349,17 @@ class Registry:
             "bundles": [{"task_name": t, "scenario": s.value, **self.bundles[t, s].to_dict()}
                         for t, s in sorted(self.bundles)],
         }
-        replace_file(self.storage_dir / "index.json", [json.dumps(doc)])
+        replace_file(index_path(self.storage_dir), [json.dumps(doc)])
 
     @classmethod
     def load(cls, storage_dir) -> "Registry":
-        """The registry save wrote; ValueError if index.json is not one.
+        """The registry save wrote; ValueError if its index_path is not one.
 
         Each bundle is built from the saved config, as a first observe would
         build it, and then takes on its saved learned state; a bundle saved
         without rows is checked and dropped, as observe keeps none."""
         storage_dir = Path(storage_dir)
-        doc = json.loads((storage_dir / "index.json").read_text(encoding="utf-8"))
+        doc = json.loads(index_path(storage_dir).read_text(encoding="utf-8"))
         if not isinstance(doc, dict) or doc.get("magic") != REGISTRY_MAGIC:
             raise ValueError(f"not a registry directory: {storage_dir}")
         if doc.get("version") != REGISTRY_VERSION:

@@ -626,6 +626,19 @@ _UNDER_A_FILE = "{flag} {value} is, or lies under, a file that is not a director
     pytest.param(["replay-predict", "--tau", "5", "--registry-dir", "{dir}/reg"],
                  "{flag} {value}: {value}/index.json.tmp is an existing directory",
                  id="registry-dir-tmp-a-directory"),
+    pytest.param(["eval-online", "--out", "{dir}/q/"],
+                 "{flag} {value}: {dir}/q.json is an existing directory",
+                 id="online-out-slash-json-a-directory"),
+    pytest.param(["eval-batch", "--d", "0.8", "--out", "{dir}/q/"],
+                 "{flag} {value}: {dir}/q.json is an existing directory",
+                 id="batch-out-slash-json-a-directory"),
+    *(pytest.param(argv, "{flag} is empty; give a path", id=f"{argv[0]}-{argv[-2][2:]}-empty")
+      for argv in (["eval-online", "--out", ""], ["eval-batch", "--d", "0.8", "--out", ""],
+                   ["sweep", "--scenarios", "baseline", "--taus", "1", "--lags", "2",
+                    "--out-dir", ""],
+                   ["replay-predict", "--tau", "5", "--out", ""],
+                   ["replay-predict", "--tau", "5", "--registry-dir", ""],
+                   ["select-features", "--threshold", "0.5", "--out", ""])),
 ])
 def test_a_sweep_out_dir_at_or_under_a_file_is_refused_before_any_run(
     tmp_path, gen_log, capsys, monkeypatch, argv, error
@@ -638,21 +651,73 @@ def test_a_sweep_out_dir_at_or_under_a_file_is_refused_before_any_run(
     bare "[Errno 17] File exists"; a replay with such a --registry-dir first
     replaced its --out, and the others ran all their work before failing.
     So is a path whose temp_path, which replace_file writes first, is a
-    directory: that once failed only after all the work, naming no flag."""
+    directory: that once failed only after all the work, naming no flag.
+    An --out q/ whose q.json is a directory ran the whole evaluation and then
+    failed with a bare "[Errno 21]", as the check looked at q/.json; an empty
+    value, which the cases run in tmp_path, wrote ..json and ..txt there, or
+    a sweep's reports, or was read as a flag not given."""
     afile, adir, keep = tmp_path / "afile", tmp_path / "adir", tmp_path / "keep.jsonl"
     afile.write_bytes(b"kept\n")
     keep.write_bytes(b'{"kept": true}\n')
-    # directories where the -tmp-a-directory cases' writes would stage
-    for d in ("adir", "r.json.tmp", "p.jsonl.tmp", "reg/index.json.tmp"):
+    # directories where the -a-directory cases' writes would stage or land
+    for d in ("adir", "r.json.tmp", "p.jsonl.tmp", "reg/index.json.tmp", "q.json"):
         (tmp_path / d).mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)
     before = _tree(tmp_path)
     reads = _spy_reads(monkeypatch)
     args = [a.format(afile=afile, adir=adir, keep=keep, dir=tmp_path) for a in argv]
     rc = main(args + ["--log", str(gen_log)])
     out, err = capsys.readouterr()
     assert (rc, out, reads) == (1, "", [])
-    assert err == "error: " + error.format(flag=args[-2], value=args[-1]) + "\n"
+    assert err == "error: " + error.format(flag=args[-2], value=args[-1], dir=tmp_path) + "\n"
     assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["replay-predict", "--tau", "5", "--out", "@out", "--registry-dir", "@reg"],
+                 id="replay-predict"),
+    pytest.param(["eval-online", "--scenario", "baseline", "--out", "@r"], id="eval-online"),
+    pytest.param(["eval-batch", "--scenario", "baseline", "--d", "0.8", "--out", "@b"],
+                 id="eval-batch"),
+    pytest.param(["sweep", "--scenarios", "baseline", "--taus", "5", "--lags", "2", "3",
+                  "--out-dir", "@sw"], id="sweep"),
+    pytest.param(["select-features", "--threshold", "0.5", "--out", "@s.json"],
+                 id="select-features"),
+])
+def test_the_check_and_the_writers_see_the_same_paths(tmp_path, gen_log, monkeypatch, argv):
+    """Each path a command writes through replace_file is one the write check
+    returned, in the same spelling, however the value ("@name" in argv) is
+    spelled: plain, with a trailing "/" or with "./". So replay-predict --out
+    out/ writes the file out, not a directory, with the bytes of a plain --out.
+    Before, the writers spelled their paths apart from the check: such an
+    --out ran the whole replay, left an empty directory and failed with
+    "[Errno 20]"."""
+    checked, written, refuse, replace = [], [], cli_mod._refuse_writes, pipeline_mod.replace_file
+
+    def spy_refuse(*a, **kw):
+        paths = refuse(*a, **kw)
+        checked.extend(paths)
+        return paths
+
+    def spy_replace(path, chunks):
+        written.append(path)
+        replace(path, chunks)
+
+    monkeypatch.setattr(cli_mod, "_refuse_writes", spy_refuse)
+    monkeypatch.setattr(cli_mod, "replace_file", spy_replace)
+    monkeypatch.setattr(pipeline_mod, "replace_file", spy_replace)
+    trees = {}
+    for spelling, spell in (("plain", "{root}/{name}"), ("slash", "{root}/{name}/"),
+                            ("dot", "./{name}")):
+        root = tmp_path / spelling
+        root.mkdir()
+        monkeypatch.chdir(root)
+        del checked[:], written[:]
+        args = [spell.format(root=root, name=a[1:]) if a[0] == "@" else a for a in argv]
+        assert main(args + ["--log", str(gen_log)]) == 0, spelling
+        assert sorted(map(str, written)) == sorted(map(str, checked)) != [], spelling
+        trees[spelling] = {p.relative_to(root): b for p, b in _tree(root).items()}
+    assert trees["slash"] == trees["dot"] == trees["plain"]
 
 
 def test_sweep_rejects_bad_grid(tmp_path, gen_log):
